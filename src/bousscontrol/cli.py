@@ -28,8 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for independent sweep members")
         p.add_argument("--dump-fields", action="store_true",
                        help="also dump full field trajectories")
     return parser
@@ -37,9 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
     try:
         cfg = parse_config(args.config)
     except (OSError, BoussControlError) as exc:
@@ -51,7 +46,7 @@ def main(argv=None) -> int:
         resolved["dump_fields"] = "true"
         from dataclasses import replace
         cfg = replace(cfg, dump_fields=True, resolved=resolved)
-    return run_experiment(cfg, args.out, jobs=args.jobs)
+    return run_experiment(cfg, args.out)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ eagerly during parsing.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 
 from .exceptions import ConfigError
@@ -86,6 +87,14 @@ def _parse_float(key, s):
         return float(s)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {s!r}") from None
+
+
+def _parse_positive(key, s):
+    """A number that must be finite and > 0, or a ConfigError."""
+    x = _parse_float(key, s)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ConfigError(f"{key}: expected a finite number > 0, got {s!r}")
+    return x
 
 
 def _parse_int(key, s):
@@ -203,10 +212,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         vals["penalty.t_clip"] = f"{t_clip:.17g}"
     else:
         t_clip = _parse_float("penalty.t_clip", vals["penalty.t_clip"])
-    pen = PenaltySpec(epsilon=_parse_float("penalty.eps", vals["penalty.eps"]),
+    pen = PenaltySpec(epsilon=_parse_positive("penalty.eps", vals["penalty.eps"]),
                       weight_mode=vals["penalty.weight_mode"],
                       t_clip=t_clip,
-                      cg_tol=_parse_float("penalty.cg_tol", vals["penalty.cg_tol"]),
+                      cg_tol=_parse_positive("penalty.cg_tol", vals["penalty.cg_tol"]),
                       cg_max_iters=_parse_int("penalty.cg_max_iters",
                                               vals["penalty.cg_max_iters"]))
     outer = OuterLoopSpec(max_outer=_parse_int("outer.max", vals["outer.max"]),
@@ -218,7 +227,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     sweep: tuple = ()
     if vals["linear_control.eps_sweep"].strip():
-        sweep = tuple(_parse_float("linear_control.eps_sweep", s.strip())
+        sweep = tuple(_parse_positive("linear_control.eps_sweep", s.strip())
                       for s in vals["linear_control.eps_sweep"].split(","))
 
     return ExperimentConfig(

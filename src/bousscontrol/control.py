@@ -12,6 +12,13 @@ spread exactly (the Hessian becomes I + (1/eps) (L W^-1)^T (L W^-1)); the
 reduced gradient in v-space is w^2 v + 1~_omega zeta with zeta the adjoint
 stage driven by terminal data (y(T)/eps, theta(T)/eps).
 
+An eps sweep is solved by one multi-shift CG.  Every member's Hessian is
+I + M/eps with the same M, and its right-hand side is -(1/eps) c with c
+independent of eps; times eps/eps_seed, member eps becomes the shifted system
+(H_seed + delta I) z = b_seed with delta = eps/eps_seed - 1 >= 0, where the
+seed is the smallest eps.  All members therefore share the seed's Krylov space
+and are solved for the cost of the seed alone (Jegerlehner, hep-lat/9612014).
+
 Nonlinear problem: outer source-term fixed point.  At iterate k all nonlinear
 and nonlocal terms of the previous trajectory are frozen into (F1, F2) of the
 linear system and the linear control problem is re-solved; on convergence the
@@ -23,8 +30,9 @@ nonlinear synthesis on the remaining short horizon.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,6 +68,21 @@ class ControlTrajectory:
         return ControlTrajectory(self.vu + a * other.vu, self.vv + a * other.vv,
                                  self.v0 + a * other.v0)
 
+    def _pairs(self, other: "ControlTrajectory"):
+        return ((self.vu, other.vu), (self.vv, other.vv), (self.v0, other.v0))
+
+    def axpy(self, a: float, x: "ControlTrajectory") -> None:
+        """self += a x in place; rounds exactly like ``self.plus(x, a)``."""
+        for mine, theirs in self._pairs(x):
+            mine += a * theirs
+
+    def xpby(self, x: "ControlTrajectory", b: float, a: float = 1.0) -> None:
+        """self = a x + b self in place; with a = 1 it rounds exactly like
+        ``x.plus(self, b)``."""
+        for mine, theirs in self._pairs(x):
+            mine *= b
+            mine += theirs if a == 1.0 else a * theirs
+
 
 def control_inner(a: ControlTrajectory, b: ControlTrajectory, grid: GridSpec,
                   dt: float) -> float:
@@ -71,6 +94,11 @@ def control_norm(a: ControlTrajectory, grid: GridSpec, dt: float) -> float:
     return float(np.sqrt(max(control_inner(a, a, grid, dt), 0.0)))
 
 
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"penalty epsilon must be finite and positive, got {eps!r}")
+
+
 @dataclass(frozen=True)
 class PenaltySpec:
     epsilon: float = 1.0e-6
@@ -80,8 +108,7 @@ class PenaltySpec:
     cg_max_iters: int = 600
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise DomainError("penalty epsilon must be positive")
+        _check_eps(self.epsilon)
         if self.weight_mode not in ("carleman", "unweighted"):
             raise DomainError("weight_mode must be 'carleman' or 'unweighted'")
         if self.t_clip is not None and self.t_clip <= 0.0:
@@ -114,10 +141,13 @@ class SynthesisReport:
     uncontrolled_terminal_norm: float = 0.0
     data_norm: float = 0.0
     converged: bool = True
+    forward_sweeps: int = 0      # linear forward runs of the solve(s) behind this report
+    adjoint_sweeps: int = 0      # adjoint runs of the same
     j_history: list = field(default_factory=list)
     update_history: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
     z_state: object = field(default=None, repr=False)  # warm-start carrier, not serialized
+    sweep: list = field(default_factory=list, repr=False)  # eps-sweep reports, not serialized
 
     def lines(self):
         out = [
@@ -130,6 +160,8 @@ class SynthesisReport:
             f"uncontrolled_terminal_norm = {self.uncontrolled_terminal_norm:.17g}",
             f"data_norm = {self.data_norm:.17g}",
             f"converged = {self.converged}",
+            f"forward_sweeps = {self.forward_sweeps}",
+            f"adjoint_sweeps = {self.adjoint_sweeps}",
         ]
         if self.update_history:
             out.append("update_norms = "
@@ -161,14 +193,45 @@ def weighted_control_energy(c: ControlTrajectory, logw: np.ndarray,
     return total * grid.cell_area * dt
 
 
+@dataclass(eq=False)
+class ShiftMember:
+    """One eps of a multi-shift solve: (H_seed + delta I) z = b_seed.
+
+    Its residual is zeta times the seed's, so it freezes once
+    |zeta_k| |r_k| <= cg_tol |r_0|; ``cg_iters`` is that k.  A member other
+    than the main eps takes its terminal norm and control energy when it
+    freezes and then drops its vectors (``z`` becomes None).
+    """
+
+    eps: float
+    delta: float
+    z: ControlTrajectory | None
+    p: ControlTrajectory | None      # None for the seed: it moves along the shared p
+    j_history: list
+    zeta: float = 1.0
+    zeta_prev: float = 1.0
+    cg_iters: int = 0
+    terminal_norm: float = 0.0
+    control_energy: float = 0.0
+
+
 class LinearControlProblem:
-    """Penalized HUM quadratic for one linear configuration."""
+    """Penalized HUM quadratic for one linear configuration.
+
+    With an ``eps_sweep`` the problem's operators (``hessian_apply``, ``rhs``)
+    are those of the seed, the smallest eps among ``pen.epsilon`` and the
+    sweep; ``solve`` then also solves every sweep member (module docstring).
+    """
 
     def __init__(self, y0, th0, f1, f2, pen: PenaltySpec, logw: np.ndarray,
                  grid: GridSpec, tgrid: TimeGrid, nu0: float, bumps,
-                 coupling: float | None = None):
+                 coupling: float | None = None, eps_sweep=()):
+        for eps in eps_sweep:
+            _check_eps(eps)
         self.grid, self.tgrid = grid, tgrid
         self.pen = pen
+        self.eps_sweep = tuple(eps_sweep)
+        self.eps = min((pen.epsilon,) + self.eps_sweep)
         self.logw = logw
         self.w_inv = np.exp(-logw)
         self.bumps = bumps
@@ -182,7 +245,9 @@ class LinearControlProblem:
                 f1[0] if f1 is not None else np.zeros((nt, grid.nx + 1, grid.ny)),
                 f1[1] if f1 is not None else np.zeros((nt, grid.nx, grid.ny + 1)),
                 f2 if f2 is not None else np.zeros((nt, grid.nx, grid.ny)))
-        self.n_forward = 0
+        self.forward_sweeps = 0
+        self.adjoint_sweeps = 0
+        self.members: dict[float, ShiftMember] = {}
 
     # -- building blocks ----------------------------------------------------
 
@@ -195,25 +260,36 @@ class LinearControlProblem:
         src = self.sources if with_sources else None
         y0 = self.y0 if with_sources else (self.grid.zeros_u(), self.grid.zeros_v())
         th0 = self.th0 if with_sources else self.grid.zeros_cells()
-        self.n_forward += 1
+        self.forward_sweeps += 1
         u, v, th = self.prop.run(y0, th0, controls=controls, sources=src, store=False)
         return u, v, th
 
+    def trajectory(self, controls: ControlTrajectory) -> Trajectory:
+        """The stored controlled trajectory from the problem's data."""
+        self.forward_sweeps += 1
+        return self.prop.run(self.y0, self.th0, controls=controls, sources=self.sources)
+
     def _bt_zeta(self, ut, vt, tht, weight_inv: bool = True) -> ControlTrajectory:
         """(1/eps) B^T L^T applied to a terminal state, optionally through W^-1."""
-        eps = self.pen.epsilon
+        eps = self.eps
+        self.adjoint_sweeps += 1
         adj = run_adjoint((ut / eps, vt / eps), tht / eps, None, None, self.prop,
                           project_terminal=False)
         bu, bv, bc = self.bumps
         out = ControlTrajectory(adj.zeta_u * bu, adj.zeta_v * bv, adj.zeta_th * bc)
+        del adj
         if weight_inv:
             wi = self.w_inv[:, None, None]
-            out = ControlTrajectory(out.vu * wi, out.vv * wi, out.v0 * wi)
+            out.vu *= wi
+            out.vv *= wi
+            out.v0 *= wi
         return out
 
     def hessian_apply(self, z: ControlTrajectory) -> ControlTrajectory:
         ut, vt, tht = self._terminal_of(self.controls_from_z(z), with_sources=False)
-        return z.plus(self._bt_zeta(ut, vt, tht))
+        out = self._bt_zeta(ut, vt, tht)
+        out.axpy(1.0, z)
+        return out
 
     def rhs(self):
         """-gradient at z = 0, and the free terminal norm / J(0)."""
@@ -230,49 +306,96 @@ class LinearControlProblem:
 
     # -- CG minimization in z -----------------------------------------------
 
+    def _freeze(self, m: ShiftMember) -> None:
+        m.p = None
+        if m.eps != self.pen.epsilon:
+            m.terminal_norm = self.terminal_norm(self.controls_from_z(m.z))
+            m.control_energy = control_inner(m.z, m.z, self.grid, self.tgrid.dt)
+            m.z = None
+
     def solve(self, z0: ControlTrajectory | None = None):
+        """CG on the seed system, carrying every other eps as a shifted system.
+
+        Returns (z, controls, iters, j_history, free terminal norm) of
+        ``pen.epsilon``; every distinct eps, the main one included, is left
+        in ``self.members``.  A warm start ``z0`` is only defined for a
+        single eps, whose arithmetic is then that of plain CG.
+        """
         grid, dt, pen = self.grid, self.tgrid.dt, self.pen
+        if z0 is not None and self.eps_sweep:
+            raise DomainError("a warm start z0 cannot be shared by eps-sweep members")
         b, free_tnorm_sq = self.rhs()
         if z0 is None:
             z = ControlTrajectory.zeros(grid, self.tgrid.nt)
-            r = b.copy()
-            j0 = 0.5 * free_tnorm_sq / pen.epsilon
+            r = b
+            j0 = 0.5 * free_tnorm_sq / self.eps
         else:
             z = z0.copy()
             r = b.plus(self.hessian_apply(z), -1.0)
             j0 = (0.5 * control_inner(z, z, grid, dt)
-                  + 0.5 * self.terminal_norm(self.controls_from_z(z)) ** 2 / pen.epsilon)
+                  + 0.5 * self.terminal_norm(self.controls_from_z(z)) ** 2 / self.eps)
         p = r.copy()
+        seed = ShiftMember(self.eps, 0.0, z, None, [j0])
+        del b, z
+        active = [seed] + [
+            ShiftMember(eps, eps / self.eps - 1.0,
+                        ControlTrajectory.zeros(grid, self.tgrid.nt), p.copy(),
+                        [0.5 * free_tnorm_sq / eps])
+            for eps in sorted(set((pen.epsilon,) + self.eps_sweep) - {self.eps})]
+        self.members = {m.eps: m for m in active}
         rr = control_inner(r, r, grid, dt)
         gnorm0 = np.sqrt(rr)
-        j_hist = [j0]
-        j = j0
-        iters = 0
+        tol = pen.cg_tol * gnorm0
         if gnorm0 > 0.0:
+            alpha_prev, beta_prev = 1.0, 0.0
             for it in range(1, pen.cg_max_iters + 1):
                 hp = self.hessian_apply(p)
                 php = control_inner(p, hp, grid, dt)
                 if php <= 0.0:
                     raise ConvergenceError("CG curvature lost (operator not SPD?)",
-                                           history=j_hist)
+                                           history=seed.j_history)
                 alpha = rr / php
-                z = z.plus(p, alpha)
-                r = r.plus(hp, -alpha)
-                j = j - 0.5 * alpha * rr
-                j_hist.append(j)
-                iters = it
+                for m in active:
+                    zeta = (m.zeta * m.zeta_prev * alpha_prev
+                            / (alpha * beta_prev * (m.zeta_prev - m.zeta)
+                               + m.zeta_prev * alpha_prev * (1.0 + m.delta * alpha)))
+                    alpha_m = alpha * zeta / m.zeta
+                    m.z.axpy(alpha_m, p if m.p is None else m.p)
+                    m.j_history.append(m.j_history[-1] - 0.5 * alpha_m * m.zeta ** 2
+                                       * rr / (1.0 + m.delta))
+                    m.zeta_prev, m.zeta = m.zeta, zeta
+                    m.cg_iters = it
+                r.axpy(-alpha, hp)
+                del hp
                 rr_new = control_inner(r, r, grid, dt)
-                if np.sqrt(rr_new) <= pen.cg_tol * gnorm0:
+                rnorm = np.sqrt(rr_new)
+                still = []
+                for m in active:
+                    if abs(m.zeta) * rnorm <= tol:
+                        self._freeze(m)
+                    else:
+                        still.append(m)
+                active = still
+                if not active:
                     rr = rr_new
                     break
-                p = r.plus(p, rr_new / rr)
+                beta = rr_new / rr
+                p.xpby(r, beta)
+                for m in active:
+                    if m.p is not None:
+                        m.p.xpby(r, beta * (m.zeta / m.zeta_prev) ** 2, a=m.zeta)
+                alpha_prev, beta_prev = alpha, beta
                 rr = rr_new
             else:
                 raise ConvergenceError(
                     f"CG stalled: |g|/|g0| = {np.sqrt(rr) / gnorm0:.3e} after "
-                    f"{pen.cg_max_iters} iterations", history=j_hist)
-        controls = self.controls_from_z(z)
-        return z, controls, iters, j_hist, float(np.sqrt(free_tnorm_sq))
+                    f"{pen.cg_max_iters} iterations", history=seed.j_history)
+        else:
+            for m in active:
+                self._freeze(m)
+        main = self.members[pen.epsilon]
+        return (main.z, self.controls_from_z(main.z), main.cg_iters,
+                main.j_history, float(np.sqrt(free_tnorm_sq)))
 
 
 def objective(controls: ControlTrajectory, y0, th0, f1, f2, pen: PenaltySpec,
@@ -307,21 +430,24 @@ def gradient(controls: ControlTrajectory, y0, th0, f1, f2, pen: PenaltySpec,
 def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
                          weights: WeightTables | None, grid: GridSpec,
                          tgrid: TimeGrid, nu0: float, bumps, coupling=None,
-                         z0: ControlTrajectory | None = None):
+                         z0: ControlTrajectory | None = None, eps_sweep=()):
     """Penalized HUM for the linear system.
 
     Returns (controls, controlled trajectory, SynthesisReport); the report's
     uncontrolled terminal norm comes from the same data with controls off.
+    Every eps in ``eps_sweep`` is solved by the same multi-shift CG, and its
+    report lands in ``report.sweep`` in the order given; a member equal to
+    ``pen.epsilon`` is the main solve itself.  All these reports count the
+    forward and adjoint sweeps of the one shared solve.
     """
     t0 = time.perf_counter()
     logw = step_weight_logs(pen, weights, tgrid)
     prob = LinearControlProblem(y0, th0, f1, f2, pen, logw, grid, tgrid, nu0,
-                                bumps, coupling)
+                                bumps, coupling, eps_sweep=eps_sweep)
     z, controls, iters, j_hist, free_tnorm = prob.solve(z0=z0)
-    traj = prob.prop.run(y0, th0, controls=controls, sources=prob.sources)
-    tn = traj.terminal_norm(grid)
+    traj = prob.trajectory(controls)
     report = SynthesisReport(
-        terminal_norm=tn,
+        terminal_norm=traj.terminal_norm(grid),
         control_energy_weighted=control_inner(z, z, grid, tgrid.dt),
         cg_iters=iters,
         outer_iters=1,
@@ -330,9 +456,19 @@ def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
         uncontrolled_terminal_norm=free_tnorm,
         data_norm=float(np.sqrt(ops.norm_velocity(y0[0], y0[1], grid) ** 2
                                 + ops.norm_cells(th0, grid) ** 2)),
+        forward_sweeps=prob.forward_sweeps,
+        adjoint_sweeps=prob.adjoint_sweeps,
         j_history=j_hist,
         z_state=z,
     )
+    for eps in eps_sweep:
+        member = replace(report, extra={}, sweep=[], z_state=None)
+        if eps != pen.epsilon:
+            m = prob.members[eps]
+            member = replace(member, terminal_norm=m.terminal_norm,
+                             control_energy_weighted=m.control_energy,
+                             cg_iters=m.cg_iters, eps=eps, j_history=m.j_history)
+        report.sweep.append(member)
     return controls, traj, report
 
 
@@ -375,7 +511,7 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
     f1_prev = f2_prev = None
     z_prev = None
     updates: list[float] = []
-    cg_total = 0
+    cg_total = forward_sweeps = adjoint_sweeps = 0
     converged = False
     traj = None
     n_outer = 0
@@ -386,6 +522,8 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
             coupling=spec.buoyancy, z0=z_prev)
         z_prev = rep.z_state
         cg_total += rep.cg_iters
+        forward_sweeps += rep.forward_sweeps
+        adjoint_sweeps += rep.adjoint_sweeps
         upd = control_norm(controls.plus(controls_prev, -1.0), grid, tgrid.dt)
         updates.append(upd)
         scale = max(control_norm(controls, grid, tgrid.dt), 1.0e-300)
@@ -422,6 +560,8 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
         data_norm=float(np.sqrt(ops.norm_velocity(y0[0], y0[1], grid) ** 2
                                 + ops.norm_cells(th0, grid) ** 2)),
         converged=converged,
+        forward_sweeps=forward_sweeps,
+        adjoint_sweeps=adjoint_sweeps,
         update_history=updates,
     )
     rep_free, _ = run_nonlinear(y0, th0, None, spec, grid, tgrid)

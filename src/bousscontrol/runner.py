@@ -9,6 +9,7 @@ Exit codes: 0 success / all checks passed, 2 configuration or geometry error
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -65,7 +66,7 @@ def _tables_for(cfg: ExperimentConfig, tgrid: TimeGrid):
     return eval_weights(cfg.wparams, eta0, tgrid)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
+def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     try:
         bumps = bump_on_solver_grids(cfg.grid, cfg.patch)
         y0, th0 = _initial_data(cfg)
@@ -87,8 +88,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
         "verify": _run_verify,
     }[cfg.kind]
     try:
-        if cfg.kind == "linear-control":
-            return handler(cfg, out_dir, bumps, y0, th0, chash, ghash, jobs)
         return handler(cfg, out_dir, bumps, y0, th0, chash, ghash)
     except BoussControlError as exc:
         with open(os.path.join(out_dir, "error.txt"), "w") as fh:
@@ -162,7 +161,7 @@ def _synthesis_artifacts(cfg, out_dir, name, controls, traj, rep, tables,
                        controls.v0[k], "control:v0", tk)
 
 
-def _run_linear_control(cfg, out_dir, bumps, y0, th0, chash, ghash, jobs=1):
+def _run_linear_control(cfg, out_dir, bumps, y0, th0, chash, ghash):
     tables = None
     if cfg.pen.weight_mode == "carleman":
         tables = _tables_for(cfg, cfg.tgrid)
@@ -170,33 +169,15 @@ def _run_linear_control(cfg, out_dir, bumps, y0, th0, chash, ghash, jobs=1):
     nu0 = cfg.system.law.nu0
     controls, traj, rep = solve_linear_control(
         y0, th0, None, None, cfg.pen, tables, cfg.grid, cfg.tgrid, nu0, bumps,
-        coupling=cfg.system.buoyancy)
+        coupling=cfg.system.buoyancy, eps_sweep=cfg.eps_sweep)
     rep.extra["terminal_over_uncontrolled"] = (
         rep.terminal_norm / rep.uncontrolled_terminal_norm
         if rep.uncontrolled_terminal_norm > 0 else 0.0)
-
-    def sweep_member(i_eps):
-        i, eps = i_eps
-        pen_i = PenaltySpec(epsilon=eps, weight_mode=cfg.pen.weight_mode,
-                            t_clip=cfg.pen.t_clip, cg_tol=cfg.pen.cg_tol,
-                            cg_max_iters=cfg.pen.cg_max_iters)
-        _, _, rep_i = solve_linear_control(y0, th0, None, None, pen_i, tables,
-                                           cfg.grid, cfg.tgrid, nu0, bumps,
-                                           coupling=cfg.system.buoyancy)
+    for i, rep_i in enumerate(rep.sweep):
         emit_report(os.path.join(out_dir, f"report_eps_{i}.txt"),
                     {"linear_control": rep_i.lines()},
                     config_hash=chash, grid_hash=ghash)
-        return i, rep_i.terminal_norm
-
-    members = list(enumerate(cfg.eps_sweep))
-    if jobs > 1 and len(members) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(sweep_member, members))
-    else:
-        results = [sweep_member(m) for m in members]
-    for i, tn in results:
-        rep.extra[f"sweep_terminal_{i}"] = tn
+        rep.extra[f"sweep_terminal_{i}"] = rep_i.terminal_norm
     _synthesis_artifacts(cfg, out_dir, "linear_control", controls, traj, rep,
                          tables, chash, ghash)
     return 0
@@ -226,10 +207,8 @@ def _run_large_time(cfg, out_dir, bumps, y0, th0, chash, ghash):
         eta0 = build_eta0(cfg.grid, cfg.patch)
         return eval_weights(cfg.wparams, eta0, tg)
 
-    pen = PenaltySpec(epsilon=cfg.pen.epsilon, weight_mode=cfg.pen.weight_mode,
-                      t_clip=min(cfg.pen.t_clip or tail.t_final - 2 * tail.dt,
-                                 tail.t_final - 2 * tail.dt),
-                      cg_tol=cfg.pen.cg_tol, cg_max_iters=cfg.pen.cg_max_iters)
+    pen = replace(cfg.pen, t_clip=min(cfg.pen.t_clip or tail.t_final - 2 * tail.dt,
+                                      tail.t_final - 2 * tail.dt))
     composed, rep = large_time_control(
         y0, th0, cfg.lt_delta, cfg.system, pen, cfg.outer, weights_fn,
         cfg.grid, phase1, tail, bumps)

@@ -54,6 +54,18 @@ class TestConfig:
         cfg = parse_config_text(MINIMAL + "linear_control.eps_sweep = 1e-2, 1e-4\n")
         assert cfg.eps_sweep == (1e-2, 1e-4)
 
+    @pytest.mark.parametrize("line", [
+        "penalty.eps = nan",
+        "penalty.eps = inf",
+        "linear_control.eps_sweep = 1e-2, 0, -1",
+        "linear_control.eps_sweep = nan",
+        "penalty.cg_tol = nan",
+    ])
+    def test_penalty_parameter_must_be_finite_positive(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(MINIMAL + line + "\n")
+
     def test_kind_override(self):
         cfg = parse_config_text(MINIMAL).with_kind("simulate")
         assert cfg.kind == "simulate"
@@ -156,6 +168,15 @@ class TestCli:
                    str(tmp_path / "out")])
         assert rc == 2
 
+    def test_main_rejects_nan_penalty(self, tmp_path):
+        from bousscontrol.cli import main
+        cfg_path = tmp_path / "nan.cfg"
+        cfg_path.write_text(MINIMAL + "penalty.eps = nan\n")
+        rc = main(["linear-control", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestVerifyKind:
     def test_verify_exits_zero_on_seed_config(self, tmp_path):
@@ -209,12 +230,13 @@ class TestMoreRunnerKinds:
         assert meta["kind"] == "adjoint:psi"
         assert np.array_equal(arr, adj.psi[0])
 
-    def test_sweep_jobs_byte_identical(self, tmp_path):
+    def test_sweep_sequential_runs_byte_identical(self, tmp_path):
         text = MINIMAL.replace("kind = decay", "kind = linear-control")
         text = text.replace("system.nu0 = 1.0", "system.nu0 = 0.05")
         text = text.replace("time.nt = 64", "time.nt = 32")
         text += "penalty.eps = 1e-4\nlinear_control.eps_sweep = 1e-2, 1e-3\n"
         cfg = parse_config_text(text)
-        assert run_experiment(cfg, str(tmp_path / "seq"), jobs=1) == 0
-        assert run_experiment(cfg, str(tmp_path / "par"), jobs=2) == 0
-        assert compare_artifact_dirs(str(tmp_path / "seq"), str(tmp_path / "par"))
+        assert run_experiment(cfg, str(tmp_path / "a")) == 0
+        assert run_experiment(cfg, str(tmp_path / "b")) == 0
+        assert (tmp_path / "a" / "report_eps_1.txt").is_file()
+        assert compare_artifact_dirs(str(tmp_path / "a"), str(tmp_path / "b"))

@@ -1,6 +1,8 @@
 """Control synthesis: objective/gradient contracts, linear and nonlinear
 solves, support/decay invariants, the large-time pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from bousscontrol.control import (ControlTrajectory, OuterLoopSpec, PenaltySpec,
                                   objective, solve_linear_control,
                                   solve_nonlinear_control,
                                   weighted_control_energy, step_weight_logs)
-from bousscontrol.exceptions import RegimeError
+from bousscontrol.exceptions import DomainError, RegimeError
 from bousscontrol.forward import (SystemSpec, run_nonlinear,
                                   scaled_initial_data, sine_theta)
 from bousscontrol.geometry import build_eta0
@@ -206,6 +208,79 @@ class TestLinearControl:
         logw = step_weight_logs(pen, tables16, tg)
         recomputed = weighted_control_energy(ctrl, logw, grid, tg.dt)
         assert recomputed == pytest.approx(rep.control_energy_weighted, rel=1e-12)
+
+
+class TestSharedSweepSolve:
+    """The eps sweep rides on one multi-shift CG; every member must match a
+    separate single-eps solve."""
+
+    CG_TOL = 1e-8
+
+    @pytest.fixture
+    def case(self, grid16, bumps16, patch):
+        tg = TimeGrid(1.0, 32)
+        wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0)
+        tables = eval_weights(wp, build_eta0(grid16, patch), tg)
+        y0 = (grid16.zeros_u(), grid16.zeros_v())
+        return grid16, tg, bumps16, y0, 0.1 * sine_theta(grid16, 1.0), tables
+
+    @pytest.mark.parametrize("main_eps, sweep", [
+        (1e-6, (1e-2, 1e-4, 1e-6)),   # main is the seed and a sweep member
+        (1e-4, (1e-6, 1e-2)),         # main is not the smallest
+        (1e-3, (1e-2, 1e-5)),         # main is not in the sweep
+    ])
+    def test_members_match_separate_solves(self, case, main_eps, sweep):
+        grid, tg, bumps, y0, th0, tables = case
+        pen = PenaltySpec(epsilon=main_eps, weight_mode="carleman",
+                          cg_tol=self.CG_TOL)
+        _, _, rep = solve_linear_control(y0, th0, None, None, pen, tables,
+                                         grid, tg, 0.05, bumps, eps_sweep=sweep)
+        assert [m.eps for m in rep.sweep] == list(sweep)
+        for member in [rep] + rep.sweep:
+            _, _, alone = solve_linear_control(
+                y0, th0, None, None, replace(pen, epsilon=member.eps), tables,
+                grid, tg, 0.05, bumps)
+            assert member.cg_iters == alone.cg_iters
+            assert member.terminal_norm == pytest.approx(
+                alone.terminal_norm, rel=1e3 * self.CG_TOL)
+            assert member.control_energy_weighted == pytest.approx(
+                alone.control_energy_weighted, rel=1e3 * self.CG_TOL)
+            assert member.uncontrolled_terminal_norm == alone.uncontrolled_terminal_norm
+            if member.eps == min(sweep + (main_eps,)) == main_eps:
+                # the seed's arithmetic is that of plain CG
+                assert member.terminal_norm == alone.terminal_norm
+
+    def test_sweep_counts(self, case):
+        grid, tg, bumps, y0, th0, tables = case
+        pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman", cg_tol=1e-6)
+        _, _, rep = solve_linear_control(y0, th0, None, None, pen, tables,
+                                         grid, tg, 0.05, bumps,
+                                         eps_sweep=(1e-2, 1e-4, 1e-6))
+        # rhs + one per CG iteration; forward adds the stored trajectory and
+        # one terminal run per member other than the main eps
+        assert rep.adjoint_sweeps == rep.cg_iters + 1
+        assert rep.forward_sweeps == rep.cg_iters + 1 + 1 + 2
+        for member in rep.sweep:
+            assert (member.forward_sweeps, member.adjoint_sweeps) == (
+                rep.forward_sweeps, rep.adjoint_sweeps)
+        assert f"forward_sweeps = {rep.forward_sweeps}" in rep.lines()
+        assert f"adjoint_sweeps = {rep.adjoint_sweeps}" in rep.lines()
+
+    def test_warm_start_with_sweep_rejected(self, case):
+        grid, tg, bumps, y0, th0, tables = case
+        pen = PenaltySpec(epsilon=1e-4, weight_mode="carleman")
+        with pytest.raises(DomainError, match="warm start"):
+            solve_linear_control(y0, th0, None, None, pen, tables, grid, tg,
+                                 0.05, bumps, z0=ControlTrajectory.zeros(grid, tg.nt),
+                                 eps_sweep=(1e-2,))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_member_rejected(self, case, bad):
+        grid, tg, bumps, y0, th0, tables = case
+        pen = PenaltySpec(epsilon=1e-4, weight_mode="carleman")
+        with pytest.raises(DomainError):
+            solve_linear_control(y0, th0, None, None, pen, tables, grid, tg,
+                                 0.05, bumps, eps_sweep=(1e-2, bad))
 
 
 class TestNonlinearControl:
