@@ -37,8 +37,9 @@ class AdjointTrajectory:
     The stored phi is divergence-free: the raw transpose state carries a
     discrete-gradient component, which is exactly the adjoint pressure's
     contribution and is split off into pi.  Feeding the projected state back
-    into the recursion is equivalent to feeding the raw one because each
-    adjoint step starts with the projection.
+    into the recursion is equivalent to feeding the raw one because the
+    transposed step would start with the same projection; the projected state
+    is also what ``LinearPropagator.step_adjoint`` requires.
     """
 
     t: np.ndarray
@@ -59,7 +60,9 @@ def run_adjoint(phi_t, psi_t, g1, g2, prop: LinearPropagator,
     ``g1`` = (g1u, g1v) arrays of shape (nt, ...) or None, ``g2`` likewise;
     source sample n is applied at level n (the convention the duality identity
     above uses).  Terminal velocity data is projected into the divergence-free
-    space unless the caller guarantees it already lives there.
+    space unless the caller guarantees it already lives there; every later
+    level is projected after its sources are added, so each adjoint step
+    receives divergence-free velocity.
     """
     grid, tgrid = prop.grid, prop.tgrid
     nt = tgrid.nt

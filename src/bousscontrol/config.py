@@ -83,16 +83,20 @@ def _parse_bool(key, s):
 
 
 def _parse_float(key, s):
+    """A finite number, or a ConfigError (no key accepts NaN or inf)."""
     try:
-        return float(s)
+        x = float(s)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {s!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{key}: expected a finite number, got {s!r}")
+    return x
 
 
 def _parse_positive(key, s):
     """A number that must be finite and > 0, or a ConfigError."""
     x = _parse_float(key, s)
-    if not (math.isfinite(x) and x > 0.0):
+    if not (x > 0.0):
         raise ConfigError(f"{key}: expected a finite number > 0, got {s!r}")
     return x
 
@@ -102,6 +106,14 @@ def _parse_int(key, s):
         return int(s)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {s!r}") from None
+
+
+def _parse_count(key, s):
+    """An integer >= 1, or a ConfigError."""
+    n = _parse_int(key, s)
+    if n < 1:
+        raise ConfigError(f"{key}: expected an integer >= 1, got {s!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -167,16 +179,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     grid = GridSpec(nx=_parse_int("grid.nx", vals["grid.nx"]),
                     ny=_parse_int("grid.ny", vals["grid.ny"]),
-                    lx=_parse_float("grid.lx", vals["grid.lx"]),
-                    ly=_parse_float("grid.ly", vals["grid.ly"]))
-    tgrid = TimeGrid(t_final=_parse_float("time.t_final", vals["time.t_final"]),
+                    lx=_parse_positive("grid.lx", vals["grid.lx"]),
+                    ly=_parse_positive("grid.ly", vals["grid.ly"]))
+    tgrid = TimeGrid(t_final=_parse_positive("time.t_final", vals["time.t_final"]),
                      nt=_parse_int("time.nt", vals["time.nt"]))
 
     variant = vals["system.variant"]
     if variant not in ("l2", "lp"):
         raise ConfigError(f"system.variant: expected l2|lp, got {variant!r}")
     law = ViscosityLaw(variant=variant,
-                       nu0=_parse_float("system.nu0", vals["system.nu0"]),
+                       nu0=_parse_positive("system.nu0", vals["system.nu0"]),
                        nu1=_parse_float("system.nu1", vals["system.nu1"]),
                        p=_parse_float("system.p", vals["system.p"]))
     coupling = (None if vals["system.coupling"] == "auto"
@@ -211,19 +223,19 @@ def parse_config_text(text: str) -> ExperimentConfig:
         t_clip = tgrid.t_final - 2.0 * tgrid.dt
         vals["penalty.t_clip"] = f"{t_clip:.17g}"
     else:
-        t_clip = _parse_float("penalty.t_clip", vals["penalty.t_clip"])
+        t_clip = _parse_positive("penalty.t_clip", vals["penalty.t_clip"])
     pen = PenaltySpec(epsilon=_parse_positive("penalty.eps", vals["penalty.eps"]),
                       weight_mode=vals["penalty.weight_mode"],
                       t_clip=t_clip,
                       cg_tol=_parse_positive("penalty.cg_tol", vals["penalty.cg_tol"]),
-                      cg_max_iters=_parse_int("penalty.cg_max_iters",
-                                              vals["penalty.cg_max_iters"]))
-    outer = OuterLoopSpec(max_outer=_parse_int("outer.max", vals["outer.max"]),
-                          outer_tol=_parse_float("outer.tol", vals["outer.tol"]),
+                      cg_max_iters=_parse_count("penalty.cg_max_iters",
+                                                vals["penalty.cg_max_iters"]))
+    outer = OuterLoopSpec(max_outer=_parse_count("outer.max", vals["outer.max"]),
+                          outer_tol=_parse_positive("outer.tol", vals["outer.tol"]),
                           damping=_parse_float("outer.damping", vals["outer.damping"]))
 
     target = (None if vals["init.target_energy"] == "auto"
-              else _parse_float("init.target_energy", vals["init.target_energy"]))
+              else _parse_positive("init.target_energy", vals["init.target_energy"]))
 
     sweep: tuple = ()
     if vals["linear_control.eps_sweep"].strip():
@@ -241,13 +253,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
         init_theta_amp=_parse_float("init.theta_amp", vals["init.theta_amp"]),
         decay_fit_lo_frac=_parse_float("decay.fit_lo_frac", vals["decay.fit_lo_frac"]),
         decay_fit_hi_frac=_parse_float("decay.fit_hi_frac", vals["decay.fit_hi_frac"]),
-        lt_delta=_parse_float("large_time.delta", vals["large_time.delta"]),
-        lt_phase1_t_final=_parse_float("large_time.phase1_t_final",
-                                       vals["large_time.phase1_t_final"]),
-        lt_phase1_nt=_parse_int("large_time.phase1_nt", vals["large_time.phase1_nt"]),
-        lt_tail_t_final=_parse_float("large_time.tail_t_final",
-                                     vals["large_time.tail_t_final"]),
-        lt_tail_nt=_parse_int("large_time.tail_nt", vals["large_time.tail_nt"]),
+        lt_delta=_parse_positive("large_time.delta", vals["large_time.delta"]),
+        lt_phase1_t_final=_parse_positive("large_time.phase1_t_final",
+                                          vals["large_time.phase1_t_final"]),
+        lt_phase1_nt=_parse_count("large_time.phase1_nt", vals["large_time.phase1_nt"]),
+        lt_tail_t_final=_parse_positive("large_time.tail_t_final",
+                                        vals["large_time.tail_t_final"]),
+        lt_tail_nt=_parse_count("large_time.tail_nt", vals["large_time.tail_nt"]),
         eps_sweep=sweep,
         resolved=vals,
     )

@@ -111,8 +111,10 @@ class PenaltySpec:
         _check_eps(self.epsilon)
         if self.weight_mode not in ("carleman", "unweighted"):
             raise DomainError("weight_mode must be 'carleman' or 'unweighted'")
-        if self.t_clip is not None and self.t_clip <= 0.0:
+        if self.t_clip is not None and not (self.t_clip > 0.0):
             raise DomainError("t_clip must be positive (or None for T - 2 dt)")
+        if self.cg_max_iters < 1:
+            raise DomainError("cg_max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ class OuterLoopSpec:
     def __post_init__(self):
         if self.max_outer < 1:
             raise DomainError("max_outer must be >= 1")
-        if self.outer_tol <= 0.0:
+        if not (self.outer_tol > 0.0):
             raise DomainError("outer_tol must be positive")
         if not (0.0 < self.damping <= 1.0):
             raise DomainError("damping must lie in (0, 1]")
@@ -482,14 +484,15 @@ def _frozen_sources(traj: Trajectory, spec: SystemSpec, grid: GridSpec, nt: int)
     f2 = np.zeros((nt, grid.nx, grid.ny))
     for n in range(nt):
         u, v, th = traj.u[n], traj.v[n], traj.theta[n]
-        nu, nu_th = nonlocal_coefficients(u, v, th, spec, grid)
+        grads = ops.center_gradients(u, v, grid)
+        nu, nu_th = nonlocal_coefficients(grads, th, spec, grid)
         au, av = ops.advect_velocity(u, v, u, v, grid)
         f1u[n] = (nu - nu0) * ops.laplacian_u(u, grid) - au
         f1v[n] = (nu - nu0) * ops.laplacian_v(v, grid) - av
         f2[n] = ((nu_th - nu0) * ops.laplacian_cells(th, grid)
                  - ops.advect_scalar(th, u, v, grid))
         if spec.heating_on:
-            f2[n] += nu * ops.heating(u, v, grid)
+            f2[n] += nu * ops.heating_from_gradients(grads)
     return (f1u, f1v), f2
 
 

@@ -139,11 +139,13 @@ def _control_sample(controls, k: int):
     return controls.vu[k], controls.vv[k], controls.v0[k]
 
 
-def nonlocal_coefficients(u, v, th, spec: SystemSpec, grid: GridSpec):
-    """Scalar diffusion coefficients (momentum, temperature) at one state."""
-    nu = ops.nonlocal_viscosity(u, v, spec.law, grid)
+def nonlocal_coefficients(grads, th, spec: SystemSpec, grid: GridSpec):
+    """Scalar diffusion coefficients (momentum, temperature) at one state,
+    given its velocity's ``ops.center_gradients`` and its temperature."""
+    gm2 = ops.grad_sq_from_gradients(grads)
+    nu = spec.law.of_density(gm2, grid)
     if spec.theta_coeff_source == "velocity":
-        nu_th = ops.nonlocal_viscosity(u, v, spec.theta_law, grid)
+        nu_th = spec.theta_law.of_density(gm2, grid)
     else:
         nu_th = ops.nonlocal_viscosity_scalar(th, spec.theta_law, grid)
     return nu, nu_th
@@ -160,9 +162,6 @@ class NonlinearPropagator:
         self.sp = solver or SpectralSolver(grid)
         self.bumps = bumps  # (bump_u, bump_v, bump_cells) or None
 
-    def viscosities(self, u, v, th):
-        return nonlocal_coefficients(u, v, th, self.spec, self.grid)
-
     def step(self, u, v, th, control=None, forcing=None):
         grid, dt, spec = self.grid, self.tgrid.dt, self.spec
         maxvel = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), _CFL_EPS)
@@ -170,13 +169,14 @@ class NonlinearPropagator:
         if dt > cfl:
             raise StepSizeError(f"dt={dt:g} exceeds CFL bound {cfl:g}")
 
-        nu, nu_th = self.viscosities(u, v, th)
+        grads = ops.center_gradients(u, v, grid)
+        nu, nu_th = nonlocal_coefficients(grads, th, spec, grid)
         adv_u, adv_v = ops.advect_velocity(u, v, u, v, grid)
         adv_th = ops.advect_scalar(th, u, v, grid)
 
         rhs_th = th - dt * adv_th
         if spec.heating_on:
-            rhs_th = rhs_th + dt * nu * ops.heating(u, v, grid)
+            rhs_th = rhs_th + dt * nu * ops.heating_from_gradients(grads)
         ru = u - dt * adv_u
         rv = v - dt * adv_v + dt * spec.buoyancy * ops.theta_to_vfaces(th, grid)
         if control is not None:
@@ -296,16 +296,18 @@ class LinearPropagator:
         return u2, v2, th1, phi / dt
 
     def step_adjoint(self, gu, gv, gth):
-        """Transpose of the homogeneous part of `step`.
+        """Transpose of the homogeneous part of `step` on the divergence-free
+        subspace: the velocity (gu, gv) must already be divergence-free, so
+        the projection that `step` ends with (symmetric, idempotent) is the
+        identity on it and is not applied again.
 
         Returns (lam_u, lam_v, lam_th, zeta_u, zeta_v, zeta_th): lam is the
         adjoint state one level down, zeta the pre-coupling stage that pairs
         with step sources in the duality identity.
         """
         dt, c = self.tgrid.dt, self.tgrid.dt * self.nu0
-        pu, pv, _ = self.sp.project(gu, gv)
-        zu = self.sp.helmholtz_u(pu, c)
-        zv = self.sp.helmholtz_v(pv, c)
+        zu = self.sp.helmholtz_u(gu, c)
+        zv = self.sp.helmholtz_v(gv, c)
         zth = self.sp.helmholtz_cells(gth, c)
         lth = zth + dt * self.coupling * ops.vfaces_to_cells(zv, self.grid)
         return zu, zv, lth, zu, zv, zth

@@ -32,7 +32,7 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 8 or self.ny < 8:
             raise DomainError(f"grid must have nx, ny >= 8, got {self.nx}x{self.ny}")
-        if self.lx <= 0 or self.ly <= 0:
+        if not (self.lx > 0 and self.ly > 0):
             raise DomainError("domain extents must be positive")
 
     @property
@@ -91,7 +91,7 @@ class TimeGrid:
     def __post_init__(self):
         if self.nt < 16:
             raise DomainError(f"time grid must have nt >= 16, got {self.nt}")
-        if self.t_final <= 0:
+        if not (self.t_final > 0):
             raise DomainError("time horizon must be positive")
 
     @property

@@ -135,12 +135,17 @@ def deformation(u: np.ndarray, v: np.ndarray, grid: GridSpec):
 
 
 def heating(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Viscous-heating density sum_ij (1/2)(d_j y_i + d_i y_j) d_j y_i.
+    """Viscous-heating density sum_ij (1/2)(d_j y_i + d_i y_j) d_j y_i."""
+    return heating_from_gradients(center_gradients(u, v, grid))
+
+
+def heating_from_gradients(grads) -> np.ndarray:
+    """Heating density from the ``center_gradients`` tuple.
 
     Grouping the cross terms turns the sum into ux^2 + (uy+vx)^2/2 + vy^2,
     the squared deformation magnitude, so the result is nonnegative cellwise.
     """
-    ux, uy, vx, vy = center_gradients(u, v, grid)
+    ux, uy, vx, vy = grads
     return ux * ux + 0.5 * (uy + vx) ** 2 + vy * vy
 
 
@@ -161,39 +166,42 @@ class ViscosityLaw:
     def __post_init__(self):
         if self.variant not in ("l2", "lp"):
             raise DomainError(f"unknown viscosity variant {self.variant!r}")
-        if self.nu0 <= 0.0:
+        if not (self.nu0 > 0.0):
             raise DomainError("nu0 must be positive")
-        if self.nu1 < 0.0:
+        if not (self.nu1 >= 0.0):
             raise DomainError("nu1 must be nonnegative")
         if self.variant == "lp" and not (3.0 < self.p <= 6.0 or self.p == 2.0):
             raise DomainError("lp variant needs 3 < p <= 6 (or p = 2 alias)")
 
+    def of_density(self, gm2: np.ndarray, grid: GridSpec) -> float:
+        """The law on a cellwise gradient-energy density |grad w|^2."""
+        q = grid.cell_area
+        if self.variant == "l2":
+            return self.nu0 + self.nu1 * float(np.sum(gm2) * q)
+        total = float(np.sum(gm2 ** (self.p / 2.0)) * q)
+        return self.nu0 + self.nu1 * total ** (2.0 / self.p)
+
 
 def grad_sq_cells(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    ux, uy, vx, vy = center_gradients(u, v, grid)
+    return grad_sq_from_gradients(center_gradients(u, v, grid))
+
+
+def grad_sq_from_gradients(grads) -> np.ndarray:
+    """|grad y|^2 per cell from the ``center_gradients`` tuple."""
+    ux, uy, vx, vy = grads
     return ux * ux + uy * uy + vx * vx + vy * vy
 
 
 def nonlocal_viscosity(u: np.ndarray, v: np.ndarray, law: ViscosityLaw,
                        grid: GridSpec) -> float:
-    gm2 = grad_sq_cells(u, v, grid)
-    q = grid.cell_area
-    if law.variant == "l2":
-        return law.nu0 + law.nu1 * float(np.sum(gm2) * q)
-    total = float(np.sum(gm2 ** (law.p / 2.0)) * q)
-    return law.nu0 + law.nu1 * total ** (2.0 / law.p)
+    return law.of_density(grad_sq_cells(u, v, grid), grid)
 
 
 def nonlocal_viscosity_scalar(th: np.ndarray, law: ViscosityLaw, grid: GridSpec) -> float:
     """Same law evaluated on a cell scalar's gradient (temperature variant)."""
     gx = _d_center(th, grid.hx, axis=0)
     gy = _d_center(th, grid.hy, axis=1)
-    gm2 = gx * gx + gy * gy
-    q = grid.cell_area
-    if law.variant == "l2":
-        return law.nu0 + law.nu1 * float(np.sum(gm2) * q)
-    total = float(np.sum(gm2 ** (law.p / 2.0)) * q)
-    return law.nu0 + law.nu1 * total ** (2.0 / law.p)
+    return law.of_density(gx * gx + gy * gy, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +295,46 @@ def h1_seminorm_sq_velocity(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> flo
 # spectral solves: DST/DCT diagonalization of the constant-coefficient operators
 
 
+# Axes of at most this many transform points use dense orthonormal matrices:
+# there one matmul beats the scipy.fft dispatch overhead, while above it the
+# pocketfft kernels win (at 128 points the two tie, measured per solve).
+_DENSE_MAX_POINTS = 64
+
+_SCIPY_R2R = {"dst1": (dst, idst, 1), "dst2": (dst, idst, 2), "dct2": (dct, idct, 2)}
+
+
+def _axis_transform(kind: str, n: int, axis: int):
+    """(forward, inverse) pair of the 1-D transform ``kind`` over ``n`` points
+    along ``axis``; the two compose to the identity.
+
+    Short axes apply the orthonormal matrix Q (rows in the scipy.fft mode
+    order) and its transpose; long axes call scipy.fft's unnormalized pair.
+    """
+    fwd, inv, t = _SCIPY_R2R[kind]
+    if n > _DENSE_MAX_POINTS:
+        return (lambda a: fwd(a, type=t, axis=axis),
+                lambda a: inv(a, type=t, axis=axis))
+    q = fwd(np.eye(n), type=t, norm="ortho", axis=0)
+    if axis == 0:
+        return (lambda a: q @ a), (lambda a: q.T @ a)
+    return (lambda a: a @ q.T), (lambda a: a @ q)
+
+
+def _grid_transform(kind_x: str, nx: int, kind_y: str, ny: int):
+    """(forward, inverse) 2-D transform pair: axis 0 then 1, inverse reversed."""
+    (fx, ix), (fy, iy) = _axis_transform(kind_x, nx, 0), _axis_transform(kind_y, ny, 1)
+    return (lambda a: fy(fx(a))), (lambda a: ix(iy(a)))
+
+
 class SpectralSolver:
     """Exact solvers for the Helmholtz/Poisson systems on one grid.
 
     The cell-centered Dirichlet Laplacian is diagonalized by DST-II, the
     face-interior one by DST-I (normal direction) x DST-II (tangential), and
-    the Neumann pressure Laplacian by DCT-II.  All solves are symmetric to
-    machine precision, which the discrete-adjoint construction relies on.
+    the Neumann pressure Laplacian by DCT-II.  Each solve is Q^T D^-1 Q with
+    an orthogonal Q, so all solves are symmetric to machine precision, which
+    the discrete-adjoint construction relies on.  Each axis picks its
+    transform backend from its length (see ``_axis_transform``).
     """
 
     def __init__(self, grid: GridSpec):
@@ -315,38 +356,48 @@ class SpectralSolver:
         self._lam_cells = eig_dst2(nx, hx)[:, None] + eig_dst2(ny, hy)[None, :]
         self._lam_u = eig_dst1(nx, hx)[:, None] + eig_dst2(ny, hy)[None, :]
         self._lam_v = eig_dst2(nx, hx)[:, None] + eig_dst1(ny, hy)[None, :]
+        # the null mode (0, 0) divides by 1 and is zeroed after the division
         self._lam_p = eig_dct2(nx, hx)[:, None] + eig_dct2(ny, hy)[None, :]
+        self._lam_p[0, 0] = 1.0
+
+        # DST-I runs over the n - 1 interior faces of the normal direction
+        self._tf_cells = _grid_transform("dst2", nx, "dst2", ny)
+        self._tf_u = _grid_transform("dst1", nx - 1, "dst2", ny)
+        self._tf_v = _grid_transform("dst2", nx, "dst1", ny - 1)
+        self._tf_p = _grid_transform("dct2", nx, "dct2", ny)
 
     def helmholtz_cells(self, b: np.ndarray, c: float) -> np.ndarray:
         """(I - c lap) x = b with Dirichlet walls, c >= 0."""
         check_cells(b, self.grid)
-        bh = dst(dst(b, type=2, axis=0), type=2, axis=1)
+        fwd, inv = self._tf_cells
+        bh = fwd(b)
         bh /= (1.0 - c * self._lam_cells)
-        return idst(idst(bh, type=2, axis=1), type=2, axis=0)
+        return inv(bh)
 
     def helmholtz_u(self, b: np.ndarray, c: float) -> np.ndarray:
         out = np.zeros_like(b)
-        bh = dst(dst(b[1:-1, :], type=1, axis=0), type=2, axis=1)
+        fwd, inv = self._tf_u
+        bh = fwd(b[1:-1, :])
         bh /= (1.0 - c * self._lam_u)
-        out[1:-1, :] = idst(idst(bh, type=2, axis=1), type=1, axis=0)
+        out[1:-1, :] = inv(bh)
         return out
 
     def helmholtz_v(self, b: np.ndarray, c: float) -> np.ndarray:
         out = np.zeros_like(b)
-        bh = dst(dst(b[:, 1:-1], type=2, axis=0), type=1, axis=1)
+        fwd, inv = self._tf_v
+        bh = fwd(b[:, 1:-1])
         bh /= (1.0 - c * self._lam_v)
-        out[:, 1:-1] = idst(idst(bh, type=1, axis=1), type=2, axis=0)
+        out[:, 1:-1] = inv(bh)
         return out
 
     def poisson_neumann(self, rhs: np.ndarray) -> np.ndarray:
         """lap p = rhs with Neumann walls; the zero-mean solution."""
         check_cells(rhs, self.grid)
-        bh = dct(dct(rhs, type=2, axis=0), type=2, axis=1)
-        lam = self._lam_p.copy()
-        lam[0, 0] = 1.0
-        bh /= lam
+        fwd, inv = self._tf_p
+        bh = fwd(rhs)
+        bh /= self._lam_p
         bh[0, 0] = 0.0
-        return idct(idct(bh, type=2, axis=1), type=2, axis=0)
+        return inv(bh)
 
     def project(self, u: np.ndarray, v: np.ndarray):
         """Discrete Leray projection; returns (u, v, potential)."""

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from bousscontrol.exceptions import LinearSolverError
 from bousscontrol.geometry import ControlPatch, bump_on_solver_grids
 from bousscontrol.grids import GridSpec, TimeGrid
 
@@ -47,3 +49,40 @@ def rand_div_free(grid, rng):
     u = (psi[:, 1:] - psi[:, :-1]) / grid.hy
     v = -(psi[1:, :] - psi[:-1, :]) / grid.hx
     return u, v
+
+
+def cg_solve(apply_op, b: np.ndarray, tol: float = 1.0e-10, max_iters: int = 2000,
+             project_nullspace=None):
+    """Matrix-free CG for SPD (or SPSD with an explicit nullspace projector) A,
+    the independent cross-check route for the spectral solves.
+
+    ``apply_op`` maps an array like ``b`` to A x; ``project_nullspace``
+    removes the known nullspace component from iterates (e.g. mean removal
+    for the Neumann Poisson).  Returns (x, iterations).
+    """
+    x = np.zeros_like(b)
+    if project_nullspace is not None:
+        b = project_nullspace(b)
+    r = b - apply_op(x)
+    if project_nullspace is not None:
+        r = project_nullspace(r)
+    bnorm = float(np.linalg.norm(b.ravel()))
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0
+    p = r.copy()
+    rr = float(np.sum(r * r))
+    for it in range(1, max_iters + 1):
+        ap = apply_op(p)
+        if project_nullspace is not None:
+            ap = project_nullspace(ap)
+        alpha = rr / float(np.sum(p * ap))
+        x += alpha * p
+        r -= alpha * ap
+        if float(np.linalg.norm(r.ravel())) <= tol * bnorm:
+            return x, it
+        rr_new = float(np.sum(r * r))
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    raise LinearSolverError(
+        f"CG did not reach tol={tol:g} within {max_iters} iterations",
+        residual=float(np.linalg.norm(r.ravel())) / bnorm)

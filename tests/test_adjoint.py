@@ -6,7 +6,8 @@ import pytest
 from bousscontrol import operators as ops
 from bousscontrol.adjoint import duality_defect, run_adjoint
 from bousscontrol.forward import LinearPropagator, run_linearized, sine_theta
-from bousscontrol.grids import TimeGrid
+from bousscontrol.geometry import bump_on_solver_grids
+from bousscontrol.grids import GridSpec, TimeGrid
 
 from conftest import rand_cells, rand_div_free
 
@@ -17,6 +18,15 @@ class TestDuality:
         worst = max(duality_defect(grid16, tgrid64, 0.1, bumps16, rng)
                     for _ in range(10))
         assert worst <= 1e-10
+
+    def test_defect_below_tolerance_above_dense_crossover(self, patch):
+        # 72 points per axis: every transform goes through scipy.fft
+        grid = GridSpec(72, 72)
+        assert min(grid.nx, grid.ny) - 1 > ops._DENSE_MAX_POINTS
+        bumps = bump_on_solver_grids(grid, patch)
+        defect = duality_defect(grid, TimeGrid(0.1, 16), 0.1, bumps,
+                                np.random.default_rng(101))
+        assert defect <= 1e-10
 
     def test_zero_inputs_give_zero_defect(self, grid16, bumps16):
         tg = TimeGrid(1.0, 16)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from bousscontrol.config import parse_config, parse_config_text, emit_resolved
-from bousscontrol.exceptions import ConfigError
+from bousscontrol.control import OuterLoopSpec, PenaltySpec
+from bousscontrol.exceptions import ConfigError, DomainError
 from bousscontrol.fieldio import dump_field, energy_trace_csv, load_field
 from bousscontrol.forward import EnergyTrace
+from bousscontrol.grids import GridSpec, TimeGrid
+from bousscontrol.operators import ViscosityLaw
 from bousscontrol.runner import compare_artifact_dirs, run_experiment
 
 MINIMAL = """
@@ -65,6 +68,36 @@ class TestConfig:
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError, match=key):
             parse_config_text(MINIMAL + line + "\n")
+
+    @pytest.mark.parametrize("line", [
+        "penalty.cg_max_iters = 0",
+        "penalty.cg_max_iters = -3",
+        "outer.tol = nan",
+        "system.nu0 = nan",
+        "system.nu1 = nan",
+        "grid.lx = nan",
+        "grid.ly = inf",
+        "time.t_final = inf",
+        "large_time.delta = -1",
+        "init.theta_amp = nan",
+    ])
+    def test_non_finite_or_out_of_range_value_rejected(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(MINIMAL.replace(key + " =", "# " + key) + line + "\n")
+
+    @pytest.mark.parametrize("build", [
+        lambda: OuterLoopSpec(outer_tol=float("nan")),
+        lambda: PenaltySpec(cg_max_iters=0),
+        lambda: PenaltySpec(t_clip=float("nan")),
+        lambda: GridSpec(16, 16, lx=float("nan")),
+        lambda: TimeGrid(float("nan"), 64),
+        lambda: ViscosityLaw(nu0=float("nan")),
+        lambda: ViscosityLaw(nu1=float("nan")),
+    ])
+    def test_spec_guards_reject_nan(self, build):
+        with pytest.raises(DomainError):
+            build()
 
     def test_kind_override(self):
         cfg = parse_config_text(MINIMAL).with_kind("simulate")
@@ -167,6 +200,15 @@ class TestCli:
         rc = main(["decay", "--config", str(cfg_path), "--out",
                    str(tmp_path / "out")])
         assert rc == 2
+
+    def test_main_rejects_out_of_range_value(self, tmp_path):
+        from bousscontrol.cli import main
+        cfg_path = tmp_path / "zero.cfg"
+        cfg_path.write_text(MINIMAL + "penalty.cg_max_iters = 0\n")
+        rc = main(["linear-control", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
 
     def test_main_rejects_nan_penalty(self, tmp_path):
         from bousscontrol.cli import main

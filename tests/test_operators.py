@@ -6,10 +6,9 @@ import pytest
 from bousscontrol import operators as ops
 from bousscontrol.exceptions import DomainError, ShapeError
 from bousscontrol.grids import GridSpec
-from bousscontrol.linsolve import cg_solve
 from bousscontrol.operators import SpectralSolver, ViscosityLaw, project_div_free
 
-from conftest import rand_cells, rand_div_free, rand_u, rand_v
+from conftest import cg_solve, rand_cells, rand_div_free, rand_u, rand_v
 
 RNG = np.random.default_rng(20240811)
 
@@ -117,6 +116,61 @@ class TestSpectralVsCG:
         p_cg, _ = cg_solve(neg_lap_neumann, -rhs, tol=1e-13, max_iters=8000,
                            project_nullspace=lambda z: z - z.mean())
         assert np.abs(p_fft - p_cg).max() < 1e-9 * np.abs(p_fft).max()
+
+
+# 16x16 and 24x40 transform every axis with dense matrices; 80x12 puts its
+# long axis on scipy.fft (and keeps the short one dense)
+SOLVE_GRIDS = [GridSpec(16, 16), GridSpec(24, 40), GridSpec(80, 12)]
+GRID_IDS = ["16x16", "24x40", "80x12"]
+HELMHOLTZ = {  # solve -> (Laplacian it inverts, random right-hand side)
+    "helmholtz_cells": (ops.laplacian_cells, rand_cells),
+    "helmholtz_u": (ops.laplacian_u, rand_u),
+    "helmholtz_v": (ops.laplacian_v, rand_v),
+}
+
+
+def _neumann_rhs(grid, rng):
+    rhs = rand_cells(grid, rng)
+    return rhs - rhs.mean()
+
+
+class TestSpectralSolves:
+    def test_grids_straddle_the_crossover(self):
+        # the 40-point axis is dense; the 79 interior faces and 80 cells are not
+        assert 40 <= ops._DENSE_MAX_POINTS < 79
+
+    @pytest.mark.parametrize("grid", SOLVE_GRIDS, ids=GRID_IDS)
+    @pytest.mark.parametrize("name", sorted(HELMHOLTZ))
+    def test_helmholtz_residual(self, grid, name):
+        lap, rand = HELMHOLTZ[name]
+        b = rand(grid, RNG)
+        c = 0.03
+        x = getattr(SpectralSolver(grid), name)(b, c)
+        stiff = 1.0 + 4.0 * c * (1.0 / grid.hx ** 2 + 1.0 / grid.hy ** 2)
+        assert np.abs(x - c * lap(x, grid) - b).max() <= 1e-13 * stiff * np.abs(b).max()
+
+    @pytest.mark.parametrize("grid", SOLVE_GRIDS, ids=GRID_IDS)
+    def test_poisson_neumann_residual(self, grid):
+        rhs = _neumann_rhs(grid, RNG)
+        p = SpectralSolver(grid).poisson_neumann(rhs)
+        lap_p = ops.div(*ops.grad(p, grid), grid)   # the Neumann Laplacian
+        stiff = 4.0 * (1.0 / grid.hx ** 2 + 1.0 / grid.hy ** 2)
+        assert np.abs(lap_p - rhs).max() <= 1e-13 * stiff * np.abs(p).max()
+        assert abs(p.mean()) <= 1e-13 * np.abs(p).max()
+
+    @pytest.mark.parametrize("grid", SOLVE_GRIDS, ids=GRID_IDS)
+    @pytest.mark.parametrize("name", sorted(HELMHOLTZ) + ["poisson_neumann"])
+    def test_solve_is_symmetric(self, grid, name):
+        sp = SpectralSolver(grid)
+        if name == "poisson_neumann":
+            solve, rand = sp.poisson_neumann, _neumann_rhs
+        else:
+            solve, rand = (lambda b: getattr(sp, name)(b, 0.03)), HELMHOLTZ[name][1]
+        b1, b2 = rand(grid, RNG), rand(grid, RNG)
+        s1, s2 = solve(b1), solve(b2)
+        lhs, rhs = np.sum(s1 * b2), np.sum(b1 * s2)
+        scale = np.linalg.norm(s1) * np.linalg.norm(b2)
+        assert abs(lhs - rhs) <= 1e-13 * scale
 
 
 class TestHeating:
