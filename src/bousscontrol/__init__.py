@@ -15,8 +15,8 @@ from .geometry import ControlPatch, build_eta0, cutoff_1omega
 from .operators import ViscosityLaw
 from .weights import WeightParams, WeightTables, check_weight_chain, \
     check_weight_gap, ell, eval_weights, find_min_m
-from .forward import (EnergyTrace, State, SystemSpec, Trajectory,
-                      run_linearized, run_nonlinear, step_nonlinear)
+from .forward import (EnergyTrace, SystemSpec, Trajectory, run_linearized,
+                      run_nonlinear)
 from .adjoint import AdjointTrajectory, duality_defect, run_adjoint
 from .control import (ControlTrajectory, OuterLoopSpec, PenaltySpec,
                       SynthesisReport, gradient, large_time_control, objective,
@@ -32,8 +32,8 @@ __all__ = [
     "GridSpec", "TimeGrid", "ControlPatch", "build_eta0", "cutoff_1omega",
     "ViscosityLaw", "WeightParams", "WeightTables", "check_weight_chain",
     "check_weight_gap", "ell", "eval_weights", "find_min_m",
-    "EnergyTrace", "State", "SystemSpec", "Trajectory", "run_linearized",
-    "run_nonlinear", "step_nonlinear", "AdjointTrajectory", "duality_defect",
+    "EnergyTrace", "SystemSpec", "Trajectory", "run_linearized",
+    "run_nonlinear", "AdjointTrajectory", "duality_defect",
     "run_adjoint", "ControlTrajectory", "OuterLoopSpec", "PenaltySpec",
     "SynthesisReport", "gradient", "large_time_control", "objective",
     "solve_linear_control", "solve_nonlinear_control", "DecayFit", "decay_fit",

@@ -10,12 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import parse_config
+from .config import _KINDS, parse_config
 from .exceptions import BoussControlError
 from .runner import run_experiment
-
-_KINDS = ("simulate", "linear-control", "nonlinear-control", "decay",
-          "large-time", "verify")
 
 
 def build_parser() -> argparse.ArgumentParser:

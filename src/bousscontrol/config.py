@@ -13,13 +13,13 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, DomainError
 from .geometry import ControlPatch
 from .grids import GridSpec, TimeGrid
 from .control import OuterLoopSpec, PenaltySpec
 from .forward import SystemSpec
 from .operators import ViscosityLaw
-from .weights import WeightParams, find_min_m
+from .weights import WeightParams, default_t_clip, find_min_m
 
 _KINDS = ("simulate", "linear-control", "nonlinear-control", "decay",
           "large-time", "verify")
@@ -116,6 +116,17 @@ def _parse_count(key, s):
     return n
 
 
+def _parse_time_grid(vals, t_key, nt_key) -> TimeGrid:
+    """The TimeGrid of a (horizon, step count) key pair; its nt >= 16 rule
+    is reported against ``nt_key``."""
+    t_final = _parse_positive(t_key, vals[t_key])
+    nt = _parse_int(nt_key, vals[nt_key])
+    try:
+        return TimeGrid(t_final, nt)
+    except DomainError as exc:
+        raise ConfigError(f"{nt_key}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -134,10 +145,8 @@ class ExperimentConfig:
     decay_fit_lo_frac: float
     decay_fit_hi_frac: float
     lt_delta: float
-    lt_phase1_t_final: float
-    lt_phase1_nt: int
-    lt_tail_t_final: float
-    lt_tail_nt: int
+    lt_phase1: TimeGrid
+    lt_tail: TimeGrid
     eps_sweep: tuple = ()
     resolved: dict = field(default_factory=dict, compare=False)
 
@@ -181,8 +190,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
                     ny=_parse_int("grid.ny", vals["grid.ny"]),
                     lx=_parse_positive("grid.lx", vals["grid.lx"]),
                     ly=_parse_positive("grid.ly", vals["grid.ly"]))
-    tgrid = TimeGrid(t_final=_parse_positive("time.t_final", vals["time.t_final"]),
-                     nt=_parse_int("time.nt", vals["time.nt"]))
+    tgrid = _parse_time_grid(vals, "time.t_final", "time.nt")
 
     variant = vals["system.variant"]
     if variant not in ("l2", "lp"):
@@ -220,7 +228,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         inner_margin=_parse_float("patch.inner_margin", vals["patch.inner_margin"]))
 
     if vals["penalty.t_clip"] == "auto":
-        t_clip = tgrid.t_final - 2.0 * tgrid.dt
+        t_clip = default_t_clip(None, tgrid)
         vals["penalty.t_clip"] = f"{t_clip:.17g}"
     else:
         t_clip = _parse_positive("penalty.t_clip", vals["penalty.t_clip"])
@@ -237,6 +245,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
     target = (None if vals["init.target_energy"] == "auto"
               else _parse_positive("init.target_energy", vals["init.target_energy"]))
 
+    fit_lo = _parse_float("decay.fit_lo_frac", vals["decay.fit_lo_frac"])
+    fit_hi = _parse_float("decay.fit_hi_frac", vals["decay.fit_hi_frac"])
+    if not (0.0 <= fit_lo < min(fit_hi, 1.0)):
+        raise ConfigError("decay.fit_lo_frac, decay.fit_hi_frac: expected "
+                          f"0 <= lo < min(hi, 1), got {fit_lo:g}, {fit_hi:g}")
+
     sweep: tuple = ()
     if vals["linear_control.eps_sweep"].strip():
         sweep = tuple(_parse_positive("linear_control.eps_sweep", s.strip())
@@ -251,15 +265,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
         init_target_energy=target,
         init_vel_amp=_parse_float("init.vel_amp", vals["init.vel_amp"]),
         init_theta_amp=_parse_float("init.theta_amp", vals["init.theta_amp"]),
-        decay_fit_lo_frac=_parse_float("decay.fit_lo_frac", vals["decay.fit_lo_frac"]),
-        decay_fit_hi_frac=_parse_float("decay.fit_hi_frac", vals["decay.fit_hi_frac"]),
+        decay_fit_lo_frac=fit_lo,
+        decay_fit_hi_frac=fit_hi,
         lt_delta=_parse_positive("large_time.delta", vals["large_time.delta"]),
-        lt_phase1_t_final=_parse_positive("large_time.phase1_t_final",
-                                          vals["large_time.phase1_t_final"]),
-        lt_phase1_nt=_parse_count("large_time.phase1_nt", vals["large_time.phase1_nt"]),
-        lt_tail_t_final=_parse_positive("large_time.tail_t_final",
-                                        vals["large_time.tail_t_final"]),
-        lt_tail_nt=_parse_count("large_time.tail_nt", vals["large_time.tail_nt"]),
+        lt_phase1=_parse_time_grid(vals, "large_time.phase1_t_final",
+                                   "large_time.phase1_nt"),
+        lt_tail=_parse_time_grid(vals, "large_time.tail_t_final", "large_time.tail_nt"),
         eps_sweep=sweep,
         resolved=vals,
     )

@@ -40,8 +40,10 @@ from .exceptions import ConvergenceError, DomainError, RegimeError
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
 from .adjoint import run_adjoint
-from .forward import LinearPropagator, SystemSpec, Trajectory, run_nonlinear
-from .weights import CONTROL_WEIGHT_LOG_CAP, WeightTables, control_weight_logs
+from .forward import (LinearPropagator, SystemSpec, Trajectory, energy_components,
+                      explicit_terms, run_nonlinear, zero_padded_sources)
+from .weights import (CONTROL_WEIGHT_LOG_CAP, WeightTables, control_weight_logs,
+                      default_t_clip)
 
 
 @dataclass
@@ -103,7 +105,7 @@ def _check_eps(eps: float) -> None:
 class PenaltySpec:
     epsilon: float = 1.0e-6
     weight_mode: str = "carleman"
-    t_clip: float | None = None      # default T - 2 dt
+    t_clip: float | None = None      # None: weights.default_t_clip
     cg_tol: float = 1.0e-8
     cg_max_iters: int = 600
 
@@ -112,7 +114,7 @@ class PenaltySpec:
         if self.weight_mode not in ("carleman", "unweighted"):
             raise DomainError("weight_mode must be 'carleman' or 'unweighted'")
         if self.t_clip is not None and not (self.t_clip > 0.0):
-            raise DomainError("t_clip must be positive (or None for T - 2 dt)")
+            raise DomainError("t_clip must be positive (or None for the default)")
         if self.cg_max_iters < 1:
             raise DomainError("cg_max_iters must be >= 1")
 
@@ -180,8 +182,8 @@ def step_weight_logs(pen: PenaltySpec, weights: WeightTables | None,
         return np.zeros(tgrid.nt)
     if weights is None:
         raise DomainError("carleman weight_mode needs WeightTables")
-    t_clip = pen.t_clip if pen.t_clip is not None else tgrid.t_final - 2.0 * tgrid.dt
-    return control_weight_logs(weights, t_clip, cap=CONTROL_WEIGHT_LOG_CAP)
+    return control_weight_logs(weights, default_t_clip(pen.t_clip, tgrid),
+                               cap=CONTROL_WEIGHT_LOG_CAP)
 
 
 def weighted_control_energy(c: ControlTrajectory, logw: np.ndarray,
@@ -240,13 +242,7 @@ class LinearControlProblem:
         self.masks = tuple(b > 0.0 for b in bumps)
         self.prop = LinearPropagator(grid, tgrid, nu0, bumps=bumps, coupling=coupling)
         self.y0, self.th0 = y0, th0
-        self.sources = None
-        if f1 is not None or f2 is not None:
-            nt = tgrid.nt
-            self.sources = (
-                f1[0] if f1 is not None else np.zeros((nt, grid.nx + 1, grid.ny)),
-                f1[1] if f1 is not None else np.zeros((nt, grid.nx, grid.ny + 1)),
-                f2 if f2 is not None else np.zeros((nt, grid.nx, grid.ny)))
+        self.sources = zero_padded_sources(f1, f2, grid, tgrid.nt)
         self.forward_sweeps = 0
         self.adjoint_sweeps = 0
         self.members: dict[float, ShiftMember] = {}
@@ -296,15 +292,13 @@ class LinearControlProblem:
     def rhs(self):
         """-gradient at z = 0, and the free terminal norm / J(0)."""
         ut, vt, tht = self._terminal_of(None, with_sources=True)
-        tnorm_sq = (ops.norm_velocity(ut, vt, self.grid) ** 2
-                    + ops.norm_cells(tht, self.grid) ** 2)
+        tnorm_sq = ops.state_norm_sq(ut, vt, tht, self.grid)
         g0 = self._bt_zeta(ut, vt, tht)
         return g0.scaled(-1.0), tnorm_sq
 
     def terminal_norm(self, controls: ControlTrajectory) -> float:
         ut, vt, tht = self._terminal_of(controls, with_sources=True)
-        return float(np.sqrt(ops.norm_velocity(ut, vt, self.grid) ** 2
-                             + ops.norm_cells(tht, self.grid) ** 2))
+        return float(np.sqrt(ops.state_norm_sq(ut, vt, tht, self.grid)))
 
     # -- CG minimization in z -----------------------------------------------
 
@@ -456,8 +450,7 @@ def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
         eps=pen.epsilon,
         wall_time_s=time.perf_counter() - t0,
         uncontrolled_terminal_norm=free_tnorm,
-        data_norm=float(np.sqrt(ops.norm_velocity(y0[0], y0[1], grid) ** 2
-                                + ops.norm_cells(th0, grid) ** 2)),
+        data_norm=float(np.sqrt(ops.state_norm_sq(y0[0], y0[1], th0, grid))),
         forward_sweeps=prob.forward_sweeps,
         adjoint_sweeps=prob.adjoint_sweeps,
         j_history=j_hist,
@@ -475,24 +468,21 @@ def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
 
 
 def _frozen_sources(traj: Trajectory, spec: SystemSpec, grid: GridSpec, nt: int):
-    """Move all nonlinear/nonlocal terms of a trajectory into (F1, F2)."""
-    from .forward import nonlocal_coefficients
-
+    """Move all nonlinear/nonlocal terms of a trajectory into (F1, F2): the
+    nonlinear step's explicit terms, plus the excess (nu - nu0) of its
+    diffusion over the linear system's."""
     nu0 = spec.law.nu0
     f1u = np.zeros((nt, grid.nx + 1, grid.ny))
     f1v = np.zeros((nt, grid.nx, grid.ny + 1))
     f2 = np.zeros((nt, grid.nx, grid.ny))
     for n in range(nt):
         u, v, th = traj.u[n], traj.v[n], traj.theta[n]
-        grads = ops.center_gradients(u, v, grid)
-        nu, nu_th = nonlocal_coefficients(grads, th, spec, grid)
-        au, av = ops.advect_velocity(u, v, u, v, grid)
+        nu, nu_th, au, av, adv_th, heat = explicit_terms(u, v, th, spec, grid)
         f1u[n] = (nu - nu0) * ops.laplacian_u(u, grid) - au
         f1v[n] = (nu - nu0) * ops.laplacian_v(v, grid) - av
-        f2[n] = ((nu_th - nu0) * ops.laplacian_cells(th, grid)
-                 - ops.advect_scalar(th, u, v, grid))
-        if spec.heating_on:
-            f2[n] += nu * ops.heating_from_gradients(grads)
+        f2[n] = (nu_th - nu0) * ops.laplacian_cells(th, grid) - adv_th
+        if heat is not None:
+            f2[n] += nu * heat
     return (f1u, f1v), f2
 
 
@@ -560,8 +550,7 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
         eps=pen.epsilon,
         wall_time_s=time.perf_counter() - t0,
         uncontrolled_terminal_norm=0.0,
-        data_norm=float(np.sqrt(ops.norm_velocity(y0[0], y0[1], grid) ** 2
-                                + ops.norm_cells(th0, grid) ** 2)),
+        data_norm=float(np.sqrt(ops.state_norm_sq(y0[0], y0[1], th0, grid))),
         converged=converged,
         forward_sweeps=forward_sweeps,
         adjoint_sweeps=adjoint_sweeps,
@@ -602,13 +591,12 @@ class LargeTimeReport:
 def large_time_control(y0, th0, delta: float, spec: SystemSpec,
                        pen: PenaltySpec, outer: OuterLoopSpec,
                        weights_fn, grid: GridSpec, phase1_tgrid: TimeGrid,
-                       tail_tgrid: TimeGrid, bumps,
-                       use_tstar_bound: bool = False):
+                       tail_tgrid: TimeGrid, bumps):
     """Decay-then-control pipeline.
 
     Phase 1 integrates the uncontrolled system until the energy monitor E
-    drops below ``delta`` (optionally waiting until the fitted decay-law bound
-    if ``use_tstar_bound``); phase 2 runs the local nonlinear synthesis on the
+    drops below ``delta`` (the fitted decay-law waiting time is reported
+    beside the crossing); phase 2 runs the local nonlinear synthesis on the
     tail horizon from the crossing state.  ``weights_fn(tail_tgrid)`` builds
     the weight tables for the tail horizon.
 
@@ -616,8 +604,7 @@ def large_time_control(y0, th0, delta: float, spec: SystemSpec,
     """
     from .diagnostics import decay_fit, t_star
 
-    e0 = (ops.h1_seminorm_sq_velocity(y0[0], y0[1], grid)
-          + ops.norm_cells(th0, grid) ** 2 + ops.h1_seminorm_sq_cells(th0, grid))
+    e0 = sum(energy_components(y0[0], y0[1], th0, grid))
 
     if e0 <= delta:
         cross_idx = 0
@@ -644,10 +631,6 @@ def large_time_control(y0, th0, delta: float, spec: SystemSpec,
         fit = decay_fit(trace1, (0.2 * cross_time, cross_time))
         fit_c1, fit_c2, r2 = fit.c1, fit.c2, fit.r_squared
         t_pred = t_star(fit, delta, float(energy[0]))
-        if use_tstar_bound and t_pred > cross_time:
-            k = int(np.searchsorted(trace1.t, t_pred))
-            cross_idx = min(max(k, cross_idx), phase1_tgrid.nt)
-            cross_time = float(trace1.t[cross_idx])
         tail_y0 = (traj1.u[cross_idx], traj1.v[cross_idx])
         tail_th0 = traj1.theta[cross_idx]
 

@@ -19,7 +19,8 @@ from .grids import GridSpec, TimeGrid
 from . import operators as ops
 from .control import ControlTrajectory, weighted_control_energy
 from .forward import EnergyTrace, Trajectory
-from .weights import CONTROL_WEIGHT_LOG_CAP, WeightTables, control_weight_logs
+from .weights import (WeightTables, control_weight_logs, default_t_clip,
+                      time_derivative)
 
 _SUM_CAP = 600.0     # per-term exponent cap inside weighted sums
 _POINT_CAP = 345.0   # per-point cap for materialized weighted fields
@@ -38,34 +39,32 @@ def normalized_node_logs(tables: WeightTables, name: str,
     return np.clip(raw - finite.min(), 0.0, cap)
 
 
+def _capped_terms(logw: np.ndarray, sq_per_node: np.ndarray) -> tuple[list, bool]:
+    """w_n^2 * sq_n for every sq_n > 0, through logs with the exponent capped
+    at _SUM_CAP; returns (terms, saturated)."""
+    terms = []
+    saturated = False
+    for lw, sq in zip(logw, sq_per_node):
+        if sq <= 0.0:
+            continue
+        expo = 2.0 * lw + np.log(sq)
+        if expo > _SUM_CAP:
+            saturated = True
+            expo = _SUM_CAP
+        terms.append(np.exp(expo))
+    return terms, saturated
+
+
 def _weighted_sq_time_integral(logw: np.ndarray, sq_per_node: np.ndarray,
                                dt: float) -> tuple[float, bool]:
     """sum_n dt * w_n^2 * sq_n through logs; returns (value, saturated)."""
-    total = 0.0
-    saturated = False
-    for lw, sq in zip(logw, sq_per_node):
-        if sq <= 0.0:
-            continue
-        expo = 2.0 * lw + np.log(sq)
-        if expo > _SUM_CAP:
-            saturated = True
-            expo = _SUM_CAP
-        total += np.exp(expo)
-    return total * dt, saturated
+    terms, saturated = _capped_terms(logw, sq_per_node)
+    return sum(terms, 0.0) * dt, saturated
 
 
 def _weighted_sq_sup(logw: np.ndarray, sq_per_node: np.ndarray) -> tuple[float, bool]:
-    best = 0.0
-    saturated = False
-    for lw, sq in zip(logw, sq_per_node):
-        if sq <= 0.0:
-            continue
-        expo = 2.0 * lw + np.log(sq)
-        if expo > _SUM_CAP:
-            saturated = True
-            expo = _SUM_CAP
-        best = max(best, float(np.exp(expo)))
-    return best, saturated
+    terms, saturated = _capped_terms(logw, sq_per_node)
+    return float(max([0.0, *terms])), saturated
 
 
 @dataclass
@@ -109,8 +108,7 @@ def weighted_norms(traj: Trajectory, controls: ControlTrajectory | None,
     lmu1 = normalized_node_logs(tables, "mu1")
     lmu2 = normalized_node_logs(tables, "mu2")
 
-    state_sq = np.array([ops.norm_velocity(traj.u[n], traj.v[n], grid) ** 2
-                         + ops.norm_cells(traj.theta[n], grid) ** 2
+    state_sq = np.array([ops.state_norm_sq(traj.u[n], traj.v[n], traj.theta[n], grid)
                          for n in range(nt + 1)])
     y_sq = np.array([ops.norm_velocity(traj.u[n], traj.v[n], grid) ** 2
                      for n in range(nt + 1)])
@@ -122,8 +120,7 @@ def weighted_norms(traj: Trajectory, controls: ControlTrajectory | None,
         sat.append("iint_rho1_sq_state")
 
     if controls is not None:
-        tc = t_clip if t_clip is not None else tgrid.t_final - 2.0 * dt
-        lw2 = control_weight_logs(tables, tc)
+        lw2 = control_weight_logs(tables, default_t_clip(t_clip, tgrid))
         v_rho2 = weighted_control_energy(controls, lw2, grid, dt)
     else:
         v_rho2 = 0.0
@@ -208,31 +205,18 @@ def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
     iint |(k v)_t|^2, |(k v0)_t|^2, |k lap v|^2, |k lap v0|^2 and the sup-in-
     time H^1 norms.  Time derivatives by central differences."""
     nt, dt = tgrid.nt, tgrid.dt
-    if nt < 2:
-        raise DomainError("need nt >= 2 for time differences")
-    tc = t_clip if t_clip is not None else tgrid.t_final - 2.0 * dt
-    raw = tables.raw("kappa")[:nt].copy()
-    idx = int(np.searchsorted(tables.t, tc, side="right")) - 1
-    idx = max(0, min(idx, nt - 1))
-    raw[idx + 1:] = raw[idx]
-    logk = np.clip(raw - raw.min(), 0.0, CONTROL_WEIGHT_LOG_CAP)
+    logk = control_weight_logs(tables, default_t_clip(t_clip, tgrid), name="kappa")
 
     kvu = _kappa_times(controls.vu, logk)
     kvv = _kappa_times(controls.vv, logk)
     kv0 = _kappa_times(controls.v0, logk)
 
-    def dt_central(a):
-        d = np.empty_like(a)
-        d[1:-1] = (a[2:] - a[:-2]) / (2.0 * dt)
-        d[0] = (a[1] - a[0]) / dt
-        d[-1] = (a[-1] - a[-2]) / dt
-        return d
-
     q = grid.cell_area
     # saturated (inf) entries are the designed overflow report, not an error
     with np.errstate(over="ignore"):
-        dkv_sq = float(np.sum(dt_central(kvu) ** 2) + np.sum(dt_central(kvv) ** 2)) * q * dt
-        dkv0_sq = float(np.sum(dt_central(kv0) ** 2)) * q * dt
+        dkv_sq = float(np.sum(time_derivative(kvu, dt) ** 2)
+                       + np.sum(time_derivative(kvv, dt) ** 2)) * q * dt
+        dkv0_sq = float(np.sum(time_derivative(kv0, dt) ** 2)) * q * dt
 
         lap_sq = 0.0
         lap0_sq = 0.0

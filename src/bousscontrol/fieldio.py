@@ -72,8 +72,10 @@ def dump_adjoint_trajectory(outdir, adj, prefix: str = "adjoint",
     return paths
 
 
-def energy_trace_csv(path, trace: EnergyTrace) -> None:
+def energy_trace_csv(path, trace: EnergyTrace, preamble: str = "") -> None:
+    """One row per node; ``preamble`` (e.g. comment lines) goes first."""
     with open(path, "w") as fh:
+        fh.write(preamble)
         fh.write("t,E,Phi,grad_y_sq,theta_sq,grad_theta_sq\n")
         e = trace.energy
         phi = trace.phi
@@ -81,8 +83,3 @@ def energy_trace_csv(path, trace: EnergyTrace) -> None:
             fh.write(",".join(f"{x:.17g}" for x in (
                 trace.t[k], e[k], phi[k], trace.grad_y_sq[k],
                 trace.theta_sq[k], trace.grad_theta_sq[k])) + "\n")
-
-
-def read_energy_trace_csv(path):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    return data

@@ -63,17 +63,6 @@ class SystemSpec:
 
 
 @dataclass
-class State:
-    u: np.ndarray
-    v: np.ndarray
-    theta: np.ndarray
-    p: np.ndarray
-
-    def copy(self) -> "State":
-        return State(self.u.copy(), self.v.copy(), self.theta.copy(), self.p.copy())
-
-
-@dataclass
 class Trajectory:
     t: np.ndarray
     u: np.ndarray        # (nt+1, nx+1, ny)
@@ -82,13 +71,17 @@ class Trajectory:
     p: np.ndarray        # (nt+1, nx, ny)
     meta: dict = field(default_factory=dict)
 
-    def state(self, k: int) -> State:
-        return State(self.u[k], self.v[k], self.theta[k], self.p[k])
+    @classmethod
+    def zeros(cls, grid: GridSpec, tgrid: TimeGrid, meta: dict) -> "Trajectory":
+        nt = tgrid.nt
+        return cls(t=tgrid.nodes(), u=np.zeros((nt + 1, grid.nx + 1, grid.ny)),
+                   v=np.zeros((nt + 1, grid.nx, grid.ny + 1)),
+                   theta=np.zeros((nt + 1, grid.nx, grid.ny)),
+                   p=np.zeros((nt + 1, grid.nx, grid.ny)), meta=meta)
 
     def terminal_norm(self, grid: GridSpec) -> float:
-        k = len(self.t) - 1
-        return float(np.sqrt(ops.norm_velocity(self.u[k], self.v[k], grid) ** 2
-                             + ops.norm_cells(self.theta[k], grid) ** 2))
+        return float(np.sqrt(ops.state_norm_sq(self.u[-1], self.v[-1],
+                                               self.theta[-1], grid)))
 
 
 @dataclass
@@ -127,10 +120,25 @@ def first_dirichlet_eigenvalue(grid: GridSpec) -> float:
     return np.pi ** 2 * (1.0 / grid.lx ** 2 + 1.0 / grid.ly ** 2)
 
 
-def _energy_components(u, v, th, grid):
+def energy_components(u, v, th, grid: GridSpec):
+    """(|grad y|^2, |theta|^2, |grad theta|^2) of one state; E is their sum."""
     return (ops.h1_seminorm_sq_velocity(u, v, grid),
             ops.norm_cells(th, grid) ** 2,
             ops.h1_seminorm_sq_cells(th, grid))
+
+
+def _energy_trace(t, comps, grid: GridSpec, smallness_ok: bool = True) -> EnergyTrace:
+    """The EnergyTrace of per-node ``energy_components``."""
+    gy, ts, gt = (np.array(c) for c in zip(*comps))
+    return EnergyTrace(t=t, grad_y_sq=gy, theta_sq=ts, grad_theta_sq=gt,
+                       lam1=first_dirichlet_eigenvalue(grid), smallness_ok=smallness_ok)
+
+
+def trace_from_trajectory(traj: Trajectory, grid: GridSpec) -> EnergyTrace:
+    """The energy trace of a stored trajectory, node by node."""
+    comps = [energy_components(traj.u[k], traj.v[k], traj.theta[k], grid)
+             for k in range(len(traj.t))]
+    return _energy_trace(traj.t, comps, grid)
 
 
 def _control_sample(controls, k: int):
@@ -139,16 +147,52 @@ def _control_sample(controls, k: int):
     return controls.vu[k], controls.vv[k], controls.v0[k]
 
 
-def nonlocal_coefficients(grads, th, spec: SystemSpec, grid: GridSpec):
-    """Scalar diffusion coefficients (momentum, temperature) at one state,
-    given its velocity's ``ops.center_gradients`` and its temperature."""
+def explicit_terms(u, v, th, spec: SystemSpec, grid: GridSpec):
+    """The terms the nonlinear step treats explicitly, at one state.
+
+    Returns (nu, nu_th, adv_u, adv_v, adv_th, heat): the scalar diffusion
+    coefficients (momentum, temperature), the transport of the velocity and
+    of the temperature, and the heating density, or None with heating off
+    (the step scales it by nu).  The outer loop's frozen sources are built
+    from the same terms, so the two cannot drift apart.
+    """
+    grads = ops.center_gradients(u, v, grid)
     gm2 = ops.grad_sq_from_gradients(grads)
     nu = spec.law.of_density(gm2, grid)
     if spec.theta_coeff_source == "velocity":
         nu_th = spec.theta_law.of_density(gm2, grid)
     else:
         nu_th = ops.nonlocal_viscosity_scalar(th, spec.theta_law, grid)
-    return nu, nu_th
+    adv_u, adv_v = ops.advect_velocity(u, v, u, v, grid)
+    adv_th = ops.advect_scalar(th, u, v, grid)
+    heat = ops.heating_from_gradients(grads) if spec.heating_on else None
+    return nu, nu_th, adv_u, adv_v, adv_th, heat
+
+
+def implicit_stage(sp: SpectralSolver, dt: float, ru, rv, rhs_th, c_vel: float,
+                   c_th: float, control, bumps, sources):
+    """The tail both steps share: add the bump-weighted controls and the
+    sources to the right-hand sides, solve (I - c lap) with c_th for the
+    temperature and c_vel for the velocity, project.
+
+    Returns (u, v, theta, phi / dt), phi the projection potential.
+    """
+    if control is not None:
+        cu, cv, c0 = control
+        bu, bv, bc = bumps
+        ru = ru + dt * bu * cu
+        rv = rv + dt * bv * cv
+        rhs_th = rhs_th + dt * bc * c0
+    if sources is not None:
+        fu, fv, fth = sources
+        ru = ru + dt * fu
+        rv = rv + dt * fv
+        rhs_th = rhs_th + dt * fth
+    th1 = sp.helmholtz_cells(rhs_th, c_th)
+    u1 = sp.helmholtz_u(ru, c_vel)
+    v1 = sp.helmholtz_v(rv, c_vel)
+    u2, v2, phi = sp.project(u1, v1)
+    return u2, v2, th1, phi / dt
 
 
 class NonlinearPropagator:
@@ -169,69 +213,37 @@ class NonlinearPropagator:
         if dt > cfl:
             raise StepSizeError(f"dt={dt:g} exceeds CFL bound {cfl:g}")
 
-        grads = ops.center_gradients(u, v, grid)
-        nu, nu_th = nonlocal_coefficients(grads, th, spec, grid)
-        adv_u, adv_v = ops.advect_velocity(u, v, u, v, grid)
-        adv_th = ops.advect_scalar(th, u, v, grid)
-
+        nu, nu_th, adv_u, adv_v, adv_th, heat = explicit_terms(u, v, th, spec, grid)
         rhs_th = th - dt * adv_th
-        if spec.heating_on:
-            rhs_th = rhs_th + dt * nu * ops.heating_from_gradients(grads)
+        if heat is not None:
+            rhs_th = rhs_th + dt * nu * heat
         ru = u - dt * adv_u
         rv = v - dt * adv_v + dt * spec.buoyancy * ops.theta_to_vfaces(th, grid)
-        if control is not None:
-            cu, cv, c0 = control
-            bu, bv, bc = self.bumps
-            ru = ru + dt * bu * cu
-            rv = rv + dt * bv * cv
-            rhs_th = rhs_th + dt * bc * c0
-        if forcing is not None:
-            fu, fv, fth = forcing
-            ru = ru + dt * fu
-            rv = rv + dt * fv
-            rhs_th = rhs_th + dt * fth
-
-        th1 = self.sp.helmholtz_cells(rhs_th, dt * nu_th)
-        u1 = self.sp.helmholtz_u(ru, dt * nu)
-        v1 = self.sp.helmholtz_v(rv, dt * nu)
-        u2, v2, phi = self.sp.project(u1, v1)
-        return u2, v2, th1, phi / dt
+        return implicit_stage(self.sp, dt, ru, rv, rhs_th, dt * nu, dt * nu_th,
+                              control, self.bumps, forcing)
 
     def run(self, y0, th0, controls=None, forcing=None, store=True, on_state=None):
         """March nt steps; returns (Trajectory | None, EnergyTrace)."""
         grid, tgrid, spec = self.grid, self.tgrid, self.spec
-        nt = tgrid.nt
         u, v, _phi = self.sp.project(y0[0], y0[1])
         th = th0.copy()
-        p = grid.zeros_cells()
-
-        traj = None
-        if store:
-            traj = Trajectory(
-                t=tgrid.nodes(),
-                u=np.zeros((nt + 1,) + u.shape), v=np.zeros((nt + 1,) + v.shape),
-                theta=np.zeros((nt + 1,) + th.shape), p=np.zeros((nt + 1,) + p.shape),
-                meta={"spec": spec.digest(), "grid": grid.digest(),
-                      "time": tgrid.digest(), "kind": "state"},
-            )
-        lam1 = first_dirichlet_eigenvalue(grid)
-        gy = np.zeros(nt + 1)
-        ts = np.zeros(nt + 1)
-        gt = np.zeros(nt + 1)
-        gy[0], ts[0], gt[0] = _energy_components(u, v, th, grid)
-        e_ref = gy[0] + ts[0] + gt[0]
+        traj = Trajectory.zeros(grid, tgrid, {
+            "spec": spec.digest(), "grid": grid.digest(), "time": tgrid.digest(),
+            "kind": "state"}) if store else None
+        comps = [energy_components(u, v, th, grid)]
+        e_ref = sum(comps[0])
         max_div = 0.0
         if store:
-            traj.u[0], traj.v[0], traj.theta[0], traj.p[0] = u, v, th, p
+            traj.u[0], traj.v[0], traj.theta[0] = u, v, th
         if on_state is not None:
             on_state(0, u, v, th)
 
-        for k in range(nt):
+        for k in range(tgrid.nt):
             ctrl = _control_sample(controls, k)
             frc = None if forcing is None else forcing(k)
             u, v, th, p = self.step(u, v, th, ctrl, frc)
-            gy[k + 1], ts[k + 1], gt[k + 1] = _energy_components(u, v, th, grid)
-            ek = gy[k + 1] + ts[k + 1] + gt[k + 1]
+            comps.append(energy_components(u, v, th, grid))
+            ek = sum(comps[-1])
             if e_ref == 0.0:
                 e_ref = ek
             if not np.isfinite(ek) or (e_ref > 0.0 and ek > _BLOWUP_FACTOR * e_ref):
@@ -244,11 +256,8 @@ class NonlinearPropagator:
 
         if store:
             traj.meta["max_div"] = max_div
-        nu0 = spec.law.nu0
-        small_ok = (gy[0] + ts[0] + gt[0]) <= spec.phi_smallness_factor * nu0 ** 2
-        trace = EnergyTrace(t=tgrid.nodes(), grad_y_sq=gy, theta_sq=ts,
-                            grad_theta_sq=gt, lam1=lam1, smallness_ok=small_ok)
-        return traj, trace
+        small_ok = sum(comps[0]) <= spec.phi_smallness_factor * spec.law.nu0 ** 2
+        return traj, _energy_trace(tgrid.nodes(), comps, grid, small_ok)
 
 
 class LinearPropagator:
@@ -273,27 +282,11 @@ class LinearPropagator:
         self.bumps = bumps
 
     def step(self, u, v, th, control=None, sources=None):
-        grid, dt = self.grid, self.tgrid.dt
-        rhs_th = th
-        ru = u
-        rv = v + dt * self.coupling * ops.theta_to_vfaces(th, grid)
-        if control is not None:
-            cu, cv, c0 = control
-            bu, bv, bc = self.bumps
-            ru = ru + dt * bu * cu
-            rv = rv + dt * bv * cv
-            rhs_th = rhs_th + dt * bc * c0
-        if sources is not None:
-            f1u, f1v, f2 = sources
-            ru = ru + dt * f1u
-            rv = rv + dt * f1v
-            rhs_th = rhs_th + dt * f2
+        dt = self.tgrid.dt
+        rv = v + dt * self.coupling * ops.theta_to_vfaces(th, self.grid)
         c = dt * self.nu0
-        th1 = self.sp.helmholtz_cells(rhs_th, c)
-        u1 = self.sp.helmholtz_u(ru, c)
-        v1 = self.sp.helmholtz_v(rv, c)
-        u2, v2, phi = self.sp.project(u1, v1)
-        return u2, v2, th1, phi / dt
+        return implicit_stage(self.sp, dt, u, rv, th, c, c, control, self.bumps,
+                              sources)
 
     def step_adjoint(self, gu, gv, gth):
         """Transpose of the homogeneous part of `step` on the divergence-free
@@ -314,20 +307,14 @@ class LinearPropagator:
 
     def run(self, y0, th0, controls=None, sources=None, store=True):
         grid, tgrid = self.grid, self.tgrid
-        nt = tgrid.nt
         u, v, _ = self.sp.project(y0[0], y0[1])
         th = th0.copy()
-        p = grid.zeros_cells()
-        traj = Trajectory(
-            t=tgrid.nodes(),
-            u=np.zeros((nt + 1,) + u.shape), v=np.zeros((nt + 1,) + v.shape),
-            theta=np.zeros((nt + 1,) + th.shape), p=np.zeros((nt + 1,) + p.shape),
-            meta={"grid": grid.digest(), "time": tgrid.digest(),
-                  "kind": "state", "mode": "linearized"},
-        ) if store else None
+        traj = Trajectory.zeros(grid, tgrid, {
+            "grid": grid.digest(), "time": tgrid.digest(), "kind": "state",
+            "mode": "linearized"}) if store else None
         if store:
             traj.u[0], traj.v[0], traj.theta[0] = u, v, th
-        for k in range(nt):
+        for k in range(tgrid.nt):
             ctrl = _control_sample(controls, k)
             src = None if sources is None else (sources[0][k], sources[1][k], sources[2][k])
             u, v, th, p = self.step(u, v, th, ctrl, src)
@@ -350,16 +337,7 @@ def run_nonlinear(y0, th0, controls, spec: SystemSpec, grid: GridSpec,
         prop = LinearPropagator(grid, tgrid, spec.law.nu0, bumps=bumps,
                                 coupling=spec.buoyancy)
         traj = prop.run(y0, th0, controls=controls)
-        gy = np.array([ops.h1_seminorm_sq_velocity(traj.u[k], traj.v[k], grid)
-                       for k in range(tgrid.nt + 1)])
-        ts = np.array([ops.norm_cells(traj.theta[k], grid) ** 2
-                       for k in range(tgrid.nt + 1)])
-        gt = np.array([ops.h1_seminorm_sq_cells(traj.theta[k], grid)
-                       for k in range(tgrid.nt + 1)])
-        trace = EnergyTrace(t=tgrid.nodes(), grad_y_sq=gy, theta_sq=ts,
-                            grad_theta_sq=gt,
-                            lam1=first_dirichlet_eigenvalue(grid))
-        return traj, trace
+        return traj, trace_from_trajectory(traj, grid)
     prop = NonlinearPropagator(grid, tgrid, spec, bumps=bumps)
     return prop.run(y0, th0, controls=controls, forcing=forcing, store=store,
                     on_state=on_state)
@@ -369,20 +347,18 @@ def run_linearized(y0, th0, controls, f1, f2, nu0: float, grid: GridSpec,
                    tgrid: TimeGrid, bumps=None, coupling=None) -> Trajectory:
     """Integrate the linear system with sources F1 = (f1u, f1v), F2."""
     prop = LinearPropagator(grid, tgrid, nu0, bumps=bumps, coupling=coupling)
-    sources = None if f1 is None and f2 is None else (
-        f1[0] if f1 is not None else np.zeros((tgrid.nt, grid.nx + 1, grid.ny)),
-        f1[1] if f1 is not None else np.zeros((tgrid.nt, grid.nx, grid.ny + 1)),
-        f2 if f2 is not None else np.zeros((tgrid.nt, grid.nx, grid.ny)),
-    )
-    return prop.run(y0, th0, controls=controls, sources=sources)
+    return prop.run(y0, th0, controls=controls,
+                    sources=zero_padded_sources(f1, f2, grid, tgrid.nt))
 
 
-def step_nonlinear(state: State, spec: SystemSpec, grid: GridSpec,
-                   tgrid: TimeGrid, control=None, bumps=None, forcing=None) -> State:
-    """Single IMEX step of the nonlinear system."""
-    prop = NonlinearPropagator(grid, tgrid, spec, bumps=bumps)
-    u, v, th, p = prop.step(state.u, state.v, state.theta, control, forcing)
-    return State(u, v, th, p)
+def zero_padded_sources(f1, f2, grid: GridSpec, nt: int):
+    """(f1u, f1v, f2) over nt steps with zeros for a missing F1 = (f1u, f1v)
+    or F2; None when both are missing."""
+    if f1 is None and f2 is None:
+        return None
+    return (f1[0] if f1 is not None else np.zeros((nt, grid.nx + 1, grid.ny)),
+            f1[1] if f1 is not None else np.zeros((nt, grid.nx, grid.ny + 1)),
+            f2 if f2 is not None else np.zeros((nt, grid.nx, grid.ny)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +385,7 @@ def scaled_initial_data(grid: GridSpec, target_energy: float,
     """Scale the named profiles so E(0) hits ``target_energy`` exactly."""
     u, v = stream_velocity(grid, vel_amplitude)
     th = sine_theta(grid, theta_amplitude)
-    e0 = (ops.h1_seminorm_sq_velocity(u, v, grid) + ops.norm_cells(th, grid) ** 2
-          + ops.h1_seminorm_sq_cells(th, grid))
+    e0 = sum(energy_components(u, v, th, grid))
     if e0 <= 0.0:
         raise DomainError("profile energy vanished; cannot scale")
     s = np.sqrt(target_energy / e0)

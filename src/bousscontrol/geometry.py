@@ -10,6 +10,7 @@ import numpy as np
 
 from .exceptions import GeometryError
 from .grids import GridSpec
+from .operators import d_center
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ def eta0_gradient_margin(grid: GridSpec, patch: ControlPatch, eta0: np.ndarray) 
     a rectangle has both tangential derivatives zero there, so the corner
     degeneracy is intrinsic, not a profile defect.
     """
-    gx = _node_gradient(eta0, grid.hx, axis=0)
-    gy = _node_gradient(eta0, grid.hy, axis=1)
+    gx = d_center(eta0, grid.hx, axis=0)
+    gy = d_center(eta0, grid.hy, axis=1)
     mag = np.hypot(gx, gy)
     x, y = grid.nodes()
     outside = ~patch.contains(x, y, inner=True)
@@ -106,15 +107,6 @@ def eta0_gradient_margin(grid: GridSpec, patch: ControlPatch, eta0: np.ndarray) 
     if not outside.any():
         raise GeometryError("omega_0 covers every grid node; domain degenerate")
     return float(mag[outside].min())
-
-
-def _node_gradient(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    f = np.moveaxis(f, axis, 0)
-    g = np.empty_like(f)
-    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-    g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-    return np.moveaxis(g, 0, axis)
 
 
 def bump_profile(patch: ControlPatch):

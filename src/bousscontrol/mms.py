@@ -72,41 +72,27 @@ def build_manufactured(spec: SystemSpec, amp_vel: float = 0.05,
     theta = amp_theta * sp.sin(pi * x) * sp.sin(pi * y) * g
     press = amp_p * sp.cos(pi * x) * sp.cos(pi * y) * g
 
-    law, law_th = spec.law, spec.theta_law
-    gradsq_vel_profile = None
-    # nonlocal coefficients: closed form for l2, quadrature constant for lp
     g2 = g * g
-    if law.variant == "l2":
-        nu = law.nu0 + law.nu1 * 2 * pi ** 4 * amp_vel ** 2 * g2
-    else:
-        u1 = sp.diff(psi, y) / g
-        v1 = -sp.diff(psi, x) / g
-        gsq = (sp.diff(u1, x) ** 2 + sp.diff(u1, y) ** 2
+
+    def coefficient(law, gsq, on_velocity: bool):
+        """``law`` on the field whose unit-amplitude |grad|^2 density is
+        ``gsq``: closed form for l2 on the velocity, else a quadrature
+        constant (with p = 2 for l2); both scale with g^2."""
+        if on_velocity and law.variant == "l2":
+            return law.nu0 + law.nu1 * 2 * pi ** 4 * amp_vel ** 2 * g2
+        p = law.p if law.variant == "lp" else 2.0
+        const = _lp_profile_constant(sp.lambdify((x, y), gsq, "numpy"), p)
+        return law.nu0 + law.nu1 * const * g2
+
+    u1, v1, th1 = u / g, v / g, theta / g
+    gsq_vel = (sp.diff(u1, x) ** 2 + sp.diff(u1, y) ** 2
                + sp.diff(v1, x) ** 2 + sp.diff(v1, y) ** 2)
-        gradsq_vel_profile = sp.lambdify((x, y), gsq, "numpy")
-        kp = _lp_profile_constant(gradsq_vel_profile, law.p)
-        nu = law.nu0 + law.nu1 * kp * g2
+    nu = coefficient(spec.law, gsq_vel, True)
     if spec.theta_coeff_source == "velocity":
-        if law_th.variant == "l2":
-            nu_th = law_th.nu0 + law_th.nu1 * 2 * pi ** 4 * amp_vel ** 2 * g2
-        else:
-            if gradsq_vel_profile is None:
-                u1 = sp.diff(psi, y) / g
-                v1 = -sp.diff(psi, x) / g
-                gsq = (sp.diff(u1, x) ** 2 + sp.diff(u1, y) ** 2
-                       + sp.diff(v1, x) ** 2 + sp.diff(v1, y) ** 2)
-                gradsq_vel_profile = sp.lambdify((x, y), gsq, "numpy")
-            nu_th = law_th.nu0 + law_th.nu1 * _lp_profile_constant(
-                gradsq_vel_profile, law_th.p) * g2
+        nu_th = coefficient(spec.theta_law, gsq_vel, True)
     else:
-        th1 = theta / g
-        gsq_th = sp.diff(th1, x) ** 2 + sp.diff(th1, y) ** 2
-        if law_th.variant == "l2":
-            const = _lp_profile_constant(sp.lambdify((x, y), gsq_th, "numpy"), 2.0)
-            nu_th = law_th.nu0 + law_th.nu1 * const * g2
-        else:
-            const = _lp_profile_constant(sp.lambdify((x, y), gsq_th, "numpy"), law_th.p)
-            nu_th = law_th.nu0 + law_th.nu1 * const * g2
+        nu_th = coefficient(spec.theta_law, sp.diff(th1, x) ** 2 + sp.diff(th1, y) ** 2,
+                            False)
 
     lap = lambda f: sp.diff(f, x, 2) + sp.diff(f, y, 2)
     conv_u = u * sp.diff(u, x) + v * sp.diff(u, y)
@@ -160,8 +146,7 @@ class MmsReport:
 def run_mms(spec: SystemSpec, grid_sizes=(16, 32, 64), t_final: float = 0.25,
             nt: int = 64, amp_vel: float = 0.05, amp_theta: float = 0.1,
             amp_p: float = 0.05, time_dependent: bool = False,
-            nt_scale_quadratic: bool = True,
-            manufactured: ManufacturedSolution | None = None) -> MmsReport:
+            nt_scale_quadratic: bool = True) -> MmsReport:
     """Refinement study: integrate with manufactured forcing, measure L2(Q)
     errors against the exact fields, fit the spatial order.
 
@@ -170,16 +155,12 @@ def run_mms(spec: SystemSpec, grid_sizes=(16, 32, 64), t_final: float = 0.25,
     dt ~ h^2 across the grid sequence to isolate the spatial order.  With
     amp_p = 0 and a time-constant solution the IMEX fixed point is fully
     dt-independent and ``nt_scale_quadratic=False`` is appropriate.
-
-    A prebuilt ``manufactured`` bundle overrides the amplitude arguments (it
-    must have been derived for the same ``spec``).
     """
     if len(grid_sizes) < 2:
         raise DomainError("need at least two grid sizes for an order fit")
-    mms = manufactured if manufactured is not None else build_manufactured(
-        spec, amp_vel=amp_vel, amp_theta=amp_theta, amp_p=amp_p,
-        time_dependent=time_dependent, t_scale=t_final)
-    time_dependent = mms.time_dependent
+    mms = build_manufactured(spec, amp_vel=amp_vel, amp_theta=amp_theta,
+                             amp_p=amp_p, time_dependent=time_dependent,
+                             t_scale=t_final)
     errs, errs_v, errs_t, hs = [], [], [], []
     base_n = grid_sizes[0]
     for n in grid_sizes:

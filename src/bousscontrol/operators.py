@@ -85,10 +85,6 @@ def laplacian_v(v: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def laplacian_velocity(u, v, grid):
-    return laplacian_u(u, grid), laplacian_v(v, grid)
-
-
 def theta_to_vfaces(th: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Cell scalar averaged onto interior y-faces (buoyancy injection)."""
     out = grid.zeros_v()
@@ -106,7 +102,7 @@ def vfaces_to_cells(g: np.ndarray, grid: GridSpec) -> np.ndarray:
 # cell-centered gradients without boundary assumptions (heating, viscosity law)
 
 
-def _d_center(fc: np.ndarray, h: float, axis: int) -> np.ndarray:
+def d_center(fc: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Central differences, second-order one-sided at the first/last row."""
     f = np.moveaxis(fc, axis, 0)
     g = np.empty_like(f)
@@ -123,8 +119,8 @@ def center_gradients(u: np.ndarray, v: np.ndarray, grid: GridSpec):
     vy = (v[:, 1:] - v[:, :-1]) / grid.hy
     uc = 0.5 * (u[:-1, :] + u[1:, :])
     vc = 0.5 * (v[:, :-1] + v[:, 1:])
-    uy = _d_center(uc, grid.hy, axis=1)
-    vx = _d_center(vc, grid.hx, axis=0)
+    uy = d_center(uc, grid.hy, axis=1)
+    vx = d_center(vc, grid.hx, axis=0)
     return ux, uy, vx, vy
 
 
@@ -199,8 +195,8 @@ def nonlocal_viscosity(u: np.ndarray, v: np.ndarray, law: ViscosityLaw,
 
 def nonlocal_viscosity_scalar(th: np.ndarray, law: ViscosityLaw, grid: GridSpec) -> float:
     """Same law evaluated on a cell scalar's gradient (temperature variant)."""
-    gx = _d_center(th, grid.hx, axis=0)
-    gy = _d_center(th, grid.hy, axis=1)
+    gx = d_center(th, grid.hx, axis=0)
+    gy = d_center(th, grid.hy, axis=1)
     return law.of_density(gx * gx + gy * gy, grid)
 
 
@@ -273,6 +269,11 @@ def inner_velocity(u1, v1, u2, v2, grid: GridSpec) -> float:
 
 def norm_velocity(u, v, grid: GridSpec) -> float:
     return float(np.sqrt(max(inner_velocity(u, v, u, v, grid), 0.0)))
+
+
+def state_norm_sq(u, v, th, grid: GridSpec) -> float:
+    """|y|^2 + |theta|^2 of one state."""
+    return norm_velocity(u, v, grid) ** 2 + norm_cells(th, grid) ** 2
 
 
 def lp_norm_cells(f: np.ndarray, p: float, grid: GridSpec) -> float:

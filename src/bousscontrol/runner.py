@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -17,18 +18,17 @@ from .exceptions import BoussControlError, ConfigError, GeometryError
 from .config import ExperimentConfig, emit_resolved
 from .geometry import build_eta0, bump_on_solver_grids
 from .grids import GridSpec, TimeGrid
-from . import operators as ops
 from .adjoint import duality_defect
 from .control import (ControlTrajectory, PenaltySpec, control_inner,
                       gradient, large_time_control, objective,
                       solve_linear_control, solve_nonlinear_control)
 from .diagnostics import decay_fit, emit_report, t_star, weighted_norms
 from .fieldio import dump_trajectory, energy_trace_csv
-from .forward import (EnergyTrace, SystemSpec, Trajectory,
-                      first_dirichlet_eigenvalue, run_nonlinear,
-                      scaled_initial_data, sine_theta, stream_velocity)
+from .forward import (EnergyTrace, SystemSpec, run_nonlinear, scaled_initial_data,
+                      sine_theta, stream_velocity, trace_from_trajectory)
 from .mms import run_mms
-from .weights import check_weight_chain, check_weight_gap, eval_weights, export_weight_csv
+from .weights import (check_weight_chain, check_weight_gap, default_t_clip,
+                      eval_weights, export_weight_csv)
 
 
 def _initial_data(cfg: ExperimentConfig):
@@ -39,29 +39,14 @@ def _initial_data(cfg: ExperimentConfig):
     return stream_velocity(grid, cfg.init_vel_amp), sine_theta(grid, cfg.init_theta_amp)
 
 
-def trace_from_trajectory(traj: Trajectory, grid: GridSpec) -> EnergyTrace:
-    n = len(traj.t)
-    gy = np.zeros(n)
-    ts = np.zeros(n)
-    gt = np.zeros(n)
-    for k in range(n):
-        gy[k] = ops.h1_seminorm_sq_velocity(traj.u[k], traj.v[k], grid)
-        ts[k] = ops.norm_cells(traj.theta[k], grid) ** 2
-        gt[k] = ops.h1_seminorm_sq_cells(traj.theta[k], grid)
-    return EnergyTrace(t=traj.t, grad_y_sq=gy, theta_sq=ts, grad_theta_sq=gt,
-                       lam1=first_dirichlet_eigenvalue(grid))
-
-
 def _write_energy_csv(path, trace: EnergyTrace, config_hash: str) -> None:
-    energy_trace_csv(path, trace)
-    with open(path) as fh:
-        body = fh.read()
-    with open(path, "w") as fh:
-        fh.write(f"# config_hash = {config_hash}\n")
-        fh.write(body)
+    energy_trace_csv(path, trace, preamble=f"# config_hash = {config_hash}\n")
 
 
 def _tables_for(cfg: ExperimentConfig, tgrid: TimeGrid):
+    """The weight tables on ``tgrid``, or None when the penalty is unweighted."""
+    if cfg.pen.weight_mode != "carleman":
+        return None
     eta0 = build_eta0(cfg.grid, cfg.patch)
     return eval_weights(cfg.wparams, eta0, tgrid)
 
@@ -162,9 +147,8 @@ def _synthesis_artifacts(cfg, out_dir, name, controls, traj, rep, tables,
 
 
 def _run_linear_control(cfg, out_dir, bumps, y0, th0, chash, ghash):
-    tables = None
-    if cfg.pen.weight_mode == "carleman":
-        tables = _tables_for(cfg, cfg.tgrid)
+    tables = _tables_for(cfg, cfg.tgrid)
+    if tables is not None:
         export_weight_csv(tables, os.path.join(out_dir, "weights.csv"))
     nu0 = cfg.system.law.nu0
     controls, traj, rep = solve_linear_control(
@@ -184,9 +168,7 @@ def _run_linear_control(cfg, out_dir, bumps, y0, th0, chash, ghash):
 
 
 def _run_nonlinear_control(cfg, out_dir, bumps, y0, th0, chash, ghash):
-    tables = None
-    if cfg.pen.weight_mode == "carleman":
-        tables = _tables_for(cfg, cfg.tgrid)
+    tables = _tables_for(cfg, cfg.tgrid)
     controls, traj, rep = solve_nonlinear_control(
         y0, th0, cfg.system, cfg.pen, cfg.outer, tables, cfg.grid, cfg.tgrid,
         bumps)
@@ -198,20 +180,12 @@ def _run_nonlinear_control(cfg, out_dir, bumps, y0, th0, chash, ghash):
 
 
 def _run_large_time(cfg, out_dir, bumps, y0, th0, chash, ghash):
-    phase1 = TimeGrid(cfg.lt_phase1_t_final, cfg.lt_phase1_nt)
-    tail = TimeGrid(cfg.lt_tail_t_final, cfg.lt_tail_nt)
-
-    def weights_fn(tg):
-        if cfg.pen.weight_mode != "carleman":
-            return None
-        eta0 = build_eta0(cfg.grid, cfg.patch)
-        return eval_weights(cfg.wparams, eta0, tg)
-
-    pen = replace(cfg.pen, t_clip=min(cfg.pen.t_clip or tail.t_final - 2 * tail.dt,
-                                      tail.t_final - 2 * tail.dt))
+    tail = cfg.lt_tail
+    pen = replace(cfg.pen, t_clip=min(default_t_clip(cfg.pen.t_clip, tail),
+                                      default_t_clip(None, tail)))
     composed, rep = large_time_control(
-        y0, th0, cfg.lt_delta, cfg.system, pen, cfg.outer, weights_fn,
-        cfg.grid, phase1, tail, bumps)
+        y0, th0, cfg.lt_delta, cfg.system, pen, cfg.outer, partial(_tables_for, cfg),
+        cfg.grid, cfg.lt_phase1, tail, bumps)
     trace = trace_from_trajectory(composed, cfg.grid)
     _write_energy_csv(os.path.join(out_dir, "energy.csv"), trace, chash)
     emit_report(os.path.join(out_dir, "report.txt"),
@@ -269,7 +243,7 @@ def _run_verify(cfg, out_dir, bumps, y0, th0, chash, ghash):
     checks.append(("weight_gap_margin", margin > 0.0, f"{margin:.6g}"))
     tg256 = TimeGrid(1.0, 256)
     tables = eval_weights(cfg.wparams, build_eta0(grid, patch), tg256)
-    chain = check_weight_chain(tables, 1.0 - 2.0 / 256)
+    chain = check_weight_chain(tables, default_t_clip(None, tg256))
     checks.append(("weight_chain_finite", chain.all_finite,
                    ",".join(f"{k}={v:.3g}" for k, v in chain.ratios.items())))
 

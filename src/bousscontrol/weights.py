@@ -37,6 +37,22 @@ CONTROL_WEIGHT_LOG_CAP = 350.0
 _M_SEARCH_MAX = 1.0e4
 
 
+def default_t_clip(t_clip: float | None, tgrid: TimeGrid) -> float:
+    """``t_clip``, or T - 2 dt when it is None: the last time at which the
+    frozen control weights still follow the blow-up profile."""
+    return t_clip if t_clip is not None else tgrid.t_final - 2.0 * tgrid.dt
+
+
+def time_derivative(a: np.ndarray, dt: float) -> np.ndarray:
+    """d/dt along axis 0: central differences inside, one-sided first order
+    at the two ends."""
+    d = np.empty_like(a)
+    d[1:-1] = (a[2:] - a[:-2]) / (2.0 * dt)
+    d[0] = (a[1] - a[0]) / dt
+    d[-1] = (a[-1] - a[-2]) / dt
+    return d
+
+
 def ell(t: float, t_final: float) -> float:
     """Time profile: T^2/4 on [0, T/2], t(T-t) on (T/2, T]."""
     if t < 0.0 or t > t_final:
@@ -290,11 +306,7 @@ def check_weight_chain(tables: WeightTables, t_clip: float) -> ChainReport:
     sel = (t >= dt * (1.0 - 1e-12)) & (t <= t_clip * (1.0 + 1e-12))
 
     def dlog(raw):
-        g = np.empty_like(raw)
-        g[1:-1] = (raw[2:] - raw[:-2]) / (2.0 * dt)
-        g[0] = (raw[1] - raw[0]) / dt
-        g[-1] = (raw[-1] - raw[-2]) / dt
-        return g
+        return time_derivative(raw, dt)
 
     r = tables.raw
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -317,8 +329,10 @@ def check_weight_chain(tables: WeightTables, t_clip: float) -> ChainReport:
 
 
 def control_weight_logs(tables: WeightTables, t_clip: float,
-                        cap: float = CONTROL_WEIGHT_LOG_CAP) -> np.ndarray:
-    """Normalized log rho2 per time step (left nodes), for the control cost.
+                        cap: float = CONTROL_WEIGHT_LOG_CAP,
+                        name: str = "rho2") -> np.ndarray:
+    """Normalized log weight per time step (left nodes): rho2 for the control
+    cost, kappa for the control regularity report.
 
     Beyond t_clip the weight is frozen at its t_clip value; the profile is
     shifted so its minimum is 0 (only the blow-up shape matters, the raw
@@ -330,7 +344,7 @@ def control_weight_logs(tables: WeightTables, t_clip: float,
     if not (0.0 < t_clip < t_final):
         raise DomainError("t_clip must lie strictly inside (0, T)")
     nt = len(t) - 1
-    raw = tables.raw("rho2")[:nt].copy()
+    raw = tables.raw(name)[:nt].copy()
     idx_clip = int(np.searchsorted(t, t_clip, side="right")) - 1
     idx_clip = max(0, min(idx_clip, nt - 1))
     raw[idx_clip + 1:] = raw[idx_clip]

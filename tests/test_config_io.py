@@ -80,6 +80,14 @@ class TestConfig:
         "time.t_final = inf",
         "large_time.delta = -1",
         "init.theta_amp = nan",
+        # TimeGrid needs nt >= 16; every time grid is built at parse time
+        "time.nt = 8",
+        "large_time.phase1_nt = 4",
+        "large_time.tail_nt = 8",
+        # the decay fit window [lo T, hi T] must be nonempty
+        "decay.fit_lo_frac = 1.5",
+        "decay.fit_lo_frac = -0.1",
+        "decay.fit_hi_frac = 0.1",
     ])
     def test_non_finite_or_out_of_range_value_rejected(self, line):
         key = line.split(" = ")[0]
@@ -216,6 +224,18 @@ class TestCli:
         cfg_path.write_text(MINIMAL + "penalty.eps = nan\n")
         rc = main(["linear-control", "--config", str(cfg_path), "--out",
                    str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, lines", [
+        ("large-time", "large_time.phase1_nt = 4\n"),
+        ("decay", "decay.fit_lo_frac = 0.9\ndecay.fit_hi_frac = 0.1\n"),
+    ], ids=["short-large-time-grid", "empty-decay-window"])
+    def test_main_rejects_run_time_failures_at_parse_time(self, tmp_path, kind, lines):
+        from bousscontrol.cli import main
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(MINIMAL + lines)
+        rc = main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert not (tmp_path / "out").exists()
 

@@ -7,9 +7,9 @@ import pytest
 from bousscontrol import operators as ops
 from bousscontrol.exceptions import DivergenceError, StepSizeError
 from bousscontrol.forward import (NonlinearPropagator, SystemSpec,
-                                  run_linearized, run_nonlinear,
-                                  scaled_initial_data, sine_theta, State,
-                                  step_nonlinear, stream_velocity)
+                                  explicit_terms, run_linearized, run_nonlinear,
+                                  scaled_initial_data, sine_theta,
+                                  stream_velocity, trace_from_trajectory)
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw
 
@@ -291,11 +291,42 @@ class TestEnergyMonitors:
         tg = TimeGrid(1.0, 64)
         y0 = stream_velocity(grid16, 0.05)
         th0 = 0.1 * sine_theta(grid16, 1.0)
-        s_on = step_nonlinear(State(y0[0], y0[1], th0, grid16.zeros_cells()),
-                              spec_on, grid16, tg)
-        s_off = step_nonlinear(State(y0[0], y0[1], th0, grid16.zeros_cells()),
-                               spec_off, grid16, tg)
-        assert float(np.mean(s_on.theta - s_off.theta)) >= 0.0
+        th_on = NonlinearPropagator(grid16, tg, spec_on).step(y0[0], y0[1], th0)[2]
+        th_off = NonlinearPropagator(grid16, tg, spec_off).step(y0[0], y0[1], th0)[2]
+        assert float(np.mean(th_on - th_off)) >= 0.0
+
+    def test_trace_from_trajectory_matches_run(self, grid16):
+        spec = SystemSpec(law=ViscosityLaw("l2", 0.5, 0.1))
+        y0, th0 = scaled_initial_data(grid16, 1e-3)
+        traj, trace = run_nonlinear(y0, th0, None, spec, grid16, TimeGrid(0.5, 32))
+        ref = trace_from_trajectory(traj, grid16)
+        for name in ("t", "grad_y_sq", "theta_sq", "grad_theta_sq"):
+            assert np.array_equal(getattr(ref, name), getattr(trace, name))
+        assert ref.lam1 == trace.lam1
+
+
+@pytest.mark.parametrize("source", ["velocity", "temperature"])
+@pytest.mark.parametrize("heating", [True, False])
+def test_explicit_terms_match_reference_operators(grid16, source, heating):
+    # the nonlinear step and the outer loop's frozen sources both take their
+    # explicit terms from explicit_terms; it must equal the operators bit for bit
+    rng = np.random.default_rng(17)
+    law, law_th = ViscosityLaw("l2", 0.5, 0.3), ViscosityLaw("lp", 0.4, 0.2, 4.0)
+    spec = SystemSpec(law=law, law_theta=law_th, theta_coeff_source=source,
+                      heating_on=heating)
+    u, v = rand_div_free(grid16, rng)
+    th = rand_cells(grid16, rng)
+    nu, nu_th, adv_u, adv_v, adv_th, heat = explicit_terms(u, v, th, spec, grid16)
+    assert nu == ops.nonlocal_viscosity(u, v, law, grid16)
+    assert nu_th == (ops.nonlocal_viscosity(u, v, law_th, grid16) if source == "velocity"
+                     else ops.nonlocal_viscosity_scalar(th, law_th, grid16))
+    ref_u, ref_v = ops.advect_velocity(u, v, u, v, grid16)
+    assert np.array_equal(adv_u, ref_u) and np.array_equal(adv_v, ref_v)
+    assert np.array_equal(adv_th, ops.advect_scalar(th, u, v, grid16))
+    if heating:
+        assert np.array_equal(heat, ops.heating(u, v, grid16))
+    else:
+        assert heat is None
 
 
 class TestErrorHandling:
