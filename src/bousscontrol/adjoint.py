@@ -21,7 +21,7 @@ exact up to roundoff when both sides are built from the same spectral solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,77 +32,48 @@ from .forward import LinearPropagator, Trajectory
 
 @dataclass
 class AdjointTrajectory:
-    """Node values (phi, pi, psi) plus the pre-coupling stages zeta^n.
-
-    The stored phi is divergence-free: the raw transpose state carries a
-    discrete-gradient component, which is exactly the adjoint pressure's
-    contribution and is split off into pi.  Feeding the projected state back
-    into the recursion is equivalent to feeding the raw one because the
-    transposed step would start with the same projection; the projected state
-    is also what ``LinearPropagator.step_adjoint`` requires.
+    """The pre-coupling stages zeta^n, which pair with the step-n forward
+    sources in the duality identity and are all a Hessian apply needs, and the
+    adjoint state at t = 0.  Intermediate levels are not kept.  Each level's
+    velocity is projected, which removes the adjoint pressure's gradient part.
     """
 
-    t: np.ndarray
-    phi_u: np.ndarray     # (nt+1, nx+1, ny)
-    phi_v: np.ndarray
-    pi: np.ndarray        # (nt+1, nx, ny) adjoint pressure
-    psi: np.ndarray
-    zeta_u: np.ndarray    # (nt, ...) pairs with step-n forward sources
-    zeta_v: np.ndarray
-    zeta_th: np.ndarray
-    meta: dict = field(default_factory=dict)
+    zeta_u: np.ndarray    # (nt, nx+1, ny)
+    zeta_v: np.ndarray    # (nt, nx, ny+1)
+    zeta_th: np.ndarray   # (nt, nx, ny)
+    phi0: tuple           # (phi_u, phi_v) at t = 0, divergence-free
+    psi0: np.ndarray
 
 
-def run_adjoint(phi_t, psi_t, g1, g2, prop: LinearPropagator,
-                project_terminal: bool = True) -> AdjointTrajectory:
+def run_adjoint(phi_t, psi_t, g1, g2, prop: LinearPropagator) -> AdjointTrajectory:
     """Integrate the adjoint system backward from terminal data.
 
-    ``g1`` = (g1u, g1v) arrays of shape (nt, ...) or None, ``g2`` likewise;
-    source sample n is applied at level n (the convention the duality identity
-    above uses).  Terminal velocity data is projected into the divergence-free
-    space unless the caller guarantees it already lives there; every later
-    level is projected after its sources are added, so each adjoint step
-    receives divergence-free velocity.
+    The terminal velocity ``phi_t`` must be divergence-free; it is not
+    projected here.  ``g1`` = (g1u, g1v) arrays of shape (nt, ...) or None,
+    ``g2`` likewise; source sample n is applied at level n (the convention
+    the duality identity above uses).  Every level is projected after its
+    sources are added, so each adjoint step receives divergence-free velocity.
     """
-    grid, tgrid = prop.grid, prop.tgrid
-    nt = tgrid.nt
-    dt = tgrid.dt
-    pu, pv = phi_t
-    if project_terminal:
-        pu, pv, _ = prop.sp.project(pu, pv)
-    lam_u, lam_v, lam_th = pu.copy(), pv.copy(), psi_t.copy()
-
-    out = AdjointTrajectory(
-        t=tgrid.nodes(),
-        phi_u=np.zeros((nt + 1,) + lam_u.shape),
-        phi_v=np.zeros((nt + 1,) + lam_v.shape),
-        pi=np.zeros((nt + 1,) + lam_th.shape),
-        psi=np.zeros((nt + 1,) + lam_th.shape),
-        zeta_u=np.zeros((nt,) + lam_u.shape),
-        zeta_v=np.zeros((nt,) + lam_v.shape),
-        zeta_th=np.zeros((nt,) + lam_th.shape),
-        meta={"grid": grid.digest(), "time": tgrid.digest(), "kind": "adjoint"},
-    )
-    out.phi_u[nt], out.phi_v[nt], out.psi[nt] = lam_u, lam_v, lam_th
-
+    nt, dt = prop.tgrid.nt, prop.tgrid.dt
+    (lam_u, lam_v), lam_th = phi_t, psi_t
+    zeta_u, zeta_v, zeta_th = (np.empty((nt,) + a.shape) for a in (lam_u, lam_v, lam_th))
     for n in range(nt - 1, -1, -1):
-        lam_u, lam_v, lam_th, zu, zv, zth = prop.step_adjoint(lam_u, lam_v, lam_th)
+        # the velocity adjoint one level down is zeta itself
+        lam_u, lam_v, zeta_th[n], lam_th = prop.step_adjoint(lam_u, lam_v, lam_th)
+        zeta_u[n], zeta_v[n] = lam_u, lam_v
         if g1 is not None:
             lam_u = lam_u + dt * g1[0][n]
             lam_v = lam_v + dt * g1[1][n]
         if g2 is not None:
             lam_th = lam_th + dt * g2[n]
-        lam_u, lam_v, pot = prop.sp.project(lam_u, lam_v)
-        out.phi_u[n], out.phi_v[n], out.psi[n] = lam_u, lam_v, lam_th
-        out.pi[n] = pot / dt
-        out.zeta_u[n], out.zeta_v[n], out.zeta_th[n] = zu, zv, zth
-    return out
+        lam_u, lam_v, _ = prop.sp.project(lam_u, lam_v)
+    return AdjointTrajectory(zeta_u, zeta_v, zeta_th, (lam_u, lam_v), lam_th)
 
 
-def _pair_state_adjoint(traj: Trajectory, adj: AdjointTrajectory, k: int,
+def _pair_state_adjoint(traj: Trajectory, k: int, phi, psi,
                         grid: GridSpec) -> float:
-    return (ops.inner_velocity(traj.u[k], traj.v[k], adj.phi_u[k], adj.phi_v[k], grid)
-            + ops.inner_cells(traj.theta[k], adj.psi[k], grid))
+    return (ops.inner_velocity(traj.u[k], traj.v[k], phi[0], phi[1], grid)
+            + ops.inner_cells(traj.theta[k], psi, grid))
 
 
 def duality_defect(grid: GridSpec, tgrid: TimeGrid, nu0: float, bumps,
@@ -141,22 +112,22 @@ def duality_defect(grid: GridSpec, tgrid: TimeGrid, nu0: float, bumps,
     sources = (np.stack([rand_u() for _ in range(nt)]),
                np.stack([rand_v() for _ in range(nt)]),
                np.stack([rand_c() for _ in range(nt)]))
-    phi_t = (rand_u(), rand_v())
+    phi_t = prop.sp.project(rand_u(), rand_v())[:2]
     psi_t = rand_c()
     g1 = (np.stack([rand_u() for _ in range(nt)]),
           np.stack([rand_v() for _ in range(nt)]))
     g2 = np.stack([rand_c() for _ in range(nt)])
 
     traj = prop.run(y0, th0, controls=controls, sources=sources)
-    adj = run_adjoint(phi_t, psi_t, g1, g2, prop, project_terminal=True)
+    adj = run_adjoint(phi_t, psi_t, g1, g2, prop)
 
-    lhs = _pair_state_adjoint(traj, adj, nt, grid)
+    lhs = _pair_state_adjoint(traj, nt, phi_t, psi_t, grid)
     for n in range(nt):
         lhs += dt * (ops.inner_velocity(traj.u[n], traj.v[n], g1[0][n], g1[1][n], grid)
                      + ops.inner_cells(traj.theta[n], g2[n], grid))
 
     bu, bv, bc = bumps
-    rhs = _pair_state_adjoint(traj, adj, 0, grid)
+    rhs = _pair_state_adjoint(traj, 0, adj.phi0, adj.psi0, grid)
     for n in range(nt):
         fu = bu * controls.vu[n] + sources[0][n]
         fv = bv * controls.vv[n] + sources[1][n]

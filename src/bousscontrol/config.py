@@ -17,6 +17,7 @@ from .exceptions import ConfigError, DomainError
 from .geometry import ControlPatch
 from .grids import GridSpec, TimeGrid
 from .control import OuterLoopSpec, PenaltySpec
+from .diagnostics import decay_window
 from .forward import SystemSpec
 from .operators import ViscosityLaw
 from .weights import WeightParams, default_t_clip, find_min_m
@@ -209,15 +210,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
         mode=vals["system.mode"],
     )
 
-    lam = _parse_float("weights.lambda", vals["weights.lambda"])
-    eta_sup = _parse_float("weights.eta_sup", vals["weights.eta_sup"])
+    lam = _parse_positive("weights.lambda", vals["weights.lambda"])
+    eta_sup = _parse_positive("weights.eta_sup", vals["weights.eta_sup"])
     if _parse_bool("weights.auto_m", vals["weights.auto_m"]):
         m = find_min_m(lam, eta_sup)
         vals["weights.m"] = f"{m:.17g}"
         vals["weights.auto_m"] = "false"
     else:
         m = _parse_float("weights.m", vals["weights.m"])
-    wparams = WeightParams(s=_parse_float("weights.s", vals["weights.s"]),
+    wparams = WeightParams(s=_parse_positive("weights.s", vals["weights.s"]),
                            lam=lam, m=m, eta_sup=eta_sup)
 
     patch = ControlPatch(
@@ -232,6 +233,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         vals["penalty.t_clip"] = f"{t_clip:.17g}"
     else:
         t_clip = _parse_positive("penalty.t_clip", vals["penalty.t_clip"])
+        if not (t_clip < tgrid.t_final):
+            raise ConfigError(f"penalty.t_clip: expected a value < time.t_final = "
+                              f"{tgrid.t_final:g}, got {t_clip:g}")
     pen = PenaltySpec(epsilon=_parse_positive("penalty.eps", vals["penalty.eps"]),
                       weight_mode=vals["penalty.weight_mode"],
                       t_clip=t_clip,
@@ -250,6 +254,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if not (0.0 <= fit_lo < min(fit_hi, 1.0)):
         raise ConfigError("decay.fit_lo_frac, decay.fit_hi_frac: expected "
                           f"0 <= lo < min(hi, 1), got {fit_lo:g}, {fit_hi:g}")
+    t_final = tgrid.t_final
+    if decay_window(tgrid.nodes(), (fit_lo * t_final, fit_hi * t_final)).sum() < 2:
+        raise ConfigError("decay.fit_lo_frac, decay.fit_hi_frac: the fit window "
+                          "holds fewer than 2 time nodes")
 
     sweep: tuple = ()
     if vals["linear_control.eps_sweep"].strip():

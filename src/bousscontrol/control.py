@@ -271,16 +271,12 @@ class LinearControlProblem:
         """(1/eps) B^T L^T applied to a terminal state, optionally through W^-1."""
         eps = self.eps
         self.adjoint_sweeps += 1
-        adj = run_adjoint((ut / eps, vt / eps), tht / eps, None, None, self.prop,
-                          project_terminal=False)
-        bu, bv, bc = self.bumps
-        out = ControlTrajectory(adj.zeta_u * bu, adj.zeta_v * bv, adj.zeta_th * bc)
-        del adj
-        if weight_inv:
-            wi = self.w_inv[:, None, None]
-            out.vu *= wi
-            out.vv *= wi
-            out.v0 *= wi
+        adj = run_adjoint((ut / eps, vt / eps), tht / eps, None, None, self.prop)
+        out = ControlTrajectory(adj.zeta_u, adj.zeta_v, adj.zeta_th)
+        for arr, bump in zip((out.vu, out.vv, out.v0), self.bumps):
+            arr *= bump
+            if weight_inv:
+                arr *= self.w_inv[:, None, None]
         return out
 
     def hessian_apply(self, z: ControlTrajectory) -> ControlTrajectory:

@@ -181,11 +181,6 @@ class RegularityReport:
     entries: dict
     saturated_entries: list
 
-    def lines(self):
-        out = [f"{k} = {v:.17g}" for k, v in sorted(self.entries.items())]
-        out.append("saturated_entries = " + (",".join(self.saturated_entries) or "none"))
-        return out
-
 
 def _kappa_times(field_arr: np.ndarray, logk: np.ndarray) -> np.ndarray:
     """sign(f) * exp(log kappa + log |f|), pointwise, capped."""
@@ -258,12 +253,18 @@ class DecayFit:
                 f"decay_window = [{self.window[0]:.6g}, {self.window[1]:.6g}]"]
 
 
+def decay_window(t: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """Mask of the nodes ``t`` that lie in the closed fit window."""
+    lo, hi = window
+    return (t >= lo) & (t <= hi)
+
+
 def decay_fit(trace: EnergyTrace, window: tuple[float, float]) -> DecayFit:
     """Least-squares line on (t, ln E): E(t) ~= C2 e^{-C1 t} E(0)."""
     t = trace.t
     e = trace.energy
     lo, hi = window
-    sel = (t >= lo) & (t <= hi)
+    sel = decay_window(t, window)
     if sel.sum() < 2:
         raise DomainError("decay window contains fewer than 2 samples")
     if np.any(e[sel] <= 0.0):

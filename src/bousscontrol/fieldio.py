@@ -57,21 +57,6 @@ def dump_trajectory(outdir, traj: Trajectory, prefix: str = "state",
     return paths
 
 
-def dump_adjoint_trajectory(outdir, adj, prefix: str = "adjoint",
-                            every: int = 1) -> list:
-    """Adjoint counterpart of dump_trajectory (kind-tagged 'adjoint')."""
-    os.makedirs(outdir, exist_ok=True)
-    paths = []
-    for k in range(0, len(adj.t), every):
-        tk = float(adj.t[k])
-        for name, arr in (("phi_u", adj.phi_u[k]), ("phi_v", adj.phi_v[k]),
-                          ("pi", adj.pi[k]), ("psi", adj.psi[k])):
-            p = os.path.join(outdir, f"{prefix}_{name}_{k:05d}.fld")
-            dump_field(p, arr, f"adjoint:{name}", tk)
-            paths.append(p)
-    return paths
-
-
 def energy_trace_csv(path, trace: EnergyTrace, preamble: str = "") -> None:
     """One row per node; ``preamble`` (e.g. comment lines) goes first."""
     with open(path, "w") as fh:

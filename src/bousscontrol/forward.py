@@ -272,7 +272,7 @@ class LinearPropagator:
     def __init__(self, grid: GridSpec, tgrid: TimeGrid, nu0: float,
                  bumps=None, coupling: float | None = None,
                  solver: SpectralSolver | None = None):
-        if nu0 <= 0.0:
+        if not (nu0 > 0.0):
             raise DomainError("nu0 must be positive")
         self.grid = grid
         self.tgrid = tgrid
@@ -294,16 +294,16 @@ class LinearPropagator:
         the projection that `step` ends with (symmetric, idempotent) is the
         identity on it and is not applied again.
 
-        Returns (lam_u, lam_v, lam_th, zeta_u, zeta_v, zeta_th): lam is the
-        adjoint state one level down, zeta the pre-coupling stage that pairs
-        with step sources in the duality identity.
+        Returns (zeta_u, zeta_v, zeta_th, lam_th): zeta is the pre-coupling
+        stage that pairs with step sources in the duality identity, and the
+        adjoint state one level down is (zeta_u, zeta_v, lam_th).
         """
         dt, c = self.tgrid.dt, self.tgrid.dt * self.nu0
         zu = self.sp.helmholtz_u(gu, c)
         zv = self.sp.helmholtz_v(gv, c)
         zth = self.sp.helmholtz_cells(gth, c)
         lth = zth + dt * self.coupling * ops.vfaces_to_cells(zv, self.grid)
-        return zu, zv, lth, zu, zv, zth
+        return zu, zv, zth, lth
 
     def run(self, y0, th0, controls=None, sources=None, store=True):
         grid, tgrid = self.grid, self.tgrid

@@ -28,7 +28,7 @@ class ControlPatch:
     def __post_init__(self):
         if not (0.0 < self.inner_margin < 1.0):
             raise GeometryError("inner_margin must lie in (0, 1)")
-        if min(self.half_widths) <= 0.0:
+        if not all(h > 0.0 for h in self.half_widths):
             raise GeometryError("patch half-widths must be positive")
 
     @property
@@ -70,12 +70,9 @@ def eta0_profile(grid: GridSpec):
     return f
 
 
-def build_eta0(grid: GridSpec, patch: ControlPatch) -> np.ndarray:
-    """Sample the normalized eta0 profile at grid nodes ((nx+1) x (ny+1)).
-
-    Requires omega_0 to contain the domain center so the profile's only
-    interior critical point sits inside the inner patch.
-    """
+def validate_weight_patch(grid: GridSpec, patch: ControlPatch) -> None:
+    """``validate_patch``, plus omega_0 containing the domain center so the
+    eta0 profile's only interior critical point sits inside the inner patch."""
     validate_patch(grid, patch)
     cx, cy = grid.lx / 2.0, grid.ly / 2.0
     ihw = patch.inner_half_widths
@@ -84,6 +81,12 @@ def build_eta0(grid: GridSpec, patch: ControlPatch) -> np.ndarray:
             "the profile's critical point (domain center) must lie inside omega_0; "
             "move the patch or enlarge its inner region"
         )
+
+
+def build_eta0(grid: GridSpec, patch: ControlPatch) -> np.ndarray:
+    """Sample the normalized eta0 profile at grid nodes ((nx+1) x (ny+1));
+    the patch must pass ``validate_weight_patch``."""
+    validate_weight_patch(grid, patch)
     x, y = grid.nodes()
     return eta0_profile(grid)(x, y)
 

@@ -130,18 +130,6 @@ class MmsReport:
     order_velocity: float
     order_theta: float
 
-    def lines(self):
-        out = []
-        for n, e, ev, et in zip(self.grid_sizes, self.errors,
-                                self.errors_velocity, self.errors_theta):
-            out.append(f"error_n{n} = {e:.17g}")
-            out.append(f"error_velocity_n{n} = {ev:.17g}")
-            out.append(f"error_theta_n{n} = {et:.17g}")
-        out.append(f"fitted_order = {self.order:.17g}")
-        out.append(f"fitted_order_velocity = {self.order_velocity:.17g}")
-        out.append(f"fitted_order_theta = {self.order_theta:.17g}")
-        return out
-
 
 def run_mms(spec: SystemSpec, grid_sizes=(16, 32, 64), t_final: float = 0.25,
             nt: int = 64, amp_vel: float = 0.05, amp_theta: float = 0.1,

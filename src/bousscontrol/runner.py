@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import BoussControlError, ConfigError, GeometryError
 from .config import ExperimentConfig, emit_resolved
-from .geometry import build_eta0, bump_on_solver_grids
+from .geometry import build_eta0, bump_on_solver_grids, validate_weight_patch
 from .grids import GridSpec, TimeGrid
 from .adjoint import duality_defect
 from .control import (ControlTrajectory, PenaltySpec, control_inner,
@@ -54,6 +54,8 @@ def _tables_for(cfg: ExperimentConfig, tgrid: TimeGrid):
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     try:
         bumps = bump_on_solver_grids(cfg.grid, cfg.patch)
+        if cfg.pen.weight_mode == "carleman":
+            validate_weight_patch(cfg.grid, cfg.patch)
         y0, th0 = _initial_data(cfg)
     except (ConfigError, GeometryError) as exc:
         print(f"configuration error: {exc}")

@@ -79,13 +79,13 @@ class WeightParams:
     eta_sup: float = 1.0
 
     def __post_init__(self):
-        if self.s <= 0.0:
+        if not (self.s > 0.0):
             raise DomainError("s must be positive")
-        if self.lam <= 0.0:
+        if not (self.lam > 0.0):
             raise DomainError("lambda must be positive")
-        if self.m <= 4.0:
+        if not (self.m > 4.0):
             raise DomainError("m must exceed 4")
-        if self.eta_sup < 0.0:
+        if not (self.eta_sup >= 0.0):
             raise DomainError("eta_sup must be nonnegative")
 
 
@@ -282,13 +282,6 @@ class ChainReport:
     @property
     def all_finite(self) -> bool:
         return all(np.isfinite(v) for v in self.ratios.values())
-
-    def lines(self):
-        out = [f"chain_window = [{self.window[0]:.6g}, {self.window[1]:.6g}]"]
-        for k, v in self.ratios.items():
-            out.append(f"sup_{k} = {v:.17g}")
-        out.append(f"chain_all_finite = {self.all_finite}")
-        return out
 
 
 def check_weight_chain(tables: WeightTables, t_clip: float) -> ChainReport:

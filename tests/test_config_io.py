@@ -7,10 +7,11 @@ from bousscontrol.config import parse_config, parse_config_text, emit_resolved
 from bousscontrol.control import OuterLoopSpec, PenaltySpec
 from bousscontrol.exceptions import ConfigError, DomainError
 from bousscontrol.fieldio import dump_field, energy_trace_csv, load_field
-from bousscontrol.forward import EnergyTrace
+from bousscontrol.forward import EnergyTrace, LinearPropagator
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw
 from bousscontrol.runner import compare_artifact_dirs, run_experiment
+from bousscontrol.weights import WeightParams
 
 MINIMAL = """
 kind = decay
@@ -102,6 +103,11 @@ class TestConfig:
         lambda: TimeGrid(float("nan"), 64),
         lambda: ViscosityLaw(nu0=float("nan")),
         lambda: ViscosityLaw(nu1=float("nan")),
+        lambda: LinearPropagator(GridSpec(16, 16), TimeGrid(1.0, 64), float("nan")),
+        lambda: WeightParams(s=float("nan")),
+        lambda: WeightParams(lam=float("nan")),
+        lambda: WeightParams(m=float("nan")),
+        lambda: WeightParams(eta_sup=float("nan")),
     ])
     def test_spec_guards_reject_nan(self, build):
         with pytest.raises(DomainError):
@@ -230,7 +236,12 @@ class TestCli:
     @pytest.mark.parametrize("kind, lines", [
         ("large-time", "large_time.phase1_nt = 4\n"),
         ("decay", "decay.fit_lo_frac = 0.9\ndecay.fit_hi_frac = 0.1\n"),
-    ], ids=["short-large-time-grid", "empty-decay-window"])
+        ("decay", "decay.fit_lo_frac = 0.5\ndecay.fit_hi_frac = 0.501\n"),
+        ("linear-control", "patch.cx = 0.3\n"),
+        ("linear-control", "weights.auto_m = false\nweights.eta_sup = 0\n"),
+        ("linear-control", "penalty.t_clip = 5.0\n"),
+    ], ids=["short-large-time-grid", "empty-decay-window", "one-node-decay-window",
+            "center-outside-inner-patch", "zero-eta-sup", "t-clip-past-horizon"])
     def test_main_rejects_run_time_failures_at_parse_time(self, tmp_path, kind, lines):
         from bousscontrol.cli import main
         cfg_path = tmp_path / "bad.cfg"
@@ -275,22 +286,6 @@ class TestMoreRunnerKinds:
         arr, meta = load_field(paths[0])
         assert np.array_equal(arr, traj.u[0])
         assert meta["kind"] == "state:u"
-
-    def test_adjoint_trajectory_dump(self, tmp_path):
-        from bousscontrol.adjoint import run_adjoint
-        from bousscontrol.fieldio import dump_adjoint_trajectory, load_field
-        from bousscontrol.forward import LinearPropagator, sine_theta
-        from bousscontrol.grids import GridSpec, TimeGrid
-        grid = GridSpec(16, 16)
-        tg = TimeGrid(1.0, 16)
-        prop = LinearPropagator(grid, tg, 0.1)
-        adj = run_adjoint((grid.zeros_u(), grid.zeros_v()),
-                          sine_theta(grid, 1.0), None, None, prop)
-        paths = dump_adjoint_trajectory(str(tmp_path / "adj"), adj, every=16)
-        assert len(paths) == 2 * 4
-        arr, meta = load_field(paths[3])
-        assert meta["kind"] == "adjoint:psi"
-        assert np.array_equal(arr, adj.psi[0])
 
     def test_sweep_sequential_runs_byte_identical(self, tmp_path):
         text = MINIMAL.replace("kind = decay", "kind = linear-control")

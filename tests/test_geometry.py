@@ -52,6 +52,9 @@ def test_patch_validation():
         validate_patch(grid, ControlPatch((0.9, 0.5), (0.2, 0.2)))
     with pytest.raises(GeometryError):
         ControlPatch((0.5, 0.5), (0.2, 0.2), inner_margin=1.5)
+    for half_widths in ((float("nan"), 0.2), (0.2, float("nan"))):
+        with pytest.raises(GeometryError):
+            ControlPatch((0.5, 0.5), half_widths)
 
 
 def test_cutoff_plateau_support_bounds():
