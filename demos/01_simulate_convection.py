@@ -11,7 +11,7 @@ Run:  python demos/01_simulate_convection.py
 
 from bousscontrol import GridSpec, SystemSpec, TimeGrid, ViscosityLaw, run_nonlinear
 from bousscontrol.fieldio import energy_trace_csv
-from bousscontrol.forward import scaled_initial_data
+from bousscontrol.forward import MaxDivergence, scaled_initial_data
 
 grid = GridSpec(32, 32)
 tgrid = TimeGrid(2.0, 256)
@@ -22,11 +22,13 @@ print(f"initial energy E(0) = 1e-4 (split between velocity and temperature)")
 
 for heating in (True, False):
     spec = SystemSpec(law=ViscosityLaw("l2", nu0=1.0, nu1=0.1), heating_on=heating)
-    traj, trace = run_nonlinear(y0, th0, None, spec, grid, tgrid)
+    div = MaxDivergence(grid)
+    _, trace = run_nonlinear(y0, th0, None, spec, grid, tgrid, store=False,
+                             on_state=div)
     label = "heating on " if heating else "heating off"
     print(f"\n[{label}]  E(T) = {trace.energy[-1]:.3e}   "
           f"Phi monotone: {trace.phi_monotone}   "
-          f"max |div y| = {traj.meta['max_div']:.1e}")
+          f"max |div y| = {div.value:.1e}")
     for k in (0, 64, 128, 192, 256):
         print(f"   t={trace.t[k]:.2f}  E={trace.energy[k]:.3e}  "
               f"Phi={trace.phi[k]:.3e}")
@@ -45,7 +47,7 @@ try:
     import matplotlib.pyplot as plt
 
     spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1), heating_on=True)
-    _, trace = run_nonlinear(y0, th0, None, spec, grid, tgrid)
+    _, trace = run_nonlinear(y0, th0, None, spec, grid, tgrid, store=False)
     fig, ax = plt.subplots(figsize=(6, 4))
     ax.semilogy(trace.t, trace.energy, label="E(t)")
     ax.semilogy(trace.t, trace.phi, "--", label="Phi(t)")

@@ -43,7 +43,7 @@ y0, th0 = scaled_initial_data(grid, target_energy=1e-2)
 pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
 outer = OuterLoopSpec(max_outer=25, outer_tol=1e-6)
 
-controls, resim, rep = solve_nonlinear_control(
+controls, resim, _, rep = solve_nonlinear_control(
     y0, th0, spec, pen, outer, weights_for(tgrid), grid, tgrid, bumps)
 print(f"outer iterations: {rep.outer_iters} (converged: {rep.converged})")
 print("update norms per iteration:",
@@ -61,7 +61,7 @@ print("=" * 72)
 spec2 = SystemSpec(law=ViscosityLaw("l2", nu0=1.0, nu1=0.1), heating_on=True)
 y0b, th0b = scaled_initial_data(grid, target_energy=1e-2)
 delta = 1e-4
-composed, lrep = large_time_control(
+_, composed, lrep = large_time_control(
     y0b, th0b, delta, spec2,
     PenaltySpec(epsilon=1e-6, weight_mode="carleman", cg_tol=1e-6,
                 t_clip=0.75 - 2 * 0.75 / 96),

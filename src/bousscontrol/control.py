@@ -40,8 +40,9 @@ from .exceptions import ConvergenceError, DomainError, RegimeError
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
 from .adjoint import run_adjoint
-from .forward import (LinearPropagator, SystemSpec, Trajectory, energy_components,
-                      explicit_terms, run_nonlinear, zero_padded_sources)
+from .forward import (EnergyTrace, LinearPropagator, SystemSpec, Trajectory,
+                      chain_hooks, energy_components, explicit_terms,
+                      run_nonlinear, zero_padded_sources)
 from .weights import (CONTROL_WEIGHT_LOG_CAP, WeightTables, control_weight_logs,
                       default_t_clip)
 
@@ -491,6 +492,9 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
     trajectory into (F1, F2) and re-solves the linear control problem (warm
     started).  On convergence the control is re-simulated through the full
     nonlinear solver; that trajectory and its terminal norm are reported.
+
+    Returns (controls, re-simulated Trajectory, its EnergyTrace,
+    SynthesisReport).
     """
     t0 = time.perf_counter()
     nu0 = spec.law.nu0
@@ -534,8 +538,8 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
         f1, f2 = f1_new, f2_new
         f1_prev, f2_prev = f1_new, f2_new
 
-    resim, _trace = run_nonlinear(y0, th0, controls_prev, spec, grid, tgrid,
-                                  bumps=bumps)
+    resim, trace = run_nonlinear(y0, th0, controls_prev, spec, grid, tgrid,
+                                 bumps=bumps)
     logw = step_weight_logs(pen, weights, tgrid)
     report = SynthesisReport(
         terminal_norm=resim.terminal_norm(grid),
@@ -552,9 +556,9 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
         adjoint_sweeps=adjoint_sweeps,
         update_history=updates,
     )
-    rep_free, _ = run_nonlinear(y0, th0, None, spec, grid, tgrid)
-    report.uncontrolled_terminal_norm = rep_free.terminal_norm(grid)
-    return controls_prev, resim, report
+    free, _ = run_nonlinear(y0, th0, None, spec, grid, tgrid, store=False)
+    report.uncontrolled_terminal_norm = float(np.sqrt(ops.state_norm_sq(*free, grid)))
+    return controls_prev, resim, trace, report
 
 
 @dataclass
@@ -587,33 +591,37 @@ class LargeTimeReport:
 def large_time_control(y0, th0, delta: float, spec: SystemSpec,
                        pen: PenaltySpec, outer: OuterLoopSpec,
                        weights_fn, grid: GridSpec, phase1_tgrid: TimeGrid,
-                       tail_tgrid: TimeGrid, bumps):
+                       tail_tgrid: TimeGrid, bumps, on_state=None):
     """Decay-then-control pipeline.
 
     Phase 1 integrates the uncontrolled system until the energy monitor E
-    drops below ``delta`` (the fitted decay-law waiting time is reported
-    beside the crossing); phase 2 runs the local nonlinear synthesis on the
-    tail horizon from the crossing state.  ``weights_fn(tail_tgrid)`` builds
-    the weight tables for the tail horizon.
+    drops below ``delta`` and stops there (the fitted decay-law waiting time
+    is reported beside the crossing); ``on_state`` sees its levels.  Phase 2
+    runs the local nonlinear synthesis on the tail horizon from the crossing
+    state.  ``weights_fn(tail_tgrid)`` builds the weight tables for the tail
+    horizon.
 
-    Returns (composed trajectory, LargeTimeReport).
+    Returns (tail re-simulation Trajectory, EnergyTrace of phase 1 up to the
+    crossing followed by the tail, LargeTimeReport).
     """
     from .diagnostics import decay_fit, t_star
 
     e0 = sum(energy_components(y0[0], y0[1], th0, grid))
 
     if e0 <= delta:
+        trace1 = None
         cross_idx = 0
-        traj1 = None
         fit_c1 = fit_c2 = r2 = float("nan")
         t_pred = 0.0
         cross_time = 0.0
         tail_y0, tail_th0 = y0, th0
     else:
-        traj1, trace1 = run_nonlinear(y0, th0, None, spec, grid, phase1_tgrid)
+        (uc, vc, tail_th0), trace1 = run_nonlinear(
+            y0, th0, None, spec, grid, phase1_tgrid, store=False,
+            on_state=chain_hooks(on_state, lambda k, u, v, th: sum(
+                energy_components(u, v, th, grid)) <= delta))
         energy = trace1.energy
-        below = np.nonzero(energy <= delta)[0]
-        if below.size == 0:
+        if energy[-1] > delta:
             n = len(energy)
             tail = energy[int(0.9 * n):]
             if tail.size >= 2 and tail[-1] >= tail[0]:
@@ -622,29 +630,22 @@ def large_time_control(y0, th0, delta: float, spec: SystemSpec,
             raise RegimeError(
                 f"E never crossed delta={delta:g} within the phase-1 horizon "
                 f"(final E = {energy[-1]:.3e}); extend phase1 time")
-        cross_idx = int(below[0])
+        cross_idx = len(energy) - 1
         cross_time = float(trace1.t[cross_idx])
         fit = decay_fit(trace1, (0.2 * cross_time, cross_time))
         fit_c1, fit_c2, r2 = fit.c1, fit.c2, fit.r_squared
         t_pred = t_star(fit, delta, float(energy[0]))
-        tail_y0 = (traj1.u[cross_idx], traj1.v[cross_idx])
-        tail_th0 = traj1.theta[cross_idx]
+        tail_y0 = (uc, vc)
 
     weights = weights_fn(tail_tgrid) if weights_fn is not None else None
-    controls, traj2, rep = solve_nonlinear_control(
+    controls, traj2, trace2, rep = solve_nonlinear_control(
         tail_y0, tail_th0, spec, pen, outer, weights, grid, tail_tgrid, bumps)
 
-    if traj1 is None:
-        composed = traj2
-    else:
-        composed = Trajectory(
-            t=np.concatenate([traj1.t[:cross_idx + 1], cross_time + traj2.t[1:]]),
-            u=np.concatenate([traj1.u[:cross_idx + 1], traj2.u[1:]]),
-            v=np.concatenate([traj1.v[:cross_idx + 1], traj2.v[1:]]),
-            theta=np.concatenate([traj1.theta[:cross_idx + 1], traj2.theta[1:]]),
-            p=np.concatenate([traj1.p[:cross_idx + 1], traj2.p[1:]]),
-            meta={"kind": "composed", **traj2.meta},
-        )
+    trace = trace2
+    if trace1 is not None:  # phase 1 up to the crossing, then the tail after it
+        trace = EnergyTrace(np.concatenate([trace1.t, cross_time + trace2.t[1:]]), *(
+            np.concatenate([getattr(trace1, name), getattr(trace2, name)[1:]])
+            for name in ("grad_y_sq", "theta_sq", "grad_theta_sq")), lam1=trace2.lam1)
     report = LargeTimeReport(
         crossing_time=cross_time,
         t_star_predicted=t_pred,
@@ -654,4 +655,4 @@ def large_time_control(y0, th0, delta: float, spec: SystemSpec,
         phase1_steps=cross_idx,
         synthesis=rep,
     )
-    return composed, report
+    return traj2, trace, report

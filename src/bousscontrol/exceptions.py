@@ -17,14 +17,6 @@ class ShapeError(BoussControlError):
     """Field shapes do not match the grid."""
 
 
-class LinearSolverError(BoussControlError):
-    """An inner linear solve failed to reach its tolerance."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class StepSizeError(BoussControlError):
     """Time step violates the configured CFL bound."""
 

@@ -41,20 +41,29 @@ def load_field(path):
     return arr, meta
 
 
-def dump_trajectory(outdir, traj: Trajectory, prefix: str = "state",
-                    every: int = 1) -> list:
-    """One file per field per stored node; returns the written paths."""
-    os.makedirs(outdir, exist_ok=True)
-    kind = traj.meta.get("kind", "state")
-    paths = []
+class StateWriter:
+    """An ``on_state`` hook streaming each level to disk as it is produced:
+    ``state_{u,v,theta}_{first + k:05d}.fld`` at time ``times[k]``, listed in ``paths``."""
+
+    def __init__(self, outdir, times, first: int = 0):
+        os.makedirs(outdir, exist_ok=True)
+        self.outdir, self.times, self.first = outdir, times, first
+        self.paths: list = []
+
+    def __call__(self, k, u, v, th):
+        for name, arr in (("u", u), ("v", v), ("theta", th)):
+            p = os.path.join(self.outdir, f"state_{name}_{self.first + k:05d}.fld")
+            dump_field(p, arr, f"state:{name}", float(self.times[k]))
+            self.paths.append(p)
+
+
+def dump_trajectory(outdir, traj: Trajectory, every: int = 1) -> list:
+    """Every ``every``-th stored level through a StateWriter; returns the
+    written paths."""
+    writer = StateWriter(outdir, traj.t)
     for k in range(0, len(traj.t), every):
-        tk = float(traj.t[k])
-        for name, arr in (("u", traj.u[k]), ("v", traj.v[k]),
-                          ("theta", traj.theta[k]), ("p", traj.p[k])):
-            p = os.path.join(outdir, f"{prefix}_{name}_{k:05d}.fld")
-            dump_field(p, arr, f"{kind}:{name}", tk)
-            paths.append(p)
-    return paths
+        writer(k, traj.u[k], traj.v[k], traj.theta[k])
+    return writer.paths
 
 
 def energy_trace_csv(path, trace: EnergyTrace, preamble: str = "") -> None:

@@ -11,7 +11,6 @@ adjoint is available by transposition (see adjoint.py).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,26 +57,15 @@ class SystemSpec:
     def buoyancy(self) -> float:
         return self.nu0_coupling if self.nu0_coupling is not None else self.law.nu0
 
-    def digest(self) -> str:
-        return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
-
 
 @dataclass
 class Trajectory:
+    """The state (y, theta) at every stored time node."""
+
     t: np.ndarray
     u: np.ndarray        # (nt+1, nx+1, ny)
     v: np.ndarray        # (nt+1, nx, ny+1)
     theta: np.ndarray    # (nt+1, nx, ny)
-    p: np.ndarray        # (nt+1, nx, ny)
-    meta: dict = field(default_factory=dict)
-
-    @classmethod
-    def zeros(cls, grid: GridSpec, tgrid: TimeGrid, meta: dict) -> "Trajectory":
-        nt = tgrid.nt
-        return cls(t=tgrid.nodes(), u=np.zeros((nt + 1, grid.nx + 1, grid.ny)),
-                   v=np.zeros((nt + 1, grid.nx, grid.ny + 1)),
-                   theta=np.zeros((nt + 1, grid.nx, grid.ny)),
-                   p=np.zeros((nt + 1, grid.nx, grid.ny)), meta=meta)
 
     def terminal_norm(self, grid: GridSpec) -> float:
         return float(np.sqrt(ops.state_norm_sq(self.u[-1], self.v[-1],
@@ -136,15 +124,8 @@ def _energy_trace(t, comps, grid: GridSpec, smallness_ok: bool = True) -> Energy
 
 def trace_from_trajectory(traj: Trajectory, grid: GridSpec) -> EnergyTrace:
     """The energy trace of a stored trajectory, node by node."""
-    comps = [energy_components(traj.u[k], traj.v[k], traj.theta[k], grid)
-             for k in range(len(traj.t))]
-    return _energy_trace(traj.t, comps, grid)
-
-
-def _control_sample(controls, k: int):
-    if controls is None:
-        return None
-    return controls.vu[k], controls.vv[k], controls.v0[k]
+    return _energy_trace(traj.t, [energy_components(*level, grid) for level in
+                                  zip(traj.u, traj.v, traj.theta)], grid)
 
 
 def explicit_terms(u, v, th, spec: SystemSpec, grid: GridSpec):
@@ -173,9 +154,7 @@ def implicit_stage(sp: SpectralSolver, dt: float, ru, rv, rhs_th, c_vel: float,
                    c_th: float, control, bumps, sources):
     """The tail both steps share: add the bump-weighted controls and the
     sources to the right-hand sides, solve (I - c lap) with c_th for the
-    temperature and c_vel for the velocity, project.
-
-    Returns (u, v, theta, phi / dt), phi the projection potential.
+    temperature and c_vel for the velocity, project.  Returns (u, v, theta).
     """
     if control is not None:
         cu, cv, c0 = control
@@ -191,8 +170,71 @@ def implicit_stage(sp: SpectralSolver, dt: float, ru, rv, rhs_th, c_vel: float,
     th1 = sp.helmholtz_cells(rhs_th, c_th)
     u1 = sp.helmholtz_u(ru, c_vel)
     v1 = sp.helmholtz_v(rv, c_vel)
-    u2, v2, phi = sp.project(u1, v1)
-    return u2, v2, th1, phi / dt
+    u2, v2, _ = sp.project(u1, v1)
+    return u2, v2, th1
+
+
+def _march(prop, y0, th0, controls, source_at, store: bool, on_state):
+    """The time loop both propagators share: project y0, then step nt times.
+
+    Each level k = 0..nt is stored when ``store`` and handed to
+    ``on_state(k, u, v, th)``; a true return from ``on_state`` ends the run
+    at that level.  Returns the Trajectory of the levels reached when
+    ``store``, else the last state (u, v, theta).
+    """
+    u, v, _ = prop.sp.project(y0[0], y0[1])
+    th = th0.copy()
+    levels = [np.zeros((prop.tgrid.nt + 1,) + a.shape) for a in (u, v, th)] if store else None
+    for k in range(prop.tgrid.nt + 1):
+        if k > 0:
+            ctrl = None if controls is None else (
+                controls.vu[k - 1], controls.vv[k - 1], controls.v0[k - 1])
+            u, v, th = prop.step(u, v, th, ctrl,
+                                 None if source_at is None else source_at(k - 1))
+        if store:
+            levels[0][k], levels[1][k], levels[2][k] = u, v, th
+        if on_state is not None and on_state(k, u, v, th):
+            break
+    if not store:
+        return u, v, th
+    return Trajectory(prop.tgrid.nodes()[:k + 1], *(a[:k + 1] for a in levels))
+
+
+def _energy_hook(grid: GridSpec, comps: list, on_state, blowup_check: bool):
+    """``on_state`` behind a hook that appends each level's energy components
+    to ``comps`` and, with ``blowup_check``, raises DivergenceError on a
+    non-finite energy or one past _BLOWUP_FACTOR times the first nonzero."""
+    e_ref = 0.0
+
+    def hook(k, u, v, th):
+        nonlocal e_ref
+        comps.append(energy_components(u, v, th, grid))
+        if blowup_check:
+            ek = sum(comps[-1])
+            e_ref = e_ref or ek
+            if k > 0 and (not np.isfinite(ek)
+                          or (e_ref > 0.0 and ek > _BLOWUP_FACTOR * e_ref)):
+                raise DivergenceError(f"energy blow-up at step {k}", step=k)
+        return on_state is not None and on_state(k, u, v, th)
+
+    return hook
+
+
+def chain_hooks(*hooks):
+    """One ``on_state`` hook calling each of ``hooks`` (None skipped) in turn."""
+    hooks = [h for h in hooks if h is not None]
+    return lambda *level: any([h(*level) for h in hooks])
+
+
+class MaxDivergence:
+    """An ``on_state`` hook keeping max |div y| over the stepped levels k >= 1."""
+
+    def __init__(self, grid: GridSpec):
+        self.grid, self.value = grid, 0.0
+
+    def __call__(self, k, u, v, th):
+        if k > 0:
+            self.value = max(self.value, float(np.max(np.abs(ops.div(u, v, self.grid)))))
 
 
 class NonlinearPropagator:
@@ -223,41 +265,15 @@ class NonlinearPropagator:
                               control, self.bumps, forcing)
 
     def run(self, y0, th0, controls=None, forcing=None, store=True, on_state=None):
-        """March nt steps; returns (Trajectory | None, EnergyTrace)."""
-        grid, tgrid, spec = self.grid, self.tgrid, self.spec
-        u, v, _phi = self.sp.project(y0[0], y0[1])
-        th = th0.copy()
-        traj = Trajectory.zeros(grid, tgrid, {
-            "spec": spec.digest(), "grid": grid.digest(), "time": tgrid.digest(),
-            "kind": "state"}) if store else None
-        comps = [energy_components(u, v, th, grid)]
-        e_ref = sum(comps[0])
-        max_div = 0.0
-        if store:
-            traj.u[0], traj.v[0], traj.theta[0] = u, v, th
-        if on_state is not None:
-            on_state(0, u, v, th)
-
-        for k in range(tgrid.nt):
-            ctrl = _control_sample(controls, k)
-            frc = None if forcing is None else forcing(k)
-            u, v, th, p = self.step(u, v, th, ctrl, frc)
-            comps.append(energy_components(u, v, th, grid))
-            ek = sum(comps[-1])
-            if e_ref == 0.0:
-                e_ref = ek
-            if not np.isfinite(ek) or (e_ref > 0.0 and ek > _BLOWUP_FACTOR * e_ref):
-                raise DivergenceError(f"energy blow-up at step {k + 1}", step=k + 1)
-            max_div = max(max_div, float(np.max(np.abs(ops.div(u, v, grid)))))
-            if store:
-                traj.u[k + 1], traj.v[k + 1], traj.theta[k + 1], traj.p[k + 1] = u, v, th, p
-            if on_state is not None:
-                on_state(k + 1, u, v, th)
-
-        if store:
-            traj.meta["max_div"] = max_div
-        small_ok = sum(comps[0]) <= spec.phi_smallness_factor * spec.law.nu0 ** 2
-        return traj, _energy_trace(tgrid.nodes(), comps, grid, small_ok)
+        """March nt steps (see ``_march``); ``forcing(k)`` gives step k's
+        sources.  Returns (Trajectory or last state, EnergyTrace of the
+        levels reached)."""
+        comps: list = []
+        out = _march(self, y0, th0, controls, forcing, store,
+                     _energy_hook(self.grid, comps, on_state, blowup_check=True))
+        small_ok = sum(comps[0]) <= self.spec.phi_smallness_factor * self.spec.law.nu0 ** 2
+        return out, _energy_trace(self.tgrid.nodes()[:len(comps)], comps, self.grid,
+                                  small_ok)
 
 
 class LinearPropagator:
@@ -305,39 +321,33 @@ class LinearPropagator:
         lth = zth + dt * self.coupling * ops.vfaces_to_cells(zv, self.grid)
         return zu, zv, zth, lth
 
-    def run(self, y0, th0, controls=None, sources=None, store=True):
-        grid, tgrid = self.grid, self.tgrid
-        u, v, _ = self.sp.project(y0[0], y0[1])
-        th = th0.copy()
-        traj = Trajectory.zeros(grid, tgrid, {
-            "grid": grid.digest(), "time": tgrid.digest(), "kind": "state",
-            "mode": "linearized"}) if store else None
-        if store:
-            traj.u[0], traj.v[0], traj.theta[0] = u, v, th
-        for k in range(tgrid.nt):
-            ctrl = _control_sample(controls, k)
-            src = None if sources is None else (sources[0][k], sources[1][k], sources[2][k])
-            u, v, th, p = self.step(u, v, th, ctrl, src)
-            if store:
-                traj.u[k + 1], traj.v[k + 1], traj.theta[k + 1], traj.p[k + 1] = u, v, th, p
-        if store:
-            return traj
-        return u, v, th
+    def run(self, y0, th0, controls=None, sources=None, store=True, on_state=None):
+        """March nt steps (see ``_march``); ``sources`` holds (F1u, F1v, F2)
+        per step.  Returns the Trajectory, or the last state if not ``store``."""
+        src = None if sources is None else (
+            lambda k: (sources[0][k], sources[1][k], sources[2][k]))
+        return _march(self, y0, th0, controls, src, store, on_state)
 
 
 def run_nonlinear(y0, th0, controls, spec: SystemSpec, grid: GridSpec,
                   tgrid: TimeGrid, bumps=None, forcing=None, store=True,
                   on_state=None):
     """Integrate the configured system: full dynamics, or the linearized mode
-    (constant diffusion, no convection/heating) when spec.mode says so."""
+    (constant diffusion, no convection/heating) when spec.mode says so.
+
+    Returns (Trajectory, or the last state (u, v, theta) when not ``store``,
+    EnergyTrace); ``on_state`` is the propagators' hook (see ``_march``).
+    """
     if spec.mode == "linearized":
-        if forcing is not None or on_state is not None or not store:
-            raise DomainError("forcing/streaming hooks are nonlinear-mode only; "
+        if forcing is not None:
+            raise DomainError("forcing is nonlinear-mode only; "
                               "use run_linearized for sourced linear runs")
         prop = LinearPropagator(grid, tgrid, spec.law.nu0, bumps=bumps,
                                 coupling=spec.buoyancy)
-        traj = prop.run(y0, th0, controls=controls)
-        return traj, trace_from_trajectory(traj, grid)
+        comps: list = []
+        out = prop.run(y0, th0, controls=controls, store=store,
+                       on_state=_energy_hook(grid, comps, on_state, blowup_check=False))
+        return out, _energy_trace(tgrid.nodes()[:len(comps)], comps, grid)
     prop = NonlinearPropagator(grid, tgrid, spec, bumps=bumps)
     return prop.run(y0, th0, controls=controls, forcing=forcing, store=store,
                     on_state=on_state)

@@ -40,9 +40,6 @@ class ControlPatch:
         hw = self.inner_half_widths if inner else self.half_widths
         return (np.abs(x - self.center[0]) < hw[0]) & (np.abs(y - self.center[1]) < hw[1])
 
-    def area(self) -> float:
-        return 4.0 * self.half_widths[0] * self.half_widths[1]
-
 
 def validate_patch(grid: GridSpec, patch: ControlPatch) -> None:
     """Patch strictly inside the domain; inner patch strictly inside the patch."""

@@ -100,7 +100,3 @@ class TimeGrid:
 
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.t_final, self.nt + 1)
-
-    def digest(self) -> str:
-        key = f"time:{self.t_final!r}:{self.nt}"
-        return hashlib.sha256(key.encode()).hexdigest()[:16]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dct, dst, idct, idst
 
-from .exceptions import DomainError, LinearSolverError, ShapeError
+from .exceptions import DomainError, ShapeError
 from .grids import GridSpec
 
 
@@ -407,16 +407,3 @@ class SpectralSolver:
         gu, gv = grad(phi, self.grid)
         return u - gu, v - gv, phi
 
-
-def project_div_free(u: np.ndarray, v: np.ndarray, grid: GridSpec,
-                     solver: SpectralSolver | None = None, tol: float = 1.0e-10):
-    """Leray projection with a posteriori divergence verification."""
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    solver = solver or SpectralSolver(grid)
-    u2, v2, phi = solver.project(u, v)
-    scale = norm_velocity(u, v, grid)
-    res = float(np.max(np.abs(div(u2, v2, grid))))
-    if scale > 0.0 and res > tol * scale / np.sqrt(grid.cell_area):
-        raise LinearSolverError("projection residual above tolerance", residual=res)
-    return (u2, v2), phi

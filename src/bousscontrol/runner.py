@@ -23,9 +23,12 @@ from .control import (ControlTrajectory, PenaltySpec, control_inner,
                       gradient, large_time_control, objective,
                       solve_linear_control, solve_nonlinear_control)
 from .diagnostics import decay_fit, emit_report, t_star, weighted_norms
-from .fieldio import dump_trajectory, energy_trace_csv
-from .forward import (EnergyTrace, SystemSpec, run_nonlinear, scaled_initial_data,
-                      sine_theta, stream_velocity, trace_from_trajectory)
+from .fieldio import StateWriter, dump_field, dump_trajectory, energy_trace_csv
+from .forward import (EnergyTrace, MaxDivergence, SystemSpec, chain_hooks,
+                      run_nonlinear, scaled_initial_data, sine_theta,
+                      stream_velocity)
+from .forward import trace_from_trajectory  # noqa: F401  (bench/tracer.py wraps runner's name)
+from . import operators as ops
 from .mms import run_mms
 from .weights import (check_weight_chain, check_weight_gap, default_t_clip,
                       eval_weights, export_weight_csv)
@@ -41,6 +44,11 @@ def _initial_data(cfg: ExperimentConfig):
 
 def _write_energy_csv(path, trace: EnergyTrace, config_hash: str) -> None:
     energy_trace_csv(path, trace, preamble=f"# config_hash = {config_hash}\n")
+
+
+def _state_writer(cfg: ExperimentConfig, out_dir: str, times):
+    """The ``--dump-fields`` hook streaming levels to ``out_dir/fields``, or None."""
+    return StateWriter(os.path.join(out_dir, "fields"), times) if cfg.dump_fields else None
 
 
 def _tables_for(cfg: ExperimentConfig, tgrid: TimeGrid):
@@ -84,25 +92,29 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def _run_simulate(cfg, out_dir, bumps, y0, th0, chash, ghash):
-    traj, trace = run_nonlinear(y0, th0, None, cfg.system, cfg.grid, cfg.tgrid)
+    # max_div is measured in the nonlinear mode only; the linearized report prints 0
+    div = MaxDivergence(cfg.grid) if cfg.system.mode == "nonlinear" else None
+    final, trace = run_nonlinear(
+        y0, th0, None, cfg.system, cfg.grid, cfg.tgrid, store=False,
+        on_state=chain_hooks(div, _state_writer(cfg, out_dir, cfg.tgrid.nodes())))
     _write_energy_csv(os.path.join(out_dir, "energy.csv"), trace, chash)
     lines = [
-        f"final_norm = {traj.terminal_norm(cfg.grid):.17g}",
+        f"final_norm = {float(np.sqrt(ops.state_norm_sq(*final, cfg.grid))):.17g}",
         f"energy_initial = {trace.energy[0]:.17g}",
         f"energy_final = {trace.energy[-1]:.17g}",
         f"phi_monotone = {trace.phi_monotone}",
         f"smallness_ok = {trace.smallness_ok}",
-        f"max_div = {traj.meta.get('max_div', 0.0):.17g}",
+        f"max_div = {div.value if div is not None else 0.0:.17g}",
     ]
     emit_report(os.path.join(out_dir, "report.txt"), {"simulate": lines},
                 config_hash=chash, grid_hash=ghash)
-    if cfg.dump_fields:
-        dump_trajectory(os.path.join(out_dir, "fields"), traj)
     return 0
 
 
 def _run_decay(cfg, out_dir, bumps, y0, th0, chash, ghash):
-    traj, trace = run_nonlinear(y0, th0, None, cfg.system, cfg.grid, cfg.tgrid)
+    _, trace = run_nonlinear(y0, th0, None, cfg.system, cfg.grid, cfg.tgrid,
+                             store=False,
+                             on_state=_state_writer(cfg, out_dir, cfg.tgrid.nodes()))
     _write_energy_csv(os.path.join(out_dir, "energy.csv"), trace, chash)
     t_final = cfg.tgrid.t_final
     fit = decay_fit(trace, (cfg.decay_fit_lo_frac * t_final,
@@ -119,8 +131,6 @@ def _run_decay(cfg, out_dir, bumps, y0, th0, chash, ghash):
         lines.append(f"t_star_error = {exc}")
     emit_report(os.path.join(out_dir, "report.txt"), {"decay": lines},
                 config_hash=chash, grid_hash=ghash)
-    if cfg.dump_fields:
-        dump_trajectory(os.path.join(out_dir, "fields"), traj)
     return 0
 
 
@@ -137,15 +147,10 @@ def _synthesis_artifacts(cfg, out_dir, name, controls, traj, rep, tables,
         dump_trajectory(os.path.join(out_dir, "fields"), traj)
         ctrl_dir = os.path.join(out_dir, "controls")
         os.makedirs(ctrl_dir, exist_ok=True)
-        from .fieldio import dump_field
         for k in range(controls.vu.shape[0]):
-            tk = k * cfg.tgrid.dt
-            dump_field(os.path.join(ctrl_dir, f"control_vu_{k:05d}.fld"),
-                       controls.vu[k], "control:vu", tk)
-            dump_field(os.path.join(ctrl_dir, f"control_vv_{k:05d}.fld"),
-                       controls.vv[k], "control:vv", tk)
-            dump_field(os.path.join(ctrl_dir, f"control_v0_{k:05d}.fld"),
-                       controls.v0[k], "control:v0", tk)
+            for name in ("vu", "vv", "v0"):
+                dump_field(os.path.join(ctrl_dir, f"control_{name}_{k:05d}.fld"),
+                           getattr(controls, name)[k], f"control:{name}", k * cfg.tgrid.dt)
 
 
 def _run_linear_control(cfg, out_dir, bumps, y0, th0, chash, ghash):
@@ -171,10 +176,9 @@ def _run_linear_control(cfg, out_dir, bumps, y0, th0, chash, ghash):
 
 def _run_nonlinear_control(cfg, out_dir, bumps, y0, th0, chash, ghash):
     tables = _tables_for(cfg, cfg.tgrid)
-    controls, traj, rep = solve_nonlinear_control(
+    controls, traj, trace, rep = solve_nonlinear_control(
         y0, th0, cfg.system, cfg.pen, cfg.outer, tables, cfg.grid, cfg.tgrid,
         bumps)
-    trace = trace_from_trajectory(traj, cfg.grid)
     _write_energy_csv(os.path.join(out_dir, "energy.csv"), trace, chash)
     _synthesis_artifacts(cfg, out_dir, "nonlinear_control", controls, traj,
                          rep, tables, chash, ghash)
@@ -185,15 +189,18 @@ def _run_large_time(cfg, out_dir, bumps, y0, th0, chash, ghash):
     tail = cfg.lt_tail
     pen = replace(cfg.pen, t_clip=min(default_t_clip(cfg.pen.t_clip, tail),
                                       default_t_clip(None, tail)))
-    composed, rep = large_time_control(
+    writer = _state_writer(cfg, out_dir, cfg.lt_phase1.nodes())
+    resim, trace, rep = large_time_control(
         y0, th0, cfg.lt_delta, cfg.system, pen, cfg.outer, partial(_tables_for, cfg),
-        cfg.grid, cfg.lt_phase1, tail, bumps)
-    trace = trace_from_trajectory(composed, cfg.grid)
+        cfg.grid, cfg.lt_phase1, tail, bumps, on_state=writer)
     _write_energy_csv(os.path.join(out_dir, "energy.csv"), trace, chash)
     emit_report(os.path.join(out_dir, "report.txt"),
                 {"large_time": rep.lines()}, config_hash=chash, grid_hash=ghash)
-    if cfg.dump_fields:
-        dump_trajectory(os.path.join(out_dir, "fields"), composed)
+    if writer is not None:  # the tail goes on from the crossing level phase 1 wrote
+        n1 = rep.phase1_steps
+        tail_writer = StateWriter(writer.outdir, trace.t[n1:], first=n1)
+        for k in range(1 if n1 else 0, len(resim.t)):
+            tail_writer(k, resim.u[k], resim.v[k], resim.theta[k])
     return 0 if rep.synthesis.converged else 3
 
 

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from bousscontrol.exceptions import LinearSolverError
+from bousscontrol import operators as ops
+from bousscontrol.exceptions import BoussControlError, DomainError
 from bousscontrol.geometry import ControlPatch, bump_on_solver_grids
 from bousscontrol.grids import GridSpec, TimeGrid
+
+
+class LinearSolverError(BoussControlError):
+    """An inner linear solve failed to reach its tolerance."""
+
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
 
 
 @pytest.fixture
@@ -86,3 +95,21 @@ def cg_solve(apply_op, b: np.ndarray, tol: float = 1.0e-10, max_iters: int = 200
     raise LinearSolverError(
         f"CG did not reach tol={tol:g} within {max_iters} iterations",
         residual=float(np.linalg.norm(r.ravel())) / bnorm)
+
+
+def project_div_free(u: np.ndarray, v: np.ndarray, grid: GridSpec,
+                     solver: ops.SpectralSolver | None = None, tol: float = 1.0e-10):
+    """Leray projection with a posteriori divergence verification."""
+    if tol <= 0.0:
+        raise DomainError("tol must be positive")
+    solver = solver or ops.SpectralSolver(grid)
+    u2, v2, phi = solver.project(u, v)
+    scale = ops.norm_velocity(u, v, grid)
+    res = float(np.max(np.abs(ops.div(u2, v2, grid))))
+    if scale > 0.0 and res > tol * scale / np.sqrt(grid.cell_area):
+        raise LinearSolverError("projection residual above tolerance", residual=res)
+    return (u2, v2), phi
+
+
+def patch_area(patch: ControlPatch) -> float:
+    return 4.0 * patch.half_widths[0] * patch.half_widths[1]

@@ -282,7 +282,7 @@ class TestMoreRunnerKinds:
         y0, th0 = scaled_initial_data(grid, 1e-4)
         traj, _ = run_nonlinear(y0, th0, None, spec, grid, TimeGrid(1.0, 16))
         paths = dump_trajectory(str(tmp_path / "fields"), traj, every=8)
-        assert len(paths) == 4 * 3  # nodes 0, 8, 16, four fields each
+        assert len(paths) == 3 * 3  # nodes 0, 8, 16, three fields each
         arr, meta = load_field(paths[0])
         assert np.array_equal(arr, traj.u[0])
         assert meta["kind"] == "state:u"
@@ -297,3 +297,118 @@ class TestMoreRunnerKinds:
         assert run_experiment(cfg, str(tmp_path / "b")) == 0
         assert (tmp_path / "a" / "report_eps_1.txt").is_file()
         assert compare_artifact_dirs(str(tmp_path / "a"), str(tmp_path / "b"))
+
+
+LARGE_TIME = """
+kind = large-time
+grid.nx = 16
+grid.ny = 16
+time.t_final = 1.0
+time.nt = 64
+system.nu0 = 1.0
+system.nu1 = 0.1
+system.heating = true
+init.target_energy = 1e-2
+penalty.eps = 1e-6
+penalty.cg_tol = 1e-6
+large_time.delta = 1e-4
+large_time.phase1_t_final = 1.0
+large_time.phase1_nt = 128
+large_time.tail_t_final = 0.5
+large_time.tail_nt = 32
+"""
+
+
+def _csv_rows(path):
+    return np.array([[float(x) for x in ln.split(",")]
+                     for ln in path.read_text().splitlines()[2:]])
+
+
+def _report_values(path):
+    return dict(ln.split(" = ", 1) for ln in path.read_text().splitlines()
+                if " = " in ln)
+
+
+class TestStreamedRuns:
+    """Forward runs store only what their callers read; --dump-fields
+    streams each level to disk as it is produced."""
+
+    @pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
+    def test_decay_allocates_no_time_history(self, tmp_path, mode):
+        import tracemalloc
+        text = MINIMAL.replace("grid.nx = 16", "grid.nx = 32").replace(
+            "grid.ny = 16", "grid.ny = 32").replace("time.nt = 64", "time.nt = 256")
+        cfg = parse_config_text(text + f"system.mode = {mode}\n")
+        one_history = (cfg.tgrid.nt + 1) * (cfg.grid.nx + 1) * cfg.grid.ny * 8
+        tracemalloc.start()
+        try:
+            rc = run_experiment(cfg, str(tmp_path / "out"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < one_history
+
+    @pytest.mark.parametrize("kind", ["decay", "simulate"])
+    def test_linearized_run_matches_stored_trajectory(self, tmp_path, kind):
+        from bousscontrol.forward import (run_linearized, scaled_initial_data,
+                                          trace_from_trajectory)
+        cfg = parse_config_text(MINIMAL + "system.mode = linearized\n").with_kind(kind)
+        assert run_experiment(cfg, str(tmp_path / "out")) == 0
+        y0, th0 = scaled_initial_data(cfg.grid, cfg.init_target_energy)
+        traj = run_linearized(y0, th0, None, None, None, cfg.system.law.nu0,
+                              cfg.grid, cfg.tgrid, coupling=cfg.system.buoyancy)
+        ref = trace_from_trajectory(traj, cfg.grid)
+        rows = _csv_rows(tmp_path / "out" / "energy.csv")
+        assert np.array_equal(rows[:, 0], ref.t)
+        assert np.array_equal(rows[:, 3:], np.stack(
+            [ref.grad_y_sq, ref.theta_sq, ref.grad_theta_sq], axis=1))
+        if kind == "simulate":
+            rep = _report_values(tmp_path / "out" / "report.txt")
+            assert float(rep["final_norm"]) == traj.terminal_norm(cfg.grid)
+            assert float(rep["max_div"]) == 0.0
+
+    @pytest.mark.parametrize("kind", ["decay", "simulate", "large-time"])
+    def test_dumps_leave_trace_and_report_unchanged(self, tmp_path, kind):
+        text = LARGE_TIME if kind == "large-time" else MINIMAL
+        cfg = parse_config_text(text).with_kind(kind)
+        assert run_experiment(cfg, str(tmp_path / "plain")) == 0
+        dumped = parse_config_text(text + "dump_fields = true\n").with_kind(kind)
+        assert run_experiment(dumped, str(tmp_path / "dumped")) == 0
+        for name in ("energy.csv", "report.txt"):
+            # the config hash covers dump_fields; wall_time_s is a timing
+            a, b = ((tmp_path / d / name).read_text().replace(c.digest(), "")
+                    for d, c in (("plain", cfg), ("dumped", dumped)))
+            assert [ln for ln in a.splitlines() if "wall_time_s" not in ln] == \
+                [ln for ln in b.splitlines() if "wall_time_s" not in ln]
+        fields = sorted(p.name for p in (tmp_path / "dumped" / "fields").iterdir())
+        assert not any(n.startswith("state_p_") for n in fields)
+
+    def test_streamed_fields_match_stored_levels(self, tmp_path):
+        from bousscontrol.forward import run_nonlinear, scaled_initial_data
+        cfg = parse_config_text(MINIMAL + "dump_fields = true\n")
+        assert run_experiment(cfg, str(tmp_path / "out")) == 0
+        y0, th0 = scaled_initial_data(cfg.grid, cfg.init_target_energy)
+        traj, _ = run_nonlinear(y0, th0, None, cfg.system, cfg.grid, cfg.tgrid)
+        fields = tmp_path / "out" / "fields"
+        assert len(list(fields.iterdir())) == 3 * (cfg.tgrid.nt + 1)
+        for k in range(cfg.tgrid.nt + 1):
+            for name, level in (("u", traj.u[k]), ("v", traj.v[k]),
+                                ("theta", traj.theta[k])):
+                arr, meta = load_field(str(fields / f"state_{name}_{k:05d}.fld"))
+                assert np.array_equal(arr, level)
+                assert meta["time"] == traj.t[k]
+                assert meta["kind"] == f"state:{name}"
+
+    def test_large_time_dumps_follow_the_composed_trace(self, tmp_path):
+        cfg = parse_config_text(LARGE_TIME + "dump_fields = true\n")
+        assert run_experiment(cfg, str(tmp_path / "out")) == 0
+        n1 = int(_report_values(tmp_path / "out" / "report.txt")["phase1_steps"])
+        assert 0 < n1 < cfg.lt_phase1.nt
+        t = _csv_rows(tmp_path / "out" / "energy.csv")[:, 0]
+        assert len(t) == n1 + cfg.lt_tail.nt + 1
+        fields = tmp_path / "out" / "fields"
+        assert len(list(fields.iterdir())) == 3 * len(t)
+        for k in range(len(t)):
+            _, meta = load_field(str(fields / f"state_theta_{k:05d}.fld"))
+            assert meta["time"] == t[k]

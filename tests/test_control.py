@@ -288,7 +288,7 @@ class TestNonlinearControl:
         spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1))
         pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman")
         outer = OuterLoopSpec()
-        ctrl, traj, rep = solve_nonlinear_control(
+        ctrl, traj, _, rep = solve_nonlinear_control(
             (grid16.zeros_u(), grid16.zeros_v()), grid16.zeros_cells(), spec,
             pen, outer, tables16, grid16, tgrid64, bumps16)
         assert rep.outer_iters == 1
@@ -303,7 +303,7 @@ class TestNonlinearControl:
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
         outer = OuterLoopSpec(max_outer=25, outer_tol=1e-6)
-        ctrl, traj, rep = solve_nonlinear_control(y0, th0, spec, pen, outer,
+        ctrl, traj, _, rep = solve_nonlinear_control(y0, th0, spec, pen, outer,
                                                   tables16, grid16, tgrid64,
                                                   bumps16)
         assert rep.converged
@@ -317,7 +317,7 @@ class TestNonlinearControl:
                           phi_smallness_factor=1e2)
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
-        ctrl, traj, rep = solve_nonlinear_control(y0, th0, spec, pen,
+        ctrl, traj, _, rep = solve_nonlinear_control(y0, th0, spec, pen,
                                                   OuterLoopSpec(outer_tol=1e-6),
                                                   tables16, grid16, tgrid64,
                                                   bumps16)
@@ -338,10 +338,10 @@ class TestNonlinearControl:
                                heating_on=False, phi_smallness_factor=1e2)
         spec_full = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05),
                                heating_on=True, phi_smallness_factor=1e2)
-        _, _, rep_conv = solve_nonlinear_control(y0, th0, spec_conv, pen,
+        _, _, _, rep_conv = solve_nonlinear_control(y0, th0, spec_conv, pen,
                                                  outer, tables16, grid16,
                                                  tgrid64, bumps16)
-        _, _, rep_full = solve_nonlinear_control(y0, th0, spec_full, pen,
+        _, _, _, rep_full = solve_nonlinear_control(y0, th0, spec_full, pen,
                                                  outer, tables16, grid16,
                                                  tgrid64, bumps16)
         assert rep_conv.outer_iters <= rep_full.outer_iters
@@ -362,12 +362,12 @@ class TestLargeTime:
 
         pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman",
                           t_clip=0.5 - 2 * 0.5 / 32)
-        composed, rep = large_time_control(
+        _, trace, rep = large_time_control(
             y0, th0, 1e-4, spec, pen, OuterLoopSpec(), wfn, grid16,
             TimeGrid(1.0, 64), tail, bumps16)
         assert rep.phase1_steps == 0
         assert rep.crossing_time == 0.0
-        assert len(composed.t) == tail.nt + 1
+        assert len(trace.t) == tail.nt + 1
 
     def test_crossing_matches_prediction(self, grid16, bumps16, patch):
         spec = self._spec()
@@ -380,13 +380,27 @@ class TestLargeTime:
         tail = TimeGrid(0.5, 32)
         pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman",
                           t_clip=0.5 - 2 * 0.5 / 32)
-        composed, rep = large_time_control(
+        _, _, rep = large_time_control(
             y0, th0, 1e-4, spec, pen, OuterLoopSpec(), wfn, grid16,
             TimeGrid(0.5, 128), tail, bumps16)
         assert rep.t_star_predicted > 0.0
         ratio = rep.crossing_time / rep.t_star_predicted
         assert 0.5 <= ratio <= 2.0
         assert rep.final_norm <= 1e-3 * rep.delta
+
+    def test_phase1_stops_at_the_crossing(self, grid16, bumps16):
+        spec = self._spec()
+        y0, th0 = scaled_initial_data(grid16, 1e-2)
+        phase1, tail = TimeGrid(0.5, 128), TimeGrid(0.5, 32)
+        seen = []
+        _, trace, rep = large_time_control(
+            y0, th0, 1e-4, spec, PenaltySpec(weight_mode="unweighted"),
+            OuterLoopSpec(), None, grid16, phase1, tail, bumps16,
+            on_state=lambda k, u, v, th: seen.append(k))
+        assert 0 < rep.phase1_steps < phase1.nt
+        assert seen == list(range(rep.phase1_steps + 1))
+        assert len(trace.t) == rep.phase1_steps + tail.nt + 1
+        assert trace.energy[rep.phase1_steps] <= 1e-4 < trace.energy[rep.phase1_steps - 1]
 
     def test_never_crossing_raises_regime_error(self, grid16, bumps16, patch):
         spec = self._spec()
@@ -419,7 +433,7 @@ def test_nonlinear_control_lp_variant(grid16, tgrid64, bumps16, tables16):
                       phi_smallness_factor=1e2)
     y0, th0 = scaled_initial_data(grid16, 1e-2)
     pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
-    ctrl, traj, rep = solve_nonlinear_control(
+    ctrl, traj, _, rep = solve_nonlinear_control(
         y0, th0, spec, pen, OuterLoopSpec(max_outer=25, outer_tol=1e-6),
         tables16, grid16, tgrid64, bumps16)
     assert rep.converged

@@ -86,8 +86,7 @@ def zero_trajectory(grid, tg):
     return Trajectory(t=tg.nodes(),
                       u=np.zeros((n, grid.nx + 1, grid.ny)),
                       v=np.zeros((n, grid.nx, grid.ny + 1)),
-                      theta=np.zeros((n, grid.nx, grid.ny)),
-                      p=np.zeros((n, grid.nx, grid.ny)))
+                      theta=np.zeros((n, grid.nx, grid.ny)))
 
 
 class TestWeightedNorms:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from bousscontrol import operators as ops
-from bousscontrol.exceptions import DivergenceError, StepSizeError
-from bousscontrol.forward import (NonlinearPropagator, SystemSpec,
+from bousscontrol.exceptions import DivergenceError, DomainError, StepSizeError
+from bousscontrol.forward import (MaxDivergence, NonlinearPropagator, SystemSpec,
                                   explicit_terms, run_linearized, run_nonlinear,
                                   scaled_initial_data, sine_theta,
                                   stream_velocity, trace_from_trajectory)
@@ -141,7 +141,7 @@ class TestOneStepOracle:
         v *= 0.05 / max(np.abs(v).max(), 1.0)
         th = 0.1 * rand_cells(g, RNG)
         prop = NonlinearPropagator(g, self.tgrid, self.spec)
-        u1, v1, th1, _ = prop.step(u, v, th)
+        u1, v1, th1 = prop.step(u, v, th)
         ur, vr, thr = dense_reference_step(g, dt, self.spec, u, v, th)
         scale = max(np.abs(ur).max(), np.abs(thr).max())
         assert np.abs(u1 - ur).max() < 1e-11 * scale
@@ -156,7 +156,7 @@ class TestOneStepOracle:
         g = self.grid
         th = sine_theta(g, 0.5)
         prop = NonlinearPropagator(g, self.tgrid, self.spec)
-        u1, v1, _, _ = prop.step(g.zeros_u(), g.zeros_v(), th)
+        u1, v1, _ = prop.step(g.zeros_u(), g.zeros_v(), th)
         assert ops.norm_velocity(u1, v1, g) > 0.0
         assert np.all(v1[g.nx // 2, 1:-1] > 0.0)
         assert float(np.sum(v1 * ops.theta_to_vfaces(th, g))) > 0.0
@@ -174,8 +174,8 @@ class TestOneStepOracle:
         on = NonlinearPropagator(g, self.tgrid, self.spec)
         off = NonlinearPropagator(
             g, self.tgrid, SystemSpec(law=self.spec.law, heating_on=False))
-        _, _, th_on, _ = on.step(u, v, th)
-        _, _, th_off, _ = off.step(u, v, th)
+        _, _, th_on = on.step(u, v, th)
+        _, _, th_off = off.step(u, v, th)
         assert float(np.mean(th_on - th_off)) > 0.0
         _, _, thr = dense_reference_step(g, self.tgrid.dt, self.spec, u, v, th)
         assert float(np.mean(thr)) > float(np.mean(th_off))
@@ -257,11 +257,13 @@ class TestEnergyMonitors:
         grid = GridSpec(32, 32)
         spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1), heating_on=True)
         y0, th0 = scaled_initial_data(grid, 1e-4)
-        traj, trace = run_nonlinear(y0, th0, None, spec, grid, TimeGrid(1.0, 128))
+        div = MaxDivergence(grid)
+        _, trace = run_nonlinear(y0, th0, None, spec, grid, TimeGrid(1.0, 128),
+                                 store=False, on_state=div)
         assert trace.smallness_ok
         assert trace.phi_monotone
         assert np.all(np.isfinite(trace.energy))
-        assert traj.meta["max_div"] < 1e-12
+        assert div.value < 1e-12
 
     def test_determinism_bit_identical(self, grid16):
         spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1))
@@ -371,3 +373,49 @@ def test_run_nonlinear_dispatches_linearized_mode(grid16):
     assert np.array_equal(traj.theta, ref.theta)
     assert np.array_equal(traj.u, ref.u)
     assert np.all(np.isfinite(trace.energy))
+
+
+class TestRunContract:
+    """Both propagators: ``store=False`` returns the last state, ``on_state``
+    sees every level as it is produced, and a true return from it ends the
+    run at that level."""
+
+    TG = TimeGrid(0.5, 16)
+
+    @staticmethod
+    def _run(mode, grid, tg, **kw):
+        spec = SystemSpec(law=ViscosityLaw("l2", 0.5, 0.1), mode=mode)
+        y0, th0 = scaled_initial_data(grid, 1e-3)
+        return run_nonlinear(y0, th0, None, spec, grid, tg, **kw)
+
+    @pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
+    def test_unstored_run_streams_the_stored_levels(self, grid16, mode):
+        traj, trace = self._run(mode, grid16, self.TG)
+        seen = []
+        last, trace2 = self._run(mode, grid16, self.TG, store=False,
+                                 on_state=lambda k, u, v, th: seen.append((k, u, v, th)))
+        assert [s[0] for s in seen] == list(range(self.TG.nt + 1))
+        for k, u, v, th in seen:
+            assert np.array_equal(u, traj.u[k]) and np.array_equal(v, traj.v[k])
+            assert np.array_equal(th, traj.theta[k])
+        for a, b in zip(last, (traj.u[-1], traj.v[-1], traj.theta[-1])):
+            assert np.array_equal(a, b)
+        assert np.array_equal(trace2.energy, trace.energy)
+        assert np.array_equal(trace.energy, trace_from_trajectory(traj, grid16).energy)
+
+    @pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
+    def test_true_on_state_ends_the_run(self, grid16, mode):
+        full, _ = self._run(mode, grid16, self.TG)
+        traj, trace = self._run(mode, grid16, self.TG,
+                                on_state=lambda k, u, v, th: k == 5)
+        assert len(trace.t) == len(traj.t) == 6
+        assert np.array_equal(traj.theta, full.theta[:6])
+        last, _ = self._run(mode, grid16, self.TG, store=False,
+                            on_state=lambda k, u, v, th: k == 5)
+        assert np.array_equal(last[2], full.theta[5])
+
+    def test_forcing_stays_nonlinear_mode_only(self, grid16):
+        with pytest.raises(DomainError):
+            self._run("linearized", grid16, self.TG,
+                      forcing=lambda k: (grid16.zeros_u(), grid16.zeros_v(),
+                                         grid16.zeros_cells()))

@@ -9,6 +9,8 @@ from bousscontrol.geometry import (ControlPatch, build_eta0, bump_profile,
                                    validate_patch)
 from bousscontrol.grids import GridSpec, TimeGrid
 
+from conftest import patch_area
+
 
 def test_grid_validation():
     with pytest.raises(DomainError):
@@ -78,7 +80,7 @@ def test_cutoff_integral_bounded_by_patch_area():
     f = bump_profile(patch)
     xc, yc = grid.cell_centers()
     integral = float(np.sum(f(xc, yc)) * grid.cell_area)
-    assert 0.0 < integral <= patch.area()
+    assert 0.0 < integral <= patch_area(patch)
 
 
 def test_cutoff_smooth_shoulder_monotone():

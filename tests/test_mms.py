@@ -70,7 +70,7 @@ def test_forcing_balances_pde_residual():
         xc, yc = grid.cell_centers()
         f = (mms.forcing["fu"](xu, yu, 0.0), mms.forcing["fv"](xv, yv, 0.0),
              mms.forcing["fth"](xc, yc, 0.0))
-        u1, v1, th1, _ = prop.step(u0, v0, th0, None, f)
+        u1, v1, th1 = prop.step(u0, v0, th0, None, f)
         drift.append((ops.norm_velocity(u1 - u0, v1 - v0, grid)
                       + ops.norm_cells(th1 - th0, grid)) / tg.dt)
     assert drift[1] < drift[0] / 2.0

@@ -6,9 +6,10 @@ import pytest
 from bousscontrol import operators as ops
 from bousscontrol.exceptions import DomainError, ShapeError
 from bousscontrol.grids import GridSpec
-from bousscontrol.operators import SpectralSolver, ViscosityLaw, project_div_free
+from bousscontrol.operators import SpectralSolver, ViscosityLaw
 
-from conftest import cg_solve, rand_cells, rand_div_free, rand_u, rand_v
+from conftest import (cg_solve, project_div_free, rand_cells, rand_div_free, rand_u,
+                      rand_v)
 
 RNG = np.random.default_rng(20240811)
 
@@ -298,7 +299,7 @@ class TestNorms:
 
 
 def test_cg_failure_reports_residual(grid16):
-    from bousscontrol.exceptions import LinearSolverError
+    from conftest import LinearSolverError
     rng = np.random.default_rng(0)
     b = rng.standard_normal((grid16.nx, grid16.ny))
     with pytest.raises(LinearSolverError) as err:
