@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from .exceptions import ConfigError, DomainError
+from .exceptions import ConfigError, DomainError, GeometryError, SearchError
 from .geometry import ControlPatch
 from .grids import GridSpec, TimeGrid
 from .control import OuterLoopSpec, PenaltySpec
@@ -117,15 +118,22 @@ def _parse_count(key, s):
     return n
 
 
+@contextmanager
+def _keyed(keys: str):
+    """Report a spec constructor's rejection as a ConfigError naming ``keys``."""
+    try:
+        yield
+    except (DomainError, GeometryError, SearchError) as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
+
+
 def _parse_time_grid(vals, t_key, nt_key) -> TimeGrid:
     """The TimeGrid of a (horizon, step count) key pair; its nt >= 16 rule
     is reported against ``nt_key``."""
     t_final = _parse_positive(t_key, vals[t_key])
     nt = _parse_int(nt_key, vals[nt_key])
-    try:
+    with _keyed(nt_key):
         return TimeGrid(t_final, nt)
-    except DomainError as exc:
-        raise ConfigError(f"{nt_key}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -187,46 +195,52 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if vals["kind"] not in _KINDS:
         raise ConfigError(f"kind: expected one of {_KINDS}, got {vals['kind']!r}")
 
-    grid = GridSpec(nx=_parse_int("grid.nx", vals["grid.nx"]),
-                    ny=_parse_int("grid.ny", vals["grid.ny"]),
-                    lx=_parse_positive("grid.lx", vals["grid.lx"]),
-                    ly=_parse_positive("grid.ly", vals["grid.ly"]))
+    with _keyed("grid.nx, grid.ny"):
+        grid = GridSpec(nx=_parse_int("grid.nx", vals["grid.nx"]),
+                        ny=_parse_int("grid.ny", vals["grid.ny"]),
+                        lx=_parse_positive("grid.lx", vals["grid.lx"]),
+                        ly=_parse_positive("grid.ly", vals["grid.ly"]))
     tgrid = _parse_time_grid(vals, "time.t_final", "time.nt")
 
     variant = vals["system.variant"]
     if variant not in ("l2", "lp"):
         raise ConfigError(f"system.variant: expected l2|lp, got {variant!r}")
-    law = ViscosityLaw(variant=variant,
-                       nu0=_parse_positive("system.nu0", vals["system.nu0"]),
-                       nu1=_parse_float("system.nu1", vals["system.nu1"]),
-                       p=_parse_float("system.p", vals["system.p"]))
+    with _keyed("system.nu1, system.p"):
+        law = ViscosityLaw(variant=variant,
+                           nu0=_parse_positive("system.nu0", vals["system.nu0"]),
+                           nu1=_parse_float("system.nu1", vals["system.nu1"]),
+                           p=_parse_float("system.p", vals["system.p"]))
     coupling = (None if vals["system.coupling"] == "auto"
                 else _parse_float("system.coupling", vals["system.coupling"]))
-    system = SystemSpec(
-        law=law,
-        theta_coeff_source=vals["system.theta_source"],
-        nu0_coupling=coupling,
-        heating_on=_parse_bool("system.heating", vals["system.heating"]),
-        mode=vals["system.mode"],
-    )
+    with _keyed("system.theta_source, system.mode"):
+        system = SystemSpec(
+            law=law,
+            theta_coeff_source=vals["system.theta_source"],
+            nu0_coupling=coupling,
+            heating_on=_parse_bool("system.heating", vals["system.heating"]),
+            mode=vals["system.mode"],
+        )
 
     lam = _parse_positive("weights.lambda", vals["weights.lambda"])
     eta_sup = _parse_positive("weights.eta_sup", vals["weights.eta_sup"])
     if _parse_bool("weights.auto_m", vals["weights.auto_m"]):
-        m = find_min_m(lam, eta_sup)
+        with _keyed("weights.lambda, weights.eta_sup"):
+            m = find_min_m(lam, eta_sup)
         vals["weights.m"] = f"{m:.17g}"
         vals["weights.auto_m"] = "false"
     else:
         m = _parse_float("weights.m", vals["weights.m"])
-    wparams = WeightParams(s=_parse_positive("weights.s", vals["weights.s"]),
-                           lam=lam, m=m, eta_sup=eta_sup)
+    with _keyed("weights.m"):
+        wparams = WeightParams(s=_parse_positive("weights.s", vals["weights.s"]),
+                               lam=lam, m=m, eta_sup=eta_sup)
 
-    patch = ControlPatch(
-        center=(_parse_float("patch.cx", vals["patch.cx"]),
-                _parse_float("patch.cy", vals["patch.cy"])),
-        half_widths=(_parse_float("patch.hx", vals["patch.hx"]),
-                     _parse_float("patch.hy", vals["patch.hy"])),
-        inner_margin=_parse_float("patch.inner_margin", vals["patch.inner_margin"]))
+    with _keyed("patch.hx, patch.hy, patch.inner_margin"):
+        patch = ControlPatch(
+            center=(_parse_float("patch.cx", vals["patch.cx"]),
+                    _parse_float("patch.cy", vals["patch.cy"])),
+            half_widths=(_parse_float("patch.hx", vals["patch.hx"]),
+                         _parse_float("patch.hy", vals["patch.hy"])),
+            inner_margin=_parse_float("patch.inner_margin", vals["patch.inner_margin"]))
 
     if vals["penalty.t_clip"] == "auto":
         t_clip = default_t_clip(None, tgrid)
@@ -236,15 +250,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if not (t_clip < tgrid.t_final):
             raise ConfigError(f"penalty.t_clip: expected a value < time.t_final = "
                               f"{tgrid.t_final:g}, got {t_clip:g}")
-    pen = PenaltySpec(epsilon=_parse_positive("penalty.eps", vals["penalty.eps"]),
-                      weight_mode=vals["penalty.weight_mode"],
-                      t_clip=t_clip,
-                      cg_tol=_parse_positive("penalty.cg_tol", vals["penalty.cg_tol"]),
-                      cg_max_iters=_parse_count("penalty.cg_max_iters",
-                                                vals["penalty.cg_max_iters"]))
-    outer = OuterLoopSpec(max_outer=_parse_count("outer.max", vals["outer.max"]),
-                          outer_tol=_parse_positive("outer.tol", vals["outer.tol"]),
-                          damping=_parse_float("outer.damping", vals["outer.damping"]))
+    with _keyed("penalty.weight_mode"):
+        pen = PenaltySpec(
+            epsilon=_parse_positive("penalty.eps", vals["penalty.eps"]),
+            weight_mode=vals["penalty.weight_mode"],
+            t_clip=t_clip,
+            cg_tol=_parse_positive("penalty.cg_tol", vals["penalty.cg_tol"]),
+            cg_max_iters=_parse_count("penalty.cg_max_iters", vals["penalty.cg_max_iters"]))
+    with _keyed("outer.damping"):
+        outer = OuterLoopSpec(max_outer=_parse_count("outer.max", vals["outer.max"]),
+                              outer_tol=_parse_positive("outer.tol", vals["outer.tol"]),
+                              damping=_parse_float("outer.damping", vals["outer.damping"]))
 
     target = (None if vals["init.target_energy"] == "auto"
               else _parse_positive("init.target_energy", vals["init.target_energy"]))

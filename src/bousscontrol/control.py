@@ -43,8 +43,7 @@ from .adjoint import run_adjoint
 from .forward import (EnergyTrace, LinearPropagator, SystemSpec, Trajectory,
                       chain_hooks, energy_components, explicit_terms,
                       run_nonlinear, zero_padded_sources)
-from .weights import (CONTROL_WEIGHT_LOG_CAP, WeightTables, control_weight_logs,
-                      default_t_clip)
+from .weights import WeightTables, control_weight_logs, default_t_clip
 
 
 @dataclass
@@ -183,18 +182,19 @@ def step_weight_logs(pen: PenaltySpec, weights: WeightTables | None,
         return np.zeros(tgrid.nt)
     if weights is None:
         raise DomainError("carleman weight_mode needs WeightTables")
-    return control_weight_logs(weights, default_t_clip(pen.t_clip, tgrid),
-                               cap=CONTROL_WEIGHT_LOG_CAP)
+    return control_weight_logs(weights, default_t_clip(pen.t_clip, tgrid))
 
 
 def weighted_control_energy(c: ControlTrajectory, logw: np.ndarray,
                             grid: GridSpec, dt: float) -> float:
-    """iint w^2 (|v|^2 + |v0|^2) computed through logs (overflow-safe)."""
+    """iint w^2 (|v|^2 + |v0|^2) through logs; steps with v = 0 add nothing
+    whatever their weight, and the energy is +inf once a term overflows."""
     total = 0.0
-    for n in range(len(logw)):
-        sq = float(np.sum(c.vu[n] ** 2) + np.sum(c.vv[n] ** 2) + np.sum(c.v0[n] ** 2))
-        if sq > 0.0:
-            total += np.exp(min(2.0 * logw[n] + np.log(sq), 700.0))
+    with np.errstate(over="ignore"):
+        for n in range(len(logw)):
+            sq = float(np.sum(c.vu[n] ** 2) + np.sum(c.vv[n] ** 2) + np.sum(c.v0[n] ** 2))
+            if sq > 0.0:
+                total += np.exp(2.0 * logw[n] + np.log(sq))
     return total * grid.cell_area * dt
 
 
@@ -412,12 +412,18 @@ def gradient(controls: ControlTrajectory, y0, th0, f1, f2, pen: PenaltySpec,
                                 bumps, coupling)
     ut, vt, tht = prob._terminal_of(controls, with_sources=True)
     zeta = prob._bt_zeta(ut, vt, tht, weight_inv=False)
-    wsq = np.exp(np.minimum(2.0 * logw, 700.0))[:, None, None]
+    with np.errstate(over="ignore"):  # w^2 = +inf where the weight blows up
+        wsq = np.exp(2.0 * logw)[:, None, None]
+
+    def part(v, zeta_part, mask):
+        # w^2 v is 0 wherever v is or the mask is, never inf * 0
+        wv = np.multiply(v, wsq, out=np.zeros_like(v), where=(v != 0.0) & mask)
+        return (wv + zeta_part) * mask
+
     mu, mv, mc = prob.masks
-    return ControlTrajectory(
-        (controls.vu * wsq + zeta.vu) * mu,
-        (controls.vv * wsq + zeta.vv) * mv,
-        (controls.v0 * wsq + zeta.v0) * mc)
+    return ControlTrajectory(part(controls.vu, zeta.vu, mu),
+                             part(controls.vv, zeta.vv, mv),
+                             part(controls.v0, zeta.v0, mc))
 
 
 def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,

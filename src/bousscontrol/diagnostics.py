@@ -1,74 +1,61 @@
 """Weighted a-priori norms, the energy-decay fit, the waiting-time formula,
 and deterministic report emission.
 
-Weighted quantities use time-normalized weight profiles (value 1 at their
-minimum over the horizon) with a saturation cap, evaluated through logs: the
-raw weight magnitudes are off-scale constants, and only the blow-up shape
-relative to t = 0 carries information.  Entries that hit the cap are flagged,
-never silently clipped to infinity.
+Weighted quantities use time-normalized weight profiles (log 0 at their
+minimum over the horizon): the raw weight magnitudes are off-scale constants,
+and only the blow-up shape relative to t = 0 carries information.  Their
+values reach e^(1e16) near T, so each is computed and reported as a log10,
+with no cap: a weighted sum is one log-sum-exp over the time nodes of
+2 log w_n + log sq_n (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41,
+2021), a sup is a max of the same terms, and a zero quantity reads -inf.
+Sums and sups both run over the nodes t_n < T, where every weight is finite;
+at t = T the weights are +inf.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .exceptions import DomainError
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
-from .control import ControlTrajectory, weighted_control_energy
+from .control import ControlTrajectory
 from .forward import EnergyTrace, Trajectory
 from .weights import (WeightTables, control_weight_logs, default_t_clip,
                       time_derivative)
 
-_SUM_CAP = 600.0     # per-term exponent cap inside weighted sums
-_POINT_CAP = 345.0   # per-point cap for materialized weighted fields
-# state-norm weights cap below half the sum cap so quadratic entries keep
-# their degree-2 homogeneity for any state of moderate magnitude
-STATE_WEIGHT_LOG_CAP = 250.0
+_LN10 = np.log(10.0)
 
 
-def normalized_node_logs(tables: WeightTables, name: str,
-                         cap: float = STATE_WEIGHT_LOG_CAP) -> np.ndarray:
-    """Per-node log weight, shifted to min 0 and clipped at ``cap``."""
-    raw = tables.raw(name)
-    finite = raw[np.isfinite(raw)]
-    if finite.size == 0:
-        raise DomainError(f"weight {name!r} has no finite nodes")
-    return np.clip(raw - finite.min(), 0.0, cap)
+def normalized_node_logs(tables: WeightTables, name: str) -> np.ndarray:
+    """Per-node log weight on the nodes t_n < T, shifted to min 0."""
+    raw = tables.raw(name)[:-1]
+    return raw - raw.min()
 
 
-def _capped_terms(logw: np.ndarray, sq_per_node: np.ndarray) -> tuple[list, bool]:
-    """w_n^2 * sq_n for every sq_n > 0, through logs with the exponent capped
-    at _SUM_CAP; returns (terms, saturated)."""
-    terms = []
-    saturated = False
-    for lw, sq in zip(logw, sq_per_node):
-        if sq <= 0.0:
-            continue
-        expo = 2.0 * lw + np.log(sq)
-        if expo > _SUM_CAP:
-            saturated = True
-            expo = _SUM_CAP
-        terms.append(np.exp(expo))
-    return terms, saturated
+def _log(x) -> np.ndarray:
+    """Natural log of a nonnegative array, -inf (and no warning) where x = 0."""
+    x = np.asarray(x, dtype=float)
+    return np.log(x, out=np.full_like(x, -np.inf), where=x > 0.0)
 
 
-def _weighted_sq_time_integral(logw: np.ndarray, sq_per_node: np.ndarray,
-                               dt: float) -> tuple[float, bool]:
-    """sum_n dt * w_n^2 * sq_n through logs; returns (value, saturated)."""
-    terms, saturated = _capped_terms(logw, sq_per_node)
-    return sum(terms, 0.0) * dt, saturated
+def _log10_sum(logw: np.ndarray, sq: np.ndarray, scale: float) -> float:
+    """log10 of scale * sum_n w_n^2 sq_n, as one log-sum-exp over the nodes."""
+    return float((logsumexp(2.0 * logw + _log(sq)) + np.log(scale)) / _LN10)
 
 
-def _weighted_sq_sup(logw: np.ndarray, sq_per_node: np.ndarray) -> tuple[float, bool]:
-    terms, saturated = _capped_terms(logw, sq_per_node)
-    return float(max([0.0, *terms])), saturated
+def _log10_sup(logw: np.ndarray, sq: np.ndarray) -> float:
+    """log10 of max_n w_n^2 sq_n."""
+    return float(np.max(2.0 * logw + _log(sq)) / _LN10)
 
 
 @dataclass
 class WeightedNormReport:
+    """log10 of each weighted norm; -inf for a zero quantity."""
+
     iint_rho1_sq_state: float
     iint_rho2_sq_controls: float
     sup_mu1_y: float
@@ -78,63 +65,36 @@ class WeightedNormReport:
     mu2_theta_t_L32: float
     mu2_lap_theta_L32: float
     kappa_control_norms: dict
-    saturated_entries: list = field(default_factory=list)
 
     def lines(self):
-        out = []
-        for k in ("iint_rho1_sq_state", "iint_rho2_sq_controls", "sup_mu1_y",
-                  "iint_mu1_grad_y", "sup_mu2_grad_y", "iint_mu2_yt_dy",
-                  "mu2_theta_t_L32", "mu2_lap_theta_L32"):
-            out.append(f"{k} = {getattr(self, k):.17g}")
-        for k, v in sorted(self.kappa_control_norms.items()):
-            out.append(f"kappa_{k} = {v:.17g}")
-        out.append("saturated_entries = " + (",".join(self.saturated_entries) or "none"))
-        return out
+        out = [(f.name, getattr(self, f.name)) for f in fields(self)[:-1]]
+        out += [("kappa_" + k, v) for k, v in sorted(self.kappa_control_norms.items())]
+        return [f"log10_{k} = {v:.17g}" for k, v in out]
 
 
 def weighted_norms(traj: Trajectory, controls: ControlTrajectory | None,
                    tables: WeightTables, grid: GridSpec, tgrid: TimeGrid,
                    t_clip: float | None = None) -> WeightedNormReport:
-    """Evaluate the weighted state/control norms of the a-priori estimates.
+    """log10 of the weighted state/control norms of the a-priori estimates.
 
     The rho2-weighted control energy uses the synthesis weight convention
-    (t_clip-frozen, normalized, capped), so it matches the energy reported by
-    the linear solve when the same t_clip is passed.
+    (t_clip-frozen, normalized), so it matches the energy reported by the
+    linear solve when the same t_clip is passed.  Sups, like the time
+    integrals, run over the nodes t_n < T.
     """
     nt, dt = tgrid.nt, tgrid.dt
-    sat: list[str] = []
-
-    lw1 = normalized_node_logs(tables, "rho1")[:nt]
-    lmu1 = normalized_node_logs(tables, "mu1")
-    lmu2 = normalized_node_logs(tables, "mu2")
+    lw1, lmu1, lmu2 = (normalized_node_logs(tables, n) for n in ("rho1", "mu1", "mu2"))
 
     state_sq = np.array([ops.state_norm_sq(traj.u[n], traj.v[n], traj.theta[n], grid)
-                         for n in range(nt + 1)])
+                         for n in range(nt)])
     y_sq = np.array([ops.norm_velocity(traj.u[n], traj.v[n], grid) ** 2
-                     for n in range(nt + 1)])
+                     for n in range(nt)])
     grad_y_sq = np.array([ops.h1_seminorm_sq_velocity(traj.u[n], traj.v[n], grid)
-                          for n in range(nt + 1)])
-
-    v_rho1, s1 = _weighted_sq_time_integral(lw1, state_sq[:nt], dt)
-    if s1:
-        sat.append("iint_rho1_sq_state")
-
-    if controls is not None:
-        lw2 = control_weight_logs(tables, default_t_clip(t_clip, tgrid))
-        v_rho2 = weighted_control_energy(controls, lw2, grid, dt)
-    else:
-        v_rho2 = 0.0
-
-    sup_m1, s2 = _weighted_sq_sup(lmu1, y_sq)
-    int_m1, s3 = _weighted_sq_time_integral(lmu1[:nt], grad_y_sq[:nt], dt)
-    sup_m2, s4 = _weighted_sq_sup(lmu2, grad_y_sq)
-    for flag, name in ((s2, "sup_mu1_y"), (s3, "iint_mu1_grad_y"), (s4, "sup_mu2_grad_y")):
-        if flag:
-            sat.append(name)
+                          for n in range(nt)])
 
     yt_dy_sq = np.zeros(nt)
     th_t_l32 = np.zeros(nt)
-    lap_th_l32 = np.zeros(nt + 1)
+    lap_th_l32 = np.zeros(nt)
     for n in range(nt):
         ut = (traj.u[n + 1] - traj.u[n]) / dt
         vt = (traj.v[n + 1] - traj.v[n]) / dt
@@ -144,91 +104,72 @@ def weighted_norms(traj: Trajectory, controls: ControlTrajectory | None,
                        + ops.norm_velocity(lu, lv, grid) ** 2)
         tht = (traj.theta[n + 1] - traj.theta[n]) / dt
         th_t_l32[n] = ops.lp_norm_cells(tht, 1.5, grid) ** 2
-    for n in range(nt + 1):
         lap_th_l32[n] = ops.lp_norm_cells(ops.laplacian_cells(traj.theta[n], grid),
                                           1.5, grid) ** 2
 
-    int_yt, s5 = _weighted_sq_time_integral(lmu2[:nt], yt_dy_sq, dt)
-    int_tht, s6 = _weighted_sq_time_integral(lmu2[:nt], th_t_l32, dt)
-    int_lth, s7 = _weighted_sq_time_integral(lmu2[:nt], lap_th_l32[:nt], dt)
-    for flag, name in ((s5, "iint_mu2_yt_dy"), (s6, "mu2_theta_t_L32"),
-                       (s7, "mu2_lap_theta_L32")):
-        if flag:
-            sat.append(name)
-
+    rho2_controls = -np.inf
     kappa_norms = {}
     if controls is not None:
-        reg = control_regularity_report(controls, tables, grid, tgrid, t_clip=t_clip)
-        kappa_norms = reg.entries
-        sat.extend("kappa_" + n for n in reg.saturated_entries)
+        lw2 = control_weight_logs(tables, default_t_clip(t_clip, tgrid))
+        control_sq = sum(np.sum(a * a, axis=(1, 2))
+                         for a in (controls.vu, controls.vv, controls.v0))
+        rho2_controls = _log10_sum(lw2, control_sq, grid.cell_area * dt)
+        kappa_norms = control_regularity_report(controls, tables, grid, tgrid,
+                                                t_clip=t_clip)
 
     return WeightedNormReport(
-        iint_rho1_sq_state=v_rho1,
-        iint_rho2_sq_controls=v_rho2,
-        sup_mu1_y=sup_m1,
-        iint_mu1_grad_y=int_m1,
-        sup_mu2_grad_y=sup_m2,
-        iint_mu2_yt_dy=int_yt,
-        mu2_theta_t_L32=int_tht,
-        mu2_lap_theta_L32=int_lth,
+        iint_rho1_sq_state=_log10_sum(lw1, state_sq, dt),
+        iint_rho2_sq_controls=rho2_controls,
+        sup_mu1_y=_log10_sup(lmu1, y_sq),
+        iint_mu1_grad_y=_log10_sum(lmu1, grad_y_sq, dt),
+        sup_mu2_grad_y=_log10_sup(lmu2, grad_y_sq),
+        iint_mu2_yt_dy=_log10_sum(lmu2, yt_dy_sq, dt),
+        mu2_theta_t_L32=_log10_sum(lmu2, th_t_l32, dt),
+        mu2_lap_theta_L32=_log10_sum(lmu2, lap_th_l32, dt),
         kappa_control_norms=kappa_norms,
-        saturated_entries=sat,
     )
-
-
-@dataclass
-class RegularityReport:
-    entries: dict
-    saturated_entries: list
-
-
-def _kappa_times(field_arr: np.ndarray, logk: np.ndarray) -> np.ndarray:
-    """sign(f) * exp(log kappa + log |f|), pointwise, capped."""
-    out = np.zeros_like(field_arr)
-    for n in range(field_arr.shape[0]):
-        f = field_arr[n]
-        nz = f != 0.0
-        expo = logk[n] + np.log(np.abs(f[nz]))
-        out[n][nz] = np.sign(f[nz]) * np.exp(np.clip(expo, -745.0, _POINT_CAP))
-    return out
 
 
 def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
                               grid: GridSpec, tgrid: TimeGrid,
-                              t_clip: float | None = None) -> RegularityReport:
-    """Finiteness report for the kappa-weighted control regularity quantities:
+                              t_clip: float | None = None) -> dict:
+    """log10 of the kappa-weighted control regularity quantities:
     iint |(k v)_t|^2, |(k v0)_t|^2, |k lap v|^2, |k lap v0|^2 and the sup-in-
-    time H^1 norms.  Time derivatives by central differences."""
-    nt, dt = tgrid.nt, tgrid.dt
-    logk = control_weight_logs(tables, default_t_clip(t_clip, tgrid), name="kappa")
+    time H^1 norms (-inf where zero).  Time derivatives by central differences.
 
-    kvu = _kappa_times(controls.vu, logk)
-    kvv = _kappa_times(controls.vv, logk)
-    kv0 = _kappa_times(controls.v0, logk)
+    kappa v is formed as e^M (kappa v e^-M), with M the largest log|kappa v|:
+    the stencils act on fields bounded by 1, and each entry is 2M + log(sum).
+    """
+    nt, dt = tgrid.nt, tgrid.dt
+    logk = control_weight_logs(tables, default_t_clip(t_clip, tgrid),
+                               name="kappa")[:, None, None]
+    parts = (controls.vu, controls.vv, controls.v0)
+    logs = [logk + _log(np.abs(f)) for f in parts]
+    big = max(float(lg.max()) for lg in logs)
+    if big == -np.inf:  # zero controls
+        big = 0.0
+    kvu, kvv, kv0 = (np.sign(f) * np.exp(lg - big) for f, lg in zip(parts, logs))
 
     q = grid.cell_area
-    # saturated (inf) entries are the designed overflow report, not an error
-    with np.errstate(over="ignore"):
-        dkv_sq = float(np.sum(time_derivative(kvu, dt) ** 2)
-                       + np.sum(time_derivative(kvv, dt) ** 2)) * q * dt
-        dkv0_sq = float(np.sum(time_derivative(kv0, dt) ** 2)) * q * dt
+    dkv_sq = float(np.sum(time_derivative(kvu, dt) ** 2)
+                   + np.sum(time_derivative(kvv, dt) ** 2)) * q * dt
+    dkv0_sq = float(np.sum(time_derivative(kv0, dt) ** 2)) * q * dt
+    lap_sq = 0.0
+    lap0_sq = 0.0
+    sup_h1_v = 0.0
+    sup_h1_v0 = 0.0
+    for n in range(nt):
+        lu = ops.laplacian_u(kvu[n], grid)
+        lv = ops.laplacian_v(kvv[n], grid)
+        lap_sq += (ops.norm_velocity(lu, lv, grid) ** 2) * dt
+        lc = ops.laplacian_cells(kv0[n], grid)
+        lap0_sq += (ops.norm_cells(lc, grid) ** 2) * dt
+        sup_h1_v = max(sup_h1_v, ops.norm_velocity(kvu[n], kvv[n], grid) ** 2
+                       + ops.h1_seminorm_sq_velocity(kvu[n], kvv[n], grid))
+        sup_h1_v0 = max(sup_h1_v0, ops.norm_cells(kv0[n], grid) ** 2
+                        + ops.h1_seminorm_sq_cells(kv0[n], grid))
 
-        lap_sq = 0.0
-        lap0_sq = 0.0
-        sup_h1_v = 0.0
-        sup_h1_v0 = 0.0
-        for n in range(nt):
-            lu = ops.laplacian_u(kvu[n], grid)
-            lv = ops.laplacian_v(kvv[n], grid)
-            lap_sq += (ops.norm_velocity(lu, lv, grid) ** 2) * dt
-            lc = ops.laplacian_cells(kv0[n], grid)
-            lap0_sq += (ops.norm_cells(lc, grid) ** 2) * dt
-            sup_h1_v = max(sup_h1_v, ops.norm_velocity(kvu[n], kvv[n], grid) ** 2
-                           + ops.h1_seminorm_sq_velocity(kvu[n], kvv[n], grid))
-            sup_h1_v0 = max(sup_h1_v0, ops.norm_cells(kv0[n], grid) ** 2
-                            + ops.h1_seminorm_sq_cells(kv0[n], grid))
-
-    entries = {
+    sums = {
         "iint_dt_kv_sq": dkv_sq,
         "iint_dt_kv0_sq": dkv0_sq,
         "iint_lap_kv_sq": lap_sq,
@@ -236,8 +177,8 @@ def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
         "sup_h1_kv_sq": sup_h1_v,
         "sup_h1_kv0_sq": sup_h1_v0,
     }
-    saturated = [k for k, v in entries.items() if not np.isfinite(v)]
-    return RegularityReport(entries=entries, saturated_entries=saturated)
+    logs_sums = (2.0 * big + _log(list(sums.values()))) / _LN10
+    return dict(zip(sums, map(float, logs_sums)))
 
 
 @dataclass

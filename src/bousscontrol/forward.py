@@ -203,7 +203,8 @@ def _march(prop, y0, th0, controls, source_at, store: bool, on_state):
 def _energy_hook(grid: GridSpec, comps: list, on_state, blowup_check: bool):
     """``on_state`` behind a hook that appends each level's energy components
     to ``comps`` and, with ``blowup_check``, raises DivergenceError on a
-    non-finite energy or one past _BLOWUP_FACTOR times the first nonzero."""
+    non-finite energy (the initial level included) or on one past
+    _BLOWUP_FACTOR times the first nonzero, with a message for each."""
     e_ref = 0.0
 
     def hook(k, u, v, th):
@@ -211,9 +212,10 @@ def _energy_hook(grid: GridSpec, comps: list, on_state, blowup_check: bool):
         comps.append(energy_components(u, v, th, grid))
         if blowup_check:
             ek = sum(comps[-1])
+            if not np.isfinite(ek):
+                raise DivergenceError(f"non-finite energy at step {k}", step=k)
             e_ref = e_ref or ek
-            if k > 0 and (not np.isfinite(ek)
-                          or (e_ref > 0.0 and ek > _BLOWUP_FACTOR * e_ref)):
+            if e_ref > 0.0 and ek > _BLOWUP_FACTOR * e_ref:
                 raise DivergenceError(f"energy blow-up at step {k}", step=k)
         return on_state is not None and on_state(k, u, v, th)
 

@@ -92,8 +92,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def _run_simulate(cfg, out_dir, bumps, y0, th0, chash, ghash):
-    # max_div is measured in the nonlinear mode only; the linearized report prints 0
-    div = MaxDivergence(cfg.grid) if cfg.system.mode == "nonlinear" else None
+    div = MaxDivergence(cfg.grid)
     final, trace = run_nonlinear(
         y0, th0, None, cfg.system, cfg.grid, cfg.tgrid, store=False,
         on_state=chain_hooks(div, _state_writer(cfg, out_dir, cfg.tgrid.nodes())))
@@ -104,7 +103,7 @@ def _run_simulate(cfg, out_dir, bumps, y0, th0, chash, ghash):
         f"energy_final = {trace.energy[-1]:.17g}",
         f"phi_monotone = {trace.phi_monotone}",
         f"smallness_ok = {trace.smallness_ok}",
-        f"max_div = {div.value if div is not None else 0.0:.17g}",
+        f"max_div = {div.value:.17g}",
     ]
     emit_report(os.path.join(out_dir, "report.txt"), {"simulate": lines},
                 config_hash=chash, grid_hash=ghash)

@@ -4,9 +4,10 @@ All weights share the time factor u(t) = ell(t)^{-4}, where ell is constant on
 [0, T/2] and equals t(T-t) afterwards, so u blows up as t -> T^-.  The spatial
 profile enters through eta0; only its extrema {0, sup} matter for the
 space-independent family members.  Everything is evaluated and stored in
-natural-log space: raw logs are kept as (possibly huge, possibly +inf at t=T)
-floats, and any exponentiation goes through a +-700 saturation cap so no
-silent overflow can occur.
+natural-log space, with no cap: the raw logs are finite floats before T (they
+reach ~1e16 near T at default parameters) and +inf at t = T.  A family whose
+logs leave the double range before T is rejected, never clipped.  Callers
+exponentiate only shifted logs, and only where the result is representable.
 
 Composite family (s = Carleman parameter, hats/stars = spatial extrema):
 
@@ -29,10 +30,6 @@ import numpy as np
 
 from .exceptions import DomainError, GeometryError, SearchError
 from .grids import TimeGrid
-
-LOG_CAP = 700.0
-# Control-cost weights are squared in linear space; half the cap keeps w^2 finite.
-CONTROL_WEIGHT_LOG_CAP = 350.0
 
 _M_SEARCH_MAX = 1.0e4
 
@@ -99,20 +96,36 @@ def _log_expm1(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_bracket(params: WeightParams, j: float, k: float) -> tuple[float, float]:
+    """Sign and log-magnitude of the coefficient of u(t) in j*ahat - k*astar,
+    e^{lam m H} [ (j-k) e^{lam m H/4} - j e^{lam H} + k ], for j - k = 1.
+
+    With a = lam m H / 4 the coefficient is e^{5a} [1 - j e^{lam H - a} + k e^{-a}];
+    for m > 4 the bracket is bounded by j + 1, so nothing overflows at any
+    lambda.
+    """
+    lam_h = params.lam * params.eta_sup
+    a = lam_h * params.m / 4.0
+    inner = 1.0 - j * np.exp(lam_h * (1.0 - params.m / 4.0)) + k * np.exp(-a)
+    if inner == 0.0:
+        return 0.0, -np.inf
+    return float(np.sign(inner)), 5.0 * a + float(np.log(abs(inner)))
+
+
 def _bracket(params: WeightParams, j: float, k: float) -> float:
-    """Signed coefficient of u(t) in j*ahat - k*astar, i.e. the ell^4-scaled
-    combination; equals e^{lam m H} [ (j-k) e^{lam m H/4} - j e^{lam H} + k ]."""
-    lam, m, big_h = params.lam, params.m, params.eta_sup
+    """The coefficient of ``_log_bracket`` in linear space; +-inf past the
+    double range, never NaN."""
+    sign, log_mag = _log_bracket(params, j, k)
     with np.errstate(over="ignore"):
-        inner = (j - k) * np.exp(lam * m * big_h / 4.0) - j * np.exp(lam * big_h) + k
-        return float(np.exp(lam * m * big_h) * inner)
+        return sign * float(np.exp(log_mag))
 
 
 def check_weight_gap(params: WeightParams) -> float:
     """ell^4-scaled margin of the gap condition 18 ahat > 17 astar.
 
     The scaled combination is time independent, so one evaluation decides the
-    sign for the whole horizon; positive margin <=> the gap holds.
+    sign for the whole horizon; positive margin <=> the gap holds.  The margin
+    is +inf when it exceeds the double range, and never NaN.
     """
     if params.eta_sup == 0.0:
         raise GeometryError("eta_sup = 0 degenerates alpha to zero; gap cannot hold")
@@ -145,10 +158,9 @@ def find_min_m(lam: float, eta_sup: float, tol: float = 1.0e-3) -> float:
 class WeightTables:
     """Per-node weight family in log space.
 
-    ``raw_*`` arrays are uncapped (finite floats away from t=T, +-inf at the
-    terminal node); the ``log_*`` properties clip to +-LOG_CAP for safe
-    exponentiation.  ``log_alpha``/``log_xi`` are sampled on the eta0 node
-    grid, shape (nt+1, nx+1, ny+1).
+    ``raw_*`` arrays are uncapped: finite before T, +-inf at the terminal
+    node.  ``raw_log_alpha``/``raw_log_xi`` are sampled on the eta0 node
+    grid, shape (nt+1, nx+1, ny+1); ``raw(name)`` reads a composite.
     """
 
     params: WeightParams
@@ -161,50 +173,8 @@ class WeightTables:
     raw_log_xi: np.ndarray
     raw_composites: dict = field(default_factory=dict)
 
-    _COMPOSITES = ("rho", "rho1", "rho2", "rho3", "mu1", "mu2", "mu3", "kappa")
-
-    def _capped(self, raw: np.ndarray) -> np.ndarray:
-        return np.clip(raw, -LOG_CAP, LOG_CAP)
-
-    @property
-    def log_alpha_star(self):
-        return self._capped(self.raw_log_alpha_star)
-
-    @property
-    def log_alpha_hat(self):
-        return self._capped(self.raw_log_alpha_hat)
-
-    @property
-    def log_xi_star(self):
-        return self._capped(self.raw_log_xi_star)
-
-    @property
-    def log_xi_hat(self):
-        return self._capped(self.raw_log_xi_hat)
-
-    @property
-    def log_alpha(self):
-        return self._capped(self.raw_log_alpha)
-
-    @property
-    def log_xi(self):
-        return self._capped(self.raw_log_xi)
-
-    def log(self, name: str) -> np.ndarray:
-        return self._capped(self.raw_composites[name])
-
     def raw(self, name: str) -> np.ndarray:
         return self.raw_composites[name]
-
-    @property
-    def saturated(self) -> np.ndarray:
-        """Node mask: any stored log exceeded the cap at that node."""
-        mask = np.zeros_like(self.t, dtype=bool)
-        for arr in (self.raw_log_alpha_star, self.raw_log_alpha_hat,
-                    self.raw_log_xi_star, self.raw_log_xi_hat,
-                    *self.raw_composites.values()):
-            mask |= np.abs(arr) > LOG_CAP
-        return mask
 
 
 def eval_weights(params: WeightParams, eta0: np.ndarray, tgrid: TimeGrid) -> WeightTables:
@@ -217,9 +187,8 @@ def eval_weights(params: WeightParams, eta0: np.ndarray, tgrid: TimeGrid) -> Wei
         raise GeometryError("eta_sup must be positive to evaluate weights")
     s, lam, m, big_h = params.s, params.lam, params.m, params.eta_sup
     t = tgrid.nodes()
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore"):
         log_u = -4.0 * np.log(ell_array(t, tgrid.t_final))  # +inf at t = T
-        u = np.exp(log_u)
 
     # alpha(x, t) = e^{lam(mH+eta)} (e^{lam(mH/4 - eta)} - 1) * u
     eta = np.asarray(eta0, dtype=float)
@@ -231,33 +200,36 @@ def eval_weights(params: WeightParams, eta0: np.ndarray, tgrid: TimeGrid) -> Wei
     raw_log_xi = (lam * (m * big_h + eta))[None, :, :] + log_u[:, None, None]
 
     # bracket(0,-1) = alpha-star coefficient (eta = 0), bracket(1,0) = alpha-hat
-    raw_log_alpha_star = np.log(_bracket(params, 0.0, -1.0)) + log_u
-    raw_log_alpha_hat = np.log(_bracket(params, 1.0, 0.0)) + log_u
+    raw_log_alpha_star = _log_bracket(params, 0.0, -1.0)[1] + log_u
+    raw_log_alpha_hat = _log_bracket(params, 1.0, 0.0)[1] + log_u
     raw_log_xi_star = lam * m * big_h + log_u
     raw_log_xi_hat = lam * (m + 1.0) * big_h + log_u
 
-    finite_t = np.isfinite(log_u)
-
-    def composite(j, k, xi_pow, log_xi):
-        c = _bracket(params, j, k)
-        with np.errstate(invalid="ignore"):
-            raw = s * c * u - xi_pow * log_xi
+    def composite(name, j, k, xi_pow, log_xi):
+        sign, log_c = _log_bracket(params, j, k)
+        log_sc = np.log(s) + log_c
         # at t = T the exponential factor dominates the polynomial one
-        raw[~finite_t] = np.inf if c > 0.0 else -np.inf
+        raw = np.full_like(t, np.inf if sign > 0.0 else -np.inf)
+        with np.errstate(over="ignore"):
+            raw[:-1] = sign * np.exp(log_sc + log_u[:-1]) - xi_pow * log_xi[:-1]
+        if not np.all(np.isfinite(raw[:-1])):
+            raise DomainError(
+                f"log weight {name!r} leaves the double range before T "
+                f"(|s alpha| ~ e^{log_sc + log_u[-2]:.4g}); lower lambda or s")
         return raw
 
     lxh = raw_log_xi_hat
-    composites = {}
     # rho is tabulated as its spatial supremum e^{s astar} (xistar)^{-3/2};
     # both factors peak at eta = 0, so the sup has a closed form.
-    composites["rho"] = composite(0.0, -1.0, 1.5, raw_log_xi_star)
-    composites["rho1"] = composite(2.0, 1.0, 3.75, lxh)
-    composites["rho2"] = composite(4.0, 3.0, 8.0, lxh)
-    composites["rho3"] = composite(0.0, -1.0, 0.5, raw_log_xi_star)
-    composites["mu1"] = composite(8.0, 7.0, 15.0, lxh)
-    composites["mu2"] = composite(8.0, 7.0, 16.0, lxh)
-    composites["mu3"] = composite(8.0, 7.0, 17.0, lxh)
-    composites["kappa"] = composite(9.0, 8.0, 17.0, lxh)
+    family = {"rho": (0.0, -1.0, 1.5, raw_log_xi_star),
+              "rho1": (2.0, 1.0, 3.75, lxh),
+              "rho2": (4.0, 3.0, 8.0, lxh),
+              "rho3": (0.0, -1.0, 0.5, raw_log_xi_star),
+              "mu1": (8.0, 7.0, 15.0, lxh),
+              "mu2": (8.0, 7.0, 16.0, lxh),
+              "mu3": (8.0, 7.0, 17.0, lxh),
+              "kappa": (9.0, 8.0, 17.0, lxh)}
+    composites = {name: composite(name, *spec) for name, spec in family.items()}
 
     return WeightTables(
         params=params,
@@ -322,15 +294,15 @@ def check_weight_chain(tables: WeightTables, t_clip: float) -> ChainReport:
 
 
 def control_weight_logs(tables: WeightTables, t_clip: float,
-                        cap: float = CONTROL_WEIGHT_LOG_CAP,
                         name: str = "rho2") -> np.ndarray:
     """Normalized log weight per time step (left nodes): rho2 for the control
     cost, kappa for the control regularity report.
 
     Beyond t_clip the weight is frozen at its t_clip value; the profile is
     shifted so its minimum is 0 (only the blow-up shape matters, the raw
-    magnitude is an off-scale constant) and clipped at ``cap`` so the squared
-    weight stays representable.
+    magnitude is an off-scale constant).  No cap: at default parameters the
+    shifted rho2 log is 0 on [0, T/2] and above 1e6 after it, so the inverse
+    weight e^{-log w} is exactly 1 or exactly 0.
     """
     t = tables.t
     t_final = float(t[-1])
@@ -341,18 +313,17 @@ def control_weight_logs(tables: WeightTables, t_clip: float,
     idx_clip = int(np.searchsorted(t, t_clip, side="right")) - 1
     idx_clip = max(0, min(idx_clip, nt - 1))
     raw[idx_clip + 1:] = raw[idx_clip]
-    raw -= raw.min()
-    return np.clip(raw, 0.0, cap)
+    return raw - raw.min()
 
 
 def export_weight_csv(tables: WeightTables, path) -> None:
-    """Write the per-node capped log tables as CSV (deterministic formatting)."""
-    cols = ["log_alpha_star", "log_alpha_hat", "log_xi_star", "log_xi_hat",
-            "log_rho", "log_rho1", "log_rho2", "log_rho3",
-            "log_mu1", "log_mu2", "log_mu3", "log_kappa"]
-    data = [tables.log_alpha_star, tables.log_alpha_hat,
-            tables.log_xi_star, tables.log_xi_hat]
-    data += [tables.log(name) for name in tables._COMPOSITES]
+    """Write the per-node raw log tables as CSV (deterministic formatting);
+    the t = T row reads inf."""
+    cols = ["log_alpha_star", "log_alpha_hat", "log_xi_star", "log_xi_hat"]
+    cols += [f"log_{name}" for name in tables.raw_composites]
+    data = [tables.raw_log_alpha_star, tables.raw_log_alpha_hat,
+            tables.raw_log_xi_star, tables.raw_log_xi_hat,
+            *tables.raw_composites.values()]
     with open(path, "w") as fh:
         fh.write("t," + ",".join(cols) + "\n")
         for k, tk in enumerate(tables.t):

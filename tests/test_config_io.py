@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bousscontrol.config import parse_config, parse_config_text, emit_resolved
+from bousscontrol.config import _DEFAULTS, parse_config, parse_config_text, emit_resolved
 from bousscontrol.control import OuterLoopSpec, PenaltySpec
 from bousscontrol.exceptions import ConfigError, DomainError
 from bousscontrol.fieldio import dump_field, energy_trace_csv, load_field
@@ -23,6 +24,10 @@ system.nu0 = 1.0
 system.nu1 = 0.1
 init.target_energy = 1e-4
 """
+
+NUMERIC_KEYS = set(_DEFAULTS) - {
+    "kind", "dump_fields", "system.variant", "system.theta_source", "system.heating",
+    "system.mode", "weights.auto_m", "penalty.weight_mode"}
 
 
 class TestConfig:
@@ -94,6 +99,37 @@ class TestConfig:
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError, match=key):
             parse_config_text(MINIMAL.replace(key + " =", "# " + key) + line + "\n")
+
+    @pytest.mark.parametrize("line", [
+        "grid.nx = 0",
+        "outer.damping = 2",
+        "system.nu1 = -5",
+        "patch.hx = -1",
+        "patch.inner_margin = 5",
+        "penalty.weight_mode = foo",
+        "system.mode = foo",
+        "system.theta_source = foo",
+        "weights.lambda = 1e-300",
+    ])
+    def test_spec_rejection_names_key(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(MINIMAL.replace(key + " =", "# " + key) + line + "\n")
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(key=st.sampled_from(sorted(NUMERIC_KEYS)),
+           value=st.one_of(st.integers(-10 ** 4, 10 ** 5).map(str),
+                           st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                           st.sampled_from(["", "foo", "1e400", "-0", "0x10"])))
+    def test_any_numeric_value_returns_or_names_key(self, key, value):
+        # every numeric key either parses or fails with a ConfigError naming it
+        text = MINIMAL.replace(key + " =", "# " + key) + f"{key} = {value}\n"
+        if key == "weights.m":
+            text += "weights.auto_m = false\n"
+        try:
+            parse_config_text(text)
+        except ConfigError as exc:
+            assert key in str(exc)
 
     @pytest.mark.parametrize("build", [
         lambda: OuterLoopSpec(outer_tol=float("nan")),
@@ -186,6 +222,18 @@ class TestRunner:
         assert "cg_iters = " in report
         assert "wall_time_s = " in report
         assert (tmp_path / "out" / "weights.csv").exists()
+
+    @pytest.mark.parametrize("lam", ["300", "1000"])
+    def test_weights_past_double_range_fail_before_synthesis(self, tmp_path, lam):
+        # s * alpha ~ e^(1500) cannot be tabulated even as a log; the run
+        # says so by name instead of synthesizing with non-finite weights
+        text = MINIMAL.replace("kind = decay", "kind = linear-control")
+        cfg = parse_config_text(text + f"weights.lambda = {lam}\n")
+        assert cfg.wparams.m > 4.0
+        out = tmp_path / "out"
+        assert run_experiment(cfg, str(out)) == 3
+        assert "leaves the double range" in (out / "error.txt").read_text()
+        assert not (out / "report.txt").exists()
 
 
 class TestCli:
@@ -353,6 +401,7 @@ class TestStreamedRuns:
     def test_linearized_run_matches_stored_trajectory(self, tmp_path, kind):
         from bousscontrol.forward import (run_linearized, scaled_initial_data,
                                           trace_from_trajectory)
+        from bousscontrol.operators import div
         cfg = parse_config_text(MINIMAL + "system.mode = linearized\n").with_kind(kind)
         assert run_experiment(cfg, str(tmp_path / "out")) == 0
         y0, th0 = scaled_initial_data(cfg.grid, cfg.init_target_energy)
@@ -366,7 +415,10 @@ class TestStreamedRuns:
         if kind == "simulate":
             rep = _report_values(tmp_path / "out" / "report.txt")
             assert float(rep["final_norm"]) == traj.terminal_norm(cfg.grid)
-            assert float(rep["max_div"]) == 0.0
+            stored_div = max(float(np.max(np.abs(div(traj.u[k], traj.v[k], cfg.grid))))
+                             for k in range(1, len(traj.t)))
+            assert float(rep["max_div"]) == stored_div
+            assert stored_div < 1e-12
 
     @pytest.mark.parametrize("kind", ["decay", "simulate", "large-time"])
     def test_dumps_leave_trace_and_report_unchanged(self, tmp_path, kind):

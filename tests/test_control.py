@@ -442,14 +442,24 @@ def test_nonlinear_control_lp_variant(grid16, tgrid64, bumps16, tables16):
 
 def test_gradient_finite_with_saturated_weights(grid16, tgrid64, bumps16,
                                                 tables16):
+    # admissible controls vanish where w_inv = e^{-log w} is 0 (w^2 = +inf);
+    # there the gradient must not form inf * 0
     pen = PenaltySpec(epsilon=1e-4, weight_mode="carleman")
     th0 = 0.1 * sine_theta(grid16, 1.0)
     y0 = (grid16.zeros_u(), grid16.zeros_v())
     rng = np.random.default_rng(12)
     c = masked_random_controls(grid16, tgrid64.nt, bumps16, rng, scale=1e-3)
-    g = gradient(c, y0, th0, None, None, pen, tables16, grid16, tgrid64,
-                 0.1, bumps16)
+    w_inv = np.exp(-step_weight_logs(pen, tables16, tgrid64))
+    assert (w_inv == 0.0).any() and (w_inv > 0.0).any()
+    for a in (c.vu, c.vv, c.v0):
+        a[w_inv == 0.0] = 0.0
+    args = (y0, th0, None, None, pen, tables16, grid16, tgrid64, 0.1, bumps16)
+    g = gradient(c, *args)
     assert np.all(np.isfinite(g.vu)) and np.all(np.isfinite(g.v0))
+    assert np.isfinite(objective(c, *args))
+    # a control that acts where the weight is infinite costs +inf
+    c.v0[-1] = masked_random_controls(grid16, tgrid64.nt, bumps16, rng).v0[-1]
+    assert objective(c, *args) == np.inf
 
 
 def test_cg_optimum_matches_dense_solve():

@@ -1,7 +1,12 @@
 """Diagnostics: decay fit, waiting-time formula, weighted norms, reports."""
 
+from dataclasses import replace
+
+import mpmath as mp
 import numpy as np
 import pytest
+
+from bousscontrol import operators as ops
 
 from bousscontrol.control import ControlTrajectory
 from bousscontrol.diagnostics import (DecayFit, control_regularity_report,
@@ -13,7 +18,8 @@ from bousscontrol.forward import (EnergyTrace, SystemSpec, Trajectory,
 from bousscontrol.geometry import ControlPatch, build_eta0
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw
-from bousscontrol.weights import WeightParams, eval_weights, find_min_m
+from bousscontrol.weights import (WeightParams, control_weight_logs, default_t_clip,
+                                  eval_weights, find_min_m)
 
 
 def synthetic_trace(c1=3.0, e0=5.0, t_final=1.0, n=65):
@@ -81,6 +87,17 @@ def weighted_setup():
     return grid, tg, patch, tables
 
 
+def tame_tables(tables):
+    """The same tables with every composite replaced by a smooth log profile
+    spanning 30-50 nats over [0, T) and +inf at T, so that every weighted
+    norm is a moderate number."""
+    t = tables.t
+    shape = np.append((t[:-1] / t[-1]) ** 2, np.inf)
+    return replace(tables, raw_composites={
+        name: (30.0 + 2.0 * i) * shape - i
+        for i, name in enumerate(tables.raw_composites)})
+
+
 def zero_trajectory(grid, tg):
     n = tg.nt + 1
     return Trajectory(t=tg.nodes(),
@@ -91,6 +108,7 @@ def zero_trajectory(grid, tg):
 
 class TestWeightedNorms:
     def test_zero_trajectory_all_zero(self, weighted_setup):
+        # log10 of a zero quantity is -inf
         grid, tg, patch, tables = weighted_setup
         traj = zero_trajectory(grid, tg)
         ctrl = ControlTrajectory.zeros(grid, tg.nt)
@@ -98,11 +116,15 @@ class TestWeightedNorms:
         for name in ("iint_rho1_sq_state", "iint_rho2_sq_controls",
                      "sup_mu1_y", "iint_mu1_grad_y", "sup_mu2_grad_y",
                      "iint_mu2_yt_dy", "mu2_theta_t_L32", "mu2_lap_theta_L32"):
-            assert getattr(rep, name) == 0.0
-        assert all(v == 0.0 for v in rep.kappa_control_norms.values())
+            assert getattr(rep, name) == -np.inf
+        assert len(rep.kappa_control_norms) == 6
+        assert all(v == -np.inf for v in rep.kappa_control_norms.values())
 
     def test_quadratic_homogeneity(self, weighted_setup):
+        # on a tame-span table: at default parameters log10 ~ 1e15, where
+        # 2 log10 c is below one ulp
         grid, tg, patch, tables = weighted_setup
+        tables = tame_tables(tables)
         rng = np.random.default_rng(2)
         traj = zero_trajectory(grid, tg)
         traj.theta[:] = 1e-3 * rng.standard_normal(traj.theta.shape)
@@ -113,9 +135,10 @@ class TestWeightedNorms:
         traj2.theta[:] = c * traj.theta
         traj2.u[:] = c * traj.u
         r2 = weighted_norms(traj2, None, tables, grid, tg)
-        assert r2.iint_rho1_sq_state == pytest.approx(
-            c * c * r1.iint_rho1_sq_state, rel=1e-12)
-        assert r2.sup_mu1_y == pytest.approx(c * c * r1.sup_mu1_y, rel=1e-12)
+        tol = 1e-12 / np.log(10.0)  # rel = 1e-12 on the linear values
+        for name in ("iint_rho1_sq_state", "sup_mu1_y"):
+            delta = getattr(r2, name) - getattr(r1, name)
+            assert abs(delta - 2.0 * np.log10(c)) <= tol, name
 
     def test_entries_finite(self, weighted_setup):
         grid, tg, patch, tables = weighted_setup
@@ -125,9 +148,10 @@ class TestWeightedNorms:
         ctrl = ControlTrajectory.zeros(grid, tg.nt)
         ctrl.v0[:] = rng.standard_normal(ctrl.v0.shape)
         rep = weighted_norms(traj, ctrl, tables, grid, tg)
-        for name in ("iint_rho1_sq_state", "iint_rho2_sq_controls",
-                     "sup_mu1_y", "iint_mu1_grad_y"):
+        for name in ("iint_rho1_sq_state", "iint_rho2_sq_controls"):
             assert np.isfinite(getattr(rep, name))
+        for name in ("sup_mu1_y", "iint_mu1_grad_y"):  # the velocity is zero
+            assert getattr(rep, name) == -np.inf
 
 
 class TestRegularityReport:
@@ -135,8 +159,8 @@ class TestRegularityReport:
         grid, tg, patch, tables = weighted_setup
         ctrl = ControlTrajectory.zeros(grid, tg.nt)
         rep = control_regularity_report(ctrl, tables, grid, tg)
-        assert all(v == 0.0 for v in rep.entries.values())
-        assert rep.saturated_entries == []
+        assert len(rep) == 6
+        assert all(v == -np.inf for v in rep.values())
 
     def test_product_rule_oracle(self):
         # (kappa v)_t of a time-constant v equals kappa_t v; the central
@@ -187,6 +211,122 @@ class TestRegularityReport:
                                         / np.maximum(np.abs(analytic), 1e-300))))
         assert errs[1] < 0.1
         assert errs[1] < errs[0] / 3.0  # O(dt^2)
+
+
+class TestLogDomainOracle:
+    """Every log10 entry against a 50-digit mpmath evaluation of the same
+    weighted sums and sups, on the default carleman tables (logs up to ~1e15)
+    and on a tame-span table.  The per-node squares are float inputs; the
+    oracle exponentiates the weights in arbitrary range and sums exactly."""
+
+    @staticmethod
+    def data(grid, tg):
+        rng = np.random.default_rng(7)
+        traj = zero_trajectory(grid, tg)
+        traj.u[:, 1:-1, :] = rng.standard_normal(traj.u[:, 1:-1, :].shape)
+        traj.v[:, :, 1:-1] = rng.standard_normal(traj.v[:, :, 1:-1].shape)
+        traj.theta[:] = rng.standard_normal(traj.theta.shape)
+        ctrl = ControlTrajectory.zeros(grid, tg.nt)
+        for a in (ctrl.vu, ctrl.vv, ctrl.v0):
+            a[:] = rng.standard_normal(a.shape)
+        return traj, ctrl
+
+    @staticmethod
+    def oracle(traj, ctrl, tables, grid, tg):
+        mp.mp.dps = 50
+        nt, dt, q = tg.nt, mp.mpf(tg.dt), mp.mpf(grid.cell_area)
+        u, v, th = traj.u, traj.v, traj.theta
+
+        def node_logs(name):
+            raw = [mp.mpf(x) for x in tables.raw(name)[:nt]]
+            return [x - min(raw) for x in raw]
+
+        def wsum(logw, sq, scale):
+            return mp.log10(scale * mp.fsum(mp.exp(2 * lw) * mp.mpf(x)
+                                            for lw, x in zip(logw, sq)))
+
+        def wsup(logw, sq):
+            return max(mp.log10(mp.exp(2 * lw) * mp.mpf(x)) for lw, x in zip(logw, sq))
+
+        def nv2(a, b):
+            return ops.norm_velocity(a, b, grid) ** 2
+
+        rng_ = range(nt)
+        state_sq = [ops.state_norm_sq(u[n], v[n], th[n], grid) for n in rng_]
+        y_sq = [nv2(u[n], v[n]) for n in rng_]
+        gy_sq = [ops.h1_seminorm_sq_velocity(u[n], v[n], grid) for n in rng_]
+        yt_dy = [nv2((u[n + 1] - u[n]) / tg.dt, (v[n + 1] - v[n]) / tg.dt)
+                 + nv2(ops.laplacian_u(u[n], grid), ops.laplacian_v(v[n], grid))
+                 for n in rng_]
+        tht = [ops.lp_norm_cells((th[n + 1] - th[n]) / tg.dt, 1.5, grid) ** 2 for n in rng_]
+        lth = [ops.lp_norm_cells(ops.laplacian_cells(th[n], grid), 1.5, grid) ** 2
+               for n in rng_]
+        lw1, lmu1, lmu2 = (node_logs(n) for n in ("rho1", "mu1", "mu2"))
+        t_clip = default_t_clip(None, tg)
+        lw2 = [mp.mpf(x) for x in control_weight_logs(tables, t_clip)]
+        csq = [float(np.sum(ctrl.vu[n] ** 2) + np.sum(ctrl.vv[n] ** 2)
+                     + np.sum(ctrl.v0[n] ** 2)) for n in rng_]
+        out = {
+            "iint_rho1_sq_state": wsum(lw1, state_sq, dt),
+            "iint_rho2_sq_controls": wsum(lw2, csq, q * dt),
+            "sup_mu1_y": wsup(lmu1, y_sq),
+            "iint_mu1_grad_y": wsum(lmu1, gy_sq, dt),
+            "sup_mu2_grad_y": wsup(lmu2, gy_sq),
+            "iint_mu2_yt_dy": wsum(lmu2, yt_dy, dt),
+            "mu2_theta_t_L32": wsum(lmu2, tht, dt),
+            "mu2_lap_theta_L32": wsum(lmu2, lth, dt),
+        }
+
+        # kappa v: kappa is constant in space, so the Laplacian and H^1
+        # entries are kappa_n^2-weighted per-node sums; the time derivatives
+        # are formed pointwise in arbitrary range.
+        logk = [mp.mpf(x) for x in control_weight_logs(tables, t_clip, name="kappa")]
+        kap = [mp.exp(x) for x in logk]
+        vu, vv, v0 = ctrl.vu, ctrl.vv, ctrl.v0
+        out["kappa_iint_lap_kv_sq"] = wsum(logk, [nv2(ops.laplacian_u(vu[n], grid),
+                                                      ops.laplacian_v(vv[n], grid))
+                                                  for n in rng_], dt)
+        out["kappa_iint_lap_kv0_sq"] = wsum(logk, [ops.norm_cells(
+            ops.laplacian_cells(v0[n], grid), grid) ** 2 for n in rng_], dt)
+        out["kappa_sup_h1_kv_sq"] = wsup(logk, [
+            nv2(vu[n], vv[n]) + ops.h1_seminorm_sq_velocity(vu[n], vv[n], grid)
+            for n in rng_])
+        out["kappa_sup_h1_kv0_sq"] = wsup(logk, [
+            ops.norm_cells(v0[n], grid) ** 2 + ops.h1_seminorm_sq_cells(v0[n], grid)
+            for n in rng_])
+
+        def dt_sq(f):
+            kf = [kap[n] * np.array([mp.mpf(x) for x in f[n].ravel()], dtype=object)
+                  for n in rng_]
+            total = mp.mpf(0)
+            for n in rng_:
+                lo, hi = max(n - 1, 0), min(n + 1, nt - 1)
+                d = (kf[hi] - kf[lo]) / ((hi - lo) * dt)
+                total += mp.fsum(d * d)
+            return total * q * dt
+
+        out["kappa_iint_dt_kv_sq"] = mp.log10(dt_sq(vu) + dt_sq(vv))
+        out["kappa_iint_dt_kv0_sq"] = mp.log10(dt_sq(v0))
+        return out
+
+    @pytest.mark.parametrize("tame", [False, True], ids=["carleman", "tame-span"])
+    def test_matches_mpmath(self, weighted_setup, tame):
+        grid, tg, patch, tables = weighted_setup
+        if tame:
+            tables = tame_tables(tables)
+        traj, ctrl = self.data(grid, tg)
+        rep = weighted_norms(traj, ctrl, tables, grid, tg)
+        got = {k: getattr(rep, k) for k in (
+            "iint_rho1_sq_state", "iint_rho2_sq_controls", "sup_mu1_y",
+            "iint_mu1_grad_y", "sup_mu2_grad_y", "iint_mu2_yt_dy",
+            "mu2_theta_t_L32", "mu2_lap_theta_L32")}
+        got.update(("kappa_" + k, v) for k, v in rep.kappa_control_norms.items())
+        want = self.oracle(traj, ctrl, tables, grid, tg)
+        assert sorted(got) == sorted(want)
+        for name, w in want.items():
+            assert abs(got[name] - float(w)) <= 1e-12 * abs(float(w)), (name, got[name], w)
+        if not tame:  # the carleman norms are far past any double exponent
+            assert got["iint_rho1_sq_state"] > 1e12
 
 
 class TestReports:

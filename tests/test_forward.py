@@ -359,6 +359,15 @@ class TestErrorHandling:
             run_nonlinear(y0, th0, None, spec, grid16, tg, forcing=forcing)
         assert err.value.step is not None
 
+    def test_non_finite_initial_data_named(self, grid16):
+        # a NaN is reported as such at the level it appears, not as growth
+        th0 = sine_theta(grid16, 1e-3)
+        th0[3, 5] = np.nan
+        y0 = stream_velocity(grid16, 1e-3)
+        with pytest.raises(DivergenceError, match="non-finite energy at step 0") as err:
+            run_nonlinear(y0, th0, None, SystemSpec(), grid16, TimeGrid(1.0, 16))
+        assert err.value.step == 0
+
 
 def test_run_nonlinear_dispatches_linearized_mode(grid16):
     # the mode flag selects the constant-coefficient system: with identical
