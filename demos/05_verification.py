@@ -19,7 +19,7 @@ from bousscontrol import (ControlPatch, ControlTrajectory, GridSpec,
                           duality_defect, gradient, objective, run_mms)
 from bousscontrol.control import control_inner
 from bousscontrol.forward import sine_theta
-from bousscontrol.geometry import bump_on_solver_grids
+from bousscontrol.geometry import bump_on_solver_grids, control_box
 
 grid = GridSpec(16, 16)
 tgrid = TimeGrid(1.0, 64)
@@ -39,11 +39,13 @@ y0 = (grid.zeros_u(), grid.zeros_v())
 
 
 def rand_ctrl(scale):
+    # drawn on the whole grid, then read on the patch's box where the
+    # gradient lives (controls are zero outside it)
     c = ControlTrajectory.zeros(grid, tgrid.nt)
     c.vu[:] = scale * rng.standard_normal(c.vu.shape) * masks[0]
     c.vv[:] = scale * rng.standard_normal(c.vv.shape) * masks[1]
     c.v0[:] = scale * rng.standard_normal(c.v0.shape) * masks[2]
-    return c
+    return c.on(control_box(bumps))
 
 
 base = rand_ctrl(0.5)

@@ -28,24 +28,27 @@ import numpy as np
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
 from .forward import LinearPropagator, Trajectory
+from .geometry import grid_box
 
 
 @dataclass
 class AdjointTrajectory:
     """The pre-coupling stages zeta^n, which pair with the step-n forward
     sources in the duality identity and are all a Hessian apply needs, and the
-    adjoint state at t = 0.  Intermediate levels are not kept.  Each level's
+    adjoint state at t = 0.  Intermediate levels are not kept, and zeta only
+    on the box its caller reads (``geometry.control_box``).  Each level's
     velocity is projected, which removes the adjoint pressure's gradient part.
     """
 
-    zeta_u: np.ndarray    # (nt, nx+1, ny)
-    zeta_v: np.ndarray    # (nt, nx, ny+1)
-    zeta_th: np.ndarray   # (nt, nx, ny)
+    zeta_u: np.ndarray    # (nt, rows, cols of box[0]) on u-faces
+    zeta_v: np.ndarray    # (nt, ... box[1]) on v-faces
+    zeta_th: np.ndarray   # (nt, ... box[2]) on cells
     phi0: tuple           # (phi_u, phi_v) at t = 0, divergence-free
     psi0: np.ndarray
 
 
-def run_adjoint(phi_t, psi_t, g1, g2, prop: LinearPropagator) -> AdjointTrajectory:
+def run_adjoint(phi_t, psi_t, g1, g2, prop: LinearPropagator,
+                box=None) -> AdjointTrajectory:
     """Integrate the adjoint system backward from terminal data.
 
     The terminal velocity ``phi_t`` must be divergence-free; it is not
@@ -53,14 +56,17 @@ def run_adjoint(phi_t, psi_t, g1, g2, prop: LinearPropagator) -> AdjointTrajecto
     ``g2`` likewise; source sample n is applied at level n (the convention
     the duality identity above uses).  Every level is projected after its
     sources are added, so each adjoint step receives divergence-free velocity.
+    zeta is kept on ``box`` only, by default the whole grid.
     """
     nt, dt = prop.tgrid.nt, prop.tgrid.dt
+    bu, bv, bc = box or grid_box(prop.grid)
     (lam_u, lam_v), lam_th = phi_t, psi_t
-    zeta_u, zeta_v, zeta_th = (np.empty((nt,) + a.shape) for a in (lam_u, lam_v, lam_th))
+    zeta_u, zeta_v, zeta_th = (np.empty((nt,) + a[b].shape) for a, b in
+                               zip((lam_u, lam_v, lam_th), (bu, bv, bc)))
     for n in range(nt - 1, -1, -1):
         # the velocity adjoint one level down is zeta itself
-        lam_u, lam_v, zeta_th[n], lam_th = prop.step_adjoint(lam_u, lam_v, lam_th)
-        zeta_u[n], zeta_v[n] = lam_u, lam_v
+        lam_u, lam_v, zth, lam_th = prop.step_adjoint(lam_u, lam_v, lam_th)
+        zeta_u[n], zeta_v[n], zeta_th[n] = lam_u[bu], lam_v[bv], zth[bc]
         if g1 is not None:
             lam_u = lam_u + dt * g1[0][n]
             lam_v = lam_v + dt * g1[1][n]
@@ -105,10 +111,11 @@ def duality_defect(grid: GridSpec, tgrid: TimeGrid, nu0: float, bumps,
     y0 = (rand_u(), rand_v())
     th0 = rand_c()
     from .control import ControlTrajectory
+    whole = grid_box(grid)   # the sources cover Omega, so zeta is read everywhere
     controls = ControlTrajectory(
         vu=np.stack([rand_u() for _ in range(nt)]),
         vv=np.stack([rand_v() for _ in range(nt)]),
-        v0=np.stack([rand_c() for _ in range(nt)]))
+        v0=np.stack([rand_c() for _ in range(nt)]), box=whole)
     sources = (np.stack([rand_u() for _ in range(nt)]),
                np.stack([rand_v() for _ in range(nt)]),
                np.stack([rand_c() for _ in range(nt)]))
@@ -119,7 +126,7 @@ def duality_defect(grid: GridSpec, tgrid: TimeGrid, nu0: float, bumps,
     g2 = np.stack([rand_c() for _ in range(nt)])
 
     traj = prop.run(y0, th0, controls=controls, sources=sources)
-    adj = run_adjoint(phi_t, psi_t, g1, g2, prop)
+    adj = run_adjoint(phi_t, psi_t, g1, g2, prop, whole)
 
     lhs = _pair_state_adjoint(traj, nt, phi_t, psi_t, grid)
     for n in range(nt):

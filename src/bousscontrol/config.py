@@ -128,11 +128,11 @@ def _keyed(keys: str):
 
 
 def _parse_time_grid(vals, t_key, nt_key) -> TimeGrid:
-    """The TimeGrid of a (horizon, step count) key pair; its nt >= 16 rule
-    is reported against ``nt_key``."""
+    """The TimeGrid of a (horizon, step count) key pair; its rules (nt >= 16,
+    a step that does not underflow to 0) are reported against both keys."""
     t_final = _parse_positive(t_key, vals[t_key])
     nt = _parse_int(nt_key, vals[nt_key])
-    with _keyed(nt_key):
+    with _keyed(f"{t_key}, {nt_key}"):
         return TimeGrid(t_final, nt)
 
 

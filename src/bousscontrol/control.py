@@ -40,6 +40,7 @@ from .exceptions import ConvergenceError, DomainError, RegimeError
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
 from .adjoint import run_adjoint
+from .geometry import control_box, grid_box
 from .forward import (EnergyTrace, LinearPropagator, SystemSpec, Trajectory,
                       chain_hooks, energy_components, explicit_terms,
                       run_nonlinear, zero_padded_sources)
@@ -48,30 +49,59 @@ from .weights import WeightTables, control_weight_logs, default_t_clip
 
 @dataclass
 class ControlTrajectory:
-    """Time-sampled distributed controls; sample n acts on [t_n, t_{n+1})."""
+    """Time-sampled distributed controls; sample n acts on [t_n, t_{n+1}).
 
-    vu: np.ndarray   # (nt, nx+1, ny)
-    vv: np.ndarray   # (nt, nx, ny+1)
-    v0: np.ndarray   # (nt, nx, ny)
+    Each part is stored on its solver grid's slice of ``box`` (see
+    ``geometry.control_box``): the patch's bounding box for the controls a
+    synthesis makes, the whole grid (``geometry.grid_box``) for fields that
+    cover Omega.  Outside the box the controls are zero; ``full`` scatters
+    them onto the whole grid.
+    """
+
+    vu: np.ndarray   # (nt, rows, cols of box[0]) on u-faces
+    vv: np.ndarray   # (nt, ... box[1]) on v-faces
+    v0: np.ndarray   # (nt, ... box[2]) on cells
+    box: tuple
 
     @classmethod
-    def zeros(cls, grid: GridSpec, nt: int) -> "ControlTrajectory":
-        return cls(np.zeros((nt, grid.nx + 1, grid.ny)),
-                   np.zeros((nt, grid.nx, grid.ny + 1)),
-                   np.zeros((nt, grid.nx, grid.ny)))
+    def zeros(cls, grid: GridSpec, nt: int, box=None) -> "ControlTrajectory":
+        """Zero controls on ``box``, by default the whole grid."""
+        box = grid_box(grid) if box is None else box
+        return cls(*(np.zeros((nt,) + tuple(s.stop - s.start for s in b)) for b in box),
+                   box)
+
+    @property
+    def parts(self):
+        return self.vu, self.vv, self.v0
+
+    def full(self, grid: GridSpec) -> "ControlTrajectory":
+        """The same controls stored on the whole grid, zero outside the box."""
+        return ControlTrajectory(*scatter(self.parts, self.box, grid), grid_box(grid))
+
+    def on(self, box) -> "ControlTrajectory":
+        """The controls read on ``box``, which lies inside their own (views)."""
+        if box == self.box:
+            return self
+        idx = []
+        for b, own in zip(box, self.box):
+            if any(s.start < o.start or s.stop > o.stop for s, o in zip(b, own)):
+                raise DomainError("controls cannot be read outside their box")
+            idx.append((slice(None),) + tuple(slice(s.start - o.start, s.stop - o.start)
+                                              for s, o in zip(b, own)))
+        return ControlTrajectory(*(a[i] for a, i in zip(self.parts, idx)), box)
 
     def copy(self) -> "ControlTrajectory":
-        return ControlTrajectory(self.vu.copy(), self.vv.copy(), self.v0.copy())
+        return ControlTrajectory(self.vu.copy(), self.vv.copy(), self.v0.copy(), self.box)
 
     def scaled(self, a: float) -> "ControlTrajectory":
-        return ControlTrajectory(a * self.vu, a * self.vv, a * self.v0)
+        return ControlTrajectory(a * self.vu, a * self.vv, a * self.v0, self.box)
 
     def plus(self, other: "ControlTrajectory", a: float = 1.0) -> "ControlTrajectory":
         return ControlTrajectory(self.vu + a * other.vu, self.vv + a * other.vv,
-                                 self.v0 + a * other.v0)
+                                 self.v0 + a * other.v0, self.box)
 
     def _pairs(self, other: "ControlTrajectory"):
-        return ((self.vu, other.vu), (self.vv, other.vv), (self.v0, other.v0))
+        return zip(self.parts, other.parts)
 
     def axpy(self, a: float, x: "ControlTrajectory") -> None:
         """self += a x in place; rounds exactly like ``self.plus(x, a)``."""
@@ -84,6 +114,17 @@ class ControlTrajectory:
         for mine, theirs in self._pairs(x):
             mine *= b
             mine += theirs if a == 1.0 else a * theirs
+
+
+def scatter(parts, box, grid: GridSpec):
+    """Whole-grid (u-face, v-face, cell) arrays of ``parts`` stored on
+    ``box``, with any leading axes; zero outside the box."""
+    out = []
+    for part, b, whole in zip(parts, box, grid_box(grid)):
+        a = np.zeros(part.shape[:-2] + tuple(s.stop for s in whole))
+        a[(Ellipsis,) + b] = part
+        out.append(a)
+    return tuple(out)
 
 
 def control_inner(a: ControlTrajectory, b: ControlTrajectory, grid: GridSpec,
@@ -226,6 +267,9 @@ class LinearControlProblem:
     With an ``eps_sweep`` the problem's operators (``hessian_apply``, ``rhs``)
     are those of the seed, the smallest eps among ``pen.epsilon`` and the
     sweep; ``solve`` then also solves every sweep member (module docstring).
+
+    Its vectors live on the patch's box ``self.box``, as do ``self.bumps``;
+    ``self.masks`` are the whole-grid supports bump > 0.
     """
 
     def __init__(self, y0, th0, f1, f2, pen: PenaltySpec, logw: np.ndarray,
@@ -239,8 +283,10 @@ class LinearControlProblem:
         self.eps = min((pen.epsilon,) + self.eps_sweep)
         self.logw = logw
         self.w_inv = np.exp(-logw)
-        self.bumps = bumps
+        self.box = control_box(bumps)
         self.masks = tuple(b > 0.0 for b in bumps)
+        self.bumps = tuple(b[s] for b, s in zip(bumps, self.box))
+        self.box_masks = tuple(b > 0.0 for b in self.bumps)
         self.prop = LinearPropagator(grid, tgrid, nu0, bumps=bumps, coupling=coupling)
         self.y0, self.th0 = y0, th0
         self.sources = zero_padded_sources(f1, f2, grid, tgrid.nt)
@@ -252,8 +298,8 @@ class LinearControlProblem:
 
     def controls_from_z(self, z: ControlTrajectory) -> ControlTrajectory:
         wi = self.w_inv[:, None, None]
-        mu, mv, mc = self.masks
-        return ControlTrajectory(z.vu * wi * mu, z.vv * wi * mv, z.v0 * wi * mc)
+        mu, mv, mc = self.box_masks
+        return ControlTrajectory(z.vu * wi * mu, z.vv * wi * mv, z.v0 * wi * mc, self.box)
 
     def _terminal_of(self, controls, with_sources: bool):
         src = self.sources if with_sources else None
@@ -272,15 +318,19 @@ class LinearControlProblem:
         """(1/eps) B^T L^T applied to a terminal state, optionally through W^-1."""
         eps = self.eps
         self.adjoint_sweeps += 1
-        adj = run_adjoint((ut / eps, vt / eps), tht / eps, None, None, self.prop)
-        out = ControlTrajectory(adj.zeta_u, adj.zeta_v, adj.zeta_th)
-        for arr, bump in zip((out.vu, out.vv, out.v0), self.bumps):
+        adj = run_adjoint((ut / eps, vt / eps), tht / eps, None, None, self.prop,
+                          self.box)
+        out = ControlTrajectory(adj.zeta_u, adj.zeta_v, adj.zeta_th, self.box)
+        for arr, bump in zip(out.parts, self.bumps):
             arr *= bump
             if weight_inv:
                 arr *= self.w_inv[:, None, None]
         return out
 
     def hessian_apply(self, z: ControlTrajectory) -> ControlTrajectory:
+        """H z, with ``z`` read on the problem's box (a whole-grid z is
+        cropped to it)."""
+        z = z.on(self.box)
         ut, vt, tht = self._terminal_of(self.controls_from_z(z), with_sources=False)
         out = self._bt_zeta(ut, vt, tht)
         out.axpy(1.0, z)
@@ -319,7 +369,7 @@ class LinearControlProblem:
             raise DomainError("a warm start z0 cannot be shared by eps-sweep members")
         b, free_tnorm_sq = self.rhs()
         if z0 is None:
-            z = ControlTrajectory.zeros(grid, self.tgrid.nt)
+            z = ControlTrajectory.zeros(grid, self.tgrid.nt, self.box)
             r = b
             j0 = 0.5 * free_tnorm_sq / self.eps
         else:
@@ -332,7 +382,7 @@ class LinearControlProblem:
         del b, z
         active = [seed] + [
             ShiftMember(eps, eps / self.eps - 1.0,
-                        ControlTrajectory.zeros(grid, self.tgrid.nt), p.copy(),
+                        ControlTrajectory.zeros(grid, self.tgrid.nt, self.box), p.copy(),
                         [0.5 * free_tnorm_sq / eps])
             for eps in sorted(set((pen.epsilon,) + self.eps_sweep) - {self.eps})]
         self.members = {m.eps: m for m in active}
@@ -406,7 +456,8 @@ def objective(controls: ControlTrajectory, y0, th0, f1, f2, pen: PenaltySpec,
 def gradient(controls: ControlTrajectory, y0, th0, f1, f2, pen: PenaltySpec,
              weights: WeightTables | None, grid: GridSpec, tgrid: TimeGrid,
              nu0: float, bumps, coupling=None) -> ControlTrajectory:
-    """Reduced gradient w^2 v + 1~_omega zeta via one forward + one adjoint."""
+    """Reduced gradient w^2 v + 1~_omega zeta via one forward + one adjoint,
+    on the patch's box (``controls`` are read on it)."""
     logw = step_weight_logs(pen, weights, tgrid)
     prob = LinearControlProblem(y0, th0, f1, f2, pen, logw, grid, tgrid, nu0,
                                 bumps, coupling)
@@ -420,10 +471,8 @@ def gradient(controls: ControlTrajectory, y0, th0, f1, f2, pen: PenaltySpec,
         wv = np.multiply(v, wsq, out=np.zeros_like(v), where=(v != 0.0) & mask)
         return (wv + zeta_part) * mask
 
-    mu, mv, mc = prob.masks
-    return ControlTrajectory(part(controls.vu, zeta.vu, mu),
-                             part(controls.vv, zeta.vv, mv),
-                             part(controls.v0, zeta.v0, mc))
+    return ControlTrajectory(*(part(v, zp, mask) for v, zp, mask in zip(
+        controls.on(prob.box).parts, zeta.parts, prob.box_masks)), prob.box)
 
 
 def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
@@ -505,7 +554,7 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
     t0 = time.perf_counter()
     nu0 = spec.law.nu0
     nt = tgrid.nt
-    controls_prev = ControlTrajectory.zeros(grid, nt)
+    controls_prev = ControlTrajectory.zeros(grid, nt, control_box(bumps))
     f1 = f2 = None
     f1_prev = f2_prev = None
     z_prev = None

@@ -22,7 +22,7 @@ from scipy.special import logsumexp
 from .exceptions import DomainError
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
-from .control import ControlTrajectory
+from .control import ControlTrajectory, scatter
 from .forward import EnergyTrace, Trajectory
 from .weights import (WeightTables, control_weight_logs, default_t_clip,
                       time_derivative)
@@ -111,8 +111,7 @@ def weighted_norms(traj: Trajectory, controls: ControlTrajectory | None,
     kappa_norms = {}
     if controls is not None:
         lw2 = control_weight_logs(tables, default_t_clip(t_clip, tgrid))
-        control_sq = sum(np.sum(a * a, axis=(1, 2))
-                         for a in (controls.vu, controls.vv, controls.v0))
+        control_sq = sum(np.sum(a * a, axis=(1, 2)) for a in controls.parts)
         rho2_controls = _log10_sum(lw2, control_sq, grid.cell_area * dt)
         kappa_norms = control_regularity_report(controls, tables, grid, tgrid,
                                                 t_clip=t_clip)
@@ -139,13 +138,15 @@ def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
 
     kappa v is formed as e^M (kappa v e^-M), with M the largest log|kappa v|:
     the stencils act on fields bounded by 1, and each entry is 2M + log(sum).
+    Everything is computed on the controls' box; the stencils see one level
+    at a time scattered onto the whole grid.
     """
     nt, dt = tgrid.nt, tgrid.dt
     logk = control_weight_logs(tables, default_t_clip(t_clip, tgrid),
                                name="kappa")[:, None, None]
-    parts = (controls.vu, controls.vv, controls.v0)
+    parts = controls.parts
     logs = [logk + _log(np.abs(f)) for f in parts]
-    big = max(float(lg.max()) for lg in logs)
+    big = max(float(np.max(lg, initial=-np.inf)) for lg in logs)
     if big == -np.inf:  # zero controls
         big = 0.0
     kvu, kvv, kv0 = (np.sign(f) * np.exp(lg - big) for f, lg in zip(parts, logs))
@@ -159,15 +160,16 @@ def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
     sup_h1_v = 0.0
     sup_h1_v0 = 0.0
     for n in range(nt):
-        lu = ops.laplacian_u(kvu[n], grid)
-        lv = ops.laplacian_v(kvv[n], grid)
+        ku, kv, k0 = scatter((kvu[n], kvv[n], kv0[n]), controls.box, grid)
+        lu = ops.laplacian_u(ku, grid)
+        lv = ops.laplacian_v(kv, grid)
         lap_sq += (ops.norm_velocity(lu, lv, grid) ** 2) * dt
-        lc = ops.laplacian_cells(kv0[n], grid)
+        lc = ops.laplacian_cells(k0, grid)
         lap0_sq += (ops.norm_cells(lc, grid) ** 2) * dt
-        sup_h1_v = max(sup_h1_v, ops.norm_velocity(kvu[n], kvv[n], grid) ** 2
-                       + ops.h1_seminorm_sq_velocity(kvu[n], kvv[n], grid))
-        sup_h1_v0 = max(sup_h1_v0, ops.norm_cells(kv0[n], grid) ** 2
-                        + ops.h1_seminorm_sq_cells(kv0[n], grid))
+        sup_h1_v = max(sup_h1_v, ops.norm_velocity(ku, kv, grid) ** 2
+                       + ops.h1_seminorm_sq_velocity(ku, kv, grid))
+        sup_h1_v0 = max(sup_h1_v0, ops.norm_cells(k0, grid) ** 2
+                        + ops.h1_seminorm_sq_cells(k0, grid))
 
     sums = {
         "iint_dt_kv_sq": dkv_sq,

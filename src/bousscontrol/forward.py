@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DivergenceError, DomainError, StepSizeError
+from .geometry import grid_box
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
 from .operators import SpectralSolver, ViscosityLaw
@@ -151,17 +152,19 @@ def explicit_terms(u, v, th, spec: SystemSpec, grid: GridSpec):
 
 
 def implicit_stage(sp: SpectralSolver, dt: float, ru, rv, rhs_th, c_vel: float,
-                   c_th: float, control, bumps, sources):
+                   c_th: float, control, bumps, sources, box=None):
     """The tail both steps share: add the bump-weighted controls and the
     sources to the right-hand sides, solve (I - c lap) with c_th for the
     temperature and c_vel for the velocity, project.  Returns (u, v, theta).
+
+    ``control`` = (cu, cv, c0) is stored on ``box`` (``geometry.control_box``;
+    None for the whole grid) and is added on that box only.
     """
     if control is not None:
-        cu, cv, c0 = control
-        bu, bv, bc = bumps
-        ru = ru + dt * bu * cu
-        rv = rv + dt * bv * cv
-        rhs_th = rhs_th + dt * bc * c0
+        ru, rv, rhs_th = ru.copy(), rv.copy(), rhs_th.copy()  # ru may be the caller's u
+        for rhs, c, bump, b in zip((ru, rv, rhs_th), control, bumps,
+                                   box or grid_box(sp.grid)):
+            rhs[b] += dt * bump[b] * c
     if sources is not None:
         fu, fv, fth = sources
         ru = ru + dt * fu
@@ -190,7 +193,8 @@ def _march(prop, y0, th0, controls, source_at, store: bool, on_state):
             ctrl = None if controls is None else (
                 controls.vu[k - 1], controls.vv[k - 1], controls.v0[k - 1])
             u, v, th = prop.step(u, v, th, ctrl,
-                                 None if source_at is None else source_at(k - 1))
+                                 None if source_at is None else source_at(k - 1),
+                                 None if controls is None else controls.box)
         if store:
             levels[0][k], levels[1][k], levels[2][k] = u, v, th
         if on_state is not None and on_state(k, u, v, th):
@@ -250,7 +254,7 @@ class NonlinearPropagator:
         self.sp = solver or SpectralSolver(grid)
         self.bumps = bumps  # (bump_u, bump_v, bump_cells) or None
 
-    def step(self, u, v, th, control=None, forcing=None):
+    def step(self, u, v, th, control=None, forcing=None, box=None):
         grid, dt, spec = self.grid, self.tgrid.dt, self.spec
         maxvel = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), _CFL_EPS)
         cfl = spec.cfl_factor * min(grid.hx, grid.hy) / maxvel
@@ -264,7 +268,7 @@ class NonlinearPropagator:
         ru = u - dt * adv_u
         rv = v - dt * adv_v + dt * spec.buoyancy * ops.theta_to_vfaces(th, grid)
         return implicit_stage(self.sp, dt, ru, rv, rhs_th, dt * nu, dt * nu_th,
-                              control, self.bumps, forcing)
+                              control, self.bumps, forcing, box)
 
     def run(self, y0, th0, controls=None, forcing=None, store=True, on_state=None):
         """March nt steps (see ``_march``); ``forcing(k)`` gives step k's
@@ -299,12 +303,12 @@ class LinearPropagator:
         self.sp = solver or SpectralSolver(grid)
         self.bumps = bumps
 
-    def step(self, u, v, th, control=None, sources=None):
+    def step(self, u, v, th, control=None, sources=None, box=None):
         dt = self.tgrid.dt
         rv = v + dt * self.coupling * ops.theta_to_vfaces(th, self.grid)
         c = dt * self.nu0
         return implicit_stage(self.sp, dt, u, rv, th, c, c, control, self.bumps,
-                              sources)
+                              sources, box)
 
     def step_adjoint(self, gu, gv, gth):
         """Transpose of the homogeneous part of `step` on the divergence-free

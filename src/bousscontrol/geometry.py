@@ -148,3 +148,22 @@ def bump_on_solver_grids(grid: GridSpec, patch: ControlPatch):
     xv, yv = grid.v_positions()
     xc, yc = grid.cell_centers()
     return f(xu, yu), f(xv, yv), f(xc, yc)
+
+
+def control_box(bumps):
+    """The box controls are stored on: per solver grid (u-faces, v-faces,
+    cells), the index slices (rows, columns) of the bounding box of
+    ``bump > 0``.  Every control is exactly zero outside it.  The bump is a
+    product of per-axis bumps, so the box is its support."""
+    box = []
+    for b in bumps:
+        rows, cols = (np.flatnonzero(np.any(b > 0.0, axis=a)) for a in (1, 0))
+        box.append(tuple(slice(int(i[0]), int(i[-1]) + 1) if i.size else slice(0, 0)
+                         for i in (rows, cols)))
+    return tuple(box)
+
+
+def grid_box(grid: GridSpec):
+    """The box covering every u-face, v-face and cell (see ``control_box``)."""
+    return tuple((slice(0, nx), slice(0, ny)) for nx, ny in
+                 ((grid.nx + 1, grid.ny), (grid.nx, grid.ny + 1), (grid.nx, grid.ny)))

@@ -93,6 +93,9 @@ class TimeGrid:
             raise DomainError(f"time grid must have nt >= 16, got {self.nt}")
         if not (self.t_final > 0):
             raise DomainError("time horizon must be positive")
+        if not (self.t_final / self.nt > 0):
+            raise DomainError(f"time step t_final / nt = {self.t_final!r} / {self.nt} "
+                              "underflows to 0")
 
     @property
     def dt(self) -> float:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
-from .exceptions import BoussControlError, ConfigError, GeometryError
+from .exceptions import BoussControlError, ConfigError, DomainError, GeometryError
 from .config import ExperimentConfig, emit_resolved
-from .geometry import build_eta0, bump_on_solver_grids, validate_weight_patch
+from .geometry import (build_eta0, bump_on_solver_grids, control_box, grid_box,
+                       validate_weight_patch)
 from .grids import GridSpec, TimeGrid
 from .adjoint import duality_defect
 from .control import (ControlTrajectory, PenaltySpec, control_inner,
@@ -51,12 +51,16 @@ def _state_writer(cfg: ExperimentConfig, out_dir: str, times):
     return StateWriter(os.path.join(out_dir, "fields"), times) if cfg.dump_fields else None
 
 
-def _tables_for(cfg: ExperimentConfig, tgrid: TimeGrid):
-    """The weight tables on ``tgrid``, or None when the penalty is unweighted."""
-    if cfg.pen.weight_mode != "carleman":
+def _tables_for(cfg: ExperimentConfig):
+    """The weight tables of a synthesis kind, on the horizon it synthesizes
+    over (large-time: the tail), or None when the kind or its penalty uses no
+    weights."""
+    if (cfg.pen.weight_mode != "carleman"
+            or cfg.kind not in ("linear-control", "nonlinear-control", "large-time")):
         return None
     eta0 = build_eta0(cfg.grid, cfg.patch)
-    return eval_weights(cfg.wparams, eta0, tgrid)
+    return eval_weights(cfg.wparams, eta0,
+                        cfg.lt_tail if cfg.kind == "large-time" else cfg.tgrid)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -65,7 +69,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
         if cfg.pen.weight_mode == "carleman":
             validate_weight_patch(cfg.grid, cfg.patch)
         y0, th0 = _initial_data(cfg)
-    except (ConfigError, GeometryError) as exc:
+        tables = _tables_for(cfg)   # a family past the double range is a config error
+    except (ConfigError, GeometryError, DomainError) as exc:
         print(f"configuration error: {exc}")
         return 2
 
@@ -83,7 +88,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
         "verify": _run_verify,
     }[cfg.kind]
     try:
-        return handler(cfg, out_dir, bumps, y0, th0, chash, ghash)
+        return handler(cfg, out_dir, bumps, tables, y0, th0, chash, ghash)
     except BoussControlError as exc:
         with open(os.path.join(out_dir, "error.txt"), "w") as fh:
             fh.write(f"{type(exc).__name__}: {exc}\n")
@@ -91,7 +96,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
         return 3
 
 
-def _run_simulate(cfg, out_dir, bumps, y0, th0, chash, ghash):
+def _run_simulate(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     div = MaxDivergence(cfg.grid)
     final, trace = run_nonlinear(
         y0, th0, None, cfg.system, cfg.grid, cfg.tgrid, store=False,
@@ -110,7 +115,7 @@ def _run_simulate(cfg, out_dir, bumps, y0, th0, chash, ghash):
     return 0
 
 
-def _run_decay(cfg, out_dir, bumps, y0, th0, chash, ghash):
+def _run_decay(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     _, trace = run_nonlinear(y0, th0, None, cfg.system, cfg.grid, cfg.tgrid,
                              store=False,
                              on_state=_state_writer(cfg, out_dir, cfg.tgrid.nodes()))
@@ -146,14 +151,14 @@ def _synthesis_artifacts(cfg, out_dir, name, controls, traj, rep, tables,
         dump_trajectory(os.path.join(out_dir, "fields"), traj)
         ctrl_dir = os.path.join(out_dir, "controls")
         os.makedirs(ctrl_dir, exist_ok=True)
-        for k in range(controls.vu.shape[0]):
+        full = controls.full(cfg.grid)
+        for k in range(full.vu.shape[0]):
             for name in ("vu", "vv", "v0"):
                 dump_field(os.path.join(ctrl_dir, f"control_{name}_{k:05d}.fld"),
-                           getattr(controls, name)[k], f"control:{name}", k * cfg.tgrid.dt)
+                           getattr(full, name)[k], f"control:{name}", k * cfg.tgrid.dt)
 
 
-def _run_linear_control(cfg, out_dir, bumps, y0, th0, chash, ghash):
-    tables = _tables_for(cfg, cfg.tgrid)
+def _run_linear_control(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     if tables is not None:
         export_weight_csv(tables, os.path.join(out_dir, "weights.csv"))
     nu0 = cfg.system.law.nu0
@@ -173,8 +178,7 @@ def _run_linear_control(cfg, out_dir, bumps, y0, th0, chash, ghash):
     return 0
 
 
-def _run_nonlinear_control(cfg, out_dir, bumps, y0, th0, chash, ghash):
-    tables = _tables_for(cfg, cfg.tgrid)
+def _run_nonlinear_control(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     controls, traj, trace, rep = solve_nonlinear_control(
         y0, th0, cfg.system, cfg.pen, cfg.outer, tables, cfg.grid, cfg.tgrid,
         bumps)
@@ -184,13 +188,13 @@ def _run_nonlinear_control(cfg, out_dir, bumps, y0, th0, chash, ghash):
     return 0 if rep.converged else 3
 
 
-def _run_large_time(cfg, out_dir, bumps, y0, th0, chash, ghash):
+def _run_large_time(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     tail = cfg.lt_tail
     pen = replace(cfg.pen, t_clip=min(default_t_clip(cfg.pen.t_clip, tail),
                                       default_t_clip(None, tail)))
     writer = _state_writer(cfg, out_dir, cfg.lt_phase1.nodes())
     resim, trace, rep = large_time_control(
-        y0, th0, cfg.lt_delta, cfg.system, pen, cfg.outer, partial(_tables_for, cfg),
+        y0, th0, cfg.lt_delta, cfg.system, pen, cfg.outer, lambda _tail: tables,
         cfg.grid, cfg.lt_phase1, tail, bumps, on_state=writer)
     _write_energy_csv(os.path.join(out_dir, "energy.csv"), trace, chash)
     emit_report(os.path.join(out_dir, "report.txt"),
@@ -203,7 +207,7 @@ def _run_large_time(cfg, out_dir, bumps, y0, th0, chash, ghash):
     return 0 if rep.synthesis.converged else 3
 
 
-def _run_verify(cfg, out_dir, bumps, y0, th0, chash, ghash):
+def _run_verify(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     """Invariant suite: duality, gradient check, MMS order, weight checks,
     artifact determinism."""
     from .geometry import ControlPatch
@@ -221,18 +225,16 @@ def _run_verify(cfg, out_dir, bumps, y0, th0, chash, ghash):
     pen = PenaltySpec(epsilon=1.0e-4, weight_mode="unweighted")
     th0v = 0.1 * sine_theta(grid, 1.0)
     y0v = (grid.zeros_u(), grid.zeros_v())
-    base = ControlTrajectory.zeros(grid, tgrid.nt)
-    mask = tuple(b > 0 for b in vb)
-    base.vu[:] = 0.3 * rng.standard_normal(base.vu.shape) * mask[0]
-    base.vv[:] = 0.3 * rng.standard_normal(base.vv.shape) * mask[1]
-    base.v0[:] = 0.3 * rng.standard_normal(base.v0.shape) * mask[2]
+    def rand_controls(scale):
+        # drawn on the whole grid, then read on the patch's box
+        parts = (scale * rng.standard_normal((tgrid.nt,) + b.shape) * (b > 0) for b in vb)
+        return ControlTrajectory(*parts, grid_box(grid)).on(control_box(vb))
+
+    base = rand_controls(0.3)
     g = gradient(base, y0v, th0v, None, None, pen, None, grid, tgrid, 0.1, vb)
     worst = 0.0
     for _ in range(5):
-        d = ControlTrajectory.zeros(grid, tgrid.nt)
-        d.vu[:] = rng.standard_normal(d.vu.shape) * mask[0]
-        d.vv[:] = rng.standard_normal(d.vv.shape) * mask[1]
-        d.v0[:] = rng.standard_normal(d.v0.shape) * mask[2]
+        d = rand_controls(1.0)
         h = 1.0e-5
         jp = objective(base.plus(d, h), y0v, th0v, None, None, pen, None,
                        grid, tgrid, 0.1, vb)

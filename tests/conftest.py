@@ -113,3 +113,23 @@ def project_div_free(u: np.ndarray, v: np.ndarray, grid: GridSpec,
 
 def patch_area(patch: ControlPatch) -> float:
     return 4.0 * patch.half_widths[0] * patch.half_widths[1]
+
+
+def full_grid_controlled_run(prop, y0, th0, controls):
+    """The last state of ``prop.run(y0, th0, controls=controls, store=False)``
+    computed the way a whole-grid control layout does it: every step adds the
+    full-grid field bump * control to the right-hand sides."""
+    grid, dt = prop.grid, prop.tgrid.dt
+    full = controls.full(grid)
+    bu, bv, bc = prop.bumps
+    c = dt * prop.nu0
+    u, v, _ = prop.sp.project(y0[0], y0[1])
+    th = th0.copy()
+    for k in range(prop.tgrid.nt):
+        ru = u + dt * bu * full.vu[k]
+        rv = v + dt * prop.coupling * ops.theta_to_vfaces(th, grid)
+        rv = rv + dt * bv * full.vv[k]
+        rth = th + dt * bc * full.v0[k]
+        th = prop.sp.helmholtz_cells(rth, c)
+        u, v, _ = prop.sp.project(prop.sp.helmholtz_u(ru, c), prop.sp.helmholtz_v(rv, c))
+    return u, v, th

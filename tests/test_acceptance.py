@@ -15,7 +15,7 @@ from bousscontrol.control import (ControlTrajectory, PenaltySpec,
                                   control_inner, gradient, objective)
 from bousscontrol.diagnostics import parse_report
 from bousscontrol.forward import sine_theta
-from bousscontrol.geometry import ControlPatch, bump_on_solver_grids
+from bousscontrol.geometry import ControlPatch, bump_on_solver_grids, control_box
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.mms import run_mms
 from bousscontrol.forward import SystemSpec
@@ -142,17 +142,19 @@ def test_criterion_2_gradient_check():
     tgrid = TimeGrid(1.0, 64)
     bumps = bump_on_solver_grids(grid, ControlPatch((0.5, 0.5), (0.2, 0.2)))
     masks = tuple(b > 0 for b in bumps)
+    box = control_box(bumps)
     pen = PenaltySpec(epsilon=1e-4, weight_mode="unweighted")
     th0 = 0.1 * sine_theta(grid, 1.0)
     y0 = (grid.zeros_u(), grid.zeros_v())
     rng = np.random.default_rng(2)
 
     def rand_ctrl(scale):
+        # drawn on the whole grid, read on the patch's box like the gradient
         c = ControlTrajectory.zeros(grid, tgrid.nt)
         c.vu[:] = scale * rng.standard_normal(c.vu.shape) * masks[0]
         c.vv[:] = scale * rng.standard_normal(c.vv.shape) * masks[1]
         c.v0[:] = scale * rng.standard_normal(c.v0.shape) * masks[2]
-        return c
+        return c.on(box)
 
     base = rand_ctrl(0.5)
     g = gradient(base, y0, th0, None, None, pen, None, grid, tgrid, 0.1, bumps)

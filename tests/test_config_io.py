@@ -90,6 +90,10 @@ class TestConfig:
         "time.nt = 8",
         "large_time.phase1_nt = 4",
         "large_time.tail_nt = 8",
+        # a step t_final / nt that underflows to 0, on each time grid
+        "time.t_final = 5e-324",
+        "large_time.phase1_t_final = 5e-324",
+        "large_time.tail_t_final = 5e-324",
         # the decay fit window [lo T, hi T] must be nonempty
         "decay.fit_lo_frac = 1.5",
         "decay.fit_lo_frac = -0.1",
@@ -224,16 +228,17 @@ class TestRunner:
         assert (tmp_path / "out" / "weights.csv").exists()
 
     @pytest.mark.parametrize("lam", ["300", "1000"])
-    def test_weights_past_double_range_fail_before_synthesis(self, tmp_path, lam):
+    def test_weights_past_double_range_fail_before_synthesis(self, tmp_path, capsys,
+                                                             lam):
         # s * alpha ~ e^(1500) cannot be tabulated even as a log; the run
-        # says so by name instead of synthesizing with non-finite weights
+        # says so by name, as a configuration error, before any artifact
         text = MINIMAL.replace("kind = decay", "kind = linear-control")
         cfg = parse_config_text(text + f"weights.lambda = {lam}\n")
         assert cfg.wparams.m > 4.0
         out = tmp_path / "out"
-        assert run_experiment(cfg, str(out)) == 3
-        assert "leaves the double range" in (out / "error.txt").read_text()
-        assert not (out / "report.txt").exists()
+        assert run_experiment(cfg, str(out)) == 2
+        assert "leaves the double range" in capsys.readouterr().out
+        assert not out.exists()
 
 
 class TestCli:
@@ -288,8 +293,10 @@ class TestCli:
         ("linear-control", "patch.cx = 0.3\n"),
         ("linear-control", "weights.auto_m = false\nweights.eta_sup = 0\n"),
         ("linear-control", "penalty.t_clip = 5.0\n"),
+        ("large-time", "large_time.tail_t_final = 5e-324\n"),
     ], ids=["short-large-time-grid", "empty-decay-window", "one-node-decay-window",
-            "center-outside-inner-patch", "zero-eta-sup", "t-clip-past-horizon"])
+            "center-outside-inner-patch", "zero-eta-sup", "t-clip-past-horizon",
+            "zero-time-step"])
     def test_main_rejects_run_time_failures_at_parse_time(self, tmp_path, kind, lines):
         from bousscontrol.cli import main
         cfg_path = tmp_path / "bad.cfg"
@@ -451,6 +458,25 @@ class TestStreamedRuns:
                 assert np.array_equal(arr, level)
                 assert meta["time"] == traj.t[k]
                 assert meta["kind"] == f"state:{name}"
+
+    def test_control_dumps_cover_the_whole_grid(self, tmp_path):
+        # controls are stored on the patch's box; their dumps are full-grid
+        from bousscontrol.geometry import bump_on_solver_grids
+        text = MINIMAL.replace("kind = decay", "kind = linear-control")
+        cfg = parse_config_text(text + "dump_fields = true\n")
+        assert run_experiment(cfg, str(tmp_path / "out")) == 0
+        ctrl = tmp_path / "out" / "controls"
+        assert len(list(ctrl.iterdir())) == 3 * cfg.tgrid.nt
+        bumps = bump_on_solver_grids(cfg.grid, cfg.patch)
+        acting = 0
+        for k in (0, cfg.tgrid.nt // 2, cfg.tgrid.nt - 1):
+            for name, bump in zip(("vu", "vv", "v0"), bumps):
+                arr, meta = load_field(str(ctrl / f"control_{name}_{k:05d}.fld"))
+                assert arr.shape == bump.shape
+                assert meta["time"] == k * cfg.tgrid.dt
+                assert not arr[bump == 0.0].any()
+                acting += int(arr[bump > 0.0].any())
+        assert acting > 0
 
     def test_large_time_dumps_follow_the_composed_trace(self, tmp_path):
         cfg = parse_config_text(LARGE_TIME + "dump_fields = true\n")

@@ -14,7 +14,7 @@ from bousscontrol.control import (ControlTrajectory, OuterLoopSpec, PenaltySpec,
 from bousscontrol.exceptions import DomainError, RegimeError
 from bousscontrol.forward import (SystemSpec, run_nonlinear,
                                   scaled_initial_data, sine_theta)
-from bousscontrol.geometry import build_eta0
+from bousscontrol.geometry import build_eta0, control_box, grid_box
 from bousscontrol.grids import TimeGrid
 from bousscontrol.operators import ViscosityLaw
 from bousscontrol.weights import WeightParams, eval_weights, find_min_m
@@ -27,12 +27,13 @@ NU0 = 0.1
 
 
 def masked_random_controls(grid, nt, bumps, rng, scale=1.0):
+    # drawn on the whole grid, read on the patch's box like the gradient
     masks = tuple(b > 0 for b in bumps)
     c = ControlTrajectory.zeros(grid, nt)
     c.vu[:] = scale * rng.standard_normal(c.vu.shape) * masks[0]
     c.vv[:] = scale * rng.standard_normal(c.vv.shape) * masks[1]
     c.v0[:] = scale * rng.standard_normal(c.v0.shape) * masks[2]
-    return c
+    return c.on(control_box(bumps))
 
 
 @pytest.fixture
@@ -108,7 +109,8 @@ class TestGradient:
         grid, tg, bumps, y0, th0 = setup16
         pen = PenaltySpec(epsilon=1e-4, weight_mode="unweighted")
         zero = ControlTrajectory.zeros(grid, tg.nt)
-        g = gradient(zero, y0, th0, None, None, pen, None, grid, tg, NU0, bumps)
+        g = gradient(zero, y0, th0, None, None, pen, None, grid, tg, NU0,
+                     bumps).full(grid)
         masks = tuple(b > 0 for b in bumps)
         assert np.all(g.vu[:, ~masks[0]] == 0.0)
         assert np.all(g.vv[:, ~masks[1]] == 0.0)
@@ -171,8 +173,9 @@ class TestLinearControl:
                                                tables16, grid, tg, 0.05, bumps)
         assert rep.terminal_norm <= 1e-2 * rep.uncontrolled_terminal_norm
         masks = tuple(b > 0 for b in bumps)
-        assert np.all(ctrl.vu[:, ~masks[0]] == 0.0)
-        assert np.all(ctrl.v0[:, ~masks[2]] == 0.0)
+        full = ctrl.full(grid)
+        assert np.all(full.vu[:, ~masks[0]] == 0.0)
+        assert np.all(full.v0[:, ~masks[2]] == 0.0)
         # J sequence nonincreasing along CG
         assert all(b <= a + 1e-12 * abs(a)
                    for a, b in zip(rep.j_history, rep.j_history[1:]))
@@ -484,6 +487,7 @@ def test_cg_optimum_matches_dense_solve():
                                 0.1, bumps)
 
     def pack(c):
+        c = c.full(grid)
         return np.concatenate([c.vu[:, masks[0]].ravel(),
                                c.vv[:, masks[1]].ravel(),
                                c.v0[:, masks[2]].ravel()])
@@ -511,3 +515,74 @@ def test_cg_optimum_matches_dense_solve():
     z_cg, controls, iters, j_hist, _ = prob.solve()
     diff = np.abs(pack(z_cg) - z_dense).max()
     assert diff < 1e-8 * max(np.abs(z_dense).max(), 1.0)
+
+
+class TestControlLayout:
+    """Controls, CG vectors and adjoint stages are stored on the patch's
+    bounding box; full-grid fields appear only where they are needed."""
+
+    def test_box_is_the_support_of_the_bumps(self, grid16, bumps16):
+        for bump, b in zip(bumps16, control_box(bumps16)):
+            inside = np.zeros(bump.shape, dtype=bool)
+            inside[b] = True
+            assert not np.any(bump[~inside] > 0.0)
+            assert np.all(bump[b] > 0.0)
+
+    def test_full_puts_box_values_in_place_and_zeros_elsewhere(self, grid16, bumps16):
+        box = control_box(bumps16)
+        rng = np.random.default_rng(5)
+        c = ControlTrajectory.zeros(grid16, 8, box)
+        for part in c.parts:
+            part[:] = rng.standard_normal(part.shape)
+        full = c.full(grid16)
+        assert full.box == grid_box(grid16)
+        assert full.vu.shape == (8, grid16.nx + 1, grid16.ny)
+        assert full.vv.shape == (8, grid16.nx, grid16.ny + 1)
+        assert full.v0.shape == (8, grid16.nx, grid16.ny)
+        for whole, part, b in zip(full.parts, c.parts, box):
+            assert np.array_equal(whole[(slice(None),) + b], part)
+            outside = whole.copy()
+            outside[(slice(None),) + b] = 0.0
+            assert not outside.any()
+        back = full.on(box)
+        assert all(np.array_equal(a, b) for a, b in zip(back.parts, c.parts))
+
+    @pytest.mark.parametrize("where", ["patch", "whole-grid"])
+    def test_controlled_run_matches_full_grid_layout(self, grid16, tgrid64, bumps16,
+                                                     where):
+        from bousscontrol.forward import LinearPropagator
+        from conftest import full_grid_controlled_run, rand_cells, rand_div_free
+        rng = np.random.default_rng(6)
+        prop = LinearPropagator(grid16, tgrid64, NU0, bumps=bumps16)
+        if where == "patch":
+            c = masked_random_controls(grid16, tgrid64.nt, bumps16, rng)
+        else:
+            c = ControlTrajectory.zeros(grid16, tgrid64.nt)
+            for part in c.parts:
+                part[:] = rng.standard_normal(part.shape)
+        y0, th0 = rand_div_free(grid16, rng), rand_cells(grid16, rng)
+        got = prop.run(y0, th0, controls=c, store=False)
+        ref = full_grid_controlled_run(prop, y0, th0, c)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_hessian_apply_allocates_no_full_grid_control(self):
+        import tracemalloc
+        from bousscontrol.control import LinearControlProblem
+        from bousscontrol.geometry import ControlPatch, bump_on_solver_grids
+        from bousscontrol.grids import GridSpec
+        grid, tg = GridSpec(32, 32), TimeGrid(1.0, 64)
+        bumps = bump_on_solver_grids(grid, ControlPatch((0.5, 0.5), (0.2, 0.2)))
+        pen = PenaltySpec(epsilon=1e-6, weight_mode="unweighted")
+        prob = LinearControlProblem((grid.zeros_u(), grid.zeros_v()),
+                                    0.1 * sine_theta(grid), None, None, pen,
+                                    np.zeros(tg.nt), grid, tg, 0.05, bumps)
+        z = masked_random_controls(grid, tg.nt, bumps, np.random.default_rng(7))
+        prob.hessian_apply(z)   # warm-up: solver tables are built once
+        one_full_control = tg.nt * (grid.nx + 1) * grid.ny * 8
+        tracemalloc.start()
+        try:
+            prob.hessian_apply(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < one_full_control
