@@ -23,8 +23,7 @@ print(f"initial energy E(0) = 1e-4 (split between velocity and temperature)")
 for heating in (True, False):
     spec = SystemSpec(law=ViscosityLaw("l2", nu0=1.0, nu1=0.1), heating_on=heating)
     div = MaxDivergence(grid)
-    _, trace = run_nonlinear(y0, th0, None, spec, grid, tgrid, store=False,
-                             on_state=div)
+    _, trace = run_nonlinear(y0, th0, None, spec, grid, tgrid, on_state=div)
     label = "heating on " if heating else "heating off"
     print(f"\n[{label}]  E(T) = {trace.energy[-1]:.3e}   "
           f"Phi monotone: {trace.phi_monotone}   "
@@ -47,7 +46,7 @@ try:
     import matplotlib.pyplot as plt
 
     spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1), heating_on=True)
-    _, trace = run_nonlinear(y0, th0, None, spec, grid, tgrid, store=False)
+    _, trace = run_nonlinear(y0, th0, None, spec, grid, tgrid)
     fig, ax = plt.subplots(figsize=(6, 4))
     ax.semilogy(trace.t, trace.energy, label="E(t)")
     ax.semilogy(trace.t, trace.phi, "--", label="Phi(t)")

@@ -19,6 +19,7 @@ from bousscontrol import (ControlPatch, GridSpec, OuterLoopSpec, PenaltySpec,
                           build_eta0, eval_weights, find_min_m,
                           large_time_control, solve_nonlinear_control)
 from bousscontrol.forward import run_nonlinear, scaled_initial_data
+from bousscontrol.operators import state_norm_sq
 from bousscontrol.geometry import bump_on_solver_grids
 
 grid = GridSpec(32, 32)
@@ -43,7 +44,7 @@ y0, th0 = scaled_initial_data(grid, target_energy=1e-2)
 pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
 outer = OuterLoopSpec(max_outer=25, outer_tol=1e-6)
 
-controls, resim, _, rep = solve_nonlinear_control(
+controls, _, rep = solve_nonlinear_control(
     y0, th0, spec, pen, outer, weights_for(tgrid), grid, tgrid, bumps)
 print(f"outer iterations: {rep.outer_iters} (converged: {rep.converged})")
 print("update norms per iteration:",
@@ -52,7 +53,7 @@ print(f"re-simulated terminal norm: {rep.terminal_norm:.3e} "
       f"(uncontrolled: {rep.uncontrolled_terminal_norm:.3e})")
 
 check, _ = run_nonlinear(y0, th0, controls, spec, grid, tgrid, bumps=bumps)
-print(f"independent re-simulation agrees: {check.terminal_norm(grid):.3e}")
+print(f"independent re-simulation agrees: {state_norm_sq(*check, grid) ** 0.5:.3e}")
 
 print()
 print("=" * 72)
@@ -61,13 +62,13 @@ print("=" * 72)
 spec2 = SystemSpec(law=ViscosityLaw("l2", nu0=1.0, nu1=0.1), heating_on=True)
 y0b, th0b = scaled_initial_data(grid, target_energy=1e-2)
 delta = 1e-4
-_, composed, lrep = large_time_control(
+tail_tgrid = TimeGrid(0.75, 96)
+composed, lrep = large_time_control(
     y0b, th0b, delta, spec2,
     PenaltySpec(epsilon=1e-6, weight_mode="carleman", cg_tol=1e-6,
                 t_clip=0.75 - 2 * 0.75 / 96),
-    OuterLoopSpec(), weights_for, grid,
-    phase1_tgrid=TimeGrid(1.0, 256), tail_tgrid=TimeGrid(0.75, 96),
-    bumps=bumps)
+    OuterLoopSpec(), weights_for(tail_tgrid), grid,
+    phase1_tgrid=TimeGrid(1.0, 256), tail_tgrid=tail_tgrid, bumps=bumps)
 print(f"energy crossed delta={delta:.0e} at t = {lrep.crossing_time:.4f}")
 print(f"decay fit: C1 = {lrep.decay_c1:.2f}, C2 = {lrep.decay_c2:.3e}, "
       f"r^2 = {lrep.fit_r_squared:.5f}")

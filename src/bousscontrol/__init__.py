@@ -15,13 +15,12 @@ from .geometry import ControlPatch, build_eta0, cutoff_1omega
 from .operators import ViscosityLaw
 from .weights import WeightParams, WeightTables, check_weight_chain, \
     check_weight_gap, ell, eval_weights, find_min_m
-from .forward import (EnergyTrace, SystemSpec, Trajectory, run_linearized,
-                      run_nonlinear)
+from .forward import EnergyTrace, SystemSpec, run_nonlinear
 from .adjoint import AdjointTrajectory, duality_defect, run_adjoint
 from .control import (ControlTrajectory, OuterLoopSpec, PenaltySpec,
                       SynthesisReport, gradient, large_time_control, objective,
                       solve_linear_control, solve_nonlinear_control)
-from .diagnostics import DecayFit, decay_fit, t_star, weighted_norms
+from .diagnostics import DecayFit, NormSamples, decay_fit, t_star, weighted_norms
 from .mms import run_mms
 from .config import ExperimentConfig, parse_config
 from .runner import run_experiment
@@ -32,11 +31,10 @@ __all__ = [
     "GridSpec", "TimeGrid", "ControlPatch", "build_eta0", "cutoff_1omega",
     "ViscosityLaw", "WeightParams", "WeightTables", "check_weight_chain",
     "check_weight_gap", "ell", "eval_weights", "find_min_m",
-    "EnergyTrace", "SystemSpec", "Trajectory", "run_linearized",
-    "run_nonlinear", "AdjointTrajectory", "duality_defect",
-    "run_adjoint", "ControlTrajectory", "OuterLoopSpec", "PenaltySpec",
-    "SynthesisReport", "gradient", "large_time_control", "objective",
-    "solve_linear_control", "solve_nonlinear_control", "DecayFit", "decay_fit",
-    "t_star", "weighted_norms", "run_mms", "ExperimentConfig", "parse_config",
-    "run_experiment",
+    "EnergyTrace", "SystemSpec", "run_nonlinear", "AdjointTrajectory",
+    "duality_defect", "run_adjoint", "ControlTrajectory", "OuterLoopSpec",
+    "PenaltySpec", "SynthesisReport", "gradient", "large_time_control",
+    "objective", "solve_linear_control", "solve_nonlinear_control", "DecayFit",
+    "NormSamples", "decay_fit", "t_star", "weighted_norms", "run_mms",
+    "ExperimentConfig", "parse_config", "run_experiment",
 ]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
-from .forward import LinearPropagator, Trajectory
+from .forward import LinearPropagator
 from .geometry import grid_box
 
 
@@ -76,10 +76,9 @@ def run_adjoint(phi_t, psi_t, g1, g2, prop: LinearPropagator,
     return AdjointTrajectory(zeta_u, zeta_v, zeta_th, (lam_u, lam_v), lam_th)
 
 
-def _pair_state_adjoint(traj: Trajectory, k: int, phi, psi,
-                        grid: GridSpec) -> float:
-    return (ops.inner_velocity(traj.u[k], traj.v[k], phi[0], phi[1], grid)
-            + ops.inner_cells(traj.theta[k], psi, grid))
+def _pair_state_adjoint(u, v, th, phi, psi, grid: GridSpec) -> float:
+    return (ops.inner_velocity(u, v, phi[0], phi[1], grid)
+            + ops.inner_cells(th, psi, grid))
 
 
 def duality_defect(grid: GridSpec, tgrid: TimeGrid, nu0: float, bumps,
@@ -125,16 +124,23 @@ def duality_defect(grid: GridSpec, tgrid: TimeGrid, nu0: float, bumps,
           np.stack([rand_v() for _ in range(nt)]))
     g2 = np.stack([rand_c() for _ in range(nt)])
 
-    traj = prop.run(y0, th0, controls=controls, sources=sources)
     adj = run_adjoint(phi_t, psi_t, g1, g2, prop, whole)
+    # per level: <X^0, lam^0> at k = 0, <X^n, G^n> for n < nt, <X^nt, lam^nt>
+    start, pairs = [], []
 
-    lhs = _pair_state_adjoint(traj, nt, phi_t, psi_t, grid)
+    def pair(k, t, u, v, th):
+        if k == 0:
+            start.append(_pair_state_adjoint(u, v, th, adj.phi0, adj.psi0, grid))
+        pairs.append(_pair_state_adjoint(u, v, th, (g1[0][k], g1[1][k]), g2[k], grid)
+                     if k < nt else _pair_state_adjoint(u, v, th, phi_t, psi_t, grid))
+
+    prop.run(y0, th0, controls=controls, sources=sources, on_state=pair)
+    lhs = pairs[nt]
     for n in range(nt):
-        lhs += dt * (ops.inner_velocity(traj.u[n], traj.v[n], g1[0][n], g1[1][n], grid)
-                     + ops.inner_cells(traj.theta[n], g2[n], grid))
+        lhs += dt * pairs[n]
 
     bu, bv, bc = bumps
-    rhs = _pair_state_adjoint(traj, 0, adj.phi0, adj.psi0, grid)
+    rhs = start[0]
     for n in range(nt):
         fu = bu * controls.vu[n] + sources[0][n]
         fv = bv * controls.vv[n] + sources[1][n]

@@ -20,9 +20,9 @@ seed is the smallest eps.  All members therefore share the seed's Krylov space
 and are solved for the cost of the seed alone (Jegerlehner, hep-lat/9612014).
 
 Nonlinear problem: outer source-term fixed point.  At iterate k all nonlinear
-and nonlocal terms of the previous trajectory are frozen into (F1, F2) of the
-linear system and the linear control problem is re-solved; on convergence the
-control is validated by an independent nonlinear re-simulation.
+and nonlocal terms of the previous controlled run are frozen into (F1, F2) of
+the linear system and the linear control problem is re-solved; on convergence
+the control is validated by an independent nonlinear re-simulation.
 
 Large-time pipeline: free decay until the energy crosses delta, then the
 nonlinear synthesis on the remaining short horizon.
@@ -41,9 +41,9 @@ from .grids import GridSpec, TimeGrid
 from . import operators as ops
 from .adjoint import run_adjoint
 from .geometry import control_box, grid_box
-from .forward import (EnergyTrace, LinearPropagator, SystemSpec, Trajectory,
-                      chain_hooks, energy_components, explicit_terms,
-                      run_nonlinear, zero_padded_sources)
+from .forward import (EnergyTrace, LinearPropagator, SystemSpec, chain_hooks,
+                      energy_components, explicit_terms, run_nonlinear,
+                      zero_padded_sources)
 from .weights import WeightTables, control_weight_logs, default_t_clip
 
 
@@ -301,18 +301,12 @@ class LinearControlProblem:
         mu, mv, mc = self.box_masks
         return ControlTrajectory(z.vu * wi * mu, z.vv * wi * mv, z.v0 * wi * mc, self.box)
 
-    def _terminal_of(self, controls, with_sources: bool):
+    def _terminal_of(self, controls, with_sources: bool, on_state=None):
         src = self.sources if with_sources else None
         y0 = self.y0 if with_sources else (self.grid.zeros_u(), self.grid.zeros_v())
         th0 = self.th0 if with_sources else self.grid.zeros_cells()
         self.forward_sweeps += 1
-        u, v, th = self.prop.run(y0, th0, controls=controls, sources=src, store=False)
-        return u, v, th
-
-    def trajectory(self, controls: ControlTrajectory) -> Trajectory:
-        """The stored controlled trajectory from the problem's data."""
-        self.forward_sweeps += 1
-        return self.prop.run(self.y0, self.th0, controls=controls, sources=self.sources)
+        return self.prop.run(y0, th0, controls=controls, sources=src, on_state=on_state)
 
     def _bt_zeta(self, ut, vt, tht, weight_inv: bool = True) -> ControlTrajectory:
         """(1/eps) B^T L^T applied to a terminal state, optionally through W^-1."""
@@ -478,11 +472,13 @@ def gradient(controls: ControlTrajectory, y0, th0, f1, f2, pen: PenaltySpec,
 def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
                          weights: WeightTables | None, grid: GridSpec,
                          tgrid: TimeGrid, nu0: float, bumps, coupling=None,
-                         z0: ControlTrajectory | None = None, eps_sweep=()):
+                         z0: ControlTrajectory | None = None, eps_sweep=(),
+                         on_state=None):
     """Penalized HUM for the linear system.
 
-    Returns (controls, controlled trajectory, SynthesisReport); the report's
-    uncontrolled terminal norm comes from the same data with controls off.
+    Returns (controls, SynthesisReport); the report's uncontrolled terminal
+    norm comes from the same data with controls off, and ``on_state`` sees the
+    levels of the final controlled run.
     Every eps in ``eps_sweep`` is solved by the same multi-shift CG, and its
     report lands in ``report.sweep`` in the order given; a member equal to
     ``pen.epsilon`` is the main solve itself.  All these reports count the
@@ -493,9 +489,9 @@ def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
     prob = LinearControlProblem(y0, th0, f1, f2, pen, logw, grid, tgrid, nu0,
                                 bumps, coupling, eps_sweep=eps_sweep)
     z, controls, iters, j_hist, free_tnorm = prob.solve(z0=z0)
-    traj = prob.trajectory(controls)
+    final = prob._terminal_of(controls, True, on_state)
     report = SynthesisReport(
-        terminal_norm=traj.terminal_norm(grid),
+        terminal_norm=float(np.sqrt(ops.state_norm_sq(*final, grid))),
         control_energy_weighted=control_inner(z, z, grid, tgrid.dt),
         cg_iters=iters,
         outer_iters=1,
@@ -516,40 +512,46 @@ def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
                              control_energy_weighted=m.control_energy,
                              cg_iters=m.cg_iters, eps=eps, j_history=m.j_history)
         report.sweep.append(member)
-    return controls, traj, report
+    return controls, report
 
 
-def _frozen_sources(traj: Trajectory, spec: SystemSpec, grid: GridSpec, nt: int):
-    """Move all nonlinear/nonlocal terms of a trajectory into (F1, F2): the
-    nonlinear step's explicit terms, plus the excess (nu - nu0) of its
+def _frozen_sources(u, v, th, spec: SystemSpec, grid: GridSpec):
+    """All nonlinear/nonlocal terms of one state as sources (F1u, F1v, F2):
+    the nonlinear step's explicit terms, plus the excess (nu - nu0) of its
     diffusion over the linear system's."""
     nu0 = spec.law.nu0
-    f1u = np.zeros((nt, grid.nx + 1, grid.ny))
-    f1v = np.zeros((nt, grid.nx, grid.ny + 1))
-    f2 = np.zeros((nt, grid.nx, grid.ny))
-    for n in range(nt):
-        u, v, th = traj.u[n], traj.v[n], traj.theta[n]
-        nu, nu_th, au, av, adv_th, heat = explicit_terms(u, v, th, spec, grid)
-        f1u[n] = (nu - nu0) * ops.laplacian_u(u, grid) - au
-        f1v[n] = (nu - nu0) * ops.laplacian_v(v, grid) - av
-        f2[n] = (nu_th - nu0) * ops.laplacian_cells(th, grid) - adv_th
-        if heat is not None:
-            f2[n] += nu * heat
-    return (f1u, f1v), f2
+    nu, nu_th, au, av, adv_th, heat = explicit_terms(u, v, th, spec, grid)
+    f2 = (nu_th - nu0) * ops.laplacian_cells(th, grid) - adv_th
+    if heat is not None:
+        f2 += nu * heat
+    return ((nu - nu0) * ops.laplacian_u(u, grid) - au,
+            (nu - nu0) * ops.laplacian_v(v, grid) - av, f2)
+
+
+def _freezer(out: list, spec: SystemSpec, grid: GridSpec, nt: int):
+    """An ``on_state`` hook filling ``out`` with the (F1u, F1v, F2) arrays of
+    shape (nt, ...) whose level n < nt is ``_frozen_sources`` of level n; the
+    arrays are allocated when the run starts, not before."""
+    def hook(k, t, u, v, th):
+        if k == 0:
+            out[:] = [np.zeros((nt,) + a.shape) for a in (u, v, th)]
+        if k < nt:
+            out[0][k], out[1][k], out[2][k] = _frozen_sources(u, v, th, spec, grid)
+    return hook
 
 
 def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
                             outer: OuterLoopSpec, weights: WeightTables | None,
-                            grid: GridSpec, tgrid: TimeGrid, bumps):
+                            grid: GridSpec, tgrid: TimeGrid, bumps, on_state=None):
     """Source-term fixed point around the linear synthesis.
 
-    Each outer pass freezes the nonlinear terms of the previous controlled
-    trajectory into (F1, F2) and re-solves the linear control problem (warm
-    started).  On convergence the control is re-simulated through the full
-    nonlinear solver; that trajectory and its terminal norm are reported.
+    Each outer pass freezes the nonlinear terms of the previous pass's
+    controlled run, streamed from its final forward run, into (F1, F2) and
+    re-solves the linear control problem (warm started).  On convergence the
+    control is re-simulated through the full nonlinear solver, whose levels
+    ``on_state`` sees; its terminal norm is reported.
 
-    Returns (controls, re-simulated Trajectory, its EnergyTrace,
-    SynthesisReport).
+    Returns (controls, the re-simulation's EnergyTrace, SynthesisReport).
     """
     t0 = time.perf_counter()
     nu0 = spec.law.nu0
@@ -561,13 +563,13 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
     updates: list[float] = []
     cg_total = forward_sweeps = adjoint_sweeps = 0
     converged = False
-    traj = None
     n_outer = 0
     for k in range(1, outer.max_outer + 1):
         n_outer = k
-        controls, traj, rep = solve_linear_control(
+        frozen: list = []
+        controls, rep = solve_linear_control(
             y0, th0, f1, f2, pen, weights, grid, tgrid, nu0, bumps,
-            coupling=spec.buoyancy, z0=z_prev)
+            coupling=spec.buoyancy, z0=z_prev, on_state=_freezer(frozen, spec, grid, nt))
         z_prev = rep.z_state
         cg_total += rep.cg_iters
         forward_sweeps += rep.forward_sweeps
@@ -584,7 +586,7 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
             raise ConvergenceError(
                 "outer fixed point diverging over 3 consecutive iterations; "
                 "reduce the data norm or the damping factor", history=updates)
-        f1_new, f2_new = _frozen_sources(traj, spec, grid, nt)
+        f1_new, f2_new = tuple(frozen[:2]), frozen[2]
         if outer.damping < 1.0 and f1_prev is not None:
             d = outer.damping
             f1_new = ((1 - d) * f1_prev[0] + d * f1_new[0],
@@ -594,10 +596,10 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
         f1_prev, f2_prev = f1_new, f2_new
 
     resim, trace = run_nonlinear(y0, th0, controls_prev, spec, grid, tgrid,
-                                 bumps=bumps)
+                                 bumps=bumps, on_state=on_state)
     logw = step_weight_logs(pen, weights, tgrid)
     report = SynthesisReport(
-        terminal_norm=resim.terminal_norm(grid),
+        terminal_norm=float(np.sqrt(ops.state_norm_sq(*resim, grid))),
         control_energy_weighted=weighted_control_energy(controls_prev, logw,
                                                         grid, tgrid.dt),
         cg_iters=cg_total,
@@ -611,9 +613,9 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
         adjoint_sweeps=adjoint_sweeps,
         update_history=updates,
     )
-    free, _ = run_nonlinear(y0, th0, None, spec, grid, tgrid, store=False)
+    free, _ = run_nonlinear(y0, th0, None, spec, grid, tgrid)
     report.uncontrolled_terminal_norm = float(np.sqrt(ops.state_norm_sq(*free, grid)))
-    return controls_prev, resim, trace, report
+    return controls_prev, trace, report
 
 
 @dataclass
@@ -645,19 +647,23 @@ class LargeTimeReport:
 
 def large_time_control(y0, th0, delta: float, spec: SystemSpec,
                        pen: PenaltySpec, outer: OuterLoopSpec,
-                       weights_fn, grid: GridSpec, phase1_tgrid: TimeGrid,
-                       tail_tgrid: TimeGrid, bumps, on_state=None):
+                       weights: WeightTables | None, grid: GridSpec,
+                       phase1_tgrid: TimeGrid, tail_tgrid: TimeGrid, bumps,
+                       on_state=None):
     """Decay-then-control pipeline.
 
     Phase 1 integrates the uncontrolled system until the energy monitor E
     drops below ``delta`` and stops there (the fitted decay-law waiting time
-    is reported beside the crossing); ``on_state`` sees its levels.  Phase 2
-    runs the local nonlinear synthesis on the tail horizon from the crossing
-    state.  ``weights_fn(tail_tgrid)`` builds the weight tables for the tail
-    horizon.
+    is reported beside the crossing).  Phase 2 runs the local nonlinear
+    synthesis on the tail horizon from the crossing state, with ``weights``
+    evaluated on ``tail_tgrid``.
 
-    Returns (tail re-simulation Trajectory, EnergyTrace of phase 1 up to the
-    crossing followed by the tail, LargeTimeReport).
+    ``on_state`` sees the composed run: phase-1 levels 0..n1, then the tail
+    re-simulation's levels k as (n1 + k, crossing time + t), from k = 1 when
+    phase 1 ran (its level n1 is the tail's start) and from k = 0 otherwise.
+
+    Returns (EnergyTrace of phase 1 up to the crossing followed by the tail,
+    LargeTimeReport).
     """
     from .diagnostics import decay_fit, t_star
 
@@ -672,8 +678,8 @@ def large_time_control(y0, th0, delta: float, spec: SystemSpec,
         tail_y0, tail_th0 = y0, th0
     else:
         (uc, vc, tail_th0), trace1 = run_nonlinear(
-            y0, th0, None, spec, grid, phase1_tgrid, store=False,
-            on_state=chain_hooks(on_state, lambda k, u, v, th: sum(
+            y0, th0, None, spec, grid, phase1_tgrid,
+            on_state=chain_hooks(on_state, lambda k, t, u, v, th: sum(
                 energy_components(u, v, th, grid)) <= delta))
         energy = trace1.energy
         if energy[-1] > delta:
@@ -692,9 +698,13 @@ def large_time_control(y0, th0, delta: float, spec: SystemSpec,
         t_pred = t_star(fit, delta, float(energy[0]))
         tail_y0 = (uc, vc)
 
-    weights = weights_fn(tail_tgrid) if weights_fn is not None else None
-    controls, traj2, trace2, rep = solve_nonlinear_control(
-        tail_y0, tail_th0, spec, pen, outer, weights, grid, tail_tgrid, bumps)
+    def tail_hook(k, t, u, v, th):
+        if k > 0 or trace1 is None:
+            on_state(cross_idx + k, cross_time + t, u, v, th)
+
+    _, trace2, rep = solve_nonlinear_control(
+        tail_y0, tail_th0, spec, pen, outer, weights, grid, tail_tgrid, bumps,
+        on_state=None if on_state is None else tail_hook)
 
     trace = trace2
     if trace1 is not None:  # phase 1 up to the crossing, then the tail after it
@@ -705,9 +715,9 @@ def large_time_control(y0, th0, delta: float, spec: SystemSpec,
         crossing_time=cross_time,
         t_star_predicted=t_pred,
         decay_c1=fit_c1, decay_c2=fit_c2, fit_r_squared=r2,
-        final_norm=traj2.terminal_norm(grid),
+        final_norm=rep.terminal_norm,
         delta=delta,
         phase1_steps=cross_idx,
         synthesis=rep,
     )
-    return traj2, trace, report
+    return trace, report

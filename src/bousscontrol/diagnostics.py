@@ -23,7 +23,7 @@ from .exceptions import DomainError
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
 from .control import ControlTrajectory, scatter
-from .forward import EnergyTrace, Trajectory
+from .forward import EnergyTrace
 from .weights import (WeightTables, control_weight_logs, default_t_clip,
                       time_derivative)
 
@@ -72,40 +72,52 @@ class WeightedNormReport:
         return [f"log10_{k} = {v:.17g}" for k, v in out]
 
 
-def weighted_norms(traj: Trajectory, controls: ControlTrajectory | None,
+class NormSamples:
+    """An ``on_state`` hook recording, node by node, the squared norms that
+    ``weighted_norms`` sums over a run of ``tgrid``: at each level n < nt the
+    state, |y|^2, |grad y|^2 and the Laplacian parts; from levels n and n + 1
+    the forward time differences of node n (it keeps the previous level)."""
+
+    def __init__(self, grid: GridSpec, tgrid: TimeGrid):
+        self.grid, self.tgrid = grid, tgrid
+        (self.state_sq, self.y_sq, self.grad_y_sq, self.lap_y_sq, self.yt_dy_sq,
+         self.th_t_l32, self.lap_th_l32) = (np.zeros(tgrid.nt) for _ in range(7))
+        self._prev = None
+
+    def __call__(self, k, t, u, v, th):
+        grid, nt, dt = self.grid, self.tgrid.nt, self.tgrid.dt
+        if k > 0:
+            n, (pu, pv, pth) = k - 1, self._prev
+            ut = (u - pu) / dt
+            vt = (v - pv) / dt
+            self.yt_dy_sq[n] = ops.norm_velocity(ut, vt, grid) ** 2 + self.lap_y_sq[n]
+            tht = (th - pth) / dt
+            self.th_t_l32[n] = ops.lp_norm_cells(tht, 1.5, grid) ** 2
+        if k < nt:
+            self.state_sq[k] = ops.state_norm_sq(u, v, th, grid)
+            self.y_sq[k] = ops.norm_velocity(u, v, grid) ** 2
+            self.grad_y_sq[k] = ops.h1_seminorm_sq_velocity(u, v, grid)
+            lu = ops.laplacian_u(u, grid)
+            lv = ops.laplacian_v(v, grid)
+            self.lap_y_sq[k] = ops.norm_velocity(lu, lv, grid) ** 2
+            self.lap_th_l32[k] = ops.lp_norm_cells(ops.laplacian_cells(th, grid),
+                                                   1.5, grid) ** 2
+        self._prev = (u, v, th)
+
+
+def weighted_norms(samples: NormSamples, controls: ControlTrajectory | None,
                    tables: WeightTables, grid: GridSpec, tgrid: TimeGrid,
                    t_clip: float | None = None) -> WeightedNormReport:
-    """log10 of the weighted state/control norms of the a-priori estimates.
+    """log10 of the weighted state/control norms of the a-priori estimates,
+    from the per-node ``samples`` of the state run.
 
     The rho2-weighted control energy uses the synthesis weight convention
     (t_clip-frozen, normalized), so it matches the energy reported by the
     linear solve when the same t_clip is passed.  Sups, like the time
     integrals, run over the nodes t_n < T.
     """
-    nt, dt = tgrid.nt, tgrid.dt
+    dt = tgrid.dt
     lw1, lmu1, lmu2 = (normalized_node_logs(tables, n) for n in ("rho1", "mu1", "mu2"))
-
-    state_sq = np.array([ops.state_norm_sq(traj.u[n], traj.v[n], traj.theta[n], grid)
-                         for n in range(nt)])
-    y_sq = np.array([ops.norm_velocity(traj.u[n], traj.v[n], grid) ** 2
-                     for n in range(nt)])
-    grad_y_sq = np.array([ops.h1_seminorm_sq_velocity(traj.u[n], traj.v[n], grid)
-                          for n in range(nt)])
-
-    yt_dy_sq = np.zeros(nt)
-    th_t_l32 = np.zeros(nt)
-    lap_th_l32 = np.zeros(nt)
-    for n in range(nt):
-        ut = (traj.u[n + 1] - traj.u[n]) / dt
-        vt = (traj.v[n + 1] - traj.v[n]) / dt
-        lu = ops.laplacian_u(traj.u[n], grid)
-        lv = ops.laplacian_v(traj.v[n], grid)
-        yt_dy_sq[n] = (ops.norm_velocity(ut, vt, grid) ** 2
-                       + ops.norm_velocity(lu, lv, grid) ** 2)
-        tht = (traj.theta[n + 1] - traj.theta[n]) / dt
-        th_t_l32[n] = ops.lp_norm_cells(tht, 1.5, grid) ** 2
-        lap_th_l32[n] = ops.lp_norm_cells(ops.laplacian_cells(traj.theta[n], grid),
-                                          1.5, grid) ** 2
 
     rho2_controls = -np.inf
     kappa_norms = {}
@@ -117,14 +129,14 @@ def weighted_norms(traj: Trajectory, controls: ControlTrajectory | None,
                                                 t_clip=t_clip)
 
     return WeightedNormReport(
-        iint_rho1_sq_state=_log10_sum(lw1, state_sq, dt),
+        iint_rho1_sq_state=_log10_sum(lw1, samples.state_sq, dt),
         iint_rho2_sq_controls=rho2_controls,
-        sup_mu1_y=_log10_sup(lmu1, y_sq),
-        iint_mu1_grad_y=_log10_sum(lmu1, grad_y_sq, dt),
-        sup_mu2_grad_y=_log10_sup(lmu2, grad_y_sq),
-        iint_mu2_yt_dy=_log10_sum(lmu2, yt_dy_sq, dt),
-        mu2_theta_t_L32=_log10_sum(lmu2, th_t_l32, dt),
-        mu2_lap_theta_L32=_log10_sum(lmu2, lap_th_l32, dt),
+        sup_mu1_y=_log10_sup(lmu1, samples.y_sq),
+        iint_mu1_grad_y=_log10_sum(lmu1, samples.grad_y_sq, dt),
+        sup_mu2_grad_y=_log10_sup(lmu2, samples.grad_y_sq),
+        iint_mu2_yt_dy=_log10_sum(lmu2, samples.yt_dy_sq, dt),
+        mu2_theta_t_L32=_log10_sum(lmu2, samples.th_t_l32, dt),
+        mu2_lap_theta_L32=_log10_sum(lmu2, samples.lap_th_l32, dt),
         kappa_control_norms=kappa_norms,
     )
 

@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from .exceptions import ShapeError
-from .forward import EnergyTrace, Trajectory
+from .forward import EnergyTrace
 
 _MAGIC = "BCFIELD1"
 
@@ -43,27 +43,18 @@ def load_field(path):
 
 class StateWriter:
     """An ``on_state`` hook streaming each level to disk as it is produced:
-    ``state_{u,v,theta}_{first + k:05d}.fld`` at time ``times[k]``, listed in ``paths``."""
+    ``state_{u,v,theta}_{k:05d}.fld`` at time ``t``, listed in ``paths``."""
 
-    def __init__(self, outdir, times, first: int = 0):
+    def __init__(self, outdir):
         os.makedirs(outdir, exist_ok=True)
-        self.outdir, self.times, self.first = outdir, times, first
+        self.outdir = outdir
         self.paths: list = []
 
-    def __call__(self, k, u, v, th):
+    def __call__(self, k, t, u, v, th):
         for name, arr in (("u", u), ("v", v), ("theta", th)):
-            p = os.path.join(self.outdir, f"state_{name}_{self.first + k:05d}.fld")
-            dump_field(p, arr, f"state:{name}", float(self.times[k]))
+            p = os.path.join(self.outdir, f"state_{name}_{k:05d}.fld")
+            dump_field(p, arr, f"state:{name}", float(t))
             self.paths.append(p)
-
-
-def dump_trajectory(outdir, traj: Trajectory, every: int = 1) -> list:
-    """Every ``every``-th stored level through a StateWriter; returns the
-    written paths."""
-    writer = StateWriter(outdir, traj.t)
-    for k in range(0, len(traj.t), every):
-        writer(k, traj.u[k], traj.v[k], traj.theta[k])
-    return writer.paths
 
 
 def energy_trace_csv(path, trace: EnergyTrace, preamble: str = "") -> None:

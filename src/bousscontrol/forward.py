@@ -60,20 +60,6 @@ class SystemSpec:
 
 
 @dataclass
-class Trajectory:
-    """The state (y, theta) at every stored time node."""
-
-    t: np.ndarray
-    u: np.ndarray        # (nt+1, nx+1, ny)
-    v: np.ndarray        # (nt+1, nx, ny+1)
-    theta: np.ndarray    # (nt+1, nx, ny)
-
-    def terminal_norm(self, grid: GridSpec) -> float:
-        return float(np.sqrt(ops.state_norm_sq(self.u[-1], self.v[-1],
-                                               self.theta[-1], grid)))
-
-
-@dataclass
 class EnergyTrace:
     """E = |grad y|^2 + |theta|^2 + |grad theta|^2 and the Lyapunov monitor
     Phi = lam1 |grad y|^2 + |theta|^2 + |grad theta|^2."""
@@ -123,8 +109,9 @@ def _energy_trace(t, comps, grid: GridSpec, smallness_ok: bool = True) -> Energy
                        lam1=first_dirichlet_eigenvalue(grid), smallness_ok=smallness_ok)
 
 
-def trace_from_trajectory(traj: Trajectory, grid: GridSpec) -> EnergyTrace:
-    """The energy trace of a stored trajectory, node by node."""
+def trace_from_trajectory(traj, grid: GridSpec) -> EnergyTrace:
+    """The energy trace of levels held in ``traj.t``, ``.u``, ``.v`` and
+    ``.theta`` (for instance recorded by an ``on_state`` hook), node by node."""
     return _energy_trace(traj.t, [energy_components(*level, grid) for level in
                                   zip(traj.u, traj.v, traj.theta)], grid)
 
@@ -177,17 +164,16 @@ def implicit_stage(sp: SpectralSolver, dt: float, ru, rv, rhs_th, c_vel: float,
     return u2, v2, th1
 
 
-def _march(prop, y0, th0, controls, source_at, store: bool, on_state):
+def _march(prop, y0, th0, controls, source_at, on_state):
     """The time loop both propagators share: project y0, then step nt times.
 
-    Each level k = 0..nt is stored when ``store`` and handed to
-    ``on_state(k, u, v, th)``; a true return from ``on_state`` ends the run
-    at that level.  Returns the Trajectory of the levels reached when
-    ``store``, else the last state (u, v, theta).
+    Each level k = 0..nt is handed to ``on_state(k, t, u, v, th)`` with
+    t = tgrid.nodes()[k]; a true return ends the run at that level.  Nothing
+    is stored: returns the last state (u, v, theta).
     """
     u, v, _ = prop.sp.project(y0[0], y0[1])
     th = th0.copy()
-    levels = [np.zeros((prop.tgrid.nt + 1,) + a.shape) for a in (u, v, th)] if store else None
+    times = prop.tgrid.nodes()
     for k in range(prop.tgrid.nt + 1):
         if k > 0:
             ctrl = None if controls is None else (
@@ -195,13 +181,9 @@ def _march(prop, y0, th0, controls, source_at, store: bool, on_state):
             u, v, th = prop.step(u, v, th, ctrl,
                                  None if source_at is None else source_at(k - 1),
                                  None if controls is None else controls.box)
-        if store:
-            levels[0][k], levels[1][k], levels[2][k] = u, v, th
-        if on_state is not None and on_state(k, u, v, th):
+        if on_state is not None and on_state(k, times[k], u, v, th):
             break
-    if not store:
-        return u, v, th
-    return Trajectory(prop.tgrid.nodes()[:k + 1], *(a[:k + 1] for a in levels))
+    return u, v, th
 
 
 def _energy_hook(grid: GridSpec, comps: list, on_state, blowup_check: bool):
@@ -211,7 +193,7 @@ def _energy_hook(grid: GridSpec, comps: list, on_state, blowup_check: bool):
     _BLOWUP_FACTOR times the first nonzero, with a message for each."""
     e_ref = 0.0
 
-    def hook(k, u, v, th):
+    def hook(k, t, u, v, th):
         nonlocal e_ref
         comps.append(energy_components(u, v, th, grid))
         if blowup_check:
@@ -221,7 +203,7 @@ def _energy_hook(grid: GridSpec, comps: list, on_state, blowup_check: bool):
             e_ref = e_ref or ek
             if e_ref > 0.0 and ek > _BLOWUP_FACTOR * e_ref:
                 raise DivergenceError(f"energy blow-up at step {k}", step=k)
-        return on_state is not None and on_state(k, u, v, th)
+        return on_state is not None and on_state(k, t, u, v, th)
 
     return hook
 
@@ -238,7 +220,7 @@ class MaxDivergence:
     def __init__(self, grid: GridSpec):
         self.grid, self.value = grid, 0.0
 
-    def __call__(self, k, u, v, th):
+    def __call__(self, k, t, u, v, th):
         if k > 0:
             self.value = max(self.value, float(np.max(np.abs(ops.div(u, v, self.grid)))))
 
@@ -270,12 +252,11 @@ class NonlinearPropagator:
         return implicit_stage(self.sp, dt, ru, rv, rhs_th, dt * nu, dt * nu_th,
                               control, self.bumps, forcing, box)
 
-    def run(self, y0, th0, controls=None, forcing=None, store=True, on_state=None):
+    def run(self, y0, th0, controls=None, forcing=None, on_state=None):
         """March nt steps (see ``_march``); ``forcing(k)`` gives step k's
-        sources.  Returns (Trajectory or last state, EnergyTrace of the
-        levels reached)."""
+        sources.  Returns (last state, EnergyTrace of the levels reached)."""
         comps: list = []
-        out = _march(self, y0, th0, controls, forcing, store,
+        out = _march(self, y0, th0, controls, forcing,
                      _energy_hook(self.grid, comps, on_state, blowup_check=True))
         small_ok = sum(comps[0]) <= self.spec.phi_smallness_factor * self.spec.law.nu0 ** 2
         return out, _energy_trace(self.tgrid.nodes()[:len(comps)], comps, self.grid,
@@ -327,44 +308,34 @@ class LinearPropagator:
         lth = zth + dt * self.coupling * ops.vfaces_to_cells(zv, self.grid)
         return zu, zv, zth, lth
 
-    def run(self, y0, th0, controls=None, sources=None, store=True, on_state=None):
+    def run(self, y0, th0, controls=None, sources=None, on_state=None):
         """March nt steps (see ``_march``); ``sources`` holds (F1u, F1v, F2)
-        per step.  Returns the Trajectory, or the last state if not ``store``."""
+        per step.  Returns the last state."""
         src = None if sources is None else (
             lambda k: (sources[0][k], sources[1][k], sources[2][k]))
-        return _march(self, y0, th0, controls, src, store, on_state)
+        return _march(self, y0, th0, controls, src, on_state)
 
 
 def run_nonlinear(y0, th0, controls, spec: SystemSpec, grid: GridSpec,
-                  tgrid: TimeGrid, bumps=None, forcing=None, store=True,
-                  on_state=None):
+                  tgrid: TimeGrid, bumps=None, forcing=None, on_state=None):
     """Integrate the configured system: full dynamics, or the linearized mode
     (constant diffusion, no convection/heating) when spec.mode says so.
 
-    Returns (Trajectory, or the last state (u, v, theta) when not ``store``,
-    EnergyTrace); ``on_state`` is the propagators' hook (see ``_march``).
+    Returns (the last state (u, v, theta), EnergyTrace); ``on_state`` is the
+    propagators' hook (see ``_march``).
     """
     if spec.mode == "linearized":
         if forcing is not None:
             raise DomainError("forcing is nonlinear-mode only; "
-                              "use run_linearized for sourced linear runs")
+                              "use LinearPropagator.run for sourced linear runs")
         prop = LinearPropagator(grid, tgrid, spec.law.nu0, bumps=bumps,
                                 coupling=spec.buoyancy)
         comps: list = []
-        out = prop.run(y0, th0, controls=controls, store=store,
+        out = prop.run(y0, th0, controls=controls,
                        on_state=_energy_hook(grid, comps, on_state, blowup_check=False))
         return out, _energy_trace(tgrid.nodes()[:len(comps)], comps, grid)
     prop = NonlinearPropagator(grid, tgrid, spec, bumps=bumps)
-    return prop.run(y0, th0, controls=controls, forcing=forcing, store=store,
-                    on_state=on_state)
-
-
-def run_linearized(y0, th0, controls, f1, f2, nu0: float, grid: GridSpec,
-                   tgrid: TimeGrid, bumps=None, coupling=None) -> Trajectory:
-    """Integrate the linear system with sources F1 = (f1u, f1v), F2."""
-    prop = LinearPropagator(grid, tgrid, nu0, bumps=bumps, coupling=coupling)
-    return prop.run(y0, th0, controls=controls,
-                    sources=zero_padded_sources(f1, f2, grid, tgrid.nt))
+    return prop.run(y0, th0, controls=controls, forcing=forcing, on_state=on_state)
 
 
 def zero_padded_sources(f1, f2, grid: GridSpec, nt: int):

@@ -176,7 +176,7 @@ def run_mms(spec: SystemSpec, grid_sizes=(16, 32, 64), t_final: float = 0.25,
 
         acc = {"v": 0.0, "t": 0.0}
 
-        def on_state(k, u, v, th, _g=grid, _t=tgrid):
+        def on_state(k, t, u, v, th, _g=grid, _t=tgrid):
             tk = k * _t.dt
             ue, ve = mms.sample_velocity(_g, tk)
             te = mms.sample_theta(_g, tk)
@@ -185,7 +185,7 @@ def run_mms(spec: SystemSpec, grid_sizes=(16, 32, 64), t_final: float = 0.25,
             acc["t"] += wgt * ops.norm_cells(th - te, _g) ** 2
 
         run_nonlinear(y0, th0, None, spec, grid, tgrid, forcing=forcing,
-                      store=False, on_state=on_state)
+                      on_state=on_state)
         errs_v.append(float(np.sqrt(acc["v"])))
         errs_t.append(float(np.sqrt(acc["t"])))
         errs.append(float(np.sqrt(acc["v"] + acc["t"])))

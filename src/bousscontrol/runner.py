@@ -22,8 +22,8 @@ from .adjoint import duality_defect
 from .control import (ControlTrajectory, PenaltySpec, control_inner,
                       gradient, large_time_control, objective,
                       solve_linear_control, solve_nonlinear_control)
-from .diagnostics import decay_fit, emit_report, t_star, weighted_norms
-from .fieldio import StateWriter, dump_field, dump_trajectory, energy_trace_csv
+from .diagnostics import NormSamples, decay_fit, emit_report, t_star, weighted_norms
+from .fieldio import StateWriter, dump_field, energy_trace_csv
 from .forward import (EnergyTrace, MaxDivergence, SystemSpec, chain_hooks,
                       run_nonlinear, scaled_initial_data, sine_theta,
                       stream_velocity)
@@ -46,9 +46,9 @@ def _write_energy_csv(path, trace: EnergyTrace, config_hash: str) -> None:
     energy_trace_csv(path, trace, preamble=f"# config_hash = {config_hash}\n")
 
 
-def _state_writer(cfg: ExperimentConfig, out_dir: str, times):
+def _state_writer(cfg: ExperimentConfig, out_dir: str):
     """The ``--dump-fields`` hook streaming levels to ``out_dir/fields``, or None."""
-    return StateWriter(os.path.join(out_dir, "fields"), times) if cfg.dump_fields else None
+    return StateWriter(os.path.join(out_dir, "fields")) if cfg.dump_fields else None
 
 
 def _tables_for(cfg: ExperimentConfig):
@@ -99,8 +99,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
 def _run_simulate(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     div = MaxDivergence(cfg.grid)
     final, trace = run_nonlinear(
-        y0, th0, None, cfg.system, cfg.grid, cfg.tgrid, store=False,
-        on_state=chain_hooks(div, _state_writer(cfg, out_dir, cfg.tgrid.nodes())))
+        y0, th0, None, cfg.system, cfg.grid, cfg.tgrid,
+        on_state=chain_hooks(div, _state_writer(cfg, out_dir)))
     _write_energy_csv(os.path.join(out_dir, "energy.csv"), trace, chash)
     lines = [
         f"final_norm = {float(np.sqrt(ops.state_norm_sq(*final, cfg.grid))):.17g}",
@@ -117,8 +117,7 @@ def _run_simulate(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
 
 def _run_decay(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     _, trace = run_nonlinear(y0, th0, None, cfg.system, cfg.grid, cfg.tgrid,
-                             store=False,
-                             on_state=_state_writer(cfg, out_dir, cfg.tgrid.nodes()))
+                             on_state=_state_writer(cfg, out_dir))
     _write_energy_csv(os.path.join(out_dir, "energy.csv"), trace, chash)
     t_final = cfg.tgrid.t_final
     fit = decay_fit(trace, (cfg.decay_fit_lo_frac * t_final,
@@ -138,17 +137,23 @@ def _run_decay(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     return 0
 
 
-def _synthesis_artifacts(cfg, out_dir, name, controls, traj, rep, tables,
+def _final_run_hooks(cfg, out_dir, tables):
+    """The hooks a synthesis chains onto its final run: the weighted-norm
+    samples (None without weight tables) and the ``--dump-fields`` writer."""
+    samples = NormSamples(cfg.grid, cfg.tgrid) if tables is not None else None
+    return samples, chain_hooks(samples, _state_writer(cfg, out_dir))
+
+
+def _synthesis_artifacts(cfg, out_dir, name, controls, samples, rep, tables,
                          chash, ghash):
     sections = {name: rep.lines()}
     if tables is not None:
-        norms = weighted_norms(traj, controls, tables, cfg.grid, cfg.tgrid,
+        norms = weighted_norms(samples, controls, tables, cfg.grid, cfg.tgrid,
                                t_clip=cfg.pen.t_clip)
         sections["weighted_norms"] = norms.lines()
     emit_report(os.path.join(out_dir, "report.txt"), sections,
                 config_hash=chash, grid_hash=ghash)
     if cfg.dump_fields:
-        dump_trajectory(os.path.join(out_dir, "fields"), traj)
         ctrl_dir = os.path.join(out_dir, "controls")
         os.makedirs(ctrl_dir, exist_ok=True)
         full = controls.full(cfg.grid)
@@ -162,9 +167,10 @@ def _run_linear_control(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     if tables is not None:
         export_weight_csv(tables, os.path.join(out_dir, "weights.csv"))
     nu0 = cfg.system.law.nu0
-    controls, traj, rep = solve_linear_control(
+    samples, hooks = _final_run_hooks(cfg, out_dir, tables)
+    controls, rep = solve_linear_control(
         y0, th0, None, None, cfg.pen, tables, cfg.grid, cfg.tgrid, nu0, bumps,
-        coupling=cfg.system.buoyancy, eps_sweep=cfg.eps_sweep)
+        coupling=cfg.system.buoyancy, eps_sweep=cfg.eps_sweep, on_state=hooks)
     rep.extra["terminal_over_uncontrolled"] = (
         rep.terminal_norm / rep.uncontrolled_terminal_norm
         if rep.uncontrolled_terminal_norm > 0 else 0.0)
@@ -173,17 +179,18 @@ def _run_linear_control(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
                     {"linear_control": rep_i.lines()},
                     config_hash=chash, grid_hash=ghash)
         rep.extra[f"sweep_terminal_{i}"] = rep_i.terminal_norm
-    _synthesis_artifacts(cfg, out_dir, "linear_control", controls, traj, rep,
+    _synthesis_artifacts(cfg, out_dir, "linear_control", controls, samples, rep,
                          tables, chash, ghash)
     return 0
 
 
 def _run_nonlinear_control(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
-    controls, traj, trace, rep = solve_nonlinear_control(
+    samples, hooks = _final_run_hooks(cfg, out_dir, tables)
+    controls, trace, rep = solve_nonlinear_control(
         y0, th0, cfg.system, cfg.pen, cfg.outer, tables, cfg.grid, cfg.tgrid,
-        bumps)
+        bumps, on_state=hooks)
     _write_energy_csv(os.path.join(out_dir, "energy.csv"), trace, chash)
-    _synthesis_artifacts(cfg, out_dir, "nonlinear_control", controls, traj,
+    _synthesis_artifacts(cfg, out_dir, "nonlinear_control", controls, samples,
                          rep, tables, chash, ghash)
     return 0 if rep.converged else 3
 
@@ -192,18 +199,12 @@ def _run_large_time(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     tail = cfg.lt_tail
     pen = replace(cfg.pen, t_clip=min(default_t_clip(cfg.pen.t_clip, tail),
                                       default_t_clip(None, tail)))
-    writer = _state_writer(cfg, out_dir, cfg.lt_phase1.nodes())
-    resim, trace, rep = large_time_control(
-        y0, th0, cfg.lt_delta, cfg.system, pen, cfg.outer, lambda _tail: tables,
-        cfg.grid, cfg.lt_phase1, tail, bumps, on_state=writer)
+    trace, rep = large_time_control(
+        y0, th0, cfg.lt_delta, cfg.system, pen, cfg.outer, tables, cfg.grid,
+        cfg.lt_phase1, tail, bumps, on_state=_state_writer(cfg, out_dir))
     _write_energy_csv(os.path.join(out_dir, "energy.csv"), trace, chash)
     emit_report(os.path.join(out_dir, "report.txt"),
                 {"large_time": rep.lines()}, config_hash=chash, grid_hash=ghash)
-    if writer is not None:  # the tail goes on from the crossing level phase 1 wrote
-        n1 = rep.phase1_steps
-        tail_writer = StateWriter(writer.outdir, trace.t[n1:], first=n1)
-        for k in range(1 if n1 else 0, len(resim.t)):
-            tail_writer(k, resim.u[k], resim.v[k], resim.theta[k])
     return 0 if rep.synthesis.converged else 3
 
 
@@ -246,7 +247,7 @@ def _run_verify(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
 
     mrep = run_mms(cfg.system if cfg.system.mode == "nonlinear" else SystemSpec(),
                    grid_sizes=(16, 32), t_final=0.25, nt=16)
-    ok = 1.5 <= mrep.order <= 2.5
+    ok = 1.7 <= mrep.order <= 2.3
     checks.append(("mms_order", ok, f"{mrep.order:.3f}"))
 
     margin = check_weight_gap(cfg.wparams)

@@ -5,11 +5,11 @@ import pytest
 
 from bousscontrol import operators as ops
 from bousscontrol.adjoint import duality_defect, run_adjoint
-from bousscontrol.forward import LinearPropagator, run_linearized, sine_theta
+from bousscontrol.forward import LinearPropagator, sine_theta
 from bousscontrol.geometry import bump_on_solver_grids
 from bousscontrol.grids import GridSpec, TimeGrid
 
-from conftest import rand_cells, rand_div_free
+from conftest import rand_cells, rand_div_free, run_linearized
 
 
 class TestDuality:

@@ -14,6 +14,8 @@ from bousscontrol.operators import ViscosityLaw
 from bousscontrol.runner import compare_artifact_dirs, run_experiment
 from bousscontrol.weights import WeightParams
 
+from conftest import Recorder, run_linearized
+
 MINIMAL = """
 kind = decay
 grid.nx = 16
@@ -317,6 +319,17 @@ class TestVerifyKind:
                       "weight_gap_margin", "weight_chain_finite", "determinism"):
             assert check in report
 
+    @pytest.mark.parametrize("order", [1.6, 2.4])
+    def test_mms_order_outside_the_invariant_fails(self, tmp_path, monkeypatch, order):
+        # the MMS invariant is an order in [1.7, 2.3]
+        from types import SimpleNamespace
+        from bousscontrol import runner
+        monkeypatch.setattr(runner, "run_mms", lambda *a, **kw: SimpleNamespace(order=order))
+        cfg = parse_config_text(MINIMAL).with_kind("verify")
+        assert run_experiment(cfg, str(tmp_path / "out")) == 4
+        report = (tmp_path / "out" / "verify_report.txt").read_text()
+        assert f"mms_order = FAIL ({order:.3f})" in report
+
 
 class TestMoreRunnerKinds:
     def test_simulate_linearized_mode(self, tmp_path):
@@ -328,15 +341,22 @@ class TestMoreRunnerKinds:
         assert (tmp_path / "out" / "energy.csv").exists()
 
     def test_trajectory_dump_roundtrip(self, tmp_path):
-        from bousscontrol.fieldio import dump_trajectory, load_field
+        from bousscontrol.fieldio import StateWriter, load_field
         from bousscontrol.forward import SystemSpec, run_nonlinear, scaled_initial_data
         from bousscontrol.grids import GridSpec, TimeGrid
         from bousscontrol.operators import ViscosityLaw
         grid = GridSpec(16, 16)
         spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1))
         y0, th0 = scaled_initial_data(grid, 1e-4)
-        traj, _ = run_nonlinear(y0, th0, None, spec, grid, TimeGrid(1.0, 16))
-        paths = dump_trajectory(str(tmp_path / "fields"), traj, every=8)
+        traj, writer = Recorder(), StateWriter(str(tmp_path / "fields"))
+
+        def every_8th(k, *level):
+            traj(k, *level)
+            if k % 8 == 0:
+                writer(k, *level)
+
+        run_nonlinear(y0, th0, None, spec, grid, TimeGrid(1.0, 16), on_state=every_8th)
+        paths = writer.paths
         assert len(paths) == 3 * 3  # nodes 0, 8, 16, three fields each
         arr, meta = load_field(paths[0])
         assert np.array_equal(arr, traj.u[0])
@@ -404,10 +424,39 @@ class TestStreamedRuns:
         assert rc == 0
         assert peak < one_history
 
+    def test_synthesis_holds_no_time_history_beyond_the_cg(self, tmp_path, monkeypatch):
+        # the run's traced peak is the CG's, plus at most one (nt+1)-level
+        # u-face history: the final run streams into the weighted norms
+        import tracemalloc
+        from bousscontrol.control import LinearControlProblem
+        text = MINIMAL.replace("kind = decay", "kind = linear-control").replace(
+            "grid.nx = 16", "grid.nx = 32").replace("grid.ny = 16", "grid.ny = 32").replace(
+            "time.nt = 64", "time.nt = 256")
+        cfg = parse_config_text(text + "system.mode = linearized\n"
+                                "penalty.eps = 1e-4\npenalty.cg_tol = 1e-6\n")
+        one_history = (cfg.tgrid.nt + 1) * (cfg.grid.nx + 1) * cfg.grid.ny * 8
+        solve, cg_peak = LinearControlProblem.solve, []
+
+        def traced_solve(self, *args, **kwargs):
+            tracemalloc.reset_peak()
+            try:
+                return solve(self, *args, **kwargs)
+            finally:
+                cg_peak.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(LinearControlProblem, "solve", traced_solve)
+        tracemalloc.start()
+        try:
+            rc = run_experiment(cfg, str(tmp_path / "out"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and len(cg_peak) == 1
+        assert peak < cg_peak[0] + one_history
+
     @pytest.mark.parametrize("kind", ["decay", "simulate"])
     def test_linearized_run_matches_stored_trajectory(self, tmp_path, kind):
-        from bousscontrol.forward import (run_linearized, scaled_initial_data,
-                                          trace_from_trajectory)
+        from bousscontrol.forward import scaled_initial_data, trace_from_trajectory
         from bousscontrol.operators import div
         cfg = parse_config_text(MINIMAL + "system.mode = linearized\n").with_kind(kind)
         assert run_experiment(cfg, str(tmp_path / "out")) == 0
@@ -448,7 +497,8 @@ class TestStreamedRuns:
         cfg = parse_config_text(MINIMAL + "dump_fields = true\n")
         assert run_experiment(cfg, str(tmp_path / "out")) == 0
         y0, th0 = scaled_initial_data(cfg.grid, cfg.init_target_energy)
-        traj, _ = run_nonlinear(y0, th0, None, cfg.system, cfg.grid, cfg.tgrid)
+        traj = Recorder()
+        run_nonlinear(y0, th0, None, cfg.system, cfg.grid, cfg.tgrid, on_state=traj)
         fields = tmp_path / "out" / "fields"
         assert len(list(fields.iterdir())) == 3 * (cfg.tgrid.nt + 1)
         for k in range(cfg.tgrid.nt + 1):

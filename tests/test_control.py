@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 
 from bousscontrol.control import (ControlTrajectory, OuterLoopSpec, PenaltySpec,
-                                  control_inner, gradient, large_time_control,
+                                  _freezer, control_inner, gradient, large_time_control,
                                   objective, solve_linear_control,
                                   solve_nonlinear_control,
                                   weighted_control_energy, step_weight_logs)
+from bousscontrol.diagnostics import NormSamples, weighted_norms
 from bousscontrol.exceptions import DomainError, RegimeError
-from bousscontrol.forward import (SystemSpec, run_nonlinear,
+from bousscontrol.forward import (SystemSpec, chain_hooks, run_nonlinear,
                                   scaled_initial_data, sine_theta)
 from bousscontrol.geometry import build_eta0, control_box, grid_box
 from bousscontrol.grids import TimeGrid
-from bousscontrol.operators import ViscosityLaw
+from bousscontrol.operators import ViscosityLaw, state_norm_sq
 from bousscontrol.weights import WeightParams, eval_weights, find_min_m
+
+from conftest import Recorder, reference_frozen_sources, reference_norm_samples
 
 # frozen after the duality and finite-difference gradient checks first passed
 # (seeded controls, 16x16, nt=64, eps=1e-4, unweighted, nu0=0.1)
@@ -159,7 +162,7 @@ class TestGradient:
 class TestLinearControl:
     def test_zero_data_zero_control(self, grid16, tgrid64, bumps16):
         pen = PenaltySpec(epsilon=1e-6, weight_mode="unweighted")
-        ctrl, traj, rep = solve_linear_control(
+        ctrl, rep = solve_linear_control(
             (grid16.zeros_u(), grid16.zeros_v()), grid16.zeros_cells(),
             None, None, pen, None, grid16, tgrid64, NU0, bumps16)
         assert control_inner(ctrl, ctrl, grid16, tgrid64.dt) == 0.0
@@ -169,8 +172,8 @@ class TestLinearControl:
     def test_terminal_reduction_and_support(self, setup16, tables16):
         grid, tg, bumps, y0, th0 = setup16
         pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman", cg_tol=1e-6)
-        ctrl, traj, rep = solve_linear_control(y0, th0, None, None, pen,
-                                               tables16, grid, tg, 0.05, bumps)
+        ctrl, rep = solve_linear_control(y0, th0, None, None, pen,
+                                         tables16, grid, tg, 0.05, bumps)
         assert rep.terminal_norm <= 1e-2 * rep.uncontrolled_terminal_norm
         masks = tuple(b > 0 for b in bumps)
         full = ctrl.full(grid)
@@ -183,8 +186,8 @@ class TestLinearControl:
     def test_control_vanishes_toward_terminal_time(self, setup16, tables16):
         grid, tg, bumps, y0, th0 = setup16
         pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman", cg_tol=1e-6)
-        ctrl, _, rep = solve_linear_control(y0, th0, None, None, pen, tables16,
-                                            grid, tg, 0.05, bumps)
+        ctrl, rep = solve_linear_control(y0, th0, None, None, pen, tables16,
+                                         grid, tg, 0.05, bumps)
         last = np.abs(ctrl.vu[-1]).max() + np.abs(ctrl.v0[-1]).max()
         mid = np.abs(ctrl.vu[tg.nt // 2]).max() + np.abs(ctrl.v0[tg.nt // 2]).max()
         assert last <= mid
@@ -196,8 +199,8 @@ class TestLinearControl:
         norms = []
         for eps in (1e-2, 1e-4, 1e-6):
             pen = PenaltySpec(epsilon=eps, weight_mode="carleman", cg_tol=1e-6)
-            _, _, rep = solve_linear_control(y0, th0, None, None, pen,
-                                             tables16, grid, tg, 0.05, bumps)
+            _, rep = solve_linear_control(y0, th0, None, None, pen,
+                                          tables16, grid, tg, 0.05, bumps)
             norms.append(rep.terminal_norm)
         assert norms[1] <= norms[0] * 1.05
         assert norms[2] <= norms[1] * 1.05
@@ -206,8 +209,8 @@ class TestLinearControl:
         # synthesis-side <z, z> against the diagnostics-side recomputation
         grid, tg, bumps, y0, th0 = setup16
         pen = PenaltySpec(epsilon=1e-4, weight_mode="carleman", cg_tol=1e-8)
-        ctrl, _, rep = solve_linear_control(y0, th0, None, None, pen, tables16,
-                                            grid, tg, 0.05, bumps)
+        ctrl, rep = solve_linear_control(y0, th0, None, None, pen, tables16,
+                                         grid, tg, 0.05, bumps)
         logw = step_weight_logs(pen, tables16, tg)
         recomputed = weighted_control_energy(ctrl, logw, grid, tg.dt)
         assert recomputed == pytest.approx(rep.control_energy_weighted, rel=1e-12)
@@ -236,11 +239,11 @@ class TestSharedSweepSolve:
         grid, tg, bumps, y0, th0, tables = case
         pen = PenaltySpec(epsilon=main_eps, weight_mode="carleman",
                           cg_tol=self.CG_TOL)
-        _, _, rep = solve_linear_control(y0, th0, None, None, pen, tables,
-                                         grid, tg, 0.05, bumps, eps_sweep=sweep)
+        _, rep = solve_linear_control(y0, th0, None, None, pen, tables,
+                                      grid, tg, 0.05, bumps, eps_sweep=sweep)
         assert [m.eps for m in rep.sweep] == list(sweep)
         for member in [rep] + rep.sweep:
-            _, _, alone = solve_linear_control(
+            _, alone = solve_linear_control(
                 y0, th0, None, None, replace(pen, epsilon=member.eps), tables,
                 grid, tg, 0.05, bumps)
             assert member.cg_iters == alone.cg_iters
@@ -256,10 +259,10 @@ class TestSharedSweepSolve:
     def test_sweep_counts(self, case):
         grid, tg, bumps, y0, th0, tables = case
         pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman", cg_tol=1e-6)
-        _, _, rep = solve_linear_control(y0, th0, None, None, pen, tables,
-                                         grid, tg, 0.05, bumps,
-                                         eps_sweep=(1e-2, 1e-4, 1e-6))
-        # rhs + one per CG iteration; forward adds the stored trajectory and
+        _, rep = solve_linear_control(y0, th0, None, None, pen, tables,
+                                      grid, tg, 0.05, bumps,
+                                      eps_sweep=(1e-2, 1e-4, 1e-6))
+        # rhs + one per CG iteration; forward adds the final controlled run and
         # one terminal run per member other than the main eps
         assert rep.adjoint_sweeps == rep.cg_iters + 1
         assert rep.forward_sweeps == rep.cg_iters + 1 + 1 + 2
@@ -291,7 +294,7 @@ class TestNonlinearControl:
         spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1))
         pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman")
         outer = OuterLoopSpec()
-        ctrl, traj, _, rep = solve_nonlinear_control(
+        ctrl, _, rep = solve_nonlinear_control(
             (grid16.zeros_u(), grid16.zeros_v()), grid16.zeros_cells(), spec,
             pen, outer, tables16, grid16, tgrid64, bumps16)
         assert rep.outer_iters == 1
@@ -306,9 +309,9 @@ class TestNonlinearControl:
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
         outer = OuterLoopSpec(max_outer=25, outer_tol=1e-6)
-        ctrl, traj, _, rep = solve_nonlinear_control(y0, th0, spec, pen, outer,
-                                                  tables16, grid16, tgrid64,
-                                                  bumps16)
+        ctrl, _, rep = solve_nonlinear_control(y0, th0, spec, pen, outer,
+                                               tables16, grid16, tgrid64,
+                                               bumps16)
         assert rep.converged
         assert 2 <= rep.outer_iters <= 20
         ups = rep.update_history
@@ -320,14 +323,14 @@ class TestNonlinearControl:
                           phi_smallness_factor=1e2)
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
-        ctrl, traj, _, rep = solve_nonlinear_control(y0, th0, spec, pen,
-                                                  OuterLoopSpec(outer_tol=1e-6),
-                                                  tables16, grid16, tgrid64,
-                                                  bumps16)
+        ctrl, _, rep = solve_nonlinear_control(y0, th0, spec, pen,
+                                               OuterLoopSpec(outer_tol=1e-6),
+                                               tables16, grid16, tgrid64,
+                                               bumps16)
         resim, _ = run_nonlinear(y0, th0, ctrl, spec, grid16, tgrid64,
                                  bumps=bumps16)
-        assert resim.terminal_norm(grid16) == pytest.approx(rep.terminal_norm,
-                                                            rel=1e-12)
+        assert np.sqrt(state_norm_sq(*resim, grid16)) == pytest.approx(
+            rep.terminal_norm, rel=1e-12)
 
     def test_pure_convection_converges_in_fewer_iterations(self, grid16,
                                                            tgrid64, bumps16,
@@ -341,12 +344,12 @@ class TestNonlinearControl:
                                heating_on=False, phi_smallness_factor=1e2)
         spec_full = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05),
                                heating_on=True, phi_smallness_factor=1e2)
-        _, _, _, rep_conv = solve_nonlinear_control(y0, th0, spec_conv, pen,
-                                                 outer, tables16, grid16,
-                                                 tgrid64, bumps16)
-        _, _, _, rep_full = solve_nonlinear_control(y0, th0, spec_full, pen,
-                                                 outer, tables16, grid16,
-                                                 tgrid64, bumps16)
+        _, _, rep_conv = solve_nonlinear_control(y0, th0, spec_conv, pen,
+                                              outer, tables16, grid16,
+                                              tgrid64, bumps16)
+        _, _, rep_full = solve_nonlinear_control(y0, th0, spec_full, pen,
+                                              outer, tables16, grid16,
+                                              tgrid64, bumps16)
         assert rep_conv.outer_iters <= rep_full.outer_iters
 
 
@@ -365,8 +368,8 @@ class TestLargeTime:
 
         pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman",
                           t_clip=0.5 - 2 * 0.5 / 32)
-        _, trace, rep = large_time_control(
-            y0, th0, 1e-4, spec, pen, OuterLoopSpec(), wfn, grid16,
+        trace, rep = large_time_control(
+            y0, th0, 1e-4, spec, pen, OuterLoopSpec(), wfn(tail), grid16,
             TimeGrid(1.0, 64), tail, bumps16)
         assert rep.phase1_steps == 0
         assert rep.crossing_time == 0.0
@@ -383,8 +386,8 @@ class TestLargeTime:
         tail = TimeGrid(0.5, 32)
         pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman",
                           t_clip=0.5 - 2 * 0.5 / 32)
-        _, _, rep = large_time_control(
-            y0, th0, 1e-4, spec, pen, OuterLoopSpec(), wfn, grid16,
+        _, rep = large_time_control(
+            y0, th0, 1e-4, spec, pen, OuterLoopSpec(), wfn(tail), grid16,
             TimeGrid(0.5, 128), tail, bumps16)
         assert rep.t_star_predicted > 0.0
         ratio = rep.crossing_time / rep.t_star_predicted
@@ -396,12 +399,16 @@ class TestLargeTime:
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         phase1, tail = TimeGrid(0.5, 128), TimeGrid(0.5, 32)
         seen = []
-        _, trace, rep = large_time_control(
+        trace, rep = large_time_control(
             y0, th0, 1e-4, spec, PenaltySpec(weight_mode="unweighted"),
             OuterLoopSpec(), None, grid16, phase1, tail, bumps16,
-            on_state=lambda k, u, v, th: seen.append(k))
+            on_state=lambda k, t, u, v, th: seen.append((k, t)))
         assert 0 < rep.phase1_steps < phase1.nt
-        assert seen == list(range(rep.phase1_steps + 1))
+        # the composed run: phase 1 up to the crossing, then the tail after it
+        n1 = rep.phase1_steps
+        assert [k for k, _ in seen[:n1 + 1]] == list(range(n1 + 1))
+        assert [k for k, _ in seen] == list(range(n1 + tail.nt + 1))
+        assert np.array_equal([t for _, t in seen], trace.t)
         assert len(trace.t) == rep.phase1_steps + tail.nt + 1
         assert trace.energy[rep.phase1_steps] <= 1e-4 < trace.energy[rep.phase1_steps - 1]
 
@@ -436,7 +443,7 @@ def test_nonlinear_control_lp_variant(grid16, tgrid64, bumps16, tables16):
                       phi_smallness_factor=1e2)
     y0, th0 = scaled_initial_data(grid16, 1e-2)
     pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
-    ctrl, traj, _, rep = solve_nonlinear_control(
+    ctrl, _, rep = solve_nonlinear_control(
         y0, th0, spec, pen, OuterLoopSpec(max_outer=25, outer_tol=1e-6),
         tables16, grid16, tgrid64, bumps16)
     assert rep.converged
@@ -561,7 +568,7 @@ class TestControlLayout:
             for part in c.parts:
                 part[:] = rng.standard_normal(part.shape)
         y0, th0 = rand_div_free(grid16, rng), rand_cells(grid16, rng)
-        got = prop.run(y0, th0, controls=c, store=False)
+        got = prop.run(y0, th0, controls=c)
         ref = full_grid_controlled_run(prop, y0, th0, c)
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
@@ -586,3 +593,43 @@ class TestControlLayout:
         finally:
             tracemalloc.stop()
         assert peak < one_full_control
+
+
+class TestStreamedReadersMatchReferences:
+    """The weighted-norm samples and the outer loop's frozen sources, streamed
+    through ``on_state``, equal the stored-trajectory loops they replace
+    (``conftest.reference_*``) bit for bit."""
+
+    @pytest.fixture(params=["linear-controlled", "nonlinear"])
+    def run(self, request, setup16, tables16):
+        grid, tg, bumps, y0, th0 = setup16
+        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True,
+                          phi_smallness_factor=1e2)
+        rec, samples = Recorder(), NormSamples(grid, tg)
+        frozen: list = []
+        hooks = chain_hooks(rec, samples, _freezer(frozen, spec, grid, tg.nt))
+        if request.param == "linear-controlled":
+            pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman", cg_tol=1e-6)
+            ctrl, _ = solve_linear_control(y0, th0, None, None, pen, tables16,
+                                           grid, tg, 0.05, bumps, on_state=hooks)
+        else:
+            y0, th0 = scaled_initial_data(grid, 1e-2)
+            ctrl = masked_random_controls(grid, tg.nt, bumps,
+                                          np.random.default_rng(3), scale=1e-2)
+            run_nonlinear(y0, th0, ctrl, spec, grid, tg, bumps=bumps, on_state=hooks)
+        assert len(rec.levels) == tg.nt + 1
+        return grid, tg, spec, rec, samples, frozen, ctrl
+
+    def test_norm_samples_match_reference(self, run, tables16):
+        grid, tg, _, rec, samples, _, ctrl = run
+        ref = reference_norm_samples(rec, grid, tg)
+        for name, want in vars(ref).items():
+            assert np.array_equal(getattr(samples, name), want), name
+        assert (weighted_norms(samples, ctrl, tables16, grid, tg).lines()
+                == weighted_norms(ref, ctrl, tables16, grid, tg).lines())
+
+    def test_frozen_sources_match_reference(self, run):
+        grid, tg, spec, rec, _, frozen, _ = run
+        (f1u, f1v), f2 = reference_frozen_sources(rec, spec, grid, tg.nt)
+        for got, want in zip(frozen, (f1u, f1v, f2)):
+            assert np.array_equal(got, want)

@@ -1,6 +1,7 @@
 """Diagnostics: decay fit, waiting-time formula, weighted norms, reports."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -9,17 +10,19 @@ import pytest
 from bousscontrol import operators as ops
 
 from bousscontrol.control import ControlTrajectory
-from bousscontrol.diagnostics import (DecayFit, control_regularity_report,
+from bousscontrol.diagnostics import (DecayFit, NormSamples, control_regularity_report,
                                       decay_fit, emit_report, parse_report,
                                       t_star, weighted_norms)
 from bousscontrol.exceptions import DomainError
-from bousscontrol.forward import (EnergyTrace, SystemSpec, Trajectory,
-                                  run_nonlinear, scaled_initial_data)
+from bousscontrol.forward import (EnergyTrace, SystemSpec, run_nonlinear,
+                                  scaled_initial_data)
 from bousscontrol.geometry import ControlPatch, build_eta0
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw
 from bousscontrol.weights import (WeightParams, control_weight_logs, default_t_clip,
                                   eval_weights, find_min_m)
+
+from conftest import feed
 
 
 def synthetic_trace(c1=3.0, e0=5.0, t_final=1.0, n=65):
@@ -100,10 +103,15 @@ def tame_tables(tables):
 
 def zero_trajectory(grid, tg):
     n = tg.nt + 1
-    return Trajectory(t=tg.nodes(),
-                      u=np.zeros((n, grid.nx + 1, grid.ny)),
-                      v=np.zeros((n, grid.nx, grid.ny + 1)),
-                      theta=np.zeros((n, grid.nx, grid.ny)))
+    return SimpleNamespace(t=tg.nodes(),
+                           u=np.zeros((n, grid.nx + 1, grid.ny)),
+                           v=np.zeros((n, grid.nx, grid.ny + 1)),
+                           theta=np.zeros((n, grid.nx, grid.ny)))
+
+
+def samples(traj, grid, tg):
+    """The NormSamples of stored levels, fed to the hook one by one."""
+    return feed(traj, NormSamples(grid, tg))
 
 
 class TestWeightedNorms:
@@ -112,7 +120,7 @@ class TestWeightedNorms:
         grid, tg, patch, tables = weighted_setup
         traj = zero_trajectory(grid, tg)
         ctrl = ControlTrajectory.zeros(grid, tg.nt)
-        rep = weighted_norms(traj, ctrl, tables, grid, tg)
+        rep = weighted_norms(samples(traj, grid, tg), ctrl, tables, grid, tg)
         for name in ("iint_rho1_sq_state", "iint_rho2_sq_controls",
                      "sup_mu1_y", "iint_mu1_grad_y", "sup_mu2_grad_y",
                      "iint_mu2_yt_dy", "mu2_theta_t_L32", "mu2_lap_theta_L32"):
@@ -129,12 +137,12 @@ class TestWeightedNorms:
         traj = zero_trajectory(grid, tg)
         traj.theta[:] = 1e-3 * rng.standard_normal(traj.theta.shape)
         traj.u[:, 1:-1, :] = 1e-3 * rng.standard_normal(traj.u[:, 1:-1, :].shape)
-        r1 = weighted_norms(traj, None, tables, grid, tg)
+        r1 = weighted_norms(samples(traj, grid, tg), None, tables, grid, tg)
         traj2 = zero_trajectory(grid, tg)
         c = 3.0
         traj2.theta[:] = c * traj.theta
         traj2.u[:] = c * traj.u
-        r2 = weighted_norms(traj2, None, tables, grid, tg)
+        r2 = weighted_norms(samples(traj2, grid, tg), None, tables, grid, tg)
         tol = 1e-12 / np.log(10.0)  # rel = 1e-12 on the linear values
         for name in ("iint_rho1_sq_state", "sup_mu1_y"):
             delta = getattr(r2, name) - getattr(r1, name)
@@ -147,7 +155,7 @@ class TestWeightedNorms:
         traj.theta[:] = rng.standard_normal(traj.theta.shape)
         ctrl = ControlTrajectory.zeros(grid, tg.nt)
         ctrl.v0[:] = rng.standard_normal(ctrl.v0.shape)
-        rep = weighted_norms(traj, ctrl, tables, grid, tg)
+        rep = weighted_norms(samples(traj, grid, tg), ctrl, tables, grid, tg)
         for name in ("iint_rho1_sq_state", "iint_rho2_sq_controls"):
             assert np.isfinite(getattr(rep, name))
         for name in ("sup_mu1_y", "iint_mu1_grad_y"):  # the velocity is zero
@@ -315,7 +323,7 @@ class TestLogDomainOracle:
         if tame:
             tables = tame_tables(tables)
         traj, ctrl = self.data(grid, tg)
-        rep = weighted_norms(traj, ctrl, tables, grid, tg)
+        rep = weighted_norms(samples(traj, grid, tg), ctrl, tables, grid, tg)
         got = {k: getattr(rep, k) for k in (
             "iint_rho1_sq_state", "iint_rho2_sq_controls", "sup_mu1_y",
             "iint_mu1_grad_y", "sup_mu2_grad_y", "iint_mu2_yt_dy",

@@ -6,14 +6,14 @@ import pytest
 
 from bousscontrol import operators as ops
 from bousscontrol.exceptions import DivergenceError, DomainError, StepSizeError
-from bousscontrol.forward import (MaxDivergence, NonlinearPropagator, SystemSpec,
-                                  explicit_terms, run_linearized, run_nonlinear,
+from bousscontrol.forward import (LinearPropagator, MaxDivergence, NonlinearPropagator,
+                                  SystemSpec, chain_hooks, explicit_terms, run_nonlinear,
                                   scaled_initial_data, sine_theta,
                                   stream_velocity, trace_from_trajectory)
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw
 
-from conftest import rand_cells, rand_div_free, rand_u, rand_v
+from conftest import Recorder, rand_cells, rand_div_free, rand_u, rand_v, run_linearized
 
 RNG = np.random.default_rng(11)
 
@@ -184,9 +184,10 @@ class TestOneStepOracle:
 class TestZeroFixedPoint:
     def test_nonlinear(self, grid16, tgrid64):
         spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1))
-        traj, trace = run_nonlinear((grid16.zeros_u(), grid16.zeros_v()),
-                                    grid16.zeros_cells(), None, spec,
-                                    grid16, tgrid64)
+        traj = Recorder()
+        _, trace = run_nonlinear((grid16.zeros_u(), grid16.zeros_v()),
+                                 grid16.zeros_cells(), None, spec,
+                                 grid16, tgrid64, on_state=traj)
         assert np.all(traj.u == 0.0) and np.all(traj.theta == 0.0)
         assert np.all(trace.energy == 0.0)
 
@@ -259,7 +260,7 @@ class TestEnergyMonitors:
         y0, th0 = scaled_initial_data(grid, 1e-4)
         div = MaxDivergence(grid)
         _, trace = run_nonlinear(y0, th0, None, spec, grid, TimeGrid(1.0, 128),
-                                 store=False, on_state=div)
+                                 on_state=div)
         assert trace.smallness_ok
         assert trace.phi_monotone
         assert np.all(np.isfinite(trace.energy))
@@ -269,8 +270,9 @@ class TestEnergyMonitors:
         spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1))
         y0, th0 = scaled_initial_data(grid16, 1e-4)
         tg = TimeGrid(1.0, 32)
-        t1, _ = run_nonlinear(y0, th0, None, spec, grid16, tg)
-        t2, _ = run_nonlinear(y0, th0, None, spec, grid16, tg)
+        t1, t2 = Recorder(), Recorder()
+        run_nonlinear(y0, th0, None, spec, grid16, tg, on_state=t1)
+        run_nonlinear(y0, th0, None, spec, grid16, tg, on_state=t2)
         assert np.array_equal(t1.u, t2.u)
         assert np.array_equal(t1.theta, t2.theta)
 
@@ -279,8 +281,9 @@ class TestEnergyMonitors:
         tg = TimeGrid(1.0, 64)
         y0, th0 = scaled_initial_data(grid16, 1e-4)
         delta = 1e-8
-        t1, _ = run_nonlinear(y0, th0, None, spec, grid16, tg)
-        t2, _ = run_nonlinear(y0, (th0 + delta), None, spec, grid16, tg)
+        t1, t2 = Recorder(), Recorder()
+        run_nonlinear(y0, th0, None, spec, grid16, tg, on_state=t1)
+        run_nonlinear(y0, (th0 + delta), None, spec, grid16, tg, on_state=t2)
         dev0 = ops.norm_cells(t2.theta[0] - t1.theta[0], grid16)
         dev_t = ops.norm_cells(t2.theta[-1] - t1.theta[-1], grid16)
         growth = dev_t / dev0
@@ -300,7 +303,9 @@ class TestEnergyMonitors:
     def test_trace_from_trajectory_matches_run(self, grid16):
         spec = SystemSpec(law=ViscosityLaw("l2", 0.5, 0.1))
         y0, th0 = scaled_initial_data(grid16, 1e-3)
-        traj, trace = run_nonlinear(y0, th0, None, spec, grid16, TimeGrid(0.5, 32))
+        traj = Recorder()
+        _, trace = run_nonlinear(y0, th0, None, spec, grid16, TimeGrid(0.5, 32),
+                                 on_state=traj)
         ref = trace_from_trajectory(traj, grid16)
         for name in ("t", "grad_y_sq", "theta_sq", "grad_theta_sq"):
             assert np.array_equal(getattr(ref, name), getattr(trace, name))
@@ -376,7 +381,8 @@ def test_run_nonlinear_dispatches_linearized_mode(grid16):
     th0 = sine_theta(grid16, 0.5)
     y0 = (grid16.zeros_u(), grid16.zeros_v())
     spec = SystemSpec(law=ViscosityLaw("l2", 0.2, 0.5), mode="linearized")
-    traj, trace = run_nonlinear(y0, th0, None, spec, grid16, tg)
+    traj = Recorder()
+    _, trace = run_nonlinear(y0, th0, None, spec, grid16, tg, on_state=traj)
     ref = run_linearized(y0, th0, None, None, None, 0.2, grid16, tg,
                          coupling=0.2)
     assert np.array_equal(traj.theta, ref.theta)
@@ -385,42 +391,56 @@ def test_run_nonlinear_dispatches_linearized_mode(grid16):
 
 
 class TestRunContract:
-    """Both propagators: ``store=False`` returns the last state, ``on_state``
-    sees every level as it is produced, and a true return from it ends the
-    run at that level."""
+    """Both propagators: a run returns its last state, ``on_state(k, t, u, v,
+    th)`` sees every level as it is produced with t the k-th time node, and a
+    true return from it ends the run at that level."""
 
     TG = TimeGrid(0.5, 16)
 
     @staticmethod
-    def _run(mode, grid, tg, **kw):
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.5, 0.1), mode=mode)
+    def _spec(mode):
+        return SystemSpec(law=ViscosityLaw("l2", 0.5, 0.1), mode=mode)
+
+    @classmethod
+    def _run(cls, mode, grid, tg, **kw):
         y0, th0 = scaled_initial_data(grid, 1e-3)
-        return run_nonlinear(y0, th0, None, spec, grid, tg, **kw)
+        return run_nonlinear(y0, th0, None, cls._spec(mode), grid, tg, **kw)
+
+    @classmethod
+    def _stepped(cls, mode, grid, tg):
+        """Levels 0..nt by hand: the projected data, then nt calls to step."""
+        spec = cls._spec(mode)
+        prop = (NonlinearPropagator(grid, tg, spec) if mode == "nonlinear" else
+                LinearPropagator(grid, tg, spec.law.nu0, coupling=spec.buoyancy))
+        y0, th0 = scaled_initial_data(grid, 1e-3)
+        levels = [prop.sp.project(*y0)[:2] + (th0,)]
+        for _ in range(tg.nt):
+            levels.append(prop.step(*levels[-1]))
+        return levels
 
     @pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
     def test_unstored_run_streams_the_stored_levels(self, grid16, mode):
-        traj, trace = self._run(mode, grid16, self.TG)
-        seen = []
-        last, trace2 = self._run(mode, grid16, self.TG, store=False,
-                                 on_state=lambda k, u, v, th: seen.append((k, u, v, th)))
-        assert [s[0] for s in seen] == list(range(self.TG.nt + 1))
-        for k, u, v, th in seen:
-            assert np.array_equal(u, traj.u[k]) and np.array_equal(v, traj.v[k])
-            assert np.array_equal(th, traj.theta[k])
-        for a, b in zip(last, (traj.u[-1], traj.v[-1], traj.theta[-1])):
+        ref = self._stepped(mode, grid16, self.TG)
+        seen = Recorder()
+        last, trace = self._run(mode, grid16, self.TG, on_state=seen)
+        assert np.array_equal(seen.t, self.TG.nodes())
+        assert len(seen.levels) == self.TG.nt + 1
+        for (_, u, v, th), (ru, rv, rth) in zip(seen.levels, ref):
+            assert np.array_equal(u, ru) and np.array_equal(v, rv)
+            assert np.array_equal(th, rth)
+        for a, b in zip(last, ref[-1]):
             assert np.array_equal(a, b)
-        assert np.array_equal(trace2.energy, trace.energy)
-        assert np.array_equal(trace.energy, trace_from_trajectory(traj, grid16).energy)
+        assert np.array_equal(trace.energy, trace_from_trajectory(seen, grid16).energy)
 
     @pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
     def test_true_on_state_ends_the_run(self, grid16, mode):
-        full, _ = self._run(mode, grid16, self.TG)
-        traj, trace = self._run(mode, grid16, self.TG,
-                                on_state=lambda k, u, v, th: k == 5)
+        full = Recorder()
+        self._run(mode, grid16, self.TG, on_state=full)
+        traj = Recorder()
+        last, trace = self._run(mode, grid16, self.TG, on_state=chain_hooks(
+            traj, lambda k, t, u, v, th: k == 5))
         assert len(trace.t) == len(traj.t) == 6
         assert np.array_equal(traj.theta, full.theta[:6])
-        last, _ = self._run(mode, grid16, self.TG, store=False,
-                            on_state=lambda k, u, v, th: k == 5)
         assert np.array_equal(last[2], full.theta[5])
 
     def test_forcing_stays_nonlinear_mode_only(self, grid16):
