@@ -665,7 +665,7 @@ def large_time_control(y0, th0, delta: float, spec: SystemSpec,
     Returns (EnergyTrace of phase 1 up to the crossing followed by the tail,
     LargeTimeReport).
     """
-    from .diagnostics import decay_fit, t_star
+    from .diagnostics import decay_fit, decay_window, t_star
 
     e0 = sum(energy_components(y0[0], y0[1], th0, grid))
 
@@ -693,9 +693,13 @@ def large_time_control(y0, th0, delta: float, spec: SystemSpec,
                 f"(final E = {energy[-1]:.3e}); extend phase1 time")
         cross_idx = len(energy) - 1
         cross_time = float(trace1.t[cross_idx])
-        fit = decay_fit(trace1, (0.2 * cross_time, cross_time))
-        fit_c1, fit_c2, r2 = fit.c1, fit.c2, fit.r_squared
-        t_pred = t_star(fit, delta, float(energy[0]))
+        window = (0.2 * cross_time, cross_time)
+        if decay_window(trace1.t, window).sum() >= 2:
+            fit = decay_fit(trace1, window)
+            fit_c1, fit_c2, r2 = fit.c1, fit.c2, fit.r_squared
+            t_pred = t_star(fit, delta, float(energy[0]))
+        else:  # crossed within the first steps: too few nodes to fit the law
+            fit_c1 = fit_c2 = r2 = t_pred = float("nan")
         tail_y0 = (uc, vc)
 
     def tail_hook(k, t, u, v, th):

@@ -129,12 +129,13 @@ def explicit_terms(u, v, th, spec: SystemSpec, grid: GridSpec):
     gm2 = ops.grad_sq_from_gradients(grads)
     nu = spec.law.of_density(gm2, grid)
     if spec.theta_coeff_source == "velocity":
-        nu_th = spec.theta_law.of_density(gm2, grid)
+        nu_th = nu if spec.law_theta is None else spec.law_theta.of_density(gm2, grid)
     else:
         nu_th = ops.nonlocal_viscosity_scalar(th, spec.theta_law, grid)
+    heat = ops.heating_from_gradients(grads) if spec.heating_on else None
+    del grads, gm2  # lowers the step's peak allocation, so fewer fresh pages per step
     adv_u, adv_v = ops.advect_velocity(u, v, u, v, grid)
     adv_th = ops.advect_scalar(th, u, v, grid)
-    heat = ops.heating_from_gradients(grads) if spec.heating_on else None
     return nu, nu_th, adv_u, adv_v, adv_th, heat
 
 
@@ -244,11 +245,25 @@ class NonlinearPropagator:
             raise StepSizeError(f"dt={dt:g} exceeds CFL bound {cfl:g}")
 
         nu, nu_th, adv_u, adv_v, adv_th, heat = explicit_terms(u, v, th, spec, grid)
-        rhs_th = th - dt * adv_th
+        # The right-hand sides th - dt adv_th + dt nu heat, u - dt adv_u and
+        # v - dt adv_v + dt b theta~, assembled in the terms' own arrays:
+        # (-dt) a + x rounds exactly like x - dt a.
+        rhs_th = adv_th
+        rhs_th *= -dt
+        rhs_th += th
         if heat is not None:
-            rhs_th = rhs_th + dt * nu * heat
-        ru = u - dt * adv_u
-        rv = v - dt * adv_v + dt * spec.buoyancy * ops.theta_to_vfaces(th, grid)
+            heat *= dt * nu
+            rhs_th += heat
+        ru = adv_u
+        ru *= -dt
+        ru += u
+        rv = adv_v
+        rv *= -dt
+        rv += v
+        buoy = ops.theta_to_vfaces(th, grid)
+        buoy *= dt * spec.buoyancy
+        rv += buoy
+        del heat, buoy  # scratch, freed before the solves (see explicit_terms)
         return implicit_stage(self.sp, dt, ru, rv, rhs_th, dt * nu, dt * nu_th,
                               control, self.bumps, forcing, box)
 

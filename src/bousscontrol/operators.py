@@ -55,7 +55,8 @@ def grad(p: np.ndarray, grid: GridSpec):
 def laplacian_cells(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     """5-point Laplacian with odd (Dirichlet) ghost reflection."""
     check_cells(f, grid)
-    g = np.pad(f, 1)
+    g = np.empty((grid.nx + 2, grid.ny + 2))  # the corners are never read
+    g[1:-1, 1:-1] = f
     g[0, 1:-1] = -f[0, :]
     g[-1, 1:-1] = -f[-1, :]
     g[1:-1, 0] = -f[:, 0]
@@ -67,7 +68,8 @@ def laplacian_cells(f: np.ndarray, grid: GridSpec) -> np.ndarray:
 def laplacian_u(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Laplacian of the x-velocity; boundary rows stay zero."""
     out = np.zeros_like(u)
-    g = np.pad(u, ((0, 0), (1, 1)))
+    g = np.empty((u.shape[0], u.shape[1] + 2))
+    g[:, 1:-1] = u
     g[:, 0] = -u[:, 0]
     g[:, -1] = -u[:, -1]
     out[1:-1, :] = ((u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / grid.hx**2
@@ -77,7 +79,8 @@ def laplacian_u(u: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def laplacian_v(v: np.ndarray, grid: GridSpec) -> np.ndarray:
     out = np.zeros_like(v)
-    g = np.pad(v, ((1, 1), (0, 0)))
+    g = np.empty((v.shape[0] + 2, v.shape[1]))
+    g[1:-1, :] = v
     g[0, :] = -v[0, :]
     g[-1, :] = -v[-1, :]
     out[:, 1:-1] = ((g[2:, 1:-1] - 2.0 * v[:, 1:-1] + g[:-2, 1:-1]) / grid.hx**2
@@ -104,21 +107,26 @@ def vfaces_to_cells(g: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def d_center(fc: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Central differences, second-order one-sided at the first/last row."""
-    f = np.moveaxis(fc, axis, 0)
-    g = np.empty_like(f)
-    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-    g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-    return np.moveaxis(g, 0, axis)
+    g = np.empty_like(fc)
+    f, gf = (fc, g) if axis == 0 else (fc.T, g.T)
+    np.subtract(f[2:], f[:-2], out=gf[1:-1])
+    gf[1:-1] /= 2.0 * h
+    gf[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    gf[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    return g
 
 
 def center_gradients(u: np.ndarray, v: np.ndarray, grid: GridSpec):
     """(du/dx, du/dy, dv/dx, dv/dy) at cell centers."""
     check_faces(u, v, grid)
-    ux = (u[1:, :] - u[:-1, :]) / grid.hx
-    vy = (v[:, 1:] - v[:, :-1]) / grid.hy
-    uc = 0.5 * (u[:-1, :] + u[1:, :])
-    vc = 0.5 * (v[:, :-1] + v[:, 1:])
+    ux = u[1:, :] - u[:-1, :]
+    ux /= grid.hx
+    vy = v[:, 1:] - v[:, :-1]
+    vy /= grid.hy
+    uc = u[:-1, :] + u[1:, :]
+    uc *= 0.5
+    vc = v[:, :-1] + v[:, 1:]
+    vc *= 0.5
     uy = d_center(uc, grid.hy, axis=1)
     vx = d_center(vc, grid.hx, axis=0)
     return ux, uy, vx, vy
@@ -204,50 +212,79 @@ def nonlocal_viscosity_scalar(th: np.ndarray, law: ViscosityLaw, grid: GridSpec)
 # advection (conservative centered fluxes; skew-symmetric for div-free carrier)
 
 
+def _wall_flux_difference(flux: np.ndarray, h: float, axis: int,
+                          out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the difference along ``axis``, over h, of a face
+    flux that is ``flux`` on the interior faces and zero on both walls."""
+    f, o = (flux, out) if axis == 0 else (flux.T, out.T)
+    o[0] = f[0]
+    np.subtract(f[1:], f[:-1], out=o[1:-1])
+    np.negative(f[-1], out=o[-1])
+    out /= h
+    return out
+
+
+def _difference(f: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """(f[i+1] - f[i]) / h along ``axis``."""
+    d = np.diff(f, axis=axis)
+    d /= h
+    return d
+
+
+def _centred_flux(c1: np.ndarray, c2: np.ndarray, w1: np.ndarray,
+                  w2: np.ndarray) -> np.ndarray:
+    """0.5 (c1 + c2) * 0.5 (w1 + w2): w's face average carried by c's."""
+    a = c1 + c2
+    a *= 0.5
+    b = w1 + w2
+    b *= 0.5
+    a *= b
+    return a
+
+
 def advect_scalar(f: np.ndarray, cu: np.ndarray, cv: np.ndarray,
                   grid: GridSpec) -> np.ndarray:
     """div(c f) with centered face averages; equals (c . grad) f when the
     carrier is discretely divergence-free.  Wall fluxes vanish with the normal
-    carrier component, so no ghost values enter."""
+    carrier component, so no ghost values enter and only the interior face
+    fluxes are formed."""
     check_cells(f, grid)
     check_faces(cu, cv, grid)
-    fx = np.zeros_like(cu)
-    fy = np.zeros_like(cv)
-    fx[1:-1, :] = cu[1:-1, :] * 0.5 * (f[:-1, :] + f[1:, :])
-    fy[:, 1:-1] = cv[:, 1:-1] * 0.5 * (f[:, :-1] + f[:, 1:])
-    return (fx[1:, :] - fx[:-1, :]) / grid.hx + (fy[:, 1:] - fy[:, :-1]) / grid.hy
+    out = _wall_flux_difference(cu[1:-1, :] * 0.5 * (f[:-1, :] + f[1:, :]), grid.hx, 0,
+                                np.empty_like(f))
+    out += _wall_flux_difference(cv[:, 1:-1] * 0.5 * (f[:, :-1] + f[:, 1:]), grid.hy, 1,
+                                 np.empty_like(f))
+    return out
 
 
 def advect_velocity(wu: np.ndarray, wv: np.ndarray, cu: np.ndarray,
                     cv: np.ndarray, grid: GridSpec):
-    """Divergence-form MAC transport of (wu, wv) by the carrier (cu, cv)."""
+    """Divergence-form MAC transport of (wu, wv) by the carrier (cu, cv).
+
+    The corner fluxes vanish on the walls with the normal carrier component,
+    so only the interior corner fluxes are formed.
+    """
     check_faces(wu, wv, grid)
     check_faces(cu, cv, grid)
     hx, hy = grid.hx, grid.hy
 
-    # u-component: d/dx(cu~ wu~)|cells + d/dy(cv~ wu~)|corners
-    cu_c = 0.5 * (cu[:-1, :] + cu[1:, :])
-    wu_c = 0.5 * (wu[:-1, :] + wu[1:, :])
-    fxx = cu_c * wu_c                                   # (nx, ny)
-    fxy = np.zeros((grid.nx + 1, grid.ny + 1))          # corners
-    cvx = 0.5 * (cv[:-1, :] + cv[1:, :])                # (nx-1, ny+1) at corners i=1..nx-1
-    wuy = np.zeros((grid.nx - 1, grid.ny + 1))
-    wuy[:, 1:-1] = 0.5 * (wu[1:-1, :-1] + wu[1:-1, 1:])
-    fxy[1:-1, :] = cvx * wuy                            # wall rows stay zero (cv=0 there)
-    au = np.zeros_like(wu)
-    au[1:-1, :] = (fxx[1:, :] - fxx[:-1, :]) / hx + (fxy[1:-1, 1:] - fxy[1:-1, :-1]) / hy
+    # u-component: d/dx(cu~ wu~)|cells + d/dy(cv~ wu~)|interior corners
+    au = np.empty_like(wu)
+    au[0] = au[-1] = 0.0
+    _wall_flux_difference(
+        _centred_flux(cv[:-1, 1:-1], cv[1:, 1:-1], wu[1:-1, :-1], wu[1:-1, 1:]),
+        hy, 1, au[1:-1, :])
+    au[1:-1, :] += _difference(_centred_flux(cu[:-1, :], cu[1:, :], wu[:-1, :], wu[1:, :]),
+                               hx, 0)
 
-    # v-component: d/dx(cu~ wv~)|corners + d/dy(cv~ wv~)|cells
-    cv_c = 0.5 * (cv[:, :-1] + cv[:, 1:])
-    wv_c = 0.5 * (wv[:, :-1] + wv[:, 1:])
-    fyy = cv_c * wv_c
-    fyx = np.zeros((grid.nx + 1, grid.ny + 1))
-    cuy = 0.5 * (cu[:, :-1] + cu[:, 1:])                # (nx+1, ny-1) at corners j=1..ny-1
-    wvx = np.zeros((grid.nx + 1, grid.ny - 1))
-    wvx[1:-1, :] = 0.5 * (wv[:-1, 1:-1] + wv[1:, 1:-1])
-    fyx[:, 1:-1] = cuy * wvx
-    av = np.zeros_like(wv)
-    av[:, 1:-1] = (fyx[1:, 1:-1] - fyx[:-1, 1:-1]) / hx + (fyy[:, 1:] - fyy[:, :-1]) / hy
+    # v-component: d/dx(cu~ wv~)|interior corners + d/dy(cv~ wv~)|cells
+    av = np.empty_like(wv)
+    av[:, 0] = av[:, -1] = 0.0
+    _wall_flux_difference(
+        _centred_flux(cu[1:-1, :-1], cu[1:-1, 1:], wv[:-1, 1:-1], wv[1:, 1:-1]),
+        hx, 0, av[:, 1:-1])
+    av[:, 1:-1] += _difference(_centred_flux(cv[:, :-1], cv[:, 1:], wv[:, :-1], wv[:, 1:]),
+                               hy, 1)
     return au, av
 
 
@@ -282,14 +319,61 @@ def lp_norm_cells(f: np.ndarray, p: float, grid: GridSpec) -> float:
     return float((np.sum(np.abs(f) ** p) * grid.cell_area) ** (1.0 / p))
 
 
+def _sum_sq(a: np.ndarray) -> float:
+    return float(np.vdot(a, a))
+
+
+def _sum_sq_diff(f: np.ndarray, axis: int) -> float:
+    """Sum of the squared first differences of a 2-D ``f`` along ``axis``.
+
+    Along axis 1 the rows are differenced end to end as one flat sequence
+    (contiguous, so cheaper than a strided difference), and the terms that
+    pair a row's last entry with the next row's first are taken back out.
+    """
+    if axis == 0:
+        return _sum_sq(f[1:] - f[:-1])
+    flat = f.ravel()
+    return _sum_sq(flat[1:] - flat[:-1]) - _sum_sq(f[1:, 0] - f[:-1, -1])
+
+
+def _odd_ghost_form(f: np.ndarray, axis: int) -> float:
+    """-sum_i f_i (f_{i+1} - 2 f_i + f_{i-1}) along ``axis``, with the odd
+    ghosts f_{-1} = -f_0 and f_n = -f_{n-1}, summed by parts:
+    sum_{i<n-1} (f_{i+1} - f_i)^2 + 2 f_0^2 + 2 f_{n-1}^2."""
+    g = f if axis == 0 else f.T
+    return _sum_sq_diff(f, axis) + 2.0 * (_sum_sq(g[0]) + _sum_sq(g[-1]))
+
+
+def _wall_form(f: np.ndarray, axis: int) -> float:
+    """-sum_{0<i<m} f_i (f_{i+1} - 2 f_i + f_{i-1}) along ``axis`` for values
+    f_0..f_m whose first and last are the wall values, summed by parts:
+    sum_{0<i<m-1} (f_{i+1} - f_i)^2 + f_1 (f_1 - f_0) + f_{m-1} (f_{m-1} - f_m),
+    that is, every squared difference plus f_0 d_0 - f_m d_{m-1} with
+    d_i = f_{i+1} - f_i (zero for pinned walls)."""
+    g = f if axis == 0 else f.T
+    return (_sum_sq_diff(f, axis) + float(np.vdot(g[0], g[1] - g[0]))
+            - float(np.vdot(g[-1], g[-1] - g[-2])))
+
+
 def h1_seminorm_sq_cells(f: np.ndarray, grid: GridSpec) -> float:
-    """Dirichlet energy <-lap f, f>, the operator-consistent |grad f|^2 quadrature."""
-    return max(inner_cells(-laplacian_cells(f, grid), f, grid), 0.0)
+    """Dirichlet energy <-lap f, f>, the operator-consistent |grad f|^2
+    quadrature, summed by parts (``_odd_ghost_form`` per axis) so that no
+    Laplacian is formed.  It is a sum of squares, so it is not clipped."""
+    check_cells(f, grid)
+    return (_odd_ghost_form(f, 0) / grid.hx**2
+            + _odd_ghost_form(f, 1) / grid.hy**2) * grid.cell_area
 
 
 def h1_seminorm_sq_velocity(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> float:
-    val = float(np.sum(-laplacian_u(u, grid) * u) + np.sum(-laplacian_v(v, grid) * v))
-    return max(val * grid.cell_area, 0.0)
+    """<-lap_u u, u> + <-lap_v v, v> summed by parts like
+    ``h1_seminorm_sq_cells``.  The Laplacians act on the interior faces:
+    the normal direction of each component runs between its wall values
+    (``_wall_form``), the tangential one takes odd ghosts.  The wall terms
+    can be negative for nonzero wall values, so the sum is clipped at zero."""
+    check_faces(u, v, grid)
+    sx = _wall_form(u, 0) + _odd_ghost_form(v[:, 1:-1], 0)
+    sy = _odd_ghost_form(u[1:-1, :], 1) + _wall_form(v, 1)
+    return max((sx / grid.hx**2 + sy / grid.hy**2) * grid.cell_area, 0.0)
 
 
 # ---------------------------------------------------------------------------

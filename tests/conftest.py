@@ -228,3 +228,85 @@ def reference_frozen_sources(traj, spec, grid, nt):
         if heat is not None:
             f2[n] += nu * heat
     return (f1u, f1v), f2
+
+
+# ---------------------------------------------------------------------------
+# reference forms of operators the program now evaluates another way
+
+
+def reference_laplacian_cells(f, grid):
+    """``ops.laplacian_cells`` with its ghost layer built by ``np.pad``."""
+    g = np.pad(f, 1)
+    g[0, 1:-1] = -f[0, :]
+    g[-1, 1:-1] = -f[-1, :]
+    g[1:-1, 0] = -f[:, 0]
+    g[1:-1, -1] = -f[:, -1]
+    return ((g[2:, 1:-1] - 2.0 * f + g[:-2, 1:-1]) / grid.hx**2
+            + (g[1:-1, 2:] - 2.0 * f + g[1:-1, :-2]) / grid.hy**2)
+
+
+def reference_laplacian_u(u, grid):
+    out = np.zeros_like(u)
+    g = np.pad(u, ((0, 0), (1, 1)))
+    g[:, 0] = -u[:, 0]
+    g[:, -1] = -u[:, -1]
+    out[1:-1, :] = ((u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / grid.hx**2
+                    + (g[1:-1, 2:] - 2.0 * u[1:-1, :] + g[1:-1, :-2]) / grid.hy**2)
+    return out
+
+
+def reference_laplacian_v(v, grid):
+    out = np.zeros_like(v)
+    g = np.pad(v, ((1, 1), (0, 0)))
+    g[0, :] = -v[0, :]
+    g[-1, :] = -v[-1, :]
+    out[:, 1:-1] = ((g[2:, 1:-1] - 2.0 * v[:, 1:-1] + g[:-2, 1:-1]) / grid.hx**2
+                    + (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / grid.hy**2)
+    return out
+
+
+def reference_h1_seminorm_sq_cells(f, grid):
+    """The Dirichlet energy as <-lap f, f>, with the Laplacian formed."""
+    return max(ops.inner_cells(-reference_laplacian_cells(f, grid), f, grid), 0.0)
+
+
+def reference_h1_seminorm_sq_velocity(u, v, grid):
+    val = float(np.sum(-reference_laplacian_u(u, grid) * u)
+                + np.sum(-reference_laplacian_v(v, grid) * v))
+    return max(val * grid.cell_area, 0.0)
+
+
+def reference_advect_scalar(f, cu, cv, grid):
+    """``ops.advect_scalar`` from whole-grid face fluxes with zero wall rows."""
+    fx = np.zeros_like(cu)
+    fy = np.zeros_like(cv)
+    fx[1:-1, :] = cu[1:-1, :] * 0.5 * (f[:-1, :] + f[1:, :])
+    fy[:, 1:-1] = cv[:, 1:-1] * 0.5 * (f[:, :-1] + f[:, 1:])
+    return (fx[1:, :] - fx[:-1, :]) / grid.hx + (fy[:, 1:] - fy[:, :-1]) / grid.hy
+
+
+def reference_advect_velocity(wu, wv, cu, cv, grid):
+    """``ops.advect_velocity`` from whole-grid corner flux arrays."""
+    hx, hy = grid.hx, grid.hy
+    cu_c = 0.5 * (cu[:-1, :] + cu[1:, :])
+    wu_c = 0.5 * (wu[:-1, :] + wu[1:, :])
+    fxx = cu_c * wu_c
+    fxy = np.zeros((grid.nx + 1, grid.ny + 1))
+    cvx = 0.5 * (cv[:-1, :] + cv[1:, :])
+    wuy = np.zeros((grid.nx - 1, grid.ny + 1))
+    wuy[:, 1:-1] = 0.5 * (wu[1:-1, :-1] + wu[1:-1, 1:])
+    fxy[1:-1, :] = cvx * wuy
+    au = np.zeros_like(wu)
+    au[1:-1, :] = (fxx[1:, :] - fxx[:-1, :]) / hx + (fxy[1:-1, 1:] - fxy[1:-1, :-1]) / hy
+
+    cv_c = 0.5 * (cv[:, :-1] + cv[:, 1:])
+    wv_c = 0.5 * (wv[:, :-1] + wv[:, 1:])
+    fyy = cv_c * wv_c
+    fyx = np.zeros((grid.nx + 1, grid.ny + 1))
+    cuy = 0.5 * (cu[:, :-1] + cu[:, 1:])
+    wvx = np.zeros((grid.nx + 1, grid.ny - 1))
+    wvx[1:-1, :] = 0.5 * (wv[:-1, 1:-1] + wv[1:, 1:-1])
+    fyx[:, 1:-1] = cuy * wvx
+    av = np.zeros_like(wv)
+    av[:, 1:-1] = (fyx[1:, 1:-1] - fyx[:-1, 1:-1]) / hx + (fyy[:, 1:] - fyy[:, :-1]) / hy
+    return au, av

@@ -375,6 +375,16 @@ class TestLargeTime:
         assert rep.crossing_time == 0.0
         assert len(trace.t) == tail.nt + 1
 
+    def test_crossing_within_the_first_steps_reports_no_fit(self, grid16, bumps16):
+        spec = self._spec()
+        y0, th0 = scaled_initial_data(grid16, 1.001e-4)
+        _, rep = large_time_control(
+            y0, th0, 1e-4, spec, PenaltySpec(weight_mode="unweighted"),
+            OuterLoopSpec(), None, grid16, TimeGrid(1.0, 64), TimeGrid(0.5, 32), bumps16)
+        assert 0 < rep.phase1_steps < 5
+        assert np.isnan(rep.decay_c1) and np.isnan(rep.t_star_predicted)
+        assert rep.final_norm < rep.synthesis.uncontrolled_terminal_norm
+
     def test_crossing_matches_prediction(self, grid16, bumps16, patch):
         spec = self._spec()
         y0, th0 = scaled_initial_data(grid16, 1e-2)

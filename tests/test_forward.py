@@ -7,13 +7,16 @@ import pytest
 from bousscontrol import operators as ops
 from bousscontrol.exceptions import DivergenceError, DomainError, StepSizeError
 from bousscontrol.forward import (LinearPropagator, MaxDivergence, NonlinearPropagator,
-                                  SystemSpec, chain_hooks, explicit_terms, run_nonlinear,
+                                  SystemSpec, chain_hooks, energy_components,
+                                  explicit_terms, run_nonlinear,
                                   scaled_initial_data, sine_theta,
                                   stream_velocity, trace_from_trajectory)
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw
 
-from conftest import Recorder, rand_cells, rand_div_free, rand_u, rand_v, run_linearized
+from conftest import (Recorder, rand_cells, rand_div_free, rand_u, rand_v,
+                      reference_h1_seminorm_sq_cells, reference_h1_seminorm_sq_velocity,
+                      run_linearized)
 
 RNG = np.random.default_rng(11)
 
@@ -265,6 +268,22 @@ class TestEnergyMonitors:
         assert trace.phi_monotone
         assert np.all(np.isfinite(trace.energy))
         assert div.value < 1e-12
+
+    def test_energy_components_form_no_laplacian(self, monkeypatch):
+        grid = GridSpec(33, 20, lx=1.3, ly=0.7)
+        (u, v), th = scaled_initial_data(grid, 1e-2)
+        u = u + 1e-3 * RNG.standard_normal(u.shape)
+        th = th + 1e-3 * RNG.standard_normal(th.shape)
+        ref = (reference_h1_seminorm_sq_velocity(u, v, grid), ops.norm_cells(th, grid) ** 2,
+               reference_h1_seminorm_sq_cells(th, grid))
+
+        def forbidden(*args):
+            raise AssertionError("energy_components formed a Laplacian")
+
+        for name in ("laplacian_cells", "laplacian_u", "laplacian_v"):
+            monkeypatch.setattr(ops, name, forbidden)
+        got = energy_components(u, v, th, grid)
+        assert all(abs(g - r) <= 1e-13 * r for g, r in zip(got, ref))
 
     def test_determinism_bit_identical(self, grid16):
         spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1))

@@ -9,9 +9,22 @@ from bousscontrol.grids import GridSpec
 from bousscontrol.operators import SpectralSolver, ViscosityLaw
 
 from conftest import (cg_solve, project_div_free, rand_cells, rand_div_free, rand_u,
-                      rand_v)
+                      rand_v, reference_advect_scalar, reference_advect_velocity,
+                      reference_h1_seminorm_sq_cells, reference_h1_seminorm_sq_velocity,
+                      reference_laplacian_cells, reference_laplacian_u,
+                      reference_laplacian_v)
 
 RNG = np.random.default_rng(20240811)
+
+# A square grid and a non-square one with hx != hy.
+REFERENCE_GRIDS = [GridSpec(16, 16), GridSpec(33, 20, lx=1.3, ly=0.7)]
+
+
+def _walled_fields(grid, rng):
+    """Random cell, u and v fields whose wall rows are nonzero too."""
+    return (rng.standard_normal((grid.nx, grid.ny)),
+            rng.standard_normal((grid.nx + 1, grid.ny)),
+            rng.standard_normal((grid.nx, grid.ny + 1)))
 
 
 class TestStencils:
@@ -54,6 +67,14 @@ class TestStencils:
         lab = ops.laplacian_cells(a * f + b * g, grid16)
         sep = a * ops.laplacian_cells(f, grid16) + b * ops.laplacian_cells(g, grid16)
         assert np.abs(lab - sep).max() < 1e-10 * np.abs(sep).max()
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=["16x16", "33x20"])
+def test_laplacians_match_the_padded_form(grid):
+    f, u, v = _walled_fields(grid, RNG)
+    assert np.array_equal(ops.laplacian_cells(f, grid), reference_laplacian_cells(f, grid))
+    assert np.array_equal(ops.laplacian_u(u, grid), reference_laplacian_u(u, grid))
+    assert np.array_equal(ops.laplacian_v(v, grid), reference_laplacian_v(v, grid))
 
 
 class TestProjection:
@@ -267,6 +288,19 @@ class TestAdvection:
         assert defect <= 1e-12 * scale
 
 
+    @pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=["16x16", "33x20"])
+    def test_interior_fluxes_match_the_whole_grid_flux_form(self, grid):
+        for _ in range(3):
+            f, wu, wv = _walled_fields(grid, RNG)
+            _, cu, cv = _walled_fields(grid, RNG)
+            adv = ops.advect_scalar(f, cu, cv, grid)
+            ref = reference_advect_scalar(f, cu, cv, grid)
+            assert np.abs(adv - ref).max() <= 1e-13 * np.abs(ref).max()
+            for a, r in zip(ops.advect_velocity(wu, wv, cu, cv, grid),
+                            reference_advect_velocity(wu, wv, cu, cv, grid)):
+                assert np.abs(a - r).max() <= 1e-13 * np.abs(r).max()
+
+
 class TestNorms:
     def test_zero_norm(self, grid16):
         assert ops.norm_cells(grid16.zeros_cells(), grid16) == 0.0
@@ -296,6 +330,19 @@ class TestNorms:
         u, v = rand_u(grid16, RNG), rand_v(grid16, RNG)
         assert ops.h1_seminorm_sq_cells(f, grid16) >= 0.0
         assert ops.h1_seminorm_sq_velocity(u, v, grid16) >= 0.0
+
+    @pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=["16x16", "33x20"])
+    def test_h1_seminorms_match_the_laplacian_form(self, grid):
+        fields = [_walled_fields(grid, RNG) for _ in range(5)]
+        # constant along axis 1: the y-sums consist of their wall terms alone
+        f, u, v = _walled_fields(grid, RNG)
+        fields.append((np.repeat(f[:, :1], grid.ny, axis=1),
+                       np.repeat(u[:, :1], grid.ny, axis=1), v))
+        for f, u, v in fields:
+            ref = reference_h1_seminorm_sq_cells(f, grid)
+            assert abs(ops.h1_seminorm_sq_cells(f, grid) - ref) <= 1e-13 * ref
+            ref = reference_h1_seminorm_sq_velocity(u, v, grid)
+            assert abs(ops.h1_seminorm_sq_velocity(u, v, grid) - ref) <= 1e-13 * ref
 
 
 def test_cg_failure_reports_residual(grid16):
