@@ -21,8 +21,9 @@ and are solved for the cost of the seed alone (Jegerlehner, hep-lat/9612014).
 
 Nonlinear problem: outer source-term fixed point.  At iterate k all nonlinear
 and nonlocal terms of the previous controlled run are frozen into (F1, F2) of
-the linear system and the linear control problem is re-solved; on convergence
-the control is validated by an independent nonlinear re-simulation.
+the linear system, and the one linear control problem is re-solved with them,
+warm-started from its own last solution; on convergence the control is
+validated by an independent nonlinear re-simulation.
 
 Large-time pipeline: free decay until the energy crosses delta, then the
 nonlinear synthesis on the remaining short horizon.
@@ -191,7 +192,6 @@ class SynthesisReport:
     j_history: list = field(default_factory=list)
     update_history: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
-    z_state: object = field(default=None, repr=False)  # warm-start carrier, not serialized
     sweep: list = field(default_factory=list, repr=False)  # eps-sweep reports, not serialized
 
     def lines(self):
@@ -269,7 +269,8 @@ class LinearControlProblem:
     sweep; ``solve`` then also solves every sweep member (module docstring).
 
     Its vectors live on the patch's box ``self.box``, as do ``self.bumps``;
-    ``self.masks`` are the whole-grid supports bump > 0.
+    ``self.masks`` are the whole-grid supports bump > 0.  ``self.sources``
+    may be replaced between solves: only ``rhs`` depends on them.
     """
 
     def __init__(self, y0, th0, f1, f2, pen: PenaltySpec, logw: np.ndarray,
@@ -293,6 +294,7 @@ class LinearControlProblem:
         self.forward_sweeps = 0
         self.adjoint_sweeps = 0
         self.members: dict[float, ShiftMember] = {}
+        self.hz: ControlTrajectory | None = None   # H z of the last single-eps solve
 
     # -- building blocks ----------------------------------------------------
 
@@ -350,30 +352,33 @@ class LinearControlProblem:
             m.control_energy = control_inner(m.z, m.z, self.grid, self.tgrid.dt)
             m.z = None
 
-    def solve(self, z0: ControlTrajectory | None = None):
+    def solve(self):
         """CG on the seed system, carrying every other eps as a shifted system.
 
         Returns (z, controls, iters, j_history, free terminal norm) of
         ``pen.epsilon``; every distinct eps, the main one included, is left
-        in ``self.members``.  A warm start ``z0`` is only defined for a
-        single eps, whose arithmetic is then that of plain CG.
+        in ``self.members``.
+
+        A single-eps problem keeps H z = b - r of its last solve in
+        ``self.hz``, and its next solve continues from that z: r0 = b - H z
+        and J(z) = 1/2 <H z, z> - <b, z> + J(0) take no Hessian apply and no
+        forward run beyond ``rhs``.  An eps-sweep problem starts every solve
+        from z = 0 and keeps no copy of b.
         """
         grid, dt, pen = self.grid, self.tgrid.dt, self.pen
-        if z0 is not None and self.eps_sweep:
-            raise DomainError("a warm start z0 cannot be shared by eps-sweep members")
         b, free_tnorm_sq = self.rhs()
-        if z0 is None:
-            z = ControlTrajectory.zeros(grid, self.tgrid.nt, self.box)
-            r = b
-            j0 = 0.5 * free_tnorm_sq / self.eps
+        j0 = 0.5 * free_tnorm_sq / self.eps
+        if self.hz is not None:
+            z = self.members[pen.epsilon].z
+            r = b.plus(self.hz, -1.0)
+            j0 += 0.5 * control_inner(self.hz, z, grid, dt) - control_inner(b, z, grid, dt)
+            self.hz = None
         else:
-            z = z0.copy()
-            r = b.plus(self.hessian_apply(z), -1.0)
-            j0 = (0.5 * control_inner(z, z, grid, dt)
-                  + 0.5 * self.terminal_norm(self.controls_from_z(z)) ** 2 / self.eps)
+            z = ControlTrajectory.zeros(grid, self.tgrid.nt, self.box)
+            r, b = (b, None) if self.eps_sweep else (b.copy(), b)
         p = r.copy()
         seed = ShiftMember(self.eps, 0.0, z, None, [j0])
-        del b, z
+        del z
         active = [seed] + [
             ShiftMember(eps, eps / self.eps - 1.0,
                         ControlTrajectory.zeros(grid, self.tgrid.nt, self.box), p.copy(),
@@ -430,6 +435,9 @@ class LinearControlProblem:
         else:
             for m in active:
                 self._freeze(m)
+        if b is not None:
+            b.axpy(-1.0, r)
+            self.hz = b
         main = self.members[pen.epsilon]
         return (main.z, self.controls_from_z(main.z), main.cg_iters,
                 main.j_history, float(np.sqrt(free_tnorm_sq)))
@@ -472,8 +480,7 @@ def gradient(controls: ControlTrajectory, y0, th0, f1, f2, pen: PenaltySpec,
 def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
                          weights: WeightTables | None, grid: GridSpec,
                          tgrid: TimeGrid, nu0: float, bumps, coupling=None,
-                         z0: ControlTrajectory | None = None, eps_sweep=(),
-                         on_state=None):
+                         eps_sweep=(), on_state=None):
     """Penalized HUM for the linear system.
 
     Returns (controls, SynthesisReport); the report's uncontrolled terminal
@@ -488,7 +495,7 @@ def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
     logw = step_weight_logs(pen, weights, tgrid)
     prob = LinearControlProblem(y0, th0, f1, f2, pen, logw, grid, tgrid, nu0,
                                 bumps, coupling, eps_sweep=eps_sweep)
-    z, controls, iters, j_hist, free_tnorm = prob.solve(z0=z0)
+    z, controls, iters, j_hist, free_tnorm = prob.solve()
     final = prob._terminal_of(controls, True, on_state)
     report = SynthesisReport(
         terminal_norm=float(np.sqrt(ops.state_norm_sq(*final, grid))),
@@ -502,10 +509,9 @@ def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
         forward_sweeps=prob.forward_sweeps,
         adjoint_sweeps=prob.adjoint_sweeps,
         j_history=j_hist,
-        z_state=z,
     )
     for eps in eps_sweep:
-        member = replace(report, extra={}, sweep=[], z_state=None)
+        member = replace(report, extra={}, sweep=[])
         if eps != pen.epsilon:
             m = prob.members[eps]
             member = replace(member, terminal_norm=m.terminal_norm,
@@ -545,40 +551,32 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
                             grid: GridSpec, tgrid: TimeGrid, bumps, on_state=None):
     """Source-term fixed point around the linear synthesis.
 
-    Each outer pass freezes the nonlinear terms of the previous pass's
-    controlled run, streamed from its final forward run, into (F1, F2) and
-    re-solves the linear control problem (warm started).  On convergence the
-    control is re-simulated through the full nonlinear solver, whose levels
+    One linear control problem is built once and re-solved on every outer
+    pass, warm-started from its own residual (``LinearControlProblem.solve``).
+    Between passes the nonlinear terms of the pass's controlled run, streamed
+    from one forward run, replace its sources (F1, F2); with damping d < 1 the
+    second and later sets enter as (1 - d) F_prev + d F_new.  A pass that
+    converges, or is the last one allowed, makes no such run.  The control is
+    then re-simulated through the full nonlinear solver, whose levels
     ``on_state`` sees; its terminal norm is reported.
 
     Returns (controls, the re-simulation's EnergyTrace, SynthesisReport).
     """
     t0 = time.perf_counter()
-    nu0 = spec.law.nu0
-    nt = tgrid.nt
-    controls_prev = ControlTrajectory.zeros(grid, nt, control_box(bumps))
-    f1 = f2 = None
-    f1_prev = f2_prev = None
-    z_prev = None
+    dt = tgrid.dt
+    logw = step_weight_logs(pen, weights, tgrid)
+    prob = LinearControlProblem(y0, th0, None, None, pen, logw, grid, tgrid,
+                                spec.law.nu0, bumps, coupling=spec.buoyancy)
+    controls_prev = ControlTrajectory.zeros(grid, tgrid.nt, prob.box)
     updates: list[float] = []
-    cg_total = forward_sweeps = adjoint_sweeps = 0
+    cg_total = 0
     converged = False
-    n_outer = 0
     for k in range(1, outer.max_outer + 1):
-        n_outer = k
-        frozen: list = []
-        controls, rep = solve_linear_control(
-            y0, th0, f1, f2, pen, weights, grid, tgrid, nu0, bumps,
-            coupling=spec.buoyancy, z0=z_prev, on_state=_freezer(frozen, spec, grid, nt))
-        z_prev = rep.z_state
-        cg_total += rep.cg_iters
-        forward_sweeps += rep.forward_sweeps
-        adjoint_sweeps += rep.adjoint_sweeps
-        upd = control_norm(controls.plus(controls_prev, -1.0), grid, tgrid.dt)
-        updates.append(upd)
-        scale = max(control_norm(controls, grid, tgrid.dt), 1.0e-300)
+        _, controls, iters, _, _ = prob.solve()
+        cg_total += iters
+        updates.append(control_norm(controls.plus(controls_prev, -1.0), grid, dt))
         controls_prev = controls
-        if upd <= outer.outer_tol * max(scale, 1.0):
+        if updates[-1] <= outer.outer_tol * max(control_norm(controls, grid, dt), 1.0):
             converged = True
             break
         if len(updates) >= 4 and all(
@@ -586,24 +584,25 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
             raise ConvergenceError(
                 "outer fixed point diverging over 3 consecutive iterations; "
                 "reduce the data norm or the damping factor", history=updates)
-        f1_new, f2_new = tuple(frozen[:2]), frozen[2]
-        if outer.damping < 1.0 and f1_prev is not None:
+        if k == outer.max_outer:
+            break
+        frozen: list = []
+        prob._terminal_of(controls, True, _freezer(frozen, spec, grid, tgrid.nt))
+        if outer.damping < 1.0 and prob.sources is not None:
             d = outer.damping
-            f1_new = ((1 - d) * f1_prev[0] + d * f1_new[0],
-                      (1 - d) * f1_prev[1] + d * f1_new[1])
-            f2_new = (1 - d) * f2_prev + d * f2_new
-        f1, f2 = f1_new, f2_new
-        f1_prev, f2_prev = f1_new, f2_new
+            frozen = [(1 - d) * a + d * f for a, f in zip(prob.sources, frozen)]
+        prob.sources = tuple(frozen)
+        del frozen
+    forward_sweeps, adjoint_sweeps = prob.forward_sweeps, prob.adjoint_sweeps
+    del prob
 
     resim, trace = run_nonlinear(y0, th0, controls_prev, spec, grid, tgrid,
                                  bumps=bumps, on_state=on_state)
-    logw = step_weight_logs(pen, weights, tgrid)
     report = SynthesisReport(
         terminal_norm=float(np.sqrt(ops.state_norm_sq(*resim, grid))),
-        control_energy_weighted=weighted_control_energy(controls_prev, logw,
-                                                        grid, tgrid.dt),
+        control_energy_weighted=weighted_control_energy(controls_prev, logw, grid, dt),
         cg_iters=cg_total,
-        outer_iters=n_outer,
+        outer_iters=k,
         eps=pen.epsilon,
         wall_time_s=time.perf_counter() - t0,
         uncontrolled_terminal_norm=0.0,

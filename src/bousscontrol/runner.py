@@ -65,6 +65,11 @@ def _tables_for(cfg: ExperimentConfig):
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     try:
+        law = cfg.system.law
+        if cfg.kind == "large-time" and law.variant == "lp" and law.p != 2.0:
+            raise ConfigError(
+                "large-time: the decay law behind it holds for p = 2 only; "
+                f"system.variant = lp with system.p = {law.p:g} is outside it")
         bumps = bump_on_solver_grids(cfg.grid, cfg.patch)
         if cfg.pen.weight_mode == "carleman":
             validate_weight_patch(cfg.grid, cfg.patch)

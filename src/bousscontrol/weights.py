@@ -86,16 +86,6 @@ class WeightParams:
             raise DomainError("eta_sup must be nonnegative")
 
 
-def _log_expm1(x: np.ndarray) -> np.ndarray:
-    """log(e^x - 1) for x > 0, stable for both tiny and huge x."""
-    x = np.asarray(x, dtype=float)
-    small = x < 30.0
-    out = np.empty_like(x)
-    out[small] = np.log(np.expm1(x[small]))
-    out[~small] = x[~small] + np.log1p(-np.exp(-x[~small]))
-    return out
-
-
 def _log_bracket(params: WeightParams, j: float, k: float) -> tuple[float, float]:
     """Sign and log-magnitude of the coefficient of u(t) in j*ahat - k*astar,
     e^{lam m H} [ (j-k) e^{lam m H/4} - j e^{lam H} + k ], for j - k = 1.
@@ -156,11 +146,10 @@ def find_min_m(lam: float, eta_sup: float, tol: float = 1.0e-3) -> float:
 
 @dataclass
 class WeightTables:
-    """Per-node weight family in log space.
+    """Per-node weight family in log space, one value per time node.
 
     ``raw_*`` arrays are uncapped: finite before T, +-inf at the terminal
-    node.  ``raw_log_alpha``/``raw_log_xi`` are sampled on the eta0 node
-    grid, shape (nt+1, nx+1, ny+1); ``raw(name)`` reads a composite.
+    node; ``raw(name)`` reads a composite.
     """
 
     params: WeightParams
@@ -169,8 +158,6 @@ class WeightTables:
     raw_log_alpha_hat: np.ndarray
     raw_log_xi_star: np.ndarray
     raw_log_xi_hat: np.ndarray
-    raw_log_alpha: np.ndarray
-    raw_log_xi: np.ndarray
     raw_composites: dict = field(default_factory=dict)
 
     def raw(self, name: str) -> np.ndarray:
@@ -181,7 +168,8 @@ def eval_weights(params: WeightParams, eta0: np.ndarray, tgrid: TimeGrid) -> Wei
     """Evaluate the full weight family over the time grid, in log space.
 
     The spatial extrema use the analytic values {0, eta_sup} (eta0 vanishes on
-    the boundary and is normalized to sup 1), not sampled extremes.
+    the boundary and is normalized to sup 1), not sampled extremes; ``eta0``
+    itself is only checked to keep alpha positive.
     """
     if params.eta_sup <= 0.0:
         raise GeometryError("eta_sup must be positive to evaluate weights")
@@ -190,14 +178,10 @@ def eval_weights(params: WeightParams, eta0: np.ndarray, tgrid: TimeGrid) -> Wei
     with np.errstate(divide="ignore"):
         log_u = -4.0 * np.log(ell_array(t, tgrid.t_final))  # +inf at t = T
 
-    # alpha(x, t) = e^{lam(mH+eta)} (e^{lam(mH/4 - eta)} - 1) * u
-    eta = np.asarray(eta0, dtype=float)
-    gap_exp = lam * (m * big_h / 4.0 - eta)
-    if np.any(gap_exp <= 0.0):
+    # alpha(x, t) = e^{lam(mH+eta)} (e^{lam(mH/4 - eta)} - 1) * u is positive
+    # only where eta < mH/4
+    if np.any(lam * (m * big_h / 4.0 - np.asarray(eta0, dtype=float)) <= 0.0):
         raise GeometryError("m <= 4*eta/eta_sup somewhere; alpha loses positivity")
-    log_alpha_x = lam * (m * big_h + eta) + _log_expm1(gap_exp)
-    raw_log_alpha = log_alpha_x[None, :, :] + log_u[:, None, None]
-    raw_log_xi = (lam * (m * big_h + eta))[None, :, :] + log_u[:, None, None]
 
     # bracket(0,-1) = alpha-star coefficient (eta = 0), bracket(1,0) = alpha-hat
     raw_log_alpha_star = _log_bracket(params, 0.0, -1.0)[1] + log_u
@@ -238,8 +222,6 @@ def eval_weights(params: WeightParams, eta0: np.ndarray, tgrid: TimeGrid) -> Wei
         raw_log_alpha_hat=raw_log_alpha_hat,
         raw_log_xi_star=raw_log_xi_star,
         raw_log_xi_hat=raw_log_xi_hat,
-        raw_log_alpha=raw_log_alpha,
-        raw_log_xi=raw_log_xi,
         raw_composites=composites,
     )
 

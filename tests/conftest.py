@@ -8,6 +8,7 @@ from bousscontrol.exceptions import BoussControlError, DomainError
 from bousscontrol.forward import LinearPropagator, explicit_terms, zero_padded_sources
 from bousscontrol.geometry import ControlPatch, bump_on_solver_grids
 from bousscontrol.grids import GridSpec, TimeGrid
+from bousscontrol.weights import ell_array
 
 
 class LinearSolverError(BoussControlError):
@@ -228,6 +229,27 @@ def reference_frozen_sources(traj, spec, grid, nt):
         if heat is not None:
             f2[n] += nu * heat
     return (f1u, f1v), f2
+
+
+def reference_space_weights(params, eta0, tgrid):
+    """The space-dependent logs of alpha and xi on the eta0 node grid, shape
+    (nt+1, nx+1, ny+1) and +inf at t = T, as ``weights.eval_weights`` once
+    tabulated them (the program keeps only their spatial extrema):
+
+        alpha = e^{lam(mH+eta)} (e^{lam(mH/4 - eta)} - 1) u,  xi = e^{lam(mH+eta)} u.
+    """
+    lam, m, big_h = params.lam, params.m, params.eta_sup
+    with np.errstate(divide="ignore"):
+        log_u = -4.0 * np.log(ell_array(tgrid.nodes(), tgrid.t_final))
+    eta = np.asarray(eta0, dtype=float)
+    gap = lam * (m * big_h / 4.0 - eta)
+    log_expm1 = np.empty_like(gap)   # log(e^gap - 1), stable for tiny and huge gap
+    small = gap < 30.0
+    log_expm1[small] = np.log(np.expm1(gap[small]))
+    log_expm1[~small] = gap[~small] + np.log1p(-np.exp(-gap[~small]))
+    log_xi_x = lam * (m * big_h + eta)
+    return SimpleNamespace(raw_log_alpha=(log_xi_x + log_expm1)[None] + log_u[:, None, None],
+                           raw_log_xi=log_xi_x[None] + log_u[:, None, None])
 
 
 # ---------------------------------------------------------------------------

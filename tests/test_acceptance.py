@@ -1,6 +1,7 @@
 """Acceptance suite: each criterion runs at its stated tolerance and prints a
-pass/fail line.  Criteria 6-9 execute through the experiment runner on pinned
-configurations so criterion 10 can re-run them and compare artifact bytes.
+pass/fail line.  Criteria 6-9 and 11 execute through the experiment runner on
+pinned configurations so criterion 10 can re-run them and compare artifact
+bytes.
 """
 
 import time
@@ -75,6 +76,24 @@ outer.max = 20
 outer.tol = 1e-9
 """
 
+# the regime where the control, not free decay, brings the state down
+CONFIG_NONLINEAR_ACTIVE = """
+kind = nonlinear-control
+grid.nx = 32
+grid.ny = 32
+time.t_final = 1.0
+time.nt = 128
+system.nu0 = 0.1
+system.nu1 = 0.1
+system.heating = true
+init.target_energy = 1e-2
+penalty.eps = 1e-6
+penalty.weight_mode = carleman
+penalty.cg_tol = 1e-6
+outer.max = 20
+outer.tol = 1e-9
+"""
+
 CONFIG_LARGE_TIME = """
 kind = large-time
 grid.nx = 32
@@ -96,16 +115,18 @@ large_time.tail_nt = 96
 """
 
 RUNTIME_LIMITS = {"decay": 120.0, "linear": 600.0, "nonlinear": 1800.0,
-                  "large_time": 2700.0}
+                  "nonlinear_active": 1800.0, "large_time": 2700.0}
 
 
 @pytest.fixture(scope="module")
 def pinned_runs(tmp_path_factory):
-    """Run criteria 6-9 configurations once; reused by criterion 10."""
+    """Run the configurations of criteria 6-9 and 11 once; reused by
+    criterion 10."""
     base = tmp_path_factory.mktemp("acceptance")
     runs = {}
     for name, text in (("decay", CONFIG_DECAY), ("linear", CONFIG_LINEAR),
                        ("nonlinear", CONFIG_NONLINEAR),
+                       ("nonlinear_active", CONFIG_NONLINEAR_ACTIVE),
                        ("large_time", CONFIG_LARGE_TIME)):
         cfg = parse_config_text(text)
         out = str(base / name)
@@ -277,3 +298,15 @@ def test_criterion_10_determinism(pinned_runs, tmp_path):
     _announce(10, "determinism", not mismatches,
               "byte-identical reruns" if not mismatches
               else f"mismatch in {mismatches}")
+
+
+def test_criterion_11_nonlinear_control_does_the_work(pinned_runs):
+    rep = pinned_runs["nonlinear_active"]["report"]
+    outer = int(rep["nonlinear_control.outer_iters"])
+    ratio = (rep["nonlinear_control.terminal_norm"]
+             / rep["nonlinear_control.uncontrolled_terminal_norm"])
+    ok = (rep["nonlinear_control.converged"] == "True" and outer >= 2
+          and ratio <= 1e-2)
+    _announce(11, "nonlinear null control by the control", ok,
+              f"outer {outer}, terminal/uncontrolled {ratio:.3e} <= 1e-2, "
+              f"{pinned_runs['nonlinear_active']['elapsed']:.1f}s")

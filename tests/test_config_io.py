@@ -296,9 +296,10 @@ class TestCli:
         ("linear-control", "weights.auto_m = false\nweights.eta_sup = 0\n"),
         ("linear-control", "penalty.t_clip = 5.0\n"),
         ("large-time", "large_time.tail_t_final = 5e-324\n"),
+        ("large-time", "system.variant = lp\nsystem.p = 4\n"),
     ], ids=["short-large-time-grid", "empty-decay-window", "one-node-decay-window",
             "center-outside-inner-patch", "zero-eta-sup", "t-clip-past-horizon",
-            "zero-time-step"])
+            "zero-time-step", "lp-large-time"])
     def test_main_rejects_run_time_failures_at_parse_time(self, tmp_path, kind, lines):
         from bousscontrol.cli import main
         cfg_path = tmp_path / "bad.cfg"
@@ -306,6 +307,18 @@ class TestCli:
         rc = main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert not (tmp_path / "out").exists()
+
+    def test_lp_large_time_rejection_names_its_keys(self, tmp_path, capsys):
+        # the large-time result is for p = 2 only; other kinds run the lp law
+        from bousscontrol.cli import main
+        cfg_path = tmp_path / "lp.cfg"
+        cfg_path.write_text(MINIMAL + "system.variant = lp\nsystem.p = 4\n")
+        assert main(["large-time", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "lt")]) == 2
+        out = capsys.readouterr().out
+        assert "system.variant" in out and "system.p" in out
+        assert main(["decay", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "decay")]) == 0
 
 
 class TestVerifyKind:

@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bousscontrol.control import (ControlTrajectory, OuterLoopSpec, PenaltySpec,
-                                  _freezer, control_inner, gradient, large_time_control,
+from bousscontrol.control import (ControlTrajectory, LinearControlProblem,
+                                  OuterLoopSpec, PenaltySpec, _freezer,
+                                  control_inner, gradient, large_time_control,
                                   objective, solve_linear_control,
                                   solve_nonlinear_control,
                                   weighted_control_energy, step_weight_logs)
@@ -15,8 +16,9 @@ from bousscontrol.diagnostics import NormSamples, weighted_norms
 from bousscontrol.exceptions import DomainError, RegimeError
 from bousscontrol.forward import (SystemSpec, chain_hooks, run_nonlinear,
                                   scaled_initial_data, sine_theta)
-from bousscontrol.geometry import build_eta0, control_box, grid_box
-from bousscontrol.grids import TimeGrid
+from bousscontrol.geometry import (ControlPatch, bump_on_solver_grids, build_eta0,
+                                   control_box, grid_box)
+from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw, state_norm_sq
 from bousscontrol.weights import WeightParams, eval_weights, find_min_m
 
@@ -272,14 +274,6 @@ class TestSharedSweepSolve:
         assert f"forward_sweeps = {rep.forward_sweeps}" in rep.lines()
         assert f"adjoint_sweeps = {rep.adjoint_sweeps}" in rep.lines()
 
-    def test_warm_start_with_sweep_rejected(self, case):
-        grid, tg, bumps, y0, th0, tables = case
-        pen = PenaltySpec(epsilon=1e-4, weight_mode="carleman")
-        with pytest.raises(DomainError, match="warm start"):
-            solve_linear_control(y0, th0, None, None, pen, tables, grid, tg,
-                                 0.05, bumps, z0=ControlTrajectory.zeros(grid, tg.nt),
-                                 eps_sweep=(1e-2,))
-
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_member_rejected(self, case, bad):
         grid, tg, bumps, y0, th0, tables = case
@@ -351,6 +345,69 @@ class TestNonlinearControl:
                                               outer, tables16, grid16,
                                               tgrid64, bumps16)
         assert rep_conv.outer_iters <= rep_full.outer_iters
+
+
+class TestOuterLoopContinuation:
+    """Every outer pass re-solves one linear problem: rhs plus CG, warm from
+    the kept H z, and one more forward run that freezes the next sources on
+    every pass but the last."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        grid, tg = GridSpec(16, 16), TimeGrid(1.0, 64)
+        patch = ControlPatch((0.5, 0.5), (0.2, 0.2))
+        wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0)
+        tables = eval_weights(wp, build_eta0(grid, patch), tg)
+        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True,
+                          phi_smallness_factor=1e2)
+        y0, th0 = scaled_initial_data(grid, 1e-2)
+        pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
+        out = {}
+        for damping, max_outer in ((1.0, 25), (1.0, 3), (0.5, 3)):
+            outer = OuterLoopSpec(max_outer=max_outer, outer_tol=1e-6, damping=damping)
+            out[damping, max_outer] = solve_nonlinear_control(
+                y0, th0, spec, pen, outer, tables, grid, tg,
+                bump_on_solver_grids(grid, patch))[2]
+        return out
+
+    @pytest.mark.parametrize("key, converged", [((1.0, 25), True), ((1.0, 3), False)],
+                             ids=["converged", "stopped-by-outer-max"])
+    def test_sweep_counts(self, runs, key, converged):
+        rep = runs[key]
+        assert rep.converged is converged
+        assert rep.outer_iters >= 3
+        assert rep.forward_sweeps == rep.cg_iters + 2 * rep.outer_iters - 1
+        assert rep.adjoint_sweeps == rep.cg_iters + rep.outer_iters
+
+    def test_damping_acts_from_the_second_frozen_set(self, runs):
+        plain, damped = runs[1.0, 3].update_history, runs[0.5, 3].update_history
+        assert len(plain) == len(damped) == 3
+        assert plain[:2] == damped[:2]
+        assert plain[2] != damped[2]
+
+    def test_warm_objective_needs_no_forward_run(self, grid16, tgrid64, bumps16,
+                                                 tables16):
+        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
+        y0, th0 = scaled_initial_data(grid16, 1e-2)
+        pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
+        prob = LinearControlProblem(y0, th0, None, None, pen,
+                                    step_weight_logs(pen, tables16, tgrid64),
+                                    grid16, tgrid64, 0.05, bumps16)
+        z, controls, _, _, _ = prob.solve()
+        z = z.copy()
+        frozen: list = []
+        prob._terminal_of(controls, True, _freezer(frozen, spec, grid16, tgrid64.nt))
+        prob.sources = tuple(frozen)
+        sweeps = prob.forward_sweeps, prob.adjoint_sweeps
+        _, _, iters, j_history, _ = prob.solve()
+        # rhs and one Hessian apply per CG iteration, nothing else
+        assert (prob.forward_sweeps - sweeps[0], prob.adjoint_sweeps - sweeps[1]) == (
+            iters + 1, iters + 1)
+        tn = prob.terminal_norm(prob.controls_from_z(z))
+        direct = (0.5 * control_inner(z, z, grid16, tgrid64.dt)
+                  + 0.5 * tn ** 2 / pen.epsilon)
+        assert j_history[0] == pytest.approx(direct, rel=1e-10)
+        assert j_history[0] != j_history[-1]
 
 
 class TestLargeTime:
@@ -486,9 +543,6 @@ def test_cg_optimum_matches_dense_solve():
     # independent optimality oracle: assemble the reduced Hessian densely by
     # applying it to unit vectors and solve the linear system directly; the
     # CG minimizer must agree on the masked control DOFs
-    from bousscontrol.control import LinearControlProblem, step_weight_logs
-    from bousscontrol.geometry import ControlPatch, bump_on_solver_grids
-    from bousscontrol.grids import GridSpec
 
     grid = GridSpec(8, 8)
     tg = TimeGrid(1.0, 16)
@@ -584,9 +638,6 @@ class TestControlLayout:
 
     def test_hessian_apply_allocates_no_full_grid_control(self):
         import tracemalloc
-        from bousscontrol.control import LinearControlProblem
-        from bousscontrol.geometry import ControlPatch, bump_on_solver_grids
-        from bousscontrol.grids import GridSpec
         grid, tg = GridSpec(32, 32), TimeGrid(1.0, 64)
         bumps = bump_on_solver_grids(grid, ControlPatch((0.5, 0.5), (0.2, 0.2)))
         pen = PenaltySpec(epsilon=1e-6, weight_mode="unweighted")

@@ -12,6 +12,8 @@ from bousscontrol.weights import (WeightParams, check_weight_chain,
                                   check_weight_gap, control_weight_logs, ell,
                                   eval_weights, export_weight_csv, find_min_m)
 
+from conftest import reference_space_weights
+
 # frozen from the big-float oracle below (60 digits)
 GOLDEN_MARGIN_M100 = 1.9355760411774314e54
 GOLDEN_MARGIN_M401 = -1610.5084842716144
@@ -39,10 +41,17 @@ def oracle_log_composite(t, t_final, lam, m, s, j, k, xi_pow, use_xi_star=False)
     return float(combo * s - xi_pow * mp.log(xi))
 
 
+def _eta0(nx):
+    return build_eta0(GridSpec(nx, nx), ControlPatch((0.5, 0.5), (0.2, 0.2)))
+
+
 def tables_for(params, nx=16, nt=64, t_final=1.0):
-    grid = GridSpec(nx, nx)
-    eta0 = build_eta0(grid, ControlPatch((0.5, 0.5), (0.2, 0.2)))
-    return eval_weights(params, eta0, TimeGrid(t_final, nt))
+    return eval_weights(params, _eta0(nx), TimeGrid(t_final, nt))
+
+
+def space_weights_for(params, nx=16, nt=64, t_final=1.0):
+    """The space-dependent log alpha and log xi on the grid of ``tables_for``."""
+    return reference_space_weights(params, _eta0(nx), TimeGrid(t_final, nt))
 
 
 class TestEll:
@@ -127,9 +136,10 @@ class TestGapAndMinM:
             tables_for(p, nt=32)
         # with s small enough to bring s * alpha back into range the whole
         # family is finite before T (lam = 200 still overflows e^{lam m H})
-        tb = tables_for(WeightParams(1e-300, 200.0, find_min_m(200.0, 1.0), 1.0), nt=32)
+        tame = WeightParams(1e-300, 200.0, find_min_m(200.0, 1.0), 1.0)
+        tb, sp = tables_for(tame, nt=32), space_weights_for(tame, nt=32)
         for arr in (tb.raw_log_alpha_star, tb.raw_log_alpha_hat, tb.raw_log_xi_star,
-                    tb.raw_log_xi_hat, tb.raw_log_alpha, tb.raw_log_xi,
+                    tb.raw_log_xi_hat, sp.raw_log_alpha, sp.raw_log_xi,
                     *tb.raw_composites.values()):
             assert np.all(np.isfinite(arr[:-1]))
             assert np.all(arr[-1] == np.inf)
@@ -169,11 +179,11 @@ class TestEvalWeights:
 
     def test_extrema_consistency(self):
         p = WeightParams(s=1.0, lam=1.0, m=14.0, eta_sup=1.0)
-        tb = tables_for(p)
-        a = tb.raw_log_alpha[:-1]
+        tb, sp = tables_for(p), space_weights_for(p)
+        a = sp.raw_log_alpha[:-1]
         assert np.all(a <= tb.raw_log_alpha_star[:-1, None, None] + 1e-10)
         assert np.all(a >= tb.raw_log_alpha_hat[:-1, None, None] - 1e-10)
-        x = tb.raw_log_xi[:-1]
+        x = sp.raw_log_xi[:-1]
         assert np.all(x <= tb.raw_log_xi_hat[:-1, None, None] + 1e-12)
         assert np.all(x >= tb.raw_log_xi_star[:-1, None, None] - 1e-12)
 
@@ -200,7 +210,7 @@ class TestEvalWeights:
         a = tables_for(p)
         b = tables_for(p)
         assert np.array_equal(a.raw("rho2"), b.raw("rho2"))
-        assert np.array_equal(a.raw_log_alpha, b.raw_log_alpha)
+        assert np.array_equal(a.raw_log_alpha_star, b.raw_log_alpha_star)
 
     def test_eta_sup_zero_rejected(self):
         p = WeightParams(s=1.0, lam=1.0, m=14.0, eta_sup=0.0)
