@@ -15,7 +15,7 @@ from bousscontrol import (ControlPatch, GridSpec, TimeGrid, WeightParams,
                           build_eta0, check_weight_chain, check_weight_gap,
                           eval_weights, find_min_m)
 from bousscontrol.geometry import eta0_gradient_margin
-from bousscontrol.weights import export_weight_csv
+from bousscontrol.fieldio import export_weight_csv
 
 grid = GridSpec(32, 32)
 patch = ControlPatch(center=(0.5, 0.5), half_widths=(0.2, 0.2), inner_margin=0.25)

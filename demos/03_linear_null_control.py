@@ -53,10 +53,11 @@ print("\nthe last column shows the weight at work: the control is crushed to "
 
 norms = weighted_norms(samples, controls, tables, grid, tgrid, t_clip=pen.t_clip)
 print("\nweighted a-priori quantities of the eps=1e-6 run, as log10:")
-print(f"   iint rho2^2 (|v|^2+|v0|^2): {norms.iint_rho2_sq_controls:.6f} "
+print(f"   iint rho2^2 (|v|^2+|v0|^2): {norms['log10_iint_rho2_sq_controls']:.6f} "
       f"(the synthesis-side energy {rep.control_energy_weighted:.4e} has log10 "
       f"{np.log10(rep.control_energy_weighted):.6f})")
-print(f"   iint rho1^2 (|y|^2+|th|^2): {norms.iint_rho1_sq_state:.6e} "
+print(f"   iint rho1^2 (|y|^2+|th|^2): {norms['log10_iint_rho1_sq_state']:.6e} "
       "(carried by the node nearest T, where rho1 is largest)")
-for name, value in sorted(norms.kappa_control_norms.items()):
-    print(f"   kappa {name}: {value:.6f}")
+for name, value in norms.items():
+    if name.startswith("log10_kappa_"):
+        print(f"   kappa {name.removeprefix('log10_kappa_')}: {value:.6f}")

@@ -6,8 +6,9 @@ Core pieces: staggered-grid operators with spectral constant-coefficient
 solves (`operators`), observability weight family (`weights`, `geometry`),
 IMEX forward/linearized integrators (`forward`), exact discrete adjoints
 (`adjoint`), penalized-HUM control synthesis with an outer quasi-linearization
-loop (`control`), weighted-norm and decay diagnostics (`diagnostics`), and an
-experiment runner with a CLI (`runner`, `cli`).
+loop (`control`), weighted-norm and decay diagnostics (`diagnostics`), the one
+artifact writer (`fieldio`), and an experiment runner with a CLI (`runner`,
+`cli`).
 """
 
 from .grids import GridSpec, TimeGrid

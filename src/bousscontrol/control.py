@@ -155,8 +155,10 @@ class PenaltySpec:
         _check_eps(self.epsilon)
         if self.weight_mode not in ("carleman", "unweighted"):
             raise DomainError("weight_mode must be 'carleman' or 'unweighted'")
-        if self.t_clip is not None and not (self.t_clip > 0.0):
-            raise DomainError("t_clip must be positive (or None for the default)")
+        if self.t_clip is not None and not (0.0 < self.t_clip < math.inf):
+            raise DomainError("t_clip must be finite and positive (or None for the default)")
+        if not (0.0 < self.cg_tol < math.inf):
+            raise DomainError(f"cg_tol must be finite and positive, got {self.cg_tol!r}")
         if self.cg_max_iters < 1:
             raise DomainError("cg_max_iters must be >= 1")
 
@@ -170,8 +172,8 @@ class OuterLoopSpec:
     def __post_init__(self):
         if self.max_outer < 1:
             raise DomainError("max_outer must be >= 1")
-        if not (self.outer_tol > 0.0):
-            raise DomainError("outer_tol must be positive")
+        if not (0.0 < self.outer_tol < math.inf):
+            raise DomainError(f"outer_tol must be finite and positive, got {self.outer_tol!r}")
         if not (0.0 < self.damping <= 1.0):
             raise DomainError("damping must lie in (0, 1]")
 
@@ -191,29 +193,7 @@ class SynthesisReport:
     adjoint_sweeps: int = 0      # adjoint runs of the same
     j_history: list = field(default_factory=list)
     update_history: list = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
     sweep: list = field(default_factory=list, repr=False)  # eps-sweep reports, not serialized
-
-    def lines(self):
-        out = [
-            f"terminal_norm = {self.terminal_norm:.17g}",
-            f"control_energy_weighted = {self.control_energy_weighted:.17g}",
-            f"cg_iters = {self.cg_iters}",
-            f"outer_iters = {self.outer_iters}",
-            f"eps = {self.eps:.17g}",
-            f"wall_time_s = {self.wall_time_s:.6f}",
-            f"uncontrolled_terminal_norm = {self.uncontrolled_terminal_norm:.17g}",
-            f"data_norm = {self.data_norm:.17g}",
-            f"converged = {self.converged}",
-            f"forward_sweeps = {self.forward_sweeps}",
-            f"adjoint_sweeps = {self.adjoint_sweeps}",
-        ]
-        if self.update_history:
-            out.append("update_norms = "
-                       + ",".join(f"{u:.17g}" for u in self.update_history))
-        for k, v in sorted(self.extra.items()):
-            out.append(f"{k} = {v:.17g}" if isinstance(v, float) else f"{k} = {v}")
-        return out
 
 
 def step_weight_logs(pen: PenaltySpec, weights: WeightTables | None,
@@ -511,7 +491,7 @@ def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
         j_history=j_hist,
     )
     for eps in eps_sweep:
-        member = replace(report, extra={}, sweep=[])
+        member = replace(report, sweep=[])
         if eps != pen.epsilon:
             m = prob.members[eps]
             member = replace(member, terminal_norm=m.terminal_norm,
@@ -628,20 +608,6 @@ class LargeTimeReport:
     delta: float
     phase1_steps: int
     synthesis: SynthesisReport
-
-    def lines(self):
-        out = [
-            f"crossing_time = {self.crossing_time:.17g}",
-            f"t_star_predicted = {self.t_star_predicted:.17g}",
-            f"decay_c1 = {self.decay_c1:.17g}",
-            f"decay_c2 = {self.decay_c2:.17g}",
-            f"fit_r_squared = {self.fit_r_squared:.17g}",
-            f"final_norm = {self.final_norm:.17g}",
-            f"delta = {self.delta:.17g}",
-            f"phase1_steps = {self.phase1_steps}",
-        ]
-        out += [f"synthesis_{ln}" for ln in self.synthesis.lines()]
-        return out
 
 
 def large_time_control(y0, th0, delta: float, spec: SystemSpec,

@@ -1,5 +1,4 @@
-"""Weighted a-priori norms, the energy-decay fit, the waiting-time formula,
-and deterministic report emission.
+"""Weighted a-priori norms, the energy-decay fit and the waiting-time formula.
 
 Weighted quantities use time-normalized weight profiles (log 0 at their
 minimum over the horizon): the raw weight magnitudes are off-scale constants,
@@ -14,7 +13,7 @@ at t = T the weights are +inf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -52,26 +51,6 @@ def _log10_sup(logw: np.ndarray, sq: np.ndarray) -> float:
     return float(np.max(2.0 * logw + _log(sq)) / _LN10)
 
 
-@dataclass
-class WeightedNormReport:
-    """log10 of each weighted norm; -inf for a zero quantity."""
-
-    iint_rho1_sq_state: float
-    iint_rho2_sq_controls: float
-    sup_mu1_y: float
-    iint_mu1_grad_y: float
-    sup_mu2_grad_y: float
-    iint_mu2_yt_dy: float
-    mu2_theta_t_L32: float
-    mu2_lap_theta_L32: float
-    kappa_control_norms: dict
-
-    def lines(self):
-        out = [(f.name, getattr(self, f.name)) for f in fields(self)[:-1]]
-        out += [("kappa_" + k, v) for k, v in sorted(self.kappa_control_norms.items())]
-        return [f"log10_{k} = {v:.17g}" for k, v in out]
-
-
 class NormSamples:
     """An ``on_state`` hook recording, node by node, the squared norms that
     ``weighted_norms`` sums over a run of ``tgrid``: at each level n < nt the
@@ -107,9 +86,12 @@ class NormSamples:
 
 def weighted_norms(samples: NormSamples, controls: ControlTrajectory | None,
                    tables: WeightTables, grid: GridSpec, tgrid: TimeGrid,
-                   t_clip: float | None = None) -> WeightedNormReport:
+                   t_clip: float | None = None) -> dict:
     """log10 of the weighted state/control norms of the a-priori estimates,
-    from the per-node ``samples`` of the state run.
+    from the per-node ``samples`` of the state run, as an ordered mapping
+    ``log10_<quantity>``: the eight state and control norms, then the kappa
+    control regularity entries ``log10_kappa_<entry>`` by name; -inf for a
+    zero quantity.
 
     The rho2-weighted control energy uses the synthesis weight convention
     (t_clip-frozen, normalized), so it matches the energy reported by the
@@ -118,27 +100,26 @@ def weighted_norms(samples: NormSamples, controls: ControlTrajectory | None,
     """
     dt = tgrid.dt
     lw1, lmu1, lmu2 = (normalized_node_logs(tables, n) for n in ("rho1", "mu1", "mu2"))
-
-    rho2_controls = -np.inf
+    out = {"log10_iint_rho1_sq_state": _log10_sum(lw1, samples.state_sq, dt),
+           "log10_iint_rho2_sq_controls": -np.inf}
     kappa_norms = {}
     if controls is not None:
         lw2 = control_weight_logs(tables, default_t_clip(t_clip, tgrid))
         control_sq = sum(np.sum(a * a, axis=(1, 2)) for a in controls.parts)
-        rho2_controls = _log10_sum(lw2, control_sq, grid.cell_area * dt)
+        out["log10_iint_rho2_sq_controls"] = _log10_sum(lw2, control_sq,
+                                                        grid.cell_area * dt)
         kappa_norms = control_regularity_report(controls, tables, grid, tgrid,
                                                 t_clip=t_clip)
-
-    return WeightedNormReport(
-        iint_rho1_sq_state=_log10_sum(lw1, samples.state_sq, dt),
-        iint_rho2_sq_controls=rho2_controls,
-        sup_mu1_y=_log10_sup(lmu1, samples.y_sq),
-        iint_mu1_grad_y=_log10_sum(lmu1, samples.grad_y_sq, dt),
-        sup_mu2_grad_y=_log10_sup(lmu2, samples.grad_y_sq),
-        iint_mu2_yt_dy=_log10_sum(lmu2, samples.yt_dy_sq, dt),
-        mu2_theta_t_L32=_log10_sum(lmu2, samples.th_t_l32, dt),
-        mu2_lap_theta_L32=_log10_sum(lmu2, samples.lap_th_l32, dt),
-        kappa_control_norms=kappa_norms,
+    out.update(
+        log10_sup_mu1_y=_log10_sup(lmu1, samples.y_sq),
+        log10_iint_mu1_grad_y=_log10_sum(lmu1, samples.grad_y_sq, dt),
+        log10_sup_mu2_grad_y=_log10_sup(lmu2, samples.grad_y_sq),
+        log10_iint_mu2_yt_dy=_log10_sum(lmu2, samples.yt_dy_sq, dt),
+        log10_mu2_theta_t_L32=_log10_sum(lmu2, samples.th_t_l32, dt),
+        log10_mu2_lap_theta_L32=_log10_sum(lmu2, samples.lap_th_l32, dt),
     )
+    out.update(("log10_kappa_" + k, v) for k, v in sorted(kappa_norms.items()))
+    return out
 
 
 def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
@@ -202,11 +183,6 @@ class DecayFit:
     r_squared: float
     window: tuple[float, float]
 
-    def lines(self):
-        return [f"decay_c1 = {self.c1:.17g}", f"decay_c2 = {self.c2:.17g}",
-                f"decay_r_squared = {self.r_squared:.17g}",
-                f"decay_window = [{self.window[0]:.6g}, {self.window[1]:.6g}]"]
-
 
 def decay_window(t: np.ndarray, window: tuple[float, float]) -> np.ndarray:
     """Mask of the nodes ``t`` that lie in the closed fit window."""
@@ -242,41 +218,3 @@ def t_star(fit: DecayFit, delta: float, e0: float) -> float:
     if delta <= 0.0 or e0 <= 0.0:
         raise DomainError("delta and E0 must be positive")
     return max(0.0, -np.log(delta / (fit.c2 * e0)) / fit.c1)
-
-
-# ---------------------------------------------------------------------------
-# report emission
-
-
-def emit_report(path, sections: dict, config_hash: str = "", grid_hash: str = "") -> None:
-    """Write a structured key = value report; re-runs are byte-identical
-    (the caller owns any timing lines it includes)."""
-    with open(path, "w") as fh:
-        fh.write(f"config_hash = {config_hash}\n")
-        fh.write(f"grid_hash = {grid_hash}\n")
-        for name in sorted(sections):
-            fh.write(f"[{name}]\n")
-            for line in sections[name]:
-                fh.write(line + "\n")
-
-
-def parse_report(path) -> dict:
-    """Read back an emitted report; numeric values are parsed as floats."""
-    out: dict = {}
-    section = ""
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1] + "."
-                continue
-            if " = " not in line:
-                continue
-            key, val = line.split(" = ", 1)
-            try:
-                out[section + key] = float(val)
-            except ValueError:
-                out[section + key] = val
-    return out

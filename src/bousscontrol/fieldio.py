@@ -1,7 +1,8 @@
-"""Field and trace persistence.
+"""Artifact writing: field dumps, CSV tables and key = value reports.
 
 Fields use a one-line text header followed by raw little-endian float64 bytes
-(C order); round-trips are bit-exact.  Energy traces are CSV.
+(C order); round-trips are bit-exact.  Every number in a CSV row or a report
+is formatted here: CSV rows in .17g, report values by ``format_value``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 
 from .exceptions import ShapeError
 from .forward import EnergyTrace
+from .weights import WeightTables
 
 _MAGIC = "BCFIELD1"
 
@@ -57,14 +59,82 @@ class StateWriter:
             self.paths.append(p)
 
 
+def _row(values) -> str:
+    return ",".join(f"{x:.17g}" for x in values)
+
+
+def _write_csv(path, header: list, columns, preamble: str = "") -> None:
+    """A header line, then one .17g row per index of the equal-length
+    ``columns``; ``preamble`` (e.g. comment lines) goes first."""
+    with open(path, "w") as fh:
+        fh.write(preamble + ",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(_row(row) + "\n")
+
+
 def energy_trace_csv(path, trace: EnergyTrace, preamble: str = "") -> None:
     """One row per node; ``preamble`` (e.g. comment lines) goes first."""
+    _write_csv(path, ["t", "E", "Phi", "grad_y_sq", "theta_sq", "grad_theta_sq"],
+               (trace.t, trace.energy, trace.phi, trace.grad_y_sq, trace.theta_sq,
+                trace.grad_theta_sq), preamble)
+
+
+def export_weight_csv(tables: WeightTables, path) -> None:
+    """The per-node raw log tables; the t = T row reads inf."""
+    names = ["alpha_star", "alpha_hat", "xi_star", "xi_hat", *tables.raw_composites]
+    data = [tables.raw_log_alpha_star, tables.raw_log_alpha_hat,
+            tables.raw_log_xi_star, tables.raw_log_xi_hat,
+            *tables.raw_composites.values()]
+    _write_csv(path, ["t"] + [f"log_{n}" for n in names], [tables.t, *data])
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+
+def format_value(key: str, value) -> str:
+    """A report value as text: wall-clock values (keys ending in
+    ``wall_time_s``) in .6f, floats in .17g, a list of floats comma-joined in
+    .17g, and anything else (int, bool, str) by ``str``."""
+    if key.endswith("wall_time_s"):
+        return f"{value:.6f}"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, list):
+        return _row(value)
+    return str(value)
+
+
+def emit_report(path, sections: dict, config_hash: str = "", grid_hash: str = "") -> None:
+    """Write ``sections`` (name -> ordered key -> value mapping) as a
+    key = value report, sections sorted by name and keys in their order;
+    re-runs are byte-identical apart from the wall-clock lines."""
     with open(path, "w") as fh:
-        fh.write(preamble)
-        fh.write("t,E,Phi,grad_y_sq,theta_sq,grad_theta_sq\n")
-        e = trace.energy
-        phi = trace.phi
-        for k in range(len(trace.t)):
-            fh.write(",".join(f"{x:.17g}" for x in (
-                trace.t[k], e[k], phi[k], trace.grad_y_sq[k],
-                trace.theta_sq[k], trace.grad_theta_sq[k])) + "\n")
+        fh.write(f"config_hash = {config_hash}\n")
+        fh.write(f"grid_hash = {grid_hash}\n")
+        for name in sorted(sections):
+            fh.write(f"[{name}]\n")
+            for key, value in sections[name].items():
+                fh.write(f"{key} = {format_value(key, value)}\n")
+
+
+def parse_report(path) -> dict:
+    """Read back an emitted report; numeric values are parsed as floats."""
+    out: dict = {}
+    section = ""
+    with open(path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1] + "."
+                continue
+            if " = " not in line:
+                continue
+            key, val = line.split(" = ", 1)
+            try:
+                out[section + key] = float(val)
+            except ValueError:
+                out[section + key] = val
+    return out

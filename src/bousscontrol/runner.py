@@ -9,7 +9,7 @@ Exit codes: 0 success / all checks passed, 2 configuration or geometry error
 from __future__ import annotations
 
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -22,16 +22,16 @@ from .adjoint import duality_defect
 from .control import (ControlTrajectory, PenaltySpec, control_inner,
                       gradient, large_time_control, objective,
                       solve_linear_control, solve_nonlinear_control)
-from .diagnostics import NormSamples, decay_fit, emit_report, t_star, weighted_norms
-from .fieldio import StateWriter, dump_field, energy_trace_csv
+from .diagnostics import NormSamples, decay_fit, t_star, weighted_norms
+from .fieldio import (StateWriter, dump_field, emit_report, energy_trace_csv,
+                      export_weight_csv)
 from .forward import (EnergyTrace, MaxDivergence, SystemSpec, chain_hooks,
                       run_nonlinear, scaled_initial_data, sine_theta,
                       stream_velocity)
 from .forward import trace_from_trajectory  # noqa: F401  (bench/tracer.py wraps runner's name)
 from . import operators as ops
 from .mms import run_mms
-from .weights import (check_weight_chain, check_weight_gap, default_t_clip,
-                      eval_weights, export_weight_csv)
+from .weights import check_weight_chain, check_weight_gap, default_t_clip, eval_weights
 
 
 def _initial_data(cfg: ExperimentConfig):
@@ -70,6 +70,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
             raise ConfigError(
                 "large-time: the decay law behind it holds for p = 2 only; "
                 f"system.variant = lp with system.p = {law.p:g} is outside it")
+        if cfg.kind in ("nonlinear-control", "large-time") and cfg.system.mode != "nonlinear":
+            raise ConfigError(
+                f"{cfg.kind}: its outer loop freezes the nonlinear terms of the "
+                f"full system; system.mode = {cfg.system.mode} is a linear problem "
+                "(use linear-control)")
         bumps = bump_on_solver_grids(cfg.grid, cfg.patch)
         if cfg.pen.weight_mode == "carleman":
             validate_weight_patch(cfg.grid, cfg.patch)
@@ -107,16 +112,14 @@ def _run_simulate(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
         y0, th0, None, cfg.system, cfg.grid, cfg.tgrid,
         on_state=chain_hooks(div, _state_writer(cfg, out_dir)))
     _write_energy_csv(os.path.join(out_dir, "energy.csv"), trace, chash)
-    lines = [
-        f"final_norm = {float(np.sqrt(ops.state_norm_sq(*final, cfg.grid))):.17g}",
-        f"energy_initial = {trace.energy[0]:.17g}",
-        f"energy_final = {trace.energy[-1]:.17g}",
-        f"phi_monotone = {trace.phi_monotone}",
-        f"smallness_ok = {trace.smallness_ok}",
-        f"max_div = {div.value:.17g}",
-    ]
-    emit_report(os.path.join(out_dir, "report.txt"), {"simulate": lines},
-                config_hash=chash, grid_hash=ghash)
+    emit_report(os.path.join(out_dir, "report.txt"), {"simulate": {
+        "final_norm": float(np.sqrt(ops.state_norm_sq(*final, cfg.grid))),
+        "energy_initial": trace.energy[0],
+        "energy_final": trace.energy[-1],
+        "phi_monotone": trace.phi_monotone,
+        "smallness_ok": trace.smallness_ok,
+        "max_div": div.value,
+    }}, config_hash=chash, grid_hash=ghash)
     return 0
 
 
@@ -127,17 +130,21 @@ def _run_decay(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     t_final = cfg.tgrid.t_final
     fit = decay_fit(trace, (cfg.decay_fit_lo_frac * t_final,
                             cfg.decay_fit_hi_frac * t_final))
-    lines = fit.lines()
-    lines.append(f"phi_monotone = {trace.phi_monotone}")
-    lines.append(f"phi_violation_step = {trace.phi_violation_step()}")
-    lines.append(f"smallness_ok = {trace.smallness_ok}")
+    section = {
+        "decay_c1": fit.c1,
+        "decay_c2": fit.c2,
+        "decay_r_squared": fit.r_squared,
+        "decay_window": f"[{fit.window[0]:.6g}, {fit.window[1]:.6g}]",
+        "phi_monotone": trace.phi_monotone,
+        "phi_violation_step": trace.phi_violation_step(),
+        "smallness_ok": trace.smallness_ok,
+    }
     try:
         ts = t_star(fit, cfg.lt_delta, float(trace.energy[0]))
-        lines.append(f"t_star_delta = {cfg.lt_delta:.17g}")
-        lines.append(f"t_star = {ts:.17g}")
+        section.update(t_star_delta=cfg.lt_delta, t_star=ts)
     except BoussControlError as exc:
-        lines.append(f"t_star_error = {exc}")
-    emit_report(os.path.join(out_dir, "report.txt"), {"decay": lines},
+        section["t_star_error"] = str(exc)
+    emit_report(os.path.join(out_dir, "report.txt"), {"decay": section},
                 config_hash=chash, grid_hash=ghash)
     return 0
 
@@ -149,13 +156,22 @@ def _final_run_hooks(cfg, out_dir, tables):
     return samples, chain_hooks(samples, _state_writer(cfg, out_dir))
 
 
-def _synthesis_artifacts(cfg, out_dir, name, controls, samples, rep, tables,
+def _synthesis_section(rep) -> dict:
+    """A ``SynthesisReport``'s scalar fields in declaration order, then its
+    outer-update norms when it has any."""
+    section = {f.name: getattr(rep, f.name) for f in fields(rep)
+               if f.name not in ("j_history", "update_history", "sweep")}
+    if rep.update_history:
+        section["update_norms"] = rep.update_history
+    return section
+
+
+def _synthesis_artifacts(cfg, out_dir, name, controls, samples, section, tables,
                          chash, ghash):
-    sections = {name: rep.lines()}
+    sections = {name: section}
     if tables is not None:
-        norms = weighted_norms(samples, controls, tables, cfg.grid, cfg.tgrid,
-                               t_clip=cfg.pen.t_clip)
-        sections["weighted_norms"] = norms.lines()
+        sections["weighted_norms"] = weighted_norms(
+            samples, controls, tables, cfg.grid, cfg.tgrid, t_clip=cfg.pen.t_clip)
     emit_report(os.path.join(out_dir, "report.txt"), sections,
                 config_hash=chash, grid_hash=ghash)
     if cfg.dump_fields:
@@ -176,16 +192,17 @@ def _run_linear_control(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     controls, rep = solve_linear_control(
         y0, th0, None, None, cfg.pen, tables, cfg.grid, cfg.tgrid, nu0, bumps,
         coupling=cfg.system.buoyancy, eps_sweep=cfg.eps_sweep, on_state=hooks)
-    rep.extra["terminal_over_uncontrolled"] = (
-        rep.terminal_norm / rep.uncontrolled_terminal_norm
-        if rep.uncontrolled_terminal_norm > 0 else 0.0)
+    section = _synthesis_section(rep)
     for i, rep_i in enumerate(rep.sweep):
         emit_report(os.path.join(out_dir, f"report_eps_{i}.txt"),
-                    {"linear_control": rep_i.lines()},
+                    {"linear_control": _synthesis_section(rep_i)},
                     config_hash=chash, grid_hash=ghash)
-        rep.extra[f"sweep_terminal_{i}"] = rep_i.terminal_norm
-    _synthesis_artifacts(cfg, out_dir, "linear_control", controls, samples, rep,
-                         tables, chash, ghash)
+        section[f"sweep_terminal_{i}"] = rep_i.terminal_norm
+    section["terminal_over_uncontrolled"] = (
+        rep.terminal_norm / rep.uncontrolled_terminal_norm
+        if rep.uncontrolled_terminal_norm > 0 else 0.0)
+    _synthesis_artifacts(cfg, out_dir, "linear_control", controls, samples,
+                         section, tables, chash, ghash)
     return 0
 
 
@@ -196,7 +213,7 @@ def _run_nonlinear_control(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
         bumps, on_state=hooks)
     _write_energy_csv(os.path.join(out_dir, "energy.csv"), trace, chash)
     _synthesis_artifacts(cfg, out_dir, "nonlinear_control", controls, samples,
-                         rep, tables, chash, ghash)
+                         _synthesis_section(rep), tables, chash, ghash)
     return 0 if rep.converged else 3
 
 
@@ -208,8 +225,11 @@ def _run_large_time(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
         y0, th0, cfg.lt_delta, cfg.system, pen, cfg.outer, tables, cfg.grid,
         cfg.lt_phase1, tail, bumps, on_state=_state_writer(cfg, out_dir))
     _write_energy_csv(os.path.join(out_dir, "energy.csv"), trace, chash)
-    emit_report(os.path.join(out_dir, "report.txt"),
-                {"large_time": rep.lines()}, config_hash=chash, grid_hash=ghash)
+    section = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "synthesis"}
+    section.update(("synthesis_" + k, v)
+                   for k, v in _synthesis_section(rep.synthesis).items())
+    emit_report(os.path.join(out_dir, "report.txt"), {"large_time": section},
+                config_hash=chash, grid_hash=ghash)
     return 0 if rep.synthesis.converged else 3
 
 
@@ -270,12 +290,11 @@ def _run_verify(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     same = compare_artifact_dirs(sub[0], sub[1])
     checks.append(("determinism", same, "byte-identical" if same else "mismatch"))
 
-    lines = [f"{name} = {'pass' if ok else 'FAIL'} ({val})"
-             for name, ok, val in checks]
-    emit_report(os.path.join(out_dir, "verify_report.txt"), {"verify": lines},
+    section = {name: f"{'pass' if ok else 'FAIL'} ({val})" for name, ok, val in checks}
+    emit_report(os.path.join(out_dir, "verify_report.txt"), {"verify": section},
                 config_hash=chash, grid_hash=ghash)
-    for line in lines:
-        print(line)
+    for name, result in section.items():
+        print(f"{name} = {result}")
     return 0 if all(ok for _, ok, _ in checks) else 4
 
 

@@ -51,15 +51,12 @@ def time_derivative(a: np.ndarray, dt: float) -> np.ndarray:
 
 
 def ell(t: float, t_final: float) -> float:
-    """Time profile: T^2/4 on [0, T/2], t(T-t) on (T/2, T]."""
-    if t < 0.0 or t > t_final:
-        raise DomainError(f"t={t} outside [0, {t_final}]")
-    if t <= 0.5 * t_final:
-        return 0.25 * t_final * t_final
-    return t * (t_final - t)
+    """``ell_array`` at one time."""
+    return float(ell_array(t, t_final))
 
 
 def ell_array(t: np.ndarray, t_final: float) -> np.ndarray:
+    """Time profile: T^2/4 on [0, T/2], t(T-t) on (T/2, T]."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t > t_final):
         raise DomainError("time nodes outside [0, T]")
@@ -297,17 +294,3 @@ def control_weight_logs(tables: WeightTables, t_clip: float,
     raw[idx_clip + 1:] = raw[idx_clip]
     return raw - raw.min()
 
-
-def export_weight_csv(tables: WeightTables, path) -> None:
-    """Write the per-node raw log tables as CSV (deterministic formatting);
-    the t = T row reads inf."""
-    cols = ["log_alpha_star", "log_alpha_hat", "log_xi_star", "log_xi_hat"]
-    cols += [f"log_{name}" for name in tables.raw_composites]
-    data = [tables.raw_log_alpha_star, tables.raw_log_alpha_hat,
-            tables.raw_log_xi_star, tables.raw_log_xi_hat,
-            *tables.raw_composites.values()]
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(cols) + "\n")
-        for k, tk in enumerate(tables.t):
-            row = [f"{tk:.17g}"] + [f"{arr[k]:.17g}" for arr in data]
-            fh.write(",".join(row) + "\n")

@@ -14,7 +14,7 @@ from bousscontrol.adjoint import duality_defect
 from bousscontrol.config import parse_config_text
 from bousscontrol.control import (ControlTrajectory, PenaltySpec,
                                   control_inner, gradient, objective)
-from bousscontrol.diagnostics import parse_report
+from bousscontrol.fieldio import parse_report
 from bousscontrol.forward import sine_theta
 from bousscontrol.geometry import ControlPatch, bump_on_solver_grids, control_box
 from bousscontrol.grids import GridSpec, TimeGrid

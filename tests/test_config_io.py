@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bousscontrol.config import _DEFAULTS, parse_config, parse_config_text, emit_resolved
 from bousscontrol.control import OuterLoopSpec, PenaltySpec
 from bousscontrol.exceptions import ConfigError, DomainError
-from bousscontrol.fieldio import dump_field, energy_trace_csv, load_field
+from bousscontrol.fieldio import dump_field, energy_trace_csv, load_field, parse_report
 from bousscontrol.forward import EnergyTrace, LinearPropagator
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw
@@ -243,6 +243,55 @@ class TestRunner:
         assert not out.exists()
 
 
+SYNTHESIS_KEYS = ["terminal_norm", "control_energy_weighted", "cg_iters", "outer_iters",
+                  "eps", "wall_time_s", "uncontrolled_terminal_norm", "data_norm",
+                  "converged", "forward_sweeps", "adjoint_sweeps"]
+WEIGHTED_NORM_KEYS = ["log10_" + k for k in (
+    "iint_rho1_sq_state", "iint_rho2_sq_controls", "sup_mu1_y", "iint_mu1_grad_y",
+    "sup_mu2_grad_y", "iint_mu2_yt_dy", "mu2_theta_t_L32", "mu2_lap_theta_L32",
+    "kappa_iint_dt_kv0_sq", "kappa_iint_dt_kv_sq", "kappa_iint_lap_kv0_sq",
+    "kappa_iint_lap_kv_sq", "kappa_sup_h1_kv0_sq", "kappa_sup_h1_kv_sq")]
+REPORT_KEYS = {
+    "simulate": {"report.txt": {"simulate": [
+        "final_norm", "energy_initial", "energy_final", "phi_monotone", "smallness_ok",
+        "max_div"]}},
+    "decay": {"report.txt": {"decay": [
+        "decay_c1", "decay_c2", "decay_r_squared", "decay_window", "phi_monotone",
+        "phi_violation_step", "smallness_ok", "t_star_delta", "t_star"]}},
+    "linear-control": {
+        "report.txt": {"linear_control": SYNTHESIS_KEYS + [
+            "sweep_terminal_0", "sweep_terminal_1", "terminal_over_uncontrolled"],
+            "weighted_norms": WEIGHTED_NORM_KEYS},
+        "report_eps_0.txt": {"linear_control": SYNTHESIS_KEYS},
+        "report_eps_1.txt": {"linear_control": SYNTHESIS_KEYS}},
+    "nonlinear-control": {"report.txt": {
+        "nonlinear_control": SYNTHESIS_KEYS + ["update_norms"],
+        "weighted_norms": WEIGHTED_NORM_KEYS}},
+    "large-time": {"report.txt": {"large_time": [
+        "crossing_time", "t_star_predicted", "decay_c1", "decay_c2", "fit_r_squared",
+        "final_norm", "delta", "phase1_steps"]
+        + ["synthesis_" + k for k in SYNTHESIS_KEYS + ["update_norms"]]}},
+    "verify": {"verify_report.txt": {"verify": [
+        "duality_defect", "gradient_fd", "mms_order", "weight_gap_margin",
+        "weight_chain_finite", "determinism"]}},
+}
+
+
+@pytest.mark.parametrize("kind", list(REPORT_KEYS))
+def test_report_keys_in_order(tmp_path, kind):
+    # keys only: a dropped, renamed or reordered report line fails here
+    cfg = parse_config_text(
+        MINIMAL + "penalty.eps = 1e-4\nlinear_control.eps_sweep = 1e-2, 1e-4\n"
+    ).with_kind(kind)
+    assert run_experiment(cfg, str(tmp_path)) == 0
+    for name, sections in REPORT_KEYS[kind].items():
+        want = ["config_hash", "grid_hash"] + [
+            f"{sec}.{key}" for sec in sorted(sections) for key in sections[sec]]
+        assert list(parse_report(tmp_path / name)) == want, name
+    reports = {p.name for p in tmp_path.glob("*report*.txt")}
+    assert reports == set(REPORT_KEYS[kind])
+
+
 class TestCli:
     def test_help_and_subcommands(self, capsys):
         from bousscontrol.cli import build_parser
@@ -319,6 +368,23 @@ class TestCli:
         assert "system.variant" in out and "system.p" in out
         assert main(["decay", "--config", str(cfg_path),
                      "--out", str(tmp_path / "decay")]) == 0
+
+    @pytest.mark.parametrize("kind", ["nonlinear-control", "large-time"])
+    def test_linearized_synthesis_rejected_by_name(self, tmp_path, capsys, kind):
+        # the outer loop freezes the full nonlinear terms: a linearized system
+        # would be re-simulated as a linear problem it does not solve
+        from bousscontrol.cli import main
+        text = MINIMAL + "system.mode = linearized\n"
+        cfg_path = tmp_path / "lin.cfg"
+        cfg_path.write_text(text)
+        assert main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 2
+        cfg = parse_config_text(text.replace("kind = decay", f"kind = {kind}"))
+        assert cfg.kind == kind
+        assert run_experiment(cfg, str(tmp_path / "cfg")) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert all("system.mode = linearized" in ln and kind in ln for ln in lines)
+        assert not (tmp_path / "cli").exists() and not (tmp_path / "cfg").exists()
 
 
 class TestVerifyKind:

@@ -20,6 +20,7 @@ from bousscontrol.geometry import (ControlPatch, bump_on_solver_grids, build_eta
                                    control_box, grid_box)
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw, state_norm_sq
+from bousscontrol.runner import _synthesis_section
 from bousscontrol.weights import WeightParams, eval_weights, find_min_m
 
 from conftest import Recorder, reference_frozen_sources, reference_norm_samples
@@ -271,8 +272,9 @@ class TestSharedSweepSolve:
         for member in rep.sweep:
             assert (member.forward_sweeps, member.adjoint_sweeps) == (
                 rep.forward_sweeps, rep.adjoint_sweeps)
-        assert f"forward_sweeps = {rep.forward_sweeps}" in rep.lines()
-        assert f"adjoint_sweeps = {rep.adjoint_sweeps}" in rep.lines()
+        section = _synthesis_section(rep)
+        assert (section["forward_sweeps"], section["adjoint_sweeps"]) == (
+            rep.forward_sweeps, rep.adjoint_sweeps)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_member_rejected(self, case, bad):
@@ -281,6 +283,19 @@ class TestSharedSweepSolve:
         with pytest.raises(DomainError):
             solve_linear_control(y0, th0, None, None, pen, tables, grid, tg,
                                  0.05, bumps, eps_sweep=(1e-2, bad))
+
+
+
+@pytest.mark.parametrize("build", [
+    lambda bad: PenaltySpec(cg_tol=bad),
+    lambda bad: PenaltySpec(t_clip=bad),
+    lambda bad: OuterLoopSpec(outer_tol=bad),
+], ids=["cg_tol", "t_clip", "outer_tol"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_tolerance_rejected(build, bad):
+    # cg_tol = inf stops CG after one iteration and still reports converged
+    with pytest.raises(DomainError):
+        build(bad)
 
 
 class TestNonlinearControl:
@@ -686,8 +701,8 @@ class TestStreamedReadersMatchReferences:
         ref = reference_norm_samples(rec, grid, tg)
         for name, want in vars(ref).items():
             assert np.array_equal(getattr(samples, name), want), name
-        assert (weighted_norms(samples, ctrl, tables16, grid, tg).lines()
-                == weighted_norms(ref, ctrl, tables16, grid, tg).lines())
+        assert (weighted_norms(samples, ctrl, tables16, grid, tg)
+                == weighted_norms(ref, ctrl, tables16, grid, tg))
 
     def test_frozen_sources_match_reference(self, run):
         grid, tg, spec, rec, _, frozen, _ = run

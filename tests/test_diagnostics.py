@@ -11,9 +11,9 @@ from bousscontrol import operators as ops
 
 from bousscontrol.control import ControlTrajectory
 from bousscontrol.diagnostics import (DecayFit, NormSamples, control_regularity_report,
-                                      decay_fit, emit_report, parse_report,
-                                      t_star, weighted_norms)
+                                      decay_fit, t_star, weighted_norms)
 from bousscontrol.exceptions import DomainError
+from bousscontrol.fieldio import emit_report, parse_report
 from bousscontrol.forward import (EnergyTrace, SystemSpec, run_nonlinear,
                                   scaled_initial_data)
 from bousscontrol.geometry import ControlPatch, build_eta0
@@ -121,12 +121,12 @@ class TestWeightedNorms:
         traj = zero_trajectory(grid, tg)
         ctrl = ControlTrajectory.zeros(grid, tg.nt)
         rep = weighted_norms(samples(traj, grid, tg), ctrl, tables, grid, tg)
-        for name in ("iint_rho1_sq_state", "iint_rho2_sq_controls",
-                     "sup_mu1_y", "iint_mu1_grad_y", "sup_mu2_grad_y",
-                     "iint_mu2_yt_dy", "mu2_theta_t_L32", "mu2_lap_theta_L32"):
-            assert getattr(rep, name) == -np.inf
-        assert len(rep.kappa_control_norms) == 6
-        assert all(v == -np.inf for v in rep.kappa_control_norms.values())
+        assert list(rep)[:8] == ["log10_" + name for name in (
+            "iint_rho1_sq_state", "iint_rho2_sq_controls",
+            "sup_mu1_y", "iint_mu1_grad_y", "sup_mu2_grad_y",
+            "iint_mu2_yt_dy", "mu2_theta_t_L32", "mu2_lap_theta_L32")]
+        assert len(rep) == 8 + 6
+        assert all(v == -np.inf for v in rep.values())
 
     def test_quadratic_homogeneity(self, weighted_setup):
         # on a tame-span table: at default parameters log10 ~ 1e15, where
@@ -145,7 +145,7 @@ class TestWeightedNorms:
         r2 = weighted_norms(samples(traj2, grid, tg), None, tables, grid, tg)
         tol = 1e-12 / np.log(10.0)  # rel = 1e-12 on the linear values
         for name in ("iint_rho1_sq_state", "sup_mu1_y"):
-            delta = getattr(r2, name) - getattr(r1, name)
+            delta = r2["log10_" + name] - r1["log10_" + name]
             assert abs(delta - 2.0 * np.log10(c)) <= tol, name
 
     def test_entries_finite(self, weighted_setup):
@@ -157,9 +157,9 @@ class TestWeightedNorms:
         ctrl.v0[:] = rng.standard_normal(ctrl.v0.shape)
         rep = weighted_norms(samples(traj, grid, tg), ctrl, tables, grid, tg)
         for name in ("iint_rho1_sq_state", "iint_rho2_sq_controls"):
-            assert np.isfinite(getattr(rep, name))
+            assert np.isfinite(rep["log10_" + name])
         for name in ("sup_mu1_y", "iint_mu1_grad_y"):  # the velocity is zero
-            assert getattr(rep, name) == -np.inf
+            assert rep["log10_" + name] == -np.inf
 
 
 class TestRegularityReport:
@@ -324,11 +324,7 @@ class TestLogDomainOracle:
             tables = tame_tables(tables)
         traj, ctrl = self.data(grid, tg)
         rep = weighted_norms(samples(traj, grid, tg), ctrl, tables, grid, tg)
-        got = {k: getattr(rep, k) for k in (
-            "iint_rho1_sq_state", "iint_rho2_sq_controls", "sup_mu1_y",
-            "iint_mu1_grad_y", "sup_mu2_grad_y", "iint_mu2_yt_dy",
-            "mu2_theta_t_L32", "mu2_lap_theta_L32")}
-        got.update(("kappa_" + k, v) for k, v in rep.kappa_control_norms.items())
+        got = {k.removeprefix("log10_"): v for k, v in rep.items()}
         want = self.oracle(traj, ctrl, tables, grid, tg)
         assert sorted(got) == sorted(want)
         for name, w in want.items():
@@ -340,9 +336,8 @@ class TestLogDomainOracle:
 class TestReports:
     def test_roundtrip_exact(self, tmp_path):
         path = tmp_path / "report.txt"
-        lines = ["alpha = 0.12345678901234567", "count = 42",
-                 "flag = True"]
-        emit_report(path, {"sec": lines}, config_hash="abc", grid_hash="def")
+        section = {"alpha": 0.12345678901234567, "count": 42, "flag": True}
+        emit_report(path, {"sec": section}, config_hash="abc", grid_hash="def")
         back = parse_report(path)
         assert back["config_hash"] == "abc"
         assert back["sec.alpha"] == 0.12345678901234567
@@ -351,7 +346,32 @@ class TestReports:
 
     def test_emission_is_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        sections = {"z": ["k = 1"], "a": ["j = 2.5"]}
+        sections = {"z": {"k": 1}, "a": {"j": 2.5}}
         emit_report(p1, sections, "h1", "h2")
         emit_report(p2, sections, "h1", "h2")
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("key, value, text", [
+        ("x", 0.1, "0.10000000000000001"),
+        ("x", np.float64(1.0) / 3.0, "0.33333333333333331"),
+        ("x", -np.inf, "-inf"),
+        ("x", float("nan"), "nan"),
+        ("wall_time_s", 1.23456789, "1.234568"),
+        ("synthesis_wall_time_s", 0.5, "0.500000"),
+        ("update_norms", [0.1, 2.0, 1e-300], "0.10000000000000001,2,1e-300"),
+        ("converged", True, "True"),
+        ("cg_iters", 38, "38"),
+        ("phi_violation_step", np.int64(-1), "-1"),
+        ("decay_window", "[0.2, 1]", "[0.2, 1]"),
+    ], ids=["float", "numpy-float", "-inf", "nan", "wall-time", "prefixed-wall-time",
+            "float-list", "bool", "int", "numpy-int", "str"])
+    def test_one_rule_formats_every_value(self, tmp_path, key, value, text):
+        path = tmp_path / "report.txt"
+        emit_report(path, {"sec": {key: value}})
+        assert path.read_text().splitlines()[-1] == f"{key} = {text}"
+
+    def test_sections_sorted_and_keys_in_order(self, tmp_path):
+        path = tmp_path / "report.txt"
+        emit_report(path, {"b": {"z": 1, "a": 2}, "a": {"y": 3}}, "c", "g")
+        assert path.read_text().splitlines() == [
+            "config_hash = c", "grid_hash = g", "[a]", "y = 3", "[b]", "z = 1", "a = 2"]

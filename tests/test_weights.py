@@ -10,7 +10,8 @@ from bousscontrol.geometry import ControlPatch, build_eta0
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.weights import (WeightParams, check_weight_chain,
                                   check_weight_gap, control_weight_logs, ell,
-                                  eval_weights, export_weight_csv, find_min_m)
+                                  eval_weights, find_min_m)
+from bousscontrol.fieldio import export_weight_csv
 
 from conftest import reference_space_weights
 
