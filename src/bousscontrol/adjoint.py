@@ -1,8 +1,8 @@
 """Backward integration of the adjoint pair and the transposition check.
 
-The adjoint recursion is the exact transpose of LinearPropagator.step, so it
-is simultaneously (i) the gradient engine for the control functional and
-(ii) a consistent IMEX discretization of the backward system
+The adjoint recursion is the exact transpose of LinearPropagator's modal
+step, so it is simultaneously (i) the gradient engine for the control
+functional and (ii) a consistent IMEX discretization of the backward system
 
     -phi_t - nu0 lap phi + grad pi = G1,   div phi = 0,
     -psi_t - nu0 lap psi = nu0 phi_2 + G2,
@@ -16,7 +16,7 @@ adjoint sources, zeta = pre-coupling adjoint stage):
     <X^nt, lam^nt> + dt sum_n <X^n, G^n>
         = <X^0, lam^0> + dt sum_n <B U^n, zeta^n>,
 
-exact up to roundoff when both sides are built from the same spectral solves.
+exact up to roundoff when both sides are built from the same modal steps.
 """
 
 from __future__ import annotations
@@ -49,31 +49,36 @@ class AdjointTrajectory:
 
 def run_adjoint(phi_t, psi_t, g1, g2, prop: LinearPropagator,
                 box=None) -> AdjointTrajectory:
-    """Integrate the adjoint system backward from terminal data.
+    """Integrate the adjoint system backward from terminal data, in the
+    propagator's modal basis (``LinearPropagator``).
 
-    The terminal velocity ``phi_t`` must be divergence-free; it is not
-    projected here.  ``g1`` = (g1u, g1v) arrays of shape (nt, ...) or None,
-    ``g2`` likewise; source sample n is applied at level n (the convention
-    the duality identity above uses).  Every level is projected after its
-    sources are added, so each adjoint step receives divergence-free velocity.
-    zeta is kept on ``box`` only, by default the whole grid.
+    The terminal velocity ``phi_t`` must be divergence-free (its modal form
+    is its projection).  ``g1`` = (g1u, g1v) arrays of shape (nt, ...) or
+    None, ``g2`` likewise; source sample n is applied at level n (the
+    convention the duality identity above uses).  Every level is projected
+    after its sources are added, so each adjoint step receives
+    divergence-free velocity.  zeta is read back on ``box`` only, by default
+    the whole grid; phi0 and psi0 are returned physical.
     """
-    nt, dt = prop.tgrid.nt, prop.tgrid.dt
-    bu, bv, bc = box or grid_box(prop.grid)
-    (lam_u, lam_v), lam_th = phi_t, psi_t
-    zeta_u, zeta_v, zeta_th = (np.empty((nt,) + a[b].shape) for a, b in
-                               zip((lam_u, lam_v, lam_th), (bu, bv, bc)))
+    nt, dt, m = prop.tgrid.nt, prop.tgrid.dt, prop.modes
+    box = box or grid_box(prop.grid)
+    zeta = tuple(np.empty((nt, b[0].stop - b[0].start, b[1].stop - b[1].start))
+                 for b in box)
+    read = tuple(inv for _, inv in m.on_box(box))
+    lam_u, lam_v, lam_th = prop.to_modes(phi_t[0], phi_t[1], psi_t)
     for n in range(nt - 1, -1, -1):
-        # the velocity adjoint one level down is zeta itself
-        lam_u, lam_v, zth, lam_th = prop.step_adjoint(lam_u, lam_v, lam_th)
-        zeta_u[n], zeta_v[n], zeta_th[n] = lam_u[bu], lam_v[bv], zth[bc]
+        zu, zv, zth, lam_th = prop.step_adjoint_modes(lam_u, lam_v, lam_th)
+        for out, rd, z in zip(zeta, read, (zu, zv, zth)):
+            out[n] = rd(z)
+        lam_u, lam_v = m.change_u[1](zu), m.change_v[1](zv)
         if g1 is not None:
-            lam_u = lam_u + dt * g1[0][n]
-            lam_v = lam_v + dt * g1[1][n]
+            lam_u += dt * m.u[0](g1[0][n])
+            lam_v += dt * m.v[0](g1[1][n])
         if g2 is not None:
-            lam_th = lam_th + dt * g2[n]
-        lam_u, lam_v, _ = prop.sp.project(lam_u, lam_v)
-    return AdjointTrajectory(zeta_u, zeta_v, zeta_th, (lam_u, lam_v), lam_th)
+            lam_th = lam_th + dt * m.cells[0](g2[n])
+        m.project(lam_u, lam_v)
+    u0, v0, psi0 = prop.from_modes(lam_u, lam_v, lam_th)
+    return AdjointTrajectory(*zeta, (u0, v0), psi0)
 
 
 def _pair_state_adjoint(u, v, th, phi, psi, grid: GridSpec) -> float:
@@ -118,7 +123,7 @@ def duality_defect(grid: GridSpec, tgrid: TimeGrid, nu0: float, bumps,
     sources = (np.stack([rand_u() for _ in range(nt)]),
                np.stack([rand_v() for _ in range(nt)]),
                np.stack([rand_c() for _ in range(nt)]))
-    phi_t = prop.sp.project(rand_u(), rand_v())[:2]
+    phi_t = ops.SpectralSolver(grid).project(rand_u(), rand_v())[:2]
     psi_t = rand_c()
     g1 = (np.stack([rand_u() for _ in range(nt)]),
           np.stack([rand_v() for _ in range(nt)]))

@@ -41,10 +41,9 @@ from .exceptions import ConvergenceError, DomainError, RegimeError
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
 from .adjoint import run_adjoint
-from .geometry import control_box, grid_box
+from .geometry import box_within, control_box, grid_box
 from .forward import (EnergyTrace, LinearPropagator, SystemSpec, chain_hooks,
-                      energy_components, explicit_terms, run_nonlinear,
-                      zero_padded_sources)
+                      energy_components, explicit_terms, run_nonlinear)
 from .weights import WeightTables, control_weight_logs, default_t_clip
 
 
@@ -83,13 +82,8 @@ class ControlTrajectory:
         """The controls read on ``box``, which lies inside their own (views)."""
         if box == self.box:
             return self
-        idx = []
-        for b, own in zip(box, self.box):
-            if any(s.start < o.start or s.stop > o.stop for s, o in zip(b, own)):
-                raise DomainError("controls cannot be read outside their box")
-            idx.append((slice(None),) + tuple(slice(s.start - o.start, s.stop - o.start)
-                                              for s, o in zip(b, own)))
-        return ControlTrajectory(*(a[i] for a, i in zip(self.parts, idx)), box)
+        return ControlTrajectory(*(a[(slice(None),) + i] for a, i in
+                                   zip(self.parts, box_within(box, self.box))), box)
 
     def copy(self) -> "ControlTrajectory":
         return ControlTrajectory(self.vu.copy(), self.vv.copy(), self.v0.copy(), self.box)
@@ -270,7 +264,8 @@ class LinearControlProblem:
         self.box_masks = tuple(b > 0.0 for b in self.bumps)
         self.prop = LinearPropagator(grid, tgrid, nu0, bumps=bumps, coupling=coupling)
         self.y0, self.th0 = y0, th0
-        self.sources = zero_padded_sources(f1, f2, grid, tgrid.nt)
+        self.sources = None if f1 is None and f2 is None else (
+            *(f1 if f1 is not None else (None, None)), f2)
         self.forward_sweeps = 0
         self.adjoint_sweeps = 0
         self.members: dict[float, ShiftMember] = {}

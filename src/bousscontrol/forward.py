@@ -4,9 +4,11 @@ Two modes share one IMEX layout: diffusion implicit (one constant-coefficient
 Helmholtz solve per field, the nonlocal coefficient frozen at the previous
 step), convection / buoyancy / heating / sources explicit, then a Leray
 projection.  The linearized mode drops convection and heating and runs with
-the constant coefficient nu0; it is exactly linear in all of its inputs, and
-its per-step building blocks are individually self-adjoint so the discrete
-adjoint is available by transposition (see adjoint.py).
+the constant coefficient nu0; it is exactly linear in all of its inputs and
+marches in the modal basis that diagonalizes its solves and its projection,
+where each per-step building block is a per-mode scaling or an orthogonal
+change of basis, so the discrete adjoint is available by transposition (see
+adjoint.py).
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DivergenceError, DomainError, StepSizeError
-from .geometry import grid_box
+from .geometry import box_within, control_box, grid_box
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
-from .operators import SpectralSolver, ViscosityLaw
+from .operators import ModalBasis, SpectralSolver, ViscosityLaw
 
 _CFL_EPS = 1.0e-12
 _BLOWUP_FACTOR = 1.0e6
@@ -141,7 +143,7 @@ def explicit_terms(u, v, th, spec: SystemSpec, grid: GridSpec):
 
 def implicit_stage(sp: SpectralSolver, dt: float, ru, rv, rhs_th, c_vel: float,
                    c_th: float, control, bumps, sources, box=None):
-    """The tail both steps share: add the bump-weighted controls and the
+    """The nonlinear step's tail: add the bump-weighted controls and the
     sources to the right-hand sides, solve (I - c lap) with c_th for the
     temperature and c_vel for the velocity, project.  Returns (u, v, theta).
 
@@ -166,7 +168,7 @@ def implicit_stage(sp: SpectralSolver, dt: float, ru, rv, rhs_th, c_vel: float,
 
 
 def _march(prop, y0, th0, controls, source_at, on_state):
-    """The time loop both propagators share: project y0, then step nt times.
+    """The nonlinear propagator's time loop: project y0, then step nt times.
 
     Each level k = 0..nt is handed to ``on_state(k, t, u, v, th)`` with
     t = tgrid.nodes()[k]; a true return ends the run at that level.  Nothing
@@ -282,53 +284,144 @@ class LinearPropagator:
     """The linear system: L1 y + grad P = v 1~ + nu0 theta e2 + F1,
     L2 theta = v0 1~ + F2 with constant diffusion nu0.
 
-    Exactly linear in (y0, theta0, v, v0, F1, F2); `step_adjoint` is the
-    hand-derived transpose of `step` (same spectral solves, reversed order),
-    which adjoint.py uses for gradients and duality checks.
+    Exactly linear in (y0, theta0, v, v0, F1, F2).  It marches in the
+    orthonormal bases of ``operators.ModalBasis``: the state is held as the
+    shared-mode coefficients of the divergence-free velocity and the DST-II
+    coefficients of theta, the Helmholtz solves, the buoyancy average and
+    the Leray projection act per mode, and the velocity changes basis along
+    one axis each way per step.  Box controls and sources enter through
+    their own transforms.  `step` and `step_adjoint` are the same modal
+    steps between physical states; `step_adjoint_modes` is the transpose of
+    `step_modes`, which adjoint.py uses for gradients and duality checks.
     """
 
     def __init__(self, grid: GridSpec, tgrid: TimeGrid, nu0: float,
-                 bumps=None, coupling: float | None = None,
-                 solver: SpectralSolver | None = None):
+                 bumps=None, coupling: float | None = None):
         if not (nu0 > 0.0):
             raise DomainError("nu0 must be positive")
         self.grid = grid
         self.tgrid = tgrid
         self.nu0 = nu0
         self.coupling = nu0 if coupling is None else coupling
-        self.sp = solver or SpectralSolver(grid)
         self.bumps = bumps
+        self.modes = m = ModalBasis(grid)
+        dt, c = tgrid.dt, tgrid.dt * nu0
+        self._solve_u, self._solve_v, self._solve_cells = (
+            1.0 / (1.0 + c * lap) for lap in (m.lap_u, m.lap_v, m.lap_cells))
+        self._buoyancy = dt * self.coupling * m.buoyancy
+        # controls enter on the bumps' support box, the only place bump * control
+        # can be nonzero, through the transforms restricted to it
+        self.box = None if bumps is None else control_box(bumps)
+        if bumps is not None:
+            self._dt_bumps = tuple(dt * b[s] for b, s in zip(bumps, self.box))
+            self._box_maps = m.on_box(self.box)
 
-    def step(self, u, v, th, control=None, sources=None, box=None):
-        dt = self.tgrid.dt
-        rv = v + dt * self.coupling * ops.theta_to_vfaces(th, self.grid)
-        c = dt * self.nu0
-        return implicit_stage(self.sp, dt, u, rv, th, c, c, control, self.bumps,
-                              sources, box)
+    def to_modes(self, u, v, th):
+        """The modal state of a physical one: its velocity projected (a
+        no-op on divergence-free velocity) and its theta coefficients."""
+        m = self.modes
+        us, vs = m.u[0](u), m.v[0](v)
+        m.project(us, vs)
+        return us, vs, m.cells[0](th)
 
-    def step_adjoint(self, gu, gv, gth):
-        """Transpose of the homogeneous part of `step` on the divergence-free
-        subspace: the velocity (gu, gv) must already be divergence-free, so
-        the projection that `step` ends with (symmetric, idempotent) is the
-        identity on it and is not applied again.
+    def from_modes(self, us, vs, th):
+        """The physical state of a modal one (zero normal wall velocity)."""
+        m = self.modes
+        return m.u[1](us), m.v[1](vs), m.cells[1](th)
 
-        Returns (zeta_u, zeta_v, zeta_th, lam_th): zeta is the pre-coupling
-        stage that pairs with step sources in the duality identity, and the
-        adjoint state one level down is (zeta_u, zeta_v, lam_th).
+    def step_modes(self, us, vs, th, control=None, sources=None):
+        """One step of a modal state; returns new arrays.  ``control`` =
+        (cu, cv, c0) is stored on ``self.box``; ``sources`` = (fu, fv, fth)
+        are whole-grid physical fields, any of them None."""
+        m, dt = self.modes, self.tgrid.dt
+        ru = m.change_u[0](us)
+        rv = m.change_v[0](vs)
+        rv += self._buoyancy * th[:, :-1]
+        rth = th
+        if control is not None:
+            maps = self._box_maps
+            rth = rth + maps[2][0](self._dt_bumps[2] * control[2])
+            for r, (fwd, _), b, c in zip((ru, rv), maps, self._dt_bumps, control):
+                r += fwd(b * c)
+        if sources is not None:
+            fu, fv, fth = sources
+            if fth is not None:
+                rth = rth + dt * m.cells[0](fth)
+            for r, (fwd, _), f in zip((ru, rv), (m.hu, m.hv), (fu, fv)):
+                if f is not None:
+                    r += dt * fwd(f)
+        ru *= self._solve_u
+        rv *= self._solve_v
+        us1, vs1 = m.change_u[1](ru), m.change_v[1](rv)
+        m.project(us1, vs1)
+        return us1, vs1, rth * self._solve_cells
+
+    def step_adjoint_modes(self, us, vs, th):
+        """Transpose of the homogeneous part of `step_modes`: the projection
+        that step ends with (symmetric, idempotent) is the identity on the
+        modal state, which is divergence-free, and is not applied again.
+
+        Returns (zeta_u, zeta_v, zeta_th, lam_th) with zeta in the Helmholtz
+        basis: zeta is the pre-coupling stage that pairs with step sources
+        in the duality identity, and the adjoint state one level down is
+        (zeta_u, zeta_v) changed back to shared modes, and lam_th.
         """
-        dt, c = self.tgrid.dt, self.tgrid.dt * self.nu0
-        zu = self.sp.helmholtz_u(gu, c)
-        zv = self.sp.helmholtz_v(gv, c)
-        zth = self.sp.helmholtz_cells(gth, c)
-        lth = zth + dt * self.coupling * ops.vfaces_to_cells(zv, self.grid)
+        m = self.modes
+        zu = m.change_u[0](us)
+        zu *= self._solve_u
+        zv = m.change_v[0](vs)
+        zv *= self._solve_v
+        zth = th * self._solve_cells
+        lth = zth.copy()
+        lth[:, :-1] += self._buoyancy * zv
         return zu, zv, zth, lth
 
+    def step(self, u, v, th, control=None, sources=None, box=None):
+        """`step_modes` between physical states; the velocity is projected
+        on entry (a no-op on divergence-free velocity).  ``control`` is
+        stored on ``box`` (None for the whole grid), which must hold
+        ``self.box``."""
+        if control is not None:
+            control = tuple(c[i] for c, i in zip(
+                control, box_within(self.box, box or grid_box(self.grid))))
+        return self.from_modes(*self.step_modes(*self.to_modes(u, v, th), control,
+                                                 sources))
+
+    def step_adjoint(self, gu, gv, gth):
+        """`step_adjoint_modes` between physical fields, for divergence-free
+        (gu, gv).  Returns the physical (zeta_u, zeta_v, zeta_th, lam_th); the
+        adjoint state one level down is (zeta_u, zeta_v, lam_th)."""
+        m = self.modes
+        zu, zv, zth, lth = self.step_adjoint_modes(*self.to_modes(gu, gv, gth))
+        return m.hu[1](zu), m.hv[1](zv), m.cells[1](zth), m.cells[1](lth)
+
     def run(self, y0, th0, controls=None, sources=None, on_state=None):
-        """March nt steps (see ``_march``); ``sources`` holds (F1u, F1v, F2)
-        per step.  Returns the last state."""
-        src = None if sources is None else (
-            lambda k: (sources[0][k], sources[1][k], sources[2][k]))
-        return _march(self, y0, th0, controls, src, on_state)
+        """March nt steps from the projected y0 in the modal basis.
+
+        ``controls`` are read on ``self.box``; ``sources`` holds (F1u, F1v,
+        F2) per step, any of them None.  Level k = 0..nt is transformed back
+        and handed to ``on_state(k, t, u, v, th)`` only when a hook is given;
+        a true return ends the run at that level.  Nothing is stored:
+        returns the last physical state (u, v, theta).
+        """
+        state = self.to_modes(y0[0], y0[1], th0)
+        if controls is not None:
+            controls = controls.on(self.box)
+        times = self.tgrid.nodes()
+        for k in range(self.tgrid.nt + 1):
+            if k > 0:
+                n = k - 1
+                state = self.step_modes(
+                    *state,
+                    None if controls is None else (
+                        controls.vu[n], controls.vv[n], controls.v0[n]),
+                    None if sources is None else tuple(
+                        None if f is None else f[n] for f in sources))
+            if on_state is not None:
+                level = self.from_modes(*state)
+                if on_state(k, times[k], *level):
+                    break
+        return level if on_state is not None else self.from_modes(*state)
 
 
 def run_nonlinear(y0, th0, controls, spec: SystemSpec, grid: GridSpec,
@@ -351,16 +444,6 @@ def run_nonlinear(y0, th0, controls, spec: SystemSpec, grid: GridSpec,
         return out, _energy_trace(tgrid.nodes()[:len(comps)], comps, grid)
     prop = NonlinearPropagator(grid, tgrid, spec, bumps=bumps)
     return prop.run(y0, th0, controls=controls, forcing=forcing, on_state=on_state)
-
-
-def zero_padded_sources(f1, f2, grid: GridSpec, nt: int):
-    """(f1u, f1v, f2) over nt steps with zeros for a missing F1 = (f1u, f1v)
-    or F2; None when both are missing."""
-    if f1 is None and f2 is None:
-        return None
-    return (f1[0] if f1 is not None else np.zeros((nt, grid.nx + 1, grid.ny)),
-            f1[1] if f1 is not None else np.zeros((nt, grid.nx, grid.ny + 1)),
-            f2 if f2 is not None else np.zeros((nt, grid.nx, grid.ny)))
 
 
 # ---------------------------------------------------------------------------

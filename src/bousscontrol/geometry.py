@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import GeometryError
+from .exceptions import DomainError, GeometryError
 from .grids import GridSpec
 from .operators import d_center
 
@@ -167,3 +167,15 @@ def grid_box(grid: GridSpec):
     """The box covering every u-face, v-face and cell (see ``control_box``)."""
     return tuple((slice(0, nx), slice(0, ny)) for nx, ny in
                  ((grid.nx + 1, grid.ny), (grid.nx, grid.ny + 1), (grid.nx, grid.ny)))
+
+
+def box_within(box, outer):
+    """Per part, the (rows, columns) slices that read ``box`` out of an array
+    stored on ``outer``; DomainError when ``box`` is not inside ``outer``."""
+    idx = []
+    for b, own in zip(box, outer):
+        if any(s.start < o.start or s.stop > o.stop for s, o in zip(b, own)):
+            raise DomainError("controls cannot be read outside their box")
+        idx.append(tuple(slice(s.start - o.start, s.stop - o.start)
+                         for s, o in zip(b, own)))
+    return tuple(idx)

@@ -491,3 +491,156 @@ class SpectralSolver:
         gu, gv = grad(phi, self.grid)
         return u - gu, v - gv, phi
 
+
+# ---------------------------------------------------------------------------
+# the modal bases of the linear system (LinearPropagator marches in them)
+
+
+def _ortho_axis_maps(kind: str, n: int, axis: int, walls: bool = False,
+                     rows: slice = slice(None), modes: slice = slice(None)):
+    """(forward, inverse) orthonormal maps along ``axis`` between physical
+    values on ``rows`` and the coefficients ``modes`` of the n-point 1-D
+    transform ``kind``; inverse takes the other coefficients as zero.
+
+    With ``walls`` the axis holds the n + 2 faces of a normal direction: the
+    transform runs over the n interior faces, a wall value is ignored going
+    forward and comes back zero.  Short axes apply the orthonormal matrix
+    restricted to ``modes`` and ``rows``; long ones call scipy.fft with
+    norm="ortho" on the whole axis (the backend rule of ``_axis_transform``),
+    scattering into it and reading back out of it.
+    """
+    fwd, inv, t = _SCIPY_R2R[kind]
+    if n <= _DENSE_MAX_POINTS:
+        q = fwd(np.eye(n), type=t, norm="ortho", axis=0)
+        if walls:
+            q = np.pad(q, ((0, 0), (1, 1)))
+        return _matrix_maps(q[modes, rows], axis)
+    m = n + 2 if walls else n
+
+    def along(s):
+        return (slice(None), s) if axis else (s, slice(None))
+
+    def scatter(a, s, length):
+        b = np.zeros((length, a.shape[1]) if axis == 0 else (a.shape[0], length))
+        b[along(s)] = a
+        return b
+
+    inner = slice(1, -1) if walls else slice(None)
+    all_rows, all_modes = range(m)[rows] == range(m), range(n)[modes] == range(n)
+
+    def forward(a):
+        if not all_rows:
+            a = scatter(a, rows, m)
+        b = fwd(a[along(inner)], type=t, norm="ortho", axis=axis)
+        return b if all_modes else b[along(modes)]
+
+    def inverse(a):
+        b = inv(a if all_modes else scatter(a, modes, n), type=t, norm="ortho",
+                axis=axis)
+        if walls:
+            b = scatter(b, inner, m)
+        return b if all_rows else b[along(rows)]
+
+    return forward, inverse
+
+
+def _ortho_grid_maps(x, y):
+    """(forward, inverse) 2-D maps from the ``_ortho_axis_maps`` arguments
+    (kind, n, walls, rows, modes) of axis 0 and of axis 1; forward runs
+    axis 0 first, inverse axis 1 first."""
+    (fx, ix), (fy, iy) = (_ortho_axis_maps(x[0], x[1], 0, *x[2:]),
+                          _ortho_axis_maps(y[0], y[1], 1, *y[2:]))
+    return (lambda a: fy(fx(a))), (lambda a: ix(iy(a)))
+
+
+def _matrix_maps(q: np.ndarray, axis: int):
+    """(forward, inverse) maps applying ``q`` along ``axis``, and q^T."""
+    q = np.ascontiguousarray(q)
+    qt = q.T
+    if axis == 0:
+        return (lambda a: q @ a), (lambda a: qt @ a)
+    return (lambda a: a @ qt), (lambda a: a @ q)
+
+
+def _change_maps(n: int, axis: int):
+    """(forward, inverse) orthonormal change of basis along ``axis`` from the
+    DCT-II coefficients 1..n-1 of n cells (the constant one taken as zero)
+    to their n DST-II coefficients, and back."""
+    def maps(ax):
+        to_dct, from_dct = _ortho_axis_maps("dct2", n, ax, modes=slice(1, None))
+        to_dst, from_dst = _ortho_axis_maps("dst2", n, ax)
+        return (lambda a: to_dst(from_dct(a))), (lambda a: to_dct(from_dst(a)))
+
+    if n <= _DENSE_MAX_POINTS:   # the two matrices multiplied into one
+        return _matrix_maps(maps(0)[0](np.eye(n - 1)), axis)
+    return maps(axis)
+
+
+class ModalBasis:
+    """Orthonormal bases in which the linear system's MAC operators act per
+    mode (Schumann & Sweet, J. Comput. Phys. 75, 1988).
+
+    Projection basis: interior u-faces in DST-I(x) x DCT-II(y), interior
+    v-faces in DCT-II(x) x DST-I(y).  There div maps mode (k, l) of u and
+    of v to pressure mode (k, l) of DCT-II x DCT-II with the factors
+    d_x(k) = 2/hx sin(pi k / 2 nx) and d_y(l), and grad is -div^T, so the
+    Leray projection is a rank-one update per mode (``project``).  The
+    modes only one component has (l = 0 of u, k = 0 of v) are gradients,
+    which the projection removes; so ``u`` and ``v`` map a physical field
+    to its coefficients on the shared modes k, l >= 1 alone, an
+    (nx - 1) x (ny - 1) array each, and back.
+    Helmholtz basis: u in DST-I x DST-II, v in DST-II x DST-I, theta in
+    DST-II x DST-II.  There each (I - c lap) is the scaling
+    1 / (1 + c (d_x^2 + d_y^2)), and ``theta_to_vfaces`` maps theta mode
+    (k, l) to v mode (k, l) times cos(pi l / 2 ny) (``buoyancy``).  The two
+    velocity bases differ along one axis each: ``change_u`` (along y) and
+    ``change_v`` (along x) map shared-mode to Helmholtz coefficients and back.
+
+    Each of ``u``, ``v``, ``hu``, ``hv`` and ``cells`` is a (forward,
+    inverse) pair between a whole-grid physical field and its coefficients;
+    wall values of the normal velocity are pinned zeros.
+    """
+
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        nx, ny = grid.nx, grid.ny
+        whole, shared = slice(None), slice(1, None)
+        self.u = _ortho_grid_maps(("dst1", nx - 1, True),
+                                  ("dct2", ny, False, whole, shared))
+        self.v = _ortho_grid_maps(("dct2", nx, False, whole, shared),
+                                  ("dst1", ny - 1, True))
+        self._on_box = {}
+        self.hu, self.hv, self.cells = self.on_box(((whole, whole),) * 3)
+        self.change_u = _change_maps(ny, axis=1)
+        self.change_v = _change_maps(nx, axis=0)
+        dx = 2.0 / grid.hx * np.sin(0.5 * np.pi * np.arange(nx + 1) / nx)
+        dy = 2.0 / grid.hy * np.sin(0.5 * np.pi * np.arange(ny + 1) / ny)
+        self.lap_u = dx[1:nx, None] ** 2 + dy[None, 1:] ** 2      # -eigenvalues
+        self.lap_v = dx[1:, None] ** 2 + dy[None, 1:ny] ** 2
+        self.lap_cells = dx[1:, None] ** 2 + dy[None, 1:] ** 2
+        r = np.hypot(dx[1:nx, None], dy[None, 1:ny])
+        self._beta, self._neg_alpha = dy[None, 1:ny] / r, -dx[1:nx, None] / r
+        self.buoyancy = np.cos(0.5 * np.pi * np.arange(1, ny) / ny)
+
+    def on_box(self, box):
+        """Helmholtz-basis (forward, inverse) pairs of the u-face, v-face and
+        cell parts stored on ``box`` (``geometry.control_box`` layout): the
+        transforms restricted to its rows and columns, built once per box."""
+        key = tuple((s.start, s.stop) for part in box for s in part)
+        if key not in self._on_box:
+            nx, ny = self.grid.nx, self.grid.ny
+            (ur, uc), (vr, vc), (cr, cc) = box
+            self._on_box[key] = (
+                _ortho_grid_maps(("dst1", nx - 1, True, ur), ("dst2", ny, False, uc)),
+                _ortho_grid_maps(("dst2", nx, False, vr), ("dst1", ny - 1, True, vc)),
+                _ortho_grid_maps(("dst2", nx, False, cr), ("dst2", ny, False, cc)))
+        return self._on_box[key]
+
+    def project(self, us: np.ndarray, vs: np.ndarray) -> None:
+        """Leray projection of shared-mode coefficients, in place: per mode
+        (u, v) -> (u, v) - n n^T (u, v) with n = (d_x, d_y) / |d|, that is
+        (d_y, -d_x) w / |d| with w = (d_y u - d_x v) / |d|."""
+        w = self._beta * us
+        w += self._neg_alpha * vs
+        np.multiply(self._beta, w, out=us)
+        np.multiply(self._neg_alpha, w, out=vs)

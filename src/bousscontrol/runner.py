@@ -134,7 +134,7 @@ def _run_decay(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
         "decay_c1": fit.c1,
         "decay_c2": fit.c2,
         "decay_r_squared": fit.r_squared,
-        "decay_window": f"[{fit.window[0]:.6g}, {fit.window[1]:.6g}]",
+        "decay_window": list(fit.window),
         "phi_monotone": trace.phi_monotone,
         "phi_violation_step": trace.phi_violation_step(),
         "smallness_ok": trace.smallness_ok,

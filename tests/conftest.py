@@ -5,8 +5,8 @@ import pytest
 
 from bousscontrol import operators as ops
 from bousscontrol.exceptions import BoussControlError, DomainError
-from bousscontrol.forward import LinearPropagator, explicit_terms, zero_padded_sources
-from bousscontrol.geometry import ControlPatch, bump_on_solver_grids
+from bousscontrol.forward import LinearPropagator, explicit_terms, implicit_stage
+from bousscontrol.geometry import ControlPatch, bump_on_solver_grids, grid_box
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.weights import ell_array
 
@@ -17,6 +17,21 @@ class LinearSolverError(BoussControlError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+# 16x16 and 24x40 transform every axis with dense matrices; 80x12 puts its
+# long axis on scipy.fft (and keeps the short one dense)
+SOLVE_GRIDS = [GridSpec(16, 16), GridSpec(24, 40), GridSpec(80, 12)]
+GRID_IDS = ["16x16", "24x40", "80x12"]
+# ... and 72x72 puts every axis on scipy.fft
+MODAL_GRIDS = SOLVE_GRIDS + [GridSpec(72, 72)]
+MODAL_IDS = GRID_IDS + ["72x72"]
+
+
+def max_rel_diff(got, want) -> float:
+    """The largest max|g - w| / max|w| over paired arrays."""
+    return max(float(np.abs(g - w).max()) / float(np.abs(w).max())
+               for g, w in zip(got, want))
 
 
 @pytest.fixture
@@ -119,24 +134,74 @@ def patch_area(patch: ControlPatch) -> float:
     return 4.0 * patch.half_widths[0] * patch.half_widths[1]
 
 
-def full_grid_controlled_run(prop, y0, th0, controls):
-    """The last state of ``prop.run(y0, th0, controls=controls)``
-    computed the way a whole-grid control layout does it: every step adds the
-    full-grid field bump * control to the right-hand sides."""
-    grid, dt = prop.grid, prop.tgrid.dt
-    full = controls.full(grid)
-    bu, bv, bc = prop.bumps
-    c = dt * prop.nu0
-    u, v, _ = prop.sp.project(y0[0], y0[1])
-    th = th0.copy()
-    for k in range(prop.tgrid.nt):
-        ru = u + dt * bu * full.vu[k]
-        rv = v + dt * prop.coupling * ops.theta_to_vfaces(th, grid)
-        rv = rv + dt * bv * full.vv[k]
-        rth = th + dt * bc * full.v0[k]
-        th = prop.sp.helmholtz_cells(rth, c)
-        u, v, _ = prop.sp.project(prop.sp.helmholtz_u(ru, c), prop.sp.helmholtz_v(rv, c))
-    return u, v, th
+class PhysicalLinear:
+    """The linear system of ``prop`` stepped on physical fields, the way
+    ``LinearPropagator`` did before it marched in its modal basis: buoyancy
+    averaged onto the v-faces, then the nonlinear step's ``implicit_stage``
+    (spectral Helmholtz solves, then the Leray projection), and its
+    transpose run backward with a projection per level.  The reference the modal march is
+    compared against."""
+
+    def __init__(self, prop):
+        self.prop, self.grid = prop, prop.grid
+        self.sp = ops.SpectralSolver(prop.grid)
+
+    def step(self, u, v, th, control=None, sources=None, box=None):
+        prop, dt = self.prop, self.prop.tgrid.dt
+        if sources is not None:
+            sources = tuple(np.zeros_like(a) if f is None else f
+                            for f, a in zip(sources, (u, v, th)))
+        rv = v + dt * prop.coupling * ops.theta_to_vfaces(th, self.grid)
+        c = dt * prop.nu0
+        return implicit_stage(self.sp, dt, u, rv, th, c, c, control, prop.bumps,
+                              sources, box)
+
+    def step_adjoint(self, gu, gv, gth):
+        prop, sp = self.prop, self.sp
+        dt, c = prop.tgrid.dt, prop.tgrid.dt * prop.nu0
+        zu = sp.helmholtz_u(gu, c)
+        zv = sp.helmholtz_v(gv, c)
+        zth = sp.helmholtz_cells(gth, c)
+        lth = zth + dt * prop.coupling * ops.vfaces_to_cells(zv, self.grid)
+        return zu, zv, zth, lth
+
+    def run(self, y0, th0, controls=None, sources=None, on_state=None):
+        u, v, _ = self.sp.project(y0[0], y0[1])
+        th = th0.copy()
+        times = self.prop.tgrid.nodes()
+        for k in range(self.prop.tgrid.nt + 1):
+            if k > 0:
+                n = k - 1
+                u, v, th = self.step(
+                    u, v, th,
+                    None if controls is None else (controls.vu[n], controls.vv[n],
+                                                   controls.v0[n]),
+                    None if sources is None else tuple(
+                        None if f is None else f[n] for f in sources),
+                    None if controls is None else controls.box)
+            if on_state is not None and on_state(k, times[k], u, v, th):
+                break
+        return u, v, th
+
+    def run_adjoint(self, phi_t, psi_t, g1, g2, box=None):
+        """(zeta_u, zeta_v, zeta_th) on ``box`` (default the whole grid),
+        phi0 and psi0, as ``adjoint.run_adjoint`` returns them."""
+        nt, dt = self.prop.tgrid.nt, self.prop.tgrid.dt
+        box = box or grid_box(self.grid)
+        (lam_u, lam_v), lam_th = phi_t, psi_t
+        zeta = tuple(np.empty((nt,) + a[b].shape) for a, b in
+                     zip((lam_u, lam_v, lam_th), box))
+        for n in range(nt - 1, -1, -1):
+            lam_u, lam_v, zth, lam_th = self.step_adjoint(lam_u, lam_v, lam_th)
+            for out, z, b in zip(zeta, (lam_u, lam_v, zth), box):
+                out[n] = z[b]
+            if g1 is not None:
+                lam_u = lam_u + dt * g1[0][n]
+                lam_v = lam_v + dt * g1[1][n]
+            if g2 is not None:
+                lam_th = lam_th + dt * g2[n]
+            lam_u, lam_v, _ = self.sp.project(lam_u, lam_v)
+        return zeta, (lam_u, lam_v), lam_th
 
 
 class Recorder:
@@ -179,8 +244,9 @@ def run_linearized(y0, th0, controls, f1, f2, nu0, grid, tgrid, bumps=None,
     """Every level of the linear system with sources F1 = (f1u, f1v), F2."""
     prop = LinearPropagator(grid, tgrid, nu0, bumps=bumps, coupling=coupling)
     rec = Recorder()
-    prop.run(y0, th0, controls=controls,
-             sources=zero_padded_sources(f1, f2, grid, tgrid.nt), on_state=rec)
+    sources = None if f1 is None and f2 is None else (
+        *(f1 if f1 is not None else (None, None)), f2)
+    prop.run(y0, th0, controls=controls, sources=sources, on_state=rec)
     return rec
 
 

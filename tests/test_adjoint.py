@@ -6,10 +6,11 @@ import pytest
 from bousscontrol import operators as ops
 from bousscontrol.adjoint import duality_defect, run_adjoint
 from bousscontrol.forward import LinearPropagator, sine_theta
-from bousscontrol.geometry import bump_on_solver_grids
+from bousscontrol.geometry import bump_on_solver_grids, control_box
 from bousscontrol.grids import GridSpec, TimeGrid
 
-from conftest import rand_cells, rand_div_free, run_linearized
+from conftest import (MODAL_GRIDS, MODAL_IDS, PhysicalLinear, max_rel_diff, rand_cells,
+                      rand_div_free, rand_u, rand_v, run_linearized)
 
 
 class TestDuality:
@@ -128,3 +129,22 @@ def test_adjoint_keeps_only_zeta_and_level_zero(grid16):
     assert adj.phi0[0].shape == (grid16.nx + 1, grid16.ny)
     assert adj.phi0[1].shape == (grid16.nx, grid16.ny + 1)
     assert adj.psi0.shape == (grid16.nx, grid16.ny)
+
+
+@pytest.mark.parametrize("grid", MODAL_GRIDS, ids=MODAL_IDS)
+def test_adjoint_matches_physical_reference(grid, patch):
+    # the modal backward march, with sources and zeta read on the patch's
+    # box, against the physical transpose steps it replaced
+    tg = TimeGrid(0.5, 16)
+    rng = np.random.default_rng(23)
+    bumps = bump_on_solver_grids(grid, patch)
+    prop = LinearPropagator(grid, tg, 0.1, bumps=bumps, coupling=0.3)
+    phi_t, psi_t = rand_div_free(grid, rng), rand_cells(grid, rng)
+    g1 = tuple(np.stack([draw(grid, rng) for _ in range(tg.nt)])
+               for draw in (rand_u, rand_v))
+    g2 = np.stack([rand_cells(grid, rng) for _ in range(tg.nt)])
+    box = control_box(bumps)
+    adj = run_adjoint(phi_t, psi_t, g1, g2, prop, box)
+    zeta, phi0, psi0 = PhysicalLinear(prop).run_adjoint(phi_t, psi_t, g1, g2, box)
+    assert max_rel_diff((adj.zeta_u, adj.zeta_v, adj.zeta_th), zeta) <= 1e-12
+    assert max_rel_diff((*adj.phi0, adj.psi0), (*phi0, psi0)) <= 1e-12

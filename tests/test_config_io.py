@@ -193,6 +193,15 @@ class TestRunner:
         assert (tmp_path / "out" / "resolved_config.txt").exists()
         assert (tmp_path / "out" / "energy.csv").exists()
 
+    def test_decay_window_reads_back_exactly(self, tmp_path):
+        cfg = parse_config_text(MINIMAL + "decay.fit_lo_frac = 0.1234567891\n")
+        assert run_experiment(cfg, str(tmp_path / "out")) == 0
+        window = parse_report(tmp_path / "out" / "report.txt")["decay.decay_window"]
+        t_final = cfg.tgrid.t_final
+        assert [float(x) for x in window.split(",")] == [
+            cfg.decay_fit_lo_frac * t_final, cfg.decay_fit_hi_frac * t_final]
+        assert cfg.decay_fit_lo_frac == 0.1234567891
+
     def test_decay_kind_csv_rows(self, tmp_path):
         cfg = parse_config_text(MINIMAL)
         rc = run_experiment(cfg, str(tmp_path / "out"))

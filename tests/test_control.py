@@ -636,20 +636,49 @@ class TestControlLayout:
     @pytest.mark.parametrize("where", ["patch", "whole-grid"])
     def test_controlled_run_matches_full_grid_layout(self, grid16, tgrid64, bumps16,
                                                      where):
+        # the same controls stored on the patch's box and on the whole grid
+        # give the same run bit for bit: only the box enters the march
         from bousscontrol.forward import LinearPropagator
-        from conftest import full_grid_controlled_run, rand_cells, rand_div_free
+        from conftest import rand_cells, rand_div_free
         rng = np.random.default_rng(6)
         prop = LinearPropagator(grid16, tgrid64, NU0, bumps=bumps16)
         if where == "patch":
-            c = masked_random_controls(grid16, tgrid64.nt, bumps16, rng)
+            on_box = masked_random_controls(grid16, tgrid64.nt, bumps16, rng)
+            whole = on_box.full(grid16)
         else:
-            c = ControlTrajectory.zeros(grid16, tgrid64.nt)
-            for part in c.parts:
+            whole = ControlTrajectory.zeros(grid16, tgrid64.nt)
+            for part in whole.parts:
                 part[:] = rng.standard_normal(part.shape)
+            on_box = whole.on(control_box(bumps16))
+        assert on_box.box == prop.box and whole.box == grid_box(grid16)
         y0, th0 = rand_div_free(grid16, rng), rand_cells(grid16, rng)
-        got = prop.run(y0, th0, controls=c)
-        ref = full_grid_controlled_run(prop, y0, th0, c)
+        got = prop.run(y0, th0, controls=on_box)
+        ref = prop.run(y0, th0, controls=whole)
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_hessian_apply_runs_no_physical_solve_or_stencil(self, grid16, bumps16,
+                                                              monkeypatch):
+        # a Hessian apply marches forward and backward in the modal basis:
+        # no spectral solve, projection, Poisson solve or div/grad stencil
+        from bousscontrol import operators as ops
+        tg = TimeGrid(1.0, 16)
+        pen = PenaltySpec(epsilon=1e-6, weight_mode="unweighted")
+        prob = LinearControlProblem((grid16.zeros_u(), grid16.zeros_v()),
+                                    0.1 * sine_theta(grid16), None, None, pen,
+                                    np.zeros(tg.nt), grid16, tg, 0.05, bumps16)
+        z = masked_random_controls(grid16, tg.nt, bumps16, np.random.default_rng(8))
+        want = prob.hessian_apply(z)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Hessian apply called a physical operator")
+
+        for name in ("project", "helmholtz_u", "helmholtz_v", "helmholtz_cells",
+                     "poisson_neumann"):
+            monkeypatch.setattr(ops.SpectralSolver, name, forbidden)
+        for name in ("div", "grad"):
+            monkeypatch.setattr(ops, name, forbidden)
+        got = prob.hessian_apply(z)
+        assert all(np.array_equal(a, b) for a, b in zip(got.parts, want.parts))
 
     def test_hessian_apply_allocates_no_full_grid_control(self):
         import tracemalloc

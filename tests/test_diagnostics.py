@@ -362,9 +362,10 @@ class TestReports:
         ("converged", True, "True"),
         ("cg_iters", 38, "38"),
         ("phi_violation_step", np.int64(-1), "-1"),
-        ("decay_window", "[0.2, 1]", "[0.2, 1]"),
+        ("decay_window", [0.2, 1.0], "0.20000000000000001,1"),
+        ("t_star_error", "E never reached delta", "E never reached delta"),
     ], ids=["float", "numpy-float", "-inf", "nan", "wall-time", "prefixed-wall-time",
-            "float-list", "bool", "int", "numpy-int", "str"])
+            "float-list", "bool", "int", "numpy-int", "window", "str"])
     def test_one_rule_formats_every_value(self, tmp_path, key, value, text):
         path = tmp_path / "report.txt"
         emit_report(path, {"sec": {key: value}})

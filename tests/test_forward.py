@@ -6,15 +6,18 @@ import pytest
 
 from bousscontrol import operators as ops
 from bousscontrol.exceptions import DivergenceError, DomainError, StepSizeError
+from bousscontrol.control import ControlTrajectory
 from bousscontrol.forward import (LinearPropagator, MaxDivergence, NonlinearPropagator,
                                   SystemSpec, chain_hooks, energy_components,
                                   explicit_terms, run_nonlinear,
                                   scaled_initial_data, sine_theta,
                                   stream_velocity, trace_from_trajectory)
+from bousscontrol.geometry import bump_on_solver_grids
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw
 
-from conftest import (Recorder, rand_cells, rand_div_free, rand_u, rand_v,
+from conftest import (MODAL_GRIDS, MODAL_IDS, PhysicalLinear, Recorder, max_rel_diff,
+                      rand_cells, rand_div_free, rand_u, rand_v,
                       reference_h1_seminorm_sq_cells, reference_h1_seminorm_sq_velocity,
                       run_linearized)
 
@@ -409,6 +412,51 @@ def test_run_nonlinear_dispatches_linearized_mode(grid16):
     assert np.all(np.isfinite(trace.energy))
 
 
+class TestModalMarch:
+    """The linear system marches in its modal basis; each level it hands out
+    and its last state agree with the physical step it replaced
+    (``conftest.PhysicalLinear``), with box controls, sources and a hook,
+    on dense and on scipy.fft axes."""
+
+    @pytest.mark.parametrize("given", ["F1-and-F2", "F2-only"])
+    @pytest.mark.parametrize("grid", MODAL_GRIDS, ids=MODAL_IDS)
+    def test_run_matches_physical_reference(self, grid, given, patch):
+        rng = np.random.default_rng(31)
+        tg = TimeGrid(0.5, 16)
+        prop = LinearPropagator(grid, tg, 0.1, bumps=bump_on_solver_grids(grid, patch),
+                                coupling=0.3)
+        controls = ControlTrajectory.zeros(grid, tg.nt, prop.box)
+        for part in controls.parts:
+            part[:] = rng.standard_normal(part.shape)
+        sources = tuple(np.stack([draw(grid, rng) for _ in range(tg.nt)])
+                        for draw in (rand_u, rand_v, rand_cells))
+        if given == "F2-only":
+            sources = (None, None, sources[2])
+        y0, th0 = rand_div_free(grid, rng), rand_cells(grid, rng)
+        got, want = Recorder(), Recorder()
+        last = prop.run(y0, th0, controls, sources, on_state=got)
+        ref = PhysicalLinear(prop).run(y0, th0, controls, sources, on_state=want)
+        assert len(got.levels) == len(want.levels) == tg.nt + 1
+        for a, b in zip(got.levels, want.levels):
+            assert max_rel_diff(a[1:], b[1:]) <= 1e-12
+        assert max_rel_diff(last, ref) <= 1e-12
+
+    @pytest.mark.parametrize("grid", MODAL_GRIDS, ids=MODAL_IDS)
+    def test_physical_steps_match_reference(self, grid, patch):
+        # step and step_adjoint keep their physical signatures on
+        # divergence-free velocity, and a whole-grid control is read on the box
+        rng = np.random.default_rng(32)
+        prop = LinearPropagator(grid, TimeGrid(0.5, 16), 0.1,
+                                bumps=bump_on_solver_grids(grid, patch), coupling=0.3)
+        ref = PhysicalLinear(prop)
+        state = (*rand_div_free(grid, rng), rand_cells(grid, rng))
+        control = (rand_u(grid, rng), rand_v(grid, rng), rand_cells(grid, rng))
+        sources = (rand_u(grid, rng), None, rand_cells(grid, rng))
+        assert max_rel_diff(prop.step(*state, control, sources),
+                            ref.step(*state, control, sources)) <= 1e-12
+        assert max_rel_diff(prop.step_adjoint(*state), ref.step_adjoint(*state)) <= 1e-12
+
+
 class TestRunContract:
     """Both propagators: a run returns its last state, ``on_state(k, t, u, v,
     th)`` sees every level as it is produced with t the k-th time node, and a
@@ -427,15 +475,22 @@ class TestRunContract:
 
     @classmethod
     def _stepped(cls, mode, grid, tg):
-        """Levels 0..nt by hand: the projected data, then nt calls to step."""
+        """Levels 0..nt by hand: the projected data, then nt calls to step
+        (to ``step_modes`` for the linear system)."""
         spec = cls._spec(mode)
         prop = (NonlinearPropagator(grid, tg, spec) if mode == "nonlinear" else
                 LinearPropagator(grid, tg, spec.law.nu0, coupling=spec.buoyancy))
         y0, th0 = scaled_initial_data(grid, 1e-3)
-        levels = [prop.sp.project(*y0)[:2] + (th0,)]
+        if mode == "nonlinear":
+            levels = [prop.sp.project(*y0)[:2] + (th0,)]
+            for _ in range(tg.nt):
+                levels.append(prop.step(*levels[-1]))
+            return levels
+        # the linear system steps on modal coefficients, levels are read back
+        coeffs = [prop.to_modes(*y0, th0)]
         for _ in range(tg.nt):
-            levels.append(prop.step(*levels[-1]))
-        return levels
+            coeffs.append(prop.step_modes(*coeffs[-1]))
+        return [prop.from_modes(*c) for c in coeffs]
 
     @pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
     def test_unstored_run_streams_the_stored_levels(self, grid16, mode):

@@ -8,11 +8,11 @@ from bousscontrol.exceptions import DomainError, ShapeError
 from bousscontrol.grids import GridSpec
 from bousscontrol.operators import SpectralSolver, ViscosityLaw
 
-from conftest import (cg_solve, project_div_free, rand_cells, rand_div_free, rand_u,
-                      rand_v, reference_advect_scalar, reference_advect_velocity,
-                      reference_h1_seminorm_sq_cells, reference_h1_seminorm_sq_velocity,
-                      reference_laplacian_cells, reference_laplacian_u,
-                      reference_laplacian_v)
+from conftest import (GRID_IDS, SOLVE_GRIDS, cg_solve, project_div_free, rand_cells,
+                      rand_div_free, rand_u, rand_v, reference_advect_scalar,
+                      reference_advect_velocity, reference_h1_seminorm_sq_cells,
+                      reference_h1_seminorm_sq_velocity, reference_laplacian_cells,
+                      reference_laplacian_u, reference_laplacian_v)
 
 RNG = np.random.default_rng(20240811)
 
@@ -140,10 +140,6 @@ class TestSpectralVsCG:
         assert np.abs(p_fft - p_cg).max() < 1e-9 * np.abs(p_fft).max()
 
 
-# 16x16 and 24x40 transform every axis with dense matrices; 80x12 puts its
-# long axis on scipy.fft (and keeps the short one dense)
-SOLVE_GRIDS = [GridSpec(16, 16), GridSpec(24, 40), GridSpec(80, 12)]
-GRID_IDS = ["16x16", "24x40", "80x12"]
 HELMHOLTZ = {  # solve -> (Laplacian it inverts, random right-hand side)
     "helmholtz_cells": (ops.laplacian_cells, rand_cells),
     "helmholtz_u": (ops.laplacian_u, rand_u),
