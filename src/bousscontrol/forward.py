@@ -232,11 +232,11 @@ class NonlinearPropagator:
     """IMEX stepping of the full system with lagged nonlocal coefficients."""
 
     def __init__(self, grid: GridSpec, tgrid: TimeGrid, spec: SystemSpec,
-                 bumps=None, solver: SpectralSolver | None = None):
+                 bumps=None):
         self.grid = grid
         self.tgrid = tgrid
         self.spec = spec
-        self.sp = solver or SpectralSolver(grid)
+        self.sp = SpectralSolver(grid)
         self.bumps = bumps  # (bump_u, bump_v, bump_cells) or None
 
     def step(self, u, v, th, control=None, forcing=None, box=None):

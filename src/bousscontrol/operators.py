@@ -388,114 +388,6 @@ _DENSE_MAX_POINTS = 64
 _SCIPY_R2R = {"dst1": (dst, idst, 1), "dst2": (dst, idst, 2), "dct2": (dct, idct, 2)}
 
 
-def _axis_transform(kind: str, n: int, axis: int):
-    """(forward, inverse) pair of the 1-D transform ``kind`` over ``n`` points
-    along ``axis``; the two compose to the identity.
-
-    Short axes apply the orthonormal matrix Q (rows in the scipy.fft mode
-    order) and its transpose; long axes call scipy.fft's unnormalized pair.
-    """
-    fwd, inv, t = _SCIPY_R2R[kind]
-    if n > _DENSE_MAX_POINTS:
-        return (lambda a: fwd(a, type=t, axis=axis),
-                lambda a: inv(a, type=t, axis=axis))
-    q = fwd(np.eye(n), type=t, norm="ortho", axis=0)
-    if axis == 0:
-        return (lambda a: q @ a), (lambda a: q.T @ a)
-    return (lambda a: a @ q.T), (lambda a: a @ q)
-
-
-def _grid_transform(kind_x: str, nx: int, kind_y: str, ny: int):
-    """(forward, inverse) 2-D transform pair: axis 0 then 1, inverse reversed."""
-    (fx, ix), (fy, iy) = _axis_transform(kind_x, nx, 0), _axis_transform(kind_y, ny, 1)
-    return (lambda a: fy(fx(a))), (lambda a: ix(iy(a)))
-
-
-class SpectralSolver:
-    """Exact solvers for the Helmholtz/Poisson systems on one grid.
-
-    The cell-centered Dirichlet Laplacian is diagonalized by DST-II, the
-    face-interior one by DST-I (normal direction) x DST-II (tangential), and
-    the Neumann pressure Laplacian by DCT-II.  Each solve is Q^T D^-1 Q with
-    an orthogonal Q, so all solves are symmetric to machine precision, which
-    the discrete-adjoint construction relies on.  Each axis picks its
-    transform backend from its length (see ``_axis_transform``).
-    """
-
-    def __init__(self, grid: GridSpec):
-        self.grid = grid
-        nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-
-        def eig_dst1(n, h):
-            k = np.arange(1, n)
-            return (2.0 * np.cos(np.pi * k / n) - 2.0) / h**2
-
-        def eig_dst2(n, h):
-            k = np.arange(1, n + 1)
-            return (2.0 * np.cos(np.pi * k / n) - 2.0) / h**2
-
-        def eig_dct2(n, h):
-            k = np.arange(n)
-            return (2.0 * np.cos(np.pi * k / n) - 2.0) / h**2
-
-        self._lam_cells = eig_dst2(nx, hx)[:, None] + eig_dst2(ny, hy)[None, :]
-        self._lam_u = eig_dst1(nx, hx)[:, None] + eig_dst2(ny, hy)[None, :]
-        self._lam_v = eig_dst2(nx, hx)[:, None] + eig_dst1(ny, hy)[None, :]
-        # the null mode (0, 0) divides by 1 and is zeroed after the division
-        self._lam_p = eig_dct2(nx, hx)[:, None] + eig_dct2(ny, hy)[None, :]
-        self._lam_p[0, 0] = 1.0
-
-        # DST-I runs over the n - 1 interior faces of the normal direction
-        self._tf_cells = _grid_transform("dst2", nx, "dst2", ny)
-        self._tf_u = _grid_transform("dst1", nx - 1, "dst2", ny)
-        self._tf_v = _grid_transform("dst2", nx, "dst1", ny - 1)
-        self._tf_p = _grid_transform("dct2", nx, "dct2", ny)
-
-    def helmholtz_cells(self, b: np.ndarray, c: float) -> np.ndarray:
-        """(I - c lap) x = b with Dirichlet walls, c >= 0."""
-        check_cells(b, self.grid)
-        fwd, inv = self._tf_cells
-        bh = fwd(b)
-        bh /= (1.0 - c * self._lam_cells)
-        return inv(bh)
-
-    def helmholtz_u(self, b: np.ndarray, c: float) -> np.ndarray:
-        out = np.zeros_like(b)
-        fwd, inv = self._tf_u
-        bh = fwd(b[1:-1, :])
-        bh /= (1.0 - c * self._lam_u)
-        out[1:-1, :] = inv(bh)
-        return out
-
-    def helmholtz_v(self, b: np.ndarray, c: float) -> np.ndarray:
-        out = np.zeros_like(b)
-        fwd, inv = self._tf_v
-        bh = fwd(b[:, 1:-1])
-        bh /= (1.0 - c * self._lam_v)
-        out[:, 1:-1] = inv(bh)
-        return out
-
-    def poisson_neumann(self, rhs: np.ndarray) -> np.ndarray:
-        """lap p = rhs with Neumann walls; the zero-mean solution."""
-        check_cells(rhs, self.grid)
-        fwd, inv = self._tf_p
-        bh = fwd(rhs)
-        bh /= self._lam_p
-        bh[0, 0] = 0.0
-        return inv(bh)
-
-    def project(self, u: np.ndarray, v: np.ndarray):
-        """Discrete Leray projection; returns (u, v, potential)."""
-        rhs = div(u, v, self.grid)
-        phi = self.poisson_neumann(rhs)
-        gu, gv = grad(phi, self.grid)
-        return u - gu, v - gv, phi
-
-
-# ---------------------------------------------------------------------------
-# the modal bases of the linear system (LinearPropagator marches in them)
-
-
 def _ortho_axis_maps(kind: str, n: int, axis: int, walls: bool = False,
                      rows: slice = slice(None), modes: slice = slice(None)):
     """(forward, inverse) orthonormal maps along ``axis`` between physical
@@ -504,10 +396,11 @@ def _ortho_axis_maps(kind: str, n: int, axis: int, walls: bool = False,
 
     With ``walls`` the axis holds the n + 2 faces of a normal direction: the
     transform runs over the n interior faces, a wall value is ignored going
-    forward and comes back zero.  Short axes apply the orthonormal matrix
+    forward and comes back zero.  Axes of at most ``_DENSE_MAX_POINTS``
+    points apply the orthonormal matrix (rows in the scipy.fft mode order)
     restricted to ``modes`` and ``rows``; long ones call scipy.fft with
-    norm="ortho" on the whole axis (the backend rule of ``_axis_transform``),
-    scattering into it and reading back out of it.
+    norm="ortho" on the whole axis, scattering into it and reading back out
+    of it.
     """
     fwd, inv, t = _SCIPY_R2R[kind]
     if n <= _DENSE_MAX_POINTS:
@@ -598,7 +491,10 @@ class ModalBasis:
 
     Each of ``u``, ``v``, ``hu``, ``hv`` and ``cells`` is a (forward,
     inverse) pair between a whole-grid physical field and its coefficients;
-    wall values of the normal velocity are pinned zeros.
+    wall values of the normal velocity are pinned zeros.  ``d_x`` and
+    ``d_y`` hold the factors for k = 0..nx and l = 0..ny.  The linear
+    propagator marches in these bases, and ``SpectralSolver`` solves in the
+    Helmholtz ones.
     """
 
     def __init__(self, grid: GridSpec):
@@ -613,8 +509,8 @@ class ModalBasis:
         self.hu, self.hv, self.cells = self.on_box(((whole, whole),) * 3)
         self.change_u = _change_maps(ny, axis=1)
         self.change_v = _change_maps(nx, axis=0)
-        dx = 2.0 / grid.hx * np.sin(0.5 * np.pi * np.arange(nx + 1) / nx)
-        dy = 2.0 / grid.hy * np.sin(0.5 * np.pi * np.arange(ny + 1) / ny)
+        self.d_x = dx = 2.0 / grid.hx * np.sin(0.5 * np.pi * np.arange(nx + 1) / nx)
+        self.d_y = dy = 2.0 / grid.hy * np.sin(0.5 * np.pi * np.arange(ny + 1) / ny)
         self.lap_u = dx[1:nx, None] ** 2 + dy[None, 1:] ** 2      # -eigenvalues
         self.lap_v = dx[1:, None] ** 2 + dy[None, 1:ny] ** 2
         self.lap_cells = dx[1:, None] ** 2 + dy[None, 1:] ** 2
@@ -644,3 +540,59 @@ class ModalBasis:
         w += self._neg_alpha * vs
         np.multiply(self._beta, w, out=us)
         np.multiply(self._neg_alpha, w, out=vs)
+
+
+class SpectralSolver:
+    """Exact solvers for the Helmholtz/Poisson systems on one grid.
+
+    The Helmholtz solves run in the Helmholtz bases of ``ModalBasis``, where
+    (I - c lap) is the scaling 1 / (1 + c (d_x^2 + d_y^2)), and the Neumann
+    pressure Laplacian is diagonalized by DCT-II x DCT-II with the
+    eigenvalues -(d_x^2 + d_y^2) of the same table.  Each solve is
+    Q^T D^-1 Q with an orthonormal Q, so all solves are symmetric to machine
+    precision, which the discrete-adjoint construction relies on.  Each axis
+    picks its transform backend from its length (see ``_ortho_axis_maps``).
+    """
+
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        self.modes = m = ModalBasis(grid)
+        self._p = _ortho_grid_maps(("dct2", grid.nx), ("dct2", grid.ny))
+        # the null mode (0, 0) divides by 1 and is zeroed after the division
+        self._eig_p = -(m.d_x[:-1, None] ** 2 + m.d_y[None, :-1] ** 2)
+        self._eig_p[0, 0] = 1.0
+
+    @staticmethod
+    def _helmholtz(maps, lap: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
+        fwd, inv = maps
+        bh = fwd(b)
+        bh /= 1.0 + c * lap
+        return inv(bh)
+
+    def helmholtz_cells(self, b: np.ndarray, c: float) -> np.ndarray:
+        """(I - c lap) x = b with Dirichlet walls, c >= 0."""
+        check_cells(b, self.grid)
+        return self._helmholtz(self.modes.cells, self.modes.lap_cells, b, c)
+
+    def helmholtz_u(self, b: np.ndarray, c: float) -> np.ndarray:
+        """The u-face solve; wall values of b are ignored and come back zero."""
+        return self._helmholtz(self.modes.hu, self.modes.lap_u, b, c)
+
+    def helmholtz_v(self, b: np.ndarray, c: float) -> np.ndarray:
+        return self._helmholtz(self.modes.hv, self.modes.lap_v, b, c)
+
+    def poisson_neumann(self, rhs: np.ndarray) -> np.ndarray:
+        """lap p = rhs with Neumann walls; the zero-mean solution."""
+        check_cells(rhs, self.grid)
+        fwd, inv = self._p
+        bh = fwd(rhs)
+        bh /= self._eig_p
+        bh[0, 0] = 0.0
+        return inv(bh)
+
+    def project(self, u: np.ndarray, v: np.ndarray):
+        """Discrete Leray projection; returns (u, v, potential)."""
+        rhs = div(u, v, self.grid)
+        phi = self.poisson_neumann(rhs)
+        gu, gv = grad(phi, self.grid)
+        return u - gu, v - gv, phi

@@ -117,12 +117,11 @@ def cg_solve(apply_op, b: np.ndarray, tol: float = 1.0e-10, max_iters: int = 200
 
 
 def project_div_free(u: np.ndarray, v: np.ndarray, grid: GridSpec,
-                     solver: ops.SpectralSolver | None = None, tol: float = 1.0e-10):
+                     tol: float = 1.0e-10):
     """Leray projection with a posteriori divergence verification."""
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    solver = solver or ops.SpectralSolver(grid)
-    u2, v2, phi = solver.project(u, v)
+    u2, v2, phi = ops.SpectralSolver(grid).project(u, v)
     scale = ops.norm_velocity(u, v, grid)
     res = float(np.max(np.abs(ops.div(u2, v2, grid))))
     if scale > 0.0 and res > tol * scale / np.sqrt(grid.cell_area):
@@ -140,7 +139,10 @@ class PhysicalLinear:
     averaged onto the v-faces, then the nonlinear step's ``implicit_stage``
     (spectral Helmholtz solves, then the Leray projection), and its
     transpose run backward with a projection per level.  The reference the modal march is
-    compared against."""
+    compared against.  Its spectral solves now run in the same ``ModalBasis``
+    transforms and eigenvalue table as the modal march, so the independent
+    checks of those are the stencil-residual tests of ``test_operators.py``
+    and the dense ``TestOneStepOracle`` of ``test_forward.py``."""
 
     def __init__(self, prop):
         self.prop, self.grid = prop, prop.grid

@@ -1,5 +1,6 @@
 """MAC operator identities, spectral solves, viscosity laws, heating algebra."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -77,40 +78,40 @@ def test_laplacians_match_the_padded_form(grid):
     assert np.array_equal(ops.laplacian_v(v, grid), reference_laplacian_v(v, grid))
 
 
+@pytest.mark.parametrize("grid", SOLVE_GRIDS, ids=GRID_IDS)
 class TestProjection:
-    def test_div_free_input_unchanged(self, grid16):
-        u, v = rand_div_free(grid16, RNG)
-        (u2, v2), _ = project_div_free(u, v, grid16)
+    def test_div_free_input_unchanged(self, grid):
+        u, v = rand_div_free(grid, RNG)
+        (u2, v2), _ = project_div_free(u, v, grid)
         scale = max(np.abs(u).max(), np.abs(v).max())
         assert np.abs(u2 - u).max() < 1e-12 * scale
         assert np.abs(v2 - v).max() < 1e-12 * scale
 
-    def test_pure_gradient_projects_to_zero(self, grid16):
-        f = rand_cells(grid16, RNG)
-        gu, gv = ops.grad(f, grid16)
-        (u2, v2), _ = project_div_free(gu, gv, grid16)
+    def test_pure_gradient_projects_to_zero(self, grid):
+        f = rand_cells(grid, RNG)
+        gu, gv = ops.grad(f, grid)
+        (u2, v2), _ = project_div_free(gu, gv, grid)
         scale = max(np.abs(gu).max(), 1.0)
         assert np.abs(u2).max() < 1e-12 * scale
         assert np.abs(v2).max() < 1e-12 * scale
 
-    def test_random_field_divergence_below_tol(self):
-        g = GridSpec(32, 32)
-        u, v = rand_u(g, RNG), rand_v(g, RNG)
-        (u2, v2), _ = project_div_free(u, v, g, tol=1e-10)
-        assert np.abs(ops.div(u2, v2, g)).max() <= 1e-10 * ops.norm_velocity(
-            u, v, g) / np.sqrt(g.cell_area)
+    def test_random_field_divergence_below_tol(self, grid):
+        u, v = rand_u(grid, RNG), rand_v(grid, RNG)
+        (u2, v2), _ = project_div_free(u, v, grid, tol=1e-10)
+        assert np.abs(ops.div(u2, v2, grid)).max() <= 1e-10 * ops.norm_velocity(
+            u, v, grid) / np.sqrt(grid.cell_area)
 
-    def test_idempotence_and_orthogonality(self, grid16):
-        u, v = rand_u(grid16, RNG), rand_v(grid16, RNG)
-        (u2, v2), _ = project_div_free(u, v, grid16)
-        (u3, v3), _ = project_div_free(u2, v2, grid16)
+    def test_idempotence_and_orthogonality(self, grid):
+        u, v = rand_u(grid, RNG), rand_v(grid, RNG)
+        (u2, v2), _ = project_div_free(u, v, grid)
+        (u3, v3), _ = project_div_free(u2, v2, grid)
         assert np.abs(u3 - u2).max() < 1e-12
-        ortho = ops.inner_velocity(u2, v2, u - u2, v - v2, grid16)
-        assert abs(ortho) <= 1e-10 * ops.norm_velocity(u, v, grid16) ** 2
+        ortho = ops.inner_velocity(u2, v2, u - u2, v - v2, grid)
+        assert abs(ortho) <= 1e-10 * ops.norm_velocity(u, v, grid) ** 2
 
-    def test_zero_mean_potential(self, grid16):
-        u, v = rand_u(grid16, RNG), rand_v(grid16, RNG)
-        _, phi = project_div_free(u, v, grid16)
+    def test_zero_mean_potential(self, grid):
+        u, v = rand_u(grid, RNG), rand_v(grid, RNG)
+        _, phi = project_div_free(u, v, grid)
         assert abs(phi.mean()) < 1e-13 * max(np.abs(phi).max(), 1.0)
 
 
@@ -189,6 +190,46 @@ class TestSpectralSolves:
         lhs, rhs = np.sum(s1 * b2), np.sum(b1 * s2)
         scale = np.linalg.norm(s1) * np.linalg.norm(b2)
         assert abs(lhs - rhs) <= 1e-13 * scale
+
+
+def _lowest_profile(kind: str, n: int) -> np.ndarray:
+    """The k = 1 vector of the n-point transform ``kind`` along one axis
+    (n + 1 faces with zero walls for "dst1"), or the constant k = 0 one."""
+    if kind == "dst1":
+        p = np.sin(np.pi * np.arange(n + 1) / n)
+        p[[0, -1]] = 0.0
+        return p
+    mid = (np.arange(n) + 0.5) / n
+    return {"dst2": np.sin(np.pi * mid), "dct2": np.cos(np.pi * mid),
+            "const": np.ones(n)}[kind]
+
+
+LOWEST_MODES = {  # solve -> transform kinds of its lowest mode along x and y
+    "poisson_neumann": ("dct2", "const"),
+    "helmholtz_cells": ("dst2", "dst2"),
+    "helmholtz_u": ("dst1", "dst2"),
+    "helmholtz_v": ("dst2", "dst1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOWEST_MODES))
+def test_lowest_mode_solve_matches_the_exact_eigenvalue(name):
+    """Each solve of the k = 1 mode f at 128^2 returns f / lambda, with lambda
+    evaluated in 40-digit arithmetic.  The lowest mode has the smallest
+    eigenvalue, so the rounding of f is not amplified, and c is large, so
+    the Laplacian's eigenvalue carries the Helmholtz one."""
+    grid, c = GridSpec(128, 128), 1.0e4
+    kx, ky = LOWEST_MODES[name]
+    f = np.outer(_lowest_profile(kx, grid.nx), _lowest_profile(ky, grid.ny))
+    with mp.workdps(40):
+        neg_eig = sum((2 / mp.mpf(h) * mp.sin(mp.pi / (2 * n))) ** 2
+                      for kind, n, h in ((kx, grid.nx, grid.hx), (ky, grid.ny, grid.hy))
+                      if kind != "const")
+        lam = float(-neg_eig if name == "poisson_neumann" else 1 + c * neg_eig)
+    sp = SpectralSolver(grid)
+    x = sp.poisson_neumann(f) if name == "poisson_neumann" else getattr(sp, name)(f, c)
+    want = f / lam
+    assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestHeating:
