@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .exceptions import DomainError
 from .grids import GridSpec, TimeGrid
@@ -41,9 +40,24 @@ def _log(x) -> np.ndarray:
     return np.log(x, out=np.full_like(x, -np.inf), where=x > 0.0)
 
 
+def _logsumexp(x: np.ndarray) -> float:
+    """log sum_n e^(x_n) with the largest terms split off: m entries equal
+    the max M, the rest sum (shifted by M) to s, and the result is
+    log1p(s / m) + log m + M.  A non-finite M (every x_n = -inf, a +inf, a
+    NaN) is returned as it is."""
+    big = np.max(x, initial=-np.inf)
+    if not np.isfinite(big):
+        return float(big)
+    top = x == big
+    m = float(np.count_nonzero(top))
+    rest = np.exp(x - big)
+    rest[top] = 0.0
+    return float(np.log1p(np.sum(rest) / m) + np.log(m) + big)
+
+
 def _log10_sum(logw: np.ndarray, sq: np.ndarray, scale: float) -> float:
     """log10 of scale * sum_n w_n^2 sq_n, as one log-sum-exp over the nodes."""
-    return float((logsumexp(2.0 * logw + _log(sq)) + np.log(scale)) / _LN10)
+    return float((_logsumexp(2.0 * logw + _log(sq)) + np.log(scale)) / _LN10)
 
 
 def _log10_sup(logw: np.ndarray, sq: np.ndarray) -> float:

@@ -12,9 +12,9 @@ no boundary-condition assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import dct, dst, idct, idst
 
 from .exceptions import DomainError, ShapeError
 from .grids import GridSpec
@@ -380,12 +380,49 @@ def h1_seminorm_sq_velocity(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> flo
 # spectral solves: DST/DCT diagonalization of the constant-coefficient operators
 
 
-# Axes of at most this many transform points use dense orthonormal matrices:
-# there one matmul beats the scipy.fft dispatch overhead, while above it the
-# pocketfft kernels win (at 128 points the two tie, measured per solve).
-_DENSE_MAX_POINTS = 64
+# Axes of at most this many transform points use dense orthonormal matrices,
+# longer ones the pocketfft kernels of scipy.fft.  Median us per solve
+# (helmholtz_u / helmholtz_cells) on n x n, one OpenBLAS thread on a shared
+# 2-core x86-64 machine, dense vs pocketfft:
+#   n = 64: 52/52 vs 126/110;     n = 96: 154/153 vs 236/196;
+#   n = 128: 386/388 vs 411/342;  n = 160: 741/748 vs 649/512;
+#   n = 256: 3476/3461 vs 2710/1955.
+# The matmul scales as n^3: it wins clearly up to 96 points, is within 15%
+# either way at 128 (where it spares the scipy import), and falls behind
+# above.
+_DENSE_MAX_POINTS = 128
 
-_SCIPY_R2R = {"dst1": (dst, idst, 1), "dst2": (dst, idst, 2), "dct2": (dct, idct, 2)}
+
+@lru_cache(maxsize=16)
+def _ortho_matrix(kind: str, n: int) -> np.ndarray:
+    """The orthonormal n-point DST-I, DST-II or DCT-II matrix ``kind``, rows
+    in the scipy.fft mode order, from its closed form (Strang, SIAM Review
+    41, 1999).  Entry (k, j) is sin(pi * phase / h) for an integer phase:
+      dst1: phase (k+1)(j+1), h = n+1, times sqrt(2 / (n+1))
+      dst2: phase (k+1)(2j+1), h = 2n, times sqrt(2 / n), last row / sqrt(2)
+      dct2: phase k(2j+1) + n, h = 2n (the cosine of pi k(2j+1) / 2n),
+            times sqrt(2 / n), first row / sqrt(2)
+    read from one sine table over the period 2h at the phase reduced modulo
+    2h.  The table takes each value from an argument of at most pi/2.  The
+    matrices are shared between the solvers of a grid, so they are read-only.
+    """
+    k = np.arange(n)
+    if kind == "dst1":
+        phase, h, scale, edge = np.multiply.outer(k + 1, k + 1), n + 1, 2.0 / (n + 1), None
+    elif kind == "dst2":
+        phase, h, scale, edge = np.multiply.outer(k + 1, 2 * k + 1), 2 * n, 2.0 / n, -1
+    else:
+        phase, h, scale, edge = np.multiply.outer(k, 2 * k + 1) + n, 2 * n, 2.0 / n, 0
+    phase %= 2 * h
+    i = np.arange(h)
+    half = np.sin(np.pi * np.minimum(i, h - i) / h)   # sin(pi i / h), i < h
+    table = np.concatenate([half, -half])
+    table *= np.sqrt(scale)
+    q = table.take(phase)
+    if edge is not None:
+        q[edge] *= np.sqrt(0.5)
+    q.flags.writeable = False
+    return q
 
 
 def _ortho_axis_maps(kind: str, n: int, axis: int, walls: bool = False,
@@ -397,17 +434,19 @@ def _ortho_axis_maps(kind: str, n: int, axis: int, walls: bool = False,
     With ``walls`` the axis holds the n + 2 faces of a normal direction: the
     transform runs over the n interior faces, a wall value is ignored going
     forward and comes back zero.  Axes of at most ``_DENSE_MAX_POINTS``
-    points apply the orthonormal matrix (rows in the scipy.fft mode order)
-    restricted to ``modes`` and ``rows``; long ones call scipy.fft with
-    norm="ortho" on the whole axis, scattering into it and reading back out
-    of it.
+    points apply the orthonormal matrix (``_ortho_matrix``) restricted to
+    ``modes`` and ``rows``; long ones call scipy.fft, imported here on
+    first use, with norm="ortho" on the whole axis, scattering into it and
+    reading back out of it.
     """
-    fwd, inv, t = _SCIPY_R2R[kind]
     if n <= _DENSE_MAX_POINTS:
-        q = fwd(np.eye(n), type=t, norm="ortho", axis=0)
+        q = _ortho_matrix(kind, n)
         if walls:
             q = np.pad(q, ((0, 0), (1, 1)))
         return _matrix_maps(q[modes, rows], axis)
+    from scipy.fft import dct, dst, idct, idst
+    fwd, inv = (dct, idct) if kind == "dct2" else (dst, idst)
+    t = 1 if kind == "dst1" else 2
     m = n + 2 if walls else n
 
     def along(s):
@@ -500,23 +539,44 @@ class ModalBasis:
     def __init__(self, grid: GridSpec):
         self.grid = grid
         nx, ny = grid.nx, grid.ny
-        whole, shared = slice(None), slice(1, None)
-        self.u = _ortho_grid_maps(("dst1", nx - 1, True),
-                                  ("dct2", ny, False, whole, shared))
-        self.v = _ortho_grid_maps(("dct2", nx, False, whole, shared),
-                                  ("dst1", ny - 1, True))
+        whole = slice(None)
         self._on_box = {}
         self.hu, self.hv, self.cells = self.on_box(((whole, whole),) * 3)
-        self.change_u = _change_maps(ny, axis=1)
-        self.change_v = _change_maps(nx, axis=0)
         self.d_x = dx = 2.0 / grid.hx * np.sin(0.5 * np.pi * np.arange(nx + 1) / nx)
         self.d_y = dy = 2.0 / grid.hy * np.sin(0.5 * np.pi * np.arange(ny + 1) / ny)
         self.lap_u = dx[1:nx, None] ** 2 + dy[None, 1:] ** 2      # -eigenvalues
         self.lap_v = dx[1:, None] ** 2 + dy[None, 1:ny] ** 2
         self.lap_cells = dx[1:, None] ** 2 + dy[None, 1:] ** 2
-        r = np.hypot(dx[1:nx, None], dy[None, 1:ny])
-        self._beta, self._neg_alpha = dy[None, 1:ny] / r, -dx[1:nx, None] / r
         self.buoyancy = np.cos(0.5 * np.pi * np.arange(1, ny) / ny)
+
+    # the shared-mode maps, the changes of basis and the projection
+    # coefficients serve the linear march only, so each is built on first use
+
+    @cached_property
+    def u(self):
+        return _ortho_grid_maps(("dst1", self.grid.nx - 1, True),
+                                ("dct2", self.grid.ny, False, slice(None), slice(1, None)))
+
+    @cached_property
+    def v(self):
+        return _ortho_grid_maps(("dct2", self.grid.nx, False, slice(None), slice(1, None)),
+                                ("dst1", self.grid.ny - 1, True))
+
+    @cached_property
+    def change_u(self):
+        return _change_maps(self.grid.ny, axis=1)
+
+    @cached_property
+    def change_v(self):
+        return _change_maps(self.grid.nx, axis=0)
+
+    @cached_property
+    def _projection(self):
+        """(d_y, -d_x) / |d| on the shared modes."""
+        nx, ny = self.grid.nx, self.grid.ny
+        dx, dy = self.d_x[1:nx, None], self.d_y[None, 1:ny]
+        r = np.hypot(dx, dy)
+        return dy / r, -dx / r
 
     def on_box(self, box):
         """Helmholtz-basis (forward, inverse) pairs of the u-face, v-face and
@@ -536,10 +596,11 @@ class ModalBasis:
         """Leray projection of shared-mode coefficients, in place: per mode
         (u, v) -> (u, v) - n n^T (u, v) with n = (d_x, d_y) / |d|, that is
         (d_y, -d_x) w / |d| with w = (d_y u - d_x v) / |d|."""
-        w = self._beta * us
-        w += self._neg_alpha * vs
-        np.multiply(self._beta, w, out=us)
-        np.multiply(self._neg_alpha, w, out=vs)
+        beta, neg_alpha = self._projection
+        w = beta * us
+        w += neg_alpha * vs
+        np.multiply(beta, w, out=us)
+        np.multiply(neg_alpha, w, out=vs)
 
 
 class SpectralSolver:

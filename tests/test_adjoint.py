@@ -21,8 +21,8 @@ class TestDuality:
         assert worst <= 1e-10
 
     def test_defect_below_tolerance_above_dense_crossover(self, patch):
-        # 72 points per axis: every transform goes through scipy.fft
-        grid = GridSpec(72, 72)
+        # 132 points per axis: every transform goes through scipy.fft
+        grid = GridSpec(132, 132)
         assert min(grid.nx, grid.ny) - 1 > ops._DENSE_MAX_POINTS
         bumps = bump_on_solver_grids(grid, patch)
         defect = duality_defect(grid, TimeGrid(0.1, 16), 0.1, bumps,

@@ -6,12 +6,14 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from bousscontrol import operators as ops
 
 from bousscontrol.control import ControlTrajectory
-from bousscontrol.diagnostics import (DecayFit, NormSamples, control_regularity_report,
-                                      decay_fit, t_star, weighted_norms)
+from bousscontrol.diagnostics import (DecayFit, NormSamples, _logsumexp,
+                                      control_regularity_report, decay_fit, t_star,
+                                      weighted_norms)
 from bousscontrol.exceptions import DomainError
 from bousscontrol.fieldio import emit_report, parse_report
 from bousscontrol.forward import (EnergyTrace, SystemSpec, run_nonlinear,
@@ -331,6 +333,25 @@ class TestLogDomainOracle:
             assert abs(got[name] - float(w)) <= 1e-12 * abs(float(w)), (name, got[name], w)
         if not tame:  # the carleman norms are far past any double exponent
             assert got["iint_rho1_sq_state"] > 1e12
+
+
+def test_logsumexp_matches_scipy_bitwise():
+    """The log-sum-exp of the weighted sums against scipy.special.logsumexp,
+    bit for bit: random arrays spanning 20 decades, some with -inf entries,
+    some with the max repeated, and arrays that are all -inf."""
+    rng = np.random.default_rng(12)
+    cases = [np.full(n, -np.inf) for n in (1, 2, 9)]
+    for i in range(3000):
+        n = int(rng.integers(1, 300))
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-4.0, 16.0)
+        if i % 2:
+            x[rng.random(n) < rng.random()] = -np.inf
+        if i % 5 == 0 and np.isfinite(x.max()):
+            x[rng.integers(0, n, size=3)] = x.max()
+        cases.append(x)
+    for x in cases:
+        assert np.float64(_logsumexp(x)).tobytes() == \
+            np.float64(logsumexp(x)).tobytes(), x
 
 
 class TestReports:

@@ -3,6 +3,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.fft
 
 from bousscontrol import operators as ops
 from bousscontrol.exceptions import DomainError, ShapeError
@@ -155,8 +156,8 @@ def _neumann_rhs(grid, rng):
 
 class TestSpectralSolves:
     def test_grids_straddle_the_crossover(self):
-        # the 40-point axis is dense; the 79 interior faces and 80 cells are not
-        assert 40 <= ops._DENSE_MAX_POINTS < 79
+        # the 80-point axis is dense; the 143 interior faces and 144 cells are not
+        assert 80 <= ops._DENSE_MAX_POINTS < 143
 
     @pytest.mark.parametrize("grid", SOLVE_GRIDS, ids=GRID_IDS)
     @pytest.mark.parametrize("name", sorted(HELMHOLTZ))
@@ -230,6 +231,21 @@ def test_lowest_mode_solve_matches_the_exact_eigenvalue(name):
     x = sp.poisson_neumann(f) if name == "poisson_neumann" else getattr(sp, name)(f, c)
     want = f / lam
     assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
+
+
+SCIPY_TRANSFORMS = {"dst1": (scipy.fft.dst, 1), "dst2": (scipy.fft.dst, 2),
+                    "dct2": (scipy.fft.dct, 2)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 31, 64, 127, 128])
+@pytest.mark.parametrize("kind", sorted(SCIPY_TRANSFORMS))
+def test_closed_form_matrix_matches_scipy(kind, n):
+    """Each dense transform matrix against scipy.fft's orthonormal transform
+    of the identity, and its orthogonality."""
+    transform, t = SCIPY_TRANSFORMS[kind]
+    q = ops._ortho_matrix(kind, n)
+    assert np.abs(q - transform(np.eye(n), type=t, norm="ortho", axis=0)).max() <= 1e-15
+    assert np.linalg.norm(q.T @ q - np.eye(n), 2) <= 2e-15
 
 
 class TestHeating:
