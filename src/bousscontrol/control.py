@@ -25,6 +25,16 @@ the linear system, and the one linear control problem is re-solved with them,
 warm-started from its own last solution; on convergence the control is
 validated by an independent nonlinear re-simulation.
 
+Only the right-hand side changes between those solves, so the problem keeps a
+recycle space W of at most RECYCLE_K CG directions, each stored with its
+product H w (two control vectors per direction) and made H-orthonormal after
+every solve.  It fills with the directions of the first passes and is then
+frozen.  A warm solve Galerkin-projects its start onto W and runs deflated CG,
+whose directions are kept H-orthogonal to W with the stored H W (Saad, Yeung,
+Erhel & Guyomarc'h, SIAM J. Sci. Comput. 21, 2000); it stops at cg_tol times
+the unprojected |b - H z|.  Neither step applies H, so every CG iteration is
+still one forward and one adjoint sweep.
+
 Large-time pipeline: free decay until the energy crosses delta, then the
 nonlinear synthesis on the remaining short horizon.
 """
@@ -187,6 +197,8 @@ class SynthesisReport:
     adjoint_sweeps: int = 0      # adjoint runs of the same
     j_history: list = field(default_factory=list)
     update_history: list = field(default_factory=list)
+    cg_iters_per_pass: list = field(default_factory=list)          # of the outer passes
+    recycled_vectors_per_pass: list = field(default_factory=list)  # |W| deflating each
     sweep: list = field(default_factory=list, repr=False)  # eps-sweep reports, not serialized
 
 
@@ -211,6 +223,92 @@ def weighted_control_energy(c: ControlTrajectory, logw: np.ndarray,
             if sq > 0.0:
                 total += np.exp(2.0 * logw[n] + np.log(sq))
     return total * grid.cell_area * dt
+
+
+RECYCLE_K = 16     # the most CG directions a recycling problem keeps
+
+
+class RecycleSpace:
+    """The deflation space W of a re-solved problem and its products H W.
+
+    Each pair is a CG direction p and H p, scaled by 1 / sqrt(<p, H p>) and
+    stored flat (the box's vu, vv, v0 entries in turn) as one array in ``w``
+    and one in ``hw``.  Pairs that a solve adds stay pending until ``commit``
+    H-orthonormalises them with the kept ones, so a solve deflates with the
+    space it started from; once RECYCLE_K pairs are kept the space is frozen.
+    """
+
+    def __init__(self, box, nt: int, scale: float):
+        self.box = box
+        self.shapes = [(nt,) + tuple(s.stop - s.start for s in b) for b in box]
+        self.scale = scale                # the control inner product's weight
+        self.w: list[np.ndarray] = []
+        self.hw: list[np.ndarray] = []
+        self.size = 0                     # pairs kept; the rest are pending
+
+    def __len__(self) -> int:
+        return self.size
+
+    def _split(self, flat) -> ControlTrajectory:
+        parts, start = [], 0
+        for shape in self.shapes:
+            n = math.prod(shape)
+            parts.append(flat[start:start + n].reshape(shape))
+            start += n
+        return ControlTrajectory(*parts, self.box)
+
+    @staticmethod
+    def _flat(x: ControlTrajectory) -> np.ndarray:
+        return np.concatenate([part.ravel() for part in x.parts])
+
+    def add(self, p: ControlTrajectory, hp: ControlTrajectory, php: float) -> None:
+        """Keep the pair (p, H p), scaled to <w, H w> = 1, while there is room."""
+        if len(self.w) < RECYCLE_K:
+            s = 1.0 / math.sqrt(php)
+            for store, x in ((self.w, p), (self.hw, hp)):
+                row = self._flat(x)
+                row *= s
+                store.append(row)
+
+    def _blocks(self, store):
+        """(j, the rows' columns j to j + 4096 stacked), block by block."""
+        for j in range(0, store[0].size, 4096):
+            yield j, np.stack([row[j:j + 4096] for row in store])
+
+    def commit(self) -> None:
+        """Join the pending pairs to the kept ones and make the lot
+        H-orthonormal: with W^T H W = V diag(lam) V^T, W becomes
+        W V diag(lam)^-1/2 (and H W alike), where eigenvalues below 1e-12 of
+        the largest are dropped.  CG loses conjugacy within a solve, so the
+        raw directions can be far from orthonormal; a second pass removes
+        the rounding that the first one amplifies."""
+        if len(self.w) == self.size:
+            return
+        for _ in range(2):
+            gram = sum(a @ b.T for (_, a), (_, b) in
+                       zip(self._blocks(self.w), self._blocks(self.hw))) * self.scale
+            lam, vec = np.linalg.eigh(0.5 * (gram + gram.T))
+            keep = lam > 1e-12 * lam[-1]
+            rotate = (vec[:, keep] / np.sqrt(lam[keep])).T
+            for store in (self.w, self.hw):
+                for j, block in self._blocks(store):
+                    for row, new in zip(store, rotate @ block):
+                        row[j:j + 4096] = new
+                del store[len(rotate):]
+        self.size = len(self.w)
+
+    def inner(self, x: ControlTrajectory, products: bool = False) -> np.ndarray:
+        """<W, x>, or <H W, x> with ``products``."""
+        rows, flat = (self.hw if products else self.w)[:self.size], self._flat(x)
+        return np.array([row @ flat for row in rows]) * self.scale
+
+    def combination(self, mu: np.ndarray, products: bool = False) -> ControlTrajectory:
+        """W mu, or H W mu with ``products``."""
+        rows = (self.hw if products else self.w)[:self.size]
+        flat = mu[0] * rows[0]
+        for m, row in zip(mu[1:], rows[1:]):
+            flat += m * row
+        return self._split(flat)
 
 
 @dataclass(eq=False)
@@ -244,14 +342,18 @@ class LinearControlProblem:
 
     Its vectors live on the patch's box ``self.box``, as do ``self.bumps``;
     ``self.masks`` are the whole-grid supports bump > 0.  ``self.sources``
-    may be replaced between solves: only ``rhs`` depends on them.
+    may be replaced between solves: only ``rhs`` depends on them.  A
+    single-eps problem built with ``recycle`` keeps the ``RecycleSpace``
+    ``self.space`` across its solves; any other problem's is None.
     """
 
     def __init__(self, y0, th0, f1, f2, pen: PenaltySpec, logw: np.ndarray,
                  grid: GridSpec, tgrid: TimeGrid, nu0: float, bumps,
-                 coupling: float | None = None, eps_sweep=()):
+                 coupling: float | None = None, eps_sweep=(), recycle: bool = False):
         for eps in eps_sweep:
             _check_eps(eps)
+        if recycle and eps_sweep:
+            raise DomainError("a recycle space needs a single-eps problem")
         self.grid, self.tgrid = grid, tgrid
         self.pen = pen
         self.eps_sweep = tuple(eps_sweep)
@@ -270,6 +372,9 @@ class LinearControlProblem:
         self.adjoint_sweeps = 0
         self.members: dict[float, ShiftMember] = {}
         self.hz: ControlTrajectory | None = None   # H z of the last single-eps solve
+        self.space = RecycleSpace(self.box, tgrid.nt, grid.cell_area * tgrid.dt) \
+            if recycle else None
+        self.passes = 0                             # solves begun
 
     # -- building blocks ----------------------------------------------------
 
@@ -327,6 +432,9 @@ class LinearControlProblem:
             m.control_energy = control_inner(m.z, m.z, self.grid, self.tgrid.dt)
             m.z = None
 
+    def _fail(self, what: str, history) -> None:
+        raise ConvergenceError(f"CG on pass {self.passes}: {what}", history=history)
+
     def solve(self):
         """CG on the seed system, carrying every other eps as a shifted system.
 
@@ -337,20 +445,43 @@ class LinearControlProblem:
         A single-eps problem keeps H z = b - r of its last solve in
         ``self.hz``, and its next solve continues from that z: r0 = b - H z
         and J(z) = 1/2 <H z, z> - <b, z> + J(0) take no Hessian apply and no
-        forward run beyond ``rhs``.  An eps-sweep problem starts every solve
-        from z = 0 and keeps no copy of b.
+        forward run beyond ``rhs``.  With a non-empty recycle space that z is
+        first Galerkin-projected onto it, J is taken there, and CG is
+        deflated (module docstring).  An eps-sweep problem starts every solve
+        from z = 0 and keeps no copy of b.  A non-finite residual or
+        curvature raises ConvergenceError naming the pass.
         """
         grid, dt, pen = self.grid, self.tgrid.dt, self.pen
+        self.passes += 1
         b, free_tnorm_sq = self.rhs()
         j0 = 0.5 * free_tnorm_sq / self.eps
-        if self.hz is not None:
+        hz, self.hz = self.hz, None
+        if hz is not None:
             z = self.members[pen.epsilon].z
-            r = b.plus(self.hz, -1.0)
-            j0 += 0.5 * control_inner(self.hz, z, grid, dt) - control_inner(b, z, grid, dt)
-            self.hz = None
+            r = b.plus(hz, -1.0)
         else:
             z = ControlTrajectory.zeros(grid, self.tgrid.nt, self.box)
             r, b = (b, None) if self.eps_sweep else (b.copy(), b)
+        rr = control_inner(r, r, grid, dt)
+        gnorm0 = np.sqrt(rr)
+        if not math.isfinite(gnorm0):
+            self._fail(f"non-finite residual |b - H z| = {gnorm0}", [j0])
+        tol = pen.cg_tol * gnorm0
+        space = self.space
+        deflate = space is not None and len(space) > 0 and hz is not None
+        if deflate:
+            mu = space.inner(r)
+            hw_mu = space.combination(mu, products=True)
+            z.axpy(1.0, space.combination(mu))
+            r.axpy(-1.0, hw_mu)
+            hz.axpy(1.0, hw_mu)
+            del hw_mu
+            rr = control_inner(r, r, grid, dt)
+            if not math.isfinite(rr):
+                self._fail(f"non-finite projected residual |r|^2 = {rr}", [j0])
+        if hz is not None:
+            j0 += 0.5 * control_inner(hz, z, grid, dt) - control_inner(b, z, grid, dt)
+        del hz
         p = r.copy()
         seed = ShiftMember(self.eps, 0.0, z, None, [j0])
         del z
@@ -360,17 +491,19 @@ class LinearControlProblem:
                         [0.5 * free_tnorm_sq / eps])
             for eps in sorted(set((pen.epsilon,) + self.eps_sweep) - {self.eps})]
         self.members = {m.eps: m for m in active}
-        rr = control_inner(r, r, grid, dt)
-        gnorm0 = np.sqrt(rr)
-        tol = pen.cg_tol * gnorm0
-        if gnorm0 > 0.0:
+        if np.sqrt(rr) > tol if deflate else gnorm0 > 0.0:
+            if deflate:
+                p.axpy(-1.0, space.combination(space.inner(r, products=True)))
             alpha_prev, beta_prev = 1.0, 0.0
             for it in range(1, pen.cg_max_iters + 1):
                 hp = self.hessian_apply(p)
                 php = control_inner(p, hp, grid, dt)
+                if not math.isfinite(php):
+                    self._fail(f"non-finite curvature <p, H p> = {php}", seed.j_history)
                 if php <= 0.0:
-                    raise ConvergenceError("CG curvature lost (operator not SPD?)",
-                                           history=seed.j_history)
+                    self._fail("curvature lost (operator not SPD?)", seed.j_history)
+                if space is not None:
+                    space.add(p, hp, php)
                 alpha = rr / php
                 for m in active:
                     zeta = (m.zeta * m.zeta_prev * alpha_prev
@@ -398,18 +531,21 @@ class LinearControlProblem:
                     break
                 beta = rr_new / rr
                 p.xpby(r, beta)
+                if deflate:
+                    p.axpy(-1.0, space.combination(space.inner(r, products=True)))
                 for m in active:
                     if m.p is not None:
                         m.p.xpby(r, beta * (m.zeta / m.zeta_prev) ** 2, a=m.zeta)
                 alpha_prev, beta_prev = alpha, beta
                 rr = rr_new
             else:
-                raise ConvergenceError(
-                    f"CG stalled: |g|/|g0| = {np.sqrt(rr) / gnorm0:.3e} after "
-                    f"{pen.cg_max_iters} iterations", history=seed.j_history)
+                self._fail(f"stalled: |g|/|g0| = {np.sqrt(rr) / gnorm0:.3e} after "
+                           f"{pen.cg_max_iters} iterations", seed.j_history)
         else:
             for m in active:
                 self._freeze(m)
+        if space is not None:
+            space.commit()
         if b is not None:
             b.axpy(-1.0, r)
             self.hz = b
@@ -527,7 +663,8 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
     """Source-term fixed point around the linear synthesis.
 
     One linear control problem is built once and re-solved on every outer
-    pass, warm-started from its own residual (``LinearControlProblem.solve``).
+    pass, warm-started from its own residual and deflated by the recycle
+    space its earlier passes filled (``LinearControlProblem.solve``).
     Between passes the nonlinear terms of the pass's controlled run, streamed
     from one forward run, replace its sources (F1, F2); with damping d < 1 the
     second and later sets enter as (1 - d) F_prev + d F_new.  A pass that
@@ -541,14 +678,17 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
     dt = tgrid.dt
     logw = step_weight_logs(pen, weights, tgrid)
     prob = LinearControlProblem(y0, th0, None, None, pen, logw, grid, tgrid,
-                                spec.law.nu0, bumps, coupling=spec.buoyancy)
+                                spec.law.nu0, bumps, coupling=spec.buoyancy,
+                                recycle=True)
     controls_prev = ControlTrajectory.zeros(grid, tgrid.nt, prob.box)
     updates: list[float] = []
-    cg_total = 0
+    cg_per_pass: list[int] = []
+    recycled: list[int] = []
     converged = False
     for k in range(1, outer.max_outer + 1):
+        recycled.append(len(prob.space))
         _, controls, iters, _, _ = prob.solve()
-        cg_total += iters
+        cg_per_pass.append(iters)
         updates.append(control_norm(controls.plus(controls_prev, -1.0), grid, dt))
         controls_prev = controls
         if updates[-1] <= outer.outer_tol * max(control_norm(controls, grid, dt), 1.0):
@@ -576,7 +716,7 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
     report = SynthesisReport(
         terminal_norm=float(np.sqrt(ops.state_norm_sq(*resim, grid))),
         control_energy_weighted=weighted_control_energy(controls_prev, logw, grid, dt),
-        cg_iters=cg_total,
+        cg_iters=sum(cg_per_pass),
         outer_iters=k,
         eps=pen.epsilon,
         wall_time_s=time.perf_counter() - t0,
@@ -586,6 +726,8 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
         forward_sweeps=forward_sweeps,
         adjoint_sweeps=adjoint_sweeps,
         update_history=updates,
+        cg_iters_per_pass=cg_per_pass,
+        recycled_vectors_per_pass=recycled,
     )
     free, _ = run_nonlinear(y0, th0, None, spec, grid, tgrid)
     report.uncontrolled_terminal_norm = float(np.sqrt(ops.state_norm_sq(*free, grid)))

@@ -157,12 +157,15 @@ def _final_run_hooks(cfg, out_dir, tables):
 
 
 def _synthesis_section(rep) -> dict:
-    """A ``SynthesisReport``'s scalar fields in declaration order, then its
-    outer-update norms when it has any."""
+    """A ``SynthesisReport``'s scalar fields in declaration order, then, when
+    it has outer passes, their update norms, CG iterations and recycle-space
+    sizes."""
     section = {f.name: getattr(rep, f.name) for f in fields(rep)
-               if f.name not in ("j_history", "update_history", "sweep")}
+               if not isinstance(getattr(rep, f.name), list)}
     if rep.update_history:
-        section["update_norms"] = rep.update_history
+        section.update(update_norms=rep.update_history,
+                       cg_iters_per_pass=rep.cg_iters_per_pass,
+                       recycled_vectors_per_pass=rep.recycled_vectors_per_pass)
     return section
 
 

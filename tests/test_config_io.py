@@ -255,6 +255,7 @@ class TestRunner:
 SYNTHESIS_KEYS = ["terminal_norm", "control_energy_weighted", "cg_iters", "outer_iters",
                   "eps", "wall_time_s", "uncontrolled_terminal_norm", "data_norm",
                   "converged", "forward_sweeps", "adjoint_sweeps"]
+OUTER_KEYS = ["update_norms", "cg_iters_per_pass", "recycled_vectors_per_pass"]
 WEIGHTED_NORM_KEYS = ["log10_" + k for k in (
     "iint_rho1_sq_state", "iint_rho2_sq_controls", "sup_mu1_y", "iint_mu1_grad_y",
     "sup_mu2_grad_y", "iint_mu2_yt_dy", "mu2_theta_t_L32", "mu2_lap_theta_L32",
@@ -274,12 +275,12 @@ REPORT_KEYS = {
         "report_eps_0.txt": {"linear_control": SYNTHESIS_KEYS},
         "report_eps_1.txt": {"linear_control": SYNTHESIS_KEYS}},
     "nonlinear-control": {"report.txt": {
-        "nonlinear_control": SYNTHESIS_KEYS + ["update_norms"],
+        "nonlinear_control": SYNTHESIS_KEYS + OUTER_KEYS,
         "weighted_norms": WEIGHTED_NORM_KEYS}},
     "large-time": {"report.txt": {"large_time": [
         "crossing_time", "t_star_predicted", "decay_c1", "decay_c2", "fit_r_squared",
         "final_norm", "delta", "phase1_steps"]
-        + ["synthesis_" + k for k in SYNTHESIS_KEYS + ["update_norms"]]}},
+        + ["synthesis_" + k for k in SYNTHESIS_KEYS + OUTER_KEYS]}},
     "verify": {"verify_report.txt": {"verify": [
         "duality_defect", "gradient_fd", "mms_order", "weight_gap_margin",
         "weight_chain_finite", "determinism"]}},

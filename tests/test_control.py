@@ -1,19 +1,21 @@
 """Control synthesis: objective/gradient contracts, linear and nonlinear
 solves, support/decay invariants, the large-time pipeline."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bousscontrol import control
 from bousscontrol.control import (ControlTrajectory, LinearControlProblem,
                                   OuterLoopSpec, PenaltySpec, _freezer,
-                                  control_inner, gradient, large_time_control,
-                                  objective, solve_linear_control,
+                                  control_inner, control_norm, gradient,
+                                  large_time_control, objective, solve_linear_control,
                                   solve_nonlinear_control,
                                   weighted_control_energy, step_weight_logs)
 from bousscontrol.diagnostics import NormSamples, weighted_norms
-from bousscontrol.exceptions import DomainError, RegimeError
+from bousscontrol.exceptions import ConvergenceError, DomainError, RegimeError
 from bousscontrol.forward import (SystemSpec, chain_hooks, run_nonlinear,
                                   scaled_initial_data, sine_theta)
 from bousscontrol.geometry import (ControlPatch, bump_on_solver_grids, build_eta0,
@@ -407,22 +409,188 @@ class TestOuterLoopContinuation:
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
         prob = LinearControlProblem(y0, th0, None, None, pen,
                                     step_weight_logs(pen, tables16, tgrid64),
-                                    grid16, tgrid64, 0.05, bumps16)
+                                    grid16, tgrid64, 0.05, bumps16, recycle=True)
         z, controls, _, _, _ = prob.solve()
         z = z.copy()
         frozen: list = []
         prob._terminal_of(controls, True, _freezer(frozen, spec, grid16, tgrid64.nt))
         prob.sources = tuple(frozen)
+        space = copy.deepcopy(prob.space)   # the W this solve deflates with
+        assert len(space) > 0
         sweeps = prob.forward_sweeps, prob.adjoint_sweeps
         _, _, iters, j_history, _ = prob.solve()
         # rhs and one Hessian apply per CG iteration, nothing else
         assert (prob.forward_sweeps - sweeps[0], prob.adjoint_sweeps - sweeps[1]) == (
             iters + 1, iters + 1)
+        # J is first taken at the Galerkin projection z + W <W, b - H z>
+        b, _ = prob.rhs()
+        r = b.plus(prob.hessian_apply(z), -1.0)
+        for w in space_pairs(space)[0]:
+            z.axpy(control_inner(w, r, grid16, tgrid64.dt), w)
         tn = prob.terminal_norm(prob.controls_from_z(z))
         direct = (0.5 * control_inner(z, z, grid16, tgrid64.dt)
                   + 0.5 * tn ** 2 / pen.epsilon)
         assert j_history[0] == pytest.approx(direct, rel=1e-10)
         assert j_history[0] != j_history[-1]
+
+
+def space_pairs(space):
+    """The kept pairs of a ``RecycleSpace`` as lists of ControlTrajectory
+    views (W, H W)."""
+    return ([space._split(row) for row in space.w[:len(space)]],
+            [space._split(row) for row in space.hw[:len(space)]])
+
+
+def slow_case(n=16, nt=64):
+    """The slow outer regime: T = 0.5, nu0 = 0.05, nu1 = 0.1, heating,
+    E(0) = 0.1 and eps = cg_tol = 1e-6, Carleman weights."""
+    grid, tg = GridSpec(n, n), TimeGrid(0.5, nt)
+    patch = ControlPatch((0.5, 0.5), (0.2, 0.2))
+    wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0)
+    tables = eval_weights(wp, build_eta0(grid, patch), tg)
+    spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.1), heating_on=True)
+    y0, th0 = scaled_initial_data(grid, 0.1)
+    pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman", cg_tol=1e-6)
+    return (y0, th0, spec, pen), (tables, grid, tg, bump_on_solver_grids(grid, patch))
+
+
+class TestRecycling:
+    """A re-solved problem deflates every warm solve with at most RECYCLE_K
+    H-orthonormal CG directions of its earlier solves."""
+
+    @pytest.fixture(scope="class")
+    def slow(self):
+        data, disc = slow_case()
+        runs = {}
+        for k in (control.RECYCLE_K, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(control, "RECYCLE_K", k)
+                runs[k] = solve_nonlinear_control(*data, OuterLoopSpec(max_outer=4),
+                                                  *disc)[2]
+        return runs
+
+    def test_same_answer_with_no_more_cg(self, grid16, tgrid64, bumps16, tables16,
+                                         monkeypatch):
+        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True,
+                          phi_smallness_factor=1e2)
+        y0, th0 = scaled_initial_data(grid16, 1e-2)
+        pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
+        args = (y0, th0, spec, pen, OuterLoopSpec(max_outer=25, outer_tol=1e-6),
+                tables16, grid16, tgrid64, bumps16)
+        rep = solve_nonlinear_control(*args)[2]
+        monkeypatch.setattr(control, "RECYCLE_K", 0)
+        plain = solve_nonlinear_control(*args)[2]
+        assert rep.converged and plain.converged
+        assert rep.terminal_norm == pytest.approx(plain.terminal_norm,
+                                                  rel=1e3 * pen.cg_tol)
+        assert rep.cg_iters <= plain.cg_iters
+        assert plain.recycled_vectors_per_pass == [0] * plain.outer_iters
+        assert rep.recycled_vectors_per_pass[0] == 0
+        assert rep.recycled_vectors_per_pass[1] == rep.cg_iters_per_pass[0]
+        assert sum(rep.cg_iters_per_pass) == rep.cg_iters
+
+    def test_space_is_capped_and_h_orthonormal(self):
+        (y0, th0, _, pen), (tables, grid, tg, bumps) = slow_case()
+        prob = LinearControlProblem(y0, th0, None, None, pen,
+                                    step_weight_logs(pen, tables, tg), grid, tg,
+                                    0.05, bumps, recycle=True)
+        iters = prob.solve()[2]
+        assert iters > control.RECYCLE_K
+        assert len(prob.space) <= control.RECYCLE_K
+        w, hw = space_pairs(prob.space)
+        gram = np.array([[control_inner(a, b, grid, tg.dt) for b in hw] for a in w])
+        assert np.abs(gram - np.eye(len(w))).max() <= 1e-8
+        # the stored products are H applied to the stored directions
+        for a, ha in zip(w[:3], hw[:3]):
+            diff = prob.hessian_apply(a).plus(ha, -1.0)
+            assert control_norm(diff, grid, tg.dt) <= 1e-8 * control_norm(ha, grid, tg.dt)
+
+    def test_eps_sweep_and_single_solves_hold_no_space(self, setup16):
+        grid, tg, bumps, y0, th0 = setup16
+        pen = PenaltySpec(epsilon=1e-4, weight_mode="unweighted")
+        logw = step_weight_logs(pen, None, tg)
+        sweep = LinearControlProblem(y0, th0, None, None, pen, logw, grid, tg, NU0,
+                                     bumps, eps_sweep=(1e-2, 1e-4))
+        sweep.solve()
+        assert sweep.space is None
+        single = LinearControlProblem(y0, th0, None, None, pen, logw, grid, tg, NU0,
+                                      bumps)
+        assert single.space is None
+        with pytest.raises(DomainError):
+            LinearControlProblem(y0, th0, None, None, pen, logw, grid, tg, NU0, bumps,
+                                 eps_sweep=(1e-2,), recycle=True)
+
+    def test_slow_regime_needs_no_more_cg(self, slow):
+        # 16^2 copy of the slow outer regime: 4 unconverged passes
+        rep, plain = slow[control.RECYCLE_K], slow[0]
+        assert rep.outer_iters == plain.outer_iters == 4
+        assert not rep.converged and not plain.converged
+        assert rep.cg_iters <= plain.cg_iters
+        np.testing.assert_allclose(rep.update_history, plain.update_history, rtol=1e-3)
+
+    def test_slow_regime_sweep_counts(self, slow):
+        for rep in slow.values():
+            assert rep.forward_sweeps == rep.cg_iters + 2 * rep.outer_iters - 1
+            assert rep.adjoint_sweeps == rep.cg_iters + rep.outer_iters
+
+
+class TestNonFiniteCG:
+    """A non-finite residual, curvature or projected residual stops CG at
+    once with a ConvergenceError that names the pass."""
+
+    def test_nan_initial_data(self, setup16):
+        grid, tg, bumps, y0, th0 = setup16
+        th0 = th0.copy()
+        th0[3, 4] = np.nan
+        pen = PenaltySpec(epsilon=1e-4, weight_mode="unweighted")
+        with pytest.raises(ConvergenceError, match="pass 1: non-finite residual"):
+            solve_linear_control(y0, th0, None, None, pen, None, grid, tg, NU0, bumps)
+
+    def test_nan_frozen_sources_on_a_warm_pass(self, grid16, tgrid64, bumps16,
+                                               tables16, monkeypatch):
+        exact = control._frozen_sources
+
+        def poisoned(*args):
+            f1u, f1v, f2 = exact(*args)
+            f2 = f2.copy()
+            f2[0, 0] = np.nan
+            return f1u, f1v, f2
+
+        monkeypatch.setattr(control, "_frozen_sources", poisoned)
+        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
+        y0, th0 = scaled_initial_data(grid16, 1e-2)
+        pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
+        with pytest.raises(ConvergenceError, match="pass 2: non-finite residual"):
+            solve_nonlinear_control(y0, th0, spec, pen, OuterLoopSpec(), tables16,
+                                    grid16, tgrid64, bumps16)
+
+    def test_nan_curvature(self, setup16, monkeypatch):
+        grid, tg, bumps, y0, th0 = setup16
+        pen = PenaltySpec(epsilon=1e-4, weight_mode="unweighted")
+        prob = LinearControlProblem(y0, th0, None, None, pen,
+                                    step_weight_logs(pen, None, tg), grid, tg, NU0,
+                                    bumps)
+        calls = []
+
+        def broken(p):
+            calls.append(1)
+            return p.scaled(np.nan)
+
+        monkeypatch.setattr(prob, "hessian_apply", broken)
+        with pytest.raises(ConvergenceError, match="pass 1: non-finite curvature"):
+            prob.solve()
+        assert len(calls) == 1
+
+    def test_nan_projected_residual(self, setup16):
+        grid, tg, bumps, y0, th0 = setup16
+        pen = PenaltySpec(epsilon=1e-4, weight_mode="unweighted")
+        prob = LinearControlProblem(y0, th0, None, None, pen,
+                                    step_weight_logs(pen, None, tg), grid, tg, NU0,
+                                    bumps, recycle=True)
+        prob.solve()
+        prob.space.hw[0][0] = np.nan     # a corrupted stored product
+        with pytest.raises(ConvergenceError, match="pass 2: non-finite projected"):
+            prob.solve()
 
 
 class TestLargeTime:
