@@ -123,7 +123,7 @@ def duality_defect(grid: GridSpec, tgrid: TimeGrid, nu0: float, bumps,
     sources = (np.stack([rand_u() for _ in range(nt)]),
                np.stack([rand_v() for _ in range(nt)]),
                np.stack([rand_c() for _ in range(nt)]))
-    phi_t = ops.SpectralSolver(grid).project(rand_u(), rand_v())[:2]
+    phi_t = prop.modes.project_faces(rand_u(), rand_v())
     psi_t = rand_c()
     g1 = (np.stack([rand_u() for _ in range(nt)]),
           np.stack([rand_v() for _ in range(nt)]))

@@ -3,12 +3,13 @@
 Two modes share one IMEX layout: diffusion implicit (one constant-coefficient
 Helmholtz solve per field, the nonlocal coefficient frozen at the previous
 step), convection / buoyancy / heating / sources explicit, then a Leray
-projection.  The linearized mode drops convection and heating and runs with
-the constant coefficient nu0; it is exactly linear in all of its inputs and
-marches in the modal basis that diagonalizes its solves and its projection,
-where each per-step building block is a per-mode scaling or an orthogonal
-change of basis, so the discrete adjoint is available by transposition (see
-adjoint.py).
+projection, both solved and projected per mode in ``operators.ModalBasis``.
+The nonlinear mode transforms each field in and out once per step
+(``implicit_stage``).  The linearized mode drops convection and heating and
+runs with the constant coefficient nu0; it is exactly linear in all of its
+inputs and marches in the modal basis, where each per-step building block is
+a per-mode scaling or an orthogonal change of basis, so the discrete adjoint
+is available by transposition (see adjoint.py).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .exceptions import DivergenceError, DomainError, StepSizeError
 from .geometry import box_within, control_box, grid_box
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
-from .operators import ModalBasis, SpectralSolver, ViscosityLaw
+from .operators import ModalBasis, ViscosityLaw
 
 _CFL_EPS = 1.0e-12
 _BLOWUP_FACTOR = 1.0e6
@@ -136,35 +137,41 @@ def explicit_terms(u, v, th, spec: SystemSpec, grid: GridSpec):
         nu_th = ops.nonlocal_viscosity_scalar(th, spec.theta_law, grid)
     heat = ops.heating_from_gradients(grads) if spec.heating_on else None
     del grads, gm2  # lowers the step's peak allocation, so fewer fresh pages per step
-    adv_u, adv_v = ops.advect_velocity(u, v, u, v, grid)
+    adv_u, adv_v = ops.advect_velocity(u, v, grid)
     adv_th = ops.advect_scalar(th, u, v, grid)
     return nu, nu_th, adv_u, adv_v, adv_th, heat
 
 
-def implicit_stage(sp: SpectralSolver, dt: float, ru, rv, rhs_th, c_vel: float,
+def implicit_stage(m: ModalBasis, dt: float, ru, rv, rhs_th, c_vel: float,
                    c_th: float, control, bumps, sources, box=None):
     """The nonlinear step's tail: add the bump-weighted controls and the
     sources to the right-hand sides, solve (I - c lap) with c_th for the
     temperature and c_vel for the velocity, project.  Returns (u, v, theta).
 
-    ``control`` = (cu, cv, c0) is stored on ``box`` (``geometry.control_box``;
-    None for the whole grid) and is added on that box only.
+    The solves scale the Helmholtz coefficients of ``m``; the velocity is
+    projected in the shared modes.  ``control`` = (cu, cv, c0) is stored on
+    ``box`` (``geometry.control_box``; None for the whole grid) and is added
+    on that box only.
     """
     if control is not None:
         ru, rv, rhs_th = ru.copy(), rv.copy(), rhs_th.copy()  # ru may be the caller's u
         for rhs, c, bump, b in zip((ru, rv, rhs_th), control, bumps,
-                                   box or grid_box(sp.grid)):
+                                   box or grid_box(m.grid)):
             rhs[b] += dt * bump[b] * c
     if sources is not None:
         fu, fv, fth = sources
         ru = ru + dt * fu
         rv = rv + dt * fv
         rhs_th = rhs_th + dt * fth
-    th1 = sp.helmholtz_cells(rhs_th, c_th)
-    u1 = sp.helmholtz_u(ru, c_vel)
-    v1 = sp.helmholtz_v(rv, c_vel)
-    u2, v2, _ = sp.project(u1, v1)
-    return u2, v2, th1
+    th = m.cells[0](rhs_th)
+    th /= 1.0 + c_th * m.lap_cells
+    us = m.hu[0](ru)
+    us /= 1.0 + c_vel * m.lap_u
+    vs = m.hv[0](rv)
+    vs /= 1.0 + c_vel * m.lap_v
+    us, vs = m.change_u[1](us), m.change_v[1](vs)
+    m.project(us, vs)
+    return m.u[1](us), m.v[1](vs), m.cells[1](th)
 
 
 def _march(prop, y0, th0, controls, source_at, on_state):
@@ -174,7 +181,7 @@ def _march(prop, y0, th0, controls, source_at, on_state):
     t = tgrid.nodes()[k]; a true return ends the run at that level.  Nothing
     is stored: returns the last state (u, v, theta).
     """
-    u, v, _ = prop.sp.project(y0[0], y0[1])
+    u, v = prop.modes.project_faces(y0[0], y0[1])
     th = th0.copy()
     times = prop.tgrid.nodes()
     for k in range(prop.tgrid.nt + 1):
@@ -236,13 +243,16 @@ class NonlinearPropagator:
         self.grid = grid
         self.tgrid = tgrid
         self.spec = spec
-        self.sp = SpectralSolver(grid)
+        self.modes = ModalBasis(grid)
         self.bumps = bumps  # (bump_u, bump_v, bump_cells) or None
 
     def step(self, u, v, th, control=None, forcing=None, box=None):
         grid, dt, spec = self.grid, self.tgrid.dt, self.spec
-        maxvel = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), _CFL_EPS)
-        cfl = spec.cfl_factor * min(grid.hx, grid.hy) / maxvel
+        umax, vmax = float(np.max(np.abs(u))), float(np.max(np.abs(v)))
+        if not np.isfinite(umax + vmax):   # np.max passes a nan on
+            name = "v" if np.isfinite(umax) else "u"
+            raise DivergenceError(f"non-finite velocity {name} entering a step")
+        cfl = spec.cfl_factor * min(grid.hx, grid.hy) / max(umax, vmax, _CFL_EPS)
         if dt > cfl:
             raise StepSizeError(f"dt={dt:g} exceeds CFL bound {cfl:g}")
 
@@ -266,7 +276,7 @@ class NonlinearPropagator:
         buoy *= dt * spec.buoyancy
         rv += buoy
         del heat, buoy  # scratch, freed before the solves (see explicit_terms)
-        return implicit_stage(self.sp, dt, ru, rv, rhs_th, dt * nu, dt * nu_th,
+        return implicit_stage(self.modes, dt, ru, rv, rhs_th, dt * nu, dt * nu_th,
                               control, self.bumps, forcing, box)
 
     def run(self, y0, th0, controls=None, forcing=None, on_state=None):

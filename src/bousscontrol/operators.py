@@ -117,18 +117,15 @@ def d_center(fc: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def center_gradients(u: np.ndarray, v: np.ndarray, grid: GridSpec):
-    """(du/dx, du/dy, dv/dx, dv/dy) at cell centers."""
+    """(du/dx, du/dy, dv/dx, dv/dy) at cell centers; du/dy and dv/dx take
+    ``d_center`` of twice the cell averages over 4h (see ``advect_scalar``)."""
     check_faces(u, v, grid)
     ux = u[1:, :] - u[:-1, :]
     ux /= grid.hx
     vy = v[:, 1:] - v[:, :-1]
     vy /= grid.hy
-    uc = u[:-1, :] + u[1:, :]
-    uc *= 0.5
-    vc = v[:, :-1] + v[:, 1:]
-    vc *= 0.5
-    uy = d_center(uc, grid.hy, axis=1)
-    vx = d_center(vc, grid.hx, axis=0)
+    uy = d_center(u[:-1, :] + u[1:, :], 2.0 * grid.hy, axis=1)
+    vx = d_center(v[:, :-1] + v[:, 1:], 2.0 * grid.hx, axis=0)
     return ux, uy, vx, vy
 
 
@@ -231,60 +228,45 @@ def _difference(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     return d
 
 
-def _centred_flux(c1: np.ndarray, c2: np.ndarray, w1: np.ndarray,
-                  w2: np.ndarray) -> np.ndarray:
-    """0.5 (c1 + c2) * 0.5 (w1 + w2): w's face average carried by c's."""
-    a = c1 + c2
-    a *= 0.5
-    b = w1 + w2
-    b *= 0.5
-    a *= b
-    return a
-
-
 def advect_scalar(f: np.ndarray, cu: np.ndarray, cv: np.ndarray,
                   grid: GridSpec) -> np.ndarray:
     """div(c f) with centered face averages; equals (c . grad) f when the
     carrier is discretely divergence-free.  Wall fluxes vanish with the normal
-    carrier component, so no ghost values enter and only the interior face
-    fluxes are formed."""
+    carrier component, so only the interior face fluxes are formed.  Fluxes
+    are formed from face sums, not averages, and differenced over 2h per sum;
+    a power-of-two scaling is exact, so this is the averaged form bit for bit."""
     check_cells(f, grid)
     check_faces(cu, cv, grid)
-    out = _wall_flux_difference(cu[1:-1, :] * 0.5 * (f[:-1, :] + f[1:, :]), grid.hx, 0,
-                                np.empty_like(f))
-    out += _wall_flux_difference(cv[:, 1:-1] * 0.5 * (f[:, :-1] + f[:, 1:]), grid.hy, 1,
-                                 np.empty_like(f))
+    fx = f[:-1, :] + f[1:, :]
+    fx *= cu[1:-1, :]
+    out = _wall_flux_difference(fx, 2.0 * grid.hx, 0, np.empty_like(f))
+    fy = f[:, :-1] + f[:, 1:]
+    fy *= cv[:, 1:-1]
+    out += _wall_flux_difference(fy, 2.0 * grid.hy, 1, np.empty_like(f))
     return out
 
 
-def advect_velocity(wu: np.ndarray, wv: np.ndarray, cu: np.ndarray,
-                    cv: np.ndarray, grid: GridSpec):
-    """Divergence-form MAC transport of (wu, wv) by the carrier (cu, cv).
+def advect_velocity(u: np.ndarray, v: np.ndarray, grid: GridSpec):
+    """Divergence-form MAC transport of (u, v) by itself, face sums over 4h
+    (see ``advect_scalar``).  The corner flux, zero on the walls, is formed
+    once on the interior corners and differenced along y for u, x for v."""
+    check_faces(u, v, grid)
+    corner = v[:-1, 1:-1] + v[1:, 1:-1]
+    corner *= u[1:-1, :-1] + u[1:-1, 1:]
 
-    The corner fluxes vanish on the walls with the normal carrier component,
-    so only the interior corner fluxes are formed.
-    """
-    check_faces(wu, wv, grid)
-    check_faces(cu, cv, grid)
-    hx, hy = grid.hx, grid.hy
-
-    # u-component: d/dx(cu~ wu~)|cells + d/dy(cv~ wu~)|interior corners
-    au = np.empty_like(wu)
+    au = np.empty_like(u)
     au[0] = au[-1] = 0.0
-    _wall_flux_difference(
-        _centred_flux(cv[:-1, 1:-1], cv[1:, 1:-1], wu[1:-1, :-1], wu[1:-1, 1:]),
-        hy, 1, au[1:-1, :])
-    au[1:-1, :] += _difference(_centred_flux(cu[:-1, :], cu[1:, :], wu[:-1, :], wu[1:, :]),
-                               hx, 0)
+    _wall_flux_difference(corner, 4.0 * grid.hy, 1, au[1:-1, :])
+    cell = u[:-1, :] + u[1:, :]
+    cell *= cell
+    au[1:-1, :] += _difference(cell, 4.0 * grid.hx, 0)
 
-    # v-component: d/dx(cu~ wv~)|interior corners + d/dy(cv~ wv~)|cells
-    av = np.empty_like(wv)
+    av = np.empty_like(v)
     av[:, 0] = av[:, -1] = 0.0
-    _wall_flux_difference(
-        _centred_flux(cu[1:-1, :-1], cu[1:-1, 1:], wv[:-1, 1:-1], wv[1:, 1:-1]),
-        hx, 0, av[:, 1:-1])
-    av[:, 1:-1] += _difference(_centred_flux(cv[:, :-1], cv[:, 1:], wv[:, :-1], wv[:, 1:]),
-                               hy, 1)
+    _wall_flux_difference(corner, 4.0 * grid.hx, 0, av[:, 1:-1])
+    cell = v[:, :-1] + v[:, 1:]
+    cell *= cell
+    av[:, 1:-1] += _difference(cell, 4.0 * grid.hy, 1)
     return au, av
 
 
@@ -532,8 +514,8 @@ class ModalBasis:
     inverse) pair between a whole-grid physical field and its coefficients;
     wall values of the normal velocity are pinned zeros.  ``d_x`` and
     ``d_y`` hold the factors for k = 0..nx and l = 0..ny.  The linear
-    propagator marches in these bases, and ``SpectralSolver`` solves in the
-    Helmholtz ones.
+    propagator marches in these bases and the nonlinear step solves and
+    projects in them, so ``project`` is the one Leray projection.
     """
 
     def __init__(self, grid: GridSpec):
@@ -550,7 +532,7 @@ class ModalBasis:
         self.buoyancy = np.cos(0.5 * np.pi * np.arange(1, ny) / ny)
 
     # the shared-mode maps, the changes of basis and the projection
-    # coefficients serve the linear march only, so each is built on first use
+    # coefficients are built on first use
 
     @cached_property
     def u(self):
@@ -602,17 +584,26 @@ class ModalBasis:
         np.multiply(beta, w, out=us)
         np.multiply(neg_alpha, w, out=vs)
 
+    def project_faces(self, u: np.ndarray, v: np.ndarray):
+        """``project`` of physical face fields; returns new (u, v), with zero
+        normal wall values."""
+        us, vs = self.u[0](u), self.v[0](v)
+        self.project(us, vs)
+        return self.u[1](us), self.v[1](vs)
+
 
 class SpectralSolver:
-    """Exact solvers for the Helmholtz/Poisson systems on one grid.
+    """Physical-field Helmholtz/Poisson solves on one grid, which no run calls
+    (the propagators solve in ``ModalBasis``); the benchmark's solve layers
+    and the solver tests use them.
 
     The Helmholtz solves run in the Helmholtz bases of ``ModalBasis``, where
     (I - c lap) is the scaling 1 / (1 + c (d_x^2 + d_y^2)), and the Neumann
     pressure Laplacian is diagonalized by DCT-II x DCT-II with the
     eigenvalues -(d_x^2 + d_y^2) of the same table.  Each solve is
     Q^T D^-1 Q with an orthonormal Q, so all solves are symmetric to machine
-    precision, which the discrete-adjoint construction relies on.  Each axis
-    picks its transform backend from its length (see ``_ortho_axis_maps``).
+    precision.  Each axis picks its transform backend from its length (see
+    ``_ortho_axis_maps``).
     """
 
     def __init__(self, grid: GridSpec):
@@ -652,8 +643,5 @@ class SpectralSolver:
         return inv(bh)
 
     def project(self, u: np.ndarray, v: np.ndarray):
-        """Discrete Leray projection; returns (u, v, potential)."""
-        rhs = div(u, v, self.grid)
-        phi = self.poisson_neumann(rhs)
-        gu, gv = grad(phi, self.grid)
-        return u - gu, v - gv, phi
+        """``ModalBasis.project_faces``; returns (u, v)."""
+        return self.modes.project_faces(u, v)

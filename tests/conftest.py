@@ -118,15 +118,16 @@ def cg_solve(apply_op, b: np.ndarray, tol: float = 1.0e-10, max_iters: int = 200
 
 def project_div_free(u: np.ndarray, v: np.ndarray, grid: GridSpec,
                      tol: float = 1.0e-10):
-    """Leray projection with a posteriori divergence verification."""
+    """The Leray projection (``ModalBasis.project_faces``) with a posteriori
+    divergence verification."""
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    u2, v2, phi = ops.SpectralSolver(grid).project(u, v)
+    u2, v2 = ops.ModalBasis(grid).project_faces(u, v)
     scale = ops.norm_velocity(u, v, grid)
     res = float(np.max(np.abs(ops.div(u2, v2, grid))))
     if scale > 0.0 and res > tol * scale / np.sqrt(grid.cell_area):
         raise LinearSolverError("projection residual above tolerance", residual=res)
-    return (u2, v2), phi
+    return u2, v2
 
 
 def patch_area(patch: ControlPatch) -> float:
@@ -137,12 +138,13 @@ class PhysicalLinear:
     """The linear system of ``prop`` stepped on physical fields, the way
     ``LinearPropagator`` did before it marched in its modal basis: buoyancy
     averaged onto the v-faces, then the nonlinear step's ``implicit_stage``
-    (spectral Helmholtz solves, then the Leray projection), and its
-    transpose run backward with a projection per level.  The reference the modal march is
-    compared against.  Its spectral solves now run in the same ``ModalBasis``
-    transforms and eigenvalue table as the modal march, so the independent
-    checks of those are the stencil-residual tests of ``test_operators.py``
-    and the dense ``TestOneStepOracle`` of ``test_forward.py``."""
+    (Helmholtz solves, then the Leray projection, from and to physical
+    fields), and its transpose run backward with a projection per level.
+    The reference the modal march is compared against.  Its solves and its
+    projection now run in the same ``ModalBasis`` transforms and eigenvalue
+    table as the modal march, so the independent checks of those are the
+    stencil-residual tests of ``test_operators.py`` and the dense
+    ``TestOneStepOracle`` of ``test_forward.py``."""
 
     def __init__(self, prop):
         self.prop, self.grid = prop, prop.grid
@@ -155,7 +157,7 @@ class PhysicalLinear:
                             for f, a in zip(sources, (u, v, th)))
         rv = v + dt * prop.coupling * ops.theta_to_vfaces(th, self.grid)
         c = dt * prop.nu0
-        return implicit_stage(self.sp, dt, u, rv, th, c, c, control, prop.bumps,
+        return implicit_stage(self.sp.modes, dt, u, rv, th, c, c, control, prop.bumps,
                               sources, box)
 
     def step_adjoint(self, gu, gv, gth):
@@ -168,7 +170,7 @@ class PhysicalLinear:
         return zu, zv, zth, lth
 
     def run(self, y0, th0, controls=None, sources=None, on_state=None):
-        u, v, _ = self.sp.project(y0[0], y0[1])
+        u, v = self.sp.project(y0[0], y0[1])
         th = th0.copy()
         times = self.prop.tgrid.nodes()
         for k in range(self.prop.tgrid.nt + 1):
@@ -202,7 +204,7 @@ class PhysicalLinear:
                 lam_v = lam_v + dt * g1[1][n]
             if g2 is not None:
                 lam_th = lam_th + dt * g2[n]
-            lam_u, lam_v, _ = self.sp.project(lam_u, lam_v)
+            lam_u, lam_v = self.sp.project(lam_u, lam_v)
         return zeta, (lam_u, lam_v), lam_th
 
 
@@ -366,6 +368,14 @@ def reference_h1_seminorm_sq_velocity(u, v, grid):
     return max(val * grid.cell_area, 0.0)
 
 
+def reference_center_gradients(u, v, grid):
+    """``ops.center_gradients`` from the cell averages of u and v over 2h."""
+    uc = 0.5 * (u[:-1, :] + u[1:, :])
+    vc = 0.5 * (v[:, :-1] + v[:, 1:])
+    return ((u[1:, :] - u[:-1, :]) / grid.hx, ops.d_center(uc, grid.hy, axis=1),
+            ops.d_center(vc, grid.hx, axis=0), (v[:, 1:] - v[:, :-1]) / grid.hy)
+
+
 def reference_advect_scalar(f, cu, cv, grid):
     """``ops.advect_scalar`` from whole-grid face fluxes with zero wall rows."""
     fx = np.zeros_like(cu)
@@ -376,7 +386,9 @@ def reference_advect_scalar(f, cu, cv, grid):
 
 
 def reference_advect_velocity(wu, wv, cu, cv, grid):
-    """``ops.advect_velocity`` from whole-grid corner flux arrays."""
+    """Divergence-form MAC transport of (wu, wv) by the carrier (cu, cv) from
+    whole-grid face averages and corner flux arrays; with (wu, wv) = (cu, cv)
+    it is ``ops.advect_velocity``."""
     hx, hy = grid.hx, grid.hy
     cu_c = 0.5 * (cu[:-1, :] + cu[1:, :])
     wu_c = 0.5 * (wu[:-1, :] + wu[1:, :])

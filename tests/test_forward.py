@@ -12,7 +12,7 @@ from bousscontrol.forward import (LinearPropagator, MaxDivergence, NonlinearProp
                                   explicit_terms, run_nonlinear,
                                   scaled_initial_data, sine_theta,
                                   stream_velocity, trace_from_trajectory)
-from bousscontrol.geometry import bump_on_solver_grids
+from bousscontrol.geometry import bump_on_solver_grids, grid_box
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw
 
@@ -114,7 +114,7 @@ def dense_reference_step(grid, dt, spec, u, v, th):
     nu_th = (ops.nonlocal_viscosity(u, v, spec.theta_law, grid)
              if spec.theta_coeff_source == "velocity"
              else ops.nonlocal_viscosity_scalar(th, spec.theta_law, grid))
-    au, av = ops.advect_velocity(u, v, u, v, grid)
+    au, av = ops.advect_velocity(u, v, grid)
     ath = ops.advect_scalar(th, u, v, grid)
     rhs_th = th - dt * ath
     if spec.heating_on:
@@ -349,7 +349,7 @@ def test_explicit_terms_match_reference_operators(grid16, source, heating):
     assert nu == ops.nonlocal_viscosity(u, v, law, grid16)
     assert nu_th == (ops.nonlocal_viscosity(u, v, law_th, grid16) if source == "velocity"
                      else ops.nonlocal_viscosity_scalar(th, law_th, grid16))
-    ref_u, ref_v = ops.advect_velocity(u, v, u, v, grid16)
+    ref_u, ref_v = ops.advect_velocity(u, v, grid16)
     assert np.array_equal(adv_u, ref_u) and np.array_equal(adv_v, ref_v)
     assert np.array_equal(adv_th, ops.advect_scalar(th, u, v, grid16))
     if heating:
@@ -367,6 +367,17 @@ class TestErrorHandling:
         with pytest.raises(StepSizeError):
             NonlinearPropagator(grid16, tg, spec).step(u, grid16.zeros_v(),
                                                        grid16.zeros_cells())
+
+    @pytest.mark.parametrize("name, bad", [("u", np.nan), ("v", np.nan),
+                                           ("u", np.inf), ("v", -np.inf)])
+    def test_non_finite_velocity_named_not_passed_on(self, grid16, name, bad):
+        # a NaN must not slip past the CFL check (nor an inf be reported as
+        # a CFL bound of 0): the step names the field and raises
+        u, v = stream_velocity(grid16, 1e-3)
+        (u if name == "u" else v)[5, 5] = bad
+        prop = NonlinearPropagator(grid16, TimeGrid(1.0, 16), SystemSpec())
+        with pytest.raises(DivergenceError, match=f"non-finite velocity {name}"):
+            prop.step(u, v, grid16.zeros_cells())
 
     def test_blowup_detection(self, grid16):
         # negative heating coefficient is unphysical; force blow-up through a
@@ -394,6 +405,35 @@ class TestErrorHandling:
         with pytest.raises(DivergenceError, match="non-finite energy at step 0") as err:
             run_nonlinear(y0, th0, None, SystemSpec(), grid16, TimeGrid(1.0, 16))
         assert err.value.step == 0
+
+
+def test_nonlinear_run_calls_no_physical_solve_or_projection(grid16, bumps16,
+                                                             monkeypatch):
+    # the nonlinear step solves and projects in ModalBasis: with controls and
+    # sources, a run touches no SpectralSolver method and no div/grad stencil
+    tg = TimeGrid(0.25, 16)
+    prop = NonlinearPropagator(grid16, tg, SystemSpec(law=ViscosityLaw("l2", 0.5, 0.2)),
+                               bumps=bumps16)
+    rng = np.random.default_rng(41)
+    controls = ControlTrajectory.zeros(grid16, tg.nt, grid_box(grid16))
+    for part in controls.parts:
+        part[:] = 1e-3 * rng.standard_normal(part.shape)
+    sources = (1e-3 * rand_u(grid16, rng), 1e-3 * rand_v(grid16, rng),
+               1e-3 * rand_cells(grid16, rng))
+    y0, th0 = scaled_initial_data(grid16, 1e-3)
+    want = prop.run(y0, th0, controls, lambda k: sources)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the nonlinear run called a physical operator")
+
+    for name, attr in vars(ops.SpectralSolver).items():
+        if callable(attr):
+            monkeypatch.setattr(ops.SpectralSolver, name, forbidden)
+    for name in ("div", "grad"):
+        monkeypatch.setattr(ops, name, forbidden)
+    got = prop.run(y0, th0, controls, lambda k: sources)
+    assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+    assert np.array_equal(got[1].energy, want[1].energy)
 
 
 def test_run_nonlinear_dispatches_linearized_mode(grid16):
@@ -482,7 +522,7 @@ class TestRunContract:
                 LinearPropagator(grid, tg, spec.law.nu0, coupling=spec.buoyancy))
         y0, th0 = scaled_initial_data(grid, 1e-3)
         if mode == "nonlinear":
-            levels = [prop.sp.project(*y0)[:2] + (th0,)]
+            levels = [prop.modes.project_faces(*y0) + (th0,)]
             for _ in range(tg.nt):
                 levels.append(prop.step(*levels[-1]))
             return levels
