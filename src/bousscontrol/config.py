@@ -110,11 +110,11 @@ def _parse_int(key, s):
         raise ConfigError(f"{key}: expected an integer, got {s!r}") from None
 
 
-def _parse_count(key, s):
-    """An integer >= 1, or a ConfigError."""
+def _parse_count(key, s, least=1):
+    """An integer >= ``least``, or a ConfigError."""
     n = _parse_int(key, s)
-    if n < 1:
-        raise ConfigError(f"{key}: expected an integer >= 1, got {s!r}")
+    if n < least:
+        raise ConfigError(f"{key}: expected an integer >= {least}, got {s!r}")
     return n
 
 
@@ -282,7 +282,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     return ExperimentConfig(
         kind=vals["kind"],
-        seed=_parse_int("seed", vals["seed"]),
+        seed=_parse_count("seed", vals["seed"], least=0),
         dump_fields=_parse_bool("dump_fields", vals["dump_fields"]),
         grid=grid, tgrid=tgrid, system=system, wparams=wparams, patch=patch,
         pen=pen, outer=outer,

@@ -1,16 +1,15 @@
 """Manufactured-solution verification of the nonlinear solver.
 
 A divergence-free velocity pair from the stream function
-psi = A sin^2(pi x) sin^2(pi y), a temperature mode theta = B sin sin and a
-zero-mean pressure are substituted into the PDE; the residual forcing is
-derived symbolically (sympy) once per configuration and injected so the
+psi = A sin^2(pi x) sin^2(pi y) g(t), a temperature mode theta = B sin sin g
+and a zero-mean pressure C cos cos g are substituted into the PDE; the
+residual forcing, written out in closed form, is injected so the
 manufactured triple is the exact solution.  Errors are accumulated in L^2(Q)
 and the spatial order is fitted over a grid sequence.
 
 For the L^2 viscosity law the nonlocal integral has the closed form
-integral |grad y|^2 = 2 pi^4 A^2 g(t)^2 on the unit square (g = time factor);
-the L^p law uses one high-resolution quadrature constant with the same g^2
-scaling.
+integral |grad y|^2 = 2 pi^4 A^2 g(t)^2 on the unit square; the L^p law uses
+one high-resolution quadrature constant with the same g^2 scaling.
 """
 
 from __future__ import annotations
@@ -25,13 +24,43 @@ from . import operators as ops
 from .forward import SystemSpec, run_nonlinear
 
 
-def _lp_profile_constant(expr_gradsq, p: float, n: int = 512) -> float:
-    """(integral |grad|^p dx)^(2/p) of the unit-amplitude profile, by
-    high-resolution midpoint quadrature."""
+def _lp_profile_constant(gradsq, p: float, n: int = 512) -> float:
+    """(integral |grad|^p dx)^(2/p) of the profile whose |grad|^2 density is
+    ``gradsq(x, y)``, by high-resolution midpoint quadrature."""
     xs = (np.arange(n) + 0.5) / n
     x, y = np.meshgrid(xs, xs, indexing="ij")
-    vals = expr_gradsq(x, y) ** (p / 2.0)
+    vals = gradsq(x, y) ** (p / 2.0)
     return float((vals.sum() / (n * n)) ** (2.0 / p))
+
+
+def _sin_sq(s):
+    """sin^2(pi s) and its first three derivatives."""
+    w = 2.0 * np.pi * s
+    return (np.sin(np.pi * s) ** 2, np.pi * np.sin(w), 2.0 * np.pi ** 2 * np.cos(w),
+            -4.0 * np.pi ** 3 * np.sin(w))
+
+
+class _Profile:
+    """The manufactured fields at g = 1 and the derivatives the forcing
+    needs, at the points (x, y).  With psi = A X(x) Y(y), X = sin^2(pi x):
+    u = psi_y = A X Y', v = -psi_x = -A X' Y."""
+
+    def __init__(self, amps, x, y):
+        a, b, c = amps
+        x0, x1, x2, x3 = _sin_sq(x)
+        y0, y1, y2, y3 = _sin_sq(y)
+        self.u, self.v = a * x0 * y1, -a * x1 * y0
+        # (u_x, u_y, v_x, v_y), the ``operators.center_gradients`` order
+        self.grads = ux, uy, vx, vy = a * x1 * y1, a * x0 * y2, -a * x2 * y0, -a * x1 * y1
+        self.conv_u, self.conv_v = self.u * ux + self.v * uy, self.u * vx + self.v * vy
+        self.lap_u = a * (x2 * y1 + x0 * y3)
+        self.lap_v = -a * (x3 * y0 + x1 * y2)
+        sx, cx, sy, cy = np.sin(np.pi * x), np.cos(np.pi * x), np.sin(np.pi * y), np.cos(np.pi * y)
+        self.theta = b * sx * sy
+        self.theta_x, self.theta_y = np.pi * b * cx * sy, np.pi * b * sx * cy
+        self.lap_theta = -2.0 * np.pi ** 2 * self.theta
+        self.p = c * cx * cy
+        self.p_x, self.p_y = -np.pi * c * sx * cy, -np.pi * c * cx * sy
 
 
 @dataclass
@@ -59,64 +88,61 @@ def build_manufactured(spec: SystemSpec, amp_vel: float = 0.05,
                        amp_theta: float = 0.1, amp_p: float = 0.05,
                        time_dependent: bool = False,
                        t_scale: float = 1.0) -> ManufacturedSolution:
-    """Symbolically derive the residual forcing for the chosen system."""
-    import sympy as sp
+    """The exact fields and the residual forcing of the chosen system, with
+    the time factor g(t) = 1 + 0.3 sin(pi t / t_scale), or g = 1."""
+    amps = (amp_vel, amp_theta, amp_p)
 
-    x, y, t = sp.symbols("x y t", real=True)
-    pi = sp.pi
-    g = 1 + sp.Rational(3, 10) * sp.sin(pi * t / t_scale) if time_dependent else sp.Integer(1)
+    def g(t):
+        return 1.0 + 0.3 * np.sin(np.pi * t / t_scale) if time_dependent else 1.0
 
-    psi = amp_vel * sp.sin(pi * x) ** 2 * sp.sin(pi * y) ** 2 * g
-    u = sp.diff(psi, y)
-    v = -sp.diff(psi, x)
-    theta = amp_theta * sp.sin(pi * x) * sp.sin(pi * y) * g
-    press = amp_p * sp.cos(pi * x) * sp.cos(pi * y) * g
+    def dg(t):
+        return 0.3 * np.pi / t_scale * np.cos(np.pi * t / t_scale) if time_dependent else 0.0
 
-    g2 = g * g
-
-    def coefficient(law, gsq, on_velocity: bool):
-        """``law`` on the field whose unit-amplitude |grad|^2 density is
-        ``gsq``: closed form for l2 on the velocity, else a quadrature
-        constant (with p = 2 for l2); both scale with g^2."""
+    def coefficient(law, gradsq, on_velocity: bool):
+        """``law`` on the field whose g = 1 |grad|^2 density is ``gradsq``,
+        as a function of t: closed form for l2 on the velocity, else a
+        quadrature constant (with p = 2 for l2); both scale with g^2."""
         if on_velocity and law.variant == "l2":
-            return law.nu0 + law.nu1 * 2 * pi ** 4 * amp_vel ** 2 * g2
-        p = law.p if law.variant == "lp" else 2.0
-        const = _lp_profile_constant(sp.lambdify((x, y), gsq, "numpy"), p)
-        return law.nu0 + law.nu1 * const * g2
+            const = 2.0 * np.pi ** 4 * amp_vel ** 2
+        else:
+            const = _lp_profile_constant(lambda x, y: gradsq(_Profile(amps, x, y)),
+                                         law.p if law.variant == "lp" else 2.0)
+        return lambda t: law.nu0 + law.nu1 * const * g(t) ** 2
 
-    u1, v1, th1 = u / g, v / g, theta / g
-    gsq_vel = (sp.diff(u1, x) ** 2 + sp.diff(u1, y) ** 2
-               + sp.diff(v1, x) ** 2 + sp.diff(v1, y) ** 2)
-    nu = coefficient(spec.law, gsq_vel, True)
+    def grad_sq_velocity(f):
+        return ops.grad_sq_from_gradients(f.grads)
+
+    nu = coefficient(spec.law, grad_sq_velocity, True)
     if spec.theta_coeff_source == "velocity":
-        nu_th = coefficient(spec.theta_law, gsq_vel, True)
+        nu_th = coefficient(spec.theta_law, grad_sq_velocity, True)
     else:
-        nu_th = coefficient(spec.theta_law, sp.diff(th1, x) ** 2 + sp.diff(th1, y) ** 2,
-                            False)
+        nu_th = coefficient(spec.theta_law, lambda f: f.theta_x ** 2 + f.theta_y ** 2, False)
 
-    lap = lambda f: sp.diff(f, x, 2) + sp.diff(f, y, 2)
-    conv_u = u * sp.diff(u, x) + v * sp.diff(u, y)
-    conv_v = u * sp.diff(v, x) + v * sp.diff(v, y)
-    conv_th = u * sp.diff(theta, x) + v * sp.diff(theta, y)
+    def fu(x, y, t):
+        f, gt = _Profile(amps, x, y), g(t)
+        return f.u * dg(t) - nu(t) * gt * f.lap_u + gt * gt * f.conv_u + gt * f.p_x
 
-    fu = sp.diff(u, t) - nu * lap(u) + conv_u + sp.diff(press, x)
-    fv = sp.diff(v, t) - nu * lap(v) + conv_v + sp.diff(press, y) - spec.buoyancy * theta
-    fth = sp.diff(theta, t) - nu_th * lap(theta) + conv_th
-    if spec.heating_on:
-        heat = (sp.diff(u, x) ** 2 + sp.Rational(1, 2) * (sp.diff(u, y) + sp.diff(v, x)) ** 2
-                + sp.diff(v, y) ** 2)
-        fth = fth - nu * heat
+    def fv(x, y, t):
+        f, gt = _Profile(amps, x, y), g(t)
+        return (f.v * dg(t) - nu(t) * gt * f.lap_v + gt * gt * f.conv_v + gt * f.p_y
+                - spec.buoyancy * gt * f.theta)
 
-    def lamb(expr):
-        f = sp.lambdify((x, y, t), expr, "numpy")
-        return lambda xx, yy, tt: np.broadcast_to(
-            np.asarray(f(xx, yy, tt), dtype=float), np.shape(xx)).copy()
+    def fth(x, y, t):
+        f, gt = _Profile(amps, x, y), g(t)
+        out = (f.theta * dg(t) - nu_th(t) * gt * f.lap_theta
+               + gt * gt * (f.u * f.theta_x + f.v * f.theta_y))
+        if spec.heating_on:
+            out -= nu(t) * gt * gt * ops.heating_from_gradients(f.grads)
+        return out
+
+    def field(name):
+        return lambda x, y, t: getattr(_Profile(amps, x, y), name) * g(t)
 
     return ManufacturedSolution(
         amp_vel=amp_vel, amp_theta=amp_theta, amp_p=amp_p,
         time_dependent=time_dependent,
-        fields={"u": lamb(u), "v": lamb(v), "theta": lamb(theta), "p": lamb(press)},
-        forcing={"fu": lamb(fu), "fv": lamb(fv), "fth": lamb(fth)},
+        fields={"u": field("u"), "v": field("v"), "theta": field("theta"), "p": field("p")},
+        forcing={"fu": fu, "fv": fv, "fth": fth},
     )
 
 

@@ -362,24 +362,11 @@ def h1_seminorm_sq_velocity(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> flo
 # spectral solves: DST/DCT diagonalization of the constant-coefficient operators
 
 
-# Axes of at most this many transform points use dense orthonormal matrices,
-# longer ones the pocketfft kernels of scipy.fft.  Median us per solve
-# (helmholtz_u / helmholtz_cells) on n x n, one OpenBLAS thread on a shared
-# 2-core x86-64 machine, dense vs pocketfft:
-#   n = 64: 52/52 vs 126/110;     n = 96: 154/153 vs 236/196;
-#   n = 128: 386/388 vs 411/342;  n = 160: 741/748 vs 649/512;
-#   n = 256: 3476/3461 vs 2710/1955.
-# The matmul scales as n^3: it wins clearly up to 96 points, is within 15%
-# either way at 128 (where it spares the scipy import), and falls behind
-# above.
-_DENSE_MAX_POINTS = 128
-
-
 @lru_cache(maxsize=16)
 def _ortho_matrix(kind: str, n: int) -> np.ndarray:
     """The orthonormal n-point DST-I, DST-II or DCT-II matrix ``kind``, rows
-    in the scipy.fft mode order, from its closed form (Strang, SIAM Review
-    41, 1999).  Entry (k, j) is sin(pi * phase / h) for an integer phase:
+    in mode order, from its closed form (Strang, SIAM Review 41, 1999).
+    Entry (k, j) is sin(pi * phase / h) for an integer phase:
       dst1: phase (k+1)(j+1), h = n+1, times sqrt(2 / (n+1))
       dst2: phase (k+1)(2j+1), h = 2n, times sqrt(2 / n), last row / sqrt(2)
       dct2: phase k(2j+1) + n, h = 2n (the cosine of pi k(2j+1) / 2n),
@@ -407,63 +394,27 @@ def _ortho_matrix(kind: str, n: int) -> np.ndarray:
     return q
 
 
-def _ortho_axis_maps(kind: str, n: int, axis: int, walls: bool = False,
-                     rows: slice = slice(None), modes: slice = slice(None)):
-    """(forward, inverse) orthonormal maps along ``axis`` between physical
-    values on ``rows`` and the coefficients ``modes`` of the n-point 1-D
-    transform ``kind``; inverse takes the other coefficients as zero.
+def _axis_matrix(kind: str, n: int, walls: bool = False,
+                 rows: slice = slice(None), modes: slice = slice(None)) -> np.ndarray:
+    """The orthonormal matrix of the n-point transform ``kind`` (``_ortho_matrix``)
+    from physical values on ``rows`` to the coefficients ``modes``; its
+    transpose takes the other coefficients as zero.
 
     With ``walls`` the axis holds the n + 2 faces of a normal direction: the
     transform runs over the n interior faces, a wall value is ignored going
-    forward and comes back zero.  Axes of at most ``_DENSE_MAX_POINTS``
-    points apply the orthonormal matrix (``_ortho_matrix``) restricted to
-    ``modes`` and ``rows``; long ones call scipy.fft, imported here on
-    first use, with norm="ortho" on the whole axis, scattering into it and
-    reading back out of it.
+    forward and comes back zero.
     """
-    if n <= _DENSE_MAX_POINTS:
-        q = _ortho_matrix(kind, n)
-        if walls:
-            q = np.pad(q, ((0, 0), (1, 1)))
-        return _matrix_maps(q[modes, rows], axis)
-    from scipy.fft import dct, dst, idct, idst
-    fwd, inv = (dct, idct) if kind == "dct2" else (dst, idst)
-    t = 1 if kind == "dst1" else 2
-    m = n + 2 if walls else n
-
-    def along(s):
-        return (slice(None), s) if axis else (s, slice(None))
-
-    def scatter(a, s, length):
-        b = np.zeros((length, a.shape[1]) if axis == 0 else (a.shape[0], length))
-        b[along(s)] = a
-        return b
-
-    inner = slice(1, -1) if walls else slice(None)
-    all_rows, all_modes = range(m)[rows] == range(m), range(n)[modes] == range(n)
-
-    def forward(a):
-        if not all_rows:
-            a = scatter(a, rows, m)
-        b = fwd(a[along(inner)], type=t, norm="ortho", axis=axis)
-        return b if all_modes else b[along(modes)]
-
-    def inverse(a):
-        b = inv(a if all_modes else scatter(a, modes, n), type=t, norm="ortho",
-                axis=axis)
-        if walls:
-            b = scatter(b, inner, m)
-        return b if all_rows else b[along(rows)]
-
-    return forward, inverse
+    q = _ortho_matrix(kind, n)
+    if walls:
+        q = np.pad(q, ((0, 0), (1, 1)))
+    return q[modes, rows]
 
 
 def _ortho_grid_maps(x, y):
-    """(forward, inverse) 2-D maps from the ``_ortho_axis_maps`` arguments
+    """(forward, inverse) 2-D maps from the ``_axis_matrix`` arguments
     (kind, n, walls, rows, modes) of axis 0 and of axis 1; forward runs
     axis 0 first, inverse axis 1 first."""
-    (fx, ix), (fy, iy) = (_ortho_axis_maps(x[0], x[1], 0, *x[2:]),
-                          _ortho_axis_maps(y[0], y[1], 1, *y[2:]))
+    (fx, ix), (fy, iy) = _matrix_maps(_axis_matrix(*x), 0), _matrix_maps(_axis_matrix(*y), 1)
     return (lambda a: fy(fx(a))), (lambda a: ix(iy(a)))
 
 
@@ -479,15 +430,9 @@ def _matrix_maps(q: np.ndarray, axis: int):
 def _change_maps(n: int, axis: int):
     """(forward, inverse) orthonormal change of basis along ``axis`` from the
     DCT-II coefficients 1..n-1 of n cells (the constant one taken as zero)
-    to their n DST-II coefficients, and back."""
-    def maps(ax):
-        to_dct, from_dct = _ortho_axis_maps("dct2", n, ax, modes=slice(1, None))
-        to_dst, from_dst = _ortho_axis_maps("dst2", n, ax)
-        return (lambda a: to_dst(from_dct(a))), (lambda a: to_dct(from_dst(a)))
-
-    if n <= _DENSE_MAX_POINTS:   # the two matrices multiplied into one
-        return _matrix_maps(maps(0)[0](np.eye(n - 1)), axis)
-    return maps(axis)
+    to their n DST-II coefficients, and back: one product matrix."""
+    from_dct = np.ascontiguousarray(_ortho_matrix("dct2", n)[1:].T)
+    return _matrix_maps(_ortho_matrix("dst2", n) @ from_dct, axis)
 
 
 class ModalBasis:
@@ -602,8 +547,8 @@ class SpectralSolver:
     pressure Laplacian is diagonalized by DCT-II x DCT-II with the
     eigenvalues -(d_x^2 + d_y^2) of the same table.  Each solve is
     Q^T D^-1 Q with an orthonormal Q, so all solves are symmetric to machine
-    precision.  Each axis picks its transform backend from its length (see
-    ``_ortho_axis_maps``).
+    precision.  Every axis applies its dense orthonormal matrix
+    (``_axis_matrix``).
     """
 
     def __init__(self, grid: GridSpec):

@@ -19,11 +19,10 @@ class LinearSolverError(BoussControlError):
         self.residual = residual
 
 
-# 16x16, 24x40 and 80x12 transform every axis with dense matrices; 144x12 puts
-# its long axis on scipy.fft (and keeps the short one dense)
+# square, oblong and long-axis grids; 144x12 and 132x132 have longer axes than
+# any workload
 SOLVE_GRIDS = [GridSpec(16, 16), GridSpec(24, 40), GridSpec(80, 12), GridSpec(144, 12)]
 GRID_IDS = ["16x16", "24x40", "80x12", "144x12"]
-# ... 72x72 is dense on every axis, and 132x132 puts every axis on scipy.fft
 MODAL_GRIDS = SOLVE_GRIDS + [GridSpec(72, 72), GridSpec(132, 132)]
 MODAL_IDS = GRID_IDS + ["72x72", "132x132"]
 

@@ -88,6 +88,7 @@ class TestConfig:
         "time.t_final = inf",
         "large_time.delta = -1",
         "init.theta_amp = nan",
+        "seed = -3",
         # TimeGrid needs nt >= 16; every time grid is built at parse time
         "time.nt = 8",
         "large_time.phase1_nt = 4",
@@ -336,6 +337,18 @@ class TestCli:
         rc = main(["linear-control", "--config", str(cfg_path), "--out",
                    str(tmp_path / "out")])
         assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_main_rejects_negative_seed(self, tmp_path, capsys):
+        # numpy's generators take only nonnegative seeds; the parser says so
+        # before any artifact is written
+        from bousscontrol.cli import main
+        assert parse_config_text(MINIMAL + "seed = 0\n").seed == 0
+        cfg_path = tmp_path / "seed.cfg"
+        cfg_path.write_text(MINIMAL + "seed = -3\n")
+        rc = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_main_rejects_nan_penalty(self, tmp_path):

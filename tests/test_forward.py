@@ -456,7 +456,7 @@ class TestModalMarch:
     """The linear system marches in its modal basis; each level it hands out
     and its last state agree with the physical step it replaced
     (``conftest.PhysicalLinear``), with box controls, sources and a hook,
-    on dense and on scipy.fft axes."""
+    on short and on long axes."""
 
     @pytest.mark.parametrize("given", ["F1-and-F2", "F2-only"])
     @pytest.mark.parametrize("grid", MODAL_GRIDS, ids=MODAL_IDS)

@@ -1,8 +1,8 @@
-"""The package imports and runs on numpy alone: scipy is loaded only for a
-transform axis longer than ``operators._DENSE_MAX_POINTS``.
+"""The package imports and runs on numpy alone: no path loads scipy or sympy,
+whatever the length of a transform axis.
 
 Each check runs in a fresh interpreter, since the test process itself has
-scipy loaded by other tests."""
+scipy and sympy loaded by other tests."""
 
 import json
 import os
@@ -11,9 +11,8 @@ import sys
 import textwrap
 from pathlib import Path
 
-from bousscontrol import operators as ops
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 CONFIG = """\
 kind = {kind}
@@ -30,8 +29,8 @@ PRELUDE = """\
 import json, sys
 import numpy as np
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def foreign_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy"))
 """
 
 
@@ -57,7 +56,7 @@ def test_import_parse_and_runs_load_no_scipy(tmp_path):
         from bousscontrol.operators import SpectralSolver
         from bousscontrol.runner import run_experiment
 
-        after_import = scipy_modules()
+        after_import = foreign_modules()
         codes = {{}}
         for kind in ("decay", "linear-control"):
             cfg = parse_config_text({CONFIG!r}.format(kind=kind))
@@ -76,30 +75,40 @@ def test_import_parse_and_runs_load_no_scipy(tmp_path):
         prop = LinearPropagator(grid, TimeGrid(1.0, 16), 0.1, bumps=bumps)
         prop.step(u, v, th, control=(u, v, th))
         print(json.dumps({{"after_import": after_import, "codes": codes,
-                          "at_end": scipy_modules()}}))
+                          "at_end": foreign_modules()}}))
     """)
     assert out["codes"] == {"decay": 0, "linear-control": 0}
     assert out["after_import"] == []
     assert out["at_end"] == []
 
 
-def test_long_axis_imports_scipy_fft_on_first_use():
-    grid_nx = 144
-    assert grid_nx > ops._DENSE_MAX_POINTS
+def test_verify_loads_no_scipy_or_sympy(tmp_path):
+    # verify runs every check, the manufactured-solution study included
     out = _run(f"""
+        from bousscontrol.config import parse_config
+        from bousscontrol.runner import run_experiment
+
+        cfg = parse_config({str(ROOT / "demos" / "configs" / "seed.cfg")!r}).with_kind("verify")
+        code = run_experiment(cfg, {str(tmp_path / "verify")!r})
+        print(json.dumps({{"code": code, "at_end": foreign_modules()}}))
+    """)
+    assert out == {"code": 0, "at_end": []}
+
+
+def test_long_axis_solves_on_numpy_alone():
+    # a 144-point axis applies its dense matrix like a short one
+    out = _run("""
         from bousscontrol import operators as ops
         from bousscontrol.grids import GridSpec
 
-        grid = GridSpec({grid_nx}, 12)
-        before = "scipy.fft" in sys.modules
+        grid = GridSpec(144, 12)
         sp = ops.SpectralSolver(grid)
         b = np.random.default_rng(6).standard_normal((grid.nx, grid.ny))
         x = sp.helmholtz_cells(b, 0.03)
         residual = np.abs(x - 0.03 * ops.laplacian_cells(x, grid) - b).max()
-        print(json.dumps({{"before": before, "after": "scipy.fft" in sys.modules,
-                          "residual": float(residual / np.abs(b).max())}}))
+        print(json.dumps({"at_end": foreign_modules(),
+                          "residual": float(residual / np.abs(b).max())}))
     """)
-    assert not out["before"]
-    assert out["after"]
+    assert out["at_end"] == []
     stiff = 1.0 + 4.0 * 0.03 * (144 ** 2 + 12 ** 2)
     assert out["residual"] <= 1e-13 * stiff

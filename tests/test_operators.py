@@ -156,10 +156,6 @@ def _neumann_rhs(grid, rng):
 
 
 class TestSpectralSolves:
-    def test_grids_straddle_the_crossover(self):
-        # the 80-point axis is dense; the 143 interior faces and 144 cells are not
-        assert 80 <= ops._DENSE_MAX_POINTS < 143
-
     @pytest.mark.parametrize("grid", SOLVE_GRIDS, ids=GRID_IDS)
     @pytest.mark.parametrize("name", sorted(HELMHOLTZ))
     def test_helmholtz_residual(self, grid, name):
@@ -238,15 +234,22 @@ SCIPY_TRANSFORMS = {"dst1": (scipy.fft.dst, 1), "dst2": (scipy.fft.dst, 2),
                     "dct2": (scipy.fft.dct, 2)}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 12, 31, 64, 127, 128])
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 31, 64, 127, 128, 143, 144, 256])
 @pytest.mark.parametrize("kind", sorted(SCIPY_TRANSFORMS))
 def test_closed_form_matrix_matches_scipy(kind, n):
     """Each dense transform matrix against scipy.fft's orthonormal transform
-    of the identity, and its orthogonality."""
+    of the identity, and its orthogonality: within 2e-15, or as close as the
+    oracle's own matrix comes (its DST-I at 143 and 144 points is 2.3e-15
+    and 2.5e-15 off)."""
     transform, t = SCIPY_TRANSFORMS[kind]
     q = ops._ortho_matrix(kind, n)
-    assert np.abs(q - transform(np.eye(n), type=t, norm="ortho", axis=0)).max() <= 1e-15
-    assert np.linalg.norm(q.T @ q - np.eye(n), 2) <= 2e-15
+    oracle = transform(np.eye(n), type=t, norm="ortho", axis=0)
+    assert np.abs(q - oracle).max() <= 1e-15
+
+    def defect(m):
+        return np.linalg.norm(m.T @ m - np.eye(n), 2)
+
+    assert defect(q) <= max(2e-15, 1.1 * defect(oracle))
 
 
 class TestHeating:
