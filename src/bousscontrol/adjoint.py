@@ -48,7 +48,7 @@ class AdjointTrajectory:
 
 
 def run_adjoint(phi_t, psi_t, g1, g2, prop: LinearPropagator,
-                box=None) -> AdjointTrajectory:
+                box=None, read=None) -> AdjointTrajectory:
     """Integrate the adjoint system backward from terminal data, in the
     propagator's modal basis (``LinearPropagator``).
 
@@ -58,18 +58,21 @@ def run_adjoint(phi_t, psi_t, g1, g2, prop: LinearPropagator,
     convention the duality identity above uses).  Every level is projected
     after its sources are added, so each adjoint step receives
     divergence-free velocity.  zeta is read back on ``box`` only, by default
-    the whole grid; phi0 and psi0 are returned physical.
+    the whole grid, and only on the steps n where ``read[n]`` is true
+    (``read`` holds one bool per step; None reads every step); its other
+    rows are 0.  phi0 and psi0 are returned physical.
     """
     nt, dt, m = prop.tgrid.nt, prop.tgrid.dt, prop.modes
     box = box or grid_box(prop.grid)
-    zeta = tuple(np.empty((nt, b[0].stop - b[0].start, b[1].stop - b[1].start))
+    zeta = tuple(np.zeros((nt, b[0].stop - b[0].start, b[1].stop - b[1].start))
                  for b in box)
-    read = tuple(inv for _, inv in m.on_box(box))
+    back = tuple(inv for _, inv in m.on_box(box))
     lam_u, lam_v, lam_th = prop.to_modes(phi_t[0], phi_t[1], psi_t)
     for n in range(nt - 1, -1, -1):
         zu, zv, zth, lam_th = prop.step_adjoint_modes(lam_u, lam_v, lam_th)
-        for out, rd, z in zip(zeta, read, (zu, zv, zth)):
-            out[n] = rd(z)
+        if read is None or read[n]:
+            for out, rd, z in zip(zeta, back, (zu, zv, zth)):
+                out[n] = rd(z)
         lam_u, lam_v = m.change_u[1](zu), m.change_v[1](zv)
         if g1 is not None:
             lam_u += dt * m.u[0](g1[0][n])

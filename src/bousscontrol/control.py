@@ -18,6 +18,16 @@ independent of eps; times eps/eps_seed, member eps becomes the shifted system
 (H_seed + delta I) z = b_seed with delta = eps/eps_seed - 1 >= 0, where the
 seed is the smallest eps.  All members therefore share the seed's Krylov space
 and are solved for the cost of the seed alone (Jegerlehner, hep-lat/9612014).
+The terminal state T(z) of the forward run from zero with the controls of z is
+linear in z, and every Hessian apply forms T(p) of the seed's direction p, so a
+member carries T(z) and T(p) beside z and p with the same recurrences; its
+terminal norm is that of the free terminal state plus T(z), with no forward
+run of its own.
+
+The inverse weight w^-1 is exactly 0 where the Carleman weight is past the
+double range, so the controls of z vanish on those steps whatever z is: the
+forward runs add no control there (``forward.live_steps``) and the adjoint
+runs of the Hessian read no zeta back there.
 
 Nonlinear problem: outer source-term fixed point.  At iterate k all nonlinear
 and nonlocal terms of the previous controlled run are frozen into (F1, F2) of
@@ -317,8 +327,11 @@ class ShiftMember:
 
     Its residual is zeta times the seed's, so it freezes once
     |zeta_k| |r_k| <= cg_tol |r_0|; ``cg_iters`` is that k.  A member other
-    than the main eps takes its terminal norm and control energy when it
-    freezes and then drops its vectors (``z`` becomes None).
+    than the main eps also carries ``tz`` = T(z) and ``tp`` = T(p) (module
+    docstring) as (u, v, theta) tuples; ``tp`` follows ``p`` one iteration
+    late, once a Hessian apply has formed T of the seed's new direction.  It
+    takes its terminal norm and control energy when it freezes and then
+    drops its vectors (``z`` becomes None).
     """
 
     eps: float
@@ -331,6 +344,9 @@ class ShiftMember:
     cg_iters: int = 0
     terminal_norm: float = 0.0
     control_energy: float = 0.0
+    tz: tuple | None = None
+    tp: tuple | None = None
+    p_coef: tuple | None = None    # (a, b) of its last update p <- a r + b p
 
 
 class LinearControlProblem:
@@ -339,6 +355,9 @@ class LinearControlProblem:
     With an ``eps_sweep`` the problem's operators (``hessian_apply``, ``rhs``)
     are those of the seed, the smallest eps among ``pen.epsilon`` and the
     sweep; ``solve`` then also solves every sweep member (module docstring).
+    ``hessian_apply`` keeps the terminal state T(z) it formed in
+    ``self.terminal``, and ``rhs`` the free terminal state in
+    ``self.free_terminal``.
 
     Its vectors live on the patch's box ``self.box``, as do ``self.bumps``;
     ``self.masks`` are the whole-grid supports bump > 0.  ``self.sources``
@@ -360,6 +379,7 @@ class LinearControlProblem:
         self.eps = min((pen.epsilon,) + self.eps_sweep)
         self.logw = logw
         self.w_inv = np.exp(-logw)
+        self.live = self.w_inv > 0.0    # the steps where controls of z can be nonzero
         self.box = control_box(bumps)
         self.masks = tuple(b > 0.0 for b in bumps)
         self.bumps = tuple(b[s] for b, s in zip(bumps, self.box))
@@ -372,6 +392,7 @@ class LinearControlProblem:
         self.adjoint_sweeps = 0
         self.members: dict[float, ShiftMember] = {}
         self.hz: ControlTrajectory | None = None   # H z of the last single-eps solve
+        self.terminal = self.free_terminal = None
         self.space = RecycleSpace(self.box, tgrid.nt, grid.cell_area * tgrid.dt) \
             if recycle else None
         self.passes = 0                             # solves begun
@@ -391,11 +412,13 @@ class LinearControlProblem:
         return self.prop.run(y0, th0, controls=controls, sources=src, on_state=on_state)
 
     def _bt_zeta(self, ut, vt, tht, weight_inv: bool = True) -> ControlTrajectory:
-        """(1/eps) B^T L^T applied to a terminal state, optionally through W^-1."""
+        """(1/eps) B^T L^T applied to a terminal state, optionally through W^-1;
+        through W^-1 only the steps with w^-1 > 0 are read back, and the
+        others, which W^-1 would zero, stay 0."""
         eps = self.eps
         self.adjoint_sweeps += 1
         adj = run_adjoint((ut / eps, vt / eps), tht / eps, None, None, self.prop,
-                          self.box)
+                          self.box, read=self.live if weight_inv else None)
         out = ControlTrajectory(adj.zeta_u, adj.zeta_v, adj.zeta_th, self.box)
         for arr, bump in zip(out.parts, self.bumps):
             arr *= bump
@@ -407,14 +430,14 @@ class LinearControlProblem:
         """H z, with ``z`` read on the problem's box (a whole-grid z is
         cropped to it)."""
         z = z.on(self.box)
-        ut, vt, tht = self._terminal_of(self.controls_from_z(z), with_sources=False)
-        out = self._bt_zeta(ut, vt, tht)
+        self.terminal = self._terminal_of(self.controls_from_z(z), with_sources=False)
+        out = self._bt_zeta(*self.terminal)
         out.axpy(1.0, z)
         return out
 
     def rhs(self):
         """-gradient at z = 0, and the free terminal norm / J(0)."""
-        ut, vt, tht = self._terminal_of(None, with_sources=True)
+        self.free_terminal = ut, vt, tht = self._terminal_of(None, with_sources=True)
         tnorm_sq = ops.state_norm_sq(ut, vt, tht, self.grid)
         g0 = self._bt_zeta(ut, vt, tht)
         return g0.scaled(-1.0), tnorm_sq
@@ -428,9 +451,10 @@ class LinearControlProblem:
     def _freeze(self, m: ShiftMember) -> None:
         m.p = None
         if m.eps != self.pen.epsilon:
-            m.terminal_norm = self.terminal_norm(self.controls_from_z(m.z))
+            final = (f + t for f, t in zip(self.free_terminal, m.tz))
+            m.terminal_norm = float(np.sqrt(ops.state_norm_sq(*final, self.grid)))
             m.control_energy = control_inner(m.z, m.z, self.grid, self.tgrid.dt)
-            m.z = None
+            m.z = m.tz = m.tp = None
 
     def _fail(self, what: str, history) -> None:
         raise ConvergenceError(f"CG on pass {self.passes}: {what}", history=history)
@@ -448,8 +472,10 @@ class LinearControlProblem:
         forward run beyond ``rhs``.  With a non-empty recycle space that z is
         first Galerkin-projected onto it, J is taken there, and CG is
         deflated (module docstring).  An eps-sweep problem starts every solve
-        from z = 0 and keeps no copy of b.  A non-finite residual or
-        curvature raises ConvergenceError naming the pass.
+        from z = 0 and keeps no copy of b; its members other than the main
+        eps take T(z) from the Hessian applies (module docstring), so the
+        solve runs rhs's forward run and one per iteration.  A non-finite
+        residual or curvature raises ConvergenceError naming the pass.
         """
         grid, dt, pen = self.grid, self.tgrid.dt, self.pen
         self.passes += 1
@@ -491,6 +517,12 @@ class LinearControlProblem:
                         [0.5 * free_tnorm_sq / eps])
             for eps in sorted(set((pen.epsilon,) + self.eps_sweep) - {self.eps})]
         self.members = {m.eps: m for m in active}
+        # members other than the main eps carry T(z); they exist only without
+        # a recycle space, so r = p - beta p_prev holds (no deflation)
+        for m in active:
+            if m.eps != pen.epsilon:
+                m.tz = tuple(np.zeros_like(a) for a in self.free_terminal)
+        tp_prev = None
         if np.sqrt(rr) > tol if deflate else gnorm0 > 0.0:
             if deflate:
                 p.axpy(-1.0, space.combination(space.inner(r, products=True)))
@@ -505,12 +537,25 @@ class LinearControlProblem:
                 if space is not None:
                     space.add(p, hp, php)
                 alpha = rr / php
+                if any(m.tz is not None for m in active):
+                    tp = self.terminal
+                    # T(r) of the residual that p was built from
+                    tr = tp if tp_prev is None else tuple(
+                        x - beta_prev * y for x, y in zip(tp, tp_prev))
+                    tp_prev = tp
                 for m in active:
                     zeta = (m.zeta * m.zeta_prev * alpha_prev
                             / (alpha * beta_prev * (m.zeta_prev - m.zeta)
                                + m.zeta_prev * alpha_prev * (1.0 + m.delta * alpha)))
                     alpha_m = alpha * zeta / m.zeta
                     m.z.axpy(alpha_m, p if m.p is None else m.p)
+                    if m.tz is not None:
+                        if m.p is not None:      # T(p) of the p moved along below
+                            m.tp = tr if m.p_coef is None else tuple(
+                                m.p_coef[0] * x + m.p_coef[1] * y
+                                for x, y in zip(tr, m.tp))
+                        for mine, t in zip(m.tz, tp if m.p is None else m.tp):
+                            mine += alpha_m * t
                     m.j_history.append(m.j_history[-1] - 0.5 * alpha_m * m.zeta ** 2
                                        * rr / (1.0 + m.delta))
                     m.zeta_prev, m.zeta = m.zeta, zeta
@@ -535,7 +580,8 @@ class LinearControlProblem:
                     p.axpy(-1.0, space.combination(space.inner(r, products=True)))
                 for m in active:
                     if m.p is not None:
-                        m.p.xpby(r, beta * (m.zeta / m.zeta_prev) ** 2, a=m.zeta)
+                        m.p_coef = (m.zeta, beta * (m.zeta / m.zeta_prev) ** 2)
+                        m.p.xpby(r, m.p_coef[1], a=m.p_coef[0])
                 alpha_prev, beta_prev = alpha, beta
                 rr = rr_new
             else:

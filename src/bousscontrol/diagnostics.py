@@ -22,6 +22,7 @@ from .grids import GridSpec, TimeGrid
 from . import operators as ops
 from .control import ControlTrajectory, scatter
 from .forward import EnergyTrace
+from .geometry import box_within, control_window
 from .weights import (WeightTables, control_weight_logs, default_t_clip,
                       time_derivative)
 
@@ -87,8 +88,9 @@ class NormSamples:
             tht = (th - pth) / dt
             self.th_t_l32[n] = ops.lp_norm_cells(tht, 1.5, grid) ** 2
         if k < nt:
-            self.state_sq[k] = ops.state_norm_sq(u, v, th, grid)
+            # ops.state_norm_sq, with its velocity part kept for y_sq
             self.y_sq[k] = ops.norm_velocity(u, v, grid) ** 2
+            self.state_sq[k] = self.y_sq[k] + ops.norm_cells(th, grid) ** 2
             self.grad_y_sq[k] = ops.h1_seminorm_sq_velocity(u, v, grid)
             lu = ops.laplacian_u(u, grid)
             lv = ops.laplacian_v(v, grid)
@@ -146,7 +148,9 @@ def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
     kappa v is formed as e^M (kappa v e^-M), with M the largest log|kappa v|:
     the stencils act on fields bounded by 1, and each entry is 2M + log(sum).
     Everything is computed on the controls' box; the stencils see one level
-    at a time scattered onto the whole grid.
+    at a time scattered onto ``geometry.control_window``, the box grown by
+    two cells a side, whose terms equal the whole grid's (up to the order
+    of the sums).
     """
     nt, dt = tgrid.nt, tgrid.dt
     logk = control_weight_logs(tables, default_t_clip(t_clip, tgrid),
@@ -166,17 +170,19 @@ def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
     lap0_sq = 0.0
     sup_h1_v = 0.0
     sup_h1_v0 = 0.0
+    win, win_box = control_window(controls.box, grid)
+    inside = box_within(controls.box, win_box)
     for n in range(nt):
-        ku, kv, k0 = scatter((kvu[n], kvv[n], kv0[n]), controls.box, grid)
-        lu = ops.laplacian_u(ku, grid)
-        lv = ops.laplacian_v(kv, grid)
-        lap_sq += (ops.norm_velocity(lu, lv, grid) ** 2) * dt
-        lc = ops.laplacian_cells(k0, grid)
-        lap0_sq += (ops.norm_cells(lc, grid) ** 2) * dt
-        sup_h1_v = max(sup_h1_v, ops.norm_velocity(ku, kv, grid) ** 2
-                       + ops.h1_seminorm_sq_velocity(ku, kv, grid))
-        sup_h1_v0 = max(sup_h1_v0, ops.norm_cells(k0, grid) ** 2
-                        + ops.h1_seminorm_sq_cells(k0, grid))
+        ku, kv, k0 = scatter((kvu[n], kvv[n], kv0[n]), inside, win)
+        lu = ops.laplacian_u(ku, win)
+        lv = ops.laplacian_v(kv, win)
+        lap_sq += (ops.norm_velocity(lu, lv, win) ** 2) * dt
+        lc = ops.laplacian_cells(k0, win)
+        lap0_sq += (ops.norm_cells(lc, win) ** 2) * dt
+        sup_h1_v = max(sup_h1_v, ops.norm_velocity(ku, kv, win) ** 2
+                       + ops.h1_seminorm_sq_velocity(ku, kv, win))
+        sup_h1_v0 = max(sup_h1_v0, ops.norm_cells(k0, win) ** 2
+                        + ops.h1_seminorm_sq_cells(k0, win))
 
     sums = {
         "iint_dt_kv_sq": dkv_sq,

@@ -79,6 +79,17 @@ def energy_trace_csv(path, trace: EnergyTrace, preamble: str = "") -> None:
                 trace.grad_theta_sq), preamble)
 
 
+def sweep_csv(path, members, preamble: str = "") -> None:
+    """One row per eps-sweep member report (``SynthesisReport``): eps, CG
+    iterations, J_eps (the last ``j_history`` entry), the terminal norm,
+    that norm over sqrt(eps) and the weighted control energy."""
+    _write_csv(path, ["eps", "cg_iters", "j_eps", "terminal_norm",
+                      "terminal_over_sqrt_eps", "control_energy_weighted"],
+               zip(*[(m.eps, m.cg_iters, m.j_history[-1], m.terminal_norm,
+                      m.terminal_norm / np.sqrt(m.eps), m.control_energy_weighted)
+                     for m in members]), preamble)
+
+
 def export_weight_csv(tables: WeightTables, path) -> None:
     """The per-node raw log tables; the t = T row reads inf."""
     names = ["alpha_star", "alpha_hat", "xi_star", "xi_hat", *tables.raw_composites]

@@ -174,19 +174,29 @@ def implicit_stage(m: ModalBasis, dt: float, ru, rv, rhs_th, c_vel: float,
     return m.u[1](us), m.v[1](vs), m.cells[1](th)
 
 
+def live_steps(controls) -> np.ndarray:
+    """Per step, whether any of its controls is nonzero (a NaN counts).  A
+    step whose controls are all exactly 0 would add a transform of 0, so the
+    propagators pass it no control at all."""
+    return np.logical_or.reduce([np.any(a != 0.0, axis=(1, 2))
+                                 for a in (controls.vu, controls.vv, controls.v0)])
+
+
 def _march(prop, y0, th0, controls, source_at, on_state):
     """The nonlinear propagator's time loop: project y0, then step nt times.
 
     Each level k = 0..nt is handed to ``on_state(k, t, u, v, th)`` with
-    t = tgrid.nodes()[k]; a true return ends the run at that level.  Nothing
-    is stored: returns the last state (u, v, theta).
+    t = tgrid.nodes()[k]; a true return ends the run at that level.  Steps
+    whose controls are all 0 are stepped without them (``live_steps``).
+    Nothing is stored: returns the last state (u, v, theta).
     """
     u, v = prop.modes.project_faces(y0[0], y0[1])
     th = th0.copy()
     times = prop.tgrid.nodes()
+    live = None if controls is None else live_steps(controls)
     for k in range(prop.tgrid.nt + 1):
         if k > 0:
-            ctrl = None if controls is None else (
+            ctrl = None if live is None or not live[k - 1] else (
                 controls.vu[k - 1], controls.vv[k - 1], controls.v0[k - 1])
             u, v, th = prop.step(u, v, th, ctrl,
                                  None if source_at is None else source_at(k - 1),
@@ -408,22 +418,27 @@ class LinearPropagator:
     def run(self, y0, th0, controls=None, sources=None, on_state=None):
         """March nt steps from the projected y0 in the modal basis.
 
-        ``controls`` are read on ``self.box``; ``sources`` holds (F1u, F1v,
-        F2) per step, any of them None.  Level k = 0..nt is transformed back
-        and handed to ``on_state(k, t, u, v, th)`` only when a hook is given;
-        a true return ends the run at that level.  Nothing is stored:
-        returns the last physical state (u, v, theta).
+        ``controls`` are read on ``self.box``, and only the steps where
+        some of them is nonzero transform them into the modes
+        (``live_steps``); the others add nothing, so the run is the same bit
+        for bit.  ``sources`` holds (F1u, F1v, F2) per step, any of them
+        None.  Level k = 0..nt is transformed back and handed to
+        ``on_state(k, t, u, v, th)`` only when a hook is given; a true return
+        ends the run at that level.  Nothing is stored: returns the last
+        physical state (u, v, theta).
         """
         state = self.to_modes(y0[0], y0[1], th0)
+        live = None
         if controls is not None:
             controls = controls.on(self.box)
+            live = live_steps(controls)
         times = self.tgrid.nodes()
         for k in range(self.tgrid.nt + 1):
             if k > 0:
                 n = k - 1
                 state = self.step_modes(
                     *state,
-                    None if controls is None else (
+                    None if live is None or not live[n] else (
                         controls.vu[n], controls.vv[n], controls.v0[n]),
                     None if sources is None else tuple(
                         None if f is None else f[n] for f in sources))

@@ -24,7 +24,7 @@ from .control import (ControlTrajectory, PenaltySpec, control_inner,
                       solve_linear_control, solve_nonlinear_control)
 from .diagnostics import NormSamples, decay_fit, t_star, weighted_norms
 from .fieldio import (StateWriter, dump_field, emit_report, energy_trace_csv,
-                      export_weight_csv)
+                      export_weight_csv, sweep_csv)
 from .forward import (EnergyTrace, MaxDivergence, SystemSpec, chain_hooks,
                       run_nonlinear, scaled_initial_data, sine_theta,
                       stream_velocity)
@@ -201,6 +201,9 @@ def _run_linear_control(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
                     {"linear_control": _synthesis_section(rep_i)},
                     config_hash=chash, grid_hash=ghash)
         section[f"sweep_terminal_{i}"] = rep_i.terminal_norm
+    if rep.sweep:
+        sweep_csv(os.path.join(out_dir, "sweep.csv"), rep.sweep,
+                  preamble=f"# config_hash = {chash}\n")
     section["terminal_over_uncontrolled"] = (
         rep.terminal_norm / rep.uncontrolled_terminal_norm
         if rep.uncontrolled_terminal_norm > 0 else 0.0)

@@ -282,6 +282,54 @@ def reference_norm_samples(traj, grid, tgrid):
                            yt_dy_sq=yt_dy_sq, th_t_l32=th_t_l32, lap_th_l32=lap_th_l32)
 
 
+def reference_control_regularity_report(controls, tables, grid, tgrid, t_clip=None):
+    """``diagnostics.control_regularity_report`` as it was before it moved to
+    the control window: every level scattered onto the whole grid."""
+    from bousscontrol.control import scatter
+    from bousscontrol.diagnostics import _LN10, _log
+    from bousscontrol.weights import control_weight_logs, default_t_clip, time_derivative
+    nt, dt = tgrid.nt, tgrid.dt
+    logk = control_weight_logs(tables, default_t_clip(t_clip, tgrid),
+                               name="kappa")[:, None, None]
+    parts = controls.parts
+    logs = [logk + _log(np.abs(f)) for f in parts]
+    big = max(float(np.max(lg, initial=-np.inf)) for lg in logs)
+    if big == -np.inf:  # zero controls
+        big = 0.0
+    kvu, kvv, kv0 = (np.sign(f) * np.exp(lg - big) for f, lg in zip(parts, logs))
+
+    q = grid.cell_area
+    dkv_sq = float(np.sum(time_derivative(kvu, dt) ** 2)
+                   + np.sum(time_derivative(kvv, dt) ** 2)) * q * dt
+    dkv0_sq = float(np.sum(time_derivative(kv0, dt) ** 2)) * q * dt
+    lap_sq = 0.0
+    lap0_sq = 0.0
+    sup_h1_v = 0.0
+    sup_h1_v0 = 0.0
+    for n in range(nt):
+        ku, kv, k0 = scatter((kvu[n], kvv[n], kv0[n]), controls.box, grid)
+        lu = ops.laplacian_u(ku, grid)
+        lv = ops.laplacian_v(kv, grid)
+        lap_sq += (ops.norm_velocity(lu, lv, grid) ** 2) * dt
+        lc = ops.laplacian_cells(k0, grid)
+        lap0_sq += (ops.norm_cells(lc, grid) ** 2) * dt
+        sup_h1_v = max(sup_h1_v, ops.norm_velocity(ku, kv, grid) ** 2
+                       + ops.h1_seminorm_sq_velocity(ku, kv, grid))
+        sup_h1_v0 = max(sup_h1_v0, ops.norm_cells(k0, grid) ** 2
+                        + ops.h1_seminorm_sq_cells(k0, grid))
+
+    sums = {
+        "iint_dt_kv_sq": dkv_sq,
+        "iint_dt_kv0_sq": dkv0_sq,
+        "iint_lap_kv_sq": lap_sq,
+        "iint_lap_kv0_sq": lap0_sq,
+        "sup_h1_kv_sq": sup_h1_v,
+        "sup_h1_kv0_sq": sup_h1_v0,
+    }
+    logs_sums = (2.0 * big + _log(list(sums.values()))) / _LN10
+    return dict(zip(sums, map(float, logs_sums)))
+
+
 def reference_frozen_sources(traj, spec, grid, nt):
     """The outer loop's frozen sources ((F1u, F1v), F2) of stored levels, the
     way they were computed before they streamed."""

@@ -475,6 +475,37 @@ class TestMoreRunnerKinds:
         assert (tmp_path / "a" / "report_eps_1.txt").is_file()
         assert compare_artifact_dirs(str(tmp_path / "a"), str(tmp_path / "b"))
 
+    def test_sweep_csv_has_one_row_per_member(self, tmp_path):
+        from bousscontrol.control import solve_linear_control
+        from bousscontrol.geometry import bump_on_solver_grids
+        from bousscontrol.runner import _initial_data, _tables_for
+        text = MINIMAL.replace("kind = decay", "kind = linear-control")
+        text = text.replace("system.nu0 = 1.0", "system.nu0 = 0.05")
+        text = text.replace("time.nt = 64", "time.nt = 32")
+        text += "penalty.eps = 1e-4\nlinear_control.eps_sweep = 1e-2, 1e-6, 1e-4\n"
+        cfg = parse_config_text(text)
+        assert run_experiment(cfg, str(tmp_path)) == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[0] == f"# config_hash = {cfg.digest()}"
+        assert lines[1] == ("eps,cg_iters,j_eps,terminal_norm,terminal_over_sqrt_eps,"
+                            "control_energy_weighted")
+        rows = [[float(x) for x in line.split(",")] for line in lines[2:]]
+        y0, th0 = _initial_data(cfg)
+        _, rep = solve_linear_control(
+            y0, th0, None, None, cfg.pen, _tables_for(cfg), cfg.grid, cfg.tgrid,
+            cfg.system.law.nu0, bump_on_solver_grids(cfg.grid, cfg.patch),
+            coupling=cfg.system.buoyancy, eps_sweep=cfg.eps_sweep)
+        assert len(rows) == len(rep.sweep) == 3
+        for i, (row, member) in enumerate(zip(rows, rep.sweep)):
+            report = parse_report(tmp_path / f"report_eps_{i}.txt")
+            assert row == [member.eps, member.cg_iters, member.j_history[-1],
+                           member.terminal_norm,
+                           member.terminal_norm / np.sqrt(member.eps),
+                           member.control_energy_weighted]
+            for col, key in ((0, "eps"), (1, "cg_iters"), (3, "terminal_norm"),
+                             (5, "control_energy_weighted")):
+                assert row[col] == report[f"linear_control.{key}"]
+
 
 LARGE_TIME = """
 kind = large-time

@@ -267,16 +267,42 @@ class TestSharedSweepSolve:
         _, rep = solve_linear_control(y0, th0, None, None, pen, tables,
                                       grid, tg, 0.05, bumps,
                                       eps_sweep=(1e-2, 1e-4, 1e-6))
-        # rhs + one per CG iteration; forward adds the final controlled run and
-        # one terminal run per member other than the main eps
+        # rhs + one per CG iteration; forward adds the final controlled run,
+        # and the members take their terminal states from the CG's own runs
         assert rep.adjoint_sweeps == rep.cg_iters + 1
-        assert rep.forward_sweeps == rep.cg_iters + 1 + 1 + 2
+        assert rep.forward_sweeps == rep.cg_iters + 2
         for member in rep.sweep:
             assert (member.forward_sweeps, member.adjoint_sweeps) == (
                 rep.forward_sweeps, rep.adjoint_sweeps)
         section = _synthesis_section(rep)
         assert (section["forward_sweeps"], section["adjoint_sweeps"]) == (
             rep.forward_sweeps, rep.adjoint_sweeps)
+
+    @pytest.mark.parametrize("main_eps", [1e-6, 1e-4], ids=["main-is-seed",
+                                                           "seed-not-main"])
+    def test_member_terminal_norms_match_fresh_runs(self, case, main_eps,
+                                                     monkeypatch):
+        # each member's terminal norm, built from the Hessian applies' T(p),
+        # equals a forward run of its own controls
+        grid, tg, bumps, y0, th0, tables = case
+        freeze = LinearControlProblem._freeze
+        seen = []
+
+        def spy(prob, m):
+            z = m.z
+            freeze(prob, m)
+            if m.eps != prob.pen.epsilon:
+                seen.append((m.eps, m.terminal_norm,
+                             prob.terminal_norm(prob.controls_from_z(z))))
+
+        monkeypatch.setattr(LinearControlProblem, "_freeze", spy)
+        pen = PenaltySpec(epsilon=main_eps, weight_mode="carleman", cg_tol=1e-8)
+        solve_linear_control(y0, th0, None, None, pen, tables, grid, tg, 0.05,
+                             bumps, eps_sweep=(1e-2, 1e-4, 1e-6))
+        assert sorted(eps for eps, _, _ in seen) == sorted(
+            {1e-2, 1e-4, 1e-6} - {main_eps})
+        for _, got, fresh in seen:
+            assert abs(got - fresh) <= 1e-12 * fresh
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_member_rejected(self, case, bad):
@@ -532,6 +558,87 @@ class TestRecycling:
         for rep in slow.values():
             assert rep.forward_sweeps == rep.cg_iters + 2 * rep.outer_iters - 1
             assert rep.adjoint_sweeps == rep.cg_iters + rep.outer_iters
+
+
+class TestLiveSteps:
+    """Steps whose controls are all 0 inject nothing, and the Hessian's
+    adjoint reads zeta back only where w^-1 > 0: both leave every result the
+    same bit for bit."""
+
+    @staticmethod
+    def block_controls(grid, tg, bumps, scale=1.0):
+        ctrl = masked_random_controls(grid, tg.nt, bumps, np.random.default_rng(11),
+                                      scale)
+        for part in ctrl.parts:
+            part[10:40] = 0.0
+        return ctrl
+
+    @staticmethod
+    def levels(run):
+        rec = Recorder()
+        run(rec)
+        return rec.levels
+
+    def assert_same_as_injecting_every_step(self, run, monkeypatch):
+        from bousscontrol import forward
+        got = self.levels(run)
+        monkeypatch.setattr(forward, "live_steps",
+                            lambda c: np.ones(c.vu.shape[0], dtype=bool))
+        want = self.levels(run)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_live_steps(self, grid16, tgrid64, bumps16):
+        from bousscontrol.forward import live_steps
+        ctrl = self.block_controls(grid16, tgrid64, bumps16)
+        ctrl.v0[50, 3, 3] = np.nan
+        live = live_steps(ctrl)
+        assert not live[10:40].any() and live[:10].all() and live[40:].all()
+
+    def test_linear_run(self, setup16, monkeypatch):
+        from bousscontrol.forward import LinearPropagator
+        grid, tg, bumps, y0, th0 = setup16
+        prop = LinearPropagator(grid, tg, NU0, bumps=bumps)
+        ctrl = self.block_controls(grid, tg, bumps)
+        self.assert_same_as_injecting_every_step(
+            lambda hook: prop.run(y0, th0, controls=ctrl, on_state=hook), monkeypatch)
+
+    def test_nonlinear_run(self, grid16, tgrid64, bumps16, monkeypatch):
+        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True,
+                          phi_smallness_factor=1e2)
+        y0, th0 = scaled_initial_data(grid16, 1e-2)
+        ctrl = self.block_controls(grid16, tgrid64, bumps16, scale=1e-2)
+        self.assert_same_as_injecting_every_step(
+            lambda hook: run_nonlinear(y0, th0, ctrl, spec, grid16, tgrid64,
+                                       bumps=bumps16, on_state=hook), monkeypatch)
+
+    def test_hessian_apply_matches_reading_every_step(self, setup16, tables16,
+                                                      monkeypatch):
+        grid, tg, bumps, y0, th0 = setup16
+        pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman")
+        prob = LinearControlProblem(y0, th0, None, None, pen,
+                                    step_weight_logs(pen, tables16, tg), grid, tg,
+                                    NU0, bumps)
+        assert 0 < prob.live.sum() < tg.nt
+        z = masked_random_controls(grid, tg.nt, bumps, np.random.default_rng(12))
+        got = prob.hessian_apply(z)
+        exact = control.run_adjoint
+        monkeypatch.setattr(control, "run_adjoint",
+                            lambda *args, read=None, **kw: exact(*args, **kw))
+        want = prob.hessian_apply(z)
+        assert all(np.array_equal(a, b) for a, b in zip(got.parts, want.parts))
+
+    def test_nan_terminal_data_reaches_the_read_steps(self, setup16, tables16):
+        # the NaN of the free terminal state is marched down to the steps
+        # with w^-1 > 0, so CG still stops on its first residual
+        grid, tg, bumps, y0, th0 = setup16
+        th0 = th0.copy()
+        th0[3, 4] = np.nan
+        pen = PenaltySpec(epsilon=1e-4, weight_mode="carleman")
+        with pytest.raises(ConvergenceError, match="pass 1: non-finite residual"):
+            solve_linear_control(y0, th0, None, None, pen, tables16, grid, tg, NU0,
+                                 bumps)
 
 
 class TestNonFiniteCG:

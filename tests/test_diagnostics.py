@@ -18,13 +18,14 @@ from bousscontrol.exceptions import DomainError
 from bousscontrol.fieldio import emit_report, parse_report
 from bousscontrol.forward import (EnergyTrace, SystemSpec, run_nonlinear,
                                   scaled_initial_data)
-from bousscontrol.geometry import ControlPatch, build_eta0
+from bousscontrol.geometry import (ControlPatch, build_eta0, bump_on_solver_grids,
+                                   control_box, control_window, grid_box)
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw
 from bousscontrol.weights import (WeightParams, control_weight_logs, default_t_clip,
                                   eval_weights, find_min_m)
 
-from conftest import feed
+from conftest import feed, reference_control_regularity_report
 
 
 def synthetic_trace(c1=3.0, e0=5.0, t_final=1.0, n=65):
@@ -171,6 +172,39 @@ class TestRegularityReport:
         rep = control_regularity_report(ctrl, tables, grid, tg)
         assert len(rep) == 6
         assert all(v == -np.inf for v in rep.values())
+
+    @pytest.mark.parametrize("nx, ny, center, clipped", [
+        (16, 16, (0.5, 0.5), False),
+        (33, 20, (0.5, 0.5), False),
+        (16, 16, (0.2, 0.5), True),   # the patch is within two cells of x = 0
+    ], ids=["16x16", "33x20", "near-wall"])
+    def test_window_matches_whole_grid(self, nx, ny, center, clipped):
+        grid = GridSpec(nx, ny)
+        tg = TimeGrid(1.0, 32)
+        bumps = bump_on_solver_grids(grid, ControlPatch(center, (0.15, 0.2)))
+        box = control_box(bumps)
+        win, win_box = control_window(box, grid)
+        assert (win.hx, win.hy) == (grid.hx, grid.hy)
+        assert 8 <= win.nx < nx and 8 <= win.ny < ny
+        assert (win_box[2][0].start == 0) == clipped
+        rng = np.random.default_rng(4)
+        ctrl = ControlTrajectory.zeros(grid, tg.nt)
+        for part, bump in zip(ctrl.parts, bumps):
+            part[:] = rng.standard_normal(part.shape) * (bump > 0.0)
+        ctrl = ctrl.on(box)
+        tables = tame_tables(eval_weights(
+            WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0),
+            build_eta0(grid, ControlPatch((0.5, 0.5), (0.2, 0.2))), tg))
+        got = control_regularity_report(ctrl, tables, grid, tg)
+        want = reference_control_regularity_report(ctrl, tables, grid, tg)
+        assert list(got) == list(want)
+        for key in want:
+            assert np.isfinite(want[key])
+            assert abs(got[key] - want[key]) <= 1e-14 * abs(want[key]), key
+
+    def test_window_of_the_whole_grid_is_the_grid(self):
+        grid = GridSpec(16, 16)
+        assert control_window(grid_box(grid), grid) == (grid, grid_box(grid))
 
     def test_product_rule_oracle(self):
         # (kappa v)_t of a time-constant v equals kappa_t v; the central
