@@ -63,7 +63,7 @@ from . import operators as ops
 from .adjoint import run_adjoint
 from .geometry import box_within, control_box, grid_box
 from .forward import (EnergyTrace, LinearPropagator, SystemSpec, chain_hooks,
-                      energy_components, explicit_terms, run_nonlinear)
+                      energy_components, explicit_terms, level_blocks, run_nonlinear)
 from .weights import WeightTables, control_weight_logs, default_t_clip
 
 
@@ -679,28 +679,40 @@ def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
 
 
 def _frozen_sources(u, v, th, spec: SystemSpec, grid: GridSpec):
-    """All nonlinear/nonlocal terms of one state as sources (F1u, F1v, F2):
-    the nonlinear step's explicit terms, plus the excess (nu - nu0) of its
-    diffusion over the linear system's."""
+    """All nonlinear/nonlocal terms of a block of states, stacked on a
+    leading level axis, as sources (F1u, F1v, F2) of the same shape: the
+    nonlinear step's explicit terms, plus the excess (nu - nu0) of its
+    diffusion over the linear system's, level by level."""
     nu0 = spec.law.nu0
     nu, nu_th, au, av, adv_th, heat = explicit_terms(u, v, th, spec, grid)
-    f2 = (nu_th - nu0) * ops.laplacian_cells(th, grid) - adv_th
+    nu, nu_th = nu[:, None, None], nu_th[:, None, None]
+
+    def source(lap, coeff, transport):
+        """(coeff - nu0) lap - transport, in the Laplacian's array."""
+        lap *= coeff - nu0
+        lap -= transport
+        return lap
+
+    f2 = source(ops.laplacian_cells(th, grid), nu_th, adv_th)
     if heat is not None:
-        f2 += nu * heat
-    return ((nu - nu0) * ops.laplacian_u(u, grid) - au,
-            (nu - nu0) * ops.laplacian_v(v, grid) - av, f2)
+        heat *= nu
+        f2 += heat
+    return (source(ops.laplacian_u(u, grid), nu, au),
+            source(ops.laplacian_v(v, grid), nu, av), f2)
 
 
 def _freezer(out: list, spec: SystemSpec, grid: GridSpec, nt: int):
     """An ``on_state`` hook filling ``out`` with the (F1u, F1v, F2) arrays of
-    shape (nt, ...) whose level n < nt is ``_frozen_sources`` of level n; the
-    arrays are allocated when the run starts, not before."""
-    def hook(k, t, u, v, th):
-        if k == 0:
-            out[:] = [np.zeros((nt,) + a.shape) for a in (u, v, th)]
-        if k < nt:
-            out[0][k], out[1][k], out[2][k] = _frozen_sources(u, v, th, spec, grid)
-    return hook
+    shape (nt, ...) whose level n < nt is the frozen sources of level n.  It
+    stacks the levels n < nt into blocks (``forward.level_blocks``) and calls
+    ``_frozen_sources`` once per block; ``out`` is allocated at the first
+    block, not before."""
+    def frozen_block(k0, u, v, th):
+        if k0 == 0:
+            out[:] = [np.zeros((nt,) + a.shape[1:]) for a in (u, v, th)]
+        for dest, f in zip(out, _frozen_sources(u, v, th, spec, grid)):
+            dest[k0:k0 + len(f)] = f
+    return level_blocks(grid, nt, frozen_block)
 
 
 def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,

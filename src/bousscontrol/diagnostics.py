@@ -21,7 +21,7 @@ from .exceptions import DomainError
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
 from .control import ControlTrajectory, scatter
-from .forward import EnergyTrace
+from .forward import EnergyTrace, block_levels, level_blocks
 from .geometry import box_within, control_window
 from .weights import (WeightTables, control_weight_logs, default_t_clip,
                       time_derivative)
@@ -66,38 +66,76 @@ def _log10_sup(logw: np.ndarray, sq: np.ndarray) -> float:
     return float(np.max(2.0 * logw + _log(sq)) / _LN10)
 
 
+_SAMPLES = ("state_sq", "y_sq", "grad_y_sq", "lap_y_sq", "yt_dy_sq", "th_t_l32",
+            "lap_th_l32")
+
+
+def _squares(norms) -> list:
+    """Python float squares of per-level norms: ``x ** 2`` of a float (a libm
+    pow) does not always round like the array square x * x."""
+    return [x ** 2 for x in norms.tolist()]
+
+
 class NormSamples:
     """An ``on_state`` hook recording, node by node, the squared norms that
     ``weighted_norms`` sums over a run of ``tgrid``: at each level n < nt the
     state, |y|^2, |grad y|^2 and the Laplacian parts; from levels n and n + 1
-    the forward time differences of node n (it keeps the previous level)."""
+    the forward time differences of node n.
+
+    It stacks the levels into blocks (``forward.level_blocks``), evaluates
+    the stencils and sums on a block at a time, and carries the block's last
+    level over to the next for the time differences.  The samples, read as
+    the attributes named in ``_SAMPLES``, exist once all nt + 1 levels have
+    arrived: reading them earlier (a run that a hook or an error ended)
+    raises DomainError.
+    """
 
     def __init__(self, grid: GridSpec, tgrid: TimeGrid):
         self.grid, self.tgrid = grid, tgrid
-        (self.state_sq, self.y_sq, self.grad_y_sq, self.lap_y_sq, self.yt_dy_sq,
-         self.th_t_l32, self.lap_th_l32) = (np.zeros(tgrid.nt) for _ in range(7))
+        self._samples = {name: np.zeros(tgrid.nt) for name in _SAMPLES}
         self._prev = None
+        self.received = 0      # levels handed to the hook
+        self._hook = level_blocks(grid, tgrid.nt + 1, self._block)
 
     def __call__(self, k, t, u, v, th):
-        grid, nt, dt = self.grid, self.tgrid.nt, self.tgrid.dt
-        if k > 0:
-            n, (pu, pv, pth) = k - 1, self._prev
-            ut = (u - pu) / dt
-            vt = (v - pv) / dt
-            self.yt_dy_sq[n] = ops.norm_velocity(ut, vt, grid) ** 2 + self.lap_y_sq[n]
-            tht = (th - pth) / dt
-            self.th_t_l32[n] = ops.lp_norm_cells(tht, 1.5, grid) ** 2
-        if k < nt:
-            # ops.state_norm_sq, with its velocity part kept for y_sq
-            self.y_sq[k] = ops.norm_velocity(u, v, grid) ** 2
-            self.state_sq[k] = self.y_sq[k] + ops.norm_cells(th, grid) ** 2
-            self.grad_y_sq[k] = ops.h1_seminorm_sq_velocity(u, v, grid)
-            lu = ops.laplacian_u(u, grid)
-            lv = ops.laplacian_v(v, grid)
-            self.lap_y_sq[k] = ops.norm_velocity(lu, lv, grid) ** 2
-            self.lap_th_l32[k] = ops.lp_norm_cells(ops.laplacian_cells(th, grid),
-                                                   1.5, grid) ** 2
-        self._prev = (u, v, th)
+        self.received += 1
+        self._hook(k, t, u, v, th)
+
+    def __getattr__(self, name):
+        if name not in _SAMPLES:
+            raise AttributeError(name)
+        if self.received < self.tgrid.nt + 1:
+            raise DomainError(f"norm samples read after {self.received} of the "
+                              f"{self.tgrid.nt + 1} levels of the run")
+        return self._samples[name]
+
+    def _block(self, k0, u, v, th):
+        grid, nt, dt, out = self.grid, self.tgrid.nt, self.tgrid.dt, self._samples
+        m = min(len(u), nt - k0)    # the block's levels n < nt
+        us, vs, ths = u[:m], v[:m], th[:m]
+        # ops.state_norm_sq, with its velocity part kept for y_sq
+        y_sq = _squares(ops.norm_velocity(us, vs, grid))
+        th_sq = _squares(ops.norm_cells(ths, grid))
+        lap_y_sq = _squares(ops.norm_velocity(ops.laplacian_u(us, grid),
+                                              ops.laplacian_v(vs, grid), grid))
+        lap_th = _squares(ops.lp_norm_cells(ops.laplacian_cells(ths, grid), 1.5, grid))
+        rows = slice(k0, k0 + m)
+        out["y_sq"][rows] = y_sq
+        out["state_sq"][rows] = [a + b for a, b in zip(y_sq, th_sq)]
+        out["grad_y_sq"][rows] = [ops.h1_seminorm_sq_velocity(a, b, grid)
+                                  for a, b in zip(us, vs)]
+        out["lap_y_sq"][rows] = lap_y_sq
+        out["lap_th_l32"][rows] = lap_th
+        # forward differences of nodes k - 1, the block's first level taking
+        # the previous block's last
+        levels = (u, v, th) if self._prev is None else tuple(
+            np.concatenate((p[None], a)) for p, a in zip(self._prev, (u, v, th)))
+        ut, vt, tht = ((a[1:] - a[:-1]) / dt for a in levels)
+        nodes = slice(max(k0 - 1, 0), k0 + len(u) - 1)
+        out["yt_dy_sq"][nodes] = (_squares(ops.norm_velocity(ut, vt, grid))
+                                  + out["lap_y_sq"][nodes])
+        out["th_t_l32"][nodes] = _squares(ops.lp_norm_cells(tht, 1.5, grid))
+        self._prev = tuple(a[-1].copy() for a in (u, v, th))
 
 
 def weighted_norms(samples: NormSamples, controls: ControlTrajectory | None,
@@ -147,10 +185,11 @@ def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
 
     kappa v is formed as e^M (kappa v e^-M), with M the largest log|kappa v|:
     the stencils act on fields bounded by 1, and each entry is 2M + log(sum).
-    Everything is computed on the controls' box; the stencils see one level
-    at a time scattered onto ``geometry.control_window``, the box grown by
-    two cells a side, whose terms equal the whole grid's (up to the order
-    of the sums).
+    Everything is computed on the controls' box; the stencils see a block
+    of levels at a time (``forward.block_levels`` of the window) scattered
+    onto ``geometry.control_window``, the box grown by two cells a side,
+    whose terms equal the whole grid's (up to the order of the sums).  The
+    sums and sups run over the levels in order.
     """
     nt, dt = tgrid.nt, tgrid.dt
     logk = control_weight_logs(tables, default_t_clip(t_clip, tgrid),
@@ -172,17 +211,20 @@ def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
     sup_h1_v0 = 0.0
     win, win_box = control_window(controls.box, grid)
     inside = box_within(controls.box, win_box)
-    for n in range(nt):
-        ku, kv, k0 = scatter((kvu[n], kvv[n], kv0[n]), inside, win)
-        lu = ops.laplacian_u(ku, win)
-        lv = ops.laplacian_v(kv, win)
-        lap_sq += (ops.norm_velocity(lu, lv, win) ** 2) * dt
-        lc = ops.laplacian_cells(k0, win)
-        lap0_sq += (ops.norm_cells(lc, win) ** 2) * dt
-        sup_h1_v = max(sup_h1_v, ops.norm_velocity(ku, kv, win) ** 2
-                       + ops.h1_seminorm_sq_velocity(ku, kv, win))
-        sup_h1_v0 = max(sup_h1_v0, ops.norm_cells(k0, win) ** 2
-                        + ops.h1_seminorm_sq_cells(k0, win))
+    size = block_levels(win, nt)
+    for n0 in range(0, nt, size):
+        block = slice(n0, n0 + size)
+        ku, kv, k0 = scatter((kvu[block], kvv[block], kv0[block]), inside, win)
+        lap = _squares(ops.norm_velocity(ops.laplacian_u(ku, win),
+                                         ops.laplacian_v(kv, win), win))
+        lap0 = _squares(ops.norm_cells(ops.laplacian_cells(k0, win), win))
+        v_sq = _squares(ops.norm_velocity(ku, kv, win))
+        v0_sq = _squares(ops.norm_cells(k0, win))
+        for i in range(len(ku)):
+            lap_sq += lap[i] * dt
+            lap0_sq += lap0[i] * dt
+            sup_h1_v = max(sup_h1_v, v_sq[i] + ops.h1_seminorm_sq_velocity(ku[i], kv[i], win))
+            sup_h1_v0 = max(sup_h1_v0, v0_sq[i] + ops.h1_seminorm_sq_cells(k0[i], win))
 
     sums = {
         "iint_dt_kv_sq": dkv_sq,

@@ -26,6 +26,7 @@ from .operators import ModalBasis, ViscosityLaw
 
 _CFL_EPS = 1.0e-12
 _BLOWUP_FACTOR = 1.0e6
+BLOCK_CELLS = 2 ** 15   # grid cells times levels in one block of stacked levels
 
 
 @dataclass(frozen=True)
@@ -120,13 +121,15 @@ def trace_from_trajectory(traj, grid: GridSpec) -> EnergyTrace:
 
 
 def explicit_terms(u, v, th, spec: SystemSpec, grid: GridSpec):
-    """The terms the nonlinear step treats explicitly, at one state.
+    """The terms the nonlinear step treats explicitly, at one state or at a
+    stack of levels (``operators`` module docstring).
 
     Returns (nu, nu_th, adv_u, adv_v, adv_th, heat): the scalar diffusion
-    coefficients (momentum, temperature), the transport of the velocity and
-    of the temperature, and the heating density, or None with heating off
-    (the step scales it by nu).  The outer loop's frozen sources are built
-    from the same terms, so the two cannot drift apart.
+    coefficients (momentum, temperature; one per level of a stack), the
+    transport of the velocity and of the temperature, and the heating
+    density, or None with heating off (the step scales it by nu).  The outer
+    loop's frozen sources are built from the same terms, so the two cannot
+    drift apart.
     """
     grads = ops.center_gradients(u, v, grid)
     gm2 = ops.grad_sq_from_gradients(grads)
@@ -224,6 +227,36 @@ def _energy_hook(grid: GridSpec, comps: list, on_state, blowup_check: bool):
             if e_ref > 0.0 and ek > _BLOWUP_FACTOR * e_ref:
                 raise DivergenceError(f"energy blow-up at step {k}", step=k)
         return on_state is not None and on_state(k, t, u, v, th)
+
+    return hook
+
+
+def block_levels(grid: GridSpec, levels: int) -> int:
+    """Levels per block of stacked levels on ``grid``: as many as BLOCK_CELLS
+    cells hold, at least one, at most ``levels``."""
+    return max(1, min(levels, BLOCK_CELLS // (grid.nx * grid.ny)))
+
+
+def level_blocks(grid: GridSpec, levels: int, on_block):
+    """An ``on_state`` hook that copies the levels k < ``levels`` of a run
+    into stacks of ``block_levels`` levels and hands each block to
+    ``on_block(k0, u, v, th)``, k0 its first level, when it fills or when
+    level ``levels - 1`` arrives.  The stacks are allocated at level 0 and
+    reused by every block, so ``on_block`` must copy what it keeps; a run
+    that ends early leaves its last block unread."""
+    size = block_levels(grid, levels)
+    stacks: list = []
+
+    def hook(k, t, u, v, th):
+        if k >= levels:
+            return
+        if k == 0:
+            stacks[:] = [np.empty((size,) + a.shape) for a in (u, v, th)]
+        i = k % size
+        for stack, a in zip(stacks, (u, v, th)):
+            stack[i] = a
+        if i == size - 1 or k == levels - 1:
+            on_block(k - i, *(stack[:i + 1] for stack in stacks))
 
     return hook
 

@@ -7,6 +7,17 @@ Normal velocity lives exactly on the walls (pinned zeros); tangential velocity
 and temperature use odd ghost reflection inside diffusion operators.  The
 cutoff/heating gradients instead use one-sided interior stencils so they make
 no boundary-condition assumption.
+
+Stacked levels: every stencil, and ``ViscosityLaw.of_density``, takes arrays
+shaped (..., rows, cols) and acts on the last two axes, so one call serves a
+single level or a stack of time levels.  An ``axis`` argument names the grid
+axis, 0 for x and 1 for y, whatever the leading axes.  The elementwise
+operations are the same either way, so each level of a stack gets the bits
+of the single-level call.  The reductions that ``level_sums`` and
+``per_level`` make return a float for one level and one value per level for
+a stack, again with the single-level bits: ``np.sum`` over the last two
+axes of a contiguous stack equals the per-level sum.  The H^1 forms sum with
+``np.vdot``, which a stacked sum would not match, and take one level.
 """
 
 from __future__ import annotations
@@ -21,16 +32,37 @@ from .grids import GridSpec
 
 
 # ---------------------------------------------------------------------------
+# per-level reductions
+
+
+def level_sums(a: np.ndarray):
+    """The sum over the last two axes: a numpy scalar for one level, an array
+    over the leading axes for a stack (see the module docstring)."""
+    return np.sum(a) if a.ndim == 2 else np.sum(a, axis=(-2, -1))
+
+
+def per_level(x, finish):
+    """``finish`` of each level's value of ``x``: its result for a scalar x
+    (one level), an array of them over the leading axes of a stack.  The
+    finishes are the single-level code's scalar steps (float conversion,
+    max, Python float and numpy scalar powers); a power of an array does not
+    always round like the scalar one, so a stack takes them level by level."""
+    if not isinstance(x, np.ndarray):
+        return finish(x)
+    return np.array([finish(s) for s in x.ravel()]).reshape(x.shape)
+
+
+# ---------------------------------------------------------------------------
 # basic stencils
 
 
 def check_cells(f: np.ndarray, grid: GridSpec) -> None:
-    if f.shape != (grid.nx, grid.ny):
+    if f.shape[-2:] != (grid.nx, grid.ny):
         raise ShapeError(f"cell field shape {f.shape} != {(grid.nx, grid.ny)}")
 
 
 def check_faces(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> None:
-    if u.shape != (grid.nx + 1, grid.ny) or v.shape != (grid.nx, grid.ny + 1):
+    if u.shape[-2:] != (grid.nx + 1, grid.ny) or v.shape[-2:] != (grid.nx, grid.ny + 1):
         raise ShapeError(
             f"face field shapes {u.shape}/{v.shape} != "
             f"{(grid.nx + 1, grid.ny)}/{(grid.nx, grid.ny + 1)}")
@@ -38,67 +70,81 @@ def check_faces(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> None:
 
 def div(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
     check_faces(u, v, grid)
-    return (u[1:, :] - u[:-1, :]) / grid.hx + (v[:, 1:] - v[:, :-1]) / grid.hy
+    return (u[..., 1:, :] - u[..., :-1, :]) / grid.hx + (v[..., 1:] - v[..., :-1]) / grid.hy
 
 
 def grad(p: np.ndarray, grid: GridSpec):
     """Cell scalar -> face vector, zero normal component on the boundary
     (homogeneous-Neumann ghost extension).  Exact negative adjoint of div."""
     check_cells(p, grid)
-    gu = grid.zeros_u()
-    gv = grid.zeros_v()
-    gu[1:-1, :] = (p[1:, :] - p[:-1, :]) / grid.hx
-    gv[:, 1:-1] = (p[:, 1:] - p[:, :-1]) / grid.hy
+    gu = np.zeros(p.shape[:-2] + (grid.nx + 1, grid.ny))
+    gv = np.zeros(p.shape[:-2] + (grid.nx, grid.ny + 1))
+    gu[..., 1:-1, :] = (p[..., 1:, :] - p[..., :-1, :]) / grid.hx
+    gv[..., 1:-1] = (p[..., 1:] - p[..., :-1]) / grid.hy
     return gu, gv
+
+
+def _five_point(out, c, xm, xp, ym, yp, grid: GridSpec) -> np.ndarray:
+    """Write (xp - 2 c + xm) / hx^2 + (yp - 2 c + ym) / hy^2 into ``out``,
+    each operation rounded as written, in two scratch arrays."""
+    twice = 2.0 * c
+    np.subtract(xp, twice, out=out)
+    out += xm
+    out /= grid.hx**2
+    np.subtract(yp, twice, out=twice)
+    twice += ym
+    twice /= grid.hy**2
+    out += twice
+    return out
 
 
 def laplacian_cells(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     """5-point Laplacian with odd (Dirichlet) ghost reflection."""
     check_cells(f, grid)
-    g = np.empty((grid.nx + 2, grid.ny + 2))  # the corners are never read
-    g[1:-1, 1:-1] = f
-    g[0, 1:-1] = -f[0, :]
-    g[-1, 1:-1] = -f[-1, :]
-    g[1:-1, 0] = -f[:, 0]
-    g[1:-1, -1] = -f[:, -1]
-    return ((g[2:, 1:-1] - 2.0 * f + g[:-2, 1:-1]) / grid.hx**2
-            + (g[1:-1, 2:] - 2.0 * f + g[1:-1, :-2]) / grid.hy**2)
+    g = np.empty(f.shape[:-2] + (grid.nx + 2, grid.ny + 2))  # corners never read
+    g[..., 1:-1, 1:-1] = f
+    g[..., 0, 1:-1] = -f[..., 0, :]
+    g[..., -1, 1:-1] = -f[..., -1, :]
+    g[..., 1:-1, 0] = -f[..., 0]
+    g[..., 1:-1, -1] = -f[..., -1]
+    return _five_point(np.empty_like(f), f, g[..., :-2, 1:-1], g[..., 2:, 1:-1],
+                       g[..., 1:-1, :-2], g[..., 1:-1, 2:], grid)
 
 
 def laplacian_u(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Laplacian of the x-velocity; boundary rows stay zero."""
     out = np.zeros_like(u)
-    g = np.empty((u.shape[0], u.shape[1] + 2))
-    g[:, 1:-1] = u
-    g[:, 0] = -u[:, 0]
-    g[:, -1] = -u[:, -1]
-    out[1:-1, :] = ((u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / grid.hx**2
-                    + (g[1:-1, 2:] - 2.0 * u[1:-1, :] + g[1:-1, :-2]) / grid.hy**2)
+    g = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
+    g[..., 1:-1] = u
+    g[..., 0] = -u[..., 0]
+    g[..., -1] = -u[..., -1]
+    _five_point(out[..., 1:-1, :], u[..., 1:-1, :], u[..., :-2, :], u[..., 2:, :],
+                g[..., 1:-1, :-2], g[..., 1:-1, 2:], grid)
     return out
 
 
 def laplacian_v(v: np.ndarray, grid: GridSpec) -> np.ndarray:
     out = np.zeros_like(v)
-    g = np.empty((v.shape[0] + 2, v.shape[1]))
-    g[1:-1, :] = v
-    g[0, :] = -v[0, :]
-    g[-1, :] = -v[-1, :]
-    out[:, 1:-1] = ((g[2:, 1:-1] - 2.0 * v[:, 1:-1] + g[:-2, 1:-1]) / grid.hx**2
-                    + (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / grid.hy**2)
+    g = np.empty(v.shape[:-2] + (v.shape[-2] + 2, v.shape[-1]))
+    g[..., 1:-1, :] = v
+    g[..., 0, :] = -v[..., 0, :]
+    g[..., -1, :] = -v[..., -1, :]
+    _five_point(out[..., 1:-1], v[..., 1:-1], g[..., :-2, 1:-1], g[..., 2:, 1:-1],
+                v[..., :-2], v[..., 2:], grid)
     return out
 
 
 def theta_to_vfaces(th: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Cell scalar averaged onto interior y-faces (buoyancy injection)."""
-    out = grid.zeros_v()
-    out[:, 1:-1] = 0.5 * (th[:, :-1] + th[:, 1:])
+    out = np.zeros(th.shape[:-2] + (grid.nx, grid.ny + 1))
+    out[..., 1:-1] = 0.5 * (th[..., :-1] + th[..., 1:])
     return out
 
 
 def vfaces_to_cells(g: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Exact transpose of theta_to_vfaces; also the cell average of the
     vertical component."""
-    return 0.5 * (g[:, :-1] + g[:, 1:])
+    return 0.5 * (g[..., :-1] + g[..., 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +154,7 @@ def vfaces_to_cells(g: np.ndarray, grid: GridSpec) -> np.ndarray:
 def d_center(fc: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Central differences, second-order one-sided at the first/last row."""
     g = np.empty_like(fc)
-    f, gf = (fc, g) if axis == 0 else (fc.T, g.T)
+    f, gf = fc.swapaxes(0, axis - 2), g.swapaxes(0, axis - 2)   # grid axis first
     np.subtract(f[2:], f[:-2], out=gf[1:-1])
     gf[1:-1] /= 2.0 * h
     gf[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
@@ -120,12 +166,12 @@ def center_gradients(u: np.ndarray, v: np.ndarray, grid: GridSpec):
     """(du/dx, du/dy, dv/dx, dv/dy) at cell centers; du/dy and dv/dx take
     ``d_center`` of twice the cell averages over 4h (see ``advect_scalar``)."""
     check_faces(u, v, grid)
-    ux = u[1:, :] - u[:-1, :]
+    ux = u[..., 1:, :] - u[..., :-1, :]
     ux /= grid.hx
-    vy = v[:, 1:] - v[:, :-1]
+    vy = v[..., 1:] - v[..., :-1]
     vy /= grid.hy
-    uy = d_center(u[:-1, :] + u[1:, :], 2.0 * grid.hy, axis=1)
-    vx = d_center(v[:, :-1] + v[:, 1:], 2.0 * grid.hx, axis=0)
+    uy = d_center(u[..., :-1, :] + u[..., 1:, :], 2.0 * grid.hy, axis=1)
+    vx = d_center(v[..., :-1] + v[..., 1:], 2.0 * grid.hx, axis=0)
     return ux, uy, vx, vy
 
 
@@ -174,13 +220,14 @@ class ViscosityLaw:
         if self.variant == "lp" and not (3.0 < self.p <= 6.0 or self.p == 2.0):
             raise DomainError("lp variant needs 3 < p <= 6 (or p = 2 alias)")
 
-    def of_density(self, gm2: np.ndarray, grid: GridSpec) -> float:
-        """The law on a cellwise gradient-energy density |grad w|^2."""
+    def of_density(self, gm2: np.ndarray, grid: GridSpec):
+        """The law on a cellwise gradient-energy density |grad w|^2: a float
+        for one level, one value per level of a stack."""
         q = grid.cell_area
         if self.variant == "l2":
-            return self.nu0 + self.nu1 * float(np.sum(gm2) * q)
-        total = float(np.sum(gm2 ** (self.p / 2.0)) * q)
-        return self.nu0 + self.nu1 * total ** (2.0 / self.p)
+            return per_level(level_sums(gm2) * q, lambda s: self.nu0 + self.nu1 * float(s))
+        return per_level(level_sums(gm2 ** (self.p / 2.0)) * q,
+                         lambda s: self.nu0 + self.nu1 * float(s) ** (2.0 / self.p))
 
 
 def grad_sq_cells(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -211,9 +258,9 @@ def nonlocal_viscosity_scalar(th: np.ndarray, law: ViscosityLaw, grid: GridSpec)
 
 def _wall_flux_difference(flux: np.ndarray, h: float, axis: int,
                           out: np.ndarray) -> np.ndarray:
-    """Write into ``out`` the difference along ``axis``, over h, of a face
-    flux that is ``flux`` on the interior faces and zero on both walls."""
-    f, o = (flux, out) if axis == 0 else (flux.T, out.T)
+    """Write into ``out`` the difference along grid ``axis``, over h, of a
+    face flux that is ``flux`` on the interior faces and zero on both walls."""
+    f, o = flux.swapaxes(0, axis - 2), out.swapaxes(0, axis - 2)
     o[0] = f[0]
     np.subtract(f[1:], f[:-1], out=o[1:-1])
     np.negative(f[-1], out=o[-1])
@@ -222,8 +269,8 @@ def _wall_flux_difference(flux: np.ndarray, h: float, axis: int,
 
 
 def _difference(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """(f[i+1] - f[i]) / h along ``axis``."""
-    d = np.diff(f, axis=axis)
+    """(f[i+1] - f[i]) / h along grid ``axis``."""
+    d = np.diff(f, axis=axis - 2)
     d /= h
     return d
 
@@ -237,11 +284,11 @@ def advect_scalar(f: np.ndarray, cu: np.ndarray, cv: np.ndarray,
     a power-of-two scaling is exact, so this is the averaged form bit for bit."""
     check_cells(f, grid)
     check_faces(cu, cv, grid)
-    fx = f[:-1, :] + f[1:, :]
-    fx *= cu[1:-1, :]
+    fx = f[..., :-1, :] + f[..., 1:, :]
+    fx *= cu[..., 1:-1, :]
     out = _wall_flux_difference(fx, 2.0 * grid.hx, 0, np.empty_like(f))
-    fy = f[:, :-1] + f[:, 1:]
-    fy *= cv[:, 1:-1]
+    fy = f[..., :-1] + f[..., 1:]
+    fy *= cv[..., 1:-1]
     out += _wall_flux_difference(fy, 2.0 * grid.hy, 1, np.empty_like(f))
     return out
 
@@ -251,22 +298,24 @@ def advect_velocity(u: np.ndarray, v: np.ndarray, grid: GridSpec):
     (see ``advect_scalar``).  The corner flux, zero on the walls, is formed
     once on the interior corners and differenced along y for u, x for v."""
     check_faces(u, v, grid)
-    corner = v[:-1, 1:-1] + v[1:, 1:-1]
-    corner *= u[1:-1, :-1] + u[1:-1, 1:]
+    corner = v[..., :-1, 1:-1] + v[..., 1:, 1:-1]
+    corner *= u[..., 1:-1, :-1] + u[..., 1:-1, 1:]
 
     au = np.empty_like(u)
-    au[0] = au[-1] = 0.0
-    _wall_flux_difference(corner, 4.0 * grid.hy, 1, au[1:-1, :])
-    cell = u[:-1, :] + u[1:, :]
+    au[..., 0, :] = au[..., -1, :] = 0.0
+    au_in = au[..., 1:-1, :]
+    _wall_flux_difference(corner, 4.0 * grid.hy, 1, au_in)
+    cell = u[..., :-1, :] + u[..., 1:, :]
     cell *= cell
-    au[1:-1, :] += _difference(cell, 4.0 * grid.hx, 0)
+    au_in += _difference(cell, 4.0 * grid.hx, 0)
 
     av = np.empty_like(v)
-    av[:, 0] = av[:, -1] = 0.0
-    _wall_flux_difference(corner, 4.0 * grid.hx, 0, av[:, 1:-1])
-    cell = v[:, :-1] + v[:, 1:]
+    av[..., 0] = av[..., -1] = 0.0
+    av_in = av[..., 1:-1]
+    _wall_flux_difference(corner, 4.0 * grid.hx, 0, av_in)
+    cell = v[..., :-1] + v[..., 1:]
     cell *= cell
-    av[:, 1:-1] += _difference(cell, 4.0 * grid.hy, 1)
+    av_in += _difference(cell, 4.0 * grid.hy, 1)
     return au, av
 
 
@@ -274,31 +323,39 @@ def advect_velocity(u: np.ndarray, v: np.ndarray, grid: GridSpec):
 # inner products and norms (midpoint quadrature, uniform weights)
 
 
-def inner_cells(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> float:
-    return float(np.sum(a * b) * grid.cell_area)
+# Each is a float for one level and one value per level of a stack.
 
 
-def norm_cells(a: np.ndarray, grid: GridSpec) -> float:
-    return float(np.sqrt(max(inner_cells(a, a, grid), 0.0)))
+def _sqrt_nonneg(x) -> float:
+    return float(np.sqrt(max(x, 0.0)))
 
 
-def inner_velocity(u1, v1, u2, v2, grid: GridSpec) -> float:
-    return float((np.sum(u1 * u2) + np.sum(v1 * v2)) * grid.cell_area)
+def inner_cells(a: np.ndarray, b: np.ndarray, grid: GridSpec):
+    return per_level(level_sums(a * b) * grid.cell_area, float)
 
 
-def norm_velocity(u, v, grid: GridSpec) -> float:
-    return float(np.sqrt(max(inner_velocity(u, v, u, v, grid), 0.0)))
+def norm_cells(a: np.ndarray, grid: GridSpec):
+    return per_level(inner_cells(a, a, grid), _sqrt_nonneg)
+
+
+def inner_velocity(u1, v1, u2, v2, grid: GridSpec):
+    return per_level((level_sums(u1 * u2) + level_sums(v1 * v2)) * grid.cell_area, float)
+
+
+def norm_velocity(u, v, grid: GridSpec):
+    return per_level(inner_velocity(u, v, u, v, grid), _sqrt_nonneg)
 
 
 def state_norm_sq(u, v, th, grid: GridSpec) -> float:
-    """|y|^2 + |theta|^2 of one state."""
+    """|y|^2 + |theta|^2 of one state (one level)."""
     return norm_velocity(u, v, grid) ** 2 + norm_cells(th, grid) ** 2
 
 
-def lp_norm_cells(f: np.ndarray, p: float, grid: GridSpec) -> float:
+def lp_norm_cells(f: np.ndarray, p: float, grid: GridSpec):
     if p < 1.0:
         raise DomainError("p >= 1 required")
-    return float((np.sum(np.abs(f) ** p) * grid.cell_area) ** (1.0 / p))
+    return per_level(level_sums(np.abs(f) ** p) * grid.cell_area,
+                     lambda s: float(s ** (1.0 / p)))
 
 
 def _sum_sq(a: np.ndarray) -> float:
@@ -337,11 +394,18 @@ def _wall_form(f: np.ndarray, axis: int) -> float:
             - float(np.vdot(g[-1], g[-1] - g[-2])))
 
 
+def _one_level(*fields) -> None:
+    """The H^1 forms sum with ``np.vdot`` and take one level (module docstring)."""
+    if any(f.ndim != 2 for f in fields):
+        raise ShapeError("the H^1 forms take one level, not a stack of levels")
+
+
 def h1_seminorm_sq_cells(f: np.ndarray, grid: GridSpec) -> float:
     """Dirichlet energy <-lap f, f>, the operator-consistent |grad f|^2
     quadrature, summed by parts (``_odd_ghost_form`` per axis) so that no
     Laplacian is formed.  It is a sum of squares, so it is not clipped."""
     check_cells(f, grid)
+    _one_level(f)
     return (_odd_ghost_form(f, 0) / grid.hx**2
             + _odd_ghost_form(f, 1) / grid.hy**2) * grid.cell_area
 
@@ -353,6 +417,7 @@ def h1_seminorm_sq_velocity(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> flo
     (``_wall_form``), the tangential one takes odd ghosts.  The wall terms
     can be negative for nonzero wall values, so the sum is clipped at zero."""
     check_faces(u, v, grid)
+    _one_level(u, v)
     sx = _wall_form(u, 0) + _odd_ghost_form(v[:, 1:-1], 0)
     sy = _odd_ghost_form(u[1:-1, :], 1) + _wall_form(v, 1)
     return max((sx / grid.hx**2 + sy / grid.hy**2) * grid.cell_area, 0.0)

@@ -1,0 +1,88 @@
+"""``tools/artifact_diff.py``'s ``compare`` on hand-made run directories (no
+experiment runs), and its exit code."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
+
+REPORT = """[linear_control]
+terminal_norm = 0.5
+wall_time_s = 1.25
+forward_sweeps = 6
+"""
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("artifact_diff", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tool():
+    return _load_tool()
+
+
+def make_runs(root: Path, files: dict) -> Path:
+    """A run directory per run name, holding ``files`` {relative path: text}."""
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def compare(tool, tmp_path, parent: dict, change: dict, codes=({"a": 0}, {"a": 0})):
+    return tool.compare(make_runs(tmp_path / "parent", parent),
+                        make_runs(tmp_path / "change", change), codes)
+
+
+def test_identical_directories(tool, tmp_path):
+    files = {"a/report.txt": REPORT, "a/energy.csv": "t,e\n0,1\n1,0.5\n"}
+    assert compare(tool, tmp_path, files, files) == []
+
+
+def test_wall_time_only(tool, tmp_path):
+    assert compare(tool, tmp_path, {"a/report.txt": REPORT},
+                   {"a/report.txt": REPORT.replace("1.25", "9.5")}) == []
+
+
+def test_moved_value(tool, tmp_path):
+    rows = compare(tool, tmp_path, {"a/report.txt": REPORT},
+                   {"a/report.txt": REPORT.replace("0.5", "0.25")})
+    assert rows == [("a", "report.txt", "`terminal_norm`", "0.5", "0.25", "5.0e-01")]
+
+
+def test_moved_line(tool, tmp_path):
+    lines = REPORT.splitlines()
+    swapped = "\n".join([lines[0], lines[3], lines[2], lines[1]]) + "\n"
+    rows = compare(tool, tmp_path, {"a/report.txt": REPORT}, {"a/report.txt": swapped})
+    assert rows == [("a", "report.txt", "(line order)", "", "differs", "")]
+
+
+def test_file_on_one_side(tool, tmp_path):
+    rows = compare(tool, tmp_path, {"a/report.txt": REPORT},
+                   {"a/report.txt": REPORT, "a/sweep.csv": "eps\n1e-2\n"})
+    assert rows == [("a", "sweep.csv", "(file)", "absent", "present", "")]
+
+
+def test_exit_code(tool, tmp_path):
+    files = {"a/report.txt": REPORT}
+    rows = compare(tool, tmp_path, files, files, codes=({"a": 0}, {"a": 3}))
+    assert rows == [("a", "-", "exit code", "0", "3", "")]
+
+
+def test_main_exits_1_on_any_row_and_0_on_none(tool, tmp_path, monkeypatch, capsys):
+    """``main`` with the export, the runs and the comparison replaced by
+    canned results."""
+    monkeypatch.setattr(tool.subprocess, "run",
+                        lambda *a, **k: type("Done", (), {"stdout": b""})())
+    monkeypatch.setattr(tool, "run_all", lambda src, out: {"a": 0})
+    for rows, want in (([], 0), ([("a", "-", "exit code", "0", "3", "")], 1)):
+        monkeypatch.setattr(tool, "compare", lambda *a, rows=rows: rows)
+        assert tool.main(["HEAD", "--work", str(tmp_path / f"work{want}")]) == want
+    assert "| a | - | exit code | 0 | 3 |" in capsys.readouterr().out

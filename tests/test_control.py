@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bousscontrol import control
+from bousscontrol import control, forward
 from bousscontrol.control import (ControlTrajectory, LinearControlProblem,
                                   OuterLoopSpec, PenaltySpec, _freezer,
                                   control_inner, control_norm, gradient,
@@ -16,7 +16,7 @@ from bousscontrol.control import (ControlTrajectory, LinearControlProblem,
                                   weighted_control_energy, step_weight_logs)
 from bousscontrol.diagnostics import NormSamples, weighted_norms
 from bousscontrol.exceptions import ConvergenceError, DomainError, RegimeError
-from bousscontrol.forward import (SystemSpec, chain_hooks, run_nonlinear,
+from bousscontrol.forward import (SystemSpec, block_levels, chain_hooks, run_nonlinear,
                                   scaled_initial_data, sine_theta)
 from bousscontrol.geometry import (ControlPatch, bump_on_solver_grids, build_eta0,
                                    control_box, grid_box)
@@ -1013,3 +1013,110 @@ class TestStreamedReadersMatchReferences:
         (f1u, f1v), f2 = reference_frozen_sources(rec, spec, grid, tg.nt)
         for got, want in zip(frozen, (f1u, f1v, f2)):
             assert np.array_equal(got, want)
+
+
+def streamed_run(grid, tg, spec, seed=3):
+    """A nonlinear run under random controls, with every level recorded and
+    the weighted-norm samples and frozen sources streamed from it."""
+    bumps = bump_on_solver_grids(grid, ControlPatch((0.5, 0.5), (0.2, 0.2)))
+    y0, th0 = scaled_initial_data(grid, 1e-2)
+    ctrl = masked_random_controls(grid, tg.nt, bumps, np.random.default_rng(seed),
+                                  scale=1e-2)
+    rec, samples, frozen = Recorder(), NormSamples(grid, tg), []
+    run_nonlinear(y0, th0, ctrl, spec, grid, tg, bumps=bumps,
+                  on_state=chain_hooks(rec, samples, _freezer(frozen, spec, grid, tg.nt)))
+    assert len(rec.levels) == tg.nt + 1
+    return rec, samples, frozen
+
+
+SPEC = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True,
+                  phi_smallness_factor=1e2)
+
+
+class TestBlockEdges:
+    """The readers that stack levels into blocks (``forward.level_blocks``)
+    equal the one-level references bit for bit wherever the blocks fall."""
+
+    @pytest.mark.parametrize("nx, ny, nt, per_block, spec, levels", [
+        (16, 16, 37, 8, SPEC, (8, 8)),             # 37 = 4 * 8 + 5, 38 = 4 * 8 + 6
+        (16, 16, 37, None, SPEC, (37, 38)),        # the budget's 128 levels, capped
+        (184, 180, 16, None, SPEC, (1, 1)),        # a grid above the budget
+        (16, 16, 37, 8, SystemSpec(
+            law=ViscosityLaw("lp", 0.05, 0.05, p=4.0),
+            law_theta=ViscosityLaw("lp", 0.04, 0.06, p=5.0),
+            theta_coeff_source="temperature", phi_smallness_factor=1e2), (8, 8)),
+        (16, 16, 37, 8, replace(SPEC, heating_on=False), (8, 8)),
+    ], ids=["nt-not-a-multiple", "block-above-nt", "one-level-blocks",
+            "lp-temperature", "heating-off"])
+    def test_streamed_readers_match_references(self, monkeypatch, nx, ny, nt,
+                                               per_block, spec, levels):
+        grid, tg = GridSpec(nx, ny), TimeGrid(1.0 if nx < 100 else 0.05, nt)
+        if per_block is not None:
+            monkeypatch.setattr(forward, "BLOCK_CELLS", per_block * nx * ny)
+        # levels per block of the frozen sources (nt levels) and the samples
+        assert (block_levels(grid, nt), block_levels(grid, nt + 1)) == levels
+        rec, samples, frozen = streamed_run(grid, tg, spec)
+        ref = reference_norm_samples(rec, grid, tg)
+        for name, want in vars(ref).items():
+            assert np.array_equal(getattr(samples, name), want), name
+        (f1u, f1v), f2 = reference_frozen_sources(rec, spec, grid, nt)
+        for got, want in zip(frozen, (f1u, f1v, f2)):
+            assert np.array_equal(got, want)
+
+    def test_damped_sources_match_reference(self, grid16, tgrid64, bumps16, tables16,
+                                            monkeypatch):
+        """With damping 0.5 each pass's sources are (F_prev + F_new) / 2 of
+        the reference sources of the previous pass's run, bit for bit."""
+        monkeypatch.setattr(forward, "BLOCK_CELLS", 5 * 256)    # 64 = 12 * 5 + 4
+        runs, used = [], []
+        freezer, solve = control._freezer, LinearControlProblem.solve
+
+        def recording_freezer(out, spec, grid, nt):
+            runs.append(Recorder())
+            return chain_hooks(runs[-1], freezer(out, spec, grid, nt))
+
+        def recording_solve(prob):
+            used.append(prob.sources)
+            return solve(prob)
+
+        monkeypatch.setattr(control, "_freezer", recording_freezer)
+        monkeypatch.setattr(LinearControlProblem, "solve", recording_solve)
+        y0, th0 = scaled_initial_data(grid16, 1e-2)
+        pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
+        solve_nonlinear_control(y0, th0, SPEC, pen, OuterLoopSpec(max_outer=3, damping=0.5),
+                                tables16, grid16, tgrid64, bumps16)
+        assert len(runs) == 2 and len(used) == 3 and used[0] is None
+        want = None
+        for rec, got in zip(runs, used[1:]):
+            (f1u, f1v), f2 = reference_frozen_sources(rec, SPEC, grid16, tgrid64.nt)
+            new = (f1u, f1v, f2)
+            want = new if want is None else tuple(
+                (1 - 0.5) * a + 0.5 * f for a, f in zip(want, new))
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+
+class TestIncompleteRunGuard:
+    """Samples of a run that ended before level nt are refused, not summed."""
+
+    def test_run_stopped_at_half_time(self, grid16, tgrid64, tables16):
+        nt = tgrid64.nt
+        samples = NormSamples(grid16, tgrid64)
+        y0, th0 = scaled_initial_data(grid16, 1e-2)
+        run_nonlinear(y0, th0, None, SPEC, grid16, tgrid64,
+                      on_state=chain_hooks(samples, lambda k, *_: k == nt // 2))
+        assert samples.received == nt // 2 + 1
+        with pytest.raises(DomainError, match=f"after {nt // 2 + 1} of the {nt + 1} levels"):
+            weighted_norms(samples, None, tables16, grid16, tgrid64)
+        with pytest.raises(DomainError):
+            samples.yt_dy_sq
+
+    def test_complete_run_reads(self, grid16, tgrid64):
+        samples = NormSamples(grid16, tgrid64)
+        y0, th0 = scaled_initial_data(grid16, 1e-2)
+        run_nonlinear(y0, th0, None, SPEC, grid16, tgrid64, on_state=samples)
+        assert samples.received == tgrid64.nt + 1
+        assert samples.yt_dy_sq.shape == (tgrid64.nt,)
+        assert np.all(samples.state_sq > 0.0)
+        with pytest.raises(AttributeError):
+            samples.no_such_sample

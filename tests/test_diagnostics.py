@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from bousscontrol import operators as ops
+from bousscontrol import forward, operators as ops
 
 from bousscontrol.control import ControlTrajectory
 from bousscontrol.diagnostics import (DecayFit, NormSamples, _logsumexp,
@@ -198,6 +198,38 @@ class TestRegularityReport:
         got = control_regularity_report(ctrl, tables, grid, tg)
         want = reference_control_regularity_report(ctrl, tables, grid, tg)
         assert list(got) == list(want)
+        for key in want:
+            assert np.isfinite(want[key])
+            assert abs(got[key] - want[key]) <= 1e-14 * abs(want[key]), key
+
+    def test_blocks_split_the_live_steps(self, monkeypatch):
+        """Blocks of 5 levels on the window put boundaries at steps 5, 10, 15
+        inside the 18 live steps (controls nonzero) and at 20, 25, 30 past
+        them; the report matches the whole-grid loop as above and the
+        one-block report bit for bit.  The kappa profile is flat, so every
+        level weighs alike and sums grouped by block would round apart from
+        the level-order ones."""
+        grid, tg = GridSpec(16, 16), TimeGrid(1.0, 32)
+        bumps = bump_on_solver_grids(grid, ControlPatch((0.5, 0.5), (0.15, 0.2)))
+        box = control_box(bumps)
+        win, _ = control_window(box, grid)
+        rng = np.random.default_rng(6)
+        ctrl = ControlTrajectory.zeros(grid, tg.nt)
+        for part, bump in zip(ctrl.parts, bumps):
+            part[:18] = rng.standard_normal(part[:18].shape) * (bump > 0.0)
+        ctrl = ctrl.on(box)
+        tables = eval_weights(
+            WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0),
+            build_eta0(grid, ControlPatch((0.5, 0.5), (0.2, 0.2))), tg)
+        flat = np.append(np.full(tg.nt, 3.0), np.inf)
+        tables = replace(tables, raw_composites=dict.fromkeys(tables.raw_composites, flat))
+        assert forward.block_levels(win, tg.nt) == tg.nt     # one block by default
+        whole = control_regularity_report(ctrl, tables, grid, tg)
+        monkeypatch.setattr(forward, "BLOCK_CELLS", 5 * win.nx * win.ny)
+        assert forward.block_levels(win, tg.nt) == 5
+        got = control_regularity_report(ctrl, tables, grid, tg)
+        want = reference_control_regularity_report(ctrl, tables, grid, tg)
+        assert got == whole
         for key in want:
             assert np.isfinite(want[key])
             assert abs(got[key] - want[key]) <= 1e-14 * abs(want[key]), key

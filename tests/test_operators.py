@@ -420,3 +420,63 @@ def test_cg_failure_reports_residual(grid16):
         cg_solve(lambda z: z - 0.5 * ops.laplacian_cells(z, grid16), b,
                  tol=1e-14, max_iters=2)
     assert err.value.residual is not None
+
+
+def _stack(levels):
+    """Per-level results (arrays, tuples of arrays or scalars) stacked."""
+    if isinstance(levels[0], tuple):
+        return tuple(np.stack(parts) for parts in zip(*levels))
+    return np.stack(levels)
+
+
+def _equal(got, want) -> bool:
+    if isinstance(want, tuple):
+        return all(np.array_equal(g, w) for g, w in zip(got, want))
+    return np.array_equal(got, want)
+
+
+STACK_GRIDS = REFERENCE_GRIDS + [GridSpec(31, 30)]
+STACKED = {
+    "div": lambda f, u, v, g: ops.div(u, v, g),
+    "grad": lambda f, u, v, g: ops.grad(f, g),
+    "laplacian_cells": lambda f, u, v, g: ops.laplacian_cells(f, g),
+    "laplacian_u": lambda f, u, v, g: ops.laplacian_u(u, g),
+    "laplacian_v": lambda f, u, v, g: ops.laplacian_v(v, g),
+    "theta_to_vfaces": lambda f, u, v, g: ops.theta_to_vfaces(f, g),
+    "vfaces_to_cells": lambda f, u, v, g: ops.vfaces_to_cells(v, g),
+    "d_center_x": lambda f, u, v, g: ops.d_center(f, g.hx, axis=0),
+    "d_center_y": lambda f, u, v, g: ops.d_center(f, g.hy, axis=1),
+    "center_gradients": lambda f, u, v, g: ops.center_gradients(u, v, g),
+    "heating": lambda f, u, v, g: ops.heating(u, v, g),
+    "advect_scalar": lambda f, u, v, g: ops.advect_scalar(f, u, v, g),
+    "advect_velocity": lambda f, u, v, g: ops.advect_velocity(u, v, g),
+    "inner_cells": lambda f, u, v, g: ops.inner_cells(f, f, g),
+    "norm_cells": lambda f, u, v, g: ops.norm_cells(f, g),
+    "norm_velocity": lambda f, u, v, g: ops.norm_velocity(u, v, g),
+    "lp_norm_cells": lambda f, u, v, g: ops.lp_norm_cells(f, 1.5, g),
+    "law_l2": lambda f, u, v, g: ViscosityLaw("l2", 0.1, 0.3).of_density(f * f, g),
+    "law_lp": lambda f, u, v, g: ViscosityLaw("lp", 0.1, 0.3, p=4.5).of_density(f * f, g),
+}
+
+
+class TestStackedLevels:
+    """Every stencil and per-level reduction on a stack of levels equals its
+    single-level calls bit for bit (``operators`` module docstring)."""
+
+    @pytest.mark.parametrize("grid", STACK_GRIDS, ids=["16x16", "33x20", "31x30"])
+    @pytest.mark.parametrize("name", sorted(STACKED))
+    def test_stack_equals_levels(self, name, grid):
+        levels = [_walled_fields(grid, RNG) for _ in range(3)]
+        one = STACKED[name]
+        got = one(*(np.stack(parts) for parts in zip(*levels)), grid)
+        want = _stack([one(*level, grid) for level in levels])
+        assert _equal(got, want)
+        if not isinstance(want, tuple) and want.ndim == 1:   # a reduction
+            assert all(type(one(*level, grid)) is float for level in levels)
+
+    def test_h1_forms_refuse_a_stack(self, grid16):
+        f, u, v = (np.stack([a, a]) for a in _walled_fields(grid16, RNG))
+        with pytest.raises(ShapeError, match="one level"):
+            ops.h1_seminorm_sq_cells(f, grid16)
+        with pytest.raises(ShapeError, match="one level"):
+            ops.h1_seminorm_sq_velocity(u, v, grid16)

@@ -19,6 +19,9 @@ Lines holding ``wall_time_s`` are ignored.  A run is named
 ``<config stem>.<kind>`` or after its workload.
 
 Run:  python tools/artifact_diff.py PARENT_REV [--work DIR]
+
+The exit code is 1 when the table has any row and 0 when every run is
+identical apart from ``wall_time_s``.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ def main(argv=None) -> int:
     print("| --- | --- | --- | --- | --- | --- |")
     for row in rows:
         print("| " + " | ".join(row) + " |")
-    return 0
+    return 1 if rows else 0
 
 
 if __name__ == "__main__":
