@@ -15,7 +15,7 @@ from .grids import GridSpec, TimeGrid
 from .geometry import ControlPatch, build_eta0, cutoff_1omega
 from .operators import ViscosityLaw
 from .weights import WeightParams, WeightTables, check_weight_chain, \
-    check_weight_gap, ell, eval_weights, find_min_m
+    check_weight_gap, eval_weights, find_min_m
 from .forward import EnergyTrace, SystemSpec, run_nonlinear
 from .adjoint import AdjointTrajectory, duality_defect, run_adjoint
 from .control import (ControlTrajectory, OuterLoopSpec, PenaltySpec,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GridSpec", "TimeGrid", "ControlPatch", "build_eta0", "cutoff_1omega",
     "ViscosityLaw", "WeightParams", "WeightTables", "check_weight_chain",
-    "check_weight_gap", "ell", "eval_weights", "find_min_m",
+    "check_weight_gap", "eval_weights", "find_min_m",
     "EnergyTrace", "SystemSpec", "run_nonlinear", "AdjointTrajectory",
     "duality_defect", "run_adjoint", "ControlTrajectory", "OuterLoopSpec",
     "PenaltySpec", "SynthesisReport", "gradient", "large_time_control",

@@ -301,8 +301,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse_config_text(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def emit_resolved(cfg: ExperimentConfig, path) -> None:

@@ -10,11 +10,19 @@ runs with the constant coefficient nu0; it is exactly linear in all of its
 inputs and marches in the modal basis, where each per-step building block is
 a per-mode scaling or an orthogonal change of basis, so the discrete adjoint
 is available by transposition (see adjoint.py).
+
+Both modes march through ``_march``, which hands a hook the physical view
+of each level (``LinearPropagator.from_modes`` in the linear mode), and every
+energy-traced run raises DivergenceError on a non-finite or blown-up energy.
+``adjoint.run_adjoint`` keeps its own backward loop: it has no hook, no
+control rows and no early exit, so sharing ``_march`` would only make that
+loop branch on the direction of time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -185,50 +193,60 @@ def live_steps(controls) -> np.ndarray:
                                  for a in (controls.vu, controls.vv, controls.v0)])
 
 
-def _march(prop, y0, th0, controls, source_at, on_state):
-    """The nonlinear propagator's time loop: project y0, then step nt times.
+def _march(step, state, tgrid: TimeGrid, controls, source_at, on_state, view):
+    """The forward time loop of both propagators: step ``state`` nt times.
 
-    Each level k = 0..nt is handed to ``on_state(k, t, u, v, th)`` with
-    t = tgrid.nodes()[k]; a true return ends the run at that level.  Steps
-    whose controls are all 0 are stepped without them (``live_steps``).
-    Nothing is stored: returns the last state (u, v, theta).
+    Step n is ``step(*state, control, sources)``: control is step n's rows
+    (cu, cv, c0) of ``controls``, None where they are all 0 (``live_steps``,
+    bit-identical), and sources is ``source_at(n)``.  Level k = 0..nt is
+    handed as ``view(*state)`` to ``on_state(k, t, u, v, th)``, t =
+    tgrid.nodes()[k]; a true return ends the run there.  Nothing is stored:
+    returns the last level handed out, else the view of the last state.
     """
-    u, v = prop.modes.project_faces(y0[0], y0[1])
-    th = th0.copy()
-    times = prop.tgrid.nodes()
+    times = tgrid.nodes()
     live = None if controls is None else live_steps(controls)
-    for k in range(prop.tgrid.nt + 1):
+    level = None
+    for k in range(tgrid.nt + 1):
         if k > 0:
-            ctrl = None if live is None or not live[k - 1] else (
-                controls.vu[k - 1], controls.vv[k - 1], controls.v0[k - 1])
-            u, v, th = prop.step(u, v, th, ctrl,
-                                 None if source_at is None else source_at(k - 1),
-                                 None if controls is None else controls.box)
-        if on_state is not None and on_state(k, times[k], u, v, th):
-            break
-    return u, v, th
+            n, level = k - 1, None  # not held through the step (see explicit_terms)
+            state = step(*state, None if live is None or not live[n] else (
+                controls.vu[n], controls.vv[n], controls.v0[n]),
+                None if source_at is None else source_at(n))
+        if on_state is not None:
+            level = view(*state)
+            if on_state(k, times[k], *level):
+                break
+    return view(*state) if level is None else level
 
 
-def _energy_hook(grid: GridSpec, comps: list, on_state, blowup_check: bool):
+def _energy_hook(grid: GridSpec, comps: list, on_state):
     """``on_state`` behind a hook that appends each level's energy components
-    to ``comps`` and, with ``blowup_check``, raises DivergenceError on a
-    non-finite energy (the initial level included) or on one past
-    _BLOWUP_FACTOR times the first nonzero, with a message for each."""
+    to ``comps`` and raises DivergenceError on a non-finite energy (the
+    initial level included) or on one past _BLOWUP_FACTOR times the first
+    nonzero, with a message for each."""
     e_ref = 0.0
 
     def hook(k, t, u, v, th):
         nonlocal e_ref
         comps.append(energy_components(u, v, th, grid))
-        if blowup_check:
-            ek = sum(comps[-1])
-            if not np.isfinite(ek):
-                raise DivergenceError(f"non-finite energy at step {k}", step=k)
-            e_ref = e_ref or ek
-            if e_ref > 0.0 and ek > _BLOWUP_FACTOR * e_ref:
-                raise DivergenceError(f"energy blow-up at step {k}", step=k)
+        ek = sum(comps[-1])
+        if not np.isfinite(ek):
+            raise DivergenceError(f"non-finite energy at step {k}", step=k)
+        e_ref = e_ref or ek
+        if e_ref > 0.0 and ek > _BLOWUP_FACTOR * e_ref:
+            raise DivergenceError(f"energy blow-up at step {k}", step=k)
         return on_state is not None and on_state(k, t, u, v, th)
 
     return hook
+
+
+def _traced(run, grid: GridSpec, tgrid: TimeGrid, on_state, small_bound=np.inf):
+    """(``run(hook)``, EnergyTrace of the levels it reached), the hook being
+    ``on_state`` behind ``_energy_hook``; smallness_ok is E(0) <= small_bound."""
+    comps: list = []
+    out = run(_energy_hook(grid, comps, on_state))
+    return out, _energy_trace(tgrid.nodes()[:len(comps)], comps, grid,
+                              sum(comps[0]) <= small_bound)
 
 
 def block_levels(grid: GridSpec, levels: int) -> int:
@@ -323,14 +341,15 @@ class NonlinearPropagator:
                               control, self.bumps, forcing, box)
 
     def run(self, y0, th0, controls=None, forcing=None, on_state=None):
-        """March nt steps (see ``_march``); ``forcing(k)`` gives step k's
-        sources.  Returns (last state, EnergyTrace of the levels reached)."""
-        comps: list = []
-        out = _march(self, y0, th0, controls, forcing,
-                     _energy_hook(self.grid, comps, on_state, blowup_check=True))
-        small_ok = sum(comps[0]) <= self.spec.phi_smallness_factor * self.spec.law.nu0 ** 2
-        return out, _energy_trace(self.tgrid.nodes()[:len(comps)], comps, self.grid,
-                                  small_ok)
+        """March nt steps from the projected y0 (see ``_march``);
+        ``forcing(n)`` gives step n's sources.  Returns (last state,
+        EnergyTrace of the levels reached)."""
+        step = partial(self.step, box=None if controls is None else controls.box)
+        return _traced(   # the start state is built in place, so that no frame keeps it
+            lambda hook: _march(step, (*self.modes.project_faces(y0[0], y0[1]), th0.copy()),
+                                self.tgrid, controls, forcing, hook, lambda *level: level),
+            self.grid, self.tgrid, on_state,
+            self.spec.phi_smallness_factor * self.spec.law.nu0 ** 2)
 
 
 class LinearPropagator:
@@ -449,37 +468,17 @@ class LinearPropagator:
         return m.hu[1](zu), m.hv[1](zv), m.cells[1](zth), m.cells[1](lth)
 
     def run(self, y0, th0, controls=None, sources=None, on_state=None):
-        """March nt steps from the projected y0 in the modal basis.
-
-        ``controls`` are read on ``self.box``, and only the steps where
-        some of them is nonzero transform them into the modes
-        (``live_steps``); the others add nothing, so the run is the same bit
-        for bit.  ``sources`` holds (F1u, F1v, F2) per step, any of them
-        None.  Level k = 0..nt is transformed back and handed to
-        ``on_state(k, t, u, v, th)`` only when a hook is given; a true return
-        ends the run at that level.  Nothing is stored: returns the last
-        physical state (u, v, theta).
+        """March nt steps of the modal state of y0, th0 (see ``_march``);
+        ``controls`` are read on ``self.box`` and ``sources`` holds (F1u,
+        F1v, F2) per step, any of them None.  Levels are transformed back
+        only to be handed to ``on_state``.  Returns the last physical state.
         """
-        state = self.to_modes(y0[0], y0[1], th0)
-        live = None
         if controls is not None:
             controls = controls.on(self.box)
-            live = live_steps(controls)
-        times = self.tgrid.nodes()
-        for k in range(self.tgrid.nt + 1):
-            if k > 0:
-                n = k - 1
-                state = self.step_modes(
-                    *state,
-                    None if live is None or not live[n] else (
-                        controls.vu[n], controls.vv[n], controls.v0[n]),
-                    None if sources is None else tuple(
-                        None if f is None else f[n] for f in sources))
-            if on_state is not None:
-                level = self.from_modes(*state)
-                if on_state(k, times[k], *level):
-                    break
-        return level if on_state is not None else self.from_modes(*state)
+        return _march(self.step_modes, self.to_modes(y0[0], y0[1], th0), self.tgrid,
+                      controls, None if sources is None else (
+                          lambda n: tuple(None if f is None else f[n] for f in sources)),
+                      on_state, self.from_modes)
 
 
 def run_nonlinear(y0, th0, controls, spec: SystemSpec, grid: GridSpec,
@@ -496,10 +495,8 @@ def run_nonlinear(y0, th0, controls, spec: SystemSpec, grid: GridSpec,
                               "use LinearPropagator.run for sourced linear runs")
         prop = LinearPropagator(grid, tgrid, spec.law.nu0, bumps=bumps,
                                 coupling=spec.buoyancy)
-        comps: list = []
-        out = prop.run(y0, th0, controls=controls,
-                       on_state=_energy_hook(grid, comps, on_state, blowup_check=False))
-        return out, _energy_trace(tgrid.nodes()[:len(comps)], comps, grid)
+        return _traced(lambda hook: prop.run(y0, th0, controls=controls, on_state=hook),
+                       grid, tgrid, on_state)
     prop = NonlinearPropagator(grid, tgrid, spec, bumps=bumps)
     return prop.run(y0, th0, controls=controls, forcing=forcing, on_state=on_state)
 

@@ -91,6 +91,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.nt < 16:
             raise DomainError(f"time grid must have nt >= 16, got {self.nt}")
+        if self.nt + 1 > np.iinfo(np.intp).max // 8:
+            raise DomainError(f"nt = {self.nt} time nodes do not fit in an array")
         if not (self.t_final > 0):
             raise DomainError("time horizon must be positive")
         if not (self.t_final / self.nt > 0):

@@ -50,11 +50,6 @@ def time_derivative(a: np.ndarray, dt: float) -> np.ndarray:
     return d
 
 
-def ell(t: float, t_final: float) -> float:
-    """``ell_array`` at one time."""
-    return float(ell_array(t, t_final))
-
-
 def ell_array(t: np.ndarray, t_final: float) -> np.ndarray:
     """Time profile: T^2/4 on [0, T/2], t(T-t) on (T/2, T]."""
     t = np.asarray(t, dtype=float)

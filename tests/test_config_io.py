@@ -101,6 +101,10 @@ class TestConfig:
         "decay.fit_lo_frac = 1.5",
         "decay.fit_lo_frac = -0.1",
         "decay.fit_hi_frac = 0.1",
+        # more time nodes than numpy can hold in one array
+        f"time.nt = {10 ** 22}",
+        f"time.nt = {2 ** 62}",
+        f"large_time.tail_nt = {10 ** 22}",
     ])
     def test_non_finite_or_out_of_range_value_rejected(self, line):
         key = line.split(" = ")[0]
@@ -330,6 +334,17 @@ class TestCli:
                    str(tmp_path / "out")])
         assert rc == 2
 
+    def test_main_rejects_non_utf8_config(self, tmp_path, capsys):
+        from bousscontrol.cli import main
+        cfg_path = tmp_path / "latin1.cfg"
+        cfg_path.write_bytes(b"kind = decay\ngrid.nx = \xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            parse_config(cfg_path)
+        rc = main(["decay", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_main_rejects_out_of_range_value(self, tmp_path):
         from bousscontrol.cli import main
         cfg_path = tmp_path / "zero.cfg"
@@ -369,9 +384,10 @@ class TestCli:
         ("linear-control", "penalty.t_clip = 5.0\n"),
         ("large-time", "large_time.tail_t_final = 5e-324\n"),
         ("large-time", "system.variant = lp\nsystem.p = 4\n"),
+        ("decay", f"large_time.tail_nt = {10 ** 22}\n"),
     ], ids=["short-large-time-grid", "empty-decay-window", "one-node-decay-window",
             "center-outside-inner-patch", "zero-eta-sup", "t-clip-past-horizon",
-            "zero-time-step", "lp-large-time"])
+            "zero-time-step", "lp-large-time", "nodes-past-array-size"])
     def test_main_rejects_run_time_failures_at_parse_time(self, tmp_path, kind, lines):
         from bousscontrol.cli import main
         cfg_path = tmp_path / "bad.cfg"

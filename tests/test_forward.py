@@ -397,13 +397,15 @@ class TestErrorHandling:
             run_nonlinear(y0, th0, None, spec, grid16, tg, forcing=forcing)
         assert err.value.step is not None
 
-    def test_non_finite_initial_data_named(self, grid16):
-        # a NaN is reported as such at the level it appears, not as growth
+    @pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
+    def test_non_finite_initial_data_named(self, grid16, mode):
+        # a NaN is reported as such at the level it appears, not as growth,
+        # and the linearized mode's energy trace checks it the same way
         th0 = sine_theta(grid16, 1e-3)
         th0[3, 5] = np.nan
         y0 = stream_velocity(grid16, 1e-3)
         with pytest.raises(DivergenceError, match="non-finite energy at step 0") as err:
-            run_nonlinear(y0, th0, None, SystemSpec(), grid16, TimeGrid(1.0, 16))
+            run_nonlinear(y0, th0, None, SystemSpec(mode=mode), grid16, TimeGrid(1.0, 16))
         assert err.value.step == 0
 
 
@@ -556,6 +558,27 @@ class TestRunContract:
         assert len(trace.t) == len(traj.t) == 6
         assert np.array_equal(traj.theta, full.theta[:6])
         assert np.array_equal(last[2], full.theta[5])
+
+    def test_linear_levels_are_transformed_back_only_when_handed_out(self, grid16,
+                                                                      monkeypatch):
+        # a hookless run (each Hessian apply's) transforms only its last state
+        # back; a hooked one each level it hands out, and returns the last
+        calls = []
+        from_modes = LinearPropagator.from_modes
+        monkeypatch.setattr(LinearPropagator, "from_modes",
+                            lambda self, *state: calls.append(1) or from_modes(self, *state))
+        prop = LinearPropagator(grid16, self.TG, 0.5)
+        y0, th0 = scaled_initial_data(grid16, 1e-3)
+        last = prop.run(y0, th0)
+        assert len(calls) == 1
+        seen = Recorder()
+        last_seen = prop.run(y0, th0, on_state=seen)
+        assert len(calls) - 1 == len(seen.levels) == self.TG.nt + 1
+        assert all(a is b for a, b in zip(last_seen, seen.levels[-1][1:]))
+        assert all(np.array_equal(a, b) for a, b in zip(last, last_seen))
+        calls.clear()
+        prop.run(y0, th0, on_state=lambda k, t, u, v, th: k == 5)
+        assert len(calls) == 6
 
     def test_forcing_stays_nonlinear_mode_only(self, grid16):
         with pytest.raises(DomainError):

@@ -9,7 +9,7 @@ from bousscontrol.exceptions import DomainError, GeometryError
 from bousscontrol.geometry import ControlPatch, build_eta0
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.weights import (WeightParams, check_weight_chain,
-                                  check_weight_gap, control_weight_logs, ell,
+                                  check_weight_gap, control_weight_logs, ell_array,
                                   eval_weights, find_min_m)
 from bousscontrol.fieldio import export_weight_csv
 
@@ -57,21 +57,21 @@ def space_weights_for(params, nx=16, nt=64, t_final=1.0):
 
 class TestEll:
     def test_plateau_branch(self):
-        assert ell(0.5, 1.0) == 0.25
+        assert ell_array(0.5, 1.0) == 0.25
 
     def test_parabolic_branch(self):
-        assert ell(0.75, 1.0) == pytest.approx(0.1875, abs=0.0)
+        assert ell_array(0.75, 1.0) == pytest.approx(0.1875, abs=0.0)
 
     def test_endpoint_and_continuity(self):
-        assert ell(1.0, 1.0) == 0.0
+        assert ell_array(1.0, 1.0) == 0.0
         t_half = 0.5
-        assert ell(t_half, 1.0) == pytest.approx(t_half * (1.0 - t_half), rel=1e-15)
+        assert ell_array(t_half, 1.0) == pytest.approx(t_half * (1.0 - t_half), rel=1e-15)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            ell(-0.1, 1.0)
+            ell_array(-0.1, 1.0)
         with pytest.raises(DomainError):
-            ell(1.1, 1.0)
+            ell_array(1.1, 1.0)
 
 
 class TestGapAndMinM:
