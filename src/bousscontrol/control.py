@@ -62,8 +62,8 @@ from .grids import GridSpec, TimeGrid
 from . import operators as ops
 from .adjoint import run_adjoint
 from .geometry import box_within, control_box, grid_box
-from .forward import (EnergyTrace, LinearPropagator, SystemSpec, chain_hooks,
-                      energy_components, explicit_terms, level_blocks, run_nonlinear)
+from .forward import (EnergyTrace, LinearPropagator, SystemSpec,
+                      explicit_terms, level_blocks, run_nonlinear)
 from .weights import WeightTables, control_weight_logs, default_t_clip
 
 
@@ -813,68 +813,56 @@ def large_time_control(y0, th0, delta: float, spec: SystemSpec,
     """Decay-then-control pipeline.
 
     Phase 1 integrates the uncontrolled system until the energy monitor E
-    drops below ``delta`` and stops there (the fitted decay-law waiting time
-    is reported beside the crossing).  Phase 2 runs the local nonlinear
+    drops below ``delta`` and stops there, at level 0 for data already below
+    it, reading E from its own energy trace (the fitted decay-law waiting
+    time is reported beside the crossing).  Phase 2 runs the local nonlinear
     synthesis on the tail horizon from the crossing state, with ``weights``
     evaluated on ``tail_tgrid``.
 
     ``on_state`` sees the composed run: phase-1 levels 0..n1, then the tail
-    re-simulation's levels k as (n1 + k, crossing time + t), from k = 1 when
-    phase 1 ran (its level n1 is the tail's start) and from k = 0 otherwise.
+    re-simulation's levels k >= 1 as (n1 + k, crossing time + t); its level
+    0 is phase-1 level n1.
 
     Returns (EnergyTrace of phase 1 up to the crossing followed by the tail,
     LargeTimeReport).
     """
     from .diagnostics import decay_fit, decay_window, t_star
 
-    e0 = sum(energy_components(y0[0], y0[1], th0, grid))
-
-    if e0 <= delta:
-        trace1 = None
-        cross_idx = 0
-        fit_c1 = fit_c2 = r2 = float("nan")
-        t_pred = 0.0
-        cross_time = 0.0
-        tail_y0, tail_th0 = y0, th0
-    else:
-        (uc, vc, tail_th0), trace1 = run_nonlinear(
-            y0, th0, None, spec, grid, phase1_tgrid,
-            on_state=chain_hooks(on_state, lambda k, t, u, v, th: sum(
-                energy_components(u, v, th, grid)) <= delta))
-        energy = trace1.energy
-        if energy[-1] > delta:
-            n = len(energy)
-            tail = energy[int(0.9 * n):]
-            if tail.size >= 2 and tail[-1] >= tail[0]:
-                raise RegimeError("decay stalled: E not decreasing over the "
-                                  "final 10% of the phase-1 horizon")
-            raise RegimeError(
-                f"E never crossed delta={delta:g} within the phase-1 horizon "
-                f"(final E = {energy[-1]:.3e}); extend phase1 time")
-        cross_idx = len(energy) - 1
-        cross_time = float(trace1.t[cross_idx])
-        window = (0.2 * cross_time, cross_time)
-        if decay_window(trace1.t, window).sum() >= 2:
-            fit = decay_fit(trace1, window)
-            fit_c1, fit_c2, r2 = fit.c1, fit.c2, fit.r_squared
-            t_pred = t_star(fit, delta, float(energy[0]))
-        else:  # crossed within the first steps: too few nodes to fit the law
-            fit_c1 = fit_c2 = r2 = t_pred = float("nan")
-        tail_y0 = (uc, vc)
+    (uc, vc, tail_th0), trace1 = run_nonlinear(y0, th0, None, spec, grid, phase1_tgrid,
+                                               on_state=on_state, stop_energy=delta)
+    energy = trace1.energy
+    if energy[-1] > delta:
+        n = len(energy)
+        tail = energy[int(0.9 * n):]
+        if tail.size >= 2 and tail[-1] >= tail[0]:
+            raise RegimeError("decay stalled: E not decreasing over the "
+                              "final 10% of the phase-1 horizon")
+        raise RegimeError(
+            f"E never crossed delta={delta:g} within the phase-1 horizon "
+            f"(final E = {energy[-1]:.3e}); extend phase1 time")
+    cross_idx = len(energy) - 1
+    cross_time = float(trace1.t[cross_idx])
+    window = (0.2 * cross_time, cross_time)
+    # crossed within the first steps: too few nodes to fit the law
+    fit_c1 = fit_c2 = r2 = float("nan")
+    t_pred = 0.0 if cross_idx == 0 else float("nan")
+    if decay_window(trace1.t, window).sum() >= 2:
+        fit = decay_fit(trace1, window)
+        fit_c1, fit_c2, r2 = fit.c1, fit.c2, fit.r_squared
+        t_pred = t_star(fit, delta, float(energy[0]))
 
     def tail_hook(k, t, u, v, th):
-        if k > 0 or trace1 is None:
+        if k > 0:
             on_state(cross_idx + k, cross_time + t, u, v, th)
 
     _, trace2, rep = solve_nonlinear_control(
-        tail_y0, tail_th0, spec, pen, outer, weights, grid, tail_tgrid, bumps,
+        (uc, vc), tail_th0, spec, pen, outer, weights, grid, tail_tgrid, bumps,
         on_state=None if on_state is None else tail_hook)
 
-    trace = trace2
-    if trace1 is not None:  # phase 1 up to the crossing, then the tail after it
-        trace = EnergyTrace(np.concatenate([trace1.t, cross_time + trace2.t[1:]]), *(
-            np.concatenate([getattr(trace1, name), getattr(trace2, name)[1:]])
-            for name in ("grad_y_sq", "theta_sq", "grad_theta_sq")), lam1=trace2.lam1)
+    # phase 1 up to the crossing, then the tail after it
+    trace = EnergyTrace(np.concatenate([trace1.t, cross_time + trace2.t[1:]]), *(
+        np.concatenate([getattr(trace1, name), getattr(trace2, name)[1:]])
+        for name in ("grad_y_sq", "theta_sq", "grad_theta_sq")), lam1=trace2.lam1)
     report = LargeTimeReport(
         crossing_time=cross_time,
         t_star_predicted=t_pred,

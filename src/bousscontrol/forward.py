@@ -219,11 +219,12 @@ def _march(step, state, tgrid: TimeGrid, controls, source_at, on_state, view):
     return view(*state) if level is None else level
 
 
-def _energy_hook(grid: GridSpec, comps: list, on_state):
+def _energy_hook(grid: GridSpec, comps: list, on_state, stop_energy: float):
     """``on_state`` behind a hook that appends each level's energy components
     to ``comps`` and raises DivergenceError on a non-finite energy (the
     initial level included) or on one past _BLOWUP_FACTOR times the first
-    nonzero, with a message for each."""
+    nonzero, with a message for each.  It ends the run at the first level
+    whose energy is at most ``stop_energy``, after ``on_state`` has seen it."""
     e_ref = 0.0
 
     def hook(k, t, u, v, th):
@@ -235,16 +236,18 @@ def _energy_hook(grid: GridSpec, comps: list, on_state):
         e_ref = e_ref or ek
         if e_ref > 0.0 and ek > _BLOWUP_FACTOR * e_ref:
             raise DivergenceError(f"energy blow-up at step {k}", step=k)
-        return on_state is not None and on_state(k, t, u, v, th)
+        done = on_state is not None and on_state(k, t, u, v, th)
+        return done or ek <= stop_energy
 
     return hook
 
 
-def _traced(run, grid: GridSpec, tgrid: TimeGrid, on_state, small_bound=np.inf):
+def _traced(run, grid: GridSpec, tgrid: TimeGrid, on_state, stop_energy: float,
+            small_bound=np.inf):
     """(``run(hook)``, EnergyTrace of the levels it reached), the hook being
     ``on_state`` behind ``_energy_hook``; smallness_ok is E(0) <= small_bound."""
     comps: list = []
-    out = run(_energy_hook(grid, comps, on_state))
+    out = run(_energy_hook(grid, comps, on_state, stop_energy))
     return out, _energy_trace(tgrid.nodes()[:len(comps)], comps, grid,
                               sum(comps[0]) <= small_bound)
 
@@ -340,15 +343,17 @@ class NonlinearPropagator:
         return implicit_stage(self.modes, dt, ru, rv, rhs_th, dt * nu, dt * nu_th,
                               control, self.bumps, forcing, box)
 
-    def run(self, y0, th0, controls=None, forcing=None, on_state=None):
-        """March nt steps from the projected y0 (see ``_march``);
+    def run(self, y0, th0, controls=None, forcing=None, on_state=None,
+            stop_energy=-np.inf):
+        """March nt steps from the projected y0 (see ``_march``), or up to
+        the first level whose energy is at most ``stop_energy``;
         ``forcing(n)`` gives step n's sources.  Returns (last state,
         EnergyTrace of the levels reached)."""
         step = partial(self.step, box=None if controls is None else controls.box)
         return _traced(   # the start state is built in place, so that no frame keeps it
             lambda hook: _march(step, (*self.modes.project_faces(y0[0], y0[1]), th0.copy()),
                                 self.tgrid, controls, forcing, hook, lambda *level: level),
-            self.grid, self.tgrid, on_state,
+            self.grid, self.tgrid, on_state, stop_energy,
             self.spec.phi_smallness_factor * self.spec.law.nu0 ** 2)
 
 
@@ -482,9 +487,12 @@ class LinearPropagator:
 
 
 def run_nonlinear(y0, th0, controls, spec: SystemSpec, grid: GridSpec,
-                  tgrid: TimeGrid, bumps=None, forcing=None, on_state=None):
+                  tgrid: TimeGrid, bumps=None, forcing=None, on_state=None,
+                  stop_energy=-np.inf):
     """Integrate the configured system: full dynamics, or the linearized mode
-    (constant diffusion, no convection/heating) when spec.mode says so.
+    (constant diffusion, no convection/heating) when spec.mode says so.  The
+    run ends early at the first level whose energy E is at most
+    ``stop_energy``, which the energy trace has just computed.
 
     Returns (the last state (u, v, theta), EnergyTrace); ``on_state`` is the
     propagators' hook (see ``_march``).
@@ -496,9 +504,10 @@ def run_nonlinear(y0, th0, controls, spec: SystemSpec, grid: GridSpec,
         prop = LinearPropagator(grid, tgrid, spec.law.nu0, bumps=bumps,
                                 coupling=spec.buoyancy)
         return _traced(lambda hook: prop.run(y0, th0, controls=controls, on_state=hook),
-                       grid, tgrid, on_state)
+                       grid, tgrid, on_state, stop_energy)
     prop = NonlinearPropagator(grid, tgrid, spec, bumps=bumps)
-    return prop.run(y0, th0, controls=controls, forcing=forcing, on_state=on_state)
+    return prop.run(y0, th0, controls=controls, forcing=forcing, on_state=on_state,
+                    stop_energy=stop_energy)
 
 
 # ---------------------------------------------------------------------------

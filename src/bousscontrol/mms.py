@@ -146,6 +146,41 @@ def build_manufactured(spec: SystemSpec, amp_vel: float = 0.05,
     )
 
 
+def mms_errors(spec: SystemSpec, mms: ManufacturedSolution, grid: GridSpec,
+               tgrid: TimeGrid):
+    """(velocity, theta, combined state) errors in L2(Q) of the forced run on
+    ``grid`` and ``tgrid`` against the manufactured fields, by the
+    trapezoidal rule over the time levels."""
+    xu, yu = grid.u_positions()
+    xv, yv = grid.v_positions()
+    xc, yc = grid.cell_centers()
+    cache: dict = {}
+
+    def forcing(k):
+        key = k if mms.time_dependent else 0
+        if key not in cache:
+            cache.clear()
+            tk = key * tgrid.dt
+            cache[key] = (mms.forcing["fu"](xu, yu, tk), mms.forcing["fv"](xv, yv, tk),
+                          mms.forcing["fth"](xc, yc, tk))
+        return cache[key]
+
+    acc = {"v": 0.0, "t": 0.0}
+
+    def on_state(k, t, u, v, th):
+        tk = k * tgrid.dt
+        ue, ve = mms.sample_velocity(grid, tk)
+        te = mms.sample_theta(grid, tk)
+        wgt = tgrid.dt if 0 < k < tgrid.nt else 0.5 * tgrid.dt
+        acc["v"] += wgt * ops.norm_velocity(u - ue, v - ve, grid) ** 2
+        acc["t"] += wgt * ops.norm_cells(th - te, grid) ** 2
+
+    run_nonlinear(mms.sample_velocity(grid, 0.0), mms.sample_theta(grid, 0.0), None, spec,
+                  grid, tgrid, forcing=forcing, on_state=on_state)
+    return (float(np.sqrt(acc["v"])), float(np.sqrt(acc["t"])),
+            float(np.sqrt(acc["v"] + acc["t"])))
+
+
 @dataclass
 class MmsReport:
     grid_sizes: list
@@ -180,41 +215,9 @@ def run_mms(spec: SystemSpec, grid_sizes=(16, 32, 64), t_final: float = 0.25,
     for n in grid_sizes:
         grid = GridSpec(n, n)
         steps = nt * (n // base_n) ** 2 if nt_scale_quadratic else nt
-        tgrid = TimeGrid(t_final, steps)
-        xu, yu = grid.u_positions()
-        xv, yv = grid.v_positions()
-        xc, yc = grid.cell_centers()
-
-        cache: dict = {}
-
-        def forcing(k, _c=cache, _t=tgrid):
-            key = k if time_dependent else 0
-            if key not in _c:
-                _c.clear()
-                tk = key * _t.dt
-                _c[key] = (mms.forcing["fu"](xu, yu, tk),
-                           mms.forcing["fv"](xv, yv, tk),
-                           mms.forcing["fth"](xc, yc, tk))
-            return _c[key]
-
-        y0 = mms.sample_velocity(grid, 0.0)
-        th0 = mms.sample_theta(grid, 0.0)
-
-        acc = {"v": 0.0, "t": 0.0}
-
-        def on_state(k, t, u, v, th, _g=grid, _t=tgrid):
-            tk = k * _t.dt
-            ue, ve = mms.sample_velocity(_g, tk)
-            te = mms.sample_theta(_g, tk)
-            wgt = _t.dt if 0 < k < _t.nt else 0.5 * _t.dt
-            acc["v"] += wgt * ops.norm_velocity(u - ue, v - ve, _g) ** 2
-            acc["t"] += wgt * ops.norm_cells(th - te, _g) ** 2
-
-        run_nonlinear(y0, th0, None, spec, grid, tgrid, forcing=forcing,
-                      on_state=on_state)
-        errs_v.append(float(np.sqrt(acc["v"])))
-        errs_t.append(float(np.sqrt(acc["t"])))
-        errs.append(float(np.sqrt(acc["v"] + acc["t"])))
+        for out, err in zip((errs_v, errs_t, errs),
+                            mms_errors(spec, mms, grid, TimeGrid(t_final, steps))):
+            out.append(err)
         hs.append(grid.hx)
 
     def order_of(e):

@@ -18,6 +18,32 @@ of the single-level call.  The reductions that ``level_sums`` and
 a stack, again with the single-level bits: ``np.sum`` over the last two
 axes of a contiguous stack equals the per-level sum.  The H^1 forms sum with
 ``np.vdot``, which a stacked sum would not match, and take one level.
+
+Modal transforms (``ModalBasis``): every DST-I, DST-II and DCT-II basis
+vector is symmetric or antisymmetric about the centre of its axis (Strang,
+SIAM Review 41, 1999), and the DCT-to-DST change of basis never mixes the two
+classes.  So the modes of an axis of n cells are kept in parity order: the
+frequencies with the parity of n + 1 first, then those with the parity of n,
+each block increasing (``mode_frequencies``).  Each transform's symmetric
+and antisymmetric rows are then two contiguous blocks, each change of basis
+is two diagonal blocks, and f = n, where kept, is last.  An axis of at least
+FOLD_MIN points applies each transform as two half-size products on the
+folded halves x[:h] +- x[::-1][:h] (``_FoldedMaps``) and each change of
+basis as its two blocks (``_BlockMaps``); a shorter axis applies one dense
+product with the same rows.  The crossover, in us per one-axis map on an
+n x n array (mean of forward and inverse along both axes; 2 shared cores,
+numpy 2.4.6, OpenBLAS 0.3.31 on one thread):
+
+    n      dense   folded   dense change   block change
+    32       4.7     18.7            4.9           11.4
+    64      12.4     23.4           10.8           10.2
+    96      31.0     34.1           36.8           23.8
+    104     58.5     52.1           70.0           36.4
+    128     99.2     68.4          107.2           47.1
+    256    894.4    634.4          893.2          512.0
+
+so FOLD_MIN = 100 lies between the last length the dense products win (96)
+and the first the folded ones do (104).
 """
 
 from __future__ import annotations
@@ -459,45 +485,193 @@ def _ortho_matrix(kind: str, n: int) -> np.ndarray:
     return q
 
 
-def _axis_matrix(kind: str, n: int, walls: bool = False,
-                 rows: slice = slice(None), modes: slice = slice(None)) -> np.ndarray:
-    """The orthonormal matrix of the n-point transform ``kind`` (``_ortho_matrix``)
-    from physical values on ``rows`` to the coefficients ``modes``; its
-    transpose takes the other coefficients as zero.
-
-    With ``walls`` the axis holds the n + 2 faces of a normal direction: the
-    transform runs over the n interior faces, a wall value is ignored going
-    forward and comes back zero.
-    """
-    q = _ortho_matrix(kind, n)
-    if walls:
-        q = np.pad(q, ((0, 0), (1, 1)))
-    return q[modes, rows]
+_SYMMETRIC = {"dst1": 1, "dst2": 1, "dct2": 0}   # f % 2 of the symmetric modes
+FOLD_MIN = 100   # points from which an axis folds (module docstring)
 
 
-def _ortho_grid_maps(x, y):
-    """(forward, inverse) 2-D maps from the ``_axis_matrix`` arguments
-    (kind, n, walls, rows, modes) of axis 0 and of axis 1; forward runs
-    axis 0 first, inverse axis 1 first."""
-    (fx, ix), (fy, iy) = _matrix_maps(_axis_matrix(*x), 0), _matrix_maps(_axis_matrix(*y), 1)
+def mode_frequencies(kind: str, n: int) -> np.ndarray:
+    """The frequencies ``ModalBasis`` keeps of the transform ``kind`` along an
+    axis of n cells, in parity order: 1..n-1 for "dst1" (on the n - 1
+    interior faces) and "dct2" (the constant mode f = 0 dropped), 1..n for
+    "dst2"."""
+    f = np.arange(1, n + 1 if kind == "dst2" else n)
+    return np.concatenate([f[f % 2 != n % 2], f[f % 2 == n % 2]])
+
+
+def _mode_matrix(kind: str, n: int) -> np.ndarray:
+    """The orthonormal rows of ``mode_frequencies`` over the points of the
+    axis: its n + 1 faces for "dst1", whose wall columns are zero, else its
+    n cells (``_ortho_matrix``)."""
+    f = mode_frequencies(kind, n)
+    if kind == "dst1":
+        return np.pad(_ortho_matrix(kind, n - 1), ((0, 0), (1, 1)))[f - 1]
+    return _ortho_matrix(kind, n)[f if kind == "dct2" else f - 1]
+
+
+def _block(mask: np.ndarray) -> slice:
+    """The slice of the True entries of ``mask``, which are contiguous."""
+    i = np.flatnonzero(mask)
+    return slice(int(i[0]), int(i[-1]) + 1) if i.size else slice(0, 0)
+
+
+def _symmetric_rows(kind: str, n: int):
+    """(symmetric, antisymmetric) blocks of the ``mode_frequencies`` rows."""
+    sym = mode_frequencies(kind, n) % 2 == _SYMMETRIC[kind]
+    return _block(sym), _block(~sym)
+
+
+def _grid_maps(x, y):
+    """(forward, inverse) 2-D maps from the (forward, inverse) pairs of axis 0
+    and of axis 1; forward runs axis 0 first, inverse axis 1 first."""
+    (fx, ix), (fy, iy) = x, y
     return (lambda a: fy(fx(a))), (lambda a: ix(iy(a)))
 
 
 def _matrix_maps(q: np.ndarray, axis: int):
-    """(forward, inverse) maps applying ``q`` along ``axis``, and q^T."""
-    q = np.ascontiguousarray(q)
-    qt = q.T
+    """(forward, inverse) maps applying ``q`` along ``axis``, and q^T, each a
+    dense product with a C-contiguous matrix."""
+    fwd, inv = (np.ascontiguousarray(m) for m in ((q, q.T) if axis == 0 else (q.T, q)))
     if axis == 0:
-        return (lambda a: q @ a), (lambda a: qt @ a)
-    return (lambda a: a @ qt), (lambda a: a @ q)
+        return (lambda a: fwd @ a), (lambda a: inv @ a)
+    return (lambda a: a @ fwd), (lambda a: a @ inv)
+
+
+class _AxisKernel:
+    """Block products along one axis (0 or 1) of 2-D arrays: each matrix is
+    stored C-contiguous in the orientation it multiplies, and each product
+    writes its block of a fresh output in place."""
+
+    def __init__(self, axis: int):
+        self.axis = axis
+
+    def _orient(self, m: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(m if self.axis == 0 else m.T)
+
+    def _at(self, i):
+        """The index of ``i`` (an int or a slice) along the axis."""
+        return (i,) if self.axis == 0 else (slice(None), i)
+
+    def _empty(self, a: np.ndarray, size: int) -> np.ndarray:
+        shape = list(a.shape)
+        shape[self.axis] = size
+        return np.empty(shape)
+
+    def _mul(self, m: np.ndarray, a: np.ndarray, out: np.ndarray) -> None:
+        if self.axis == 0:
+            np.matmul(m, a, out=out)
+        else:
+            np.matmul(a, m, out=out)
+
+    @property
+    def maps(self):
+        return self.forward, self.inverse
+
+
+class _FoldedMaps(_AxisKernel):
+    """``q`` along ``axis`` as two half-size products, and q^T back, for a q
+    whose ``sym`` rows are symmetric and whose ``anti`` rows antisymmetric
+    about the centre of its columns.  Going forward, the symmetric rows take
+    x[:h] + x[::-1][:h] and the centre of an odd length once, the others
+    x[:h] - x[::-1][:h]; going back, the two partial products are added for
+    the first half and subtracted for the mirrored one.  The halves and the
+    partial products live in scratch arrays kept per map."""
+
+    def __init__(self, q: np.ndarray, axis: int, sym: slice, anti: slice):
+        super().__init__(axis)
+        self.modes, self.points = q.shape
+        self.half = h = self.points // 2
+        c = self.points - h   # the symmetric half holds the centre of an odd length
+        self._blocks = tuple((rows, self._orient(m), self._orient(m.T))
+                             for rows, m in ((sym, q[sym, :c]), (anti, q[anti, :h])))
+        self._scratch = {}
+
+    def _halves(self, a: np.ndarray):
+        """The (symmetric, antisymmetric) scratch halves for arrays like ``a``."""
+        key = a.shape[1 - self.axis]
+        if key not in self._scratch:
+            self._scratch[key] = (self._empty(a, self.points - self.half),
+                                  self._empty(a, self.half))
+        return self._scratch[key]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        at, head = self._at, self._at(slice(self.half))
+        even, odd = self._halves(x)
+        mirror = x[at(slice(None, None, -1))][head]
+        np.add(x[head], mirror, out=even[head])
+        if self.points % 2:
+            even[at(self.half)] = x[at(self.half)]
+        np.subtract(x[head], mirror, out=odd)
+        out = self._empty(x, self.modes)
+        for (rows, fwd, _), part in zip(self._blocks, (even, odd)):
+            self._mul(fwd, part, out[at(rows)])
+        return out
+
+    def inverse(self, y: np.ndarray) -> np.ndarray:
+        at, head = self._at, self._at(slice(self.half))
+        even, odd = self._halves(y)
+        for (rows, _, inv), part in zip(self._blocks, (even, odd)):
+            self._mul(inv, y[at(rows)], part)
+        out = self._empty(y, self.points)
+        np.add(even[head], odd, out=out[head])
+        np.subtract(even[head], odd, out=out[at(slice(None, None, -1))][head])
+        if self.points % 2:
+            out[at(self.half)] = even[at(self.half)]
+        return out
+
+
+class _BlockMaps(_AxisKernel):
+    """A map along ``axis`` with ``size`` = (outputs, inputs) that is the
+    products ``m`` of (out rows, in rows, m) ``blocks`` and zero elsewhere,
+    and its transpose back."""
+
+    def __init__(self, blocks, axis: int, size):
+        super().__init__(axis)
+        self.size = size
+        self._blocks = tuple((o, i, self._orient(m), self._orient(m.T)) for o, i, m in blocks)
+
+    def forward(self, a: np.ndarray) -> np.ndarray:
+        out = self._empty(a, self.size[0])
+        for o, i, fwd, _ in self._blocks:
+            self._mul(fwd, a[self._at(i)], out[self._at(o)])
+        return out
+
+    def inverse(self, a: np.ndarray) -> np.ndarray:
+        out = self._empty(a, self.size[1])
+        for o, i, _, inv in self._blocks:
+            self._mul(inv, a[self._at(o)], out[self._at(i)])
+        return out
+
+
+def _axis_maps(kind: str, n: int, axis: int, rows: slice = slice(None)):
+    """(forward, inverse) maps along ``axis`` between values on ``rows`` of an
+    axis of n cells and the ``mode_frequencies`` coefficients of ``kind``
+    (``_mode_matrix``; a wall value is ignored going forward and comes back
+    zero).  Folded (``_FoldedMaps``) when the rows span at least FOLD_MIN
+    points placed symmetrically about the centre of the axis."""
+    q = _mode_matrix(kind, n)
+    start, stop, _ = rows.indices(q.shape[1])
+    folds = stop - start >= FOLD_MIN and start + stop == q.shape[1]
+    q = q[:, start:stop]
+    return _FoldedMaps(q, axis, *_symmetric_rows(kind, n)).maps if folds else \
+        _matrix_maps(q, axis)
 
 
 def _change_maps(n: int, axis: int):
     """(forward, inverse) orthonormal change of basis along ``axis`` from the
     DCT-II coefficients 1..n-1 of n cells (the constant one taken as zero)
-    to their n DST-II coefficients, and back: one product matrix."""
-    from_dct = np.ascontiguousarray(_ortho_matrix("dct2", n)[1:].T)
-    return _matrix_maps(_ortho_matrix("dst2", n) @ from_dct, axis)
+    to their n DST-II coefficients, and back, both in parity order.  A mode
+    of one symmetry has coefficients on modes of the same symmetry only
+    (Schumann & Sweet, J. Comput. Phys. 75, 1988), so the map is two blocks;
+    from FOLD_MIN points on it applies them, below one dense product."""
+    s, c = _mode_matrix("dst2", n), _mode_matrix("dct2", n)
+    blocks = [(o, i, s[o] @ c[i].T)
+              for o, i in zip(_symmetric_rows("dst2", n), _symmetric_rows("dct2", n))]
+    if n >= FOLD_MIN:
+        return _BlockMaps(blocks, axis, (n, n - 1)).maps
+    q = np.zeros((n, n - 1))
+    for o, i, m in blocks:
+        q[o, i] = m
+    return _matrix_maps(q, axis)
 
 
 class ModalBasis:
@@ -522,10 +696,20 @@ class ModalBasis:
 
     Each of ``u``, ``v``, ``hu``, ``hv`` and ``cells`` is a (forward,
     inverse) pair between a whole-grid physical field and its coefficients;
-    wall values of the normal velocity are pinned zeros.  ``d_x`` and
-    ``d_y`` hold the factors for k = 0..nx and l = 0..ny.  The linear
-    propagator marches in these bases and the nonlinear step solves and
-    projects in them, so ``project`` is the one Leray projection.
+    wall values of the normal velocity are pinned zeros.  Along each axis
+    the coefficients are in parity order (``mode_frequencies``): the
+    frequencies with the parity of n + 1 first, then those with the parity
+    of n, each block increasing, so the symmetric and the antisymmetric
+    modes are two blocks and f = n, where kept, is last (theta's l = ny,
+    which the v-faces lack, is its last column).  Every per-mode table
+    (``lap_*``, the projection, ``buoyancy``, the ``on_box`` maps) is in
+    that order; ``d_x`` and ``d_y`` hold the factors for k = 0..nx and
+    l = 0..ny by frequency.  From FOLD_MIN points on an axis, each transform
+    takes two half-size products on the folded halves and each change of
+    basis its two diagonal blocks; below, one dense product (the crossover
+    table is in the module docstring).  The linear propagator
+    marches in these bases and the nonlinear step solves and projects in
+    them, so ``project`` is the one Leray projection.
     """
 
     def __init__(self, grid: GridSpec):
@@ -536,23 +720,26 @@ class ModalBasis:
         self.hu, self.hv, self.cells = self.on_box(((whole, whole),) * 3)
         self.d_x = dx = 2.0 / grid.hx * np.sin(0.5 * np.pi * np.arange(nx + 1) / nx)
         self.d_y = dy = 2.0 / grid.hy * np.sin(0.5 * np.pi * np.arange(ny + 1) / ny)
-        self.lap_u = dx[1:nx, None] ** 2 + dy[None, 1:] ** 2      # -eigenvalues
-        self.lap_v = dx[1:, None] ** 2 + dy[None, 1:ny] ** 2
-        self.lap_cells = dx[1:, None] ** 2 + dy[None, 1:] ** 2
-        self.buoyancy = np.cos(0.5 * np.pi * np.arange(1, ny) / ny)
+        # shared (DST-I, DCT-II) and Helmholtz (DST-II) frequencies per axis
+        self._kx, self._ky = mode_frequencies("dst1", nx), mode_frequencies("dst1", ny)
+        hx, hy = mode_frequencies("dst2", nx), mode_frequencies("dst2", ny)
+        self.lap_u = dx[self._kx, None] ** 2 + dy[None, hy] ** 2      # -eigenvalues
+        self.lap_v = dx[hx, None] ** 2 + dy[None, self._ky] ** 2
+        self.lap_cells = dx[hx, None] ** 2 + dy[None, hy] ** 2
+        self.buoyancy = np.cos(0.5 * np.pi * self._ky / ny)
 
     # the shared-mode maps, the changes of basis and the projection
     # coefficients are built on first use
 
     @cached_property
     def u(self):
-        return _ortho_grid_maps(("dst1", self.grid.nx - 1, True),
-                                ("dct2", self.grid.ny, False, slice(None), slice(1, None)))
+        return _grid_maps(_axis_maps("dst1", self.grid.nx, 0),
+                          _axis_maps("dct2", self.grid.ny, 1))
 
     @cached_property
     def v(self):
-        return _ortho_grid_maps(("dct2", self.grid.nx, False, slice(None), slice(1, None)),
-                                ("dst1", self.grid.ny - 1, True))
+        return _grid_maps(_axis_maps("dct2", self.grid.nx, 0),
+                          _axis_maps("dst1", self.grid.ny, 1))
 
     @cached_property
     def change_u(self):
@@ -565,8 +752,7 @@ class ModalBasis:
     @cached_property
     def _projection(self):
         """(d_y, -d_x) / |d| on the shared modes."""
-        nx, ny = self.grid.nx, self.grid.ny
-        dx, dy = self.d_x[1:nx, None], self.d_y[None, 1:ny]
+        dx, dy = self.d_x[self._kx, None], self.d_y[None, self._ky]
         r = np.hypot(dx, dy)
         return dy / r, -dx / r
 
@@ -579,9 +765,9 @@ class ModalBasis:
             nx, ny = self.grid.nx, self.grid.ny
             (ur, uc), (vr, vc), (cr, cc) = box
             self._on_box[key] = (
-                _ortho_grid_maps(("dst1", nx - 1, True, ur), ("dst2", ny, False, uc)),
-                _ortho_grid_maps(("dst2", nx, False, vr), ("dst1", ny - 1, True, vc)),
-                _ortho_grid_maps(("dst2", nx, False, cr), ("dst2", ny, False, cc)))
+                _grid_maps(_axis_maps("dst1", nx, 0, ur), _axis_maps("dst2", ny, 1, uc)),
+                _grid_maps(_axis_maps("dst2", nx, 0, vr), _axis_maps("dst1", ny, 1, vc)),
+                _grid_maps(_axis_maps("dst2", nx, 0, cr), _axis_maps("dst2", ny, 1, cc)))
         return self._on_box[key]
 
     def project(self, us: np.ndarray, vs: np.ndarray) -> None:
@@ -612,14 +798,15 @@ class SpectralSolver:
     pressure Laplacian is diagonalized by DCT-II x DCT-II with the
     eigenvalues -(d_x^2 + d_y^2) of the same table.  Each solve is
     Q^T D^-1 Q with an orthonormal Q, so all solves are symmetric to machine
-    precision.  Every axis applies its dense orthonormal matrix
-    (``_axis_matrix``).
+    precision.  The Helmholtz solves use the maps of ``ModalBasis``; the
+    Poisson pair applies the dense DCT-II matrices in natural mode order.
     """
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
         self.modes = m = ModalBasis(grid)
-        self._p = _ortho_grid_maps(("dct2", grid.nx), ("dct2", grid.ny))
+        self._p = _grid_maps(_matrix_maps(_ortho_matrix("dct2", grid.nx), 0),
+                             _matrix_maps(_ortho_matrix("dct2", grid.ny), 1))
         # the null mode (0, 0) divides by 1 and is zeroed after the division
         self._eig_p = -(m.d_x[:-1, None] ** 2 + m.d_y[None, :-1] ** 2)
         self._eig_p[0, 0] = 1.0

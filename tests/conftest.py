@@ -459,3 +459,100 @@ def reference_advect_velocity(wu, wv, cu, cv, grid):
     av = np.zeros_like(wv)
     av[:, 1:-1] = (fyx[1:, 1:-1] - fyx[:-1, 1:-1]) / hx + (fyy[:, 1:] - fyy[:, :-1]) / hy
     return au, av
+
+
+# ---------------------------------------------------------------------------
+# ``ModalBasis`` as dense products of the closed-form matrices, in natural
+# mode order or in the parity order of its rule
+
+
+def reference_parity_order(freqs, n: int) -> np.ndarray:
+    """``freqs`` in the order ``ModalBasis`` keeps along an axis of n cells:
+    those with the parity of n + 1 first, then those with the parity of n,
+    each block increasing."""
+    f = np.sort(np.asarray(freqs))
+    return np.concatenate([f[f % 2 == (n + 1) % 2], f[f % 2 == n % 2]])
+
+
+# kind -> the frequencies kept on an axis of n cells
+REFERENCE_FREQUENCIES = {"dst1": lambda n: np.arange(1, n),
+                         "dst2": lambda n: np.arange(1, n + 1),
+                         "dct2": lambda n: np.arange(1, n)}
+# map -> the transform kinds along x and y
+REFERENCE_AXES = {"u": ("dst1", "dct2"), "v": ("dct2", "dst1"), "hu": ("dst1", "dst2"),
+                  "hv": ("dst2", "dst1"), "cells": ("dst2", "dst2")}
+
+
+def reference_frequencies(kind: str, n: int, parity: bool = True) -> np.ndarray:
+    f = REFERENCE_FREQUENCIES[kind](n)
+    return reference_parity_order(f, n) if parity else f
+
+
+def reference_axis_matrix(kind: str, n: int, parity: bool = True) -> np.ndarray:
+    """The orthonormal matrix of ``kind`` on an axis of n cells: a row per
+    kept frequency, a column per point (the n + 1 faces for "dst1", whose
+    walls are zero columns, else the n cells), each entry np.sin or np.cos
+    of its phase reduced to one period."""
+    f = reference_frequencies(kind, n, parity)
+    if kind == "dst1":
+        q = np.sin(np.pi * (np.outer(f, np.arange(n + 1)) % (2 * n)) / n)
+        q[:, [0, -1]] = 0.0
+    else:   # the phase f (2j + 1) / 2n
+        phase = np.pi * (np.outer(f, 2 * np.arange(n) + 1) % (4 * n)) / (2 * n)
+        q = np.sin(phase) if kind == "dst2" else np.cos(phase)
+        if kind == "dst2":
+            q[f == n] *= np.sqrt(0.5)
+    return q * np.sqrt(2.0 / n)
+
+
+def reference_maps(name: str, grid: GridSpec, parity: bool = True,
+                   box=(slice(None), slice(None))):
+    """(forward, inverse) of the ``ModalBasis`` map ``name`` between values on
+    ``box`` (rows, columns) and coefficients, as dense products."""
+    (kx, ky), (rows, cols) = REFERENCE_AXES[name], box
+    qx = reference_axis_matrix(kx, grid.nx, parity)[:, rows]
+    qy = reference_axis_matrix(ky, grid.ny, parity)[:, cols]
+    return (lambda a: qx @ a @ qy.T), (lambda c: qx.T @ c @ qy)
+
+
+def reference_change_maps(n: int, axis: int, parity: bool = True):
+    """(forward, inverse) of ``ModalBasis.change_u`` (axis 1) or ``change_v``
+    (axis 0): the DST-II matrix times the transposed DCT-II one."""
+    p = reference_axis_matrix("dst2", n, parity) @ reference_axis_matrix("dct2", n, parity).T
+    if axis == 0:
+        return (lambda a: p @ a), (lambda a: p.T @ a)
+    return (lambda a: a @ p.T), (lambda a: a @ p)
+
+
+class NaturalModalBasis:
+    """``ModalBasis`` in natural mode order, every map a dense product of
+    ``reference_axis_matrix`` and every table in frequency order: the
+    reference the parity-ordered basis and the folded kernels are checked
+    against (``on_box`` is not provided)."""
+
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        nx, ny = grid.nx, grid.ny
+        for name in REFERENCE_AXES:
+            setattr(self, name, reference_maps(name, grid, parity=False))
+        self.change_u = reference_change_maps(ny, 1, parity=False)
+        self.change_v = reference_change_maps(nx, 0, parity=False)
+        dx = 2.0 / grid.hx * np.sin(0.5 * np.pi * np.arange(nx + 1) / nx)
+        dy = 2.0 / grid.hy * np.sin(0.5 * np.pi * np.arange(ny + 1) / ny)
+        self.lap_u = dx[1:nx, None] ** 2 + dy[None, 1:] ** 2
+        self.lap_v = dx[1:, None] ** 2 + dy[None, 1:ny] ** 2
+        self.lap_cells = dx[1:, None] ** 2 + dy[None, 1:] ** 2
+        self.buoyancy = np.cos(0.5 * np.pi * np.arange(1, ny) / ny)
+        r = np.hypot(dx[1:nx, None], dy[None, 1:ny])
+        self._normal = (dy[None, 1:ny] / r, -dx[1:nx, None] / r)
+
+    def project(self, us, vs):
+        beta, neg_alpha = self._normal
+        w = beta * us + neg_alpha * vs
+        us[...] = beta * w
+        vs[...] = neg_alpha * w
+
+    def project_faces(self, u, v):
+        us, vs = self.u[0](u), self.v[0](v)
+        self.project(us, vs)
+        return self.u[1](us), self.v[1](vs)

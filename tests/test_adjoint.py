@@ -6,7 +6,7 @@ import pytest
 from bousscontrol import operators as ops
 from bousscontrol.adjoint import duality_defect, run_adjoint
 from bousscontrol.forward import LinearPropagator, sine_theta
-from bousscontrol.geometry import bump_on_solver_grids, control_box
+from bousscontrol.geometry import ControlPatch, bump_on_solver_grids, control_box
 from bousscontrol.grids import GridSpec, TimeGrid
 
 from conftest import (MODAL_GRIDS, MODAL_IDS, PhysicalLinear, max_rel_diff, rand_cells,
@@ -26,6 +26,15 @@ class TestDuality:
         bumps = bump_on_solver_grids(grid, patch)
         defect = duality_defect(grid, TimeGrid(0.1, 16), 0.1, bumps,
                                 np.random.default_rng(101))
+        assert defect <= 1e-10
+
+    def test_defect_below_tolerance_on_a_folded_axis(self):
+        # 128 x 16, nt = 16: the 128-point axis takes the folded transforms
+        # and block changes of basis, the 16-point one the dense products
+        grid = GridSpec(128, 16, ly=0.25)
+        bumps = bump_on_solver_grids(grid, ControlPatch((0.5, 0.125), (0.45, 0.1)))
+        defect = duality_defect(grid, TimeGrid(0.25, 16), 0.1, bumps,
+                                np.random.default_rng(102), coupling=0.3)
         assert defect <= 1e-10
 
     def test_zero_inputs_give_zero_defect(self, grid16, bumps16):

@@ -76,6 +76,22 @@ def test_exit_code(tool, tmp_path):
     assert rows == [("a", "-", "exit code", "0", "3", "")]
 
 
+def test_largest_relative_difference_line(tool, tmp_path):
+    """The line after the table names the largest relative difference over
+    report and CSV rows; rows without a number (a moved exit code) are
+    passed over."""
+    report = REPORT.replace("0.5", "0.25").replace("forward_sweeps = 6", "forward_sweeps = 7")
+    rows = compare(tool, tmp_path,
+                   {"a/report.txt": REPORT, "a/energy.csv": "t,e\n0,1\n1,0.5\n"},
+                   {"a/report.txt": report, "a/energy.csv": "t,e\n0,1\n1,0.5000001\n"},
+                   codes=({"a": 0}, {"a": 3}))
+    assert [r[5] for r in rows] == ["", "largest 2.0e-07", "5.0e-01", "1.4e-01"]
+    assert tool.largest(rows) == ("largest relative difference: 5.0e-01 "
+                                  "(a, report.txt, `terminal_norm`)")
+    assert tool.largest(rows[:1]) == "largest relative difference: none"
+    assert tool.largest([]) == "largest relative difference: none"
+
+
 def test_main_exits_1_on_any_row_and_0_on_none(tool, tmp_path, monkeypatch, capsys):
     """``main`` with the export, the runs and the comparison replaced by
     canned results."""
@@ -85,4 +101,6 @@ def test_main_exits_1_on_any_row_and_0_on_none(tool, tmp_path, monkeypatch, caps
     for rows, want in (([], 0), ([("a", "-", "exit code", "0", "3", "")], 1)):
         monkeypatch.setattr(tool, "compare", lambda *a, rows=rows: rows)
         assert tool.main(["HEAD", "--work", str(tmp_path / f"work{want}")]) == want
-    assert "| a | - | exit code | 0 | 3 |" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "| a | - | exit code | 0 | 3 |" in out
+    assert out.rstrip().endswith("largest relative difference: none")

@@ -21,7 +21,7 @@ from bousscontrol.forward import (SystemSpec, block_levels, chain_hooks, run_non
 from bousscontrol.geometry import (ControlPatch, bump_on_solver_grids, build_eta0,
                                    control_box, grid_box)
 from bousscontrol.grids import GridSpec, TimeGrid
-from bousscontrol.operators import ViscosityLaw, state_norm_sq
+from bousscontrol.operators import FOLD_MIN, ViscosityLaw, state_norm_sq
 from bousscontrol.runner import _synthesis_section
 from bousscontrol.weights import WeightParams, eval_weights, find_min_m
 
@@ -123,6 +123,29 @@ class TestGradient:
         assert np.all(g.vu[:, ~masks[0]] == 0.0)
         assert np.all(g.vv[:, ~masks[1]] == 0.0)
         assert np.all(g.v0[:, ~masks[2]] == 0.0)
+
+    def test_gradient_fd_on_a_folded_axis(self):
+        """Gradient against central differences on 128 x 16, nt = 16: a
+        patch wide enough that the box transforms along the 128-point axis
+        fold (``operators.FOLD_MIN``)."""
+        grid, tg = GridSpec(128, 16, ly=0.25), TimeGrid(0.25, 16)
+        bumps = bump_on_solver_grids(grid, ControlPatch((0.5, 0.125), (0.45, 0.1)))
+        rows = control_box(bumps)[2][0]   # the cells' box along x: centred and long
+        assert rows.start + rows.stop == grid.nx and rows.stop - rows.start >= FOLD_MIN
+        pen = PenaltySpec(epsilon=1e-4, weight_mode="unweighted")
+        th0 = 0.1 * sine_theta(grid, 1.0)
+        y0 = (grid.zeros_u(), grid.zeros_v())
+        rng = np.random.default_rng(8)
+        base = masked_random_controls(grid, tg.nt, bumps, rng, scale=0.3)
+        g = gradient(base, y0, th0, None, None, pen, None, grid, tg, NU0, bumps)
+        h, worst = 1e-5, 0.0
+        for _ in range(3):
+            d = masked_random_controls(grid, tg.nt, bumps, rng)
+            jp, jm = (objective(base.plus(d, s), y0, th0, None, None, pen, None, grid, tg,
+                                NU0, bumps) for s in (h, -h))
+            an = control_inner(g, d, grid, tg.dt)
+            worst = max(worst, abs(an - (jp - jm) / (2 * h)) / abs(an))
+        assert worst <= 1e-5
 
     def test_carleman_gradient_fd_with_tame_weights(self, grid16, patch, bumps16):
         # pick s so the normalized weight range lands near 25 nats (the raw
@@ -768,6 +791,44 @@ class TestLargeTime:
         assert np.array_equal([t for _, t in seen], trace.t)
         assert len(trace.t) == rep.phase1_steps + tail.nt + 1
         assert trace.energy[rep.phase1_steps] <= 1e-4 < trace.energy[rep.phase1_steps - 1]
+
+    def test_each_level_energy_is_computed_once(self, tmp_path, monkeypatch):
+        """A ``large-time`` run of the demo config computes the energy
+        components once per traced level: phase 1 stops on, and takes E(0)
+        from, the values its energy trace holds.  Both names the components
+        are looked up by are wrapped; the levels are those of every run the
+        pipeline makes."""
+        from pathlib import Path
+        from bousscontrol import runner
+        from bousscontrol.config import parse_config
+        cfg = parse_config(Path(__file__).resolve().parents[1] / "demos" / "configs"
+                           / "large_time.cfg").with_kind("large-time")
+        counts = {"calls": 0, "levels": 0}
+        components, run, pipeline = (forward.energy_components, control.run_nonlinear,
+                                     runner.large_time_control)
+
+        def counted(*args):
+            counts["calls"] += 1
+            return components(*args)
+
+        def traced_run(*args, **kwargs):
+            out = run(*args, **kwargs)
+            counts["levels"] += len(out[1].t)
+            return out
+
+        def counted_pipeline(*args, **kwargs):   # the initial-data scaling is not a level
+            counts["calls"] = 0
+            out = pipeline(*args, **kwargs)
+            counts["pipeline_calls"] = counts["calls"]
+            return out
+
+        monkeypatch.setattr(forward, "energy_components", counted)
+        monkeypatch.setattr(control, "energy_components", counted, raising=False)
+        monkeypatch.setattr(control, "run_nonlinear", traced_run)
+        monkeypatch.setattr(runner, "large_time_control", counted_pipeline)
+        assert runner.run_experiment(cfg, str(tmp_path / "out")) == 0
+        assert counts["levels"] > cfg.lt_tail.nt
+        assert counts["pipeline_calls"] <= counts["levels"]
 
     def test_never_crossing_raises_regime_error(self, grid16, bumps16, patch):
         spec = self._spec()

@@ -16,8 +16,8 @@ from bousscontrol.geometry import bump_on_solver_grids, grid_box
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw
 
-from conftest import (MODAL_GRIDS, MODAL_IDS, PhysicalLinear, Recorder, max_rel_diff,
-                      rand_cells, rand_div_free, rand_u, rand_v,
+from conftest import (MODAL_GRIDS, MODAL_IDS, NaturalModalBasis, PhysicalLinear, Recorder,
+                      max_rel_diff, rand_cells, rand_div_free, rand_u, rand_v,
                       reference_h1_seminorm_sq_cells, reference_h1_seminorm_sq_velocity,
                       run_linearized)
 
@@ -497,6 +497,48 @@ class TestModalMarch:
         assert max_rel_diff(prop.step(*state, control, sources),
                             ref.step(*state, control, sources)) <= 1e-12
         assert max_rel_diff(prop.step_adjoint(*state), ref.step_adjoint(*state)) <= 1e-12
+
+
+class TestParityOrderedSteps:
+    """Both propagators' steps on the parity-ordered ``ModalBasis``, with its
+    folded transforms and block changes of basis on the 128-point axes,
+    against the same steps on ``conftest.NaturalModalBasis``: dense products
+    and tables in natural mode order."""
+
+    @staticmethod
+    def _pair(monkeypatch, build):
+        """(propagator, the same on the natural-order basis)."""
+        from bousscontrol import forward
+        prop = build()
+        monkeypatch.setattr(forward, "ModalBasis", NaturalModalBasis)
+        return prop, build()
+
+    @pytest.mark.parametrize("grid", [GridSpec(128, 128), GridSpec(128, 33, ly=0.5)],
+                             ids=["128x128", "128x33"])
+    def test_nonlinear_step_matches_natural_order(self, grid, monkeypatch):
+        rng = np.random.default_rng(41)
+        spec = SystemSpec(law=ViscosityLaw("l2", 0.1, 0.2), heating_on=True)
+        prop, ref = self._pair(monkeypatch,
+                               lambda: NonlinearPropagator(grid, TimeGrid(1.6e-2, 16), spec))
+        u, v = rand_div_free(grid, rng)
+        scale = 0.1 / max(np.abs(u).max(), np.abs(v).max())
+        state = (*prop.modes.project_faces(scale * u, scale * v), rand_cells(grid, rng))
+        sources = (rand_u(grid, rng), rand_v(grid, rng), rand_cells(grid, rng))
+        for forcing in (None, sources):
+            assert max_rel_diff(prop.step(*state, forcing=forcing),
+                                ref.step(*state, forcing=forcing)) <= 1e-13
+
+    @pytest.mark.parametrize("grid", [GridSpec(128, 128), GridSpec(128, 33, ly=0.5)],
+                             ids=["128x128", "128x33"])
+    def test_linear_step_matches_natural_order(self, grid, monkeypatch):
+        rng = np.random.default_rng(42)
+        prop, ref = self._pair(monkeypatch, lambda: LinearPropagator(
+            grid, TimeGrid(0.5, 16), 0.1, coupling=0.3))
+        state = (*rand_div_free(grid, rng), rand_cells(grid, rng))
+        sources = (rand_u(grid, rng), rand_v(grid, rng), rand_cells(grid, rng))
+        assert max_rel_diff(prop.step(*state, None, sources),
+                            ref.step(*state, None, sources)) <= 1e-13
+        assert max_rel_diff(prop.step_adjoint(*state), ref.step_adjoint(*state)) <= 1e-13
 
 
 class TestRunContract:

@@ -10,8 +10,10 @@ from bousscontrol.exceptions import DomainError, ShapeError
 from bousscontrol.grids import GridSpec
 from bousscontrol.operators import SpectralSolver, ViscosityLaw
 
-from conftest import (GRID_IDS, SOLVE_GRIDS, cg_solve, project_div_free, rand_cells,
-                      rand_div_free, rand_u, rand_v, reference_advect_scalar,
+from conftest import (GRID_IDS, REFERENCE_AXES, SOLVE_GRIDS, cg_solve, max_rel_diff,
+                      project_div_free, rand_cells, rand_div_free, rand_u, rand_v,
+                      reference_advect_scalar, reference_axis_matrix, reference_change_maps,
+                      reference_frequencies, reference_maps,
                       reference_advect_velocity, reference_center_gradients,
                       reference_h1_seminorm_sq_cells, reference_h1_seminorm_sq_velocity,
                       reference_laplacian_cells, reference_laplacian_u,
@@ -250,6 +252,112 @@ def test_closed_form_matrix_matches_scipy(kind, n):
         return np.linalg.norm(m.T @ m - np.eye(n), 2)
 
     assert defect(q) <= max(2e-15, 1.1 * defect(oracle))
+
+
+# axis lengths on both sides of FOLD_MIN, even and odd, and non-square grids
+LAYOUT_GRIDS = [GridSpec(n, n) for n in (16, 33, 127, 128, 129, 130)] + [
+    GridSpec(128, 33, lx=1.0, ly=0.4), GridSpec(33, 128, lx=0.5, ly=1.0)]
+LAYOUT_IDS = ["16", "33", "127", "128", "129", "130", "128x33", "33x128"]
+
+
+def _physical(name, grid, rng):
+    return {"u": rand_u, "hu": rand_u, "v": rand_v, "hv": rand_v,
+            "cells": rand_cells}[name](grid, rng)
+
+
+def _boxes(grid):
+    """(rows, columns) pairs per map part of ``on_box``: one placed
+    symmetrically about the centre of each axis, which folds from FOLD_MIN
+    points, and an off-centre one, which never folds."""
+    def parts(lo, hi):
+        return tuple(tuple(slice(lo * n // 16, n - hi * n // 16) for n in shape)
+                     for shape in ((grid.nx + 1, grid.ny), (grid.nx, grid.ny + 1),
+                                   (grid.nx, grid.ny)))
+    return [parts(1, 1), parts(2, 5)]
+
+
+class TestParityLayout:
+    """``ModalBasis`` against dense products of the closed-form matrices
+    whose rows are put in the order of its rule (``conftest``), on both
+    kernels: below FOLD_MIN the dense one, from FOLD_MIN on the folded
+    transforms and the block changes of basis."""
+
+    def test_fold_min_splits_the_layout_grids(self):
+        assert 33 < ops.FOLD_MIN <= 127
+
+    @pytest.mark.parametrize("grid", LAYOUT_GRIDS, ids=LAYOUT_IDS)
+    def test_maps_equal_the_permuted_dense_products(self, grid):
+        rng = np.random.default_rng(grid.nx * 1000 + grid.ny)
+        m = ops.ModalBasis(grid)
+        pairs = [(getattr(m, name), reference_maps(name, grid), name) for name in REFERENCE_AXES]
+        pairs += [(m.change_u, reference_change_maps(grid.ny, 1), "shared"),
+                  (m.change_v, reference_change_maps(grid.nx, 0), "shared")]
+        for box in _boxes(grid):
+            pairs += [(got, reference_maps(name, grid, box=part), (name, part))
+                      for got, name, part in zip(m.on_box(box), ("hu", "hv", "cells"), box)]
+        for (fwd, inv), (ref_fwd, ref_inv), name in pairs:
+            if name == "shared":
+                x = rng.standard_normal((grid.nx - 1, grid.ny - 1))
+            elif isinstance(name, tuple):
+                x = _physical(name[0], grid, rng)[name[1]]
+            else:
+                x = _physical(name, grid, rng)
+            want = ref_fwd(x)
+            assert max_rel_diff([fwd(x)], [want]) <= 1e-14, name
+            c = rng.standard_normal(want.shape)
+            assert max_rel_diff([inv(c)], [ref_inv(c)]) <= 1e-14, name
+
+    @pytest.mark.parametrize("grid", LAYOUT_GRIDS, ids=LAYOUT_IDS)
+    def test_inverse_undoes_forward(self, grid):
+        """Physical fields come back through the Helmholtz maps (zero walls),
+        coefficients through the shared-mode maps, shared coefficients
+        through the changes of basis."""
+        rng = np.random.default_rng(7)
+        m = ops.ModalBasis(grid)
+        for name in ("hu", "hv", "cells"):
+            x = _physical(name, grid, rng)
+            fwd, inv = getattr(m, name)
+            assert max_rel_diff([inv(fwd(x))], [x]) <= 1e-14, name
+        shared = rng.standard_normal((grid.nx - 1, grid.ny - 1))
+        for name in ("u", "v"):
+            fwd, inv = getattr(m, name)
+            assert max_rel_diff([fwd(inv(shared))], [shared]) <= 1e-14, name
+        for fwd, inv in (m.change_u, m.change_v):
+            assert max_rel_diff([inv(fwd(shared))], [shared]) <= 1e-14
+
+    @pytest.mark.parametrize("grid", LAYOUT_GRIDS, ids=LAYOUT_IDS)
+    def test_tables_follow_the_order_rule(self, grid):
+        """Each per-mode table entry belongs to the frequencies the rule puts
+        at its place, bit for bit; d_x and d_y stay indexed by frequency."""
+        m = ops.ModalBasis(grid)
+        dx, dy = m.d_x, m.d_y
+        assert np.array_equal(dx, 2.0 / grid.hx * np.sin(0.5 * np.pi * np.arange(grid.nx + 1)
+                                                        / grid.nx))
+        sx, sy = (reference_frequencies("dst1", n) for n in (grid.nx, grid.ny))
+        kx, ky = (reference_frequencies("dst2", n) for n in (grid.nx, grid.ny))
+        assert np.array_equal(m.lap_u, dx[sx, None] ** 2 + dy[None, ky] ** 2)
+        assert np.array_equal(m.lap_v, dx[kx, None] ** 2 + dy[None, sy] ** 2)
+        assert np.array_equal(m.lap_cells, dx[kx, None] ** 2 + dy[None, ky] ** 2)
+        assert np.array_equal(m.buoyancy, np.cos(0.5 * np.pi * sy / grid.ny))
+        # dropping theta's last column (l = ny) leaves the v-face order
+        assert ky[-1] == grid.ny and np.array_equal(ky[:-1], sy)
+
+    @pytest.mark.parametrize("grid", LAYOUT_GRIDS, ids=LAYOUT_IDS)
+    def test_highest_frequency_sits_last(self, grid):
+        """The f = ny mode of theta along y (cells alternating in sign) has
+        coefficients in the last column only, the f = nx mode along x in the
+        last row only."""
+        m = ops.ModalBasis(grid)
+        rng = np.random.default_rng(3)
+        qx = reference_axis_matrix("dst2", grid.nx)
+        qy = reference_axis_matrix("dst2", grid.ny)
+        for th, keep in ((np.outer(rng.standard_normal(grid.nx), qy[-1]), (slice(None), -1)),
+                         (np.outer(qx[-1], rng.standard_normal(grid.ny)), (-1, slice(None)))):
+            c = m.cells[0](th)
+            rest = c.copy()
+            rest[keep] = 0.0
+            assert np.abs(rest).max() <= 1e-14 * np.abs(c).max()
+            assert np.abs(c[keep]).min() > 0.0
 
 
 class TestHeating:

@@ -16,7 +16,9 @@ for each file whose bytes differ, every report key whose value moved (list
 values entry by entry, as ``key[i]``).  A CSV file that differs gets one row
 per column that moved, with its largest relative difference over the rows.
 Lines holding ``wall_time_s`` are ignored.  A run is named
-``<config stem>.<kind>`` or after its workload.
+``<config stem>.<kind>`` or after its workload.  One line after the table
+names the largest relative difference of all rows, with its run, file and
+key.
 
 Run:  python tools/artifact_diff.py PARENT_REV [--work DIR]
 
@@ -139,6 +141,16 @@ def compare_text(run: str, rel: str, a: str, b: str) -> list[tuple]:
             for k in dict.fromkeys([*va, *vb]) if va.get(k) != vb.get(k)]
 
 
+def largest(rows: list[tuple]) -> str:
+    """The line naming the largest relative difference in the table ``rows``
+    and where it is."""
+    moved = [(float(row[5].split()[-1]), row) for row in rows if row[5]]
+    if not moved:
+        return "largest relative difference: none"
+    r, row = max(moved, key=lambda m: m[0])
+    return f"largest relative difference: {r:.1e} ({row[0]}, {row[1]}, {row[2]})"
+
+
 def without_wall_time(blob: bytes) -> bytes:
     return b"\n".join(ln for ln in blob.split(b"\n") if b"wall_time_s" not in ln)
 
@@ -191,6 +203,7 @@ def main(argv=None) -> int:
     print("| --- | --- | --- | --- | --- | --- |")
     for row in rows:
         print("| " + " | ".join(row) + " |")
+    print("\n" + largest(rows))
     return 1 if rows else 0
 
 
