@@ -12,7 +12,7 @@ artifact writer (`fieldio`), and an experiment runner with a CLI (`runner`,
 """
 
 from .grids import GridSpec, TimeGrid
-from .geometry import ControlPatch, build_eta0, cutoff_1omega
+from .geometry import ControlPatch, build_eta0
 from .operators import ViscosityLaw
 from .weights import WeightParams, WeightTables, check_weight_chain, \
     check_weight_gap, eval_weights, find_min_m
@@ -29,7 +29,7 @@ from .runner import run_experiment
 __version__ = "0.1.0"
 
 __all__ = [
-    "GridSpec", "TimeGrid", "ControlPatch", "build_eta0", "cutoff_1omega",
+    "GridSpec", "TimeGrid", "ControlPatch", "build_eta0",
     "ViscosityLaw", "WeightParams", "WeightTables", "check_weight_chain",
     "check_weight_gap", "eval_weights", "find_min_m",
     "EnergyTrace", "SystemSpec", "run_nonlinear", "AdjointTrajectory",

@@ -74,8 +74,8 @@ class ControlTrajectory:
     Each part is stored on its solver grid's slice of ``box`` (see
     ``geometry.control_box``): the patch's bounding box for the controls a
     synthesis makes, the whole grid (``geometry.grid_box``) for fields that
-    cover Omega.  Outside the box the controls are zero; ``full`` scatters
-    them onto the whole grid.
+    cover Omega.  Outside the box the controls are zero; ``full`` stores
+    them on the whole grid.
     """
 
     vu: np.ndarray   # (nt, rows, cols of box[0]) on u-faces
@@ -96,7 +96,10 @@ class ControlTrajectory:
 
     def full(self, grid: GridSpec) -> "ControlTrajectory":
         """The same controls stored on the whole grid, zero outside the box."""
-        return ControlTrajectory(*scatter(self.parts, self.box, grid), grid_box(grid))
+        out = ControlTrajectory.zeros(grid, len(self.vu))
+        for whole, part, b in zip(out.parts, self.parts, self.box):
+            whole[(slice(None),) + b] = part
+        return out
 
     def on(self, box) -> "ControlTrajectory":
         """The controls read on ``box``, which lies inside their own (views)."""
@@ -129,17 +132,6 @@ class ControlTrajectory:
         for mine, theirs in self._pairs(x):
             mine *= b
             mine += theirs if a == 1.0 else a * theirs
-
-
-def scatter(parts, box, grid: GridSpec):
-    """Whole-grid (u-face, v-face, cell) arrays of ``parts`` stored on
-    ``box``, with any leading axes; zero outside the box."""
-    out = []
-    for part, b, whole in zip(parts, box, grid_box(grid)):
-        a = np.zeros(part.shape[:-2] + tuple(s.stop for s in whole))
-        a[(Ellipsis,) + b] = part
-        out.append(a)
-    return tuple(out)
 
 
 def control_inner(a: ControlTrajectory, b: ControlTrajectory, grid: GridSpec,

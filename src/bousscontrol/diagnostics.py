@@ -20,9 +20,8 @@ import numpy as np
 from .exceptions import DomainError
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
-from .control import ControlTrajectory, scatter
-from .forward import EnergyTrace, block_levels, level_blocks
-from .geometry import box_within, control_window
+from .control import ControlTrajectory
+from .forward import EnergyTrace, level_blocks, live_steps
 from .weights import (WeightTables, control_weight_logs, default_t_clip,
                       time_derivative)
 
@@ -176,6 +175,22 @@ def weighted_norms(samples: NormSamples, controls: ControlTrajectory | None,
     return out
 
 
+def _wall_terms(fwd, a: np.ndarray, rows: slice, n: int, h: float, axis: int):
+    """Coefficients (``fwd``) of the wall terms of the 5-point Laplacian of
+    a normal velocity ``a`` stored on ``rows`` of the n + 1 faces along
+    ``axis``: its values at faces 0 and n, over h^2, put at faces 1 and
+    n - 1.  0 when ``rows`` reach no wall."""
+    lo, hi, _ = rows.indices(n + 1)
+    if lo > 0 and hi <= n:
+        return 0.0
+    w = np.zeros_like(a)
+    wn, an = (np.moveaxis(x, axis - 2, -1) for x in (w, a))   # the faces last
+    for wall, inner in ((0, 1), (n, n - 1)):
+        if lo <= wall < hi:
+            wn[..., inner - lo] = an[..., wall - lo] / h ** 2
+    return fwd(w)
+
+
 def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
                               grid: GridSpec, tgrid: TimeGrid,
                               t_clip: float | None = None) -> dict:
@@ -184,14 +199,15 @@ def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
     time H^1 norms (-inf where zero).  Time derivatives by central differences.
 
     kappa v is formed as e^M (kappa v e^-M), with M the largest log|kappa v|:
-    the stencils act on fields bounded by 1, and each entry is 2M + log(sum).
-    Everything is computed on the controls' box; the stencils see a block
-    of levels at a time (``forward.block_levels`` of the window) scattered
-    onto ``geometry.control_window``, the box grown by two cells a side,
-    whose terms equal the whole grid's (up to the order of the sums).  The
-    sums and sups run over the levels in order.
+    the sums act on fields bounded by 1, and each entry is 2M + log(sum).
+    The time derivatives and |f|^2 are summed on the controls' box, the
+    Laplacian and H^1 terms on the Helmholtz coefficients c
+    (``ModalBasis.on_box``) of the live steps (``forward.live_steps``),
+    where -lap is the scaling lam (Schumann & Sweet, J. Comput. Phys. 75,
+    1988): with d = lam c - w (w from ``_wall_terms``), |lap f|^2 = area
+    sum d^2 and |grad f|^2 = area sum d c, the 5-point sums up to order.
     """
-    nt, dt = tgrid.nt, tgrid.dt
+    dt = tgrid.dt
     logk = control_weight_logs(tables, default_t_clip(t_clip, tgrid),
                                name="kappa")[:, None, None]
     parts = controls.parts
@@ -205,34 +221,29 @@ def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
     dkv_sq = float(np.sum(time_derivative(kvu, dt) ** 2)
                    + np.sum(time_derivative(kvv, dt) ** 2)) * q * dt
     dkv0_sq = float(np.sum(time_derivative(kv0, dt) ** 2)) * q * dt
-    lap_sq = 0.0
-    lap0_sq = 0.0
-    sup_h1_v = 0.0
-    sup_h1_v0 = 0.0
-    win, win_box = control_window(controls.box, grid)
-    inside = box_within(controls.box, win_box)
-    size = block_levels(win, nt)
-    for n0 in range(0, nt, size):
-        block = slice(n0, n0 + size)
-        ku, kv, k0 = scatter((kvu[block], kvv[block], kv0[block]), inside, win)
-        lap = _squares(ops.norm_velocity(ops.laplacian_u(ku, win),
-                                         ops.laplacian_v(kv, win), win))
-        lap0 = _squares(ops.norm_cells(ops.laplacian_cells(k0, win), win))
-        v_sq = _squares(ops.norm_velocity(ku, kv, win))
-        v0_sq = _squares(ops.norm_cells(k0, win))
-        for i in range(len(ku)):
-            lap_sq += lap[i] * dt
-            lap0_sq += lap0[i] * dt
-            sup_h1_v = max(sup_h1_v, v_sq[i] + ops.h1_seminorm_sq_velocity(ku[i], kv[i], win))
-            sup_h1_v0 = max(sup_h1_v0, v0_sq[i] + ops.h1_seminorm_sq_cells(k0[i], win))
+    m = ops.ModalBasis(grid)
+    live = live_steps(controls)
+    walls = ((grid.nx, grid.hx), (grid.ny, grid.hy))
+    lap, norms = [], []    # per part, per live step
+    for p, ((fwd, _), lam, kv) in enumerate(zip(
+            m.on_box(controls.box), (m.lap_u, m.lap_v, m.lap_cells), (kvu, kvv, kv0))):
+        a = kv[live]
+        c = fwd(a)
+        d = lam * c
+        if p < 2:   # the normal velocity: u along x (axis 0), v along y (axis 1)
+            d -= _wall_terms(fwd, a, controls.box[p][p], *walls[p], axis=p)
+        lap.append(np.sum(d * d, axis=(1, 2)))
+        norms.append((np.sum(a * a, axis=(1, 2)), np.sum(d * c, axis=(1, 2))))
+    (u_sq, u_h1), (v_sq, v_h1), (c_sq, c_h1) = norms
 
     sums = {
         "iint_dt_kv_sq": dkv_sq,
         "iint_dt_kv0_sq": dkv0_sq,
-        "iint_lap_kv_sq": lap_sq,
-        "iint_lap_kv0_sq": lap0_sq,
-        "sup_h1_kv_sq": sup_h1_v,
-        "sup_h1_kv0_sq": sup_h1_v0,
+        "iint_lap_kv_sq": float(np.sum(lap[0] + lap[1])) * q * dt,
+        "iint_lap_kv0_sq": float(np.sum(lap[2])) * q * dt,
+        "sup_h1_kv_sq": float(np.max(u_sq + v_sq + np.maximum(u_h1 + v_h1, 0.0),
+                                     initial=0.0)) * q,
+        "sup_h1_kv0_sq": float(np.max(c_sq + c_h1, initial=0.0)) * q,
     }
     logs_sums = (2.0 * big + _log(list(sums.values()))) / _LN10
     return dict(zip(sums, map(float, logs_sums)))

@@ -162,10 +162,9 @@ def implicit_stage(m: ModalBasis, dt: float, ru, rv, rhs_th, c_vel: float,
     The solves scale the Helmholtz coefficients of ``m``; the velocity is
     projected in the shared modes.  ``control`` = (cu, cv, c0) is stored on
     ``box`` (``geometry.control_box``; None for the whole grid) and is added
-    on that box only.
+    on that box only, in place: the right-hand sides are the caller's scratch.
     """
     if control is not None:
-        ru, rv, rhs_th = ru.copy(), rv.copy(), rhs_th.copy()  # ru may be the caller's u
         for rhs, c, bump, b in zip((ru, rv, rhs_th), control, bumps,
                                    box or grid_box(m.grid)):
             rhs[b] += dt * bump[b] * c

@@ -133,13 +133,6 @@ def bump_profile(patch: ControlPatch):
     return f
 
 
-def cutoff_1omega(grid: GridSpec, patch: ControlPatch) -> np.ndarray:
-    """Sample the smooth cutoff at grid nodes."""
-    validate_patch(grid, patch)
-    x, y = grid.nodes()
-    return bump_profile(patch)(x, y)
-
-
 def bump_on_solver_grids(grid: GridSpec, patch: ControlPatch):
     """Cutoff sampled at u-faces, v-faces and cell centers (solver layout)."""
     validate_patch(grid, patch)
@@ -179,37 +172,3 @@ def box_within(box, outer):
         idx.append(tuple(slice(s.start - o.start, s.stop - o.start)
                          for s, o in zip(b, own)))
     return tuple(idx)
-
-
-
-
-def control_window(box, grid: GridSpec):
-    """A sub-grid holding every part of ``box`` (``control_box`` layout):
-    the cells its three parts span, grown by two cells on every side,
-    clipped at the walls, widened to GridSpec's 8 cells per axis, and then
-    a cell at a time until m h / m == h for its m cells (m h rounds, and so
-    can the window's own h; the whole axis gives h by definition).
-
-    Returns (window, its box in ``grid`` in ``grid_box`` layout).  Stencils
-    and norms on the window take the grid's own hx and hy, and where it does
-    not meet a wall, fields stored on ``box`` vanish on its outer two rings,
-    so the Laplacian and H^1 forms on it equal those on the whole grid.
-    """
-    (ur, uc), (vr, vc), (cr, cc) = box
-    spans, lengths = [], []
-    for n, h, length, (c1, c2), faces in ((grid.nx, grid.hx, grid.lx, (cr, vr), ur),
-                                          (grid.ny, grid.hy, grid.ly, (cc, uc), vc)):
-        lo = max(min(c1.start, c2.start, faces.start) - 2, 0)
-        hi = min(max(c1.stop, c2.stop, faces.stop - 1) + 2, n)
-        hi = min(max(hi, lo + 8), n)
-        lo = min(lo, hi - 8)
-        while hi - lo < n and (hi - lo) * h / (hi - lo) != h:
-            hi, lo = (hi + 1, lo) if hi < n else (hi, lo - 1)
-        spans.append((lo, hi))
-        lengths.append(length if hi - lo == n else (hi - lo) * h)
-    (i0, i1), (j0, j1) = spans
-    if (i1 - i0, j1 - j0) == (grid.nx, grid.ny):
-        return grid, grid_box(grid)
-    return (GridSpec(i1 - i0, j1 - j0, *lengths),
-            ((slice(i0, i1 + 1), slice(j0, j1)), (slice(i0, i1), slice(j0, j1 + 1)),
-             (slice(i0, i1), slice(j0, j1))))

@@ -537,9 +537,10 @@ def _matrix_maps(q: np.ndarray, axis: int):
 
 
 class _AxisKernel:
-    """Block products along one axis (0 or 1) of 2-D arrays: each matrix is
-    stored C-contiguous in the orientation it multiplies, and each product
-    writes its block of a fresh output in place."""
+    """Block products along one grid axis (0 or 1, of the last two axes) of
+    a level or a stack of levels: each matrix is stored C-contiguous in the
+    orientation it multiplies, and each product writes its block of a fresh
+    output in place."""
 
     def __init__(self, axis: int):
         self.axis = axis
@@ -549,11 +550,11 @@ class _AxisKernel:
 
     def _at(self, i):
         """The index of ``i`` (an int or a slice) along the axis."""
-        return (i,) if self.axis == 0 else (slice(None), i)
+        return (Ellipsis, i, slice(None)) if self.axis == 0 else (Ellipsis, i)
 
     def _empty(self, a: np.ndarray, size: int) -> np.ndarray:
         shape = list(a.shape)
-        shape[self.axis] = size
+        shape[self.axis - 2] = size
         return np.empty(shape)
 
     def _mul(self, m: np.ndarray, a: np.ndarray, out: np.ndarray) -> None:
@@ -587,7 +588,7 @@ class _FoldedMaps(_AxisKernel):
 
     def _halves(self, a: np.ndarray):
         """The (symmetric, antisymmetric) scratch halves for arrays like ``a``."""
-        key = a.shape[1 - self.axis]
+        key = a.shape[:-2] + (a.shape[-1 - self.axis],)
         if key not in self._scratch:
             self._scratch[key] = (self._empty(a, self.points - self.half),
                                   self._empty(a, self.half))
@@ -674,6 +675,9 @@ def _change_maps(n: int, axis: int):
     return _matrix_maps(q, axis)
 
 
+_WHOLE = ((slice(None), slice(None)),) * 3   # every point of each part
+
+
 class ModalBasis:
     """Orthonormal bases in which the linear system's MAC operators act per
     mode (Schumann & Sweet, J. Comput. Phys. 75, 1988).
@@ -707,17 +711,17 @@ class ModalBasis:
     l = 0..ny by frequency.  From FOLD_MIN points on an axis, each transform
     takes two half-size products on the folded halves and each change of
     basis its two diagonal blocks; below, one dense product (the crossover
-    table is in the module docstring).  The linear propagator
-    marches in these bases and the nonlinear step solves and projects in
-    them, so ``project`` is the one Leray projection.
+    table is in the module docstring).  The maps take a level or a stack
+    of levels.  Every map is built on first use, so a basis that only reads
+    ``on_box`` builds no whole-grid map.  The linear propagator marches in
+    these bases and the nonlinear step solves and projects in them, so
+    ``project`` is the one Leray projection.
     """
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
         nx, ny = grid.nx, grid.ny
-        whole = slice(None)
         self._on_box = {}
-        self.hu, self.hv, self.cells = self.on_box(((whole, whole),) * 3)
         self.d_x = dx = 2.0 / grid.hx * np.sin(0.5 * np.pi * np.arange(nx + 1) / nx)
         self.d_y = dy = 2.0 / grid.hy * np.sin(0.5 * np.pi * np.arange(ny + 1) / ny)
         # shared (DST-I, DCT-II) and Helmholtz (DST-II) frequencies per axis
@@ -728,8 +732,12 @@ class ModalBasis:
         self.lap_cells = dx[hx, None] ** 2 + dy[None, hy] ** 2
         self.buoyancy = np.cos(0.5 * np.pi * self._ky / ny)
 
-    # the shared-mode maps, the changes of basis and the projection
-    # coefficients are built on first use
+    # the whole-grid and shared-mode maps, the changes of basis and the
+    # projection coefficients are built on first use
+
+    hu = cached_property(lambda self: self.on_box(_WHOLE)[0])
+    hv = cached_property(lambda self: self.on_box(_WHOLE)[1])
+    cells = cached_property(lambda self: self.on_box(_WHOLE)[2])
 
     @cached_property
     def u(self):

@@ -155,9 +155,9 @@ class PhysicalLinear:
             sources = tuple(np.zeros_like(a) if f is None else f
                             for f, a in zip(sources, (u, v, th)))
         rv = v + dt * prop.coupling * ops.theta_to_vfaces(th, self.grid)
-        c = dt * prop.nu0
-        return implicit_stage(self.sp.modes, dt, u, rv, th, c, c, control, prop.bumps,
-                              sources, box)
+        c = dt * prop.nu0   # implicit_stage adds the control into u and th in place
+        return implicit_stage(self.sp.modes, dt, u.copy(), rv, th.copy(), c, c, control,
+                              prop.bumps, sources, box)
 
     def step_adjoint(self, gu, gv, gth):
         prop, sp = self.prop, self.sp
@@ -283,9 +283,10 @@ def reference_norm_samples(traj, grid, tgrid):
 
 
 def reference_control_regularity_report(controls, tables, grid, tgrid, t_clip=None):
-    """``diagnostics.control_regularity_report`` as it was before it moved to
-    the control window: every level scattered onto the whole grid."""
-    from bousscontrol.control import scatter
+    """``diagnostics.control_regularity_report`` as it was before it read
+    the modal coefficients: the 5-point stencils and H^1 forms on every level
+    stored on the whole grid."""
+    from bousscontrol.control import ControlTrajectory
     from bousscontrol.diagnostics import _LN10, _log
     from bousscontrol.weights import control_weight_logs, default_t_clip, time_derivative
     nt, dt = tgrid.nt, tgrid.dt
@@ -306,8 +307,8 @@ def reference_control_regularity_report(controls, tables, grid, tgrid, t_clip=No
     lap0_sq = 0.0
     sup_h1_v = 0.0
     sup_h1_v0 = 0.0
-    for n in range(nt):
-        ku, kv, k0 = scatter((kvu[n], kvv[n], kv0[n]), controls.box, grid)
+    whole = ControlTrajectory(kvu, kvv, kv0, controls.box).full(grid)
+    for ku, kv, k0 in zip(*whole.parts):
         lu = ops.laplacian_u(ku, grid)
         lv = ops.laplacian_v(kv, grid)
         lap_sq += (ops.norm_velocity(lu, lv, grid) ** 2) * dt

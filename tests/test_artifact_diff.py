@@ -92,6 +92,23 @@ def test_largest_relative_difference_line(tool, tmp_path):
     assert tool.largest([]) == "largest relative difference: none"
 
 
+def test_largest_passes_over_roundoff_values(tool, tmp_path):
+    """A ``max_div``-like row, both values below ROUNDOFF, stays in the table
+    with its relative difference, but the line names the real move beside
+    it, though that move is smaller."""
+    report = "max_div = 7.1e-18\nterminal_norm = 0.5\n"
+    moved = report.replace("7.1e-18", "5.2e-16").replace("0.5", "0.5000001")
+    rows = compare(tool, tmp_path, {"a/report.txt": report}, {"a/report.txt": moved})
+    assert [r[2] for r in rows] == ["`max_div`", "`terminal_norm`"]
+    assert rows[0][5] == "9.9e-01"
+    assert tool.largest(rows) == ("largest relative difference: 2.0e-07 "
+                                  "(a, report.txt, `terminal_norm`)")
+    assert tool.largest(rows[:1]) == "largest relative difference: none"
+    # one value at or above the floor counts the row in
+    big = [rows[0][:4] + ("1e-12", "1.0e+00")]
+    assert tool.largest(big) == "largest relative difference: 1.0e+00 (a, report.txt, `max_div`)"
+
+
 def test_main_exits_1_on_any_row_and_0_on_none(tool, tmp_path, monkeypatch, capsys):
     """``main`` with the export, the runs and the comparison replaced by
     canned results."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from bousscontrol import forward, operators as ops
+from bousscontrol import operators as ops
 
 from bousscontrol.control import ControlTrajectory
 from bousscontrol.diagnostics import (DecayFit, NormSamples, _logsumexp,
@@ -19,7 +19,7 @@ from bousscontrol.fieldio import emit_report, parse_report
 from bousscontrol.forward import (EnergyTrace, SystemSpec, run_nonlinear,
                                   scaled_initial_data)
 from bousscontrol.geometry import (ControlPatch, build_eta0, bump_on_solver_grids,
-                                   control_box, control_window, grid_box)
+                                   control_box)
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw
 from bousscontrol.weights import (WeightParams, control_weight_logs, default_t_clip,
@@ -173,20 +173,24 @@ class TestRegularityReport:
         assert len(rep) == 6
         assert all(v == -np.inf for v in rep.values())
 
-    @pytest.mark.parametrize("nx, ny, center, clipped", [
-        (16, 16, (0.5, 0.5), False),
-        (33, 20, (0.5, 0.5), False),
-        (16, 16, (0.2, 0.5), True),   # the patch is within two cells of x = 0
-    ], ids=["16x16", "33x20", "near-wall"])
-    def test_window_matches_whole_grid(self, nx, ny, center, clipped):
+    @pytest.mark.parametrize("nx, ny, nt, center, half_x, folds", [
+        (16, 16, 32, (0.5, 0.5), 0.15, False),
+        (33, 20, 32, (0.5, 0.5), 0.15, False),
+        (16, 16, 32, (0.2, 0.5), 0.15, False),   # within two cells of x = 0
+        (256, 16, 16, (0.5, 0.5), 0.2, True),    # rows fold (operators.FOLD_MIN)
+    ], ids=["16x16", "33x20", "near-wall", "folded"])
+    def test_modal_matches_whole_grid(self, nx, ny, nt, center, half_x, folds):
+        """The report's modal sums, on the Helmholtz coefficients of the box's
+        live steps, against the stencils on every level scattered onto the
+        whole grid; a box that folds takes the stack of live steps through
+        the folded kernel."""
         grid = GridSpec(nx, ny)
-        tg = TimeGrid(1.0, 32)
-        bumps = bump_on_solver_grids(grid, ControlPatch(center, (0.15, 0.2)))
+        tg = TimeGrid(1.0, nt)
+        bumps = bump_on_solver_grids(grid, ControlPatch(center, (half_x, 0.2)))
         box = control_box(bumps)
-        win, win_box = control_window(box, grid)
-        assert (win.hx, win.hy) == (grid.hx, grid.hy)
-        assert 8 <= win.nx < nx and 8 <= win.ny < ny
-        assert (win_box[2][0].start == 0) == clipped
+        rows = box[2][0]
+        assert (rows.stop - rows.start >= ops.FOLD_MIN
+                and rows.start + rows.stop == nx) == folds
         rng = np.random.default_rng(4)
         ctrl = ControlTrajectory.zeros(grid, tg.nt)
         for part, bump in zip(ctrl.parts, bumps):
@@ -202,41 +206,28 @@ class TestRegularityReport:
             assert np.isfinite(want[key])
             assert abs(got[key] - want[key]) <= 1e-14 * abs(want[key]), key
 
-    def test_blocks_split_the_live_steps(self, monkeypatch):
-        """Blocks of 5 levels on the window put boundaries at steps 5, 10, 15
-        inside the 18 live steps (controls nonzero) and at 20, 25, 30 past
-        them; the report matches the whole-grid loop as above and the
-        one-block report bit for bit.  The kappa profile is flat, so every
-        level weighs alike and sums grouped by block would round apart from
-        the level-order ones."""
-        grid, tg = GridSpec(16, 16), TimeGrid(1.0, 32)
-        bumps = bump_on_solver_grids(grid, ControlPatch((0.5, 0.5), (0.15, 0.2)))
-        box = control_box(bumps)
-        win, _ = control_window(box, grid)
-        rng = np.random.default_rng(6)
+    @pytest.mark.parametrize("nx, ny", [(16, 16), (33, 20)])
+    def test_modal_reads_the_normal_wall_values(self, nx, ny):
+        """Controls on the whole grid, nonzero on every face and cell: the
+        5-point stencils read the normal velocity's wall values, and so does
+        the modal report (``diagnostics._wall_terms``); zeroing them moves
+        the Laplacian entry."""
+        grid, tg = GridSpec(nx, ny), TimeGrid(1.0, 16)
+        rng = np.random.default_rng(8)
         ctrl = ControlTrajectory.zeros(grid, tg.nt)
-        for part, bump in zip(ctrl.parts, bumps):
-            part[:18] = rng.standard_normal(part[:18].shape) * (bump > 0.0)
-        ctrl = ctrl.on(box)
-        tables = eval_weights(
+        for part in ctrl.parts:
+            part[:] = rng.standard_normal(part.shape)
+        tables = tame_tables(eval_weights(
             WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0),
-            build_eta0(grid, ControlPatch((0.5, 0.5), (0.2, 0.2))), tg)
-        flat = np.append(np.full(tg.nt, 3.0), np.inf)
-        tables = replace(tables, raw_composites=dict.fromkeys(tables.raw_composites, flat))
-        assert forward.block_levels(win, tg.nt) == tg.nt     # one block by default
-        whole = control_regularity_report(ctrl, tables, grid, tg)
-        monkeypatch.setattr(forward, "BLOCK_CELLS", 5 * win.nx * win.ny)
-        assert forward.block_levels(win, tg.nt) == 5
+            build_eta0(grid, ControlPatch((0.5, 0.5), (0.2, 0.2))), tg))
         got = control_regularity_report(ctrl, tables, grid, tg)
         want = reference_control_regularity_report(ctrl, tables, grid, tg)
-        assert got == whole
         for key in want:
-            assert np.isfinite(want[key])
             assert abs(got[key] - want[key]) <= 1e-14 * abs(want[key]), key
-
-    def test_window_of_the_whole_grid_is_the_grid(self):
-        grid = GridSpec(16, 16)
-        assert control_window(grid_box(grid), grid) == (grid, grid_box(grid))
+        ctrl.vu[:, [0, -1]] = 0.0
+        ctrl.vv[:, :, [0, -1]] = 0.0
+        inner = control_regularity_report(ctrl, tables, grid, tg)
+        assert abs(inner["iint_lap_kv_sq"] - got["iint_lap_kv_sq"]) > 1e-3
 
     def test_product_rule_oracle(self):
         # (kappa v)_t of a time-constant v equals kappa_t v; the central

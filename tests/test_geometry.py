@@ -5,11 +5,17 @@ import pytest
 
 from bousscontrol.exceptions import DomainError, GeometryError
 from bousscontrol.geometry import (ControlPatch, build_eta0, bump_profile,
-                                   cutoff_1omega, eta0_gradient_margin,
-                                   validate_patch)
+                                   eta0_gradient_margin, validate_patch)
 from bousscontrol.grids import GridSpec, TimeGrid
 
 from conftest import patch_area
+
+
+def cutoff_1omega(grid: GridSpec, patch: ControlPatch) -> np.ndarray:
+    """Sample the smooth cutoff at grid nodes."""
+    validate_patch(grid, patch)
+    x, y = grid.nodes()
+    return bump_profile(patch)(x, y)
 
 
 def test_grid_validation():

@@ -18,7 +18,9 @@ per column that moved, with its largest relative difference over the rows.
 Lines holding ``wall_time_s`` are ignored.  A run is named
 ``<config stem>.<kind>`` or after its workload.  One line after the table
 names the largest relative difference of all rows, with its run, file and
-key.
+key, passing over rows whose two values are both below ROUNDOFF in
+magnitude (``max_div`` is itself roundoff, so any change of bits moves it
+by a large relative amount); those rows stay in the table.
 
 Run:  python tools/artifact_diff.py PARENT_REV [--work DIR]
 
@@ -40,6 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 KINDS = ("simulate", "decay", "linear-control", "nonlinear-control", "large-time",
          "verify")
+ROUNDOFF = 1e-12   # values below this in magnitude are roundoff (``largest``)
 
 
 def runs() -> list[tuple[str, str, str]]:
@@ -141,10 +144,18 @@ def compare_text(run: str, rel: str, a: str, b: str) -> list[tuple]:
             for k in dict.fromkeys([*va, *vb]) if va.get(k) != vb.get(k)]
 
 
+def roundoff(row: tuple) -> bool:
+    """Whether the parent and change values of a row are both numbers below
+    ROUNDOFF in magnitude, such as ``max_div``."""
+    values = [_float(x) for x in row[3:5]]
+    return all(x is not None and abs(x) < ROUNDOFF for x in values)
+
+
 def largest(rows: list[tuple]) -> str:
     """The line naming the largest relative difference in the table ``rows``
-    and where it is."""
-    moved = [(float(row[5].split()[-1]), row) for row in rows if row[5]]
+    and where it is; rows whose values are both roundoff are passed over."""
+    moved = [(float(row[5].split()[-1]), row) for row in rows
+             if row[5] and not roundoff(row)]
     if not moved:
         return "largest relative difference: none"
     r, row = max(moved, key=lambda m: m[0])
