@@ -17,6 +17,9 @@ adjoint sources, zeta = pre-coupling adjoint stage):
         = <X^0, lam^0> + dt sum_n <B U^n, zeta^n>,
 
 exact up to roundoff when both sides are built from the same modal steps.
+The backward march keeps zeta in the Helmholtz basis it is formed in and
+reads it back on the caller's box a block of read steps at a time
+(``forward.sweep_block``), one stacked inverse transform per part.
 """
 
 from __future__ import annotations
@@ -60,19 +63,34 @@ def run_adjoint(phi_t, psi_t, g1, g2, prop: LinearPropagator,
     divergence-free velocity.  zeta is read back on ``box`` only, by default
     the whole grid, and only on the steps n where ``read[n]`` is true
     (``read`` holds one bool per step; None reads every step); its other
-    rows are 0.  phi0 and psi0 are returned physical.
+    rows are 0.  The Helmholtz zeta of ``forward.sweep_block`` read steps
+    is kept (in ``prop.zeta_rows``) and read back when the march passes the
+    block's last one (its lowest step), by one stacked inverse per part
+    with the bits of one step's.  phi0 and psi0 are returned physical.
     """
     nt, dt, m = prop.tgrid.nt, prop.tgrid.dt, prop.modes
     box = box or grid_box(prop.grid)
     zeta = tuple(np.zeros((nt, b[0].stop - b[0].start, b[1].stop - b[1].start))
                  for b in box)
     back = tuple(inv for _, inv in m.on_box(box))
+    reads = np.arange(nt) if read is None else np.flatnonzero(read)
+    kept = prop.zeta_rows
+    size = len(kept[0])
+    blocks = iter([reads[max(0, j - size):j] for j in range(len(reads), 0, -size)])
+    block, row = None, 0    # the read steps of the current block; row of step n
     lam_u, lam_v, lam_th = prop.to_modes(phi_t[0], phi_t[1], psi_t)
     for n in range(nt - 1, -1, -1):
         zu, zv, zth, lam_th = prop.step_adjoint_modes(lam_u, lam_v, lam_th)
         if read is None or read[n]:
-            for out, rd, z in zip(zeta, back, (zu, zv, zth)):
-                out[n] = rd(z)
+            if row == 0:
+                block = next(blocks)
+                row = len(block)
+            row -= 1     # block[row] == n
+            for rows, z in zip(kept, (zu, zv, zth)):
+                rows[row] = z
+            if row == 0:
+                for out, rd, rows in zip(zeta, back, kept):
+                    out[block] = rd(rows[:len(block)])
         lam_u, lam_v = m.change_u[1](zu), m.change_v[1](zv)
         if g1 is not None:
             lam_u += dt * m.u[0](g1[0][n])
@@ -96,7 +114,9 @@ def duality_defect(grid: GridSpec, tgrid: TimeGrid, nu0: float, bumps,
     Draws random forward inputs (initial data, controls, sources) and random
     adjoint inputs (terminal data in H, sources), runs both solvers, and
     evaluates both sides of the identity; the defect measures implementation
-    error only, since the adjoint is constructed by transposition.
+    error only, since the adjoint is constructed by transposition.  The
+    physical sources enter the forward run as ``source_modes``, so the
+    sourced path the outer loop takes is checked too.
     """
     nt = tgrid.nt
     dt = tgrid.dt
@@ -142,7 +162,7 @@ def duality_defect(grid: GridSpec, tgrid: TimeGrid, nu0: float, bumps,
         pairs.append(_pair_state_adjoint(u, v, th, (g1[0][k], g1[1][k]), g2[k], grid)
                      if k < nt else _pair_state_adjoint(u, v, th, phi_t, psi_t, grid))
 
-    prop.run(y0, th0, controls=controls, sources=sources, on_state=pair)
+    prop.run(y0, th0, controls=controls, sources=prop.source_modes(*sources), on_state=pair)
     lhs = pairs[nt]
     for n in range(nt):
         lhs += dt * pairs[n]

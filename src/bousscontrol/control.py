@@ -33,7 +33,9 @@ Nonlinear problem: outer source-term fixed point.  At iterate k all nonlinear
 and nonlocal terms of the previous controlled run are frozen into (F1, F2) of
 the linear system, and the one linear control problem is re-solved with them,
 warm-started from its own last solution; on convergence the control is
-validated by an independent nonlinear re-simulation.
+validated by an independent nonlinear re-simulation.  The frozen sources are
+made once per pass in the form the linear sweeps add them, so no sweep step
+transforms a source (``_frozen_sources``).
 
 Only the right-hand side changes between those solves, so the problem keeps a
 recycle space W of at most RECYCLE_K CG directions, each stored with its
@@ -234,8 +236,9 @@ class RecycleSpace:
     """The deflation space W of a re-solved problem and its products H W.
 
     Each pair is a CG direction p and H p, scaled by 1 / sqrt(<p, H p>) and
-    stored flat (the box's vu, vv, v0 entries in turn) as one array in ``w``
-    and one in ``hw``.  Pairs that a solve adds stay pending until ``commit``
+    stored flat (the box's vu, vv, v0 entries in turn) as one row of ``w``
+    and one of ``hw`` (RECYCLE_K rows each; a row's pages are touched when
+    it is written).  Pairs that a solve adds stay pending until ``commit``
     H-orthonormalises them with the kept ones, so a solve deflates with the
     space it started from; once RECYCLE_K pairs are kept the space is frozen.
     """
@@ -244,9 +247,10 @@ class RecycleSpace:
         self.box = box
         self.shapes = [(nt,) + tuple(s.stop - s.start for s in b) for b in box]
         self.scale = scale                # the control inner product's weight
-        self.w: list[np.ndarray] = []
-        self.hw: list[np.ndarray] = []
-        self.size = 0                     # pairs kept; the rest are pending
+        n = sum(math.prod(shape) for shape in self.shapes)
+        self.w, self.hw = np.empty((RECYCLE_K, n)), np.empty((RECYCLE_K, n))
+        self.size = 0                     # rows kept
+        self.rows = 0                     # rows kept or pending
 
     def __len__(self) -> int:
         return self.size
@@ -265,17 +269,11 @@ class RecycleSpace:
 
     def add(self, p: ControlTrajectory, hp: ControlTrajectory, php: float) -> None:
         """Keep the pair (p, H p), scaled to <w, H w> = 1, while there is room."""
-        if len(self.w) < RECYCLE_K:
+        if self.rows < RECYCLE_K:
             s = 1.0 / math.sqrt(php)
             for store, x in ((self.w, p), (self.hw, hp)):
-                row = self._flat(x)
-                row *= s
-                store.append(row)
-
-    def _blocks(self, store):
-        """(j, the rows' columns j to j + 4096 stacked), block by block."""
-        for j in range(0, store[0].size, 4096):
-            yield j, np.stack([row[j:j + 4096] for row in store])
+                np.multiply(self._flat(x), s, out=store[self.rows])
+            self.rows += 1
 
     def commit(self) -> None:
         """Join the pending pairs to the kept ones and make the lot
@@ -283,21 +281,22 @@ class RecycleSpace:
         W V diag(lam)^-1/2 (and H W alike), where eigenvalues below 1e-12 of
         the largest are dropped.  CG loses conjugacy within a solve, so the
         raw directions can be far from orthonormal; a second pass removes
-        the rounding that the first one amplifies."""
-        if len(self.w) == self.size:
+        the rounding that the first one amplifies.  Both products run on
+        columns 4096 at a time, which bounds their temporaries."""
+        if self.rows == self.size:
             return
+        chunks = [slice(j, j + 4096) for j in range(0, self.w.shape[1], 4096)]
         for _ in range(2):
-            gram = sum(a @ b.T for (_, a), (_, b) in
-                       zip(self._blocks(self.w), self._blocks(self.hw))) * self.scale
+            w, hw = self.w[:self.rows], self.hw[:self.rows]
+            gram = sum(w[:, c] @ hw[:, c].T for c in chunks) * self.scale
             lam, vec = np.linalg.eigh(0.5 * (gram + gram.T))
             keep = lam > 1e-12 * lam[-1]
             rotate = (vec[:, keep] / np.sqrt(lam[keep])).T
             for store in (self.w, self.hw):
-                for j, block in self._blocks(store):
-                    for row, new in zip(store, rotate @ block):
-                        row[j:j + 4096] = new
-                del store[len(rotate):]
-        self.size = len(self.w)
+                for c in chunks:
+                    store[:len(rotate), c] = rotate @ store[:self.rows, c]
+            self.rows = len(rotate)
+        self.size = self.rows
 
     def inner(self, x: ControlTrajectory, products: bool = False) -> np.ndarray:
         """<W, x>, or <H W, x> with ``products``."""
@@ -353,7 +352,9 @@ class LinearControlProblem:
 
     Its vectors live on the patch's box ``self.box``, as do ``self.bumps``;
     ``self.masks`` are the whole-grid supports bump > 0.  ``self.sources``
-    may be replaced between solves: only ``rhs`` depends on them.  A
+    holds the physical (f1, f2) as the propagator takes them
+    (``LinearPropagator.source_modes``) and may be replaced between solves
+    by sources in that form: only ``rhs`` depends on them.  A
     single-eps problem built with ``recycle`` keeps the ``RecycleSpace``
     ``self.space`` across its solves; any other problem's is None.
     """
@@ -378,7 +379,7 @@ class LinearControlProblem:
         self.box_masks = tuple(b > 0.0 for b in self.bumps)
         self.prop = LinearPropagator(grid, tgrid, nu0, bumps=bumps, coupling=coupling)
         self.y0, self.th0 = y0, th0
-        self.sources = None if f1 is None and f2 is None else (
+        self.sources = None if f1 is None and f2 is None else self.prop.source_modes(
             *(f1 if f1 is not None else (None, None)), f2)
         self.forward_sweeps = 0
         self.adjoint_sweeps = 0
@@ -670,41 +671,52 @@ def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
     return controls, report
 
 
-def _frozen_sources(u, v, th, spec: SystemSpec, grid: GridSpec):
+def _frozen_sources(u, v, th, spec: SystemSpec, modes: ops.ModalBasis, dt: float):
     """All nonlinear/nonlocal terms of a block of states, stacked on a
-    leading level axis, as sources (F1u, F1v, F2) of the same shape: the
-    nonlinear step's explicit terms, plus the excess (nu - nu0) of its
-    diffusion over the linear system's, level by level."""
+    leading level axis, as the linear system's sources (F1u, F1v, F2) in the
+    form ``LinearPropagator.source_modes`` gives them: dt times their
+    Helmholtz coefficients.  They are the nonlinear step's explicit terms,
+    plus the excess (nu - nu0) lap of its diffusion over the linear
+    system's, level by level; lap is the per-mode scaling by -lap_* of the
+    fields' coefficients, which is the 5-point Laplacian of fields with zero
+    normal wall values, so no physical Laplacian is formed."""
     nu0 = spec.law.nu0
-    nu, nu_th, au, av, adv_th, heat = explicit_terms(u, v, th, spec, grid)
-    nu, nu_th = nu[:, None, None], nu_th[:, None, None]
-
-    def source(lap, coeff, transport):
-        """(coeff - nu0) lap - transport, in the Laplacian's array."""
-        lap *= coeff - nu0
-        lap -= transport
-        return lap
-
-    f2 = source(ops.laplacian_cells(th, grid), nu_th, adv_th)
+    nu, nu_th, au, av, adv_th, heat = explicit_terms(u, v, th, spec, modes.grid)
     if heat is not None:
-        heat *= nu
-        f2 += heat
-    return (source(ops.laplacian_u(u, grid), nu, au),
-            source(ops.laplacian_v(v, grid), nu, av), f2)
+        heat *= nu[:, None, None]
+        adv_th -= heat
+    del heat
+
+    def source(maps, field, lap, coeff, transport):
+        """dt ((coeff - nu0) lap field - transport), in the field's coefficients."""
+        fwd, _ = maps
+        out = fwd(field)
+        out *= lap
+        out *= (nu0 - coeff)[:, None, None]
+        out -= fwd(transport)
+        out *= dt
+        return out
+
+    return (source(modes.hu, u, modes.lap_u, nu, au),
+            source(modes.hv, v, modes.lap_v, nu, av),
+            source(modes.cells, th, modes.lap_cells, nu_th, adv_th))
 
 
-def _freezer(out: list, spec: SystemSpec, grid: GridSpec, nt: int):
-    """An ``on_state`` hook filling ``out`` with the (F1u, F1v, F2) arrays of
-    shape (nt, ...) whose level n < nt is the frozen sources of level n.  It
-    stacks the levels n < nt into blocks (``forward.level_blocks``) and calls
+def _freezer(out: list, spec: SystemSpec, modes: ops.ModalBasis, tgrid: TimeGrid):
+    """An ``on_state`` hook filling ``out`` with the sources of shape (nt,
+    ...) whose row n < nt is ``_frozen_sources`` of level n.  It stacks the
+    levels n < nt into blocks (``forward.level_blocks``) and calls
     ``_frozen_sources`` once per block; ``out`` is allocated at the first
     block, not before."""
+    nt = tgrid.nt
+
     def frozen_block(k0, u, v, th):
+        sources = _frozen_sources(u, v, th, spec, modes, tgrid.dt)
         if k0 == 0:
-            out[:] = [np.zeros((nt,) + a.shape[1:]) for a in (u, v, th)]
-        for dest, f in zip(out, _frozen_sources(u, v, th, spec, grid)):
+            out[:] = [np.zeros((nt,) + f.shape[1:]) for f in sources]
+        for dest, f in zip(out, sources):
             dest[k0:k0 + len(f)] = f
-    return level_blocks(grid, nt, frozen_block)
+    return level_blocks(modes.grid, nt, frozen_block)
 
 
 def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
@@ -752,7 +764,7 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
         if k == outer.max_outer:
             break
         frozen: list = []
-        prob._terminal_of(controls, True, _freezer(frozen, spec, grid, tgrid.nt))
+        prob._terminal_of(controls, True, _freezer(frozen, spec, prob.prop.modes, tgrid))
         if outer.damping < 1.0 and prob.sources is not None:
             d = outer.damping
             frozen = [(1 - d) * a + d * f for a, f in zip(prob.sources, frozen)]

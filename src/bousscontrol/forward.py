@@ -9,24 +9,29 @@ The nonlinear mode transforms each field in and out once per step
 runs with the constant coefficient nu0; it is exactly linear in all of its
 inputs and marches in the modal basis, where each per-step building block is
 a per-mode scaling or an orthogonal change of basis, so the discrete adjoint
-is available by transposition (see adjoint.py).
+is available by transposition (see adjoint.py).  Its inputs cross the modal
+boundary outside the per-step loop: a run takes its sources as dt-scaled
+Helmholtz coefficients (``LinearPropagator.source_modes``), and transforms
+its box controls a block of ``sweep_block`` live steps at a time, as the
+adjoint reads its zeta back.  A stacked transform gives each level the bits
+of its own, so blocking moves no result.
 
 Both modes march through ``_march``, which hands a hook the physical view
 of each level (``LinearPropagator.from_modes`` in the linear mode), and every
 energy-traced run raises DivergenceError on a non-finite or blown-up energy.
 ``adjoint.run_adjoint`` keeps its own backward loop: it has no hook, no
-control rows and no early exit, so sharing ``_march`` would only make that
+control inputs and no early exit, so sharing ``_march`` would only make that
 loop branch on the direction of time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
-from .exceptions import DivergenceError, DomainError, StepSizeError
+from .exceptions import DivergenceError, DomainError, ShapeError, StepSizeError
 from .geometry import box_within, control_box, grid_box
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
@@ -192,25 +197,21 @@ def live_steps(controls) -> np.ndarray:
                                  for a in (controls.vu, controls.vv, controls.v0)])
 
 
-def _march(step, state, tgrid: TimeGrid, controls, source_at, on_state, view):
+def _march(step, state, tgrid: TimeGrid, inputs, on_state, view):
     """The forward time loop of both propagators: step ``state`` nt times.
 
-    Step n is ``step(*state, control, sources)``: control is step n's rows
-    (cu, cv, c0) of ``controls``, None where they are all 0 (``live_steps``,
-    bit-identical), and sources is ``source_at(n)``.  Level k = 0..nt is
-    handed as ``view(*state)`` to ``on_state(k, t, u, v, th)``, t =
-    tgrid.nodes()[k]; a true return ends the run there.  Nothing is stored:
-    returns the last level handed out, else the view of the last state.
+    Step n is ``step(*state, *inputs(n))``, its inputs being the propagator's
+    control and sources of step n.  Level k = 0..nt is handed as
+    ``view(*state)`` to ``on_state(k, t, u, v, th)``, t = tgrid.nodes()[k]; a
+    true return ends the run there.  Nothing is stored: returns the last
+    level handed out, else the view of the last state.
     """
     times = tgrid.nodes()
-    live = None if controls is None else live_steps(controls)
     level = None
     for k in range(tgrid.nt + 1):
         if k > 0:
-            n, level = k - 1, None  # not held through the step (see explicit_terms)
-            state = step(*state, None if live is None or not live[n] else (
-                controls.vu[n], controls.vv[n], controls.v0[n]),
-                None if source_at is None else source_at(n))
+            level = None  # not held through the step (see explicit_terms)
+            state = step(*state, *inputs(k - 1))
         if on_state is not None:
             level = view(*state)
             if on_state(k, times[k], *level):
@@ -249,6 +250,16 @@ def _traced(run, grid: GridSpec, tgrid: TimeGrid, on_state, stop_energy: float,
     out = run(_energy_hook(grid, comps, on_state, stop_energy))
     return out, _energy_trace(tgrid.nodes()[:len(comps)], comps, grid,
                               sum(comps[0]) <= small_bound)
+
+
+def sweep_block(grid: GridSpec, nt: int) -> int:
+    """Steps per block in which the linear sweeps of nt steps move their box
+    controls and zeta across the modal boundary: ``block_levels``, so that
+    each part's stack holds as many cells as a stack of ``level_blocks``,
+    and at most nt / 16, so that the block's three parts stay a small share
+    of one whole-grid control of nt levels, which a Hessian apply must not
+    allocate."""
+    return block_levels(grid, max(1, nt // 16))
 
 
 def block_levels(grid: GridSpec, levels: int) -> int:
@@ -346,12 +357,21 @@ class NonlinearPropagator:
             stop_energy=-np.inf):
         """March nt steps from the projected y0 (see ``_march``), or up to
         the first level whose energy is at most ``stop_energy``;
-        ``forcing(n)`` gives step n's sources.  Returns (last state,
-        EnergyTrace of the levels reached)."""
+        ``forcing(n)`` gives step n's sources.  Step n takes the rows n of
+        ``controls``, or none where they are all 0 (``live_steps``,
+        bit-identical).  Returns (last state, EnergyTrace of the levels
+        reached)."""
         step = partial(self.step, box=None if controls is None else controls.box)
+        live = None if controls is None else live_steps(controls)
+
+        def inputs(n):
+            control = None if live is None or not live[n] else (
+                controls.vu[n], controls.vv[n], controls.v0[n])
+            return control, None if forcing is None else forcing(n)
+
         return _traced(   # the start state is built in place, so that no frame keeps it
             lambda hook: _march(step, (*self.modes.project_faces(y0[0], y0[1]), th0.copy()),
-                                self.tgrid, controls, forcing, hook, lambda *level: level),
+                                self.tgrid, inputs, hook, lambda *level: level),
             self.grid, self.tgrid, on_state, stop_energy,
             self.spec.phi_smallness_factor * self.spec.law.nu0 ** 2)
 
@@ -365,10 +385,12 @@ class LinearPropagator:
     shared-mode coefficients of the divergence-free velocity and the DST-II
     coefficients of theta, the Helmholtz solves, the buoyancy average and
     the Leray projection act per mode, and the velocity changes basis along
-    one axis each way per step.  Box controls and sources enter through
-    their own transforms.  `step` and `step_adjoint` are the same modal
-    steps between physical states; `step_adjoint_modes` is the transpose of
-    `step_modes`, which adjoint.py uses for gradients and duality checks.
+    one axis each way per step.  Box controls and sources enter as what a
+    step adds in the Helmholtz basis: dt times the coefficients of bump *
+    control (``control_modes``) and of (F1u, F1v, F2) (``source_modes``).
+    `step` and `step_adjoint` are the same modal steps between physical
+    states; `step_adjoint_modes` is the transpose of `step_modes`, which
+    adjoint.py uses for gradients and duality checks.
     """
 
     def __init__(self, grid: GridSpec, tgrid: TimeGrid, nu0: float,
@@ -392,6 +414,14 @@ class LinearPropagator:
             self._dt_bumps = tuple(dt * b[s] for b, s in zip(bumps, self.box))
             self._box_maps = m.on_box(self.box)
 
+    @cached_property
+    def zeta_rows(self):
+        """Scratch for ``sweep_block`` steps of the adjoint's Helmholtz zeta
+        (u, v and theta parts), made once per propagator, so that its pages
+        are touched once, not once per adjoint run (``adjoint.run_adjoint``)."""
+        m, size = self.modes, sweep_block(self.grid, self.tgrid.nt)
+        return tuple(np.empty((size,) + lap.shape) for lap in (m.lap_u, m.lap_v, m.lap_cells))
+
     def to_modes(self, u, v, th):
         """The modal state of a physical one: its velocity projected (a
         no-op on divergence-free velocity) and its theta coefficients."""
@@ -405,27 +435,53 @@ class LinearPropagator:
         m = self.modes
         return m.u[1](us), m.v[1](vs), m.cells[1](th)
 
-    def step_modes(self, us, vs, th, control=None, sources=None):
-        """One step of a modal state; returns new arrays.  ``control`` =
-        (cu, cv, c0) is stored on ``self.box``; ``sources`` = (fu, fv, fth)
-        are whole-grid physical fields, any of them None."""
+    def source_modes(self, fu, fv, fth):
+        """The sources ``step_modes`` and ``run`` take, dt times the
+        Helmholtz coefficients, of physical (F1u, F1v, F2) at one level or
+        a stack of levels; a None part stays None."""
         m, dt = self.modes, self.tgrid.dt
+        return tuple(None if f is None else dt * fwd(f)
+                     for f, (fwd, _) in zip((fu, fv, fth), (m.hu, m.hv, m.cells)))
+
+    def control_modes(self, control):
+        """dt times the Helmholtz coefficients of bump * control, of
+        ``control`` = (cu, cv, c0) stored on ``self.box``, at one step or a
+        stack of steps."""
+        return tuple(fwd(b * c) for (fwd, _), b, c in
+                     zip(self._box_maps, self._dt_bumps, control))
+
+    def _check_sources(self, sources, steps=()):
+        """ShapeError unless each part of ``sources`` is None or shaped like
+        the Helmholtz coefficients of its field, behind ``steps``."""
+        m = self.modes
+        for name, f, lap in zip(("F1u", "F1v", "F2"), sources,
+                                (m.lap_u, m.lap_v, m.lap_cells)):
+            if f is not None and np.shape(f) != steps + lap.shape:
+                raise ShapeError(
+                    f"source {name} has shape {np.shape(f)}, expected {steps + lap.shape}: "
+                    "sources are dt-scaled Helmholtz coefficients (source_modes)")
+
+    def step_modes(self, us, vs, th, control=None, sources=None):
+        """One step of a modal state; returns new arrays.  ``control`` is
+        ``control_modes`` of the step's box controls and ``sources``
+        ``source_modes`` of its (F1u, F1v, F2), any part of them None; a
+        source part of another shape raises ShapeError."""
+        m = self.modes
         ru = m.change_u[0](us)
         rv = m.change_v[0](vs)
         rv += self._buoyancy * th[:, :-1]
         rth = th
-        if control is not None:
-            maps = self._box_maps
-            rth = rth + maps[2][0](self._dt_bumps[2] * control[2])
-            for r, (fwd, _), b, c in zip((ru, rv), maps, self._dt_bumps, control):
-                r += fwd(b * c)
         if sources is not None:
-            fu, fv, fth = sources
-            if fth is not None:
-                rth = rth + dt * m.cells[0](fth)
-            for r, (fwd, _), f in zip((ru, rv), (m.hu, m.hv), (fu, fv)):
-                if f is not None:
-                    r += dt * fwd(f)
+            self._check_sources(sources)
+        for added in (control, sources):
+            if added is not None:
+                fu, fv, fth = added
+                if fth is not None:
+                    rth = rth + fth
+                if fu is not None:
+                    ru += fu
+                if fv is not None:
+                    rv += fv
         ru *= self._solve_u
         rv *= self._solve_v
         us1, vs1 = m.change_u[1](ru), m.change_v[1](rv)
@@ -453,15 +509,16 @@ class LinearPropagator:
         return zu, zv, zth, lth
 
     def step(self, u, v, th, control=None, sources=None, box=None):
-        """`step_modes` between physical states; the velocity is projected
-        on entry (a no-op on divergence-free velocity).  ``control`` is
-        stored on ``box`` (None for the whole grid), which must hold
-        ``self.box``."""
+        """`step_modes` between physical states, with physical box controls
+        and sources (F1u, F1v, F2); the velocity is projected on entry (a
+        no-op on divergence-free velocity).  ``control`` is stored on
+        ``box`` (None for the whole grid), which must hold ``self.box``."""
         if control is not None:
-            control = tuple(c[i] for c, i in zip(
-                control, box_within(self.box, box or grid_box(self.grid))))
-        return self.from_modes(*self.step_modes(*self.to_modes(u, v, th), control,
-                                                 sources))
+            control = self.control_modes(tuple(c[i] for c, i in zip(
+                control, box_within(self.box, box or grid_box(self.grid)))))
+        return self.from_modes(*self.step_modes(
+            *self.to_modes(u, v, th), control,
+            None if sources is None else self.source_modes(*sources)))
 
     def step_adjoint(self, gu, gv, gth):
         """`step_adjoint_modes` between physical fields, for divergence-free
@@ -472,17 +529,39 @@ class LinearPropagator:
         return m.hu[1](zu), m.hv[1](zv), m.cells[1](zth), m.cells[1](lth)
 
     def run(self, y0, th0, controls=None, sources=None, on_state=None):
-        """March nt steps of the modal state of y0, th0 (see ``_march``);
-        ``controls`` are read on ``self.box`` and ``sources`` holds (F1u,
-        F1v, F2) per step, any of them None.  Levels are transformed back
-        only to be handed to ``on_state``.  Returns the last physical state.
-        """
+        """March nt steps of the modal state of y0, th0 (see ``_march``).
+        ``controls`` are read on ``self.box``; ``sources`` holds
+        ``source_modes`` of (F1u, F1v, F2) stacked over the nt steps, any of
+        them None, and a part of another shape raises ShapeError.  The
+        controls of the live steps (``live_steps``) are transformed by
+        ``control_modes`` a block of ``sweep_block`` of them at a time; the
+        other steps get none.  Levels are transformed back only to be handed
+        to ``on_state``.  Returns the last physical state."""
+        if sources is not None:
+            self._check_sources(sources, (self.tgrid.nt,))
         if controls is not None:
             controls = controls.on(self.box)
+            live = live_steps(controls)
+            steps = np.flatnonzero(live)
+            size = sweep_block(self.grid, self.tgrid.nt)
+        coeffs, seen = (), 0    # the current block's control_modes; live steps passed
+
+        def inputs(n):
+            nonlocal coeffs, seen
+            control = None
+            if controls is not None and live[n]:
+                i = seen % size
+                if i == 0:
+                    coeffs = ()     # freed before the next block is made
+                    rows = steps[seen:seen + size]
+                    coeffs = self.control_modes(tuple(a[rows] for a in controls.parts))
+                control = tuple(c[i] for c in coeffs)
+                seen += 1
+            return control, None if sources is None else tuple(
+                None if f is None else f[n] for f in sources)
+
         return _march(self.step_modes, self.to_modes(y0[0], y0[1], th0), self.tgrid,
-                      controls, None if sources is None else (
-                          lambda n: tuple(None if f is None else f[n] for f in sources)),
-                      on_state, self.from_modes)
+                      inputs, on_state, self.from_modes)
 
 
 def run_nonlinear(y0, th0, controls, spec: SystemSpec, grid: GridSpec,

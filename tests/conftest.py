@@ -244,10 +244,11 @@ def feed(levels, hook):
 
 def run_linearized(y0, th0, controls, f1, f2, nu0, grid, tgrid, bumps=None,
                    coupling=None) -> Recorder:
-    """Every level of the linear system with sources F1 = (f1u, f1v), F2."""
+    """Every level of the linear system with physical sources F1 = (f1u,
+    f1v), F2."""
     prop = LinearPropagator(grid, tgrid, nu0, bumps=bumps, coupling=coupling)
     rec = Recorder()
-    sources = None if f1 is None and f2 is None else (
+    sources = None if f1 is None and f2 is None else prop.source_modes(
         *(f1 if f1 is not None else (None, None)), f2)
     prop.run(y0, th0, controls=controls, sources=sources, on_state=rec)
     return rec
@@ -331,22 +332,26 @@ def reference_control_regularity_report(controls, tables, grid, tgrid, t_clip=No
     return dict(zip(sums, map(float, logs_sums)))
 
 
-def reference_frozen_sources(traj, spec, grid, nt):
-    """The outer loop's frozen sources ((F1u, F1v), F2) of stored levels, the
-    way they were computed before they streamed."""
-    nu0 = spec.law.nu0
-    f1u = np.zeros((nt, grid.nx + 1, grid.ny))
-    f1v = np.zeros((nt, grid.nx, grid.ny + 1))
-    f2 = np.zeros((nt, grid.nx, grid.ny))
-    for n in range(nt):
+def reference_frozen_sources(traj, spec, grid, tgrid):
+    """The outer loop's frozen sources (F1u, F1v, F2) of stored levels,
+    level by level, in the form the linear system takes them
+    (``LinearPropagator.source_modes``): dt times the Helmholtz coefficients
+    of (nu - nu0) lap y - transport and (nu_th - nu0) lap theta - transport
+    + nu heat, with lap the per-mode scaling by -lap_* (the modal identity
+    of ``test_operators.TestModalLaplacian``)."""
+    m, nu0, dt = ops.ModalBasis(grid), spec.law.nu0, tgrid.dt
+    laps = (m.lap_u, m.lap_v, m.lap_cells)
+    out = tuple(np.zeros((tgrid.nt,) + lap.shape) for lap in laps)
+    for n in range(tgrid.nt):
         u, v, th = traj.u[n], traj.v[n], traj.theta[n]
         nu, nu_th, au, av, adv_th, heat = explicit_terms(u, v, th, spec, grid)
-        f1u[n] = (nu - nu0) * ops.laplacian_u(u, grid) - au
-        f1v[n] = (nu - nu0) * ops.laplacian_v(v, grid) - av
-        f2[n] = (nu_th - nu0) * ops.laplacian_cells(th, grid) - adv_th
         if heat is not None:
-            f2[n] += nu * heat
-    return (f1u, f1v), f2
+            adv_th = adv_th - nu * heat
+        for dest, (fwd, _), field, lap, coeff, transport in zip(
+                out, (m.hu, m.hv, m.cells), (u, v, th), laps, (nu, nu, nu_th),
+                (au, av, adv_th)):
+            dest[n] = dt * ((nu0 - coeff) * (fwd(field) * lap) - fwd(transport))
+    return out
 
 
 def reference_space_weights(params, eta0, tgrid):

@@ -37,6 +37,24 @@ class TestDuality:
                                 np.random.default_rng(102), coupling=0.3)
         assert defect <= 1e-10
 
+    def test_defect_checks_the_sourced_path(self, grid16, bumps16, monkeypatch):
+        # the random physical sources reach the forward run as source_modes,
+        # and a wrong conversion of them shows in the defect
+        tg = TimeGrid(1.0, 16)
+        run, seen = LinearPropagator.run, []
+
+        def recording_run(prop, *args, sources=None, **kwargs):
+            seen.append(sources)
+            return run(prop, *args, sources=sources, **kwargs)
+
+        monkeypatch.setattr(LinearPropagator, "run", recording_run)
+        assert duality_defect(grid16, tg, 0.1, bumps16, np.random.default_rng(5)) <= 1e-10
+        assert [f.shape for f in seen[0]] == [(16, 15, 16), (16, 16, 15), (16, 16, 16)]
+        convert = LinearPropagator.source_modes
+        monkeypatch.setattr(LinearPropagator, "source_modes",
+                            lambda prop, *f: tuple(2.0 * a for a in convert(prop, *f)))
+        assert duality_defect(grid16, tg, 0.1, bumps16, np.random.default_rng(5)) > 1e-3
+
     def test_zero_inputs_give_zero_defect(self, grid16, bumps16):
         tg = TimeGrid(1.0, 16)
         prop = LinearPropagator(grid16, tg, 0.1, bumps=bumps16)

@@ -16,16 +16,17 @@ from bousscontrol.control import (ControlTrajectory, LinearControlProblem,
                                   weighted_control_energy, step_weight_logs)
 from bousscontrol.diagnostics import NormSamples, weighted_norms
 from bousscontrol.exceptions import ConvergenceError, DomainError, RegimeError
-from bousscontrol.forward import (SystemSpec, block_levels, chain_hooks, run_nonlinear,
-                                  scaled_initial_data, sine_theta)
+from bousscontrol.forward import (LinearPropagator, SystemSpec, block_levels, chain_hooks,
+                                  run_nonlinear, scaled_initial_data, sine_theta)
 from bousscontrol.geometry import (ControlPatch, bump_on_solver_grids, build_eta0,
                                    control_box, grid_box)
 from bousscontrol.grids import GridSpec, TimeGrid
-from bousscontrol.operators import FOLD_MIN, ViscosityLaw, state_norm_sq
+from bousscontrol.operators import FOLD_MIN, ModalBasis, ViscosityLaw, state_norm_sq
 from bousscontrol.runner import _synthesis_section
 from bousscontrol.weights import WeightParams, eval_weights, find_min_m
 
-from conftest import Recorder, reference_frozen_sources, reference_norm_samples
+from conftest import (PhysicalLinear, Recorder, max_rel_diff, rand_cells, rand_div_free,
+                      rand_u, rand_v, reference_frozen_sources, reference_norm_samples)
 
 # frozen after the duality and finite-difference gradient checks first passed
 # (seeded controls, 16x16, nt=64, eps=1e-4, unweighted, nu0=0.1)
@@ -462,7 +463,7 @@ class TestOuterLoopContinuation:
         z, controls, _, _, _ = prob.solve()
         z = z.copy()
         frozen: list = []
-        prob._terminal_of(controls, True, _freezer(frozen, spec, grid16, tgrid64.nt))
+        prob._terminal_of(controls, True, _freezer(frozen, spec, prob.prop.modes, tgrid64))
         prob.sources = tuple(frozen)
         space = copy.deepcopy(prob.space)   # the W this solve deflates with
         assert len(space) > 0
@@ -890,6 +891,31 @@ def test_gradient_finite_with_saturated_weights(grid16, tgrid64, bumps16,
     assert objective(c, *args) == np.inf
 
 
+@pytest.mark.parametrize("given", ["F1-and-F2", "F2-only"])
+def test_problem_takes_physical_sources(grid16, bumps16, given):
+    # (f1, f2) are physical; the problem keeps them as the propagator's
+    # sources (source_modes), and its free run matches the physical reference
+    tg = TimeGrid(0.5, 16)
+    rng = np.random.default_rng(61)
+    f1 = tuple(np.stack([draw(grid16, rng) for _ in range(tg.nt)])
+               for draw in (rand_u, rand_v))
+    f2 = np.stack([rand_cells(grid16, rng) for _ in range(tg.nt)])
+    if given == "F2-only":
+        f1 = None
+    y0, th0 = rand_div_free(grid16, rng), rand_cells(grid16, rng)
+    pen = PenaltySpec(epsilon=1e-4, weight_mode="unweighted")
+    prob = LinearControlProblem(y0, th0, f1, f2, pen, np.zeros(tg.nt), grid16, tg, NU0,
+                                bumps16)
+    physical = (*(f1 or (None, None)), f2)
+    want_sources = prob.prop.source_modes(*physical)
+    assert [f is None for f in prob.sources] == [f is None for f in physical]
+    assert all(np.array_equal(a, b) for a, b in zip(prob.sources, want_sources)
+               if a is not None)
+    prob.rhs()
+    want = PhysicalLinear(prob.prop).run(y0, th0, None, physical)
+    assert max_rel_diff(prob.free_terminal, want) <= 1e-12
+
+
 def test_cg_optimum_matches_dense_solve():
     # independent optimality oracle: assemble the reduced Hessian densely by
     # applying it to unit vectors and solve the linear system directly; the
@@ -1048,7 +1074,7 @@ class TestStreamedReadersMatchReferences:
                           phi_smallness_factor=1e2)
         rec, samples = Recorder(), NormSamples(grid, tg)
         frozen: list = []
-        hooks = chain_hooks(rec, samples, _freezer(frozen, spec, grid, tg.nt))
+        hooks = chain_hooks(rec, samples, _freezer(frozen, spec, ModalBasis(grid), tg))
         if request.param == "linear-controlled":
             pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman", cg_tol=1e-6)
             ctrl, _ = solve_linear_control(y0, th0, None, None, pen, tables16,
@@ -1071,8 +1097,8 @@ class TestStreamedReadersMatchReferences:
 
     def test_frozen_sources_match_reference(self, run):
         grid, tg, spec, rec, _, frozen, _ = run
-        (f1u, f1v), f2 = reference_frozen_sources(rec, spec, grid, tg.nt)
-        for got, want in zip(frozen, (f1u, f1v, f2)):
+        assert len(frozen) == 3
+        for got, want in zip(frozen, reference_frozen_sources(rec, spec, grid, tg)):
             assert np.array_equal(got, want)
 
 
@@ -1084,8 +1110,9 @@ def streamed_run(grid, tg, spec, seed=3):
     ctrl = masked_random_controls(grid, tg.nt, bumps, np.random.default_rng(seed),
                                   scale=1e-2)
     rec, samples, frozen = Recorder(), NormSamples(grid, tg), []
+    freezer = _freezer(frozen, spec, ModalBasis(grid), tg)
     run_nonlinear(y0, th0, ctrl, spec, grid, tg, bumps=bumps,
-                  on_state=chain_hooks(rec, samples, _freezer(frozen, spec, grid, tg.nt)))
+                  on_state=chain_hooks(rec, samples, freezer))
     assert len(rec.levels) == tg.nt + 1
     return rec, samples, frozen
 
@@ -1120,8 +1147,8 @@ class TestBlockEdges:
         ref = reference_norm_samples(rec, grid, tg)
         for name, want in vars(ref).items():
             assert np.array_equal(getattr(samples, name), want), name
-        (f1u, f1v), f2 = reference_frozen_sources(rec, spec, grid, nt)
-        for got, want in zip(frozen, (f1u, f1v, f2)):
+        assert len(frozen) == 3
+        for got, want in zip(frozen, reference_frozen_sources(rec, spec, grid, tg)):
             assert np.array_equal(got, want)
 
     def test_damped_sources_match_reference(self, grid16, tgrid64, bumps16, tables16,
@@ -1132,9 +1159,9 @@ class TestBlockEdges:
         runs, used = [], []
         freezer, solve = control._freezer, LinearControlProblem.solve
 
-        def recording_freezer(out, spec, grid, nt):
+        def recording_freezer(out, spec, modes, tgrid):
             runs.append(Recorder())
-            return chain_hooks(runs[-1], freezer(out, spec, grid, nt))
+            return chain_hooks(runs[-1], freezer(out, spec, modes, tgrid))
 
         def recording_solve(prob):
             used.append(prob.sources)
@@ -1149,12 +1176,107 @@ class TestBlockEdges:
         assert len(runs) == 2 and len(used) == 3 and used[0] is None
         want = None
         for rec, got in zip(runs, used[1:]):
-            (f1u, f1v), f2 = reference_frozen_sources(rec, SPEC, grid16, tgrid64.nt)
-            new = (f1u, f1v, f2)
+            new = reference_frozen_sources(rec, SPEC, grid16, tgrid64)
             want = new if want is None else tuple(
                 (1 - 0.5) * a + 0.5 * f for a, f in zip(want, new))
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
+
+
+class TestSweepBlocks:
+    """The linear sweeps cross the modal boundary a block of steps at a time
+    (``forward.sweep_block``): the blocked box-control transforms of
+    ``LinearPropagator.run`` and the blocked zeta read-back of
+    ``run_adjoint`` equal the per-step transforms bit for bit, wherever the
+    blocks fall, and the unread zeta rows stay exactly 0."""
+
+    @staticmethod
+    def holed(nt):
+        """Live (or read) steps with holes: a dead stretch longer than any
+        block, single dead steps, and live steps up to the last."""
+        keep = np.ones(nt, dtype=bool)
+        keep[5:17] = False
+        keep[[20, 23, 24, 30]] = False
+        return keep
+
+    @staticmethod
+    def propagator(grid, tg, box):
+        """A linear propagator whose controls live on the patch's box, or on
+        the whole grid (the box ``adjoint.duality_defect`` reads zeta on)."""
+        bumps = (bump_on_solver_grids(grid, ControlPatch((0.5, 0.5), (0.2, 0.2)))
+                 if box == "patch" else tuple(np.ones(a.shape) for a in (
+                     grid.zeros_u(), grid.zeros_v(), grid.zeros_cells())))
+        return LinearPropagator(grid, tg, NU0, bumps=bumps, coupling=0.3)
+
+    CASES = pytest.mark.parametrize("nt, per_block, size", [
+        (37, None, 2),     # 37 // 16 steps
+        (37, 1, 1),        # BLOCK_CELLS set to one step
+        (101, None, 6),    # 101 = 16 * 6 + 5
+    ], ids=["nt37", "nt37-one-step", "nt101"])
+    BOXES = pytest.mark.parametrize("box", ["patch", "whole"])
+
+    @staticmethod
+    def sized(monkeypatch, grid, nt, per_block, size):
+        if per_block is not None:
+            monkeypatch.setattr(forward, "BLOCK_CELLS", per_block * grid.nx * grid.ny)
+        assert forward.sweep_block(grid, nt) == size
+
+    @CASES
+    @BOXES
+    def test_control_transforms_match_per_step(self, monkeypatch, nt, per_block, size,
+                                               box):
+        grid, tg = GridSpec(16, 16), TimeGrid(1.0, nt)
+        self.sized(monkeypatch, grid, nt, per_block, size)
+        prop = self.propagator(grid, tg, box)
+        rng = np.random.default_rng(71)
+        ctrl = ControlTrajectory.zeros(grid, nt, prop.box)
+        for part in ctrl.parts:
+            part[:] = rng.standard_normal(part.shape)
+            part[~self.holed(nt)] = 0.0
+        y0, th0 = rand_div_free(grid, rng), rand_cells(grid, rng)
+        got = Recorder()
+        prop.run(y0, th0, ctrl, on_state=got)
+        state = prop.to_modes(*y0, th0)
+        want = [prop.from_modes(*state)]
+        for n in range(nt):
+            control = prop.control_modes((ctrl.vu[n], ctrl.vv[n], ctrl.v0[n])) \
+                if self.holed(nt)[n] else None
+            state = prop.step_modes(*state, control)
+            want.append(prop.from_modes(*state))
+        assert len(got.levels) == nt + 1
+        for level, ref in zip(got.levels, want):
+            assert all(np.array_equal(a, b) for a, b in zip(level[1:], ref))
+
+    @CASES
+    @BOXES
+    @pytest.mark.parametrize("reads", ["holed", "every-step"])
+    def test_zeta_read_back_matches_per_step(self, monkeypatch, nt, per_block, size, box,
+                                             reads):
+        from bousscontrol.adjoint import run_adjoint
+        grid, tg = GridSpec(16, 16), TimeGrid(1.0, nt)
+        self.sized(monkeypatch, grid, nt, per_block, size)
+        prop = self.propagator(grid, tg, box)
+        read = self.holed(nt) if reads == "holed" else None
+        rng = np.random.default_rng(72)
+        phi_t, psi_t = prop.modes.project_faces(*rand_div_free(grid, rng)), \
+            rand_cells(grid, rng)
+        adj = run_adjoint(phi_t, psi_t, None, None, prop, prop.box, read=read)
+        m = prop.modes
+        back = [inv for _, inv in m.on_box(prop.box)]
+        want = [np.zeros_like(z) for z in (adj.zeta_u, adj.zeta_v, adj.zeta_th)]
+        lam = prop.to_modes(*phi_t, psi_t)
+        for n in range(nt - 1, -1, -1):
+            zu, zv, zth, lam_th = prop.step_adjoint_modes(*lam)
+            if read is None or read[n]:
+                for out, rd, z in zip(want, back, (zu, zv, zth)):
+                    out[n] = rd(z)
+            lam = (m.change_u[1](zu), m.change_v[1](zv), lam_th)
+            m.project(lam[0], lam[1])
+        for got, ref in zip((adj.zeta_u, adj.zeta_v, adj.zeta_th), want):
+            assert np.array_equal(got, ref)
+            if read is not None:
+                assert not np.any(got[~read])
+                assert np.all(np.any(got[read] != 0.0, axis=(1, 2)))
 
 
 class TestIncompleteRunGuard:

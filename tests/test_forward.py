@@ -1,11 +1,13 @@
 """Forward integrators: one-step dense-matrix oracle, linearity, decay physics,
 energy monitors, stability and error handling."""
 
+import re
+
 import numpy as np
 import pytest
 
 from bousscontrol import operators as ops
-from bousscontrol.exceptions import DivergenceError, DomainError, StepSizeError
+from bousscontrol.exceptions import DivergenceError, DomainError, ShapeError, StepSizeError
 from bousscontrol.control import ControlTrajectory
 from bousscontrol.forward import (LinearPropagator, MaxDivergence, NonlinearPropagator,
                                   SystemSpec, chain_hooks, energy_components,
@@ -454,6 +456,54 @@ def test_run_nonlinear_dispatches_linearized_mode(grid16):
     assert np.all(np.isfinite(trace.energy))
 
 
+class TestSourceShapes:
+    """``LinearPropagator.run`` and ``step_modes`` take sources as dt-scaled
+    Helmholtz coefficients (``source_modes``) and refuse a part of another
+    shape, naming it; the physical ``step`` converts its physical sources."""
+
+    TG = TimeGrid(0.5, 16)
+
+    @pytest.mark.parametrize("part", [0, 1], ids=["F1u", "F1v"])
+    def test_run_refuses_physical_sources(self, grid16, part):
+        rng = np.random.default_rng(51)
+        prop = LinearPropagator(grid16, self.TG, 0.1)
+        physical = [np.stack([draw(grid16, rng) for _ in range(self.TG.nt)])
+                    for draw in (rand_u, rand_v, rand_cells)]
+        sources = list(prop.source_modes(*physical))
+        sources[part] = physical[part]
+        name, want = [("F1u", (16, 15, 16)), ("F1v", (16, 16, 15))][part]
+        with pytest.raises(ShapeError,
+                           match=rf"source {name} .* expected {re.escape(str(want))}"):
+            prop.run(rand_div_free(grid16, rng), rand_cells(grid16, rng), None,
+                     tuple(sources))
+
+    def test_run_refuses_a_stack_of_other_length(self, grid16):
+        prop = LinearPropagator(grid16, self.TG, 0.1)
+        f2 = np.zeros((self.TG.nt - 1, 16, 16))
+        with pytest.raises(ShapeError, match=r"source F2 .* expected \(16, 16, 16\)"):
+            prop.run((grid16.zeros_u(), grid16.zeros_v()), grid16.zeros_cells(), None,
+                     (None, None, f2))
+
+    def test_step_modes_refuses_physical_sources(self, grid16):
+        rng = np.random.default_rng(52)
+        prop = LinearPropagator(grid16, self.TG, 0.1)
+        state = prop.to_modes(*rand_div_free(grid16, rng), rand_cells(grid16, rng))
+        with pytest.raises(ShapeError, match=r"source F1u .* expected \(15, 16\)"):
+            prop.step_modes(*state, None, (rand_u(grid16, rng), None, None))
+
+    def test_physical_step_converts_its_sources(self, grid16, bumps16):
+        rng = np.random.default_rng(53)
+        prop = LinearPropagator(grid16, self.TG, 0.1, bumps=bumps16, coupling=0.3)
+        state = (*rand_div_free(grid16, rng), rand_cells(grid16, rng))
+        sources = (rand_u(grid16, rng), rand_v(grid16, rng), rand_cells(grid16, rng))
+        control = (rand_u(grid16, rng), rand_v(grid16, rng), rand_cells(grid16, rng))
+        got = prop.step(*state, control, sources)
+        assert max_rel_diff(got, PhysicalLinear(prop).step(*state, control, sources)) <= 1e-12
+        modal = prop.step_modes(*prop.to_modes(*state), prop.control_modes(tuple(
+            c[b] for c, b in zip(control, prop.box))), prop.source_modes(*sources))
+        assert all(np.array_equal(a, b) for a, b in zip(got, prop.from_modes(*modal)))
+
+
 class TestModalMarch:
     """The linear system marches in its modal basis; each level it hands out
     and its last state agree with the physical step it replaced
@@ -476,7 +526,7 @@ class TestModalMarch:
             sources = (None, None, sources[2])
         y0, th0 = rand_div_free(grid, rng), rand_cells(grid, rng)
         got, want = Recorder(), Recorder()
-        last = prop.run(y0, th0, controls, sources, on_state=got)
+        last = prop.run(y0, th0, controls, prop.source_modes(*sources), on_state=got)
         ref = PhysicalLinear(prop).run(y0, th0, controls, sources, on_state=want)
         assert len(got.levels) == len(want.levels) == tg.nt + 1
         for a, b in zip(got.levels, want.levels):

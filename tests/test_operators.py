@@ -82,6 +82,24 @@ def test_laplacians_match_the_padded_form(grid):
     assert np.array_equal(ops.laplacian_v(v, grid), reference_laplacian_v(v, grid))
 
 
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS + [GridSpec(128, 128)],
+                         ids=["16x16", "33x20", "128x128"])
+class TestModalLaplacian:
+    """The modal identity the outer loop's frozen sources rest on: the
+    Helmholtz coefficients of the 5-point Laplacian of a field with zero
+    normal wall values are its own coefficients times -lap_*, on short axes
+    and on folded ones (128 >= FOLD_MIN)."""
+
+    def test_laplacians_are_per_mode_scalings(self, grid):
+        m = ops.ModalBasis(grid)
+        for (fwd, _), lap, stencil, draw in (
+                (m.hu, m.lap_u, ops.laplacian_u, rand_u),
+                (m.hv, m.lap_v, ops.laplacian_v, rand_v),
+                (m.cells, m.lap_cells, ops.laplacian_cells, rand_cells)):
+            f = draw(grid, RNG)
+            assert max_rel_diff([-lap * fwd(f)], [fwd(stencil(f, grid))]) <= 1e-14
+
+
 @pytest.mark.parametrize("grid", SOLVE_GRIDS, ids=GRID_IDS)
 class TestProjection:
     def test_div_free_input_unchanged(self, grid):
