@@ -37,8 +37,7 @@ print("part 1: nonlinear null control via the outer source-term fixed point")
 print("=" * 72)
 # small viscosity keeps the control genuinely active (with nu0 ~ 1 the free
 # decay already crushes the state and the loop converges immediately)
-spec = SystemSpec(law=ViscosityLaw("l2", nu0=0.05, nu1=0.05), heating_on=True,
-                  phi_smallness_factor=1e2)
+spec = SystemSpec(law=ViscosityLaw("l2", nu0=0.05, nu1=0.05), heating_on=True)
 tgrid = TimeGrid(1.0, 128)
 y0, th0 = scaled_initial_data(grid, target_energy=1e-2)
 pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)

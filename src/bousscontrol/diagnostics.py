@@ -175,22 +175,6 @@ def weighted_norms(samples: NormSamples, controls: ControlTrajectory | None,
     return out
 
 
-def _wall_terms(fwd, a: np.ndarray, rows: slice, n: int, h: float, axis: int):
-    """Coefficients (``fwd``) of the wall terms of the 5-point Laplacian of
-    a normal velocity ``a`` stored on ``rows`` of the n + 1 faces along
-    ``axis``: its values at faces 0 and n, over h^2, put at faces 1 and
-    n - 1.  0 when ``rows`` reach no wall."""
-    lo, hi, _ = rows.indices(n + 1)
-    if lo > 0 and hi <= n:
-        return 0.0
-    w = np.zeros_like(a)
-    wn, an = (np.moveaxis(x, axis - 2, -1) for x in (w, a))   # the faces last
-    for wall, inner in ((0, 1), (n, n - 1)):
-        if lo <= wall < hi:
-            wn[..., inner - lo] = an[..., wall - lo] / h ** 2
-    return fwd(w)
-
-
 def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
                               grid: GridSpec, tgrid: TimeGrid,
                               t_clip: float | None = None) -> dict:
@@ -204,13 +188,22 @@ def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
     Laplacian and H^1 terms on the Helmholtz coefficients c
     (``ModalBasis.on_box``) of the live steps (``forward.live_steps``),
     where -lap is the scaling lam (Schumann & Sweet, J. Comput. Phys. 75,
-    1988): with d = lam c - w (w from ``_wall_terms``), |lap f|^2 = area
-    sum d^2 and |grad f|^2 = area sum d c, the 5-point sums up to order.
+    1988): with d = lam c, |lap f|^2 = area sum d^2 and |grad f|^2 = area
+    sum d c, the 5-point sums up to order.  That holds for admissible
+    controls, whose normal velocity vanishes on the walls (a control
+    supported in omega, which ``validate_patch`` keeps inside Omega, never
+    reaches them); a nonzero wall value of vu or vv raises DomainError.
     """
     dt = tgrid.dt
+    parts = controls.parts
+    for p, (name, n) in enumerate((("vu", grid.nx), ("vv", grid.ny))):
+        lo, hi, _ = controls.box[p][p].indices(n + 1)   # the faces along the normal
+        walls = [w - lo for w in (0, n) if lo <= w < hi]
+        if np.any(np.take(parts[p], walls, axis=p + 1)):
+            raise DomainError(f"control {name} is nonzero on a wall face: the kappa "
+                              "report takes controls supported inside Omega")
     logk = control_weight_logs(tables, default_t_clip(t_clip, tgrid),
                                name="kappa")[:, None, None]
-    parts = controls.parts
     logs = [logk + _log(np.abs(f)) for f in parts]
     big = max(float(np.max(lg, initial=-np.inf)) for lg in logs)
     if big == -np.inf:  # zero controls
@@ -223,15 +216,12 @@ def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
     dkv0_sq = float(np.sum(time_derivative(kv0, dt) ** 2)) * q * dt
     m = ops.ModalBasis(grid)
     live = live_steps(controls)
-    walls = ((grid.nx, grid.hx), (grid.ny, grid.hy))
     lap, norms = [], []    # per part, per live step
-    for p, ((fwd, _), lam, kv) in enumerate(zip(
-            m.on_box(controls.box), (m.lap_u, m.lap_v, m.lap_cells), (kvu, kvv, kv0))):
+    for (fwd, _), lam, kv in zip(m.on_box(controls.box), (m.lap_u, m.lap_v, m.lap_cells),
+                                 (kvu, kvv, kv0)):
         a = kv[live]
         c = fwd(a)
         d = lam * c
-        if p < 2:   # the normal velocity: u along x (axis 0), v along y (axis 1)
-            d -= _wall_terms(fwd, a, controls.box[p][p], *walls[p], axis=p)
         lap.append(np.sum(d * d, axis=(1, 2)))
         norms.append((np.sum(a * a, axis=(1, 2)), np.sum(d * c, axis=(1, 2))))
     (u_sq, u_h1), (v_sq, v_h1), (c_sq, c_h1) = norms

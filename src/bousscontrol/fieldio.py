@@ -30,14 +30,22 @@ def dump_field(path, arr: np.ndarray, kind: str, time: float) -> None:
 
 
 def load_field(path):
+    """(array, header fields) of a ``dump_field`` file; ShapeError when it
+    is not one, its header is cut short or its data is not nx * ny float64
+    values."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        parts = header.split()
-        if parts[0] != _MAGIC:
+        parts = fh.readline().decode("ascii", "replace").split()
+        if not parts or parts[0] != _MAGIC:
             raise ShapeError(f"not a field dump: {path}")
-        meta = dict(p.split("=", 1) for p in parts[1:])
-        shape = (int(meta["nx"]), int(meta["ny"]))
+        try:
+            meta = dict(p.split("=", 1) for p in parts[1:])
+            shape = (int(meta["nx"]), int(meta["ny"]))
+        except (KeyError, ValueError):
+            raise ShapeError(f"field dump {path} has a broken header") from None
         buf = fh.read()
+    if len(buf) != 8 * shape[0] * shape[1]:
+        raise ShapeError(f"field dump {path} holds {len(buf)} data bytes, "
+                         f"expected {8 * shape[0] * shape[1]} for {shape}")
     arr = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     meta["time"] = float(meta["time"])
     return arr, meta

@@ -37,39 +37,35 @@ from .grids import GridSpec, TimeGrid
 from . import operators as ops
 from .operators import ModalBasis, ViscosityLaw
 
+_CFL_FACTOR = 0.25       # dt <= _CFL_FACTOR * h / max |velocity|
 _CFL_EPS = 1.0e-12
 _BLOWUP_FACTOR = 1.0e6
+_SMALLNESS_FACTOR = 1.0e-2   # smallness_ok is E(0) <= _SMALLNESS_FACTOR * nu0^2
 BLOCK_CELLS = 2 ** 15   # grid cells times levels in one block of stacked levels
 
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Model selection: viscosity laws, coupling, heating, integration mode.
+    """Model selection, each field set by a ``system.*`` config key: the
+    viscosity law, coupling, heating, integration mode.
 
-    ``theta_coeff_source`` picks which field feeds the temperature-diffusion
-    law: "velocity" for the base system (the heat equation diffuses with
-    nu(grad y)), "temperature" for the L^p variant (nubar(grad theta)).
-    The heating coefficient always uses the velocity-gradient law.
+    ``theta_coeff_source`` picks which field's gradient feeds ``law`` in the
+    temperature diffusion: "velocity" for the base system (nu(grad y)),
+    "temperature" for the L^p variant (nubar(grad theta)).  The heating
+    coefficient always uses the velocity gradient.
     """
 
     law: ViscosityLaw = field(default_factory=ViscosityLaw)
-    law_theta: ViscosityLaw | None = None
     theta_coeff_source: str = "velocity"
     nu0_coupling: float | None = None
     heating_on: bool = True
     mode: str = "nonlinear"
-    cfl_factor: float = 0.25
-    phi_smallness_factor: float = 1.0e-2
 
     def __post_init__(self):
         if self.mode not in ("nonlinear", "linearized"):
             raise DomainError(f"unknown mode {self.mode!r}")
         if self.theta_coeff_source not in ("velocity", "temperature"):
             raise DomainError("theta_coeff_source must be 'velocity' or 'temperature'")
-
-    @property
-    def theta_law(self) -> ViscosityLaw:
-        return self.law_theta if self.law_theta is not None else self.law
 
     @property
     def buoyancy(self) -> float:
@@ -147,10 +143,8 @@ def explicit_terms(u, v, th, spec: SystemSpec, grid: GridSpec):
     grads = ops.center_gradients(u, v, grid)
     gm2 = ops.grad_sq_from_gradients(grads)
     nu = spec.law.of_density(gm2, grid)
-    if spec.theta_coeff_source == "velocity":
-        nu_th = nu if spec.law_theta is None else spec.law_theta.of_density(gm2, grid)
-    else:
-        nu_th = ops.nonlocal_viscosity_scalar(th, spec.theta_law, grid)
+    nu_th = (nu if spec.theta_coeff_source == "velocity"
+             else ops.nonlocal_viscosity_scalar(th, spec.law, grid))
     heat = ops.heating_from_gradients(grads) if spec.heating_on else None
     del grads, gm2  # lowers the step's peak allocation, so fewer fresh pages per step
     adv_u, adv_v = ops.advect_velocity(u, v, grid)
@@ -326,7 +320,7 @@ class NonlinearPropagator:
         if not np.isfinite(umax + vmax):   # np.max passes a nan on
             name = "v" if np.isfinite(umax) else "u"
             raise DivergenceError(f"non-finite velocity {name} entering a step")
-        cfl = spec.cfl_factor * min(grid.hx, grid.hy) / max(umax, vmax, _CFL_EPS)
+        cfl = _CFL_FACTOR * min(grid.hx, grid.hy) / max(umax, vmax, _CFL_EPS)
         if dt > cfl:
             raise StepSizeError(f"dt={dt:g} exceeds CFL bound {cfl:g}")
 
@@ -361,6 +355,8 @@ class NonlinearPropagator:
         ``controls``, or none where they are all 0 (``live_steps``,
         bit-identical).  Returns (last state, EnergyTrace of the levels
         reached)."""
+        if controls is not None and self.bumps is None:
+            raise DomainError("controls given to a propagator without bumps")
         step = partial(self.step, box=None if controls is None else controls.box)
         live = None if controls is None else live_steps(controls)
 
@@ -373,7 +369,7 @@ class NonlinearPropagator:
             lambda hook: _march(step, (*self.modes.project_faces(y0[0], y0[1]), th0.copy()),
                                 self.tgrid, inputs, hook, lambda *level: level),
             self.grid, self.tgrid, on_state, stop_energy,
-            self.spec.phi_smallness_factor * self.spec.law.nu0 ** 2)
+            _SMALLNESS_FACTOR * self.spec.law.nu0 ** 2)
 
 
 class LinearPropagator:
@@ -537,6 +533,8 @@ class LinearPropagator:
         ``control_modes`` a block of ``sweep_block`` of them at a time; the
         other steps get none.  Levels are transformed back only to be handed
         to ``on_state``.  Returns the last physical state."""
+        if controls is not None and self.bumps is None:
+            raise DomainError("controls given to a propagator without bumps")
         if sources is not None:
             self._check_sources(sources, (self.tgrid.nt,))
         if controls is not None:

@@ -113,10 +113,8 @@ def build_manufactured(spec: SystemSpec, amp_vel: float = 0.05,
         return ops.grad_sq_from_gradients(f.grads)
 
     nu = coefficient(spec.law, grad_sq_velocity, True)
-    if spec.theta_coeff_source == "velocity":
-        nu_th = coefficient(spec.theta_law, grad_sq_velocity, True)
-    else:
-        nu_th = coefficient(spec.theta_law, lambda f: f.theta_x ** 2 + f.theta_y ** 2, False)
+    nu_th = (nu if spec.theta_coeff_source == "velocity" else
+             coefficient(spec.law, lambda f: f.theta_x ** 2 + f.theta_y ** 2, False))
 
     def fu(x, y, t):
         f, gt = _Profile(amps, x, y), g(t)

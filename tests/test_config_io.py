@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bousscontrol.config import _DEFAULTS, parse_config, parse_config_text, emit_resolved
 from bousscontrol.control import OuterLoopSpec, PenaltySpec
-from bousscontrol.exceptions import ConfigError, DomainError
+from bousscontrol.exceptions import ConfigError, DomainError, ShapeError
 from bousscontrol.fieldio import dump_field, energy_trace_csv, load_field, parse_report
 from bousscontrol.forward import EnergyTrace, LinearPropagator
 from bousscontrol.grids import GridSpec, TimeGrid
@@ -176,6 +176,23 @@ class TestFieldIO:
         assert np.array_equal(back, arr)  # bit exact
         assert meta["kind"] == "velocity_u"
         assert meta["time"] == 0.125
+
+    @pytest.mark.parametrize("keep, want", [
+        (-8, "holds 568 data bytes, expected 576"),
+        (0, "not a field dump"),
+        (24, "broken header"),
+        (None, "not a field dump"),
+    ], ids=["last-value-missing", "empty-file", "cut-in-header", "not-ascii"])
+    def test_broken_dump_named(self, tmp_path, keep, want):
+        # a dump cut short, empty or of other bytes fails with the file named
+        # (and the byte counts) instead of inside numpy or the header parse
+        path = tmp_path / "f.fld"
+        dump_field(path, np.ones((8, 9)), "cells", 0.0)
+        blob = path.read_bytes()
+        path.write_bytes(b"\xff\xfe" + blob if keep is None else blob[:keep])
+        with pytest.raises(ShapeError, match=want) as err:
+            load_field(path)
+        assert str(path) in str(err.value)
 
     def test_energy_csv_rows(self, tmp_path):
         n = 65

@@ -365,8 +365,7 @@ class TestNonlinearControl:
     def test_small_data_converges_with_monotone_updates(self, grid16, tgrid64,
                                                         bumps16, tables16):
         # genuinely iterating configuration (small nu0 keeps control active)
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True,
-                          phi_smallness_factor=1e2)
+        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
         outer = OuterLoopSpec(max_outer=25, outer_tol=1e-6)
@@ -380,8 +379,7 @@ class TestNonlinearControl:
         assert rep.terminal_norm < rep.uncontrolled_terminal_norm
 
     def test_resimulation_is_independent(self, grid16, tgrid64, bumps16, tables16):
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True,
-                          phi_smallness_factor=1e2)
+        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
         ctrl, _, rep = solve_nonlinear_control(y0, th0, spec, pen,
@@ -401,10 +399,8 @@ class TestNonlinearControl:
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
         outer = OuterLoopSpec(max_outer=25, outer_tol=1e-6)
-        spec_conv = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.0),
-                               heating_on=False, phi_smallness_factor=1e2)
-        spec_full = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05),
-                               heating_on=True, phi_smallness_factor=1e2)
+        spec_conv = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.0), heating_on=False)
+        spec_full = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
         _, _, rep_conv = solve_nonlinear_control(y0, th0, spec_conv, pen,
                                               outer, tables16, grid16,
                                               tgrid64, bumps16)
@@ -425,8 +421,7 @@ class TestOuterLoopContinuation:
         patch = ControlPatch((0.5, 0.5), (0.2, 0.2))
         wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0)
         tables = eval_weights(wp, build_eta0(grid, patch), tg)
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True,
-                          phi_smallness_factor=1e2)
+        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
         y0, th0 = scaled_initial_data(grid, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
         out = {}
@@ -521,8 +516,7 @@ class TestRecycling:
 
     def test_same_answer_with_no_more_cg(self, grid16, tgrid64, bumps16, tables16,
                                          monkeypatch):
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True,
-                          phi_smallness_factor=1e2)
+        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
         args = (y0, th0, spec, pen, OuterLoopSpec(max_outer=25, outer_tol=1e-6),
@@ -629,8 +623,7 @@ class TestLiveSteps:
             lambda hook: prop.run(y0, th0, controls=ctrl, on_state=hook), monkeypatch)
 
     def test_nonlinear_run(self, grid16, tgrid64, bumps16, monkeypatch):
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True,
-                          phi_smallness_factor=1e2)
+        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         ctrl = self.block_controls(grid16, tgrid64, bumps16, scale=1e-2)
         self.assert_same_as_injecting_every_step(
@@ -857,9 +850,7 @@ def test_nonlinear_control_lp_variant(grid16, tgrid64, bumps16, tables16):
     # the L^p system: nubar(grad theta) diffuses the temperature; the same
     # outer loop applies with the p-law frozen into the sources
     spec = SystemSpec(law=ViscosityLaw("lp", 0.05, 0.05, p=4.0),
-                      law_theta=ViscosityLaw("lp", 0.05, 0.05, p=4.0),
-                      theta_coeff_source="temperature", heating_on=True,
-                      phi_smallness_factor=1e2)
+                      theta_coeff_source="temperature", heating_on=True)
     y0, th0 = scaled_initial_data(grid16, 1e-2)
     pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
     ctrl, _, rep = solve_nonlinear_control(
@@ -1070,8 +1061,7 @@ class TestStreamedReadersMatchReferences:
     @pytest.fixture(params=["linear-controlled", "nonlinear"])
     def run(self, request, setup16, tables16):
         grid, tg, bumps, y0, th0 = setup16
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True,
-                          phi_smallness_factor=1e2)
+        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
         rec, samples = Recorder(), NormSamples(grid, tg)
         frozen: list = []
         hooks = chain_hooks(rec, samples, _freezer(frozen, spec, ModalBasis(grid), tg))
@@ -1117,8 +1107,7 @@ def streamed_run(grid, tg, spec, seed=3):
     return rec, samples, frozen
 
 
-SPEC = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True,
-                  phi_smallness_factor=1e2)
+SPEC = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
 
 
 class TestBlockEdges:
@@ -1131,8 +1120,7 @@ class TestBlockEdges:
         (184, 180, 16, None, SPEC, (1, 1)),        # a grid above the budget
         (16, 16, 37, 8, SystemSpec(
             law=ViscosityLaw("lp", 0.05, 0.05, p=4.0),
-            law_theta=ViscosityLaw("lp", 0.04, 0.06, p=5.0),
-            theta_coeff_source="temperature", phi_smallness_factor=1e2), (8, 8)),
+            theta_coeff_source="temperature"), (8, 8)),
         (16, 16, 37, 8, replace(SPEC, heating_on=False), (8, 8)),
     ], ids=["nt-not-a-multiple", "block-above-nt", "one-level-blocks",
             "lp-temperature", "heating-off"])

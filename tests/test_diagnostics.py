@@ -208,15 +208,18 @@ class TestRegularityReport:
 
     @pytest.mark.parametrize("nx, ny", [(16, 16), (33, 20)])
     def test_modal_reads_the_normal_wall_values(self, nx, ny):
-        """Controls on the whole grid, nonzero on every face and cell: the
-        5-point stencils read the normal velocity's wall values, and so does
-        the modal report (``diagnostics._wall_terms``); zeroing them moves
-        the Laplacian entry."""
+        """Controls on the whole grid (``ControlTrajectory.full`` layout),
+        nonzero on every face and cell but the normal velocity's wall faces:
+        the report matches the 5-point stencils.  A nonzero wall value, which
+        no control supported in omega has, raises DomainError naming the
+        part."""
         grid, tg = GridSpec(nx, ny), TimeGrid(1.0, 16)
         rng = np.random.default_rng(8)
         ctrl = ControlTrajectory.zeros(grid, tg.nt)
         for part in ctrl.parts:
             part[:] = rng.standard_normal(part.shape)
+        ctrl.vu[:, [0, -1]] = 0.0
+        ctrl.vv[:, :, [0, -1]] = 0.0
         tables = tame_tables(eval_weights(
             WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0),
             build_eta0(grid, ControlPatch((0.5, 0.5), (0.2, 0.2))), tg))
@@ -224,10 +227,11 @@ class TestRegularityReport:
         want = reference_control_regularity_report(ctrl, tables, grid, tg)
         for key in want:
             assert abs(got[key] - want[key]) <= 1e-14 * abs(want[key]), key
-        ctrl.vu[:, [0, -1]] = 0.0
-        ctrl.vv[:, :, [0, -1]] = 0.0
-        inner = control_regularity_report(ctrl, tables, grid, tg)
-        assert abs(inner["iint_lap_kv_sq"] - got["iint_lap_kv_sq"]) > 1e-3
+        for name, wall in (("vu", (3, 0, 2)), ("vv", (5, 1, -1))):
+            bad = replace(ctrl, **{name: getattr(ctrl, name).copy()})
+            getattr(bad, name)[wall] = 1e-3
+            with pytest.raises(DomainError, match=f"control {name} is nonzero on a wall"):
+                control_regularity_report(bad, tables, grid, tg)
 
     def test_product_rule_oracle(self):
         # (kappa v)_t of a time-constant v equals kappa_t v; the central
@@ -293,8 +297,8 @@ class TestLogDomainOracle:
         traj.u[:, 1:-1, :] = rng.standard_normal(traj.u[:, 1:-1, :].shape)
         traj.v[:, :, 1:-1] = rng.standard_normal(traj.v[:, :, 1:-1].shape)
         traj.theta[:] = rng.standard_normal(traj.theta.shape)
-        ctrl = ControlTrajectory.zeros(grid, tg.nt)
-        for a in (ctrl.vu, ctrl.vv, ctrl.v0):
+        ctrl = ControlTrajectory.zeros(grid, tg.nt)   # admissible: 0 normal wall velocity
+        for a in (ctrl.vu[:, 1:-1, :], ctrl.vv[:, :, 1:-1], ctrl.v0):
             a[:] = rng.standard_normal(a.shape)
         return traj, ctrl
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from bousscontrol import operators as ops
+from bousscontrol import forward, operators as ops
 from bousscontrol.exceptions import DivergenceError, DomainError, ShapeError, StepSizeError
 from bousscontrol.control import ControlTrajectory
 from bousscontrol.forward import (LinearPropagator, MaxDivergence, NonlinearPropagator,
@@ -113,9 +113,8 @@ def dense_reference_step(grid, dt, spec, u, v, th):
     """Hand-rolled IMEX step: dense solves, same explicit algebra."""
     lap_c, lap_n, lap_u, lap_v, u_idx, v_idx, cell_idx = _dense_ops(grid)
     nu = ops.nonlocal_viscosity(u, v, spec.law, grid)
-    nu_th = (ops.nonlocal_viscosity(u, v, spec.theta_law, grid)
-             if spec.theta_coeff_source == "velocity"
-             else ops.nonlocal_viscosity_scalar(th, spec.theta_law, grid))
+    nu_th = (nu if spec.theta_coeff_source == "velocity"
+             else ops.nonlocal_viscosity_scalar(th, spec.law, grid))
     au, av = ops.advect_velocity(u, v, grid)
     ath = ops.advect_scalar(th, u, v, grid)
     rhs_th = th - dt * ath
@@ -342,15 +341,14 @@ def test_explicit_terms_match_reference_operators(grid16, source, heating):
     # the nonlinear step and the outer loop's frozen sources both take their
     # explicit terms from explicit_terms; it must equal the operators bit for bit
     rng = np.random.default_rng(17)
-    law, law_th = ViscosityLaw("l2", 0.5, 0.3), ViscosityLaw("lp", 0.4, 0.2, 4.0)
-    spec = SystemSpec(law=law, law_theta=law_th, theta_coeff_source=source,
-                      heating_on=heating)
+    law = ViscosityLaw("lp", 0.4, 0.2, 4.0)
+    spec = SystemSpec(law=law, theta_coeff_source=source, heating_on=heating)
     u, v = rand_div_free(grid16, rng)
     th = rand_cells(grid16, rng)
     nu, nu_th, adv_u, adv_v, adv_th, heat = explicit_terms(u, v, th, spec, grid16)
     assert nu == ops.nonlocal_viscosity(u, v, law, grid16)
-    assert nu_th == (ops.nonlocal_viscosity(u, v, law_th, grid16) if source == "velocity"
-                     else ops.nonlocal_viscosity_scalar(th, law_th, grid16))
+    assert nu_th == (nu if source == "velocity"
+                     else ops.nonlocal_viscosity_scalar(th, law, grid16))
     ref_u, ref_v = ops.advect_velocity(u, v, grid16)
     assert np.array_equal(adv_u, ref_u) and np.array_equal(adv_v, ref_v)
     assert np.array_equal(adv_th, ops.advect_scalar(th, u, v, grid16))
@@ -381,11 +379,12 @@ class TestErrorHandling:
         with pytest.raises(DivergenceError, match=f"non-finite velocity {name}"):
             prop.step(u, v, grid16.zeros_cells())
 
-    def test_blowup_detection(self, grid16):
+    def test_blowup_detection(self, grid16, monkeypatch):
         # negative heating coefficient is unphysical; force blow-up through a
-        # huge anti-diffusive source instead: inject energy via forcing
-        spec = SystemSpec(law=ViscosityLaw("l2", 1e-4, 0.0), heating_on=False,
-                          cfl_factor=1e9)
+        # huge anti-diffusive source instead: inject energy via forcing, with
+        # the CFL bound out of the way
+        monkeypatch.setattr(forward, "_CFL_FACTOR", 1e9)
+        spec = SystemSpec(law=ViscosityLaw("l2", 1e-4, 0.0), heating_on=False)
         tg = TimeGrid(1.0, 16)
         y0 = stream_velocity(grid16, 1e-3)
         th0 = 1e-3 * sine_theta(grid16, 1.0)
@@ -409,6 +408,17 @@ class TestErrorHandling:
         with pytest.raises(DivergenceError, match="non-finite energy at step 0") as err:
             run_nonlinear(y0, th0, None, SystemSpec(mode=mode), grid16, TimeGrid(1.0, 16))
         assert err.value.step == 0
+
+    @pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
+    def test_controls_without_bumps_named(self, grid16, mode):
+        # controls enter through the bumps of their cutoff: without them the
+        # propagator refuses the controls before stepping
+        tg = TimeGrid(1.0, 16)
+        controls = ControlTrajectory.zeros(grid16, tg.nt)
+        y0 = stream_velocity(grid16, 1e-3)
+        with pytest.raises(DomainError, match="without bumps"):
+            run_nonlinear(y0, sine_theta(grid16, 1e-3), controls, SystemSpec(mode=mode),
+                          grid16, tg)
 
 
 def test_nonlinear_run_calls_no_physical_solve_or_projection(grid16, bumps16,
@@ -558,7 +568,6 @@ class TestParityOrderedSteps:
     @staticmethod
     def _pair(monkeypatch, build):
         """(propagator, the same on the natural-order basis)."""
-        from bousscontrol import forward
         prop = build()
         monkeypatch.setattr(forward, "ModalBasis", NaturalModalBasis)
         return prop, build()
