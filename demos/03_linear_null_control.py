@@ -37,7 +37,7 @@ for eps in (1e-2, 1e-3, 1e-4, 1e-6):
     pen = PenaltySpec(epsilon=eps, weight_mode="carleman", cg_tol=1e-6,
                       cg_max_iters=800)
     # the weighted norms are summed along the final controlled run
-    samples = NormSamples(grid, tgrid)
+    samples = NormSamples(grid, tgrid, tables)
     controls, rep = solve_linear_control(y0, th0, None, None, pen, tables, grid,
                                          tgrid, nu0, bumps, on_state=samples)
     mid = np.abs(controls.v0[tgrid.nt // 2]).max()

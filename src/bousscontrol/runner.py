@@ -151,8 +151,9 @@ def _run_decay(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
 
 def _final_run_hooks(cfg, out_dir, tables):
     """The hooks a synthesis chains onto its final run: the weighted-norm
-    samples (None without weight tables) and the ``--dump-fields`` writer."""
-    samples = NormSamples(cfg.grid, cfg.tgrid) if tables is not None else None
+    samples at the nodes the weights of ``tables`` keep (None without weight
+    tables) and the ``--dump-fields`` writer."""
+    samples = NormSamples(cfg.grid, cfg.tgrid, tables) if tables is not None else None
     return samples, chain_hooks(samples, _state_writer(cfg, out_dir))
 
 

@@ -256,8 +256,9 @@ def run_linearized(y0, th0, controls, f1, f2, nu0, grid, tgrid, bumps=None,
 
 def reference_norm_samples(traj, grid, tgrid):
     """The per-node squares of ``diagnostics.weighted_norms`` computed from
-    stored levels, the way it did before it streamed, under the attribute
-    names of ``diagnostics.NormSamples``."""
+    stored levels at every node, the way it did before it streamed, under the
+    attribute names of ``diagnostics.NormSamples``; no node is skipped, so
+    ``skipped_peaks`` reads 0."""
     nt, dt = tgrid.nt, tgrid.dt
     state_sq = np.array([ops.state_norm_sq(traj.u[n], traj.v[n], traj.theta[n], grid)
                          for n in range(nt)])
@@ -280,7 +281,8 @@ def reference_norm_samples(traj, grid, tgrid):
         lap_th_l32[n] = ops.lp_norm_cells(ops.laplacian_cells(traj.theta[n], grid),
                                           1.5, grid) ** 2
     return SimpleNamespace(state_sq=state_sq, y_sq=y_sq, grad_y_sq=grad_y_sq,
-                           yt_dy_sq=yt_dy_sq, th_t_l32=th_t_l32, lap_th_l32=lap_th_l32)
+                           yt_dy_sq=yt_dy_sq, th_t_l32=th_t_l32, lap_th_l32=lap_th_l32,
+                           skipped_peaks=lambda name: np.zeros(nt))
 
 
 def reference_control_regularity_report(controls, tables, grid, tgrid, t_clip=None):

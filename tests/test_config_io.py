@@ -343,6 +343,16 @@ class TestCli:
                    str(tmp_path / "out")])
         assert rc == 0
 
+    def test_main_names_a_degenerate_decay_fit(self, tmp_path):
+        # a horizon of 1e-200 runs, but its times square to 0 in the fit
+        from bousscontrol.cli import main
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(MINIMAL.replace("time.t_final = 1.0", "time.t_final = 1e-200"))
+        assert main(["decay", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out")]) == 3
+        assert (tmp_path / "out" / "error.txt").read_text().startswith(
+            "DomainError: degenerate decay fit")
+
     def test_main_bad_config(self, tmp_path):
         from bousscontrol.cli import main
         cfg_path = tmp_path / "bad.cfg"

@@ -14,7 +14,7 @@ from bousscontrol.control import (ControlTrajectory, LinearControlProblem,
                                   large_time_control, objective, solve_linear_control,
                                   solve_nonlinear_control,
                                   weighted_control_energy, step_weight_logs)
-from bousscontrol.diagnostics import NormSamples, weighted_norms
+from bousscontrol.diagnostics import _SAMPLES as SAMPLE_NAMES, NormSamples, weighted_norms
 from bousscontrol.exceptions import ConvergenceError, DomainError, RegimeError
 from bousscontrol.forward import (LinearPropagator, SystemSpec, block_levels, chain_hooks,
                                   run_nonlinear, scaled_initial_data, sine_theta)
@@ -1054,15 +1054,15 @@ class TestControlLayout:
 
 
 class TestStreamedReadersMatchReferences:
-    """The weighted-norm samples and the outer loop's frozen sources, streamed
-    through ``on_state``, equal the stored-trajectory loops they replace
-    (``conftest.reference_*``) bit for bit."""
+    """The weighted-norm samples at their kept nodes and the outer loop's
+    frozen sources, streamed through ``on_state``, equal the stored-trajectory
+    loops they replace (``conftest.reference_*``) bit for bit."""
 
     @pytest.fixture(params=["linear-controlled", "nonlinear"])
     def run(self, request, setup16, tables16):
         grid, tg, bumps, y0, th0 = setup16
         spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
-        rec, samples = Recorder(), NormSamples(grid, tg)
+        rec, samples = Recorder(), NormSamples(grid, tg, tables16)
         frozen: list = []
         hooks = chain_hooks(rec, samples, _freezer(frozen, spec, ModalBasis(grid), tg))
         if request.param == "linear-controlled":
@@ -1079,9 +1079,9 @@ class TestStreamedReadersMatchReferences:
 
     def test_norm_samples_match_reference(self, run, tables16):
         grid, tg, _, rec, samples, _, ctrl = run
+        assert np.flatnonzero(samples.kept).tolist() == [tg.nt - 1]
         ref = reference_norm_samples(rec, grid, tg)
-        for name, want in vars(ref).items():
-            assert np.array_equal(getattr(samples, name), want), name
+        assert_kept_samples_match(samples, ref)
         assert (weighted_norms(samples, ctrl, tables16, grid, tg)
                 == weighted_norms(ref, ctrl, tables16, grid, tg))
 
@@ -1092,14 +1092,28 @@ class TestStreamedReadersMatchReferences:
             assert np.array_equal(got, want)
 
 
+def assert_kept_samples_match(samples, ref):
+    """Each sample of ``samples`` equals the reference's at the kept nodes,
+    bit for bit, and reads 0 at the skipped ones."""
+    kept = samples.kept
+    for name in SAMPLE_NAMES:
+        got, want = getattr(samples, name), getattr(ref, name)
+        assert np.array_equal(got[kept], want[kept]), name
+        assert not np.any(got[~kept]), name
+
+
 def streamed_run(grid, tg, spec, seed=3):
     """A nonlinear run under random controls, with every level recorded and
-    the weighted-norm samples and frozen sources streamed from it."""
-    bumps = bump_on_solver_grids(grid, ControlPatch((0.5, 0.5), (0.2, 0.2)))
+    the weighted-norm samples (under the blow-up weights) and frozen sources
+    streamed from it."""
+    patch = ControlPatch((0.5, 0.5), (0.2, 0.2))
+    bumps = bump_on_solver_grids(grid, patch)
+    tables = eval_weights(WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0),
+                          build_eta0(grid, patch), tg)
     y0, th0 = scaled_initial_data(grid, 1e-2)
     ctrl = masked_random_controls(grid, tg.nt, bumps, np.random.default_rng(seed),
                                   scale=1e-2)
-    rec, samples, frozen = Recorder(), NormSamples(grid, tg), []
+    rec, samples, frozen = Recorder(), NormSamples(grid, tg, tables), []
     freezer = _freezer(frozen, spec, ModalBasis(grid), tg)
     run_nonlinear(y0, th0, ctrl, spec, grid, tg, bumps=bumps,
                   on_state=chain_hooks(rec, samples, freezer))
@@ -1111,17 +1125,19 @@ SPEC = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
 
 
 class TestBlockEdges:
-    """The readers that stack levels into blocks (``forward.level_blocks``)
-    equal the one-level references bit for bit wherever the blocks fall."""
+    """The frozen sources, which stack levels into blocks
+    (``forward.level_blocks``), equal the one-level references bit for bit
+    wherever the blocks fall; the weighted-norm samples of the same run,
+    taken a level at a time, equal them at their kept nodes."""
 
     @pytest.mark.parametrize("nx, ny, nt, per_block, spec, levels", [
-        (16, 16, 37, 8, SPEC, (8, 8)),             # 37 = 4 * 8 + 5, 38 = 4 * 8 + 6
-        (16, 16, 37, None, SPEC, (37, 38)),        # the budget's 128 levels, capped
-        (184, 180, 16, None, SPEC, (1, 1)),        # a grid above the budget
+        (16, 16, 37, 8, SPEC, 8),             # 37 = 4 * 8 + 5
+        (16, 16, 37, None, SPEC, 37),         # the budget's 128 levels, capped
+        (184, 180, 16, None, SPEC, 1),        # a grid above the budget
         (16, 16, 37, 8, SystemSpec(
             law=ViscosityLaw("lp", 0.05, 0.05, p=4.0),
-            theta_coeff_source="temperature"), (8, 8)),
-        (16, 16, 37, 8, replace(SPEC, heating_on=False), (8, 8)),
+            theta_coeff_source="temperature"), 8),
+        (16, 16, 37, 8, replace(SPEC, heating_on=False), 8),
     ], ids=["nt-not-a-multiple", "block-above-nt", "one-level-blocks",
             "lp-temperature", "heating-off"])
     def test_streamed_readers_match_references(self, monkeypatch, nx, ny, nt,
@@ -1129,12 +1145,9 @@ class TestBlockEdges:
         grid, tg = GridSpec(nx, ny), TimeGrid(1.0 if nx < 100 else 0.05, nt)
         if per_block is not None:
             monkeypatch.setattr(forward, "BLOCK_CELLS", per_block * nx * ny)
-        # levels per block of the frozen sources (nt levels) and the samples
-        assert (block_levels(grid, nt), block_levels(grid, nt + 1)) == levels
+        assert block_levels(grid, nt) == levels   # of the frozen sources' nt levels
         rec, samples, frozen = streamed_run(grid, tg, spec)
-        ref = reference_norm_samples(rec, grid, tg)
-        for name, want in vars(ref).items():
-            assert np.array_equal(getattr(samples, name), want), name
+        assert_kept_samples_match(samples, reference_norm_samples(rec, grid, tg))
         assert len(frozen) == 3
         for got, want in zip(frozen, reference_frozen_sources(rec, spec, grid, tg)):
             assert np.array_equal(got, want)
@@ -1272,7 +1285,7 @@ class TestIncompleteRunGuard:
 
     def test_run_stopped_at_half_time(self, grid16, tgrid64, tables16):
         nt = tgrid64.nt
-        samples = NormSamples(grid16, tgrid64)
+        samples = NormSamples(grid16, tgrid64, tables16)
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         run_nonlinear(y0, th0, None, SPEC, grid16, tgrid64,
                       on_state=chain_hooks(samples, lambda k, *_: k == nt // 2))
@@ -1282,12 +1295,13 @@ class TestIncompleteRunGuard:
         with pytest.raises(DomainError):
             samples.yt_dy_sq
 
-    def test_complete_run_reads(self, grid16, tgrid64):
-        samples = NormSamples(grid16, tgrid64)
+    def test_complete_run_reads(self, grid16, tgrid64, tables16):
+        samples = NormSamples(grid16, tgrid64, tables16)
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         run_nonlinear(y0, th0, None, SPEC, grid16, tgrid64, on_state=samples)
         assert samples.received == tgrid64.nt + 1
         assert samples.yt_dy_sq.shape == (tgrid64.nt,)
-        assert np.all(samples.state_sq > 0.0)
+        assert np.all(samples.state_sq[samples.kept] > 0.0)
+        assert not np.any(samples.state_sq[~samples.kept])
         with pytest.raises(AttributeError):
             samples.no_such_sample

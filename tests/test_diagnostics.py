@@ -1,6 +1,8 @@
 """Diagnostics: decay fit, waiting-time formula, weighted norms, reports."""
 
+import copy
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -11,7 +13,8 @@ from scipy.special import logsumexp
 from bousscontrol import operators as ops
 
 from bousscontrol.control import ControlTrajectory
-from bousscontrol.diagnostics import (DecayFit, NormSamples, _logsumexp,
+from bousscontrol.config import parse_config
+from bousscontrol.diagnostics import (_SAMPLES, DecayFit, NormSamples, _logsumexp,
                                       control_regularity_report, decay_fit, t_star,
                                       weighted_norms)
 from bousscontrol.exceptions import DomainError
@@ -22,10 +25,11 @@ from bousscontrol.geometry import (ControlPatch, build_eta0, bump_on_solver_grid
                                    control_box)
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw
+from bousscontrol.runner import _tables_for, run_experiment
 from bousscontrol.weights import (WeightParams, control_weight_logs, default_t_clip,
                                   eval_weights, find_min_m)
 
-from conftest import feed, reference_control_regularity_report
+from conftest import feed, reference_control_regularity_report, reference_norm_samples
 
 
 def synthetic_trace(c1=3.0, e0=5.0, t_final=1.0, n=65):
@@ -48,6 +52,17 @@ class TestDecayFit:
         tr.theta_sq[:] = 0.0
         with pytest.raises(DomainError):
             decay_fit(tr, (0.1, 1.0))
+
+    @pytest.mark.parametrize("t_final, named", [(1e-160, False), (1e-200, True)])
+    def test_times_that_square_to_zero_are_named(self, t_final, named):
+        # polyfit scales its time column by the root of its square-sum;
+        # times of 1e-200 square to 0 and left LAPACK an SVD that failed
+        tr = synthetic_trace(t_final=t_final)
+        if named:
+            with pytest.raises(DomainError, match="degenerate decay fit"):
+                decay_fit(tr, (0.2 * t_final, t_final))
+        else:
+            assert np.isfinite(decay_fit(tr, (0.2 * t_final, t_final)).c1)
 
     def test_solver_run_fit_quality(self):
         grid = GridSpec(32, 32)
@@ -93,14 +108,14 @@ def weighted_setup():
     return grid, tg, patch, tables
 
 
-def tame_tables(tables):
+def tame_tables(tables, span=30.0):
     """The same tables with every composite replaced by a smooth log profile
-    spanning 30-50 nats over [0, T) and +inf at T, so that every weighted
-    norm is a moderate number."""
+    rising by ``span`` nats or a few more (30-50 by default) over [0, T) and
+    +inf at T, so that every weighted norm is a moderate number."""
     t = tables.t
     shape = np.append((t[:-1] / t[-1]) ** 2, np.inf)
     return replace(tables, raw_composites={
-        name: (30.0 + 2.0 * i) * shape - i
+        name: (span + 2.0 * i) * shape - i
         for i, name in enumerate(tables.raw_composites)})
 
 
@@ -112,9 +127,10 @@ def zero_trajectory(grid, tg):
                            theta=np.zeros((n, grid.nx, grid.ny)))
 
 
-def samples(traj, grid, tg):
-    """The NormSamples of stored levels, fed to the hook one by one."""
-    return feed(traj, NormSamples(grid, tg))
+def samples(traj, grid, tg, tables):
+    """The NormSamples of stored levels under the weights of ``tables``, fed
+    to the hook one by one."""
+    return feed(traj, NormSamples(grid, tg, tables))
 
 
 class TestWeightedNorms:
@@ -123,7 +139,7 @@ class TestWeightedNorms:
         grid, tg, patch, tables = weighted_setup
         traj = zero_trajectory(grid, tg)
         ctrl = ControlTrajectory.zeros(grid, tg.nt)
-        rep = weighted_norms(samples(traj, grid, tg), ctrl, tables, grid, tg)
+        rep = weighted_norms(samples(traj, grid, tg, tables), ctrl, tables, grid, tg)
         assert list(rep)[:8] == ["log10_" + name for name in (
             "iint_rho1_sq_state", "iint_rho2_sq_controls",
             "sup_mu1_y", "iint_mu1_grad_y", "sup_mu2_grad_y",
@@ -140,12 +156,12 @@ class TestWeightedNorms:
         traj = zero_trajectory(grid, tg)
         traj.theta[:] = 1e-3 * rng.standard_normal(traj.theta.shape)
         traj.u[:, 1:-1, :] = 1e-3 * rng.standard_normal(traj.u[:, 1:-1, :].shape)
-        r1 = weighted_norms(samples(traj, grid, tg), None, tables, grid, tg)
+        r1 = weighted_norms(samples(traj, grid, tg, tables), None, tables, grid, tg)
         traj2 = zero_trajectory(grid, tg)
         c = 3.0
         traj2.theta[:] = c * traj.theta
         traj2.u[:] = c * traj.u
-        r2 = weighted_norms(samples(traj2, grid, tg), None, tables, grid, tg)
+        r2 = weighted_norms(samples(traj2, grid, tg, tables), None, tables, grid, tg)
         tol = 1e-12 / np.log(10.0)  # rel = 1e-12 on the linear values
         for name in ("iint_rho1_sq_state", "sup_mu1_y"):
             delta = r2["log10_" + name] - r1["log10_" + name]
@@ -158,11 +174,141 @@ class TestWeightedNorms:
         traj.theta[:] = rng.standard_normal(traj.theta.shape)
         ctrl = ControlTrajectory.zeros(grid, tg.nt)
         ctrl.v0[:] = rng.standard_normal(ctrl.v0.shape)
-        rep = weighted_norms(samples(traj, grid, tg), ctrl, tables, grid, tg)
+        rep = weighted_norms(samples(traj, grid, tg, tables), ctrl, tables, grid, tg)
         for name in ("iint_rho1_sq_state", "iint_rho2_sq_controls"):
             assert np.isfinite(rep["log10_" + name])
         for name in ("sup_mu1_y", "iint_mu1_grad_y"):  # the velocity is zero
             assert rep["log10_" + name] == -np.inf
+
+
+PINNED = Path(__file__).resolve().parents[1] / "demos" / "configs" / "linear_control.cfg"
+
+
+def random_trajectory(grid, tg, rng):
+    """Standard normal levels with zero normal wall values."""
+    traj = zero_trajectory(grid, tg)
+    traj.theta[:] = rng.standard_normal(traj.theta.shape)
+    traj.u[:, 1:-1, :] = rng.standard_normal(traj.u[:, 1:-1, :].shape)
+    traj.v[:, :, 1:-1] = rng.standard_normal(traj.v[:, :, 1:-1].shape)
+    return traj
+
+
+class TestKeptNodes:
+    """``NormSamples`` samples only the nodes its weights keep, and
+    ``weighted_norms`` returns from them the value of every node, or names
+    the entry that they do not decide."""
+
+    @pytest.mark.parametrize("which", ["tame-span", "pinned-steep"])
+    def test_matches_every_node_reference(self, weighted_setup, which):
+        if which == "tame-span":
+            grid, tg, _, tables = weighted_setup
+            tables = tame_tables(tables)
+        else:
+            cfg = parse_config(PINNED)
+            grid, tg, tables = cfg.grid, cfg.tgrid, _tables_for(cfg)
+        traj = random_trajectory(grid, tg, np.random.default_rng(21))
+        got = samples(traj, grid, tg, tables)
+        kept = np.flatnonzero(got.kept).tolist()
+        assert kept == (list(range(tg.nt)) if which == "tame-span" else [tg.nt - 1])
+        ref = reference_norm_samples(traj, grid, tg)
+        for name in _SAMPLES:
+            want = getattr(ref, name)
+            assert np.array_equal(getattr(got, name)[kept], want[kept]), name
+        assert (weighted_norms(got, None, tables, grid, tg)
+                == weighted_norms(ref, None, tables, grid, tg))
+
+    def test_zero_at_kept_nodes_is_named(self, weighted_setup):
+        """A state zero at the kept node nt - 1 and at level nt, but not
+        earlier: the skipped nodes would decide every entry."""
+        grid, tg, _, tables = weighted_setup
+        traj = random_trajectory(grid, tg, np.random.default_rng(22))
+        for a in (traj.u, traj.v, traj.theta):
+            a[-2:] = 0.0
+        got = samples(traj, grid, tg, tables)
+        assert np.flatnonzero(got.kept).tolist() == [tg.nt - 1]
+        with pytest.raises(DomainError, match="iint_rho1_sq_state is not decided"):
+            weighted_norms(got, None, tables, grid, tg)
+
+    def test_non_finite_skipped_level_is_named(self, weighted_setup):
+        grid, tg, _, tables = weighted_setup
+        traj = random_trajectory(grid, tg, np.random.default_rng(23))
+        traj.theta[3, 2, 2] = np.nan
+        with pytest.raises(DomainError, match="iint_rho1_sq_state: skipped node 3 reads a "
+                                              "non-finite level"):
+            weighted_norms(samples(traj, grid, tg, tables), None, tables, grid, tg)
+
+    @pytest.mark.parametrize("gap, named", [(1300.0, True), (2250.0, False)])
+    def test_the_gap_a_skipped_node_needs(self, weighted_setup, gap, named):
+        """Levels a double's range apart: the kept node nt - 2 holds 1e-160
+        and the skipped node nt - 3, ``gap`` below it in L = 2 log w, holds
+        1e140.  At 1300 the skipped node decides the every-node value, so
+        the entry is refused; at 2250, past the 2199.4 that any two doubles
+        need, the kept nodes give that value exactly."""
+        grid, tg, _, tables = weighted_setup
+        nt = tg.nt
+        logw = np.zeros(nt + 1)
+        logw[nt - 3:] = 4000.0 - gap / 2.0, 4000.0, 5000.0, np.inf
+        tables = replace(tables, raw_composites=dict.fromkeys(tables.raw_composites, logw))
+        traj = zero_trajectory(grid, tg)
+        for n, value in ((nt - 3, 1e140), (nt - 2, 1e-160)):
+            traj.u[n, 1:-1, :] = traj.v[n, :, 1:-1] = traj.theta[n] = value
+        got = samples(traj, grid, tg, tables)
+        assert np.flatnonzero(got.kept).tolist() == [nt - 2, nt - 1]
+        want = weighted_norms(reference_norm_samples(traj, grid, tg), None, tables,
+                              grid, tg)
+        if named:
+            with pytest.raises(DomainError, match="iint_rho1_sq_state is not decided"):
+                weighted_norms(got, None, tables, grid, tg)
+            kept_only = copy.deepcopy(traj)
+            for a in (kept_only.u, kept_only.v, kept_only.theta):
+                a[nt - 3] = 0.0
+            assert want != weighted_norms(reference_norm_samples(kept_only, grid, tg),
+                                          None, tables, grid, tg)
+        else:
+            assert weighted_norms(got, None, tables, grid, tg) == want
+
+    @pytest.mark.parametrize("span", [2e3, 4e3, 1e5])
+    def test_any_levels_give_the_exact_value_or_a_named_error(self, weighted_setup, span):
+        """Random trajectories with levels and fields zeroed at random and
+        magnitudes from 1e-100 to 1e100, under profiles whose kept band
+        holds some of the nodes: each result equals the every-node value
+        exactly, or is a DomainError."""
+        grid, tg, _, tables = weighted_setup
+        grid, tables = GridSpec(8, 8), tame_tables(tables, span)
+        rng = np.random.default_rng(int(span))
+        outcomes = {"equal": 0, "named": 0}
+        for _ in range(40):
+            traj = random_trajectory(grid, tg, rng)
+            n = tg.nt + 1
+            scale = 10.0 ** rng.uniform(-100.0, 100.0, n)
+            for a in (traj.u, traj.v, traj.theta):
+                a *= scale[:, None, None]
+                a[rng.random(n) < rng.uniform(0.0, 1.0)] = 0.0
+            got = samples(traj, grid, tg, tables)
+            try:
+                rep = weighted_norms(got, None, tables, grid, tg)
+            except DomainError:
+                outcomes["named"] += 1
+                continue
+            ref = weighted_norms(reference_norm_samples(traj, grid, tg), None, tables,
+                                 grid, tg)
+            assert rep == ref
+            outcomes["equal"] += 1
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_final_run_samples_only_the_kept_level(self, monkeypatch, tmp_path):
+        """A linear-control run of the pinned config evaluates the Laplacian
+        of the temperature on its one kept level, not on all 128."""
+        levels = []
+        laplacian_cells = ops.laplacian_cells
+
+        def counting(f, grid):
+            levels.append(1 if f.ndim == 2 else len(f))
+            return laplacian_cells(f, grid)
+
+        monkeypatch.setattr(ops, "laplacian_cells", counting)
+        assert run_experiment(parse_config(PINNED), str(tmp_path)) == 0
+        assert sum(levels) == 1
 
 
 class TestRegularityReport:
@@ -386,7 +532,7 @@ class TestLogDomainOracle:
         if tame:
             tables = tame_tables(tables)
         traj, ctrl = self.data(grid, tg)
-        rep = weighted_norms(samples(traj, grid, tg), ctrl, tables, grid, tg)
+        rep = weighted_norms(samples(traj, grid, tg, tables), ctrl, tables, grid, tg)
         got = {k.removeprefix("log10_"): v for k, v in rep.items()}
         want = self.oracle(traj, ctrl, tables, grid, tg)
         assert sorted(got) == sorted(want)

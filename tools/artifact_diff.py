@@ -1,11 +1,13 @@
 """Compare the run artifacts of this checkout with those of another revision.
 
-Every experiment kind runs on each ``demos/configs/*.cfg``, and each benchmark
-workload runs at level 0 (its config text is read from ``bench/workloads.py``),
-once with this checkout's ``src/`` and once with PARENT_REV's, which
-``git archive`` exports into the work directory (an export, not a worktree,
-so the repository's own state is left as it was).  Both sides read the same
-configs, those of this checkout, through the CLI with one BLAS thread.
+Every experiment kind runs on each ``demos/configs/*.cfg``, the two synthesis
+kinds run once more on DUMPED with ``dump_fields = true`` (so the field and
+control dumps are compared byte for byte), and each benchmark workload runs at
+level 0 (its config text is read from ``bench/workloads.py``), once with this
+checkout's ``src/`` and once with PARENT_REV's, which ``git archive`` exports
+into the work directory (an export, not a worktree, so the repository's own
+state is left as it was).  Both sides read the same configs, those of this
+checkout, through the CLI with one BLAS thread.
 
 Printed, as rows of one Markdown table
 
@@ -16,11 +18,12 @@ for each file whose bytes differ, every report key whose value moved (list
 values entry by entry, as ``key[i]``).  A CSV file that differs gets one row
 per column that moved, with its largest relative difference over the rows.
 Lines holding ``wall_time_s`` are ignored.  A run is named
-``<config stem>.<kind>`` or after its workload.  One line after the table
-names the largest relative difference of all rows, with its run, file and
-key, passing over rows whose two values are both below ROUNDOFF in
-magnitude (``max_div`` is itself roundoff, so any change of bits moves it
-by a large relative amount); those rows stay in the table.
+``<config stem>.<kind>`` (``.dump`` added for a dump run) or after its
+workload.  One line after the table names the largest relative difference
+of all rows, with its run, file and key, passing over rows whose two values
+are both below ROUNDOFF in magnitude (``max_div`` is itself roundoff, so any
+change of bits moves it by a large relative amount); those rows stay in the
+table.
 
 Run:  python tools/artifact_diff.py PARENT_REV [--work DIR]
 
@@ -43,12 +46,15 @@ ROOT = Path(__file__).resolve().parents[1]
 KINDS = ("simulate", "decay", "linear-control", "nonlinear-control", "large-time",
          "verify")
 ROUNDOFF = 1e-12   # values below this in magnitude are roundoff (``largest``)
+DUMPED = ROOT / "demos" / "configs" / "large_time.cfg"   # nonlinear: both synthesis kinds take it
 
 
 def runs() -> list[tuple[str, str, str]]:
     """(run name, kind, config text) of every run, in a fixed order."""
     out = [(f"{cfg.stem}.{kind}", kind, cfg.read_text())
            for cfg in sorted((ROOT / "demos" / "configs").glob("*.cfg")) for kind in KINDS]
+    out += [(f"{DUMPED.stem}.{kind}.dump", kind, DUMPED.read_text() + "dump_fields = true\n")
+            for kind in ("linear-control", "nonlinear-control")]
     spec = importlib.util.spec_from_file_location("bench_workloads",
                                                   ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)

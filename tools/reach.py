@@ -1,10 +1,11 @@
 """List the statements of ``src/bousscontrol`` that no run reaches.
 
 Every run of ``tools/artifact_diff.runs()`` (each experiment kind on each
-``demos/configs/*.cfg``, and each benchmark workload at level 0) goes through
-the CLI in this process, under a ``sys.settrace`` line trace restricted to the
-package's files.  Then, per module, every statement inside a function that no
-run executed is printed with its line, the function's qualified name and the
+``demos/configs/*.cfg``, the two synthesis kinds with field dumps on one of
+them, and each benchmark workload at level 0) goes through the CLI in this
+process, under a ``sys.settrace`` line trace restricted to the package's
+files.  Then, per module, every statement inside a function that no run
+executed is printed with its line, the function's qualified name and the
 statement's first line of text.  A function whose name ``bench/tracer.py``
 wraps is flagged ``[tracer]``: the benchmark pins it, so no trace alone makes
 it removable.  ``raise`` statements are skipped, since a run reaches none of
