@@ -21,7 +21,7 @@ print(f"grid {grid.nx}x{grid.ny}, horizon T={tgrid.t_final}, dt={tgrid.dt:.4f}")
 print(f"initial energy E(0) = 1e-4 (split between velocity and temperature)")
 
 for heating in (True, False):
-    spec = SystemSpec(law=ViscosityLaw("l2", nu0=1.0, nu1=0.1), heating_on=heating)
+    spec = SystemSpec(law=ViscosityLaw(nu0=1.0, nu1=0.1), heating_on=heating)
     div = MaxDivergence(grid)
     _, trace = run_nonlinear(y0, th0, None, spec, grid, tgrid, on_state=div)
     label = "heating on " if heating else "heating off"
@@ -45,7 +45,7 @@ try:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1), heating_on=True)
+    spec = SystemSpec(law=ViscosityLaw(1.0, 0.1), heating_on=True)
     _, trace = run_nonlinear(y0, th0, None, spec, grid, tgrid)
     fig, ax = plt.subplots(figsize=(6, 4))
     ax.semilogy(trace.t, trace.energy, label="E(t)")

@@ -37,7 +37,7 @@ print("part 1: nonlinear null control via the outer source-term fixed point")
 print("=" * 72)
 # small viscosity keeps the control genuinely active (with nu0 ~ 1 the free
 # decay already crushes the state and the loop converges immediately)
-spec = SystemSpec(law=ViscosityLaw("l2", nu0=0.05, nu1=0.05), heating_on=True)
+spec = SystemSpec(law=ViscosityLaw(nu0=0.05, nu1=0.05), heating_on=True)
 tgrid = TimeGrid(1.0, 128)
 y0, th0 = scaled_initial_data(grid, target_energy=1e-2)
 pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
@@ -58,7 +58,7 @@ print()
 print("=" * 72)
 print("part 2: large-time pipeline (free decay, then local control)")
 print("=" * 72)
-spec2 = SystemSpec(law=ViscosityLaw("l2", nu0=1.0, nu1=0.1), heating_on=True)
+spec2 = SystemSpec(law=ViscosityLaw(nu0=1.0, nu1=0.1), heating_on=True)
 y0b, th0b = scaled_initial_data(grid, target_energy=1e-2)
 delta = 1e-4
 tail_tgrid = TimeGrid(0.75, 96)

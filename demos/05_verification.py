@@ -63,7 +63,7 @@ for i in range(5):
           f"FD = {fd:+.10e}, rel err {abs(an - fd) / abs(an):.1e}")
 
 print("\n3) manufactured-solution refinement study (heating on, L2 law):")
-spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1), heating_on=True)
+spec = SystemSpec(law=ViscosityLaw(1.0, 0.1), heating_on=True)
 rep = run_mms(spec, grid_sizes=(16, 32, 64), t_final=0.25, nt=16)
 for n, e in zip(rep.grid_sizes, rep.errors):
     print(f"   {n:3d}^2 grid: L2(Q) error {e:.4e}")

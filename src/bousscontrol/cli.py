@@ -25,8 +25,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--dump-fields", action="store_true",
-                       help="also dump full field trajectories")
     return parser
 
 
@@ -37,13 +35,7 @@ def main(argv=None) -> int:
     except (OSError, BoussControlError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    cfg = cfg.with_kind(args.kind)
-    if args.dump_fields and not cfg.dump_fields:
-        resolved = dict(cfg.resolved)
-        resolved["dump_fields"] = "true"
-        from dataclasses import replace
-        cfg = replace(cfg, dump_fields=True, resolved=resolved)
-    return run_experiment(cfg, args.out)
+    return run_experiment(cfg.with_kind(args.kind), args.out)
 
 
 if __name__ == "__main__":

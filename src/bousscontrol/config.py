@@ -36,7 +36,6 @@ _DEFAULTS: dict[str, str] = {
     "grid.ly": "1.0",
     "time.t_final": "1.0",
     "time.nt": "128",
-    "system.variant": "l2",
     "system.nu0": "1.0",
     "system.nu1": "0.1",
     "system.p": "2.0",
@@ -44,10 +43,9 @@ _DEFAULTS: dict[str, str] = {
     "system.heating": "true",
     "system.mode": "nonlinear",
     "system.coupling": "auto",
-    "weights.auto_m": "true",
     "weights.s": "1.0",
     "weights.lambda": "1.0",
-    "weights.m": "14.0",
+    "weights.m": "auto",
     "weights.eta_sup": "1.0",
     "patch.cx": "0.5",
     "patch.cy": "0.5",
@@ -61,7 +59,6 @@ _DEFAULTS: dict[str, str] = {
     "penalty.cg_max_iters": "600",
     "outer.max": "20",
     "outer.tol": "1e-9",
-    "outer.damping": "1.0",
     "init.target_energy": "auto",
     "init.vel_amp": "1.0",
     "init.theta_amp": "1.0",
@@ -202,12 +199,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
                         ly=_parse_positive("grid.ly", vals["grid.ly"]))
     tgrid = _parse_time_grid(vals, "time.t_final", "time.nt")
 
-    variant = vals["system.variant"]
-    if variant not in ("l2", "lp"):
-        raise ConfigError(f"system.variant: expected l2|lp, got {variant!r}")
     with _keyed("system.nu1, system.p"):
-        law = ViscosityLaw(variant=variant,
-                           nu0=_parse_positive("system.nu0", vals["system.nu0"]),
+        law = ViscosityLaw(nu0=_parse_positive("system.nu0", vals["system.nu0"]),
                            nu1=_parse_float("system.nu1", vals["system.nu1"]),
                            p=_parse_float("system.p", vals["system.p"]))
     coupling = (None if vals["system.coupling"] == "auto"
@@ -223,11 +216,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     lam = _parse_positive("weights.lambda", vals["weights.lambda"])
     eta_sup = _parse_positive("weights.eta_sup", vals["weights.eta_sup"])
-    if _parse_bool("weights.auto_m", vals["weights.auto_m"]):
+    if vals["weights.m"] == "auto":
         with _keyed("weights.lambda, weights.eta_sup"):
             m = find_min_m(lam, eta_sup)
         vals["weights.m"] = f"{m:.17g}"
-        vals["weights.auto_m"] = "false"
     else:
         m = _parse_float("weights.m", vals["weights.m"])
     with _keyed("weights.m"):
@@ -257,10 +249,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
             t_clip=t_clip,
             cg_tol=_parse_positive("penalty.cg_tol", vals["penalty.cg_tol"]),
             cg_max_iters=_parse_count("penalty.cg_max_iters", vals["penalty.cg_max_iters"]))
-    with _keyed("outer.damping"):
-        outer = OuterLoopSpec(max_outer=_parse_count("outer.max", vals["outer.max"]),
-                              outer_tol=_parse_positive("outer.tol", vals["outer.tol"]),
-                              damping=_parse_float("outer.damping", vals["outer.damping"]))
+    outer = OuterLoopSpec(max_outer=_parse_count("outer.max", vals["outer.max"]),
+                          outer_tol=_parse_positive("outer.tol", vals["outer.tol"]))
 
     target = (None if vals["init.target_energy"] == "auto"
               else _parse_positive("init.target_energy", vals["init.target_energy"]))

@@ -175,15 +175,12 @@ class PenaltySpec:
 class OuterLoopSpec:
     max_outer: int = 20
     outer_tol: float = 1.0e-9
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.max_outer < 1:
             raise DomainError("max_outer must be >= 1")
         if not (0.0 < self.outer_tol < math.inf):
             raise DomainError(f"outer_tol must be finite and positive, got {self.outer_tol!r}")
-        if not (0.0 < self.damping <= 1.0):
-            raise DomainError("damping must lie in (0, 1]")
 
 
 @dataclass
@@ -728,8 +725,7 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
     pass, warm-started from its own residual and deflated by the recycle
     space its earlier passes filled (``LinearControlProblem.solve``).
     Between passes the nonlinear terms of the pass's controlled run, streamed
-    from one forward run, replace its sources (F1, F2); with damping d < 1 the
-    second and later sets enter as (1 - d) F_prev + d F_new.  A pass that
+    from one forward run, replace its sources (F1, F2).  A pass that
     converges, or is the last one allowed, makes no such run.  The control is
     then re-simulated through the full nonlinear solver, whose levels
     ``on_state`` sees; its terminal norm is reported.
@@ -760,16 +756,12 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
                 updates[-i] > updates[-i - 1] for i in (1, 2, 3)):
             raise ConvergenceError(
                 "outer fixed point diverging over 3 consecutive iterations; "
-                "reduce the data norm or the damping factor", history=updates)
+                "reduce the data norm", history=updates)
         if k == outer.max_outer:
             break
         frozen: list = []
         prob._terminal_of(controls, True, _freezer(frozen, spec, prob.prop.modes, tgrid))
-        if outer.damping < 1.0 and prob.sources is not None:
-            d = outer.damping
-            frozen = [(1 - d) * a + d * f for a, f in zip(prob.sources, frozen)]
         prob.sources = tuple(frozen)
-        del frozen
     forward_sweeps, adjoint_sweeps = prob.forward_sweeps, prob.adjoint_sweeps
     del prob
 

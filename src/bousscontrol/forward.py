@@ -369,7 +369,7 @@ class NonlinearPropagator:
             lambda hook: _march(step, (*self.modes.project_faces(y0[0], y0[1]), th0.copy()),
                                 self.tgrid, inputs, hook, lambda *level: level),
             self.grid, self.tgrid, on_state, stop_energy,
-            _SMALLNESS_FACTOR * self.spec.law.nu0 ** 2)
+            _SMALLNESS_FACTOR * (self.spec.law.nu0 * self.spec.law.nu0))
 
 
 class LinearPropagator:

@@ -100,13 +100,12 @@ def build_manufactured(spec: SystemSpec, amp_vel: float = 0.05,
 
     def coefficient(law, gradsq, on_velocity: bool):
         """``law`` on the field whose g = 1 |grad|^2 density is ``gradsq``,
-        as a function of t: closed form for l2 on the velocity, else a
-        quadrature constant (with p = 2 for l2); both scale with g^2."""
-        if on_velocity and law.variant == "l2":
+        as a function of t: closed form for p = 2 on the velocity, else a
+        quadrature constant; both scale with g^2."""
+        if on_velocity and law.p == 2.0:
             const = 2.0 * np.pi ** 4 * amp_vel ** 2
         else:
-            const = _lp_profile_constant(lambda x, y: gradsq(_Profile(amps, x, y)),
-                                         law.p if law.variant == "lp" else 2.0)
+            const = _lp_profile_constant(lambda x, y: gradsq(_Profile(amps, x, y)), law.p)
         return lambda t: law.nu0 + law.nu1 * const * g(t) ** 2
 
     def grad_sq_velocity(f):

@@ -224,33 +224,27 @@ def heating_from_gradients(grads) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ViscosityLaw:
-    """Nonlocal viscosity: nu0 + nu1 * (global gradient energy).
+    """Nonlocal viscosity nu0 + nu1 * ||grad w||_{L^p}^2, with p naming the
+    regime: p = 2 is the L^2 law nu0 + nu1 * integral |grad w|^2, and
+    3 < p <= 6 the L^p law."""
 
-    variant "l2": nu0 + nu1 * integral |grad w|^2;
-    variant "lp": nu0 + nu1 * ||grad w||_{L^p}^2 for 3 < p <= 6 (p = 2 is the
-    consistency alias of "l2").
-    """
-
-    variant: str = "l2"
     nu0: float = 1.0
     nu1: float = 0.0
     p: float = 2.0
 
     def __post_init__(self):
-        if self.variant not in ("l2", "lp"):
-            raise DomainError(f"unknown viscosity variant {self.variant!r}")
         if not (self.nu0 > 0.0):
             raise DomainError("nu0 must be positive")
         if not (self.nu1 >= 0.0):
             raise DomainError("nu1 must be nonnegative")
-        if self.variant == "lp" and not (3.0 < self.p <= 6.0 or self.p == 2.0):
-            raise DomainError("lp variant needs 3 < p <= 6 (or p = 2 alias)")
+        if not (self.p == 2.0 or 3.0 < self.p <= 6.0):
+            raise DomainError(f"p must be 2 or lie in (3, 6], got {self.p!r}")
 
     def of_density(self, gm2: np.ndarray, grid: GridSpec):
         """The law on a cellwise gradient-energy density |grad w|^2: a float
         for one level, one value per level of a stack."""
         q = grid.cell_area
-        if self.variant == "l2":
+        if self.p == 2.0:
             return per_level(level_sums(gm2) * q, lambda s: self.nu0 + self.nu1 * float(s))
         return per_level(level_sums(gm2 ** (self.p / 2.0)) * q,
                          lambda s: self.nu0 + self.nu1 * float(s) ** (2.0 / self.p))

@@ -47,7 +47,7 @@ def _write_energy_csv(path, trace: EnergyTrace, config_hash: str) -> None:
 
 
 def _state_writer(cfg: ExperimentConfig, out_dir: str):
-    """The ``--dump-fields`` hook streaming levels to ``out_dir/fields``, or None."""
+    """The ``dump_fields`` hook streaming levels to ``out_dir/fields``, or None."""
     return StateWriter(os.path.join(out_dir, "fields")) if cfg.dump_fields else None
 
 
@@ -66,10 +66,10 @@ def _tables_for(cfg: ExperimentConfig):
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     try:
         law = cfg.system.law
-        if cfg.kind == "large-time" and law.variant == "lp" and law.p != 2.0:
+        if cfg.kind == "large-time" and law.p != 2.0:
             raise ConfigError(
                 "large-time: the decay law behind it holds for p = 2 only; "
-                f"system.variant = lp with system.p = {law.p:g} is outside it")
+                f"system.p = {law.p:g} is outside it")
         if cfg.kind in ("nonlinear-control", "large-time") and cfg.system.mode != "nonlinear":
             raise ConfigError(
                 f"{cfg.kind}: its outer loop freezes the nonlinear terms of the "
@@ -152,7 +152,7 @@ def _run_decay(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
 def _final_run_hooks(cfg, out_dir, tables):
     """The hooks a synthesis chains onto its final run: the weighted-norm
     samples at the nodes the weights of ``tables`` keep (None without weight
-    tables) and the ``--dump-fields`` writer."""
+    tables) and the ``dump_fields`` writer."""
     samples = NormSamples(cfg.grid, cfg.tgrid, tables) if tables is not None else None
     return samples, chain_hooks(samples, _state_writer(cfg, out_dir))
 

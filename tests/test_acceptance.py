@@ -5,13 +5,14 @@ bytes; criterion 12 runs its own configurations through the runner.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bousscontrol import operators as ops
 from bousscontrol.adjoint import duality_defect
-from bousscontrol.config import parse_config_text
+from bousscontrol.config import parse_config, parse_config_text
 from bousscontrol.control import (ControlTrajectory, PenaltySpec,
                                   control_inner, gradient, objective)
 from bousscontrol.fieldio import parse_report
@@ -26,38 +27,8 @@ from bousscontrol.weights import (WeightParams, check_weight_chain,
                                   check_weight_gap, eval_weights, find_min_m)
 from bousscontrol.geometry import build_eta0
 
-CONFIG_DECAY = """
-kind = decay
-grid.nx = 32
-grid.ny = 32
-time.t_final = 2.0
-time.nt = 256
-system.nu0 = 1.0
-system.nu1 = 0.1
-system.heating = true
-init.target_energy = 1e-4
-decay.fit_lo_frac = 0.2
-decay.fit_hi_frac = 1.0
-large_time.delta = 1e-4
-"""
-
-CONFIG_LINEAR = """
-kind = linear-control
-grid.nx = 32
-grid.ny = 32
-time.t_final = 1.0
-time.nt = 128
-system.nu0 = 0.05
-system.nu1 = 0.0
-system.mode = linearized
-init.vel_amp = 0.0
-init.theta_amp = 0.1
-penalty.eps = 1e-6
-penalty.weight_mode = carleman
-penalty.cg_tol = 1e-6
-penalty.cg_max_iters = 800
-linear_control.eps_sweep = 1e-2, 1e-4, 1e-6
-"""
+# criteria 6, 7 and 9 run the demo configs themselves
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 CONFIG_NONLINEAR = """
 kind = nonlinear-control
@@ -94,26 +65,6 @@ outer.max = 20
 outer.tol = 1e-9
 """
 
-CONFIG_LARGE_TIME = """
-kind = large-time
-grid.nx = 32
-grid.ny = 32
-time.t_final = 1.0
-time.nt = 128
-system.nu0 = 1.0
-system.nu1 = 0.1
-system.heating = true
-init.target_energy = 1e-2
-penalty.eps = 1e-6
-penalty.weight_mode = carleman
-penalty.cg_tol = 1e-6
-large_time.delta = 1e-4
-large_time.phase1_t_final = 1.0
-large_time.phase1_nt = 256
-large_time.tail_t_final = 0.75
-large_time.tail_nt = 96
-"""
-
 RUNTIME_LIMITS = {"decay": 120.0, "linear": 600.0, "nonlinear": 1800.0,
                   "nonlinear_active": 1800.0, "large_time": 2700.0}
 
@@ -124,11 +75,11 @@ def pinned_runs(tmp_path_factory):
     criterion 10."""
     base = tmp_path_factory.mktemp("acceptance")
     runs = {}
-    for name, text in (("decay", CONFIG_DECAY), ("linear", CONFIG_LINEAR),
-                       ("nonlinear", CONFIG_NONLINEAR),
-                       ("nonlinear_active", CONFIG_NONLINEAR_ACTIVE),
-                       ("large_time", CONFIG_LARGE_TIME)):
-        cfg = parse_config_text(text)
+    for name, cfg in (("decay", parse_config(DEMO_CONFIGS / "decay.cfg")),
+                      ("linear", parse_config(DEMO_CONFIGS / "linear_control.cfg")),
+                      ("nonlinear", parse_config_text(CONFIG_NONLINEAR)),
+                      ("nonlinear_active", parse_config_text(CONFIG_NONLINEAR_ACTIVE)),
+                      ("large_time", parse_config(DEMO_CONFIGS / "large_time.cfg"))):
         out = str(base / name)
         t0 = time.perf_counter()
         rc = run_experiment(cfg, out)
@@ -229,7 +180,7 @@ def test_criterion_4_weight_geometry():
 
 def test_criterion_5_mms_convergence():
     t0 = time.perf_counter()
-    spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1), heating_on=True)
+    spec = SystemSpec(law=ViscosityLaw(1.0, 0.1), heating_on=True)
     rep = run_mms(spec, grid_sizes=(16, 32, 64), t_final=0.25, nt=16)
     elapsed = time.perf_counter() - t0
     ok = 1.7 <= rep.order <= 2.3 and elapsed < 300.0
@@ -319,7 +270,6 @@ grid.nx = {n}
 grid.ny = {n}
 time.t_final = 1.0
 time.nt = 128
-system.variant = {variant}
 system.p = {p}
 system.nu0 = 0.1
 system.nu1 = 0.1
@@ -351,7 +301,7 @@ def test_criterion_12_contraction_in_both_regimes(tmp_path):
         for n in (16, 32):
             out = str(tmp_path / f"{variant}_{n}")
             assert run_experiment(parse_config_text(CONFIG_LAW_REGIMES.format(
-                n=n, variant=variant, p=p)), out) == 0
+                n=n, p=p)), out) == 0
             rep = parse_report(out + "/report.txt")
             assert rep["nonlinear_control.converged"] == "True"
             ups = [float(x) for x in rep["nonlinear_control.update_norms"].split(",")]
@@ -380,7 +330,7 @@ def test_criterion_13_time_order():
     halves both errors.  Measured orders 0.966 (velocity) and 0.960 (theta);
     T/16 breaks the CFL bound at 128^2."""
     t0 = time.perf_counter()
-    spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1), heating_on=True)
+    spec = SystemSpec(law=ViscosityLaw(1.0, 0.1), heating_on=True)
     mms = build_manufactured(spec, time_dependent=True, t_scale=0.25)
     coarse, fine = (mms_errors(spec, mms, GridSpec(128, 128), TimeGrid(0.25, nt))
                     for nt in (32, 64))

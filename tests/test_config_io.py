@@ -1,5 +1,8 @@
 """Configuration parsing, field/trace persistence, runner kinds, CLI."""
 
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +15,7 @@ from bousscontrol.forward import EnergyTrace, LinearPropagator
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw
 from bousscontrol.runner import compare_artifact_dirs, run_experiment
-from bousscontrol.weights import WeightParams
+from bousscontrol.weights import WeightParams, find_min_m
 
 from conftest import Recorder, run_linearized
 
@@ -27,9 +30,12 @@ system.nu1 = 0.1
 init.target_energy = 1e-4
 """
 
+DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs")
+                      .glob("*.cfg"))
+
 NUMERIC_KEYS = set(_DEFAULTS) - {
-    "kind", "dump_fields", "system.variant", "system.theta_source", "system.heating",
-    "system.mode", "weights.auto_m", "penalty.weight_mode"}
+    "kind", "dump_fields", "system.theta_source", "system.heating", "system.mode",
+    "penalty.weight_mode"}
 
 
 class TestConfig:
@@ -113,7 +119,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("line", [
         "grid.nx = 0",
-        "outer.damping = 2",
+        "system.p = 2.5",
         "system.nu1 = -5",
         "patch.hx = -1",
         "patch.inner_margin = 5",
@@ -135,12 +141,83 @@ class TestConfig:
     def test_any_numeric_value_returns_or_names_key(self, key, value):
         # every numeric key either parses or fails with a ConfigError naming it
         text = MINIMAL.replace(key + " =", "# " + key) + f"{key} = {value}\n"
-        if key == "weights.m":
-            text += "weights.auto_m = false\n"
         try:
             parse_config_text(text)
         except ConfigError as exc:
             assert key in str(exc)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # as the CLI: printed, not fatal
+    def test_hostile_demo_configs_run_or_fail_by_name(self, tmp_path, capsys):
+        """A seeded sweep: 1-2 keys of a demo config, removed keys included,
+        take a hostile value or their value scaled by 10^(+-2..300); every
+        case that parses runs in-process and ends in exit 0, 2, 3 or 4, never
+        in another exception.  Sizes are capped before any case runs (grid
+        <= 24^2, <= 128 steps, few CG and outer iterations), so no case asks
+        for large arrays or long runs."""
+        caps = {"grid.nx": 16, "grid.ny": 16, "time.nt": 32, "large_time.phase1_nt": 32,
+                "large_time.tail_nt": 32, "penalty.cg_max_iters": 20, "outer.max": 4}
+        keys = sorted(_DEFAULTS) + ["system.variant", "weights.auto_m", "outer.damping"]
+        values = ["nan", "-inf", "0", "-1", "1e308", "1e-308", "1e-200", "1e22", "",
+                  "garbage", "\u00e9t\u00e9", "1, 2", "auto", "lp", "true", "2.5", "4"]
+        rng = random.Random(20261020)
+
+        def hostile(old):
+            try:
+                x = float(old)
+            except ValueError:
+                return rng.choice(values)
+            if rng.random() < 0.5:
+                return rng.choice(values)
+            return repr(x * 10.0 ** rng.choice((-300, -8, -2, 2, 8, 300)))
+
+        failures, codes = [], []
+        for case in range(300):
+            lines = dict(line.split(" = ", 1) for line in
+                         DEMO_CONFIGS[case % len(DEMO_CONFIGS)].read_text().splitlines()
+                         if " = " in line and not line.startswith("#"))
+            lines.update((k, str(min(int(lines.get(k, _DEFAULTS[k])), cap)))
+                         for k, cap in caps.items())
+            lines.update((k, hostile(lines.get(k, _DEFAULTS.get(k, ""))))
+                         for k in rng.sample(keys, rng.randint(1, 2)))
+            text = "".join(f"{k} = {v}\n" for k, v in lines.items())
+            try:
+                cfg = parse_config_text(text)
+            except ConfigError:
+                codes.append(2)
+                continue
+            assert (cfg.grid.nx <= 24 and cfg.grid.ny <= 24 and cfg.pen.cg_max_iters <= 20
+                    and cfg.outer.max_outer <= 4 and max(
+                        g.nt for g in (cfg.tgrid, cfg.lt_phase1, cfg.lt_tail)) <= 128)
+            try:
+                codes.append(run_experiment(cfg, str(tmp_path / f"case{case}")))
+            except Exception as exc:    # any exception but a named exit is the failure
+                failures.append(f"{text!r}: {exc!r}")
+            else:
+                if codes[-1] not in (0, 2, 3, 4):
+                    failures.append(f"{text!r}: exit {codes[-1]}")
+        capsys.readouterr()
+        assert not failures, "\n".join(failures)
+        assert codes.count(0) >= 30 and codes.count(3) >= 3   # runs and named failures
+
+    def test_p_alone_picks_the_law(self, grid16):
+        # p names the regime: p = 4 runs the L^p law, with no second key
+        law = parse_config_text(MINIMAL + "system.p = 4\n").system.law
+        assert law == ViscosityLaw(1.0, 0.1, 4.0)
+        gm2 = np.random.default_rng(3).random((grid16.nx, grid16.ny))
+        lp = 1.0 + 0.1 * np.sqrt(np.sum(gm2 * gm2) * grid16.cell_area)
+        assert law.of_density(gm2, grid16) == pytest.approx(lp, rel=1e-14)
+        assert law.of_density(gm2, grid16) != ViscosityLaw(1.0, 0.1).of_density(gm2, grid16)
+
+    @pytest.mark.parametrize("line, m", [
+        ("", find_min_m(1.0, 1.0)), ("weights.m = auto\n", find_min_m(1.0, 1.0)),
+        ("weights.m = 20\n", 20.0)], ids=["default", "auto", "given"])
+    def test_m_is_auto_or_used_as_given(self, tmp_path, line, m):
+        # auto is the minimal m for weights.lambda and weights.eta_sup; a
+        # number is used, and echoed, as written
+        cfg = parse_config_text(MINIMAL + line)
+        assert cfg.wparams.m == m
+        assert run_experiment(cfg, str(tmp_path)) == 0
+        assert f"weights.m = {m:.17g}\n" in (tmp_path / "resolved_config.txt").read_text()
 
     @pytest.mark.parametrize("build", [
         lambda: OuterLoopSpec(outer_tol=float("nan")),
@@ -273,6 +350,16 @@ class TestRunner:
         assert "leaves the double range" in capsys.readouterr().out
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # as the CLI: printed, not fatal
+    @pytest.mark.parametrize("kind", ["simulate", "decay", "nonlinear-control",
+                                      "large-time"])
+    def test_huge_nu0_runs_or_fails_by_name(self, tmp_path, kind):
+        # E(0) <= 1e-2 nu0^2 with nu0 = 1e308: the square is inf, not an
+        # OverflowError out of the smallness check
+        cfg = parse_config_text(
+            MINIMAL.replace("system.nu0 = 1.0", "system.nu0 = 1e308")).with_kind(kind)
+        assert run_experiment(cfg, str(tmp_path)) in (0, 3)
+
 
 SYNTHESIS_KEYS = ["terminal_norm", "control_energy_weighted", "cg_iters", "outer_iters",
                   "eps", "wall_time_s", "uncontrolled_terminal_norm", "data_norm",
@@ -353,6 +440,26 @@ class TestCli:
         assert (tmp_path / "out" / "error.txt").read_text().startswith(
             "DomainError: degenerate decay fit")
 
+    @pytest.mark.parametrize("line", [
+        "system.variant = lp", "weights.auto_m = false", "outer.damping = 0.5"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, line):
+        from bousscontrol.cli import main
+        cfg_path = tmp_path / "old.cfg"
+        cfg_path.write_text(MINIMAL + line + "\n")
+        assert main(["decay", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown configuration key {line.split(' = ')[0]!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_dump_fields_is_a_key_not_a_flag(self, tmp_path):
+        from bousscontrol.cli import main
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            main(["decay", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                  "--dump-fields"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_main_bad_config(self, tmp_path):
         from bousscontrol.cli import main
         cfg_path = tmp_path / "bad.cfg"
@@ -407,10 +514,10 @@ class TestCli:
         ("decay", "decay.fit_lo_frac = 0.9\ndecay.fit_hi_frac = 0.1\n"),
         ("decay", "decay.fit_lo_frac = 0.5\ndecay.fit_hi_frac = 0.501\n"),
         ("linear-control", "patch.cx = 0.3\n"),
-        ("linear-control", "weights.auto_m = false\nweights.eta_sup = 0\n"),
+        ("linear-control", "weights.m = 14\nweights.eta_sup = 0\n"),
         ("linear-control", "penalty.t_clip = 5.0\n"),
         ("large-time", "large_time.tail_t_final = 5e-324\n"),
-        ("large-time", "system.variant = lp\nsystem.p = 4\n"),
+        ("large-time", "system.p = 4\n"),
         ("decay", f"large_time.tail_nt = {10 ** 22}\n"),
     ], ids=["short-large-time-grid", "empty-decay-window", "one-node-decay-window",
             "center-outside-inner-patch", "zero-eta-sup", "t-clip-past-horizon",
@@ -427,11 +534,10 @@ class TestCli:
         # the large-time result is for p = 2 only; other kinds run the lp law
         from bousscontrol.cli import main
         cfg_path = tmp_path / "lp.cfg"
-        cfg_path.write_text(MINIMAL + "system.variant = lp\nsystem.p = 4\n")
+        cfg_path.write_text(MINIMAL + "system.p = 4\n")
         assert main(["large-time", "--config", str(cfg_path),
                      "--out", str(tmp_path / "lt")]) == 2
-        out = capsys.readouterr().out
-        assert "system.variant" in out and "system.p" in out
+        assert "system.p = 4 is outside it" in capsys.readouterr().out
         assert main(["decay", "--config", str(cfg_path),
                      "--out", str(tmp_path / "decay")]) == 0
 
@@ -491,7 +597,7 @@ class TestMoreRunnerKinds:
         from bousscontrol.grids import GridSpec, TimeGrid
         from bousscontrol.operators import ViscosityLaw
         grid = GridSpec(16, 16)
-        spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1))
+        spec = SystemSpec(law=ViscosityLaw(1.0, 0.1))
         y0, th0 = scaled_initial_data(grid, 1e-4)
         traj, writer = Recorder(), StateWriter(str(tmp_path / "fields"))
 

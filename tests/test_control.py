@@ -352,7 +352,7 @@ def test_bad_tolerance_rejected(build, bad):
 
 class TestNonlinearControl:
     def test_zero_data_one_iteration(self, grid16, tgrid64, bumps16, tables16):
-        spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1))
+        spec = SystemSpec(law=ViscosityLaw(1.0, 0.1))
         pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman")
         outer = OuterLoopSpec()
         ctrl, _, rep = solve_nonlinear_control(
@@ -365,7 +365,7 @@ class TestNonlinearControl:
     def test_small_data_converges_with_monotone_updates(self, grid16, tgrid64,
                                                         bumps16, tables16):
         # genuinely iterating configuration (small nu0 keeps control active)
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
+        spec = SystemSpec(law=ViscosityLaw(0.05, 0.05), heating_on=True)
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
         outer = OuterLoopSpec(max_outer=25, outer_tol=1e-6)
@@ -379,7 +379,7 @@ class TestNonlinearControl:
         assert rep.terminal_norm < rep.uncontrolled_terminal_norm
 
     def test_resimulation_is_independent(self, grid16, tgrid64, bumps16, tables16):
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
+        spec = SystemSpec(law=ViscosityLaw(0.05, 0.05), heating_on=True)
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
         ctrl, _, rep = solve_nonlinear_control(y0, th0, spec, pen,
@@ -399,8 +399,8 @@ class TestNonlinearControl:
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
         outer = OuterLoopSpec(max_outer=25, outer_tol=1e-6)
-        spec_conv = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.0), heating_on=False)
-        spec_full = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
+        spec_conv = SystemSpec(law=ViscosityLaw(0.05, 0.0), heating_on=False)
+        spec_full = SystemSpec(law=ViscosityLaw(0.05, 0.05), heating_on=True)
         _, _, rep_conv = solve_nonlinear_control(y0, th0, spec_conv, pen,
                                               outer, tables16, grid16,
                                               tgrid64, bumps16)
@@ -421,35 +421,29 @@ class TestOuterLoopContinuation:
         patch = ControlPatch((0.5, 0.5), (0.2, 0.2))
         wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0)
         tables = eval_weights(wp, build_eta0(grid, patch), tg)
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
+        spec = SystemSpec(law=ViscosityLaw(0.05, 0.05), heating_on=True)
         y0, th0 = scaled_initial_data(grid, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
         out = {}
-        for damping, max_outer in ((1.0, 25), (1.0, 3), (0.5, 3)):
-            outer = OuterLoopSpec(max_outer=max_outer, outer_tol=1e-6, damping=damping)
-            out[damping, max_outer] = solve_nonlinear_control(
+        for max_outer in (25, 3):
+            outer = OuterLoopSpec(max_outer=max_outer, outer_tol=1e-6)
+            out[max_outer] = solve_nonlinear_control(
                 y0, th0, spec, pen, outer, tables, grid, tg,
                 bump_on_solver_grids(grid, patch))[2]
         return out
 
-    @pytest.mark.parametrize("key, converged", [((1.0, 25), True), ((1.0, 3), False)],
+    @pytest.mark.parametrize("max_outer, converged", [(25, True), (3, False)],
                              ids=["converged", "stopped-by-outer-max"])
-    def test_sweep_counts(self, runs, key, converged):
-        rep = runs[key]
+    def test_sweep_counts(self, runs, max_outer, converged):
+        rep = runs[max_outer]
         assert rep.converged is converged
         assert rep.outer_iters >= 3
         assert rep.forward_sweeps == rep.cg_iters + 2 * rep.outer_iters - 1
         assert rep.adjoint_sweeps == rep.cg_iters + rep.outer_iters
 
-    def test_damping_acts_from_the_second_frozen_set(self, runs):
-        plain, damped = runs[1.0, 3].update_history, runs[0.5, 3].update_history
-        assert len(plain) == len(damped) == 3
-        assert plain[:2] == damped[:2]
-        assert plain[2] != damped[2]
-
     def test_warm_objective_needs_no_forward_run(self, grid16, tgrid64, bumps16,
                                                  tables16):
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
+        spec = SystemSpec(law=ViscosityLaw(0.05, 0.05), heating_on=True)
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
         prob = LinearControlProblem(y0, th0, None, None, pen,
@@ -493,7 +487,7 @@ def slow_case(n=16, nt=64):
     patch = ControlPatch((0.5, 0.5), (0.2, 0.2))
     wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0)
     tables = eval_weights(wp, build_eta0(grid, patch), tg)
-    spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.1), heating_on=True)
+    spec = SystemSpec(law=ViscosityLaw(0.05, 0.1), heating_on=True)
     y0, th0 = scaled_initial_data(grid, 0.1)
     pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman", cg_tol=1e-6)
     return (y0, th0, spec, pen), (tables, grid, tg, bump_on_solver_grids(grid, patch))
@@ -516,7 +510,7 @@ class TestRecycling:
 
     def test_same_answer_with_no_more_cg(self, grid16, tgrid64, bumps16, tables16,
                                          monkeypatch):
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
+        spec = SystemSpec(law=ViscosityLaw(0.05, 0.05), heating_on=True)
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
         args = (y0, th0, spec, pen, OuterLoopSpec(max_outer=25, outer_tol=1e-6),
@@ -623,7 +617,7 @@ class TestLiveSteps:
             lambda hook: prop.run(y0, th0, controls=ctrl, on_state=hook), monkeypatch)
 
     def test_nonlinear_run(self, grid16, tgrid64, bumps16, monkeypatch):
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
+        spec = SystemSpec(law=ViscosityLaw(0.05, 0.05), heating_on=True)
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         ctrl = self.block_controls(grid16, tgrid64, bumps16, scale=1e-2)
         self.assert_same_as_injecting_every_step(
@@ -681,7 +675,7 @@ class TestNonFiniteCG:
             return f1u, f1v, f2
 
         monkeypatch.setattr(control, "_frozen_sources", poisoned)
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
+        spec = SystemSpec(law=ViscosityLaw(0.05, 0.05), heating_on=True)
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
         with pytest.raises(ConvergenceError, match="pass 2: non-finite residual"):
@@ -719,7 +713,7 @@ class TestNonFiniteCG:
 
 class TestLargeTime:
     def _spec(self):
-        return SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1), heating_on=True)
+        return SystemSpec(law=ViscosityLaw(1.0, 0.1), heating_on=True)
 
     def test_data_already_below_delta(self, grid16, bumps16, patch):
         spec = self._spec()
@@ -849,7 +843,7 @@ def test_cg_stagnation_raises_with_history(grid16, tgrid64, bumps16):
 def test_nonlinear_control_lp_variant(grid16, tgrid64, bumps16, tables16):
     # the L^p system: nubar(grad theta) diffuses the temperature; the same
     # outer loop applies with the p-law frozen into the sources
-    spec = SystemSpec(law=ViscosityLaw("lp", 0.05, 0.05, p=4.0),
+    spec = SystemSpec(law=ViscosityLaw(0.05, 0.05, p=4.0),
                       theta_coeff_source="temperature", heating_on=True)
     y0, th0 = scaled_initial_data(grid16, 1e-2)
     pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
@@ -1061,7 +1055,7 @@ class TestStreamedReadersMatchReferences:
     @pytest.fixture(params=["linear-controlled", "nonlinear"])
     def run(self, request, setup16, tables16):
         grid, tg, bumps, y0, th0 = setup16
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
+        spec = SystemSpec(law=ViscosityLaw(0.05, 0.05), heating_on=True)
         rec, samples = Recorder(), NormSamples(grid, tg, tables16)
         frozen: list = []
         hooks = chain_hooks(rec, samples, _freezer(frozen, spec, ModalBasis(grid), tg))
@@ -1121,7 +1115,7 @@ def streamed_run(grid, tg, spec, seed=3):
     return rec, samples, frozen
 
 
-SPEC = SystemSpec(law=ViscosityLaw("l2", 0.05, 0.05), heating_on=True)
+SPEC = SystemSpec(law=ViscosityLaw(0.05, 0.05), heating_on=True)
 
 
 class TestBlockEdges:
@@ -1135,7 +1129,7 @@ class TestBlockEdges:
         (16, 16, 37, None, SPEC, 37),         # the budget's 128 levels, capped
         (184, 180, 16, None, SPEC, 1),        # a grid above the budget
         (16, 16, 37, 8, SystemSpec(
-            law=ViscosityLaw("lp", 0.05, 0.05, p=4.0),
+            law=ViscosityLaw(0.05, 0.05, p=4.0),
             theta_coeff_source="temperature"), 8),
         (16, 16, 37, 8, replace(SPEC, heating_on=False), 8),
     ], ids=["nt-not-a-multiple", "block-above-nt", "one-level-blocks",
@@ -1152,10 +1146,10 @@ class TestBlockEdges:
         for got, want in zip(frozen, reference_frozen_sources(rec, spec, grid, tg)):
             assert np.array_equal(got, want)
 
-    def test_damped_sources_match_reference(self, grid16, tgrid64, bumps16, tables16,
-                                            monkeypatch):
-        """With damping 0.5 each pass's sources are (F_prev + F_new) / 2 of
-        the reference sources of the previous pass's run, bit for bit."""
+    def test_each_pass_solves_with_the_previous_runs_sources(
+            self, grid16, tgrid64, bumps16, tables16, monkeypatch):
+        """Each pass after the first solves with exactly the reference
+        sources of the previous pass's run, bit for bit."""
         monkeypatch.setattr(forward, "BLOCK_CELLS", 5 * 256)    # 64 = 12 * 5 + 4
         runs, used = [], []
         freezer, solve = control._freezer, LinearControlProblem.solve
@@ -1172,14 +1166,12 @@ class TestBlockEdges:
         monkeypatch.setattr(LinearControlProblem, "solve", recording_solve)
         y0, th0 = scaled_initial_data(grid16, 1e-2)
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
-        solve_nonlinear_control(y0, th0, SPEC, pen, OuterLoopSpec(max_outer=3, damping=0.5),
+        solve_nonlinear_control(y0, th0, SPEC, pen, OuterLoopSpec(max_outer=3),
                                 tables16, grid16, tgrid64, bumps16)
         assert len(runs) == 2 and len(used) == 3 and used[0] is None
-        want = None
         for rec, got in zip(runs, used[1:]):
-            new = reference_frozen_sources(rec, SPEC, grid16, tgrid64)
-            want = new if want is None else tuple(
-                (1 - 0.5) * a + 0.5 * f for a, f in zip(want, new))
+            want = reference_frozen_sources(rec, SPEC, grid16, tgrid64)
+            assert len(got) == len(want) == 3
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
 

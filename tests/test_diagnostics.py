@@ -66,7 +66,7 @@ class TestDecayFit:
 
     def test_solver_run_fit_quality(self):
         grid = GridSpec(32, 32)
-        spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1), heating_on=True)
+        spec = SystemSpec(law=ViscosityLaw(1.0, 0.1), heating_on=True)
         y0, th0 = scaled_initial_data(grid, 1e-4)
         _, trace = run_nonlinear(y0, th0, None, spec, grid, TimeGrid(2.0, 256))
         fit = decay_fit(trace, (0.4, 2.0))

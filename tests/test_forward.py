@@ -139,7 +139,7 @@ class TestOneStepOracle:
     def setup_method(self):
         self.grid = GridSpec(8, 8)
         self.tgrid = TimeGrid(1.0, 64)
-        self.spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.5), heating_on=True)
+        self.spec = SystemSpec(law=ViscosityLaw(1.0, 0.5), heating_on=True)
 
     def test_step_matches_dense_reference(self):
         g, dt = self.grid, self.tgrid.dt
@@ -190,7 +190,7 @@ class TestOneStepOracle:
 
 class TestZeroFixedPoint:
     def test_nonlinear(self, grid16, tgrid64):
-        spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1))
+        spec = SystemSpec(law=ViscosityLaw(1.0, 0.1))
         traj = Recorder()
         _, trace = run_nonlinear((grid16.zeros_u(), grid16.zeros_v()),
                                  grid16.zeros_cells(), None, spec,
@@ -263,7 +263,7 @@ class TestLinearizedMode:
 class TestEnergyMonitors:
     def test_phi_monotone_small_data(self):
         grid = GridSpec(32, 32)
-        spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1), heating_on=True)
+        spec = SystemSpec(law=ViscosityLaw(1.0, 0.1), heating_on=True)
         y0, th0 = scaled_initial_data(grid, 1e-4)
         div = MaxDivergence(grid)
         _, trace = run_nonlinear(y0, th0, None, spec, grid, TimeGrid(1.0, 128),
@@ -290,7 +290,7 @@ class TestEnergyMonitors:
         assert all(abs(g - r) <= 1e-13 * r for g, r in zip(got, ref))
 
     def test_determinism_bit_identical(self, grid16):
-        spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1))
+        spec = SystemSpec(law=ViscosityLaw(1.0, 0.1))
         y0, th0 = scaled_initial_data(grid16, 1e-4)
         tg = TimeGrid(1.0, 32)
         t1, t2 = Recorder(), Recorder()
@@ -300,7 +300,7 @@ class TestEnergyMonitors:
         assert np.array_equal(t1.theta, t2.theta)
 
     def test_gronwall_stability(self, grid16):
-        spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1))
+        spec = SystemSpec(law=ViscosityLaw(1.0, 0.1))
         tg = TimeGrid(1.0, 64)
         y0, th0 = scaled_initial_data(grid16, 1e-4)
         delta = 1e-8
@@ -314,8 +314,8 @@ class TestEnergyMonitors:
         assert dev_t <= 10.0 * delta  # dissipative regime: no amplification
 
     def test_heating_contribution_nonnegative(self, grid16):
-        spec_on = SystemSpec(law=ViscosityLaw("l2", 0.5, 0.1), heating_on=True)
-        spec_off = SystemSpec(law=ViscosityLaw("l2", 0.5, 0.1), heating_on=False)
+        spec_on = SystemSpec(law=ViscosityLaw(0.5, 0.1), heating_on=True)
+        spec_off = SystemSpec(law=ViscosityLaw(0.5, 0.1), heating_on=False)
         tg = TimeGrid(1.0, 64)
         y0 = stream_velocity(grid16, 0.05)
         th0 = 0.1 * sine_theta(grid16, 1.0)
@@ -324,7 +324,7 @@ class TestEnergyMonitors:
         assert float(np.mean(th_on - th_off)) >= 0.0
 
     def test_trace_from_trajectory_matches_run(self, grid16):
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.5, 0.1))
+        spec = SystemSpec(law=ViscosityLaw(0.5, 0.1))
         y0, th0 = scaled_initial_data(grid16, 1e-3)
         traj = Recorder()
         _, trace = run_nonlinear(y0, th0, None, spec, grid16, TimeGrid(0.5, 32),
@@ -341,7 +341,7 @@ def test_explicit_terms_match_reference_operators(grid16, source, heating):
     # the nonlinear step and the outer loop's frozen sources both take their
     # explicit terms from explicit_terms; it must equal the operators bit for bit
     rng = np.random.default_rng(17)
-    law = ViscosityLaw("lp", 0.4, 0.2, 4.0)
+    law = ViscosityLaw(0.4, 0.2, 4.0)
     spec = SystemSpec(law=law, theta_coeff_source=source, heating_on=heating)
     u, v = rand_div_free(grid16, rng)
     th = rand_cells(grid16, rng)
@@ -360,7 +360,7 @@ def test_explicit_terms_match_reference_operators(grid16, source, heating):
 
 class TestErrorHandling:
     def test_cfl_violation(self, grid16):
-        spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.0))
+        spec = SystemSpec(law=ViscosityLaw(1.0, 0.0))
         tg = TimeGrid(1.0, 16)  # dt = 1/16, huge against |u| = 4
         u = grid16.zeros_u()
         u[1:-1, :] = 4.0
@@ -384,7 +384,7 @@ class TestErrorHandling:
         # huge anti-diffusive source instead: inject energy via forcing, with
         # the CFL bound out of the way
         monkeypatch.setattr(forward, "_CFL_FACTOR", 1e9)
-        spec = SystemSpec(law=ViscosityLaw("l2", 1e-4, 0.0), heating_on=False)
+        spec = SystemSpec(law=ViscosityLaw(1e-4, 0.0), heating_on=False)
         tg = TimeGrid(1.0, 16)
         y0 = stream_velocity(grid16, 1e-3)
         th0 = 1e-3 * sine_theta(grid16, 1.0)
@@ -426,7 +426,7 @@ def test_nonlinear_run_calls_no_physical_solve_or_projection(grid16, bumps16,
     # the nonlinear step solves and projects in ModalBasis: with controls and
     # sources, a run touches no SpectralSolver method and no div/grad stencil
     tg = TimeGrid(0.25, 16)
-    prop = NonlinearPropagator(grid16, tg, SystemSpec(law=ViscosityLaw("l2", 0.5, 0.2)),
+    prop = NonlinearPropagator(grid16, tg, SystemSpec(law=ViscosityLaw(0.5, 0.2)),
                                bumps=bumps16)
     rng = np.random.default_rng(41)
     controls = ControlTrajectory.zeros(grid16, tg.nt, grid_box(grid16))
@@ -456,7 +456,7 @@ def test_run_nonlinear_dispatches_linearized_mode(grid16):
     tg = TimeGrid(1.0, 32)
     th0 = sine_theta(grid16, 0.5)
     y0 = (grid16.zeros_u(), grid16.zeros_v())
-    spec = SystemSpec(law=ViscosityLaw("l2", 0.2, 0.5), mode="linearized")
+    spec = SystemSpec(law=ViscosityLaw(0.2, 0.5), mode="linearized")
     traj = Recorder()
     _, trace = run_nonlinear(y0, th0, None, spec, grid16, tg, on_state=traj)
     ref = run_linearized(y0, th0, None, None, None, 0.2, grid16, tg,
@@ -576,7 +576,7 @@ class TestParityOrderedSteps:
                              ids=["128x128", "128x33"])
     def test_nonlinear_step_matches_natural_order(self, grid, monkeypatch):
         rng = np.random.default_rng(41)
-        spec = SystemSpec(law=ViscosityLaw("l2", 0.1, 0.2), heating_on=True)
+        spec = SystemSpec(law=ViscosityLaw(0.1, 0.2), heating_on=True)
         prop, ref = self._pair(monkeypatch,
                                lambda: NonlinearPropagator(grid, TimeGrid(1.6e-2, 16), spec))
         u, v = rand_div_free(grid, rng)
@@ -609,7 +609,7 @@ class TestRunContract:
 
     @staticmethod
     def _spec(mode):
-        return SystemSpec(law=ViscosityLaw("l2", 0.5, 0.1), mode=mode)
+        return SystemSpec(law=ViscosityLaw(0.5, 0.1), mode=mode)
 
     @classmethod
     def _run(cls, mode, grid, tg, **kw):

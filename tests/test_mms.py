@@ -26,10 +26,9 @@ def sympy_manufactured(spec, amp_vel, amp_theta, amp_p, time_dependent, t_scale)
     g2 = g * g
 
     def coefficient(law, gsq, on_velocity):
-        if on_velocity and law.variant == "l2":
+        if on_velocity and law.p == 2.0:
             return law.nu0 + law.nu1 * 2 * pi ** 4 * amp_vel ** 2 * g2
-        p = law.p if law.variant == "lp" else 2.0
-        const = _lp_profile_constant(sp.lambdify((x, y), gsq, "numpy"), p)
+        const = _lp_profile_constant(sp.lambdify((x, y), gsq, "numpy"), law.p)
         return law.nu0 + law.nu1 * const * g2
 
     u1, v1, th1 = u / g, v / g, theta / g
@@ -64,12 +63,12 @@ def sympy_manufactured(spec, amp_vel, amp_theta, amp_p, time_dependent, t_scale)
 
 
 LAWS = {  # name -> SystemSpec keyword arguments
-    "l2": dict(law=ViscosityLaw("l2", 1.0, 0.1)),
-    "lp4": dict(law=ViscosityLaw("lp", 0.5, 0.2, p=4.0)),
-    "lp6": dict(law=ViscosityLaw("lp", 0.5, 0.2, p=6.0)),
-    "lp4-temperature": dict(law=ViscosityLaw("lp", 0.3, 0.4, p=4.0),
+    "l2": dict(law=ViscosityLaw(1.0, 0.1)),
+    "lp4": dict(law=ViscosityLaw(0.5, 0.2, p=4.0)),
+    "lp6": dict(law=ViscosityLaw(0.5, 0.2, p=6.0)),
+    "lp4-temperature": dict(law=ViscosityLaw(0.3, 0.4, p=4.0),
                             theta_coeff_source="temperature"),
-    "l2-temperature": dict(law=ViscosityLaw("l2", 1.0, 0.1),
+    "l2-temperature": dict(law=ViscosityLaw(1.0, 0.1),
                            theta_coeff_source="temperature"),
 }
 
@@ -96,7 +95,7 @@ def test_closed_form_matches_sympy(law, heating_on, time_dependent):
 
 
 def test_zero_manufactured_solution_zero_error():
-    spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1), heating_on=True)
+    spec = SystemSpec(law=ViscosityLaw(1.0, 0.1), heating_on=True)
     rep = run_mms(spec, grid_sizes=(16, 32), t_final=0.1, nt=16,
                   amp_vel=0.0, amp_theta=0.0, amp_p=0.0)
     assert rep.errors == [0.0, 0.0]
@@ -105,7 +104,7 @@ def test_zero_manufactured_solution_zero_error():
 def test_constant_in_time_zero_pressure_orders():
     # with amp_p = 0 the steady manufactured state is dt-free: orders ~ 2
     # at fixed nt
-    spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1), heating_on=True)
+    spec = SystemSpec(law=ViscosityLaw(1.0, 0.1), heating_on=True)
     rep = run_mms(spec, grid_sizes=(16, 32, 64), t_final=0.25, nt=64,
                   amp_p=0.0, nt_scale_quadratic=False)
     assert 1.7 <= rep.order <= 2.3
@@ -113,7 +112,7 @@ def test_constant_in_time_zero_pressure_orders():
 
 
 def test_constant_in_time_zero_pressure_dt_independent():
-    spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1), heating_on=True)
+    spec = SystemSpec(law=ViscosityLaw(1.0, 0.1), heating_on=True)
     errs = []
     for nt in (32, 64):
         rep = run_mms(spec, grid_sizes=(16, 32), t_final=0.25, nt=nt,
@@ -123,14 +122,14 @@ def test_constant_in_time_zero_pressure_dt_independent():
 
 
 def test_time_dependent_orders():
-    spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1), heating_on=True)
+    spec = SystemSpec(law=ViscosityLaw(1.0, 0.1), heating_on=True)
     rep = run_mms(spec, grid_sizes=(16, 32), t_final=0.25, nt=16,
                   time_dependent=True)
     assert 1.6 <= rep.order <= 2.4
 
 
 def test_lp_variant_orders():
-    spec = SystemSpec(law=ViscosityLaw("lp", 1.0, 0.1, p=4.0),
+    spec = SystemSpec(law=ViscosityLaw(1.0, 0.1, p=4.0),
                       theta_coeff_source="temperature", heating_on=True)
     rep = run_mms(spec, grid_sizes=(16, 32), t_final=0.2, nt=16)
     assert 1.6 <= rep.order <= 2.4
@@ -142,7 +141,7 @@ def test_forcing_balances_pde_residual():
     import bousscontrol.operators as ops
     from bousscontrol.forward import NonlinearPropagator
 
-    spec = SystemSpec(law=ViscosityLaw("l2", 1.0, 0.1), heating_on=True)
+    spec = SystemSpec(law=ViscosityLaw(1.0, 0.1), heating_on=True)
     mms = build_manufactured(spec, amp_vel=0.05, amp_theta=0.1, amp_p=0.0)
     drift = []
     for n in (16, 32):
