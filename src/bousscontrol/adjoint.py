@@ -39,13 +39,14 @@ class AdjointTrajectory:
     """The pre-coupling stages zeta^n, which pair with the step-n forward
     sources in the duality identity and are all a Hessian apply needs, and the
     adjoint state at t = 0.  Intermediate levels are not kept, and zeta only
-    on the box its caller reads (``geometry.control_box``).  Each level's
-    velocity is projected, which removes the adjoint pressure's gradient part.
+    on the box and the steps its caller reads (``geometry.control_box``).
+    Each level's velocity is projected, which removes the adjoint pressure's
+    gradient part.
     """
 
-    zeta_u: np.ndarray    # (nt, rows, cols of box[0]) on u-faces
-    zeta_v: np.ndarray    # (nt, ... box[1]) on v-faces
-    zeta_th: np.ndarray   # (nt, ... box[2]) on cells
+    zeta_u: np.ndarray    # (read steps, rows, cols of box[0]) on u-faces
+    zeta_v: np.ndarray    # (read steps, ... box[1]) on v-faces
+    zeta_th: np.ndarray   # (read steps, ... box[2]) on cells
     phi0: tuple           # (phi_u, phi_v) at t = 0, divergence-free
     psi0: np.ndarray
 
@@ -62,35 +63,35 @@ def run_adjoint(phi_t, psi_t, g1, g2, prop: LinearPropagator,
     after its sources are added, so each adjoint step receives
     divergence-free velocity.  zeta is read back on ``box`` only, by default
     the whole grid, and only on the steps n where ``read[n]`` is true
-    (``read`` holds one bool per step; None reads every step); its other
-    rows are 0.  The Helmholtz zeta of ``forward.sweep_block`` read steps
-    is kept (in ``prop.zeta_rows``) and read back when the march passes the
-    block's last one (its lowest step), by one stacked inverse per part
-    with the bits of one step's.  phi0 and psi0 are returned physical.
+    (``read`` holds one bool per step; None reads every step), one row per
+    read step in step order.  The Helmholtz zeta of ``forward.sweep_block``
+    read steps is kept (in ``prop.zeta_rows``) and read back when the march
+    passes the block's last one (its lowest step), by one stacked inverse
+    per part with the bits of one step's.  phi0 and psi0 are returned physical.
     """
     nt, dt, m = prop.tgrid.nt, prop.tgrid.dt, prop.modes
     box = box or grid_box(prop.grid)
-    zeta = tuple(np.zeros((nt, b[0].stop - b[0].start, b[1].stop - b[1].start))
+    reads = nt if read is None else np.count_nonzero(read)
+    zeta = tuple(np.empty((reads, b[0].stop - b[0].start, b[1].stop - b[1].start))
                  for b in box)
     back = tuple(inv for _, inv in m.on_box(box))
-    reads = np.arange(nt) if read is None else np.flatnonzero(read)
     kept = prop.zeta_rows
     size = len(kept[0])
-    blocks = iter([reads[max(0, j - size):j] for j in range(len(reads), 0, -size)])
-    block, row = None, 0    # the read steps of the current block; row of step n
+    blocks = iter([slice(max(0, j - size), j) for j in range(reads, 0, -size)])
+    block, row = None, 0    # the zeta rows of the current block; row of step n
     lam_u, lam_v, lam_th = prop.to_modes(phi_t[0], phi_t[1], psi_t)
     for n in range(nt - 1, -1, -1):
         zu, zv, zth, lam_th = prop.step_adjoint_modes(lam_u, lam_v, lam_th)
         if read is None or read[n]:
             if row == 0:
                 block = next(blocks)
-                row = len(block)
-            row -= 1     # block[row] == n
+                row = block.stop - block.start
+            row -= 1     # zeta row block.start + row holds step n
             for rows, z in zip(kept, (zu, zv, zth)):
                 rows[row] = z
             if row == 0:
                 for out, rd, rows in zip(zeta, back, kept):
-                    out[block] = rd(rows[:len(block)])
+                    out[block] = rd(rows[:block.stop - block.start])
         lam_u, lam_v = m.change_u[1](zu), m.change_v[1](zv)
         if g1 is not None:
             lam_u += dt * m.u[0](g1[0][n])

@@ -25,9 +25,13 @@ terminal norm is that of the free terminal state plus T(z), with no forward
 run of its own.
 
 The inverse weight w^-1 is exactly 0 where the Carleman weight is past the
-double range, so the controls of z vanish on those steps whatever z is: the
-forward runs add no control there (``forward.live_steps``) and the adjoint
-runs of the Hessian read no zeta back there.
+double range, so the controls of z vanish on those steps whatever z is, and
+the Hessian is the identity there: b, and so every CG vector, is 0 on them.
+So z, p, r, H p, the shift members, the recycle pairs and zeta hold one row
+per live step, where w^-1 > 0 (``ControlTrajectory``), as they hold only the
+patch's box in space; the forward runs read row i as the control of the i-th
+live step, and the adjoint runs of the Hessian read zeta back on those steps
+only.  At default parameters that is 65 of 128 steps.
 
 Nonlinear problem: outer source-term fixed point.  At iterate k all nonlinear
 and nonlocal terms of the previous controlled run are frozen into (F1, F2) of
@@ -59,7 +63,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DomainError, RegimeError
+from .exceptions import ConvergenceError, DomainError, RegimeError, ShapeError
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
 from .adjoint import run_adjoint
@@ -71,56 +75,85 @@ from .weights import WeightTables, control_weight_logs, default_t_clip
 
 @dataclass
 class ControlTrajectory:
-    """Time-sampled distributed controls; sample n acts on [t_n, t_{n+1}).
+    """Time-sampled distributed controls; the control of step n acts on
+    [t_n, t_{n+1}).
 
     Each part is stored on its solver grid's slice of ``box`` (see
     ``geometry.control_box``): the patch's bounding box for the controls a
     synthesis makes, the whole grid (``geometry.grid_box``) for fields that
-    cover Omega.  Outside the box the controls are zero; ``full`` stores
-    them on the whole grid.
+    cover Omega.  It holds one row per step of ``live``, one bool per step of
+    the horizon, in step order: the steps where W^-1 > 0 for the vectors of a
+    weighted synthesis (``LinearControlProblem``), every step (the default)
+    otherwise.  Outside the box and on the other steps the controls are zero;
+    ``full`` stores them on the whole grid with a row per step.  A part whose
+    row count is not that of ``live`` raises ShapeError naming it.
     """
 
-    vu: np.ndarray   # (nt, rows, cols of box[0]) on u-faces
-    vv: np.ndarray   # (nt, ... box[1]) on v-faces
-    v0: np.ndarray   # (nt, ... box[2]) on cells
+    vu: np.ndarray   # (live steps, rows, cols of box[0]) on u-faces
+    vv: np.ndarray   # (... box[1]) on v-faces
+    v0: np.ndarray   # (... box[2]) on cells
     box: tuple
+    live: np.ndarray | None = None   # None: every step
+
+    def __post_init__(self):
+        if self.live is None:
+            self.live = np.ones(len(self.vu), dtype=bool)
+        rows = np.count_nonzero(self.live)
+        for name, part in zip(("vu", "vv", "v0"), self.parts):
+            if len(part) != rows:
+                raise ShapeError(f"control {name} has {len(part)} rows, but its live "
+                                 f"set holds {rows} of {len(self.live)} steps")
 
     @classmethod
-    def zeros(cls, grid: GridSpec, nt: int, box=None) -> "ControlTrajectory":
-        """Zero controls on ``box``, by default the whole grid."""
+    def zeros(cls, grid: GridSpec, nt: int, box=None, live=None) -> "ControlTrajectory":
+        """Zero controls of nt steps on ``box``, by default the whole grid,
+        with a row per step of ``live`` (by default every step)."""
         box = grid_box(grid) if box is None else box
-        return cls(*(np.zeros((nt,) + tuple(s.stop - s.start for s in b)) for b in box),
-                   box)
+        rows = nt if live is None else np.count_nonzero(live)
+        return cls(*(np.zeros((rows,) + tuple(s.stop - s.start for s in b)) for b in box),
+                   box, live)
 
     @property
     def parts(self):
         return self.vu, self.vv, self.v0
 
     def full(self, grid: GridSpec) -> "ControlTrajectory":
-        """The same controls stored on the whole grid, zero outside the box."""
-        out = ControlTrajectory.zeros(grid, len(self.vu))
+        """The same controls stored on the whole grid with a row per step,
+        zero outside the box and on the steps not stored."""
+        out = ControlTrajectory.zeros(grid, len(self.live))
         for whole, part, b in zip(out.parts, self.parts, self.box):
-            whole[(slice(None),) + b] = part
+            whole[(self.live,) + b] = part
         return out
 
-    def on(self, box) -> "ControlTrajectory":
-        """The controls read on ``box``, which lies inside their own (views)."""
-        if box == self.box:
-            return self
-        return ControlTrajectory(*(a[(slice(None),) + i] for a, i in
-                                   zip(self.parts, box_within(box, self.box))), box)
+    def on(self, box, live=None) -> "ControlTrajectory":
+        """The controls read on ``box``, which lies inside their own (views),
+        and, with ``live``, on those steps (copies; a step not stored reads 0)."""
+        out = self if box == self.box else ControlTrajectory(
+            *(a[(slice(None),) + i] for a, i in zip(self.parts, box_within(box, self.box))),
+            box, self.live)
+        if live is None or live is self.live or np.array_equal(live, self.live):
+            return out
+        both = live & self.live
+        parts = [np.zeros((np.count_nonzero(live),) + a.shape[1:]) for a in out.parts]
+        for new, old in zip(parts, out.parts):
+            new[both[live]] = old[both[self.live]]
+        return ControlTrajectory(*parts, box, live)
 
     def copy(self) -> "ControlTrajectory":
-        return ControlTrajectory(self.vu.copy(), self.vv.copy(), self.v0.copy(), self.box)
+        return ControlTrajectory(self.vu.copy(), self.vv.copy(), self.v0.copy(), self.box,
+                                 self.live)
 
     def scaled(self, a: float) -> "ControlTrajectory":
-        return ControlTrajectory(a * self.vu, a * self.vv, a * self.v0, self.box)
+        return ControlTrajectory(a * self.vu, a * self.vv, a * self.v0, self.box, self.live)
 
     def plus(self, other: "ControlTrajectory", a: float = 1.0) -> "ControlTrajectory":
-        return ControlTrajectory(self.vu + a * other.vu, self.vv + a * other.vv,
-                                 self.v0 + a * other.v0, self.box)
+        return ControlTrajectory(*(x + a * y for x, y in self._pairs(other)), self.box,
+                                 self.live)
 
     def _pairs(self, other: "ControlTrajectory"):
+        """The parts of both, which must store the same steps."""
+        if other.live is not self.live and not np.array_equal(other.live, self.live):
+            raise ShapeError("controls of different live steps cannot be combined")
         return zip(self.parts, other.parts)
 
     def axpy(self, a: float, x: "ControlTrajectory") -> None:
@@ -138,7 +171,8 @@ class ControlTrajectory:
 
 def control_inner(a: ControlTrajectory, b: ControlTrajectory, grid: GridSpec,
                   dt: float) -> float:
-    s = float(np.sum(a.vu * b.vu) + np.sum(a.vv * b.vv) + np.sum(a.v0 * b.v0))
+    """The L^2 inner product over the stored rows, which both must share."""
+    s = float(sum(np.sum(x * y) for x, y in a._pairs(b)))
     return s * grid.cell_area * dt
 
 
@@ -215,14 +249,15 @@ def step_weight_logs(pen: PenaltySpec, weights: WeightTables | None,
 
 def weighted_control_energy(c: ControlTrajectory, logw: np.ndarray,
                             grid: GridSpec, dt: float) -> float:
-    """iint w^2 (|v|^2 + |v0|^2) through logs; steps with v = 0 add nothing
-    whatever their weight, and the energy is +inf once a term overflows."""
+    """iint w^2 (|v|^2 + |v0|^2) through logs, over the steps ``c`` stores;
+    steps with v = 0 add nothing whatever their weight, and the energy is +inf
+    once a term overflows."""
     total = 0.0
     with np.errstate(over="ignore"):
-        for n in range(len(logw)):
-            sq = float(np.sum(c.vu[n] ** 2) + np.sum(c.vv[n] ** 2) + np.sum(c.v0[n] ** 2))
+        for lw, vu, vv, v0 in zip(logw[c.live], *c.parts):
+            sq = float(np.sum(vu ** 2) + np.sum(vv ** 2) + np.sum(v0 ** 2))
             if sq > 0.0:
-                total += np.exp(2.0 * logw[n] + np.log(sq))
+                total += np.exp(2.0 * lw + np.log(sq))
     return total * grid.cell_area * dt
 
 
@@ -233,16 +268,18 @@ class RecycleSpace:
     """The deflation space W of a re-solved problem and its products H W.
 
     Each pair is a CG direction p and H p, scaled by 1 / sqrt(<p, H p>) and
-    stored flat (the box's vu, vv, v0 entries in turn) as one row of ``w``
+    stored flat (the box's vu, vv, v0 entries of the ``live`` steps in turn,
+    as ``ControlTrajectory`` holds them) as one row of ``w``
     and one of ``hw`` (RECYCLE_K rows each; a row's pages are touched when
     it is written).  Pairs that a solve adds stay pending until ``commit``
     H-orthonormalises them with the kept ones, so a solve deflates with the
     space it started from; once RECYCLE_K pairs are kept the space is frozen.
     """
 
-    def __init__(self, box, nt: int, scale: float):
-        self.box = box
-        self.shapes = [(nt,) + tuple(s.stop - s.start for s in b) for b in box]
+    def __init__(self, box, live: np.ndarray, scale: float):
+        self.box, self.live = box, live
+        rows = np.count_nonzero(live)
+        self.shapes = [(rows,) + tuple(s.stop - s.start for s in b) for b in box]
         self.scale = scale                # the control inner product's weight
         n = sum(math.prod(shape) for shape in self.shapes)
         self.w, self.hw = np.empty((RECYCLE_K, n)), np.empty((RECYCLE_K, n))
@@ -258,7 +295,7 @@ class RecycleSpace:
             n = math.prod(shape)
             parts.append(flat[start:start + n].reshape(shape))
             start += n
-        return ControlTrajectory(*parts, self.box)
+        return ControlTrajectory(*parts, self.box, self.live)
 
     @staticmethod
     def _flat(x: ControlTrajectory) -> np.ndarray:
@@ -347,8 +384,10 @@ class LinearControlProblem:
     ``self.terminal``, and ``rhs`` the free terminal state in
     ``self.free_terminal``.
 
-    Its vectors live on the patch's box ``self.box``, as do ``self.bumps``;
-    ``self.masks`` are the whole-grid supports bump > 0.  ``self.sources``
+    Its vectors live on the patch's box ``self.box``, as do ``self.bumps``,
+    and on the steps ``self.live`` where w^-1 > 0, one row each
+    (``ControlTrajectory``); ``self.masks`` are the whole-grid supports
+    bump > 0.  ``self.sources``
     holds the physical (f1, f2) as the propagator takes them
     (``LinearPropagator.source_modes``) and may be replaced between solves
     by sources in that form: only ``rhs`` depends on them.  A
@@ -368,8 +407,9 @@ class LinearControlProblem:
         self.eps_sweep = tuple(eps_sweep)
         self.eps = min((pen.epsilon,) + self.eps_sweep)
         self.logw = logw
-        self.w_inv = np.exp(-logw)
-        self.live = self.w_inv > 0.0    # the steps where controls of z can be nonzero
+        w_inv = np.exp(-logw)
+        self.live = w_inv > 0.0         # the steps where controls of z can be nonzero
+        self.w_inv = w_inv[self.live][:, None, None]    # w^-1 of each live step
         self.box = control_box(bumps)
         self.masks = tuple(b > 0.0 for b in bumps)
         self.bumps = tuple(b[s] for b, s in zip(bumps, self.box))
@@ -383,16 +423,18 @@ class LinearControlProblem:
         self.members: dict[float, ShiftMember] = {}
         self.hz: ControlTrajectory | None = None   # H z of the last single-eps solve
         self.terminal = self.free_terminal = None
-        self.space = RecycleSpace(self.box, tgrid.nt, grid.cell_area * tgrid.dt) \
+        self.space = RecycleSpace(self.box, self.live, grid.cell_area * tgrid.dt) \
             if recycle else None
         self.passes = 0                             # solves begun
 
     # -- building blocks ----------------------------------------------------
 
     def controls_from_z(self, z: ControlTrajectory) -> ControlTrajectory:
-        wi = self.w_inv[:, None, None]
+        """W^-1 z on the support, for a ``z`` of the problem's live steps."""
+        wi = self.w_inv
         mu, mv, mc = self.box_masks
-        return ControlTrajectory(z.vu * wi * mu, z.vv * wi * mv, z.v0 * wi * mc, self.box)
+        return ControlTrajectory(z.vu * wi * mu, z.vv * wi * mv, z.v0 * wi * mc, self.box,
+                                 self.live)
 
     def _terminal_of(self, controls, with_sources: bool, on_state=None):
         src = self.sources if with_sources else None
@@ -403,23 +445,25 @@ class LinearControlProblem:
 
     def _bt_zeta(self, ut, vt, tht, weight_inv: bool = True) -> ControlTrajectory:
         """(1/eps) B^T L^T applied to a terminal state, optionally through W^-1;
-        through W^-1 only the steps with w^-1 > 0 are read back, and the
-        others, which W^-1 would zero, stay 0."""
+        through W^-1 it holds the live steps only (W^-1 zeroes the others),
+        else every step."""
         eps = self.eps
         self.adjoint_sweeps += 1
+        read = self.live if weight_inv else None
         adj = run_adjoint((ut / eps, vt / eps), tht / eps, None, None, self.prop,
-                          self.box, read=self.live if weight_inv else None)
-        out = ControlTrajectory(adj.zeta_u, adj.zeta_v, adj.zeta_th, self.box)
+                          self.box, read=read)
+        out = ControlTrajectory(adj.zeta_u, adj.zeta_v, adj.zeta_th, self.box, read)
         for arr, bump in zip(out.parts, self.bumps):
             arr *= bump
             if weight_inv:
-                arr *= self.w_inv[:, None, None]
+                arr *= self.w_inv
         return out
 
     def hessian_apply(self, z: ControlTrajectory) -> ControlTrajectory:
-        """H z, with ``z`` read on the problem's box (a whole-grid z is
-        cropped to it)."""
-        z = z.on(self.box)
+        """H z on the live steps, with ``z`` read on the problem's box and
+        live steps (a whole-grid z of every step is cropped to them; H z is
+        z itself on the other steps)."""
+        z = z.on(self.box, self.live)
         self.terminal = self._terminal_of(self.controls_from_z(z), with_sources=False)
         out = self._bt_zeta(*self.terminal)
         out.axpy(1.0, z)
@@ -476,7 +520,7 @@ class LinearControlProblem:
             z = self.members[pen.epsilon].z
             r = b.plus(hz, -1.0)
         else:
-            z = ControlTrajectory.zeros(grid, self.tgrid.nt, self.box)
+            z = ControlTrajectory.zeros(grid, self.tgrid.nt, self.box, self.live)
             r, b = (b, None) if self.eps_sweep else (b.copy(), b)
         rr = control_inner(r, r, grid, dt)
         gnorm0 = np.sqrt(rr)
@@ -503,7 +547,8 @@ class LinearControlProblem:
         del z
         active = [seed] + [
             ShiftMember(eps, eps / self.eps - 1.0,
-                        ControlTrajectory.zeros(grid, self.tgrid.nt, self.box), p.copy(),
+                        ControlTrajectory.zeros(grid, self.tgrid.nt, self.box, self.live),
+                        p.copy(),
                         [0.5 * free_tnorm_sq / eps])
             for eps in sorted(set((pen.epsilon,) + self.eps_sweep) - {self.eps})]
         self.members = {m.eps: m for m in active}
@@ -606,7 +651,7 @@ def gradient(controls: ControlTrajectory, y0, th0, f1, f2, pen: PenaltySpec,
              weights: WeightTables | None, grid: GridSpec, tgrid: TimeGrid,
              nu0: float, bumps, coupling=None) -> ControlTrajectory:
     """Reduced gradient w^2 v + 1~_omega zeta via one forward + one adjoint,
-    on the patch's box (``controls`` are read on it)."""
+    on the patch's box and every step (``controls`` are read on them)."""
     logw = step_weight_logs(pen, weights, tgrid)
     prob = LinearControlProblem(y0, th0, f1, f2, pen, logw, grid, tgrid, nu0,
                                 bumps, coupling)
@@ -621,7 +666,8 @@ def gradient(controls: ControlTrajectory, y0, th0, f1, f2, pen: PenaltySpec,
         return (wv + zeta_part) * mask
 
     return ControlTrajectory(*(part(v, zp, mask) for v, zp, mask in zip(
-        controls.on(prob.box).parts, zeta.parts, prob.box_masks)), prob.box)
+        controls.on(prob.box, np.ones(tgrid.nt, dtype=bool)).parts, zeta.parts,
+        prob.box_masks)), prob.box)
 
 
 def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
@@ -738,7 +784,7 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
     prob = LinearControlProblem(y0, th0, None, None, pen, logw, grid, tgrid,
                                 spec.law.nu0, bumps, coupling=spec.buoyancy,
                                 recycle=True)
-    controls_prev = ControlTrajectory.zeros(grid, tgrid.nt, prob.box)
+    controls_prev = ControlTrajectory.zeros(grid, tgrid.nt, prob.box, prob.live)
     updates: list[float] = []
     cg_per_pass: list[int] = []
     recycled: list[int] = []

@@ -219,7 +219,8 @@ def weighted_norms(samples: NormSamples, controls: ControlTrajectory | None,
     kappa_norms = {}
     if controls is not None:
         lw2 = control_weight_logs(tables, default_t_clip(t_clip, tgrid))
-        control_sq = sum(np.sum(a * a, axis=(1, 2)) for a in controls.parts)
+        control_sq = np.zeros(tgrid.nt)   # 0 on the steps the controls do not store
+        control_sq[controls.live] = sum(np.sum(a * a, axis=(1, 2)) for a in controls.parts)
         out["log10_iint_rho2_sq_controls"] = _log10_sum(lw2, control_sq,
                                                         grid.cell_area * dt)
         kappa_norms = control_regularity_report(controls, tables, grid, tgrid,
@@ -235,14 +236,15 @@ def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
     iint |(k v)_t|^2, |(k v0)_t|^2, |k lap v|^2, |k lap v0|^2 and the sup-in-
     time H^1 norms (-inf where zero).  Time derivatives by central differences.
 
-    kappa v is formed as e^M (kappa v e^-M), with M the largest log|kappa v|:
-    the sums act on fields bounded by 1, and each entry is 2M + log(sum).
-    The time derivatives and |f|^2 are summed on the controls' box, the
-    Laplacian and H^1 terms on the Helmholtz coefficients c
-    (``ModalBasis.on_box``) of the live steps (``forward.live_steps``),
-    where -lap is the scaling lam (Schumann & Sweet, J. Comput. Phys. 75,
-    1988): with d = lam c, |lap f|^2 = area sum d^2 and |grad f|^2 = area
-    sum d c, the 5-point sums up to order.  That holds for admissible
+    kappa v is formed as e^M (kappa v e^-M), with M the largest log|kappa v|,
+    on the rows the controls store: the sums act on fields bounded by 1, and
+    each entry is 2M + log(sum).  The time derivatives are summed on the
+    controls' box over every step (a step not stored is 0), |f|^2 on the
+    box, and the Laplacian and H^1 terms on the Helmholtz coefficients c
+    (``ModalBasis.on_box``), both over the nonzero rows
+    (``forward.live_steps``), where -lap is the scaling lam (Schumann &
+    Sweet, J. Comput. Phys. 75, 1988): with d = lam c, |lap f|^2 = area sum
+    d^2 and |grad f|^2 = area sum d c, the 5-point sums up to order.  That holds for admissible
     controls, whose normal velocity vanishes on the walls (a control
     supported in omega, which ``validate_patch`` keeps inside Omega, never
     reaches them); a nonzero wall value of vu or vv raises DomainError.
@@ -256,17 +258,22 @@ def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
             raise DomainError(f"control {name} is nonzero on a wall face: the kappa "
                               "report takes controls supported inside Omega")
     logk = control_weight_logs(tables, default_t_clip(t_clip, tgrid),
-                               name="kappa")[:, None, None]
+                               name="kappa")[controls.live, None, None]
     logs = [logk + _log(np.abs(f)) for f in parts]
     big = max(float(np.max(lg, initial=-np.inf)) for lg in logs)
     if big == -np.inf:  # zero controls
         big = 0.0
     kvu, kvv, kv0 = (np.sign(f) * np.exp(lg - big) for f, lg in zip(parts, logs))
 
+    def dt_sq(kv):
+        """Sum of |d/dt kv|^2 over the box and every step."""
+        every = np.zeros((len(controls.live),) + kv.shape[1:])
+        every[controls.live] = kv
+        return np.sum(time_derivative(every, dt) ** 2)
+
     q = grid.cell_area
-    dkv_sq = float(np.sum(time_derivative(kvu, dt) ** 2)
-                   + np.sum(time_derivative(kvv, dt) ** 2)) * q * dt
-    dkv0_sq = float(np.sum(time_derivative(kv0, dt) ** 2)) * q * dt
+    dkv_sq = float(dt_sq(kvu) + dt_sq(kvv)) * q * dt
+    dkv0_sq = float(dt_sq(kv0)) * q * dt
     m = ops.ModalBasis(grid)
     live = live_steps(controls)
     lap, norms = [], []    # per part, per live step

@@ -12,9 +12,10 @@ a per-mode scaling or an orthogonal change of basis, so the discrete adjoint
 is available by transposition (see adjoint.py).  Its inputs cross the modal
 boundary outside the per-step loop: a run takes its sources as dt-scaled
 Helmholtz coefficients (``LinearPropagator.source_modes``), and transforms
-its box controls a block of ``sweep_block`` live steps at a time, as the
-adjoint reads its zeta back.  A stacked transform gives each level the bits
-of its own, so blocking moves no result.
+its box controls, one row per stored step (``control_rows``), a block of
+``sweep_block`` nonzero rows at a time, as the adjoint reads its zeta back.
+A stacked transform gives each level the bits of its own, so blocking moves
+no result.
 
 Both modes march through ``_march``, which hands a hook the physical view
 of each level (``LinearPropagator.from_modes`` in the linear mode), and every
@@ -184,11 +185,25 @@ def implicit_stage(m: ModalBasis, dt: float, ru, rv, rhs_th, c_vel: float,
 
 
 def live_steps(controls) -> np.ndarray:
-    """Per step, whether any of its controls is nonzero (a NaN counts).  A
-    step whose controls are all exactly 0 would add a transform of 0, so the
-    propagators pass it no control at all."""
+    """Per stored row of ``controls`` (``ControlTrajectory``), whether any of
+    its controls is nonzero (a NaN counts).  A step whose controls are all
+    exactly 0 would add a transform of 0, so the propagators pass it no
+    control at all."""
     return np.logical_or.reduce([np.any(a != 0.0, axis=(1, 2))
                                  for a in (controls.vu, controls.vv, controls.v0)])
+
+
+def control_rows(controls, nt: int) -> np.ndarray:
+    """Per step of a run of nt steps, the row of ``controls`` that holds its
+    control, or -1 where there is none or it is all 0 (``live_steps``).
+    Controls of another horizon raise ShapeError."""
+    if len(controls.live) != nt:
+        raise ShapeError(f"controls of {len(controls.live)} steps given to a run "
+                         f"of {nt}")
+    nonzero = live_steps(controls)
+    rows = np.full(nt, -1)
+    rows[np.flatnonzero(controls.live)[nonzero]] = np.flatnonzero(nonzero)
+    return rows
 
 
 def _march(step, state, tgrid: TimeGrid, inputs, on_state, view):
@@ -351,18 +366,18 @@ class NonlinearPropagator:
             stop_energy=-np.inf):
         """March nt steps from the projected y0 (see ``_march``), or up to
         the first level whose energy is at most ``stop_energy``;
-        ``forcing(n)`` gives step n's sources.  Step n takes the rows n of
-        ``controls``, or none where they are all 0 (``live_steps``,
-        bit-identical).  Returns (last state, EnergyTrace of the levels
-        reached)."""
+        ``forcing(n)`` gives step n's sources.  Step n takes the row of
+        ``controls`` that holds it, or none where there is none or it is all
+        0 (``control_rows``, bit-identical).  Returns (last state,
+        EnergyTrace of the levels reached)."""
         if controls is not None and self.bumps is None:
             raise DomainError("controls given to a propagator without bumps")
         step = partial(self.step, box=None if controls is None else controls.box)
-        live = None if controls is None else live_steps(controls)
+        rows = None if controls is None else control_rows(controls, self.tgrid.nt)
 
         def inputs(n):
-            control = None if live is None or not live[n] else (
-                controls.vu[n], controls.vv[n], controls.v0[n])
+            control = None if rows is None or rows[n] < 0 else tuple(
+                a[rows[n]] for a in controls.parts)
             return control, None if forcing is None else forcing(n)
 
         return _traced(   # the start state is built in place, so that no frame keeps it
@@ -529,7 +544,7 @@ class LinearPropagator:
         ``controls`` are read on ``self.box``; ``sources`` holds
         ``source_modes`` of (F1u, F1v, F2) stacked over the nt steps, any of
         them None, and a part of another shape raises ShapeError.  The
-        controls of the live steps (``live_steps``) are transformed by
+        nonzero control rows (``control_rows``) are transformed by
         ``control_modes`` a block of ``sweep_block`` of them at a time; the
         other steps get none.  Levels are transformed back only to be handed
         to ``on_state``.  Returns the last physical state."""
@@ -539,20 +554,20 @@ class LinearPropagator:
             self._check_sources(sources, (self.tgrid.nt,))
         if controls is not None:
             controls = controls.on(self.box)
-            live = live_steps(controls)
-            steps = np.flatnonzero(live)
+            rows = control_rows(controls, self.tgrid.nt)
+            nonzero = rows[rows >= 0]
             size = sweep_block(self.grid, self.tgrid.nt)
-        coeffs, seen = (), 0    # the current block's control_modes; live steps passed
+        coeffs, seen = (), 0    # the current block's control_modes; rows passed
 
         def inputs(n):
             nonlocal coeffs, seen
             control = None
-            if controls is not None and live[n]:
+            if controls is not None and rows[n] >= 0:
                 i = seen % size
                 if i == 0:
                     coeffs = ()     # freed before the next block is made
-                    rows = steps[seen:seen + size]
-                    coeffs = self.control_modes(tuple(a[rows] for a in controls.parts))
+                    block = nonzero[seen:seen + size]
+                    coeffs = self.control_modes(tuple(a[block] for a in controls.parts))
                 control = tuple(c[i] for c in coeffs)
                 seen += 1
             return control, None if sources is None else tuple(

@@ -28,22 +28,39 @@ each block increasing (``mode_frequencies``).  Each transform's symmetric
 and antisymmetric rows are then two contiguous blocks, each change of basis
 is two diagonal blocks, and f = n, where kept, is last.  An axis of at least
 FOLD_MIN points applies each transform as two half-size products on the
-folded halves x[:h] +- x[::-1][:h] (``_FoldedMaps``) and each change of
-basis as its two blocks (``_BlockMaps``); a shorter axis applies one dense
-product with the same rows.  The crossover, in us per one-axis map on an
-n x n array (mean of forward and inverse along both axes; 2 shared cores,
-numpy 2.4.6, OpenBLAS 0.3.31 on one thread):
+folded halves x[:h] +- x[::-1][:h] (``_FoldedMaps``), and one of at least
+CHANGE_BLOCK_MIN points each change of basis as its two blocks
+(``_BlockMaps``); a shorter axis applies one dense product with the same
+rows.  The crossovers, in us per one-axis map on an n x n array (mean of
+forward and inverse along both axes; 2 shared cores, numpy 2.4.6, OpenBLAS
+0.3.31 on one thread), the transforms:
 
-    n      dense   folded   dense change   block change
-    32       4.7     18.7            4.9           11.4
-    64      12.4     23.4           10.8           10.2
-    96      31.0     34.1           36.8           23.8
-    104     58.5     52.1           70.0           36.4
-    128     99.2     68.4          107.2           47.1
-    256    894.4    634.4          893.2          512.0
+    n      dense   folded
+    32       4.7     18.7
+    64      12.4     23.4
+    96      31.0     34.1
+    104     58.5     52.1
+    128     99.2     68.4
+    256    894.4    634.4
 
 so FOLD_MIN = 100 lies between the last length the dense products win (96)
-and the first the folded ones do (104).
+and the first the folded ones do (104); the changes of basis (medians of 15
+interleaved rounds):
+
+    n      dense   blocks
+    32       2.9      6.4
+    40       4.6      7.0
+    48       6.7      8.7
+    56       8.1      9.3
+    64      10.1      9.5
+    96      31.9     20.1
+    128     97.0     49.4
+    256    654.4    361.6
+
+so CHANGE_BLOCK_MIN = 60 lies between the last length the dense product
+wins (56) and the first the blocks do (64).  At 32, 48, 64, 96 and 128
+points the two give the same bits; at 40, 56 and 256 they differ in the
+last place.
 """
 
 from __future__ import annotations
@@ -481,6 +498,7 @@ def _ortho_matrix(kind: str, n: int) -> np.ndarray:
 
 _SYMMETRIC = {"dst1": 1, "dst2": 1, "dct2": 0}   # f % 2 of the symmetric modes
 FOLD_MIN = 100   # points from which an axis folds (module docstring)
+CHANGE_BLOCK_MIN = 60   # points from which a change of basis takes its blocks (same)
 
 
 def mode_frequencies(kind: str, n: int) -> np.ndarray:
@@ -617,23 +635,25 @@ class _FoldedMaps(_AxisKernel):
 class _BlockMaps(_AxisKernel):
     """A map along ``axis`` with ``size`` = (outputs, inputs) that is the
     products ``m`` of (out rows, in rows, m) ``blocks`` and zero elsewhere,
-    and its transpose back."""
+    and its transpose back.  The blocks' indices are made once, and each
+    block writes its slice of the fresh output through ``out=``."""
 
     def __init__(self, blocks, axis: int, size):
         super().__init__(axis)
         self.size = size
-        self._blocks = tuple((o, i, self._orient(m), self._orient(m.T)) for o, i, m in blocks)
+        self._blocks = tuple((self._at(o), self._at(i), self._orient(m), self._orient(m.T))
+                             for o, i, m in blocks)
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         out = self._empty(a, self.size[0])
         for o, i, fwd, _ in self._blocks:
-            self._mul(fwd, a[self._at(i)], out[self._at(o)])
+            self._mul(fwd, a[i], out[o])
         return out
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
         out = self._empty(a, self.size[1])
         for o, i, _, inv in self._blocks:
-            self._mul(inv, a[self._at(o)], out[self._at(i)])
+            self._mul(inv, a[o], out[i])
         return out
 
 
@@ -657,11 +677,11 @@ def _change_maps(n: int, axis: int):
     to their n DST-II coefficients, and back, both in parity order.  A mode
     of one symmetry has coefficients on modes of the same symmetry only
     (Schumann & Sweet, J. Comput. Phys. 75, 1988), so the map is two blocks;
-    from FOLD_MIN points on it applies them, below one dense product."""
+    from CHANGE_BLOCK_MIN points on it applies them, below one dense product."""
     s, c = _mode_matrix("dst2", n), _mode_matrix("dct2", n)
     blocks = [(o, i, s[o] @ c[i].T)
               for o, i in zip(_symmetric_rows("dst2", n), _symmetric_rows("dct2", n))]
-    if n >= FOLD_MIN:
+    if n >= CHANGE_BLOCK_MIN:
         return _BlockMaps(blocks, axis, (n, n - 1)).maps
     q = np.zeros((n, n - 1))
     for o, i, m in blocks:
@@ -703,9 +723,10 @@ class ModalBasis:
     (``lap_*``, the projection, ``buoyancy``, the ``on_box`` maps) is in
     that order; ``d_x`` and ``d_y`` hold the factors for k = 0..nx and
     l = 0..ny by frequency.  From FOLD_MIN points on an axis, each transform
-    takes two half-size products on the folded halves and each change of
-    basis its two diagonal blocks; below, one dense product (the crossover
-    table is in the module docstring).  The maps take a level or a stack
+    takes two half-size products on the folded halves, and from
+    CHANGE_BLOCK_MIN points each change of basis its two diagonal blocks;
+    below, one dense product (the crossover table is in the module
+    docstring).  The maps take a level or a stack
     of levels.  Every map is built on first use, so a basis that only reads
     ``on_box`` builds no whole-grid map.  The linear propagator marches in
     these bases and the nonlinear step solves and projects in them, so

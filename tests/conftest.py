@@ -334,6 +334,26 @@ def reference_control_regularity_report(controls, tables, grid, tgrid, t_clip=No
     return dict(zip(sums, map(float, logs_sums)))
 
 
+def full_row_hessian_apply(prob, z):
+    """H z of a ``control.LinearControlProblem`` as it was formed before its
+    vectors held only the live steps: z, W^-1 z and zeta each with a row per
+    step, the adjoint reading zeta back at every step, and W^-1 applied to
+    every row.  Returns a ``ControlTrajectory`` of every step on the box."""
+    from bousscontrol.adjoint import run_adjoint
+    from bousscontrol.control import ControlTrajectory
+    grid, nt, eps = prob.grid, prob.tgrid.nt, prob.eps
+    z = z.on(prob.box, np.ones(nt, dtype=bool))
+    w_inv = np.exp(-prob.logw)[:, None, None]
+    controls = ControlTrajectory(*(a * w_inv * m for a, m in zip(z.parts, prob.box_masks)),
+                                 prob.box)
+    ut, vt, tht = prob.prop.run((grid.zeros_u(), grid.zeros_v()), grid.zeros_cells(),
+                                controls=controls)
+    adj = run_adjoint((ut / eps, vt / eps), tht / eps, None, None, prop=prob.prop,
+                      box=prob.box)
+    return ControlTrajectory(*(zeta * bump * w_inv + a for zeta, bump, a in zip(
+        (adj.zeta_u, adj.zeta_v, adj.zeta_th), prob.bumps, z.parts)), prob.box)
+
+
 def reference_frozen_sources(traj, spec, grid, tgrid):
     """The outer loop's frozen sources (F1u, F1v, F2) of stored levels,
     level by level, in the form the linear system takes them

@@ -64,6 +64,19 @@ def test_moved_line(tool, tmp_path):
     assert rows == [("a", "report.txt", "(line order)", "", "differs", "")]
 
 
+def test_moved_csv_comment_line(tool, tmp_path):
+    """A CSV whose only change is its ``# config_hash`` line gets a row naming
+    the key, not an unnamed line-order row; a moved column still gets its own."""
+    csv = "# config_hash = 57a8c83597759227\nt,e\n0,1\n1,0.5\n"
+    moved = csv.replace("57a8c83597759227", "ed978453697790d9")
+    rows = compare(tool, tmp_path, {"a/energy.csv": csv}, {"a/energy.csv": moved})
+    assert rows == [("a", "energy.csv", "`config_hash`", "57a8c83597759227",
+                     "ed978453697790d9", "")]
+    rows = compare(tool, tmp_path / "both", {"a/energy.csv": csv},
+                   {"a/energy.csv": moved.replace("0.5", "0.25")})
+    assert [r[2] for r in rows] == ["`config_hash`", "`e` (1 of 2 rows)"]
+
+
 def test_file_on_one_side(tool, tmp_path):
     rows = compare(tool, tmp_path, {"a/report.txt": REPORT},
                    {"a/report.txt": REPORT, "a/sweep.csv": "eps\n1e-2\n"})

@@ -810,6 +810,26 @@ class TestStreamedRuns:
                 acting += int(arr[bump > 0.0].any())
         assert acting > 0
 
+    def test_weighted_control_dumps_hold_every_step(self, tmp_path):
+        # the synthesis keeps its controls on the steps where w^-1 > 0; the
+        # dumps still hold a full-grid level per step, exactly 0 on the others
+        from bousscontrol.control import step_weight_logs
+        from bousscontrol.runner import _tables_for
+        text = MINIMAL.replace("kind = decay", "kind = linear-control")
+        cfg = parse_config_text(text + "dump_fields = true\n")
+        assert cfg.pen.weight_mode == "carleman"
+        assert run_experiment(cfg, str(tmp_path / "out")) == 0
+        live = np.exp(-step_weight_logs(cfg.pen, _tables_for(cfg), cfg.tgrid)) > 0.0
+        assert 0 < live.sum() < cfg.tgrid.nt
+        ctrl = tmp_path / "out" / "controls"
+        acting = np.zeros(cfg.tgrid.nt, dtype=bool)
+        for k in range(cfg.tgrid.nt):
+            for name in ("vu", "vv", "v0"):
+                arr, meta = load_field(str(ctrl / f"control_{name}_{k:05d}.fld"))
+                assert meta["time"] == k * cfg.tgrid.dt
+                acting[k] |= arr.any()
+        assert acting[live].all() and not acting[~live].any()
+
     def test_large_time_dumps_follow_the_composed_trace(self, tmp_path):
         cfg = parse_config_text(LARGE_TIME + "dump_fields = true\n")
         assert run_experiment(cfg, str(tmp_path / "out")) == 0

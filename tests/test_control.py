@@ -2,6 +2,7 @@
 solves, support/decay invariants, the large-time pipeline."""
 
 import copy
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from bousscontrol.control import (ControlTrajectory, LinearControlProblem,
                                   solve_nonlinear_control,
                                   weighted_control_energy, step_weight_logs)
 from bousscontrol.diagnostics import _SAMPLES as SAMPLE_NAMES, NormSamples, weighted_norms
-from bousscontrol.exceptions import ConvergenceError, DomainError, RegimeError
+from bousscontrol.exceptions import ConvergenceError, DomainError, RegimeError, ShapeError
 from bousscontrol.forward import (LinearPropagator, SystemSpec, block_levels, chain_hooks,
                                   run_nonlinear, scaled_initial_data, sine_theta)
 from bousscontrol.geometry import (ControlPatch, bump_on_solver_grids, build_eta0,
@@ -25,8 +26,9 @@ from bousscontrol.operators import FOLD_MIN, ModalBasis, ViscosityLaw, state_nor
 from bousscontrol.runner import _synthesis_section
 from bousscontrol.weights import WeightParams, eval_weights, find_min_m
 
-from conftest import (PhysicalLinear, Recorder, max_rel_diff, rand_cells, rand_div_free,
-                      rand_u, rand_v, reference_frozen_sources, reference_norm_samples)
+from conftest import (PhysicalLinear, Recorder, full_row_hessian_apply, max_rel_diff,
+                      rand_cells, rand_div_free, rand_u, rand_v, reference_frozen_sources,
+                      reference_norm_samples)
 
 # frozen after the duality and finite-difference gradient checks first passed
 # (seeded controls, 16x16, nt=64, eps=1e-4, unweighted, nu0=0.1)
@@ -573,9 +575,9 @@ class TestRecycling:
 
 
 class TestLiveSteps:
-    """Steps whose controls are all 0 inject nothing, and the Hessian's
-    adjoint reads zeta back only where w^-1 > 0: both leave every result the
-    same bit for bit."""
+    """Steps whose controls are all 0 inject nothing, which leaves every
+    result the same bit for bit, and the Hessian, whose vectors hold only the
+    steps where w^-1 > 0, matches the one formed on every step."""
 
     @staticmethod
     def block_controls(grid, tg, bumps, scale=1.0):
@@ -624,8 +626,8 @@ class TestLiveSteps:
             lambda hook: run_nonlinear(y0, th0, ctrl, spec, grid16, tgrid64,
                                        bumps=bumps16, on_state=hook), monkeypatch)
 
-    def test_hessian_apply_matches_reading_every_step(self, setup16, tables16,
-                                                      monkeypatch):
+    def test_hessian_apply_matches_reading_every_step(self, setup16, tables16):
+        # the compact apply on the live rows against H z formed on every step
         grid, tg, bumps, y0, th0 = setup16
         pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman")
         prob = LinearControlProblem(y0, th0, None, None, pen,
@@ -633,11 +635,30 @@ class TestLiveSteps:
                                     NU0, bumps)
         assert 0 < prob.live.sum() < tg.nt
         z = masked_random_controls(grid, tg.nt, bumps, np.random.default_rng(12))
+        compact = z.on(prob.box, prob.live)
+        got = prob.hessian_apply(compact)
+        assert got.live is prob.live and len(got.vu) == prob.live.sum()
+        want = full_row_hessian_apply(prob, compact)
+        assert max_rel_diff(got.parts, want.on(prob.box, prob.live).parts) <= 1e-13
+        # on the other steps H z is z itself, which is 0 for a compact z
+        assert not any(np.any(a[~prob.live]) for a in want.parts)
+
+    @pytest.mark.parametrize("mode", ["carleman", "unweighted"])
+    def test_hessian_apply_takes_whole_grid_every_step_input(self, setup16, tables16,
+                                                             mode):
+        # the input bench/layers.py builds: every step, on the whole grid
+        grid, tg, bumps, y0, th0 = setup16
+        pen = PenaltySpec(epsilon=1e-6, weight_mode=mode)
+        prob = LinearControlProblem(y0, th0, None, None, pen,
+                                    step_weight_logs(pen, tables16, tg), grid, tg,
+                                    NU0, bumps)
+        rng = np.random.default_rng(13)
+        z = ControlTrajectory.zeros(grid, tg.nt)
+        for part, mask in zip(z.parts, prob.masks):
+            part[:] = rng.standard_normal(part.shape) * mask
         got = prob.hessian_apply(z)
-        exact = control.run_adjoint
-        monkeypatch.setattr(control, "run_adjoint",
-                            lambda *args, read=None, **kw: exact(*args, **kw))
-        want = prob.hessian_apply(z)
+        want = prob.hessian_apply(z.on(prob.box, prob.live))
+        assert np.array_equal(got.live, prob.live)
         assert all(np.array_equal(a, b) for a, b in zip(got.parts, want.parts))
 
     def test_nan_terminal_data_reaches_the_read_steps(self, setup16, tables16):
@@ -1047,6 +1068,112 @@ class TestControlLayout:
         assert peak < one_full_control
 
 
+class TestLiveRows:
+    """A weighted synthesis keeps its control vectors on the live steps, where
+    w^-1 > 0, one row each, as it keeps them on the patch's box in space;
+    ``full`` pads them back to a row per step on the whole grid."""
+
+    @staticmethod
+    def problem(setup16, tables16, **kw):
+        grid, tg, bumps, y0, th0 = setup16
+        pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman", cg_tol=1e-6)
+        return LinearControlProblem(y0, th0, None, None, pen,
+                                    step_weight_logs(pen, tables16, tg), grid, tg, NU0,
+                                    bumps, **kw)
+
+    def test_no_control_array_has_nt_rows(self, setup16, tables16, monkeypatch):
+        rows = []    # the row counts of every control array seen
+        exact_adjoint = control.run_adjoint
+
+        def adjoint(*args, **kw):
+            adj = exact_adjoint(*args, **kw)
+            rows.extend(len(z) for z in (adj.zeta_u, adj.zeta_v, adj.zeta_th))
+            return adj
+
+        def seen(*vectors):
+            rows.extend(len(a) for v in vectors if v is not None for a in v.parts)
+
+        freeze = LinearControlProblem._freeze
+
+        def frozen(prob, m):
+            seen(m.z, m.p)
+            freeze(prob, m)
+
+        monkeypatch.setattr(control, "run_adjoint", adjoint)
+        monkeypatch.setattr(LinearControlProblem, "_freeze", frozen)
+        sweep = self.problem(setup16, tables16, eps_sweep=(1e-2, 1e-4))
+        live, nt = int(sweep.live.sum()), sweep.tgrid.nt
+        assert 0 < live < nt
+        exact_apply = sweep.hessian_apply
+
+        def apply(p):
+            seen(p)
+            return exact_apply(p)
+
+        monkeypatch.setattr(sweep, "hessian_apply", apply)
+        z, controls, iters, _, _ = sweep.solve()
+        assert iters > 1
+        seen(z, controls)
+        single = self.problem(setup16, tables16, recycle=True)
+        single.solve()
+        z, controls, _, _, _ = single.solve()
+        seen(z, controls, single.hz, *(w for pairs in space_pairs(single.space)
+                                       for w in pairs))
+        rows.extend(shape[0] for shape in single.space.shapes)
+        assert len(single.space) > 0
+        assert single.space.w.shape[1] == sum(math.prod(s) for s in single.space.shapes)
+        assert len(rows) > 100 and set(rows) == {live}
+
+    def test_full_round_trips(self, setup16, tables16):
+        prob = self.problem(setup16, tables16)
+        z, controls, _, _, _ = prob.solve()
+        grid, nt = prob.grid, prob.tgrid.nt
+        for c in (z, controls):
+            full = c.full(grid)
+            assert full.box == grid_box(grid) and len(full.vu) == nt
+            assert not any(np.any(a[~prob.live]) for a in full.parts)
+            back = full.on(prob.box, prob.live)
+            assert all(np.array_equal(a, b) for a, b in zip(back.parts, c.parts))
+            every = c.on(prob.box, np.ones(nt, dtype=bool))
+            assert all(np.array_equal(a, b[(slice(None),) + i]) for a, b, i in
+                       zip(every.parts, full.parts, prob.box))
+            back = every.on(prob.box, prob.live)
+            assert all(np.array_equal(a, b) for a, b in zip(back.parts, c.parts))
+        # a live set with holes: each row lands on its own step
+        holed = np.zeros(nt, dtype=bool)
+        holed[[1, 4, 5, 9]] = True
+        c = ControlTrajectory.zeros(grid, nt, prob.box, holed)
+        for k, part in enumerate(c.parts):
+            part[:] = np.arange(1.0, 5.0)[:, None, None] + 10.0 * k
+        full = c.full(grid)
+        for k, (whole, b) in enumerate(zip(full.parts, prob.box)):
+            assert np.array_equal(whole[(slice(None),) + b].max(axis=(1, 2)),
+                                  np.where(holed, np.cumsum(holed) + 10.0 * k, 0.0))
+        back = full.on(prob.box, holed)
+        assert all(np.array_equal(a, b) for a, b in zip(back.parts, c.parts))
+
+    def test_row_counts_must_match_the_live_set(self, grid16, tgrid64, bumps16):
+        box = control_box(bumps16)
+        live = np.zeros(8, dtype=bool)
+        live[:5] = True
+        c = ControlTrajectory.zeros(grid16, 8, box, live)
+        assert [len(a) for a in c.parts] == [5, 5, 5]
+        for name in ("vu", "vv", "v0"):
+            parts = dict(zip(("vu", "vv", "v0"), c.parts))
+            parts[name] = parts[name][:4]
+            with pytest.raises(ShapeError, match=f"control {name} has 4 rows, but its "
+                                                 "live set holds 5 of 8 steps"):
+                ControlTrajectory(**parts, box=box, live=live)
+        other = ControlTrajectory.zeros(grid16, 8, box, np.roll(live, 1))
+        with pytest.raises(ShapeError, match="different live steps"):
+            c.axpy(1.0, other)
+        with pytest.raises(ShapeError, match="different live steps"):
+            control_inner(c, other, grid16, 0.1)
+        prop = LinearPropagator(grid16, tgrid64, NU0, bumps=bumps16)
+        with pytest.raises(ShapeError, match="controls of 8 steps given to a run of 64"):
+            prop.run((grid16.zeros_u(), grid16.zeros_v()), grid16.zeros_cells(), c)
+
+
 class TestStreamedReadersMatchReferences:
     """The weighted-norm samples at their kept nodes and the outer loop's
     frozen sources, streamed through ``on_state``, equal the stored-trajectory
@@ -1181,7 +1308,8 @@ class TestSweepBlocks:
     (``forward.sweep_block``): the blocked box-control transforms of
     ``LinearPropagator.run`` and the blocked zeta read-back of
     ``run_adjoint`` equal the per-step transforms bit for bit, wherever the
-    blocks fall, and the unread zeta rows stay exactly 0."""
+    blocks fall, whether the controls hold every step or one row per live
+    step, and zeta holds one row per read step."""
 
     @staticmethod
     def holed(nt):
@@ -1218,6 +1346,7 @@ class TestSweepBlocks:
     @BOXES
     def test_control_transforms_match_per_step(self, monkeypatch, nt, per_block, size,
                                                box):
+        # controls with a row per step, and with one row per live step
         grid, tg = GridSpec(16, 16), TimeGrid(1.0, nt)
         self.sized(monkeypatch, grid, nt, per_block, size)
         prop = self.propagator(grid, tg, box)
@@ -1227,8 +1356,6 @@ class TestSweepBlocks:
             part[:] = rng.standard_normal(part.shape)
             part[~self.holed(nt)] = 0.0
         y0, th0 = rand_div_free(grid, rng), rand_cells(grid, rng)
-        got = Recorder()
-        prop.run(y0, th0, ctrl, on_state=got)
         state = prop.to_modes(*y0, th0)
         want = [prop.from_modes(*state)]
         for n in range(nt):
@@ -1236,9 +1363,12 @@ class TestSweepBlocks:
                 if self.holed(nt)[n] else None
             state = prop.step_modes(*state, control)
             want.append(prop.from_modes(*state))
-        assert len(got.levels) == nt + 1
-        for level, ref in zip(got.levels, want):
-            assert all(np.array_equal(a, b) for a, b in zip(level[1:], ref))
+        for stored in (ctrl, ctrl.on(prop.box, self.holed(nt))):
+            got = Recorder()
+            prop.run(y0, th0, stored, on_state=got)
+            assert len(got.levels) == nt + 1
+            for level, ref in zip(got.levels, want):
+                assert all(np.array_equal(a, b) for a, b in zip(level[1:], ref))
 
     @CASES
     @BOXES
@@ -1256,20 +1386,20 @@ class TestSweepBlocks:
         adj = run_adjoint(phi_t, psi_t, None, None, prop, prop.box, read=read)
         m = prop.modes
         back = [inv for _, inv in m.on_box(prop.box)]
-        want = [np.zeros_like(z) for z in (adj.zeta_u, adj.zeta_v, adj.zeta_th)]
+        steps = list(range(nt)) if read is None else list(np.flatnonzero(read))
+        want = [[None] * len(steps) for _ in range(3)]
         lam = prop.to_modes(*phi_t, psi_t)
         for n in range(nt - 1, -1, -1):
             zu, zv, zth, lam_th = prop.step_adjoint_modes(*lam)
-            if read is None or read[n]:
+            if n in steps:
                 for out, rd, z in zip(want, back, (zu, zv, zth)):
-                    out[n] = rd(z)
+                    out[steps.index(n)] = rd(z)
             lam = (m.change_u[1](zu), m.change_v[1](zv), lam_th)
             m.project(lam[0], lam[1])
         for got, ref in zip((adj.zeta_u, adj.zeta_v, adj.zeta_th), want):
-            assert np.array_equal(got, ref)
-            if read is not None:
-                assert not np.any(got[~read])
-                assert np.all(np.any(got[read] != 0.0, axis=(1, 2)))
+            assert got.shape[0] == len(steps)
+            assert np.array_equal(got, np.array(ref))
+            assert np.all(np.any(got != 0.0, axis=(1, 2)))
 
 
 class TestIncompleteRunGuard:

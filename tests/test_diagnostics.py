@@ -181,6 +181,38 @@ class TestWeightedNorms:
             assert rep["log10_" + name] == -np.inf
 
 
+    @pytest.mark.parametrize("live", ["tail", "holed"])
+    def test_live_rows_read_like_every_step(self, weighted_setup, live):
+        # controls stored one row per live step give the control entries,
+        # the kappa report and the weighted energy of the same controls with
+        # a row per step, bit for bit
+        from bousscontrol.control import weighted_control_energy
+        grid, tg, patch, tables = weighted_setup
+        tables = tame_tables(tables)
+        bumps = bump_on_solver_grids(grid, patch)
+        keep = np.arange(tg.nt) < tg.nt // 2 + 1
+        if live == "holed":
+            keep[[3, 7, 8]] = False
+        rng = np.random.default_rng(9)
+        every = ControlTrajectory.zeros(grid, tg.nt)
+        for part, bump in zip(every.parts, bumps):
+            part[:] = rng.standard_normal(part.shape) * (bump > 0.0)
+            part[~keep] = 0.0
+        every = every.on(control_box(bumps))
+        compact = every.on(every.box, keep)
+        assert len(compact.vu) == keep.sum() < tg.nt
+        traj = zero_trajectory(grid, tg)
+        traj.theta[:] = rng.standard_normal(traj.theta.shape)
+        got, want = (weighted_norms(samples(traj, grid, tg, tables), c, tables, grid, tg)
+                     for c in (compact, every))
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key] == want[key], key
+            assert np.isfinite(want[key]) or "controls" not in key and "kappa" not in key
+        logw = np.linspace(0.0, 3.0, tg.nt)
+        assert (weighted_control_energy(compact, logw, grid, tg.dt)
+                == weighted_control_energy(every, logw, grid, tg.dt))
+
 PINNED = Path(__file__).resolve().parents[1] / "demos" / "configs" / "linear_control.cfg"
 
 

@@ -325,6 +325,25 @@ class TestParityLayout:
             c = rng.standard_normal(want.shape)
             assert max_rel_diff([inv(c)], [ref_inv(c)]) <= 1e-14, name
 
+    @pytest.mark.parametrize("n", [ops.CHANGE_BLOCK_MIN - 1, ops.CHANGE_BLOCK_MIN, 64])
+    def test_changes_of_basis_block_from_their_own_crossover(self, n):
+        """The changes of basis take their blocks from CHANGE_BLOCK_MIN
+        points, below FOLD_MIN, and match the dense products on both sides
+        of it, on a level and on a stack of levels."""
+        assert 48 <= ops.CHANGE_BLOCK_MIN <= 64 < ops.FOLD_MIN
+        rng = np.random.default_rng(n)
+        for axis in (0, 1):
+            fwd, inv = ops._change_maps(n, axis)
+            blocked = isinstance(getattr(fwd, "__self__", None), ops._BlockMaps)
+            assert blocked == (n >= ops.CHANGE_BLOCK_MIN)
+            ref_fwd, ref_inv = reference_change_maps(n, axis)
+            shape = [n, n]
+            shape[axis] = n - 1
+            for x in (rng.standard_normal(shape), rng.standard_normal([3] + shape)):
+                assert max_rel_diff([fwd(x)], [ref_fwd(x)]) <= 1e-14
+                c = rng.standard_normal(x.shape[:-2] + (n, n))
+                assert max_rel_diff([inv(c)], [ref_inv(c)]) <= 1e-14
+
     @pytest.mark.parametrize("grid", LAYOUT_GRIDS, ids=LAYOUT_IDS)
     def test_inverse_undoes_forward(self, grid):
         """Physical fields come back through the Helmholtz maps (zero walls),

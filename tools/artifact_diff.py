@@ -16,6 +16,7 @@ Printed, as rows of one Markdown table
 are every exit code that differs, every file present on one side only, and,
 for each file whose bytes differ, every report key whose value moved (list
 values entry by entry, as ``key[i]``).  A CSV file that differs gets one row
+per ``# key = value`` comment line that moved, as a report key does, and one
 per column that moved, with its largest relative difference over the rows.
 Lines holding ``wall_time_s`` are ignored.  A run is named
 ``<config stem>.<kind>`` (``.dump`` added for a dump run) or after its
@@ -129,14 +130,28 @@ def csv_columns(text: str) -> tuple[list[str], list[tuple]]:
     return lines[0].split(","), list(zip(*(ln.split(",") for ln in lines[1:])))
 
 
+def csv_comments(text: str) -> dict[str, str]:
+    """The ``# key = value`` comment lines of a CSV file, read as a report's."""
+    return report_values("\n".join(ln[1:].strip() for ln in text.splitlines()
+                                    if ln.startswith("#")))
+
+
+def _moved(run: str, rel: str, va: dict, vb: dict) -> list[tuple]:
+    """Rows of the keys whose values differ between two ``report_values``."""
+    return [(run, rel, f"`{k}`", va.get(k, "(absent)"), vb.get(k, "(absent)"),
+             _rel(va.get(k, ""), vb.get(k, "")))
+            for k in dict.fromkeys([*va, *vb]) if va.get(k) != vb.get(k)]
+
+
 def compare_text(run: str, rel: str, a: str, b: str) -> list[tuple]:
-    """Table rows of what moved between two versions of a report or CSV."""
+    """Table rows of what moved between two versions of a report or CSV; a
+    CSV's comment lines are compared as a report's lines are."""
     if rel.endswith(".csv"):
         (ha, ca), (hb, cb) = csv_columns(a), csv_columns(b)
         if ha != hb or [len(c) for c in ca] != [len(c) for c in cb]:
             return [(run, rel, "(shape)", f"{len(ha)} columns, {len(ca[0]) if ca else 0} rows",
                      f"{len(hb)} columns, {len(cb[0]) if cb else 0} rows", "")]
-        rows = []
+        rows = _moved(run, rel, csv_comments(a), csv_comments(b))
         for name, xa, xb in zip(ha, ca, cb):
             moved = [rel_diff(p, c) for p, c in zip(xa, xb) if p != c]
             if moved:
@@ -144,10 +159,7 @@ def compare_text(run: str, rel: str, a: str, b: str) -> list[tuple]:
                 rows.append((run, rel, f"`{name}` ({len(moved)} of {len(xa)} rows)", "", "",
                              "" if worst is None else f"largest {worst:.1e}"))
         return rows
-    va, vb = report_values(a), report_values(b)
-    return [(run, rel, f"`{k}`", va.get(k, "(absent)"), vb.get(k, "(absent)"),
-             _rel(va.get(k, ""), vb.get(k, "")))
-            for k in dict.fromkeys([*va, *vb]) if va.get(k) != vb.get(k)]
+    return _moved(run, rel, report_values(a), report_values(b))
 
 
 def roundoff(row: tuple) -> bool:
