@@ -26,14 +26,14 @@ print(f"eta0: max {eta0.max():.3f} at the domain center, boundary values "
 print(f"min |grad eta0| outside omega_0 (corner nodes excluded): "
       f"{eta0_gradient_margin(grid, patch, eta0):.4f}")
 
-m_min = find_min_m(lam=1.0, eta_sup=1.0)
+m_min = find_min_m(lam=1.0)
 print(f"\nsmallest feasible profile exponent: m = {m_min:.4f}")
 for m in (m_min * 0.9, m_min, m_min * 1.5):
-    margin = check_weight_gap(WeightParams(s=1.0, lam=1.0, m=m, eta_sup=1.0))
+    margin = check_weight_gap(WeightParams(s=1.0, lam=1.0, m=m))
     print(f"   m = {m:7.3f}: gap margin {margin:+.3e} "
           f"({'feasible' if margin > 0 else 'infeasible'})")
 
-params = WeightParams(s=1.0, lam=1.0, m=m_min, eta_sup=1.0)
+params = WeightParams(s=1.0, lam=1.0, m=m_min)
 tgrid = TimeGrid(1.0, 256)
 tables = eval_weights(params, eta0, tgrid)
 rho2 = tables.raw("rho2")
@@ -50,7 +50,7 @@ export_weight_csv(tables, "demo02_weights.csv")
 print("\nraw log tables written to demo02_weights.csv")
 
 # an infeasible m breaks the chain instead of raising
-bad = eval_weights(WeightParams(s=1.0, lam=1.0, m=4.2, eta_sup=1.0), eta0, tgrid)
+bad = eval_weights(WeightParams(s=1.0, lam=1.0, m=4.2), eta0, tgrid)
 bad_report = check_weight_chain(bad, 1.0 - 2.0 * tgrid.dt)
 print(f"with m = 4.2 (gap violated) the chain report flags it: "
       f"all_finite = {bad_report.all_finite}")

@@ -27,7 +27,7 @@ nu0 = 0.05
 th0 = 0.1 * sine_theta(grid, 1.0)
 y0 = (grid.zeros_u(), grid.zeros_v())
 
-params = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0)
+params = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0))
 tables = eval_weights(params, build_eta0(grid, patch), tgrid)
 
 print(f"data: theta0 = 0.1 sin sin, y0 = 0, nu0 = {nu0}")

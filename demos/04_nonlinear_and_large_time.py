@@ -25,7 +25,7 @@ from bousscontrol.geometry import bump_on_solver_grids
 grid = GridSpec(32, 32)
 patch = ControlPatch((0.5, 0.5), (0.2, 0.2))
 bumps = bump_on_solver_grids(grid, patch)
-wparams = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0)
+wparams = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0))
 
 
 def weights_for(tg):

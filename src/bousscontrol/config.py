@@ -46,7 +46,6 @@ _DEFAULTS: dict[str, str] = {
     "weights.s": "1.0",
     "weights.lambda": "1.0",
     "weights.m": "auto",
-    "weights.eta_sup": "1.0",
     "patch.cx": "0.5",
     "patch.cy": "0.5",
     "patch.hx": "0.2",
@@ -215,16 +214,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
         )
 
     lam = _parse_positive("weights.lambda", vals["weights.lambda"])
-    eta_sup = _parse_positive("weights.eta_sup", vals["weights.eta_sup"])
     if vals["weights.m"] == "auto":
-        with _keyed("weights.lambda, weights.eta_sup"):
-            m = find_min_m(lam, eta_sup)
+        with _keyed("weights.lambda"):
+            m = find_min_m(lam)
         vals["weights.m"] = f"{m:.17g}"
     else:
         m = _parse_float("weights.m", vals["weights.m"])
     with _keyed("weights.m"):
         wparams = WeightParams(s=_parse_positive("weights.s", vals["weights.s"]),
-                               lam=lam, m=m, eta_sup=eta_sup)
+                               lam=lam, m=m)
 
     with _keyed("patch.hx, patch.hy, patch.inner_margin"):
         patch = ControlPatch(

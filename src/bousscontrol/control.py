@@ -85,8 +85,9 @@ class ControlTrajectory:
     the horizon, in step order: the steps where W^-1 > 0 for the vectors of a
     weighted synthesis (``LinearControlProblem``), every step (the default)
     otherwise.  Outside the box and on the other steps the controls are zero;
-    ``full`` stores them on the whole grid with a row per step.  A part whose
-    row count is not that of ``live`` raises ShapeError naming it.
+    ``full`` stores them on the whole grid with a row per step.  A ``live``
+    that is not one bool per step, or a part whose row count is not that of
+    ``live``, raises ShapeError naming it.
     """
 
     vu: np.ndarray   # (live steps, rows, cols of box[0]) on u-faces
@@ -96,8 +97,11 @@ class ControlTrajectory:
     live: np.ndarray | None = None   # None: every step
 
     def __post_init__(self):
-        if self.live is None:
-            self.live = np.ones(len(self.vu), dtype=bool)
+        live = np.ones(len(self.vu), dtype=bool) if self.live is None else self.live
+        self.live = np.asarray(live)
+        if self.live.dtype != bool or self.live.ndim != 1:
+            raise ShapeError("control live set must be one bool per step, got "
+                             f"{self.live.dtype} of shape {self.live.shape}")
         rows = np.count_nonzero(self.live)
         for name, part in zip(("vu", "vv", "v0"), self.parts):
             if len(part) != rows:
@@ -125,19 +129,11 @@ class ControlTrajectory:
             whole[(self.live,) + b] = part
         return out
 
-    def on(self, box, live=None) -> "ControlTrajectory":
-        """The controls read on ``box``, which lies inside their own (views),
-        and, with ``live``, on those steps (copies; a step not stored reads 0)."""
-        out = self if box == self.box else ControlTrajectory(
+    def on(self, box) -> "ControlTrajectory":
+        """The controls read on ``box``, which lies inside their own (views)."""
+        return self if box == self.box else ControlTrajectory(
             *(a[(slice(None),) + i] for a, i in zip(self.parts, box_within(box, self.box))),
             box, self.live)
-        if live is None or live is self.live or np.array_equal(live, self.live):
-            return out
-        both = live & self.live
-        parts = [np.zeros((np.count_nonzero(live),) + a.shape[1:]) for a in out.parts]
-        for new, old in zip(parts, out.parts):
-            new[both[live]] = old[both[self.live]]
-        return ControlTrajectory(*parts, box, live)
 
     def copy(self) -> "ControlTrajectory":
         return ControlTrajectory(self.vu.copy(), self.vv.copy(), self.v0.copy(), self.box,
@@ -460,10 +456,13 @@ class LinearControlProblem:
         return out
 
     def hessian_apply(self, z: ControlTrajectory) -> ControlTrajectory:
-        """H z on the live steps, with ``z`` read on the problem's box and
-        live steps (a whole-grid z of every step is cropped to them; H z is
-        z itself on the other steps)."""
-        z = z.on(self.box, self.live)
+        """H z on the live steps, with ``z`` read on the problem's box (a
+        whole-grid z is cropped to it).  A z of other live steps raises
+        ShapeError naming both row counts."""
+        z = z.on(self.box)
+        if not np.array_equal(z.live, self.live):
+            raise ShapeError(f"z holds {len(z.vu)} rows of {len(z.live)} steps, but the "
+                             f"problem's live set holds {len(self.w_inv)} of {len(self.live)}")
         self.terminal = self._terminal_of(self.controls_from_z(z), with_sources=False)
         out = self._bt_zeta(*self.terminal)
         out.axpy(1.0, z)
@@ -666,7 +665,7 @@ def gradient(controls: ControlTrajectory, y0, th0, f1, f2, pen: PenaltySpec,
         return (wv + zeta_part) * mask
 
     return ControlTrajectory(*(part(v, zp, mask) for v, zp, mask in zip(
-        controls.on(prob.box, np.ones(tgrid.nt, dtype=bool)).parts, zeta.parts,
+        controls.full(grid).on(prob.box).parts, zeta.parts,
         prob.box_masks)), prob.box)
 
 

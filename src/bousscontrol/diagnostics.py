@@ -32,7 +32,7 @@ from .exceptions import DomainError
 from .grids import GridSpec, TimeGrid
 from . import operators as ops
 from .control import ControlTrajectory
-from .forward import EnergyTrace, live_steps
+from .forward import EnergyTrace
 from .weights import (WeightTables, control_weight_logs, default_t_clip,
                       time_derivative)
 
@@ -241,13 +241,13 @@ def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
     each entry is 2M + log(sum).  The time derivatives are summed on the
     controls' box over every step (a step not stored is 0), |f|^2 on the
     box, and the Laplacian and H^1 terms on the Helmholtz coefficients c
-    (``ModalBasis.on_box``), both over the nonzero rows
-    (``forward.live_steps``), where -lap is the scaling lam (Schumann &
-    Sweet, J. Comput. Phys. 75, 1988): with d = lam c, |lap f|^2 = area sum
-    d^2 and |grad f|^2 = area sum d c, the 5-point sums up to order.  That holds for admissible
-    controls, whose normal velocity vanishes on the walls (a control
-    supported in omega, which ``validate_patch`` keeps inside Omega, never
-    reaches them); a nonzero wall value of vu or vv raises DomainError.
+    (``ModalBasis.on_box``), both over the stored rows, where -lap is the
+    scaling lam (Schumann & Sweet, J. Comput. Phys. 75, 1988): with d = lam c,
+    |lap f|^2 = area sum d^2 and |grad f|^2 = area sum d c, the 5-point sums
+    up to order.  That holds for admissible controls, whose normal velocity
+    vanishes on the walls (a control supported in omega, which
+    ``validate_patch`` keeps inside Omega, never reaches them); a nonzero
+    wall value of vu or vv raises DomainError.
     """
     dt = tgrid.dt
     parts = controls.parts
@@ -275,15 +275,13 @@ def control_regularity_report(controls: ControlTrajectory, tables: WeightTables,
     dkv_sq = float(dt_sq(kvu) + dt_sq(kvv)) * q * dt
     dkv0_sq = float(dt_sq(kv0)) * q * dt
     m = ops.ModalBasis(grid)
-    live = live_steps(controls)
-    lap, norms = [], []    # per part, per live step
+    lap, norms = [], []    # per part, per stored row
     for (fwd, _), lam, kv in zip(m.on_box(controls.box), (m.lap_u, m.lap_v, m.lap_cells),
                                  (kvu, kvv, kv0)):
-        a = kv[live]
-        c = fwd(a)
+        c = fwd(kv)
         d = lam * c
         lap.append(np.sum(d * d, axis=(1, 2)))
-        norms.append((np.sum(a * a, axis=(1, 2)), np.sum(d * c, axis=(1, 2))))
+        norms.append((np.sum(kv * kv, axis=(1, 2)), np.sum(d * c, axis=(1, 2))))
     (u_sq, u_h1), (v_sq, v_h1), (c_sq, c_h1) = norms
 
     sums = {

@@ -31,8 +31,8 @@ def dump_field(path, arr: np.ndarray, kind: str, time: float) -> None:
 
 def load_field(path):
     """(array, header fields) of a ``dump_field`` file; ShapeError when it
-    is not one, its header is cut short or its data is not nx * ny float64
-    values."""
+    is not one, its header lacks a field or holds a bad nx, ny or time, or
+    its data is not nx * ny float64 values."""
     with open(path, "rb") as fh:
         parts = fh.readline().decode("ascii", "replace").split()
         if not parts or parts[0] != _MAGIC:
@@ -40,15 +40,16 @@ def load_field(path):
         try:
             meta = dict(p.split("=", 1) for p in parts[1:])
             shape = (int(meta["nx"]), int(meta["ny"]))
+            meta["time"] = float(meta["time"])
+            if min(shape) < 0:
+                raise ValueError
         except (KeyError, ValueError):
             raise ShapeError(f"field dump {path} has a broken header") from None
         buf = fh.read()
     if len(buf) != 8 * shape[0] * shape[1]:
         raise ShapeError(f"field dump {path} holds {len(buf)} data bytes, "
                          f"expected {8 * shape[0] * shape[1]} for {shape}")
-    arr = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    meta["time"] = float(meta["time"])
-    return arr, meta
+    return np.frombuffer(buf, dtype="<f8").reshape(shape).copy(), meta
 
 
 class StateWriter:
@@ -138,22 +139,26 @@ def emit_report(path, sections: dict, config_hash: str = "", grid_hash: str = ""
 
 
 def parse_report(path) -> dict:
-    """Read back an emitted report; numeric values are parsed as floats."""
+    """Read back an emitted report; numeric values are parsed as floats.  A
+    file that is not UTF-8 text raises ShapeError naming it."""
     out: dict = {}
     section = ""
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1] + "."
-                continue
-            if " = " not in line:
-                continue
-            key, val = line.split(" = ", 1)
-            try:
-                out[section + key] = float(val)
-            except ValueError:
-                out[section + key] = val
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as err:
+        raise ShapeError(f"report {path} is not UTF-8 text (byte {err.start})") from None
+    for line in lines:
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1] + "."
+            continue
+        if " = " not in line:
+            continue
+        key, val = line.split(" = ", 1)
+        try:
+            out[section + key] = float(val)
+        except ValueError:
+            out[section + key] = val
     return out

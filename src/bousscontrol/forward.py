@@ -13,7 +13,7 @@ is available by transposition (see adjoint.py).  Its inputs cross the modal
 boundary outside the per-step loop: a run takes its sources as dt-scaled
 Helmholtz coefficients (``LinearPropagator.source_modes``), and transforms
 its box controls, one row per stored step (``control_rows``), a block of
-``sweep_block`` nonzero rows at a time, as the adjoint reads its zeta back.
+``sweep_block`` stored rows at a time, as the adjoint reads its zeta back.
 A stacked transform gives each level the bits of its own, so blocking moves
 no result.
 
@@ -184,25 +184,15 @@ def implicit_stage(m: ModalBasis, dt: float, ru, rv, rhs_th, c_vel: float,
     return m.u[1](us), m.v[1](vs), m.cells[1](th)
 
 
-def live_steps(controls) -> np.ndarray:
-    """Per stored row of ``controls`` (``ControlTrajectory``), whether any of
-    its controls is nonzero (a NaN counts).  A step whose controls are all
-    exactly 0 would add a transform of 0, so the propagators pass it no
-    control at all."""
-    return np.logical_or.reduce([np.any(a != 0.0, axis=(1, 2))
-                                 for a in (controls.vu, controls.vv, controls.v0)])
-
-
 def control_rows(controls, nt: int) -> np.ndarray:
-    """Per step of a run of nt steps, the row of ``controls`` that holds its
-    control, or -1 where there is none or it is all 0 (``live_steps``).
-    Controls of another horizon raise ShapeError."""
+    """Per step of a run of nt steps, the row of ``controls``
+    (``ControlTrajectory``) that holds its control, or -1 where its live set
+    stores none.  Controls of another horizon raise ShapeError."""
     if len(controls.live) != nt:
         raise ShapeError(f"controls of {len(controls.live)} steps given to a run "
                          f"of {nt}")
-    nonzero = live_steps(controls)
     rows = np.full(nt, -1)
-    rows[np.flatnonzero(controls.live)[nonzero]] = np.flatnonzero(nonzero)
+    rows[controls.live] = np.arange(len(controls.vu))
     return rows
 
 
@@ -367,9 +357,9 @@ class NonlinearPropagator:
         """March nt steps from the projected y0 (see ``_march``), or up to
         the first level whose energy is at most ``stop_energy``;
         ``forcing(n)`` gives step n's sources.  Step n takes the row of
-        ``controls`` that holds it, or none where there is none or it is all
-        0 (``control_rows``, bit-identical).  Returns (last state,
-        EnergyTrace of the levels reached)."""
+        ``controls`` that holds it, or none where they store none
+        (``control_rows``).  Returns (last state, EnergyTrace of the levels
+        reached)."""
         if controls is not None and self.bumps is None:
             raise DomainError("controls given to a propagator without bumps")
         step = partial(self.step, box=None if controls is None else controls.box)
@@ -544,7 +534,7 @@ class LinearPropagator:
         ``controls`` are read on ``self.box``; ``sources`` holds
         ``source_modes`` of (F1u, F1v, F2) stacked over the nt steps, any of
         them None, and a part of another shape raises ShapeError.  The
-        nonzero control rows (``control_rows``) are transformed by
+        stored control rows (``control_rows``) are transformed by
         ``control_modes`` a block of ``sweep_block`` of them at a time; the
         other steps get none.  Levels are transformed back only to be handed
         to ``on_state``.  Returns the last physical state."""
@@ -555,21 +545,19 @@ class LinearPropagator:
         if controls is not None:
             controls = controls.on(self.box)
             rows = control_rows(controls, self.tgrid.nt)
-            nonzero = rows[rows >= 0]
             size = sweep_block(self.grid, self.tgrid.nt)
-        coeffs, seen = (), 0    # the current block's control_modes; rows passed
+        coeffs = ()    # the current block's control_modes
 
         def inputs(n):
-            nonlocal coeffs, seen
+            nonlocal coeffs
             control = None
             if controls is not None and rows[n] >= 0:
-                i = seen % size
-                if i == 0:
+                row = rows[n]
+                if row % size == 0:
                     coeffs = ()     # freed before the next block is made
-                    block = nonzero[seen:seen + size]
-                    coeffs = self.control_modes(tuple(a[block] for a in controls.parts))
-                control = tuple(c[i] for c in coeffs)
-                seen += 1
+                    coeffs = self.control_modes(tuple(a[row:row + size]
+                                                      for a in controls.parts))
+                control = tuple(c[row % size] for c in coeffs)
             return control, None if sources is None else tuple(
                 None if f is None else f[n] for f in sources)
 

@@ -65,7 +65,6 @@ class WeightParams:
     s: float = 1.0
     lam: float = 1.0
     m: float = 14.0
-    eta_sup: float = 1.0
 
     def __post_init__(self):
         if not (self.s > 0.0):
@@ -74,21 +73,19 @@ class WeightParams:
             raise DomainError("lambda must be positive")
         if not (self.m > 4.0):
             raise DomainError("m must exceed 4")
-        if not (self.eta_sup >= 0.0):
-            raise DomainError("eta_sup must be nonnegative")
 
 
 def _log_bracket(params: WeightParams, j: float, k: float) -> tuple[float, float]:
     """Sign and log-magnitude of the coefficient of u(t) in j*ahat - k*astar,
-    e^{lam m H} [ (j-k) e^{lam m H/4} - j e^{lam H} + k ], for j - k = 1.
+    e^{lam m H} [ (j-k) e^{lam m H/4} - j e^{lam H} + k ], for j - k = 1 and
+    H = sup eta0 = 1 (``geometry.build_eta0``).
 
-    With a = lam m H / 4 the coefficient is e^{5a} [1 - j e^{lam H - a} + k e^{-a}];
+    With a = lam m / 4 the coefficient is e^{5a} [1 - j e^{lam - a} + k e^{-a}];
     for m > 4 the bracket is bounded by j + 1, so nothing overflows at any
     lambda.
     """
-    lam_h = params.lam * params.eta_sup
-    a = lam_h * params.m / 4.0
-    inner = 1.0 - j * np.exp(lam_h * (1.0 - params.m / 4.0)) + k * np.exp(-a)
+    a = params.lam * params.m / 4.0
+    inner = 1.0 - j * np.exp(params.lam * (1.0 - params.m / 4.0)) + k * np.exp(-a)
     if inner == 0.0:
         return 0.0, -np.inf
     return float(np.sign(inner)), 5.0 * a + float(np.log(abs(inner)))
@@ -109,18 +106,15 @@ def check_weight_gap(params: WeightParams) -> float:
     sign for the whole horizon; positive margin <=> the gap holds.  The margin
     is +inf when it exceeds the double range, and never NaN.
     """
-    if params.eta_sup == 0.0:
-        raise GeometryError("eta_sup = 0 degenerates alpha to zero; gap cannot hold")
     return _bracket(params, 18.0, 17.0)
 
 
-def find_min_m(lam: float, eta_sup: float, tol: float = 1.0e-3) -> float:
-    """Smallest m in (4, 1e4] with positive gap margin, by bisection."""
-    if lam <= 0.0 or eta_sup <= 0.0:
-        raise DomainError("lambda and eta_sup must be positive")
+def find_min_m(lam: float, tol: float = 1.0e-3) -> float:
+    """Smallest m in (4, 1e4] with positive gap margin, by bisection; a
+    lambda that is not positive raises DomainError (``WeightParams``)."""
 
     def margin(m):
-        return check_weight_gap(WeightParams(s=1.0, lam=lam, m=m, eta_sup=eta_sup))
+        return check_weight_gap(WeightParams(s=1.0, lam=lam, m=m))
 
     lo, hi = 4.0 + 1.0e-9, 8.0
     while margin(hi) <= 0.0:
@@ -159,27 +153,25 @@ class WeightTables:
 def eval_weights(params: WeightParams, eta0: np.ndarray, tgrid: TimeGrid) -> WeightTables:
     """Evaluate the full weight family over the time grid, in log space.
 
-    The spatial extrema use the analytic values {0, eta_sup} (eta0 vanishes on
+    The spatial extrema use the analytic values {0, 1} (eta0 vanishes on
     the boundary and is normalized to sup 1), not sampled extremes; ``eta0``
     itself is only checked to keep alpha positive.
     """
-    if params.eta_sup <= 0.0:
-        raise GeometryError("eta_sup must be positive to evaluate weights")
-    s, lam, m, big_h = params.s, params.lam, params.m, params.eta_sup
+    s, lam, m = params.s, params.lam, params.m
     t = tgrid.nodes()
     with np.errstate(divide="ignore"):
         log_u = -4.0 * np.log(ell_array(t, tgrid.t_final))  # +inf at t = T
 
-    # alpha(x, t) = e^{lam(mH+eta)} (e^{lam(mH/4 - eta)} - 1) * u is positive
-    # only where eta < mH/4
-    if np.any(lam * (m * big_h / 4.0 - np.asarray(eta0, dtype=float)) <= 0.0):
-        raise GeometryError("m <= 4*eta/eta_sup somewhere; alpha loses positivity")
+    # alpha(x, t) = e^{lam(m+eta)} (e^{lam(m/4 - eta)} - 1) * u is positive
+    # only where eta < m/4
+    if np.any(lam * (m / 4.0 - np.asarray(eta0, dtype=float)) <= 0.0):
+        raise GeometryError("m <= 4*eta somewhere; alpha loses positivity")
 
     # bracket(0,-1) = alpha-star coefficient (eta = 0), bracket(1,0) = alpha-hat
     raw_log_alpha_star = _log_bracket(params, 0.0, -1.0)[1] + log_u
     raw_log_alpha_hat = _log_bracket(params, 1.0, 0.0)[1] + log_u
-    raw_log_xi_star = lam * m * big_h + log_u
-    raw_log_xi_hat = lam * (m + 1.0) * big_h + log_u
+    raw_log_xi_star = lam * m + log_u
+    raw_log_xi_hat = lam * (m + 1.0) + log_u
 
     def composite(name, j, k, xi_pow, log_xi):
         sign, log_c = _log_bracket(params, j, k)

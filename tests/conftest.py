@@ -334,6 +334,13 @@ def reference_control_regularity_report(controls, tables, grid, tgrid, t_clip=No
     return dict(zip(sums, map(float, logs_sums)))
 
 
+def on_steps(c, live):
+    """The controls of ``c``, a ``ControlTrajectory`` of every step, stored
+    on the steps of ``live`` only, one row each (copies of those rows)."""
+    from bousscontrol.control import ControlTrajectory
+    return ControlTrajectory(*(a[live] for a in c.parts), c.box, live)
+
+
 def full_row_hessian_apply(prob, z):
     """H z of a ``control.LinearControlProblem`` as it was formed before its
     vectors held only the live steps: z, W^-1 z and zeta each with a row per
@@ -341,8 +348,8 @@ def full_row_hessian_apply(prob, z):
     every row.  Returns a ``ControlTrajectory`` of every step on the box."""
     from bousscontrol.adjoint import run_adjoint
     from bousscontrol.control import ControlTrajectory
-    grid, nt, eps = prob.grid, prob.tgrid.nt, prob.eps
-    z = z.on(prob.box, np.ones(nt, dtype=bool))
+    grid, eps = prob.grid, prob.eps
+    z = z.full(grid).on(prob.box)
     w_inv = np.exp(-prob.logw)[:, None, None]
     controls = ControlTrajectory(*(a * w_inv * m for a, m in zip(z.parts, prob.box_masks)),
                                  prob.box)
@@ -381,18 +388,18 @@ def reference_space_weights(params, eta0, tgrid):
     (nt+1, nx+1, ny+1) and +inf at t = T, as ``weights.eval_weights`` once
     tabulated them (the program keeps only their spatial extrema):
 
-        alpha = e^{lam(mH+eta)} (e^{lam(mH/4 - eta)} - 1) u,  xi = e^{lam(mH+eta)} u.
+        alpha = e^{lam(m+eta)} (e^{lam(m/4 - eta)} - 1) u,  xi = e^{lam(m+eta)} u.
     """
-    lam, m, big_h = params.lam, params.m, params.eta_sup
+    lam, m = params.lam, params.m
     with np.errstate(divide="ignore"):
         log_u = -4.0 * np.log(ell_array(tgrid.nodes(), tgrid.t_final))
     eta = np.asarray(eta0, dtype=float)
-    gap = lam * (m * big_h / 4.0 - eta)
+    gap = lam * (m / 4.0 - eta)
     log_expm1 = np.empty_like(gap)   # log(e^gap - 1), stable for tiny and huge gap
     small = gap < 30.0
     log_expm1[small] = np.log(np.expm1(gap[small]))
     log_expm1[~small] = gap[~small] + np.log1p(-np.exp(-gap[~small]))
-    log_xi_x = lam * (m * big_h + eta)
+    log_xi_x = lam * (m + eta)
     return SimpleNamespace(raw_log_alpha=(log_xi_x + log_expm1)[None] + log_u[:, None, None],
                            raw_log_xi=log_xi_x[None] + log_u[:, None, None])
 

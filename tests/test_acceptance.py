@@ -165,8 +165,8 @@ def test_criterion_3_heating_identity():
 
 def test_criterion_4_weight_geometry():
     t0 = time.perf_counter()
-    m = find_min_m(1.0, 1.0)
-    params = WeightParams(s=1.0, lam=1.0, m=m, eta_sup=1.0)
+    m = find_min_m(1.0)
+    params = WeightParams(s=1.0, lam=1.0, m=m)
     margin = check_weight_gap(params)
     grid = GridSpec(16, 16)
     tables = eval_weights(params, build_eta0(

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from bousscontrol.config import _DEFAULTS, parse_config, parse_config_text, emit_resolved
 from bousscontrol.control import OuterLoopSpec, PenaltySpec
-from bousscontrol.exceptions import ConfigError, DomainError, ShapeError
-from bousscontrol.fieldio import dump_field, energy_trace_csv, load_field, parse_report
+from bousscontrol.exceptions import BoussControlError, ConfigError, DomainError, ShapeError
+from bousscontrol.fieldio import (dump_field, emit_report, energy_trace_csv, load_field,
+                                  parse_report)
 from bousscontrol.forward import EnergyTrace, LinearPropagator
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import ViscosityLaw
@@ -209,10 +210,10 @@ class TestConfig:
         assert law.of_density(gm2, grid16) != ViscosityLaw(1.0, 0.1).of_density(gm2, grid16)
 
     @pytest.mark.parametrize("line, m", [
-        ("", find_min_m(1.0, 1.0)), ("weights.m = auto\n", find_min_m(1.0, 1.0)),
+        ("", find_min_m(1.0)), ("weights.m = auto\n", find_min_m(1.0)),
         ("weights.m = 20\n", 20.0)], ids=["default", "auto", "given"])
     def test_m_is_auto_or_used_as_given(self, tmp_path, line, m):
-        # auto is the minimal m for weights.lambda and weights.eta_sup; a
+        # auto is the minimal m for weights.lambda; a
         # number is used, and echoed, as written
         cfg = parse_config_text(MINIMAL + line)
         assert cfg.wparams.m == m
@@ -231,7 +232,7 @@ class TestConfig:
         lambda: WeightParams(s=float("nan")),
         lambda: WeightParams(lam=float("nan")),
         lambda: WeightParams(m=float("nan")),
-        lambda: WeightParams(eta_sup=float("nan")),
+        lambda: PenaltySpec(cg_tol=float("nan")),
     ])
     def test_spec_guards_reject_nan(self, build):
         with pytest.raises(DomainError):
@@ -270,6 +271,74 @@ class TestFieldIO:
         with pytest.raises(ShapeError, match=want) as err:
             load_field(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("header", [
+        b"BCFIELD1 kind=cells nx=2 ny=2",
+        b"BCFIELD1 kind=cells nx=2 ny=2 time=abc",
+        b"BCFIELD1 kind=cells nx=-2 ny=-2 time=0.0",   # (-2) * (-2) * 8 = 32 bytes
+    ], ids=["no-time", "bad-time", "negative-shape"])
+    def test_broken_header_named(self, tmp_path, header):
+        path = tmp_path / "f.fld"
+        path.write_bytes(header + b"\n" + bytes(32))
+        with pytest.raises(ShapeError, match="broken header") as err:
+            load_field(path)
+        assert str(path) in str(err.value)
+
+    def test_report_not_utf8_named(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_bytes(b"config_hash = abc\nx = \xff\n")
+        with pytest.raises(ShapeError, match="not UTF-8 text") as err:
+            parse_report(path)
+        assert str(path) in str(err.value)
+
+    HOSTILE = [b"", b"-2", b"0", b"1e3", b"nan", b"-inf", b"abc", b"=", b" = ", b"9" * 30,
+               b"\xff\xfe", b"[x]", b"\n", b"time=abc", b"nx=-2", b"ny=0"]
+
+    def mutated(self, rng, blob, header_only):
+        """``blob`` cut short, with 1-3 bytes flipped, or with one token of
+        a line (of the first line with ``header_only``) dropped, replaced or
+        given a hostile value."""
+        how = rng.randrange(3)
+        if how == 0:
+            return blob[:rng.randrange(len(blob))]
+        if how == 1:
+            out = bytearray(blob)
+            for _ in range(rng.randint(1, 3)):
+                out[rng.randrange(len(out))] = rng.randrange(256)
+            return bytes(out)
+        lines = blob.split(b"\n")
+        i = 0 if header_only else rng.randrange(len(lines))
+        toks = lines[i].split(b" ")
+        j, value = rng.randrange(len(toks)), rng.choice(self.HOSTILE)
+        if rng.random() < 0.2:
+            del toks[j]
+        else:
+            key, eq, _ = toks[j].partition(b"=")
+            toks[j] = key + eq + value if eq and rng.random() < 0.5 else value
+        lines[i] = b" ".join(toks)
+        return b"\n".join(lines)
+
+    def test_mutated_dumps_and_reports_read_or_fail_by_name(self, tmp_path):
+        # 200 seeded truncations, byte flips and header-token edits of one
+        # dump and one report: each reads back or raises a named error
+        rng = random.Random(30)
+        dump, report = tmp_path / "f.fld", tmp_path / "report.txt"
+        dump_field(dump, np.arange(12.0).reshape(3, 4), "cells", 0.25)
+        emit_report(report, {"synthesis": {"terminal_norm": 0.5, "cg_iters": 3,
+                                           "update_norms": [1.0, 0.5], "kind": "decay"}},
+                    config_hash="57a8c83597759227", grid_hash="abc")
+        bad = tmp_path / "bad"
+        outcomes = {"read": 0, "named": 0}
+        for path, reader in ((dump, load_field), (report, parse_report)):
+            blob = path.read_bytes()
+            for _ in range(100):
+                bad.write_bytes(self.mutated(rng, blob, header_only=path == dump))
+                try:
+                    reader(bad)
+                    outcomes["read"] += 1
+                except BoussControlError:
+                    outcomes["named"] += 1
+        assert min(outcomes.values()) > 10
 
     def test_energy_csv_rows(self, tmp_path):
         n = 65
@@ -514,6 +583,7 @@ class TestCli:
         ("decay", "decay.fit_lo_frac = 0.9\ndecay.fit_hi_frac = 0.1\n"),
         ("decay", "decay.fit_lo_frac = 0.5\ndecay.fit_hi_frac = 0.501\n"),
         ("linear-control", "patch.cx = 0.3\n"),
+        # weights.eta_sup is no key (eta0 has sup 1): refused as unknown
         ("linear-control", "weights.m = 14\nweights.eta_sup = 0\n"),
         ("linear-control", "penalty.t_clip = 5.0\n"),
         ("large-time", "large_time.tail_t_final = 5e-324\n"),

@@ -27,8 +27,8 @@ from bousscontrol.runner import _synthesis_section
 from bousscontrol.weights import WeightParams, eval_weights, find_min_m
 
 from conftest import (PhysicalLinear, Recorder, full_row_hessian_apply, max_rel_diff,
-                      rand_cells, rand_div_free, rand_u, rand_v, reference_frozen_sources,
-                      reference_norm_samples)
+                      on_steps, rand_cells, rand_div_free, rand_u, rand_v,
+                      reference_frozen_sources, reference_norm_samples)
 
 # frozen after the duality and finite-difference gradient checks first passed
 # (seeded controls, 16x16, nt=64, eps=1e-4, unweighted, nu0=0.1)
@@ -56,7 +56,7 @@ def setup16(grid16, tgrid64, bumps16):
 
 @pytest.fixture
 def tables16(grid16, tgrid64, patch):
-    wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0)
+    wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0))
     return eval_weights(wp, build_eta0(grid16, patch), tgrid64)
 
 
@@ -159,7 +159,7 @@ class TestGradient:
         eta0 = build_eta0(grid16, patch)
 
         def span(s):
-            tb = eval_weights(WeightParams(s=s, lam=0.1, m=43.0, eta_sup=1.0),
+            tb = eval_weights(WeightParams(s=s, lam=0.1, m=43.0),
                               eta0, tg)
             raw = tb.raw("rho2")
             k = int(np.searchsorted(tb.t, t_clip, side="right")) - 1
@@ -168,7 +168,7 @@ class TestGradient:
         b = span(1e-300)
         a = span(1.0) - b
         s_star = (25.0 - b) / a
-        wp = WeightParams(s=s_star, lam=0.1, m=43.0, eta_sup=1.0)
+        wp = WeightParams(s=s_star, lam=0.1, m=43.0)
         tables = eval_weights(wp, eta0, tg)
         logw = step_weight_logs(PenaltySpec(weight_mode="carleman",
                                             t_clip=t_clip), tables, tg)
@@ -256,7 +256,7 @@ class TestSharedSweepSolve:
     @pytest.fixture
     def case(self, grid16, bumps16, patch):
         tg = TimeGrid(1.0, 32)
-        wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0)
+        wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0))
         tables = eval_weights(wp, build_eta0(grid16, patch), tg)
         y0 = (grid16.zeros_u(), grid16.zeros_v())
         return grid16, tg, bumps16, y0, 0.1 * sine_theta(grid16, 1.0), tables
@@ -421,7 +421,7 @@ class TestOuterLoopContinuation:
     def runs(self):
         grid, tg = GridSpec(16, 16), TimeGrid(1.0, 64)
         patch = ControlPatch((0.5, 0.5), (0.2, 0.2))
-        wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0)
+        wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0))
         tables = eval_weights(wp, build_eta0(grid, patch), tg)
         spec = SystemSpec(law=ViscosityLaw(0.05, 0.05), heating_on=True)
         y0, th0 = scaled_initial_data(grid, 1e-2)
@@ -487,7 +487,7 @@ def slow_case(n=16, nt=64):
     E(0) = 0.1 and eps = cg_tol = 1e-6, Carleman weights."""
     grid, tg = GridSpec(n, n), TimeGrid(0.5, nt)
     patch = ControlPatch((0.5, 0.5), (0.2, 0.2))
-    wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0)
+    wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0))
     tables = eval_weights(wp, build_eta0(grid, patch), tg)
     spec = SystemSpec(law=ViscosityLaw(0.05, 0.1), heating_on=True)
     y0, th0 = scaled_initial_data(grid, 0.1)
@@ -575,56 +575,42 @@ class TestRecycling:
 
 
 class TestLiveSteps:
-    """Steps whose controls are all 0 inject nothing, which leaves every
-    result the same bit for bit, and the Hessian, whose vectors hold only the
+    """A step that controls do not store injects nothing, and one whose
+    stored controls are all 0 injects a transform of 0: both leave every
+    level the same bit for bit.  The Hessian, whose vectors hold only the
     steps where w^-1 > 0, matches the one formed on every step."""
 
     @staticmethod
-    def block_controls(grid, tg, bumps, scale=1.0):
-        ctrl = masked_random_controls(grid, tg.nt, bumps, np.random.default_rng(11),
-                                      scale)
-        for part in ctrl.parts:
-            part[10:40] = 0.0
-        return ctrl
-
-    @staticmethod
-    def levels(run):
-        rec = Recorder()
-        run(rec)
-        return rec.levels
-
-    def assert_same_as_injecting_every_step(self, run, monkeypatch):
-        from bousscontrol import forward
-        got = self.levels(run)
-        monkeypatch.setattr(forward, "live_steps",
-                            lambda c: np.ones(c.vu.shape[0], dtype=bool))
-        want = self.levels(run)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
+    def assert_same_as_storing_the_nonzero_steps(run, grid, tg, bumps, scale=1.0):
+        # controls of every step, 0 on steps 10-39, against the same controls
+        # stored without those steps
+        every = masked_random_controls(grid, tg.nt, bumps, np.random.default_rng(11),
+                                       scale)
+        keep = np.ones(tg.nt, dtype=bool)
+        keep[10:40] = False
+        for part in every.parts:
+            part[~keep] = 0.0
+        got, want = Recorder(), Recorder()
+        run(every, got)
+        run(on_steps(every, keep), want)
+        assert len(got.levels) == len(want.levels) == tg.nt + 1
+        for a, b in zip(got.levels, want.levels):
             assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    def test_live_steps(self, grid16, tgrid64, bumps16):
-        from bousscontrol.forward import live_steps
-        ctrl = self.block_controls(grid16, tgrid64, bumps16)
-        ctrl.v0[50, 3, 3] = np.nan
-        live = live_steps(ctrl)
-        assert not live[10:40].any() and live[:10].all() and live[40:].all()
-
-    def test_linear_run(self, setup16, monkeypatch):
-        from bousscontrol.forward import LinearPropagator
+    def test_linear_run(self, setup16):
         grid, tg, bumps, y0, th0 = setup16
         prop = LinearPropagator(grid, tg, NU0, bumps=bumps)
-        ctrl = self.block_controls(grid, tg, bumps)
-        self.assert_same_as_injecting_every_step(
-            lambda hook: prop.run(y0, th0, controls=ctrl, on_state=hook), monkeypatch)
+        self.assert_same_as_storing_the_nonzero_steps(
+            lambda ctrl, hook: prop.run(y0, th0, controls=ctrl, on_state=hook),
+            grid, tg, bumps)
 
-    def test_nonlinear_run(self, grid16, tgrid64, bumps16, monkeypatch):
+    def test_nonlinear_run(self, grid16, tgrid64, bumps16):
         spec = SystemSpec(law=ViscosityLaw(0.05, 0.05), heating_on=True)
         y0, th0 = scaled_initial_data(grid16, 1e-2)
-        ctrl = self.block_controls(grid16, tgrid64, bumps16, scale=1e-2)
-        self.assert_same_as_injecting_every_step(
-            lambda hook: run_nonlinear(y0, th0, ctrl, spec, grid16, tgrid64,
-                                       bumps=bumps16, on_state=hook), monkeypatch)
+        self.assert_same_as_storing_the_nonzero_steps(
+            lambda ctrl, hook: run_nonlinear(y0, th0, ctrl, spec, grid16, tgrid64,
+                                             bumps=bumps16, on_state=hook),
+            grid16, tgrid64, bumps16, scale=1e-2)
 
     def test_hessian_apply_matches_reading_every_step(self, setup16, tables16):
         # the compact apply on the live rows against H z formed on every step
@@ -635,18 +621,19 @@ class TestLiveSteps:
                                     NU0, bumps)
         assert 0 < prob.live.sum() < tg.nt
         z = masked_random_controls(grid, tg.nt, bumps, np.random.default_rng(12))
-        compact = z.on(prob.box, prob.live)
+        compact = on_steps(z, prob.live)
         got = prob.hessian_apply(compact)
         assert got.live is prob.live and len(got.vu) == prob.live.sum()
         want = full_row_hessian_apply(prob, compact)
-        assert max_rel_diff(got.parts, want.on(prob.box, prob.live).parts) <= 1e-13
+        assert max_rel_diff(got.parts, on_steps(want, prob.live).parts) <= 1e-13
         # on the other steps H z is z itself, which is 0 for a compact z
         assert not any(np.any(a[~prob.live]) for a in want.parts)
 
     @pytest.mark.parametrize("mode", ["carleman", "unweighted"])
     def test_hessian_apply_takes_whole_grid_every_step_input(self, setup16, tables16,
                                                              mode):
-        # the input bench/layers.py builds: every step, on the whole grid
+        # the input bench/layers.py builds: every step, on the whole grid; a
+        # weighted problem's vectors hold its live steps only, so it refuses it
         grid, tg, bumps, y0, th0 = setup16
         pen = PenaltySpec(epsilon=1e-6, weight_mode=mode)
         prob = LinearControlProblem(y0, th0, None, None, pen,
@@ -656,8 +643,15 @@ class TestLiveSteps:
         z = ControlTrajectory.zeros(grid, tg.nt)
         for part, mask in zip(z.parts, prob.masks):
             part[:] = rng.standard_normal(part.shape) * mask
+        if mode == "carleman":
+            live = int(prob.live.sum())
+            assert live < tg.nt
+            with pytest.raises(ShapeError, match=f"z holds 64 rows of 64 steps, but the "
+                                                 f"problem's live set holds {live} of 64"):
+                prob.hessian_apply(z)
+            return
         got = prob.hessian_apply(z)
-        want = prob.hessian_apply(z.on(prob.box, prob.live))
+        want = prob.hessian_apply(z.on(prob.box))
         assert np.array_equal(got.live, prob.live)
         assert all(np.array_equal(a, b) for a, b in zip(got.parts, want.parts))
 
@@ -740,7 +734,7 @@ class TestLargeTime:
         spec = self._spec()
         y0, th0 = scaled_initial_data(grid16, 1e-6)
         tail = TimeGrid(0.5, 32)
-        wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0)
+        wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0))
 
         def wfn(tg):
             return eval_weights(wp, build_eta0(grid16, patch), tg)
@@ -767,7 +761,7 @@ class TestLargeTime:
     def test_crossing_matches_prediction(self, grid16, bumps16, patch):
         spec = self._spec()
         y0, th0 = scaled_initial_data(grid16, 1e-2)
-        wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0)
+        wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0))
 
         def wfn(tg):
             return eval_weights(wp, build_eta0(grid16, patch), tg)
@@ -1132,12 +1126,7 @@ class TestLiveRows:
             full = c.full(grid)
             assert full.box == grid_box(grid) and len(full.vu) == nt
             assert not any(np.any(a[~prob.live]) for a in full.parts)
-            back = full.on(prob.box, prob.live)
-            assert all(np.array_equal(a, b) for a, b in zip(back.parts, c.parts))
-            every = c.on(prob.box, np.ones(nt, dtype=bool))
-            assert all(np.array_equal(a, b[(slice(None),) + i]) for a, b, i in
-                       zip(every.parts, full.parts, prob.box))
-            back = every.on(prob.box, prob.live)
+            back = on_steps(full.on(prob.box), prob.live)
             assert all(np.array_equal(a, b) for a, b in zip(back.parts, c.parts))
         # a live set with holes: each row lands on its own step
         holed = np.zeros(nt, dtype=bool)
@@ -1149,8 +1138,21 @@ class TestLiveRows:
         for k, (whole, b) in enumerate(zip(full.parts, prob.box)):
             assert np.array_equal(whole[(slice(None),) + b].max(axis=(1, 2)),
                                   np.where(holed, np.cumsum(holed) + 10.0 * k, 0.0))
-        back = full.on(prob.box, holed)
+        back = on_steps(full.on(prob.box), holed)
         assert all(np.array_equal(a, b) for a, b in zip(back.parts, c.parts))
+
+    def test_gradient_reads_any_live_set(self, setup16):
+        # controls stored on some steps give the gradient of the same
+        # controls stored on every step, bit for bit
+        grid, tg, bumps, y0, th0 = setup16
+        every = masked_random_controls(grid, tg.nt, bumps, np.random.default_rng(14))
+        keep = np.arange(tg.nt) % 3 != 1
+        for part in every.parts:
+            part[~keep] = 0.0
+        pen = PenaltySpec(epsilon=1e-4, weight_mode="unweighted")
+        got, want = (gradient(c, y0, th0, None, None, pen, None, grid, tg, NU0, bumps)
+                     for c in (on_steps(every, keep), every))
+        assert all(np.array_equal(a, b) for a, b in zip(got.parts, want.parts))
 
     def test_row_counts_must_match_the_live_set(self, grid16, tgrid64, bumps16):
         box = control_box(bumps16)
@@ -1164,6 +1166,11 @@ class TestLiveRows:
             with pytest.raises(ShapeError, match=f"control {name} has 4 rows, but its "
                                                  "live set holds 5 of 8 steps"):
                 ControlTrajectory(**parts, box=box, live=live)
+        # an int array would pass the row count and then pair weights and
+        # rows by value (logw[live]); a 2-D mask is not one bool per step
+        for bad in (live.astype(int), live[None]):
+            with pytest.raises(ShapeError, match="live set must be one bool per step"):
+                ControlTrajectory(*c.parts, box, bad)
         other = ControlTrajectory.zeros(grid16, 8, box, np.roll(live, 1))
         with pytest.raises(ShapeError, match="different live steps"):
             c.axpy(1.0, other)
@@ -1229,7 +1236,7 @@ def streamed_run(grid, tg, spec, seed=3):
     streamed from it."""
     patch = ControlPatch((0.5, 0.5), (0.2, 0.2))
     bumps = bump_on_solver_grids(grid, patch)
-    tables = eval_weights(WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0),
+    tables = eval_weights(WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0)),
                           build_eta0(grid, patch), tg)
     y0, th0 = scaled_initial_data(grid, 1e-2)
     ctrl = masked_random_controls(grid, tg.nt, bumps, np.random.default_rng(seed),
@@ -1363,7 +1370,7 @@ class TestSweepBlocks:
                 if self.holed(nt)[n] else None
             state = prop.step_modes(*state, control)
             want.append(prop.from_modes(*state))
-        for stored in (ctrl, ctrl.on(prop.box, self.holed(nt))):
+        for stored in (ctrl, on_steps(ctrl, self.holed(nt))):
             got = Recorder()
             prop.run(y0, th0, stored, on_state=got)
             assert len(got.levels) == nt + 1

@@ -29,7 +29,8 @@ from bousscontrol.runner import _tables_for, run_experiment
 from bousscontrol.weights import (WeightParams, control_weight_logs, default_t_clip,
                                   eval_weights, find_min_m)
 
-from conftest import feed, reference_control_regularity_report, reference_norm_samples
+from conftest import (feed, on_steps, reference_control_regularity_report,
+                      reference_norm_samples)
 
 
 def synthetic_trace(c1=3.0, e0=5.0, t_final=1.0, n=65):
@@ -103,7 +104,7 @@ def weighted_setup():
     grid = GridSpec(16, 16)
     tg = TimeGrid(1.0, 32)
     patch = ControlPatch((0.5, 0.5), (0.2, 0.2))
-    wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0)
+    wp = WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0))
     tables = eval_weights(wp, build_eta0(grid, patch), tg)
     return grid, tg, patch, tables
 
@@ -199,7 +200,7 @@ class TestWeightedNorms:
             part[:] = rng.standard_normal(part.shape) * (bump > 0.0)
             part[~keep] = 0.0
         every = every.on(control_box(bumps))
-        compact = every.on(every.box, keep)
+        compact = on_steps(every, keep)
         assert len(compact.vu) == keep.sum() < tg.nt
         traj = zero_trajectory(grid, tg)
         traj.theta[:] = rng.standard_normal(traj.theta.shape)
@@ -375,7 +376,7 @@ class TestRegularityReport:
             part[:] = rng.standard_normal(part.shape) * (bump > 0.0)
         ctrl = ctrl.on(box)
         tables = tame_tables(eval_weights(
-            WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0),
+            WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0)),
             build_eta0(grid, ControlPatch((0.5, 0.5), (0.2, 0.2))), tg))
         got = control_regularity_report(ctrl, tables, grid, tg)
         want = reference_control_regularity_report(ctrl, tables, grid, tg)
@@ -399,7 +400,7 @@ class TestRegularityReport:
         ctrl.vu[:, [0, -1]] = 0.0
         ctrl.vv[:, :, [0, -1]] = 0.0
         tables = tame_tables(eval_weights(
-            WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0, 1.0), eta_sup=1.0),
+            WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0)),
             build_eta0(grid, ControlPatch((0.5, 0.5), (0.2, 0.2))), tg))
         got = control_regularity_report(ctrl, tables, grid, tg)
         want = reference_control_regularity_report(ctrl, tables, grid, tg)
@@ -425,7 +426,7 @@ class TestRegularityReport:
 
         def kappa_profile(nt, s):
             tg = TimeGrid(1.0, nt)
-            tb = eval_weights(WeightParams(s=s, lam=lam, m=m, eta_sup=1.0),
+            tb = eval_weights(WeightParams(s=s, lam=lam, m=m),
                               eta0, tg)
             raw = tb.raw("kappa")[:nt].copy()
             raw -= raw.min()

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from bousscontrol.exceptions import DomainError, GeometryError
+from bousscontrol.exceptions import DomainError
 from bousscontrol.geometry import ControlPatch, build_eta0
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.weights import (WeightParams, check_weight_chain,
@@ -23,10 +23,10 @@ GOLDEN_LOG_RHO2_HALF = 17455393788122.329   # lam=1, m=20, s=1, T=1, t=0.5
 GOLDEN_LOG_RHO1_3Q = 56516654978551.852     # same params, t=0.75
 
 
-def oracle_margin(lam, m, eta_sup=1):
+def oracle_margin(lam, m):
     mp.mp.dps = 60
-    lam, m, h = map(mp.mpf, (lam, m, eta_sup))
-    return mp.e ** (lam * m * h) * (mp.e ** (lam * m * h / 4) - 18 * mp.e ** (lam * h) + 17)
+    lam, m = map(mp.mpf, (lam, m))
+    return mp.e ** (lam * m) * (mp.e ** (lam * m / 4) - 18 * mp.e ** lam + 17)
 
 
 def oracle_log_composite(t, t_final, lam, m, s, j, k, xi_pow, use_xi_star=False):
@@ -76,68 +76,63 @@ class TestEll:
 
 class TestGapAndMinM:
     def test_margin_golden_m100(self):
-        p = WeightParams(s=1.0, lam=1.0, m=100.0, eta_sup=1.0)
+        p = WeightParams(s=1.0, lam=1.0, m=100.0)
         assert check_weight_gap(p) == pytest.approx(GOLDEN_MARGIN_M100, rel=1e-12)
         assert check_weight_gap(p) == pytest.approx(float(oracle_margin(1, 100)), rel=1e-12)
 
     def test_margin_golden_m401_negative(self):
-        p = WeightParams(s=1.0, lam=1.0, m=4.01, eta_sup=1.0)
+        p = WeightParams(s=1.0, lam=1.0, m=4.01)
         assert check_weight_gap(p) == pytest.approx(GOLDEN_MARGIN_M401, rel=1e-12)
         assert check_weight_gap(p) < 0.0
 
-    def test_degenerate_eta_sup(self):
-        p = WeightParams(s=1.0, lam=1.0, m=10.0, eta_sup=0.0)
-        with pytest.raises(GeometryError):
-            check_weight_gap(p)
-
     def test_min_m_golden(self):
-        m = find_min_m(1.0, 1.0)
+        m = find_min_m(1.0)
         assert m == pytest.approx(GOLDEN_MIN_M, abs=2e-3)
 
     def test_min_m_postcondition(self):
-        m = find_min_m(1.0, 1.0)
-        assert check_weight_gap(WeightParams(1.0, 1.0, m, 1.0)) > 0.0
+        m = find_min_m(1.0)
+        assert check_weight_gap(WeightParams(1.0, 1.0, m)) > 0.0
         below = m - 1e-2
-        assert below <= 4.0 or check_weight_gap(WeightParams(1.0, 1.0, below, 1.0)) <= 0.0
+        assert below <= 4.0 or check_weight_gap(WeightParams(1.0, 1.0, below)) <= 0.0
 
     def test_min_m_closed_form_oracle(self):
-        # margin > 0 <=> e^{lam m H/4} > 18 e^{lam H} - 17
+        # margin > 0 <=> e^{lam m/4} > 18 e^{lam} - 17
         for lam in (0.5, 1.0, 2.0):
-            m = find_min_m(lam, 1.0)
+            m = find_min_m(lam)
             mp.mp.dps = 40
             m_exact = float(4 * mp.log(18 * mp.e ** mp.mpf(lam) - 17) / mp.mpf(lam))
             assert m == pytest.approx(m_exact, abs=2e-3)
 
     def test_feasibility_monotone_in_m(self):
-        m = find_min_m(1.0, 1.0)
+        m = find_min_m(1.0)
         assert oracle_margin(1, 2 * m) > 0
 
     def test_min_m_bit_identical_at_default_lambda(self):
         # the resolved weights.m of every default config
-        assert find_min_m(1.0, 1.0) == 13.854736328303773
+        assert find_min_m(1.0) == 13.854736328303773
 
     @pytest.mark.parametrize("lam", [300.0, 1000.0])
     def test_large_lambda_margin_never_nan(self, lam):
-        # e^{lam m H} alone overflows here; the bracket is carried as a sign
+        # e^{lam m} alone overflows here; the bracket is carried as a sign
         # and a log-magnitude, so the margin is +inf or finite, never NaN
-        m = find_min_m(lam, 1.0)
+        m = find_min_m(lam)
         mp.mp.dps = 40
         m_exact = float(4 * mp.log(18 * mp.e ** mp.mpf(lam) - 17) / mp.mpf(lam))
         assert m_exact < m <= m_exact + 2e-3
-        assert check_weight_gap(WeightParams(1.0, lam, m, 1.0)) > 0.0
-        assert check_weight_gap(WeightParams(1.0, lam, m_exact - 2e-3, 1.0)) < 0.0
+        assert check_weight_gap(WeightParams(1.0, lam, m)) > 0.0
+        assert check_weight_gap(WeightParams(1.0, lam, m_exact - 2e-3)) < 0.0
 
     @pytest.mark.parametrize("lam", [300.0, 1000.0])
     def test_large_lambda_tables(self, lam):
         # log alpha and log xi stay finite before T; s * alpha itself is
         # ~e^(1500) or more, past the double range, so the composite logs
         # cannot be tabulated and eval_weights says so by name
-        p = WeightParams(1.0, lam, find_min_m(lam, 1.0), 1.0)
+        p = WeightParams(1.0, lam, find_min_m(lam))
         with pytest.raises(DomainError, match="'rho' leaves the double range"):
             tables_for(p, nt=32)
         # with s small enough to bring s * alpha back into range the whole
-        # family is finite before T (lam = 200 still overflows e^{lam m H})
-        tame = WeightParams(1e-300, 200.0, find_min_m(200.0, 1.0), 1.0)
+        # family is finite before T (lam = 200 still overflows e^{lam m})
+        tame = WeightParams(1e-300, 200.0, find_min_m(200.0))
         tb, sp = tables_for(tame, nt=32), space_weights_for(tame, nt=32)
         for arr in (tb.raw_log_alpha_star, tb.raw_log_alpha_hat, tb.raw_log_xi_star,
                     tb.raw_log_xi_hat, sp.raw_log_alpha, sp.raw_log_xi,
@@ -148,7 +143,7 @@ class TestGapAndMinM:
 
 class TestEvalWeights:
     def test_alpha_star_attains_min_on_plateau(self):
-        p = WeightParams(s=1.0, lam=1.0, m=20.0, eta_sup=1.0)
+        p = WeightParams(s=1.0, lam=1.0, m=20.0)
         tb = tables_for(p)
         raw = tb.raw_log_alpha_star
         plateau = raw[tb.t <= 0.5]
@@ -157,7 +152,7 @@ class TestEvalWeights:
 
     def test_alpha_star_closed_form(self):
         # alpha* uses eta = 0:  (e^{5 lam m/4} - e^{lam m}) / ell^4
-        p = WeightParams(s=1.0, lam=1.0, m=20.0, eta_sup=1.0)
+        p = WeightParams(s=1.0, lam=1.0, m=20.0)
         tb = tables_for(p)
         mp.mp.dps = 50
         expected = float((mp.e ** mp.mpf(25) - mp.e ** mp.mpf(20)) * 256)
@@ -165,7 +160,7 @@ class TestEvalWeights:
         assert np.exp(tb.raw_log_alpha_star[k]) == pytest.approx(expected, rel=1e-12)
 
     def test_log_rho2_golden(self):
-        p = WeightParams(s=1.0, lam=1.0, m=20.0, eta_sup=1.0)
+        p = WeightParams(s=1.0, lam=1.0, m=20.0)
         tb = tables_for(p)
         k = np.searchsorted(tb.t, 0.5)
         assert tb.raw("rho2")[k] == pytest.approx(GOLDEN_LOG_RHO2_HALF, rel=1e-13)
@@ -173,13 +168,13 @@ class TestEvalWeights:
             oracle_log_composite(0.5, 1.0, 1.0, 20.0, 1.0, 4, 3, 8), rel=1e-13)
 
     def test_log_rho1_golden(self):
-        p = WeightParams(s=1.0, lam=1.0, m=20.0, eta_sup=1.0)
+        p = WeightParams(s=1.0, lam=1.0, m=20.0)
         tb = tables_for(p)
         k = np.searchsorted(tb.t, 0.75)
         assert tb.raw("rho1")[k] == pytest.approx(GOLDEN_LOG_RHO1_3Q, rel=1e-13)
 
     def test_extrema_consistency(self):
-        p = WeightParams(s=1.0, lam=1.0, m=14.0, eta_sup=1.0)
+        p = WeightParams(s=1.0, lam=1.0, m=14.0)
         tb, sp = tables_for(p), space_weights_for(p)
         a = sp.raw_log_alpha[:-1]
         assert np.all(a <= tb.raw_log_alpha_star[:-1, None, None] + 1e-10)
@@ -189,7 +184,7 @@ class TestEvalWeights:
         assert np.all(x >= tb.raw_log_xi_star[:-1, None, None] - 1e-12)
 
     def test_xi_hat_nondecreasing_after_half(self):
-        p = WeightParams(s=1.0, lam=1.0, m=14.0, eta_sup=1.0)
+        p = WeightParams(s=1.0, lam=1.0, m=14.0)
         tb = tables_for(p)
         sel = tb.t >= 0.5
         diffs = np.diff(tb.raw_log_xi_hat[sel])
@@ -198,8 +193,8 @@ class TestEvalWeights:
     def test_blowup_and_reciprocal_decay(self):
         # under the gap condition every composite weight diverges at t=T
         # (log -> +inf), so the reciprocals vanish
-        m = find_min_m(1.0, 1.0) + 0.5
-        p = WeightParams(s=1.0, lam=1.0, m=m, eta_sup=1.0)
+        m = find_min_m(1.0) + 0.5
+        p = WeightParams(s=1.0, lam=1.0, m=m)
         tb = tables_for(p, nt=128)
         for name in ("rho", "rho1", "rho2", "rho3", "mu1", "mu2", "mu3", "kappa"):
             raw = tb.raw(name)
@@ -207,44 +202,37 @@ class TestEvalWeights:
             assert np.exp(-raw[-1]) == 0.0
 
     def test_deterministic(self):
-        p = WeightParams(s=1.0, lam=1.0, m=14.0, eta_sup=1.0)
+        p = WeightParams(s=1.0, lam=1.0, m=14.0)
         a = tables_for(p)
         b = tables_for(p)
         assert np.array_equal(a.raw("rho2"), b.raw("rho2"))
         assert np.array_equal(a.raw_log_alpha_star, b.raw_log_alpha_star)
 
-    def test_eta_sup_zero_rejected(self):
-        p = WeightParams(s=1.0, lam=1.0, m=14.0, eta_sup=0.0)
-        grid = GridSpec(16, 16)
-        eta0 = build_eta0(grid, ControlPatch((0.5, 0.5), (0.2, 0.2)))
-        with pytest.raises(GeometryError):
-            eval_weights(p, eta0, TimeGrid(1.0, 64))
-
 
 class TestChain:
     def test_all_ratios_finite_default_params(self):
-        m = find_min_m(1.0, 1.0)
-        p = WeightParams(s=1.0, lam=1.0, m=m, eta_sup=1.0)
+        m = find_min_m(1.0)
+        p = WeightParams(s=1.0, lam=1.0, m=m)
         tb = tables_for(p, nt=256)
         rep = check_weight_chain(tb, 1.0 - 2.0 / 256)
         assert rep.all_finite, rep.ratios
 
     def test_kappa_over_mu3_at_most_one(self):
         # kappa/mu3 = e^{s(ahat - astar)} <= 1 since ahat <= astar
-        m = find_min_m(1.0, 1.0)
-        tb = tables_for(WeightParams(1.0, 1.0, m, 1.0), nt=128)
+        m = find_min_m(1.0)
+        tb = tables_for(WeightParams(1.0, 1.0, m), nt=128)
         rep = check_weight_chain(tb, 1.0 - 2.0 / 128)
         assert rep.ratios["kappa_over_mu3"] <= 1.0 + 1e-12
 
     def test_doubling_s_keeps_chain_finite(self):
-        m = find_min_m(1.0, 1.0)
-        tb = tables_for(WeightParams(2.0, 1.0, m, 1.0), nt=256)
+        m = find_min_m(1.0)
+        tb = tables_for(WeightParams(2.0, 1.0, m), nt=256)
         rep = check_weight_chain(tb, 1.0 - 2.0 / 256)
         assert rep.all_finite
 
     def test_gap_violation_reported_not_raised(self):
         # m barely above 4 violates the gap; rho3/mu2^2 must blow up
-        tb = tables_for(WeightParams(1.0, 1.0, 4.2, 1.0), nt=128)
+        tb = tables_for(WeightParams(1.0, 1.0, 4.2), nt=128)
         rep = check_weight_chain(tb, 1.0 - 2.0 / 128)
         assert not rep.all_finite
         assert not np.isfinite(rep.ratios["rho3_over_mu2_sq"])
@@ -252,24 +240,24 @@ class TestChain:
 
 class TestControlWeightProfile:
     def test_normalized_clipped_monotone(self):
-        m = find_min_m(1.0, 1.0)
-        tb = tables_for(WeightParams(1.0, 1.0, m, 1.0), nt=64)
+        m = find_min_m(1.0)
+        tb = tables_for(WeightParams(1.0, 1.0, m), nt=64)
         lw = control_weight_logs(tb, 1.0 - 2.0 / 64)
         assert lw.min() == 0.0
         assert np.all(np.isfinite(lw))
         assert np.all(np.diff(lw) >= -1e-12)
 
     def test_t_clip_freeze(self):
-        m = find_min_m(1.0, 1.0)
-        tb = tables_for(WeightParams(1.0, 1.0, m, 1.0), nt=64)
+        m = find_min_m(1.0)
+        tb = tables_for(WeightParams(1.0, 1.0, m), nt=64)
         lw = control_weight_logs(tb, 0.5)
         k = np.searchsorted(tb.t, 0.5)
         assert np.all(lw[k:] == lw[k])
 
 
 def test_csv_export_columns(tmp_path):
-    m = find_min_m(1.0, 1.0)
-    tb = tables_for(WeightParams(1.0, 1.0, m, 1.0), nt=32)
+    m = find_min_m(1.0)
+    tb = tables_for(WeightParams(1.0, 1.0, m), nt=32)
     path = tmp_path / "weights.csv"
     export_weight_csv(tb, path)
     header = path.read_text().splitlines()[0]
@@ -290,3 +278,6 @@ def test_weight_params_validation():
         WeightParams(lam=0.0)
     with pytest.raises(DomainError):
         WeightParams(m=4.0)
+    for lam in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError, match="lambda must be positive"):
+            find_min_m(lam)
