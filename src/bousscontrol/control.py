@@ -12,26 +12,14 @@ spread exactly (the Hessian becomes I + (1/eps) (L W^-1)^T (L W^-1)); the
 reduced gradient in v-space is w^2 v + 1~_omega zeta with zeta the adjoint
 stage driven by terminal data (y(T)/eps, theta(T)/eps).
 
-An eps sweep is solved by one multi-shift CG.  Every member's Hessian is
-I + M/eps with the same M, and its right-hand side is -(1/eps) c with c
-independent of eps; times eps/eps_seed, member eps becomes the shifted system
-(H_seed + delta I) z = b_seed with delta = eps/eps_seed - 1 >= 0, where the
-seed is the smallest eps.  All members therefore share the seed's Krylov space
-and are solved for the cost of the seed alone (Jegerlehner, hep-lat/9612014).
-The terminal state T(z) of the forward run from zero with the controls of z is
-linear in z, and every Hessian apply forms T(p) of the seed's direction p, so a
-member carries T(z) and T(p) beside z and p with the same recurrences; its
-terminal norm is that of the free terminal state plus T(z), with no forward
-run of its own.
-
 The inverse weight w^-1 is exactly 0 where the Carleman weight is past the
 double range, so the controls of z vanish on those steps whatever z is, and
 the Hessian is the identity there: b, and so every CG vector, is 0 on them.
-So z, p, r, H p, the shift members, the recycle pairs and zeta hold one row
-per live step, where w^-1 > 0 (``ControlTrajectory``), as they hold only the
-patch's box in space; the forward runs read row i as the control of the i-th
-live step, and the adjoint runs of the Hessian read zeta back on those steps
-only.  At default parameters that is 65 of 128 steps.
+So z, p, r, H p, the recycle pairs and zeta hold one row per live step,
+where w^-1 > 0 (``ControlTrajectory``), as they hold only the patch's box in
+space; the forward runs read row i as the control of the i-th live step, and
+the adjoint runs of the Hessian read zeta back on those steps only.  At
+default parameters that is 65 of 128 steps.
 
 Nonlinear problem: outer source-term fixed point.  At iterate k all nonlinear
 and nonlocal terms of the previous controlled run are frozen into (F1, F2) of
@@ -41,15 +29,31 @@ validated by an independent nonlinear re-simulation.  The frozen sources are
 made once per pass in the form the linear sweeps add them, so no sweep step
 transforms a source (``_frozen_sources``).
 
-Only the right-hand side changes between those solves, so the problem keeps a
-recycle space W of at most RECYCLE_K CG directions, each stored with its
-product H w (two control vectors per direction) and made H-orthonormal after
-every solve.  It fills with the directions of the first passes and is then
-frozen.  A warm solve Galerkin-projects its start onto W and runs deflated CG,
-whose directions are kept H-orthogonal to W with the stored H W (Saad, Yeung,
-Erhel & Guyomarc'h, SIAM J. Sci. Comput. 21, 2000); it stops at cg_tol times
-the unprojected |b - H z|.  Neither step applies H, so every CG iteration is
-still one forward and one adjoint sweep.
+Every problem keeps a recycle space W of at most RECYCLE_K CG directions,
+each stored with its product H w (two control vectors per direction) and the
+terminal state T(w) of the forward run from zero with its controls, and made
+H-orthonormal after every solve.  It fills with the directions of the first
+solves and is then frozen.  A solve that continues from an earlier z, or
+starts from z = 0 with a non-empty space, Galerkin-projects its start onto W
+and runs deflated CG, whose directions are kept H-orthogonal to W with the
+stored H W (Saad, Yeung, Erhel & Guyomarc'h, SIAM J. Sci. Comput. 21, 2000);
+it stops at cg_tol times the unprojected |b - H z|.  Neither step applies H,
+so every CG iteration is still one forward and one adjoint sweep.  T(z) is
+linear in z, so CG carries it beside z from the T(p) that each Hessian apply
+forms and from T(W); the terminal norm of z's controls is that of the free
+terminal state plus T(z), with no forward run of its own.
+
+The space serves two sequences of solves (Krylov recycling: Parks, de
+Sturler, Mackey, Johnson & Maiti, SIAM J. Sci. Comput. 28, 2006).  On the
+outer passes only the right-hand side changes.  Along an eps sweep the
+Hessian I + M/eps and the right-hand side -(1/eps) c change together:
+with a = eps/eps', H_eps' = a H_eps + (1 - a) I and b_eps' = a b_eps, so
+the problem is rescaled in place (``LinearControlProblem.rescale``) and the
+stored pairs are made H-orthonormal again, with no sweep.  The smallest eps
+is solved first by plain CG; a larger one then starts from z = 0, and its
+projection onto W meets the stop at once when the seed's space spans its
+solution, or deflated CG of its own finishes it; a member's cg_iters counts
+that CG alone.
 
 Large-time pipeline: free decay until the energy crosses delta, then the
 nonlinear synthesis on the remaining short horizon.
@@ -157,12 +161,11 @@ class ControlTrajectory:
         for mine, theirs in self._pairs(x):
             mine += a * theirs
 
-    def xpby(self, x: "ControlTrajectory", b: float, a: float = 1.0) -> None:
-        """self = a x + b self in place; with a = 1 it rounds exactly like
-        ``x.plus(self, b)``."""
+    def xpby(self, x: "ControlTrajectory", b: float) -> None:
+        """self = x + b self in place; rounds exactly like ``x.plus(self, b)``."""
         for mine, theirs in self._pairs(x):
             mine *= b
-            mine += theirs if a == 1.0 else a * theirs
+            mine += theirs
 
 
 def control_inner(a: ControlTrajectory, b: ControlTrajectory, grid: GridSpec,
@@ -257,28 +260,50 @@ def weighted_control_energy(c: ControlTrajectory, logw: np.ndarray,
     return total * grid.cell_area * dt
 
 
-RECYCLE_K = 16     # the most CG directions a recycling problem keeps
+RECYCLE_K = 16     # the most CG directions a problem keeps
+
+
+def _chunks(store: np.ndarray) -> list:
+    """Slices of the columns of ``store``, 4096 at a time."""
+    return [slice(j, j + 4096) for j in range(0, store.shape[1], 4096)]
+
+
+def _unflatten(flat: np.ndarray, shapes) -> list:
+    """The consecutive blocks of ``flat`` as arrays of ``shapes`` (views)."""
+    parts, start = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        parts.append(flat[start:start + n].reshape(shape))
+        start += n
+    return parts
 
 
 class RecycleSpace:
-    """The deflation space W of a re-solved problem and its products H W.
+    """The deflation space W of a re-solved problem, its products H W and
+    its terminal states T(W).
 
     Each pair is a CG direction p and H p, scaled by 1 / sqrt(<p, H p>) and
     stored flat (the box's vu, vv, v0 entries of the ``live`` steps in turn,
-    as ``ControlTrajectory`` holds them) as one row of ``w``
-    and one of ``hw`` (RECYCLE_K rows each; a row's pages are touched when
-    it is written).  Pairs that a solve adds stay pending until ``commit``
-    H-orthonormalises them with the kept ones, so a solve deflates with the
-    space it started from; once RECYCLE_K pairs are kept the space is frozen.
+    as ``ControlTrajectory`` holds them) as one row of ``w`` and one of
+    ``hw``; T(p), the terminal state of the forward run from zero with the
+    controls of p, is scaled alike and stored flat (u, v, theta in turn) as
+    the row of ``tw``.  Each holds RECYCLE_K rows, and a row's pages are
+    touched when it is written.  Pairs that a solve adds stay pending until
+    ``commit`` H-orthonormalises them with the kept ones, so a solve
+    deflates with the space it started from; once RECYCLE_K pairs are kept
+    the space is frozen.  ``rescale`` makes the pairs those of a H + (1 - a) I,
+    the Hessian of another eps; T does not depend on eps.
     """
 
-    def __init__(self, box, live: np.ndarray, scale: float):
+    def __init__(self, box, live: np.ndarray, scale: float, terminal_shapes):
         self.box, self.live = box, live
         rows = np.count_nonzero(live)
         self.shapes = [(rows,) + tuple(s.stop - s.start for s in b) for b in box]
+        self.terminal_shapes = terminal_shapes
         self.scale = scale                # the control inner product's weight
         n = sum(math.prod(shape) for shape in self.shapes)
         self.w, self.hw = np.empty((RECYCLE_K, n)), np.empty((RECYCLE_K, n))
+        self.tw = np.empty((RECYCLE_K, sum(math.prod(s) for s in terminal_shapes)))
         self.size = 0                     # rows kept
         self.rows = 0                     # rows kept or pending
 
@@ -286,96 +311,91 @@ class RecycleSpace:
         return self.size
 
     def _split(self, flat) -> ControlTrajectory:
-        parts, start = [], 0
-        for shape in self.shapes:
-            n = math.prod(shape)
-            parts.append(flat[start:start + n].reshape(shape))
-            start += n
-        return ControlTrajectory(*parts, self.box, self.live)
+        return ControlTrajectory(*_unflatten(flat, self.shapes), self.box, self.live)
 
-    @staticmethod
-    def _flat(x: ControlTrajectory) -> np.ndarray:
-        return np.concatenate([part.ravel() for part in x.parts])
-
-    def add(self, p: ControlTrajectory, hp: ControlTrajectory, php: float) -> None:
-        """Keep the pair (p, H p), scaled to <w, H w> = 1, while there is room."""
+    def add(self, p: ControlTrajectory, hp: ControlTrajectory, tp: tuple,
+            php: float) -> None:
+        """Keep the pair (p, H p) and T(p), scaled to <w, H w> = 1, while
+        there is room."""
         if self.rows < RECYCLE_K:
             s = 1.0 / math.sqrt(php)
-            for store, x in ((self.w, p), (self.hw, hp)):
-                np.multiply(self._flat(x), s, out=store[self.rows])
+            for store, shapes, parts in ((self.w, self.shapes, p.parts),
+                                         (self.hw, self.shapes, hp.parts),
+                                         (self.tw, self.terminal_shapes, tp)):
+                for row, part in zip(_unflatten(store[self.rows], shapes), parts):
+                    np.multiply(part, s, out=row)
             self.rows += 1
+
+    def _gram(self, other: np.ndarray) -> np.ndarray:
+        """<W, rows of ``other``> over the rows kept or pending, on columns
+        4096 at a time, which bounds the temporaries (as in ``_rotate``)."""
+        w, o = self.w[:self.rows], other[:self.rows]
+        return sum(w[:, c] @ o[:, c].T for c in _chunks(w)) * self.scale
+
+    def _rotate(self, gram: np.ndarray, a: float = 1.0) -> None:
+        """With gram = V diag(lam) V^T, make W (and H W and T(W) alike)
+        W V diag(lam)^-1/2, dropping eigenvalues below 1e-12 of the largest,
+        and keep every row; with ``a``, H W becomes a H W + (1 - a) W of the
+        rotated rows."""
+        lam, vec = np.linalg.eigh(0.5 * (gram + gram.T))
+        keep = lam > 1e-12 * lam[-1]
+        rotate = (vec[:, keep] / np.sqrt(lam[keep])).T
+        k = len(rotate)
+        for c in _chunks(self.w):
+            w, hw = rotate @ self.w[:self.rows, c], rotate @ self.hw[:self.rows, c]
+            if a != 1.0:
+                hw *= a
+                hw += (1.0 - a) * w
+            self.w[:k, c], self.hw[:k, c] = w, hw
+        for c in _chunks(self.tw):
+            self.tw[:k, c] = rotate @ self.tw[:self.rows, c]
+        self.size = self.rows = k
 
     def commit(self) -> None:
         """Join the pending pairs to the kept ones and make the lot
-        H-orthonormal: with W^T H W = V diag(lam) V^T, W becomes
-        W V diag(lam)^-1/2 (and H W alike), where eigenvalues below 1e-12 of
-        the largest are dropped.  CG loses conjugacy within a solve, so the
-        raw directions can be far from orthonormal; a second pass removes
-        the rounding that the first one amplifies.  Both products run on
-        columns 4096 at a time, which bounds their temporaries."""
-        if self.rows == self.size:
-            return
-        chunks = [slice(j, j + 4096) for j in range(0, self.w.shape[1], 4096)]
-        for _ in range(2):
-            w, hw = self.w[:self.rows], self.hw[:self.rows]
-            gram = sum(w[:, c] @ hw[:, c].T for c in chunks) * self.scale
-            lam, vec = np.linalg.eigh(0.5 * (gram + gram.T))
-            keep = lam > 1e-12 * lam[-1]
-            rotate = (vec[:, keep] / np.sqrt(lam[keep])).T
-            for store in (self.w, self.hw):
-                for c in chunks:
-                    store[:len(rotate), c] = rotate @ store[:self.rows, c]
-            self.rows = len(rotate)
-        self.size = self.rows
+        H-orthonormal by rotating with their W^T H W.  CG loses conjugacy
+        within a solve, so the raw directions can be far from orthonormal;
+        a second pass removes the rounding that the first one amplifies."""
+        if self.rows > self.size:
+            for _ in range(2):
+                self._rotate(self._gram(self.hw))
+
+    def rescale(self, a: float) -> None:
+        """Make the pairs those of a H + (1 - a) I: every H w becomes
+        a H w + (1 - a) w, and T(w) stays.  For H-orthonormal W the new
+        W^T (a H + (1 - a) I) W is a I + (1 - a) W^T W, whose eigenvalues lie
+        between a and 1 (H >= I), so one rotation by it makes the pairs
+        H-orthonormal again."""
+        self.commit()
+        if self.size:
+            self._rotate(a * np.eye(self.size) + (1.0 - a) * self._gram(self.w), a)
 
     def inner(self, x: ControlTrajectory, products: bool = False) -> np.ndarray:
         """<W, x>, or <H W, x> with ``products``."""
-        rows, flat = (self.hw if products else self.w)[:self.size], self._flat(x)
+        rows = (self.hw if products else self.w)[:self.size]
+        flat = np.concatenate([part.ravel() for part in x.parts])
         return np.array([row @ flat for row in rows]) * self.scale
 
-    def combination(self, mu: np.ndarray, products: bool = False) -> ControlTrajectory:
-        """W mu, or H W mu with ``products``."""
-        rows = (self.hw if products else self.w)[:self.size]
+    def _sum(self, store: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        rows = store[:self.size]
         flat = mu[0] * rows[0]
         for m, row in zip(mu[1:], rows[1:]):
             flat += m * row
-        return self._split(flat)
+        return flat
 
+    def combination(self, mu: np.ndarray, products: bool = False) -> ControlTrajectory:
+        """W mu, or H W mu with ``products``."""
+        return self._split(self._sum(self.hw if products else self.w, mu))
 
-@dataclass(eq=False)
-class ShiftMember:
-    """One eps of a multi-shift solve: (H_seed + delta I) z = b_seed.
-
-    Its residual is zeta times the seed's, so it freezes once
-    |zeta_k| |r_k| <= cg_tol |r_0|; ``cg_iters`` is that k.  A member other
-    than the main eps also carries ``tz`` = T(z) and ``tp`` = T(p) (module
-    docstring) as (u, v, theta) tuples; ``tp`` follows ``p`` one iteration
-    late, once a Hessian apply has formed T of the seed's new direction.  It
-    takes its terminal norm and control energy when it freezes and then
-    drops its vectors (``z`` becomes None).
-    """
-
-    eps: float
-    delta: float
-    z: ControlTrajectory | None
-    p: ControlTrajectory | None      # None for the seed: it moves along the shared p
-    j_history: list
-    zeta: float = 1.0
-    zeta_prev: float = 1.0
-    cg_iters: int = 0
-    terminal_norm: float = 0.0
-    control_energy: float = 0.0
-    tz: tuple | None = None
-    tp: tuple | None = None
-    p_coef: tuple | None = None    # (a, b) of its last update p <- a r + b p
+    def terminal(self, mu: np.ndarray) -> list:
+        """T(W mu) as [u, v, theta]."""
+        return _unflatten(self._sum(self.tw, mu), self.terminal_shapes)
 
 
 class LinearControlProblem:
-    """Penalized HUM quadratic for one linear configuration.
+    """Penalized HUM quadratic for one linear configuration, at the penalty
+    ``self.eps`` (``pen.epsilon`` until ``rescale`` moves it).
 
-    With an ``eps_sweep`` the problem's operators (``hessian_apply``, ``rhs``)
-    are those of the seed, the smallest eps among ``pen.epsilon`` and the
-    sweep; ``solve`` then also solves every sweep member (module docstring).
     ``hessian_apply`` keeps the terminal state T(z) it formed in
     ``self.terminal``, and ``rhs`` the free terminal state in
     ``self.free_terminal``.
@@ -383,25 +403,22 @@ class LinearControlProblem:
     Its vectors live on the patch's box ``self.box``, as do ``self.bumps``,
     and on the steps ``self.live`` where w^-1 > 0, one row each
     (``ControlTrajectory``); ``self.masks`` are the whole-grid supports
-    bump > 0.  ``self.sources``
-    holds the physical (f1, f2) as the propagator takes them
-    (``LinearPropagator.source_modes``) and may be replaced between solves
-    by sources in that form: only ``rhs`` depends on them.  A
-    single-eps problem built with ``recycle`` keeps the ``RecycleSpace``
-    ``self.space`` across its solves; any other problem's is None.
+    bump > 0.  ``self.sources`` holds the physical (f1, f2) as the
+    propagator takes them (``LinearPropagator.source_modes``) and may be
+    replaced between solves by sources in that form: only b depends on
+    them, and a solve takes b from ``rhs`` the first time after they are
+    set (``self.b``).  The problem keeps the ``RecycleSpace``
+    ``self.space`` across its solves, and ``rescale`` makes it the problem
+    of the next eps of a sweep, whose ``solve`` counts in ``iters`` only the
+    CG it runs after its projection onto that space.
     """
 
     def __init__(self, y0, th0, f1, f2, pen: PenaltySpec, logw: np.ndarray,
                  grid: GridSpec, tgrid: TimeGrid, nu0: float, bumps,
-                 coupling: float | None = None, eps_sweep=(), recycle: bool = False):
-        for eps in eps_sweep:
-            _check_eps(eps)
-        if recycle and eps_sweep:
-            raise DomainError("a recycle space needs a single-eps problem")
+                 coupling: float | None = None):
         self.grid, self.tgrid = grid, tgrid
         self.pen = pen
-        self.eps_sweep = tuple(eps_sweep)
-        self.eps = min((pen.epsilon,) + self.eps_sweep)
+        self.eps = pen.epsilon
         self.logw = logw
         w_inv = np.exp(-logw)
         self.live = w_inv > 0.0         # the steps where controls of z can be nonzero
@@ -416,12 +433,37 @@ class LinearControlProblem:
             *(f1 if f1 is not None else (None, None)), f2)
         self.forward_sweeps = 0
         self.adjoint_sweeps = 0
-        self.members: dict[float, ShiftMember] = {}
-        self.hz: ControlTrajectory | None = None   # H z of the last single-eps solve
+        self.z = self.tz = self.hz = None    # z, T(z) and H z of the last solve
         self.terminal = self.free_terminal = None
-        self.space = RecycleSpace(self.box, self.live, grid.cell_area * tgrid.dt) \
-            if recycle else None
+        self.space = RecycleSpace(self.box, self.live, grid.cell_area * tgrid.dt,
+                                  [a.shape for a in (grid.zeros_u(), grid.zeros_v(),
+                                                     grid.zeros_cells())])
         self.passes = 0                             # solves begun
+
+    @property
+    def sources(self):
+        return self._sources
+
+    @sources.setter
+    def sources(self, sources) -> None:
+        self._sources = sources
+        self.b = self.free_tnorm_sq = None     # b and |free terminal|^2 of them
+
+    def rescale(self, eps: float) -> None:
+        """Make this the problem of penalty ``eps`` in place.  With
+        a = self.eps / eps, the Hessian I + M/eps is a H + (1 - a) I and b is
+        a b, so the kept b and the recycle space's products move with no
+        sweep (``RecycleSpace.rescale``); the free terminal state and the
+        stored T(w) do not depend on eps.  The next solve starts from
+        z = 0."""
+        _check_eps(eps)
+        a = self.eps / eps
+        self.eps, self.pen = eps, replace(self.pen, epsilon=eps)
+        if self.b is not None:
+            for part in self.b.parts:
+                part *= a
+        self.space.rescale(a)
+        self.z = self.tz = self.hz = None
 
     # -- building blocks ----------------------------------------------------
 
@@ -481,157 +523,97 @@ class LinearControlProblem:
 
     # -- CG minimization in z -----------------------------------------------
 
-    def _freeze(self, m: ShiftMember) -> None:
-        m.p = None
-        if m.eps != self.pen.epsilon:
-            final = (f + t for f, t in zip(self.free_terminal, m.tz))
-            m.terminal_norm = float(np.sqrt(ops.state_norm_sq(*final, self.grid)))
-            m.control_energy = control_inner(m.z, m.z, self.grid, self.tgrid.dt)
-            m.z = m.tz = m.tp = None
-
     def _fail(self, what: str, history) -> None:
-        raise ConvergenceError(f"CG on pass {self.passes}: {what}", history=history)
+        raise ConvergenceError(f"CG at eps = {self.eps:g} on pass {self.passes}: {what}",
+                               history=history)
 
     def solve(self):
-        """CG on the seed system, carrying every other eps as a shifted system.
+        """CG on H z = b; returns (z, controls, iters, j_history, free
+        terminal norm).
 
-        Returns (z, controls, iters, j_history, free terminal norm) of
-        ``pen.epsilon``; every distinct eps, the main one included, is left
-        in ``self.members``.
-
-        A single-eps problem keeps H z = b - r of its last solve in
-        ``self.hz``, and its next solve continues from that z: r0 = b - H z
-        and J(z) = 1/2 <H z, z> - <b, z> + J(0) take no Hessian apply and no
-        forward run beyond ``rhs``.  With a non-empty recycle space that z is
-        first Galerkin-projected onto it, J is taken there, and CG is
-        deflated (module docstring).  An eps-sweep problem starts every solve
-        from z = 0 and keeps no copy of b; its members other than the main
-        eps take T(z) from the Hessian applies (module docstring), so the
-        solve runs rhs's forward run and one per iteration.  A non-finite
-        residual or curvature raises ConvergenceError naming the pass.
+        It continues from the z of the last solve, kept with its H z = b - r
+        in ``self.hz``: r0 = b - H z and J(z) = 1/2 <H z, z> - <b, z> + J(0)
+        take no Hessian apply and no forward run.  After ``rescale`` it starts
+        from z = 0, so it stops at cg_tol |b| as a fresh problem does.  With a
+        non-empty recycle space z is first Galerkin-projected onto it, J is
+        taken there, and CG is deflated (module docstring).  T(z) rides
+        beside z in ``self.tz``.  A non-finite residual or curvature raises
+        ConvergenceError naming the eps and the pass.
         """
-        grid, dt, pen = self.grid, self.tgrid.dt, self.pen
+        grid, dt, pen, space = self.grid, self.tgrid.dt, self.pen, self.space
         self.passes += 1
-        b, free_tnorm_sq = self.rhs()
-        j0 = 0.5 * free_tnorm_sq / self.eps
+        if self.b is None:
+            self.b, self.free_tnorm_sq = self.rhs()
+        b = self.b
+        j0 = 0.5 * self.free_tnorm_sq / self.eps
         hz, self.hz = self.hz, None
-        if hz is not None:
-            z = self.members[pen.epsilon].z
-            r = b.plus(hz, -1.0)
-        else:
-            z = ControlTrajectory.zeros(grid, self.tgrid.nt, self.box, self.live)
-            r, b = (b, None) if self.eps_sweep else (b.copy(), b)
+        z, tz, r = (None, None, b.copy()) if hz is None else (
+            self.z, self.tz, b.plus(hz, -1.0))
         rr = control_inner(r, r, grid, dt)
         gnorm0 = np.sqrt(rr)
         if not math.isfinite(gnorm0):
             self._fail(f"non-finite residual |b - H z| = {gnorm0}", [j0])
         tol = pen.cg_tol * gnorm0
-        space = self.space
-        deflate = space is not None and len(space) > 0 and hz is not None
-        if deflate:
+        deflate = len(space) > 0
+        if deflate:             # z + W mu, or W mu itself from z = 0
             mu = space.inner(r)
-            hw_mu = space.combination(mu, products=True)
-            z.axpy(1.0, space.combination(mu))
+            w_mu, hw_mu, t_mu = (space.combination(mu), space.combination(mu, products=True),
+                                 space.terminal(mu))
+            if z is None:
+                z, tz, hz = w_mu, t_mu, hw_mu
+            else:
+                z.axpy(1.0, w_mu)
+                for mine, t in zip(tz, t_mu):
+                    mine += t
+                hz.axpy(1.0, hw_mu)
             r.axpy(-1.0, hw_mu)
-            hz.axpy(1.0, hw_mu)
-            del hw_mu
+            del w_mu, hw_mu, t_mu
             rr = control_inner(r, r, grid, dt)
             if not math.isfinite(rr):
                 self._fail(f"non-finite projected residual |r|^2 = {rr}", [j0])
+        elif z is None:
+            z = ControlTrajectory.zeros(grid, self.tgrid.nt, self.box, self.live)
+            tz = [np.zeros_like(a) for a in self.free_terminal]
         if hz is not None:
             j0 += 0.5 * control_inner(hz, z, grid, dt) - control_inner(b, z, grid, dt)
         del hz
-        p = r.copy()
-        seed = ShiftMember(self.eps, 0.0, z, None, [j0])
-        del z
-        active = [seed] + [
-            ShiftMember(eps, eps / self.eps - 1.0,
-                        ControlTrajectory.zeros(grid, self.tgrid.nt, self.box, self.live),
-                        p.copy(),
-                        [0.5 * free_tnorm_sq / eps])
-            for eps in sorted(set((pen.epsilon,) + self.eps_sweep) - {self.eps})]
-        self.members = {m.eps: m for m in active}
-        # members other than the main eps carry T(z); they exist only without
-        # a recycle space, so r = p - beta p_prev holds (no deflation)
-        for m in active:
-            if m.eps != pen.epsilon:
-                m.tz = tuple(np.zeros_like(a) for a in self.free_terminal)
-        tp_prev = None
+        j_history = [j0]
+        iters = 0
         if np.sqrt(rr) > tol if deflate else gnorm0 > 0.0:
+            p = r.copy()
             if deflate:
                 p.axpy(-1.0, space.combination(space.inner(r, products=True)))
-            alpha_prev, beta_prev = 1.0, 0.0
-            for it in range(1, pen.cg_max_iters + 1):
+            for iters in range(1, pen.cg_max_iters + 1):
                 hp = self.hessian_apply(p)
                 php = control_inner(p, hp, grid, dt)
                 if not math.isfinite(php):
-                    self._fail(f"non-finite curvature <p, H p> = {php}", seed.j_history)
+                    self._fail(f"non-finite curvature <p, H p> = {php}", j_history)
                 if php <= 0.0:
-                    self._fail("curvature lost (operator not SPD?)", seed.j_history)
-                if space is not None:
-                    space.add(p, hp, php)
+                    self._fail("curvature lost (operator not SPD?)", j_history)
+                tp = self.terminal
+                space.add(p, hp, tp, php)
                 alpha = rr / php
-                if any(m.tz is not None for m in active):
-                    tp = self.terminal
-                    # T(r) of the residual that p was built from
-                    tr = tp if tp_prev is None else tuple(
-                        x - beta_prev * y for x, y in zip(tp, tp_prev))
-                    tp_prev = tp
-                for m in active:
-                    zeta = (m.zeta * m.zeta_prev * alpha_prev
-                            / (alpha * beta_prev * (m.zeta_prev - m.zeta)
-                               + m.zeta_prev * alpha_prev * (1.0 + m.delta * alpha)))
-                    alpha_m = alpha * zeta / m.zeta
-                    m.z.axpy(alpha_m, p if m.p is None else m.p)
-                    if m.tz is not None:
-                        if m.p is not None:      # T(p) of the p moved along below
-                            m.tp = tr if m.p_coef is None else tuple(
-                                m.p_coef[0] * x + m.p_coef[1] * y
-                                for x, y in zip(tr, m.tp))
-                        for mine, t in zip(m.tz, tp if m.p is None else m.tp):
-                            mine += alpha_m * t
-                    m.j_history.append(m.j_history[-1] - 0.5 * alpha_m * m.zeta ** 2
-                                       * rr / (1.0 + m.delta))
-                    m.zeta_prev, m.zeta = m.zeta, zeta
-                    m.cg_iters = it
+                z.axpy(alpha, p)
+                for mine, t in zip(tz, tp):
+                    mine += alpha * t
+                j_history.append(j_history[-1] - 0.5 * alpha * rr)
                 r.axpy(-alpha, hp)
                 del hp
                 rr_new = control_inner(r, r, grid, dt)
-                rnorm = np.sqrt(rr_new)
-                still = []
-                for m in active:
-                    if abs(m.zeta) * rnorm <= tol:
-                        self._freeze(m)
-                    else:
-                        still.append(m)
-                active = still
-                if not active:
-                    rr = rr_new
+                if np.sqrt(rr_new) <= tol:
                     break
-                beta = rr_new / rr
-                p.xpby(r, beta)
+                p.xpby(r, rr_new / rr)
                 if deflate:
                     p.axpy(-1.0, space.combination(space.inner(r, products=True)))
-                for m in active:
-                    if m.p is not None:
-                        m.p_coef = (m.zeta, beta * (m.zeta / m.zeta_prev) ** 2)
-                        m.p.xpby(r, m.p_coef[1], a=m.p_coef[0])
-                alpha_prev, beta_prev = alpha, beta
                 rr = rr_new
             else:
                 self._fail(f"stalled: |g|/|g0| = {np.sqrt(rr) / gnorm0:.3e} after "
-                           f"{pen.cg_max_iters} iterations", seed.j_history)
-        else:
-            for m in active:
-                self._freeze(m)
-        if space is not None:
-            space.commit()
-        if b is not None:
-            b.axpy(-1.0, r)
-            self.hz = b
-        main = self.members[pen.epsilon]
-        return (main.z, self.controls_from_z(main.z), main.cg_iters,
-                main.j_history, float(np.sqrt(free_tnorm_sq)))
+                           f"{pen.cg_max_iters} iterations", j_history)
+        space.commit()
+        r.xpby(b, -1.0)        # H z = b - r, in r's memory
+        self.z, self.tz, self.hz = z, tz, r
+        return (z, self.controls_from_z(z), iters, j_history,
+                float(np.sqrt(self.free_tnorm_sq)))
 
 
 def objective(controls: ControlTrajectory, y0, th0, f1, f2, pen: PenaltySpec,
@@ -678,38 +660,51 @@ def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
     Returns (controls, SynthesisReport); the report's uncontrolled terminal
     norm comes from the same data with controls off, and ``on_state`` sees the
     levels of the final controlled run.
-    Every eps in ``eps_sweep`` is solved by the same multi-shift CG, and its
-    report lands in ``report.sweep`` in the order given; a member equal to
-    ``pen.epsilon`` is the main solve itself.  All these reports count the
-    forward and adjoint sweeps of the one shared solve.
+    Every eps in ``eps_sweep`` is solved by one problem: the smallest of
+    them and ``pen.epsilon`` by plain CG from z = 0, then each other distinct
+    eps in ascending order after ``LinearControlProblem.rescale``, by
+    projection onto the recycle space and deflated CG where that leaves the
+    residual above cg_tol |b|.  A member's report lands in ``report.sweep``
+    in the order given; one equal to ``pen.epsilon`` is the main solve
+    itself.  Another member's ``cg_iters`` counts the CG iterations that it
+    ran after the projection, and its terminal norm is |free terminal
+    state + T(z)|, with no forward run of its own.  All these reports count
+    the forward and adjoint sweeps of the whole sweep.
     """
     t0 = time.perf_counter()
+    for eps in eps_sweep:
+        _check_eps(eps)
     logw = step_weight_logs(pen, weights, tgrid)
-    prob = LinearControlProblem(y0, th0, f1, f2, pen, logw, grid, tgrid, nu0,
-                                bumps, coupling, eps_sweep=eps_sweep)
-    z, controls, iters, j_hist, free_tnorm = prob.solve()
+    order = sorted(set((pen.epsilon,) + tuple(eps_sweep)))
+    prob = LinearControlProblem(y0, th0, f1, f2, replace(pen, epsilon=order[0]), logw,
+                                grid, tgrid, nu0, bumps, coupling)
+    members = {}
+    for eps in order:
+        if eps != prob.eps:
+            prob.rescale(eps)
+        z, controls, iters, j_hist, free_tnorm = prob.solve()
+        values = dict(control_energy_weighted=control_inner(z, z, grid, tgrid.dt),
+                      cg_iters=iters, eps=eps, j_history=j_hist)
+        if eps == pen.epsilon:
+            main = controls, values
+        else:
+            final = (f + t for f, t in zip(prob.free_terminal, prob.tz))
+            members[eps] = dict(values, terminal_norm=float(np.sqrt(
+                ops.state_norm_sq(*final, grid))))
+        del z, controls         # not held through the next member's solve
+    controls, values = main
     final = prob._terminal_of(controls, True, on_state)
     report = SynthesisReport(
         terminal_norm=float(np.sqrt(ops.state_norm_sq(*final, grid))),
-        control_energy_weighted=control_inner(z, z, grid, tgrid.dt),
-        cg_iters=iters,
         outer_iters=1,
-        eps=pen.epsilon,
         wall_time_s=time.perf_counter() - t0,
         uncontrolled_terminal_norm=free_tnorm,
         data_norm=float(np.sqrt(ops.state_norm_sq(y0[0], y0[1], th0, grid))),
         forward_sweeps=prob.forward_sweeps,
         adjoint_sweeps=prob.adjoint_sweeps,
-        j_history=j_hist,
+        **values,
     )
-    for eps in eps_sweep:
-        member = replace(report, sweep=[])
-        if eps != pen.epsilon:
-            m = prob.members[eps]
-            member = replace(member, terminal_norm=m.terminal_norm,
-                             control_energy_weighted=m.control_energy,
-                             cg_iters=m.cg_iters, eps=eps, j_history=m.j_history)
-        report.sweep.append(member)
+    report.sweep = [replace(report, sweep=[], **members.get(eps, {})) for eps in eps_sweep]
     return controls, report
 
 
@@ -781,8 +776,7 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
     dt = tgrid.dt
     logw = step_weight_logs(pen, weights, tgrid)
     prob = LinearControlProblem(y0, th0, None, None, pen, logw, grid, tgrid,
-                                spec.law.nu0, bumps, coupling=spec.buoyancy,
-                                recycle=True)
+                                spec.law.nu0, bumps, coupling=spec.buoyancy)
     controls_prev = ControlTrajectory.zeros(grid, tgrid.nt, prob.box, prob.live)
     updates: list[float] = []
     cg_per_pass: list[int] = []

@@ -90,8 +90,10 @@ def energy_trace_csv(path, trace: EnergyTrace, preamble: str = "") -> None:
 
 def sweep_csv(path, members, preamble: str = "") -> None:
     """One row per eps-sweep member report (``SynthesisReport``): eps, CG
-    iterations, J_eps (the last ``j_history`` entry), the terminal norm,
-    that norm over sqrt(eps) and the weighted control energy."""
+    iterations (those the member ran itself, after its projection onto the
+    recycle space; ``control.solve_linear_control``), J_eps (the last
+    ``j_history`` entry), the terminal norm, that norm over sqrt(eps) and
+    the weighted control energy."""
     _write_csv(path, ["eps", "cg_iters", "j_eps", "terminal_norm",
                       "terminal_over_sqrt_eps", "control_energy_weighted"],
                zip(*[(m.eps, m.cg_iters, m.j_history[-1], m.terminal_norm,

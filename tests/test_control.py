@@ -2,13 +2,16 @@
 solves, support/decay invariants, the large-time pipeline."""
 
 import copy
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bousscontrol import control, forward
+from bousscontrol.config import parse_config_text
 from bousscontrol.control import (ControlTrajectory, LinearControlProblem,
                                   OuterLoopSpec, PenaltySpec, _freezer,
                                   control_inner, control_norm, gradient,
@@ -23,7 +26,8 @@ from bousscontrol.geometry import (ControlPatch, bump_on_solver_grids, build_eta
                                    control_box, grid_box)
 from bousscontrol.grids import GridSpec, TimeGrid
 from bousscontrol.operators import FOLD_MIN, ModalBasis, ViscosityLaw, state_norm_sq
-from bousscontrol.runner import _synthesis_section
+from bousscontrol.fieldio import parse_report
+from bousscontrol.runner import _synthesis_section, run_experiment
 from bousscontrol.weights import WeightParams, eval_weights, find_min_m
 
 from conftest import (PhysicalLinear, Recorder, full_row_hessian_apply, max_rel_diff,
@@ -248,8 +252,10 @@ class TestLinearControl:
 
 
 class TestSharedSweepSolve:
-    """The eps sweep rides on one multi-shift CG; every member must match a
-    separate single-eps solve."""
+    """The eps sweep is one problem: the smallest eps by plain CG, every
+    other by projection onto the recycle space and deflated CG after
+    ``LinearControlProblem.rescale``; every member must match a separate
+    single-eps solve."""
 
     CG_TOL = 1e-8
 
@@ -261,29 +267,49 @@ class TestSharedSweepSolve:
         y0 = (grid16.zeros_u(), grid16.zeros_v())
         return grid16, tg, bumps16, y0, 0.1 * sine_theta(grid16, 1.0), tables
 
+    @staticmethod
+    def applies_per_eps(monkeypatch):
+        """Count the Hessian applies of every problem by its eps."""
+        counts: dict = {}
+        exact = LinearControlProblem.hessian_apply
+
+        def counting(prob, z):
+            counts[prob.eps] = counts.get(prob.eps, 0) + 1
+            return exact(prob, z)
+
+        monkeypatch.setattr(LinearControlProblem, "hessian_apply", counting)
+        return counts
+
     @pytest.mark.parametrize("main_eps, sweep", [
         (1e-6, (1e-2, 1e-4, 1e-6)),   # main is the seed and a sweep member
         (1e-4, (1e-6, 1e-2)),         # main is not the smallest
         (1e-3, (1e-2, 1e-5)),         # main is not in the sweep
     ])
-    def test_members_match_separate_solves(self, case, main_eps, sweep):
+    def test_members_match_separate_solves(self, case, main_eps, sweep, monkeypatch):
         grid, tg, bumps, y0, th0, tables = case
         pen = PenaltySpec(epsilon=main_eps, weight_mode="carleman",
                           cg_tol=self.CG_TOL)
+        applies = self.applies_per_eps(monkeypatch)
         _, rep = solve_linear_control(y0, th0, None, None, pen, tables,
                                       grid, tg, 0.05, bumps, eps_sweep=sweep)
+        applies = dict(applies)
+        seed = min(sweep + (main_eps,))
         assert [m.eps for m in rep.sweep] == list(sweep)
         for member in [rep] + rep.sweep:
             _, alone = solve_linear_control(
                 y0, th0, None, None, replace(pen, epsilon=member.eps), tables,
                 grid, tg, 0.05, bumps)
-            assert member.cg_iters == alone.cg_iters
+            # a member's cg_iters are the CG iterations it ran after its
+            # projection, one Hessian apply each
+            assert member.cg_iters == applies.get(member.eps, 0)
+            if member.eps == seed:
+                assert member.cg_iters == alone.cg_iters
             assert member.terminal_norm == pytest.approx(
                 alone.terminal_norm, rel=1e3 * self.CG_TOL)
             assert member.control_energy_weighted == pytest.approx(
                 alone.control_energy_weighted, rel=1e3 * self.CG_TOL)
             assert member.uncontrolled_terminal_norm == alone.uncontrolled_terminal_norm
-            if member.eps == min(sweep + (main_eps,)) == main_eps:
+            if member.eps == seed == main_eps:
                 # the seed's arithmetic is that of plain CG
                 assert member.terminal_norm == alone.terminal_norm
 
@@ -293,10 +319,11 @@ class TestSharedSweepSolve:
         _, rep = solve_linear_control(y0, th0, None, None, pen, tables,
                                       grid, tg, 0.05, bumps,
                                       eps_sweep=(1e-2, 1e-4, 1e-6))
-        # rhs + one per CG iteration; forward adds the final controlled run,
-        # and the members take their terminal states from the CG's own runs
-        assert rep.adjoint_sweeps == rep.cg_iters + 1
-        assert rep.forward_sweeps == rep.cg_iters + 2
+        # rhs + one per CG iteration of every member; forward adds the final
+        # controlled run, and the members take their terminal states from T(z)
+        cg = sum(member.cg_iters for member in rep.sweep)
+        assert rep.adjoint_sweeps == cg + 1
+        assert rep.forward_sweeps == cg + 2
         for member in rep.sweep:
             assert (member.forward_sweeps, member.adjoint_sweeps) == (
                 rep.forward_sweeps, rep.adjoint_sweeps)
@@ -308,27 +335,28 @@ class TestSharedSweepSolve:
                                                            "seed-not-main"])
     def test_member_terminal_norms_match_fresh_runs(self, case, main_eps,
                                                      monkeypatch):
-        # each member's terminal norm, built from the Hessian applies' T(p),
-        # equals a forward run of its own controls
+        # each member's terminal norm, built from T(z), equals a forward run
+        # of its own controls
         grid, tg, bumps, y0, th0, tables = case
-        freeze = LinearControlProblem._freeze
-        seen = []
+        solve = LinearControlProblem.solve
+        solved = {}
 
-        def spy(prob, m):
-            z = m.z
-            freeze(prob, m)
-            if m.eps != prob.pen.epsilon:
-                seen.append((m.eps, m.terminal_norm,
-                             prob.terminal_norm(prob.controls_from_z(z))))
+        def spy(prob):
+            out = solve(prob)
+            solved[prob.eps] = prob, out[1].copy()
+            return out
 
-        monkeypatch.setattr(LinearControlProblem, "_freeze", spy)
+        monkeypatch.setattr(LinearControlProblem, "solve", spy)
         pen = PenaltySpec(epsilon=main_eps, weight_mode="carleman", cg_tol=1e-8)
-        solve_linear_control(y0, th0, None, None, pen, tables, grid, tg, 0.05,
-                             bumps, eps_sweep=(1e-2, 1e-4, 1e-6))
-        assert sorted(eps for eps, _, _ in seen) == sorted(
-            {1e-2, 1e-4, 1e-6} - {main_eps})
-        for _, got, fresh in seen:
-            assert abs(got - fresh) <= 1e-12 * fresh
+        _, rep = solve_linear_control(y0, th0, None, None, pen, tables, grid, tg, 0.05,
+                                      bumps, eps_sweep=(1e-2, 1e-4, 1e-6))
+        assert sorted(solved) == [1e-6, 1e-4, 1e-2]
+        members = [m for m in rep.sweep if m.eps != main_eps]
+        assert sorted(m.eps for m in members) == sorted({1e-2, 1e-4, 1e-6} - {main_eps})
+        for member in members:
+            prob, controls = solved[member.eps]
+            fresh = prob.terminal_norm(controls)
+            assert abs(member.terminal_norm - fresh) <= 1e-12 * fresh
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_member_rejected(self, case, bad):
@@ -338,6 +366,110 @@ class TestSharedSweepSolve:
             solve_linear_control(y0, th0, None, None, pen, tables, grid, tg,
                                  0.05, bumps, eps_sweep=(1e-2, bad))
 
+
+def test_linear_sweep_workload_work_counts(tmp_path):
+    # the benchmark's linear-sweep workload at level 0 (its config text read
+    # from bench/workloads.py): the seed's 4 CG iterations are the only ones,
+    # as the other members meet their stop on projection, so the run makes
+    # rhs's and the final run's sweeps and one of each per iteration
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cfg = parse_config_text(workloads.config_text("linear-sweep", 0))
+    assert run_experiment(cfg, str(tmp_path)) == 0
+    rep = parse_report(tmp_path / "report.txt")
+    assert [rep[f"linear_control.{key}"] for key in (
+        "cg_iters", "forward_sweeps", "adjoint_sweeps")] == [4, 6, 5]
+    for i, eps in enumerate(cfg.eps_sweep):
+        member = parse_report(tmp_path / f"report_eps_{i}.txt")
+        assert member["linear_control.cg_iters"] == (4 if eps == cfg.pen.epsilon else 0)
+
+
+class TestSweepPastTheCap:
+    """A sweep whose seed runs past RECYCLE_K CG iterations: 16^2, nt = 32,
+    unweighted, cg_tol = 1e-6.  Its space no longer spans every member's
+    solution, so a member finishes with deflated CG of its own."""
+
+    CG_TOL = 1e-6
+    SWEEP = (1e-2, 1e-4, 1e-6)
+
+    @pytest.fixture
+    def case(self, grid16, bumps16):
+        tg = TimeGrid(1.0, 32)
+        y0 = (grid16.zeros_u(), grid16.zeros_v())
+        pen = PenaltySpec(epsilon=1e-6, weight_mode="unweighted", cg_tol=self.CG_TOL)
+        return (y0, 0.1 * sine_theta(grid16, 1.0), None, None, pen, None, grid16, tg,
+                0.05, bumps16)
+
+    @staticmethod
+    def alone(args, eps):
+        args = list(args)
+        args[4] = replace(args[4], epsilon=eps)
+        return solve_linear_control(*args)[1]
+
+    def test_members_match_separate_solves(self, case, monkeypatch):
+        solve = LinearControlProblem.solve
+        solved = {}
+
+        def spy(prob):
+            out = solve(prob)
+            solved[prob.eps] = prob, out[1].copy()
+            return out
+
+        monkeypatch.setattr(LinearControlProblem, "solve", spy)
+        _, rep = solve_linear_control(*case, eps_sweep=self.SWEEP)
+        monkeypatch.undo()
+        assert rep.cg_iters > control.RECYCLE_K
+        assert [m.eps for m in rep.sweep] == list(self.SWEEP)
+        for member in rep.sweep:
+            alone = self.alone(case, member.eps)
+            assert member.terminal_norm == pytest.approx(alone.terminal_norm,
+                                                         rel=1e3 * self.CG_TOL)
+            assert member.control_energy_weighted == pytest.approx(
+                alone.control_energy_weighted, rel=1e3 * self.CG_TOL)
+            if member.eps != rep.eps:
+                prob, controls = solved[member.eps]
+                fresh = prob.terminal_norm(controls)
+                assert abs(member.terminal_norm - fresh) <= 1e-12 * fresh
+        # at least one member needed CG of its own after the projection
+        assert any(m.cg_iters > 0 for m in rep.sweep if m.eps != rep.eps)
+        cg = sum(m.cg_iters for m in rep.sweep)
+        assert (rep.forward_sweeps, rep.adjoint_sweeps) == (cg + 2, cg + 1)
+
+    def test_repeated_eps_is_solved_once(self, case, monkeypatch):
+        solve, seen = LinearControlProblem.solve, []
+
+        def spy(prob):
+            seen.append(prob.eps)
+            return solve(prob)
+
+        monkeypatch.setattr(LinearControlProblem, "solve", spy)
+        sweep = (1e-4, 1e-2, 1e-4, 1e-6, 1e-2)
+        _, rep = solve_linear_control(*case, eps_sweep=sweep)
+        assert seen == [1e-6, 1e-4, 1e-2]
+        assert [m.eps for m in rep.sweep] == list(sweep)
+        assert rep.sweep[0] == rep.sweep[2] and rep.sweep[1] == rep.sweep[4]
+        _, once = solve_linear_control(*case, eps_sweep=self.SWEEP)
+        by_eps = {m.eps: m for m in once.sweep}
+        for member in rep.sweep:
+            got, want = replace(member, wall_time_s=0.0), replace(by_eps[member.eps],
+                                                                  wall_time_s=0.0)
+            assert got == want
+
+    def test_nan_in_a_member_names_its_eps(self, case, monkeypatch):
+        # the seed (eps = 1e-6) converges; the 1e-4 member's own deflated CG
+        # then meets non-finite curvature
+        exact = LinearControlProblem.hessian_apply
+
+        def broken(prob, z):
+            out = exact(prob, z)
+            return out.scaled(np.nan) if prob.passes > 1 else out
+
+        monkeypatch.setattr(LinearControlProblem, "hessian_apply", broken)
+        with pytest.raises(ConvergenceError,
+                           match=r"CG at eps = 0\.0001 on pass 2: non-finite curvature"):
+            solve_linear_control(*case, eps_sweep=self.SWEEP)
 
 
 @pytest.mark.parametrize("build", [
@@ -450,7 +582,7 @@ class TestOuterLoopContinuation:
         pen = PenaltySpec(epsilon=1e-5, weight_mode="carleman", cg_tol=1e-5)
         prob = LinearControlProblem(y0, th0, None, None, pen,
                                     step_weight_logs(pen, tables16, tgrid64),
-                                    grid16, tgrid64, 0.05, bumps16, recycle=True)
+                                    grid16, tgrid64, 0.05, bumps16)
         z, controls, _, _, _ = prob.solve()
         z = z.copy()
         frozen: list = []
@@ -533,7 +665,7 @@ class TestRecycling:
         (y0, th0, _, pen), (tables, grid, tg, bumps) = slow_case()
         prob = LinearControlProblem(y0, th0, None, None, pen,
                                     step_weight_logs(pen, tables, tg), grid, tg,
-                                    0.05, bumps, recycle=True)
+                                    0.05, bumps)
         iters = prob.solve()[2]
         assert iters > control.RECYCLE_K
         assert len(prob.space) <= control.RECYCLE_K
@@ -545,20 +677,43 @@ class TestRecycling:
             diff = prob.hessian_apply(a).plus(ha, -1.0)
             assert control_norm(diff, grid, tg.dt) <= 1e-8 * control_norm(ha, grid, tg.dt)
 
-    def test_eps_sweep_and_single_solves_hold_no_space(self, setup16):
+    def test_sweep_leaves_a_space(self, setup16):
+        # the sweep's members share the one recycle space the seed filled
         grid, tg, bumps, y0, th0 = setup16
         pen = PenaltySpec(epsilon=1e-4, weight_mode="unweighted")
-        logw = step_weight_logs(pen, None, tg)
-        sweep = LinearControlProblem(y0, th0, None, None, pen, logw, grid, tg, NU0,
-                                     bumps, eps_sweep=(1e-2, 1e-4))
+        sweep = LinearControlProblem(y0, th0, None, None, pen,
+                                     step_weight_logs(pen, None, tg), grid, tg, NU0,
+                                     bumps)
+        iters = sweep.solve()[2]
+        assert 0 < len(sweep.space) <= min(iters, control.RECYCLE_K)
+        sweep.rescale(1e-2)
         sweep.solve()
-        assert sweep.space is None
-        single = LinearControlProblem(y0, th0, None, None, pen, logw, grid, tg, NU0,
-                                      bumps)
-        assert single.space is None
-        with pytest.raises(DomainError):
-            LinearControlProblem(y0, th0, None, None, pen, logw, grid, tg, NU0, bumps,
-                                 eps_sweep=(1e-2,), recycle=True)
+        assert 0 < len(sweep.space) <= control.RECYCLE_K
+
+    def test_rescale_identity(self, setup16):
+        # a solved problem rescaled to eps' holds the b, H W and T(W) that
+        # a fresh problem at eps' forms, and its pairs are H-orthonormal again
+        grid, tg, bumps, y0, th0 = setup16
+        pen = PenaltySpec(epsilon=1e-6, weight_mode="unweighted", cg_tol=1e-6)
+        logw = step_weight_logs(pen, None, tg)
+        prob = LinearControlProblem(y0, th0, None, None, pen, logw, grid, tg, NU0, bumps)
+        prob.solve()
+        prob.rescale(1e-3)
+        fresh = LinearControlProblem(y0, th0, None, None, replace(pen, epsilon=1e-3),
+                                     logw, grid, tg, NU0, bumps)
+        b, _ = fresh.rhs()
+        assert control_norm(prob.b.plus(b, -1.0), grid, tg.dt) <= 1e-12 * control_norm(
+            b, grid, tg.dt)
+        w, hw = space_pairs(prob.space)
+        assert len(w) > 3
+        gram = np.array([[control_inner(a, b, grid, tg.dt) for b in hw] for a in w])
+        assert np.abs(gram - np.eye(len(w))).max() <= 1e-8
+        for a, ha, ta in zip(w, hw, prob.space.tw):
+            want = fresh.hessian_apply(a)
+            diff = control_norm(want.plus(ha, -1.0), grid, tg.dt)
+            assert diff <= 1e-10 * control_norm(want, grid, tg.dt)
+            stored = control._unflatten(ta, prob.space.terminal_shapes)
+            assert max_rel_diff(stored, fresh.terminal) <= 1e-12
 
     def test_slow_regime_needs_no_more_cg(self, slow):
         # 16^2 copy of the slow outer regime: 4 unconverged passes
@@ -719,7 +874,7 @@ class TestNonFiniteCG:
         pen = PenaltySpec(epsilon=1e-4, weight_mode="unweighted")
         prob = LinearControlProblem(y0, th0, None, None, pen,
                                     step_weight_logs(pen, None, tg), grid, tg, NU0,
-                                    bumps, recycle=True)
+                                    bumps)
         prob.solve()
         prob.space.hw[0][0] = np.nan     # a corrupted stored product
         with pytest.raises(ConvergenceError, match="pass 2: non-finite projected"):
@@ -1068,12 +1223,12 @@ class TestLiveRows:
     ``full`` pads them back to a row per step on the whole grid."""
 
     @staticmethod
-    def problem(setup16, tables16, **kw):
+    def problem(setup16, tables16):
         grid, tg, bumps, y0, th0 = setup16
         pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman", cg_tol=1e-6)
         return LinearControlProblem(y0, th0, None, None, pen,
                                     step_weight_logs(pen, tables16, tg), grid, tg, NU0,
-                                    bumps, **kw)
+                                    bumps)
 
     def test_no_control_array_has_nt_rows(self, setup16, tables16, monkeypatch):
         rows = []    # the row counts of every control array seen
@@ -1087,35 +1242,30 @@ class TestLiveRows:
         def seen(*vectors):
             rows.extend(len(a) for v in vectors if v is not None for a in v.parts)
 
-        freeze = LinearControlProblem._freeze
-
-        def frozen(prob, m):
-            seen(m.z, m.p)
-            freeze(prob, m)
-
         monkeypatch.setattr(control, "run_adjoint", adjoint)
-        monkeypatch.setattr(LinearControlProblem, "_freeze", frozen)
-        sweep = self.problem(setup16, tables16, eps_sweep=(1e-2, 1e-4))
-        live, nt = int(sweep.live.sum()), sweep.tgrid.nt
+        prob = self.problem(setup16, tables16)
+        live, nt = int(prob.live.sum()), prob.tgrid.nt
         assert 0 < live < nt
-        exact_apply = sweep.hessian_apply
+        exact_apply = prob.hessian_apply
 
         def apply(p):
             seen(p)
             return exact_apply(p)
 
-        monkeypatch.setattr(sweep, "hessian_apply", apply)
-        z, controls, iters, _, _ = sweep.solve()
-        assert iters > 1
-        seen(z, controls)
-        single = self.problem(setup16, tables16, recycle=True)
-        single.solve()
-        z, controls, _, _, _ = single.solve()
-        seen(z, controls, single.hz, *(w for pairs in space_pairs(single.space)
-                                       for w in pairs))
-        rows.extend(shape[0] for shape in single.space.shapes)
-        assert len(single.space) > 0
-        assert single.space.w.shape[1] == sum(math.prod(s) for s in single.space.shapes)
+        monkeypatch.setattr(prob, "hessian_apply", apply)
+        def solve():
+            z, controls, _, _, _ = prob.solve()
+            seen(z, controls, prob.hz, prob.b, *(w for pairs in space_pairs(prob.space)
+                                                 for w in pairs))
+
+        assert prob.solve()[2] > 1
+        prob.rescale(1e-2)        # a sweep member: b and the space rescaled
+        solve()
+        prob.sources = None       # an outer pass: a new b, warm from that z
+        solve()
+        rows.extend(shape[0] for shape in prob.space.shapes)
+        assert len(prob.space) > 0
+        assert prob.space.w.shape[1] == sum(math.prod(s) for s in prob.space.shapes)
         assert len(rows) > 100 and set(rows) == {live}
 
     def test_full_round_trips(self, setup16, tables16):
