@@ -12,9 +12,9 @@ Run:  python demos/03_linear_null_control.py  (about half a minute)
 
 import numpy as np
 
-from bousscontrol import (ControlPatch, GridSpec, NormSamples, PenaltySpec,
-                          TimeGrid, WeightParams, build_eta0, eval_weights,
-                          find_min_m, solve_linear_control, weighted_norms)
+from bousscontrol import (ControlPatch, GridSpec, PenaltySpec, TimeGrid,
+                          WeightParams, build_eta0, eval_weights, find_min_m,
+                          solve_linear_control, weighted_norms)
 from bousscontrol.forward import sine_theta
 from bousscontrol.geometry import bump_on_solver_grids
 
@@ -36,10 +36,8 @@ print(f"{'eps':>8s} {'terminal':>12s} {'uncontrolled':>12s} {'ratio':>10s} "
 for eps in (1e-2, 1e-3, 1e-4, 1e-6):
     pen = PenaltySpec(epsilon=eps, weight_mode="carleman", cg_tol=1e-6,
                       cg_max_iters=800)
-    # the weighted norms are summed along the final controlled run
-    samples = NormSamples(grid, tgrid, tables)
     controls, rep = solve_linear_control(y0, th0, None, None, pen, tables, grid,
-                                         tgrid, nu0, bumps, on_state=samples)
+                                         tgrid, nu0, bumps)
     mid = np.abs(controls.v0[tgrid.nt // 2]).max()
     last = np.abs(controls.v0[-1]).max()
     print(f"{eps:8.0e} {rep.terminal_norm:12.3e} "
@@ -51,13 +49,11 @@ print("\nthe last column shows the weight at work: the control is crushed to "
       "(machine) zero near the terminal time, where the blow-up weight makes "
       "any action infinitely expensive")
 
-norms = weighted_norms(samples, controls, tables, grid, tgrid, t_clip=pen.t_clip)
-print("\nweighted a-priori quantities of the eps=1e-6 run, as log10:")
+norms = weighted_norms(controls, tables, grid, tgrid, t_clip=pen.t_clip)
+print("\nweighted a-priori quantities of the eps=1e-6 controls, as log10:")
 print(f"   iint rho2^2 (|v|^2+|v0|^2): {norms['log10_iint_rho2_sq_controls']:.6f} "
       f"(the synthesis-side energy {rep.control_energy_weighted:.4e} has log10 "
       f"{np.log10(rep.control_energy_weighted):.6f})")
-print(f"   iint rho1^2 (|y|^2+|th|^2): {norms['log10_iint_rho1_sq_state']:.6e} "
-      "(carried by the node nearest T, where rho1 is largest)")
 for name, value in norms.items():
     if name.startswith("log10_kappa_"):
         print(f"   kappa {name.removeprefix('log10_kappa_')}: {value:.6f}")

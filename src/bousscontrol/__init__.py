@@ -6,9 +6,9 @@ Core pieces: staggered-grid operators with spectral constant-coefficient
 solves (`operators`), observability weight family (`weights`, `geometry`),
 IMEX forward/linearized integrators (`forward`), exact discrete adjoints
 (`adjoint`), penalized-HUM control synthesis with an outer quasi-linearization
-loop (`control`), weighted-norm and decay diagnostics (`diagnostics`), the one
-artifact writer (`fieldio`), and an experiment runner with a CLI (`runner`,
-`cli`).
+loop (`control`), weighted control norms and decay diagnostics
+(`diagnostics`), the one artifact writer (`fieldio`), and an experiment
+runner with a CLI (`runner`, `cli`).
 """
 
 from .grids import GridSpec, TimeGrid
@@ -21,7 +21,7 @@ from .adjoint import AdjointTrajectory, duality_defect, run_adjoint
 from .control import (ControlTrajectory, OuterLoopSpec, PenaltySpec,
                       SynthesisReport, gradient, large_time_control, objective,
                       solve_linear_control, solve_nonlinear_control)
-from .diagnostics import DecayFit, NormSamples, decay_fit, t_star, weighted_norms
+from .diagnostics import DecayFit, decay_fit, t_star, weighted_norms
 from .mms import run_mms
 from .config import ExperimentConfig, parse_config
 from .runner import run_experiment
@@ -36,6 +36,6 @@ __all__ = [
     "duality_defect", "run_adjoint", "ControlTrajectory", "OuterLoopSpec",
     "PenaltySpec", "SynthesisReport", "gradient", "large_time_control",
     "objective", "solve_linear_control", "solve_nonlinear_control", "DecayFit",
-    "NormSamples", "decay_fit", "t_star", "weighted_norms", "run_mms",
+    "decay_fit", "t_star", "weighted_norms", "run_mms",
     "ExperimentConfig", "parse_config", "run_experiment",
 ]

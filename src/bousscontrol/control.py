@@ -528,8 +528,8 @@ class LinearControlProblem:
                                history=history)
 
     def solve(self):
-        """CG on H z = b; returns (z, controls, iters, j_history, free
-        terminal norm).
+        """CG on H z = b; returns (z, iters, j_history, free terminal norm).
+        The controls of z are ``controls_from_z(z)``.
 
         It continues from the z of the last solve, kept with its H z = b - r
         in ``self.hz``: r0 = b - H z and J(z) = 1/2 <H z, z> - <b, z> + J(0)
@@ -612,8 +612,7 @@ class LinearControlProblem:
         space.commit()
         r.xpby(b, -1.0)        # H z = b - r, in r's memory
         self.z, self.tz, self.hz = z, tz, r
-        return (z, self.controls_from_z(z), iters, j_history,
-                float(np.sqrt(self.free_tnorm_sq)))
+        return z, iters, j_history, float(np.sqrt(self.free_tnorm_sq))
 
 
 def objective(controls: ControlTrajectory, y0, th0, f1, f2, pen: PenaltySpec,
@@ -682,16 +681,16 @@ def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
     for eps in order:
         if eps != prob.eps:
             prob.rescale(eps)
-        z, controls, iters, j_hist, free_tnorm = prob.solve()
+        z, iters, j_hist, free_tnorm = prob.solve()
         values = dict(control_energy_weighted=control_inner(z, z, grid, tgrid.dt),
                       cg_iters=iters, eps=eps, j_history=j_hist)
         if eps == pen.epsilon:
-            main = controls, values
+            main = prob.controls_from_z(z), values
         else:
             final = (f + t for f, t in zip(prob.free_terminal, prob.tz))
             members[eps] = dict(values, terminal_norm=float(np.sqrt(
                 ops.state_norm_sq(*final, grid))))
-        del z, controls         # not held through the next member's solve
+        del z   # not held through the next member's solve
     controls, values = main
     final = prob._terminal_of(controls, True, on_state)
     report = SynthesisReport(
@@ -784,7 +783,8 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
     converged = False
     for k in range(1, outer.max_outer + 1):
         recycled.append(len(prob.space))
-        _, controls, iters, _, _ = prob.solve()
+        z, iters, _, _ = prob.solve()
+        controls = prob.controls_from_z(z)
         cg_per_pass.append(iters)
         updates.append(control_norm(controls.plus(controls_prev, -1.0), grid, dt))
         controls_prev = controls

@@ -22,7 +22,7 @@ from .adjoint import duality_defect
 from .control import (ControlTrajectory, PenaltySpec, control_inner,
                       gradient, large_time_control, objective,
                       solve_linear_control, solve_nonlinear_control)
-from .diagnostics import NormSamples, decay_fit, t_star, weighted_norms
+from .diagnostics import decay_fit, t_star, weighted_norms
 from .fieldio import (StateWriter, dump_field, emit_report, energy_trace_csv,
                       export_weight_csv, sweep_csv)
 from .forward import (EnergyTrace, MaxDivergence, SystemSpec, chain_hooks,
@@ -149,14 +149,6 @@ def _run_decay(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     return 0
 
 
-def _final_run_hooks(cfg, out_dir, tables):
-    """The hooks a synthesis chains onto its final run: the weighted-norm
-    samples at the nodes the weights of ``tables`` keep (None without weight
-    tables) and the ``dump_fields`` writer."""
-    samples = NormSamples(cfg.grid, cfg.tgrid, tables) if tables is not None else None
-    return samples, chain_hooks(samples, _state_writer(cfg, out_dir))
-
-
 def _synthesis_section(rep) -> dict:
     """A ``SynthesisReport``'s scalar fields in declaration order, then, when
     it has outer passes, their update norms, CG iterations and recycle-space
@@ -170,12 +162,11 @@ def _synthesis_section(rep) -> dict:
     return section
 
 
-def _synthesis_artifacts(cfg, out_dir, name, controls, samples, section, tables,
-                         chash, ghash):
+def _synthesis_artifacts(cfg, out_dir, name, controls, section, tables, chash, ghash):
     sections = {name: section}
     if tables is not None:
         sections["weighted_norms"] = weighted_norms(
-            samples, controls, tables, cfg.grid, cfg.tgrid, t_clip=cfg.pen.t_clip)
+            controls, tables, cfg.grid, cfg.tgrid, t_clip=cfg.pen.t_clip)
     emit_report(os.path.join(out_dir, "report.txt"), sections,
                 config_hash=chash, grid_hash=ghash)
     if cfg.dump_fields:
@@ -192,10 +183,10 @@ def _run_linear_control(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     if tables is not None:
         export_weight_csv(tables, os.path.join(out_dir, "weights.csv"))
     nu0 = cfg.system.law.nu0
-    samples, hooks = _final_run_hooks(cfg, out_dir, tables)
     controls, rep = solve_linear_control(
         y0, th0, None, None, cfg.pen, tables, cfg.grid, cfg.tgrid, nu0, bumps,
-        coupling=cfg.system.buoyancy, eps_sweep=cfg.eps_sweep, on_state=hooks)
+        coupling=cfg.system.buoyancy, eps_sweep=cfg.eps_sweep,
+        on_state=_state_writer(cfg, out_dir))
     section = _synthesis_section(rep)
     for i, rep_i in enumerate(rep.sweep):
         emit_report(os.path.join(out_dir, f"report_eps_{i}.txt"),
@@ -208,18 +199,17 @@ def _run_linear_control(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
     section["terminal_over_uncontrolled"] = (
         rep.terminal_norm / rep.uncontrolled_terminal_norm
         if rep.uncontrolled_terminal_norm > 0 else 0.0)
-    _synthesis_artifacts(cfg, out_dir, "linear_control", controls, samples,
-                         section, tables, chash, ghash)
+    _synthesis_artifacts(cfg, out_dir, "linear_control", controls, section, tables,
+                         chash, ghash)
     return 0
 
 
 def _run_nonlinear_control(cfg, out_dir, bumps, tables, y0, th0, chash, ghash):
-    samples, hooks = _final_run_hooks(cfg, out_dir, tables)
     controls, trace, rep = solve_nonlinear_control(
         y0, th0, cfg.system, cfg.pen, cfg.outer, tables, cfg.grid, cfg.tgrid,
-        bumps, on_state=hooks)
+        bumps, on_state=_state_writer(cfg, out_dir))
     _write_energy_csv(os.path.join(out_dir, "energy.csv"), trace, chash)
-    _synthesis_artifacts(cfg, out_dir, "nonlinear_control", controls, samples,
+    _synthesis_artifacts(cfg, out_dir, "nonlinear_control", controls,
                          _synthesis_section(rep), tables, chash, ghash)
     return 0 if rep.converged else 3
 

@@ -1,3 +1,5 @@
+import importlib.util
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -234,14 +236,6 @@ class Recorder:
                                                self.theta[-1], grid)))
 
 
-def feed(levels, hook):
-    """Hand stored ``levels`` (with ``t``, ``u``, ``v``, ``theta``) to an
-    ``on_state`` hook, level by level; returns the hook."""
-    for k, level in enumerate(zip(levels.t, levels.u, levels.v, levels.theta)):
-        hook(k, *level)
-    return hook
-
-
 def run_linearized(y0, th0, controls, f1, f2, nu0, grid, tgrid, bumps=None,
                    coupling=None) -> Recorder:
     """Every level of the linear system with physical sources F1 = (f1u,
@@ -252,37 +246,6 @@ def run_linearized(y0, th0, controls, f1, f2, nu0, grid, tgrid, bumps=None,
         *(f1 if f1 is not None else (None, None)), f2)
     prop.run(y0, th0, controls=controls, sources=sources, on_state=rec)
     return rec
-
-
-def reference_norm_samples(traj, grid, tgrid):
-    """The per-node squares of ``diagnostics.weighted_norms`` computed from
-    stored levels at every node, the way it did before it streamed, under the
-    attribute names of ``diagnostics.NormSamples``; no node is skipped, so
-    ``skipped_peaks`` reads 0."""
-    nt, dt = tgrid.nt, tgrid.dt
-    state_sq = np.array([ops.state_norm_sq(traj.u[n], traj.v[n], traj.theta[n], grid)
-                         for n in range(nt)])
-    y_sq = np.array([ops.norm_velocity(traj.u[n], traj.v[n], grid) ** 2
-                     for n in range(nt)])
-    grad_y_sq = np.array([ops.h1_seminorm_sq_velocity(traj.u[n], traj.v[n], grid)
-                          for n in range(nt)])
-    yt_dy_sq = np.zeros(nt)
-    th_t_l32 = np.zeros(nt)
-    lap_th_l32 = np.zeros(nt)
-    for n in range(nt):
-        ut = (traj.u[n + 1] - traj.u[n]) / dt
-        vt = (traj.v[n + 1] - traj.v[n]) / dt
-        lu = ops.laplacian_u(traj.u[n], grid)
-        lv = ops.laplacian_v(traj.v[n], grid)
-        yt_dy_sq[n] = (ops.norm_velocity(ut, vt, grid) ** 2
-                       + ops.norm_velocity(lu, lv, grid) ** 2)
-        tht = (traj.theta[n + 1] - traj.theta[n]) / dt
-        th_t_l32[n] = ops.lp_norm_cells(tht, 1.5, grid) ** 2
-        lap_th_l32[n] = ops.lp_norm_cells(ops.laplacian_cells(traj.theta[n], grid),
-                                          1.5, grid) ** 2
-    return SimpleNamespace(state_sq=state_sq, y_sq=y_sq, grad_y_sq=grad_y_sq,
-                           yt_dy_sq=yt_dy_sq, th_t_l32=th_t_l32, lap_th_l32=lap_th_l32,
-                           skipped_peaks=lambda name: np.zeros(nt))
 
 
 def reference_control_regularity_report(controls, tables, grid, tgrid, t_clip=None):
@@ -591,3 +554,13 @@ class NaturalModalBasis:
         us, vs = self.u[0](u), self.v[0](v)
         self.project(us, vs)
         return self.u[1](us), self.v[1](vs)
+
+
+def workload_text(name, level=0):
+    """The config text of the benchmark workload ``name`` at ``level``, read
+    from ``bench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.config_text(name, level)

@@ -435,10 +435,9 @@ SYNTHESIS_KEYS = ["terminal_norm", "control_energy_weighted", "cg_iters", "outer
                   "converged", "forward_sweeps", "adjoint_sweeps"]
 OUTER_KEYS = ["update_norms", "cg_iters_per_pass", "recycled_vectors_per_pass"]
 WEIGHTED_NORM_KEYS = ["log10_" + k for k in (
-    "iint_rho1_sq_state", "iint_rho2_sq_controls", "sup_mu1_y", "iint_mu1_grad_y",
-    "sup_mu2_grad_y", "iint_mu2_yt_dy", "mu2_theta_t_L32", "mu2_lap_theta_L32",
-    "kappa_iint_dt_kv0_sq", "kappa_iint_dt_kv_sq", "kappa_iint_lap_kv0_sq",
-    "kappa_iint_lap_kv_sq", "kappa_sup_h1_kv0_sq", "kappa_sup_h1_kv_sq")]
+    "iint_rho2_sq_controls", "kappa_iint_dt_kv0_sq", "kappa_iint_dt_kv_sq",
+    "kappa_iint_lap_kv0_sq", "kappa_iint_lap_kv_sq", "kappa_sup_h1_kv0_sq",
+    "kappa_sup_h1_kv_sq")]
 REPORT_KEYS = {
     "simulate": {"report.txt": {"simulate": [
         "final_norm", "energy_initial", "energy_final", "phi_monotone", "smallness_ok",

@@ -2,7 +2,6 @@
 solves, support/decay invariants, the large-time pipeline."""
 
 import copy
-import importlib.util
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +17,6 @@ from bousscontrol.control import (ControlTrajectory, LinearControlProblem,
                                   large_time_control, objective, solve_linear_control,
                                   solve_nonlinear_control,
                                   weighted_control_energy, step_weight_logs)
-from bousscontrol.diagnostics import _SAMPLES as SAMPLE_NAMES, NormSamples, weighted_norms
 from bousscontrol.exceptions import ConvergenceError, DomainError, RegimeError, ShapeError
 from bousscontrol.forward import (LinearPropagator, SystemSpec, block_levels, chain_hooks,
                                   run_nonlinear, scaled_initial_data, sine_theta)
@@ -32,7 +30,7 @@ from bousscontrol.weights import WeightParams, eval_weights, find_min_m
 
 from conftest import (PhysicalLinear, Recorder, full_row_hessian_apply, max_rel_diff,
                       on_steps, rand_cells, rand_div_free, rand_u, rand_v,
-                      reference_frozen_sources, reference_norm_samples)
+                      reference_frozen_sources, workload_text)
 
 # frozen after the duality and finite-difference gradient checks first passed
 # (seeded controls, 16x16, nt=64, eps=1e-4, unweighted, nu0=0.1)
@@ -343,7 +341,7 @@ class TestSharedSweepSolve:
 
         def spy(prob):
             out = solve(prob)
-            solved[prob.eps] = prob, out[1].copy()
+            solved[prob.eps] = prob, prob.controls_from_z(out[0])
             return out
 
         monkeypatch.setattr(LinearControlProblem, "solve", spy)
@@ -372,11 +370,7 @@ def test_linear_sweep_workload_work_counts(tmp_path):
     # from bench/workloads.py): the seed's 4 CG iterations are the only ones,
     # as the other members meet their stop on projection, so the run makes
     # rhs's and the final run's sweeps and one of each per iteration
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    cfg = parse_config_text(workloads.config_text("linear-sweep", 0))
+    cfg = parse_config_text(workload_text("linear-sweep"))
     assert run_experiment(cfg, str(tmp_path)) == 0
     rep = parse_report(tmp_path / "report.txt")
     assert [rep[f"linear_control.{key}"] for key in (
@@ -414,7 +408,7 @@ class TestSweepPastTheCap:
 
         def spy(prob):
             out = solve(prob)
-            solved[prob.eps] = prob, out[1].copy()
+            solved[prob.eps] = prob, prob.controls_from_z(out[0])
             return out
 
         monkeypatch.setattr(LinearControlProblem, "solve", spy)
@@ -583,15 +577,14 @@ class TestOuterLoopContinuation:
         prob = LinearControlProblem(y0, th0, None, None, pen,
                                     step_weight_logs(pen, tables16, tgrid64),
                                     grid16, tgrid64, 0.05, bumps16)
-        z, controls, _, _, _ = prob.solve()
-        z = z.copy()
+        z = prob.solve()[0].copy()
         frozen: list = []
-        prob._terminal_of(controls, True, _freezer(frozen, spec, prob.prop.modes, tgrid64))
+        prob._terminal_of(prob.controls_from_z(z), True, _freezer(frozen, spec, prob.prop.modes, tgrid64))
         prob.sources = tuple(frozen)
         space = copy.deepcopy(prob.space)   # the W this solve deflates with
         assert len(space) > 0
         sweeps = prob.forward_sweeps, prob.adjoint_sweeps
-        _, _, iters, j_history, _ = prob.solve()
+        _, iters, j_history, _ = prob.solve()
         # rhs and one Hessian apply per CG iteration, nothing else
         assert (prob.forward_sweeps - sweeps[0], prob.adjoint_sweeps - sweeps[1]) == (
             iters + 1, iters + 1)
@@ -666,7 +659,7 @@ class TestRecycling:
         prob = LinearControlProblem(y0, th0, None, None, pen,
                                     step_weight_logs(pen, tables, tg), grid, tg,
                                     0.05, bumps)
-        iters = prob.solve()[2]
+        iters = prob.solve()[1]
         assert iters > control.RECYCLE_K
         assert len(prob.space) <= control.RECYCLE_K
         w, hw = space_pairs(prob.space)
@@ -684,7 +677,7 @@ class TestRecycling:
         sweep = LinearControlProblem(y0, th0, None, None, pen,
                                      step_weight_logs(pen, None, tg), grid, tg, NU0,
                                      bumps)
-        iters = sweep.solve()[2]
+        iters = sweep.solve()[1]
         assert 0 < len(sweep.space) <= min(iters, control.RECYCLE_K)
         sweep.rescale(1e-2)
         sweep.solve()
@@ -1115,7 +1108,7 @@ def test_cg_optimum_matches_dense_solve():
     assert np.abs(H - H.T).max() < 1e-10 * np.abs(H).max()
     z_dense = np.linalg.solve(H, b_vec)
 
-    z_cg, controls, iters, j_hist, _ = prob.solve()
+    z_cg, iters, j_hist, _ = prob.solve()
     diff = np.abs(pack(z_cg) - z_dense).max()
     assert diff < 1e-8 * max(np.abs(z_dense).max(), 1.0)
 
@@ -1254,11 +1247,11 @@ class TestLiveRows:
 
         monkeypatch.setattr(prob, "hessian_apply", apply)
         def solve():
-            z, controls, _, _, _ = prob.solve()
-            seen(z, controls, prob.hz, prob.b, *(w for pairs in space_pairs(prob.space)
+            z = prob.solve()[0]
+            seen(z, prob.controls_from_z(z), prob.hz, prob.b, *(w for pairs in space_pairs(prob.space)
                                                  for w in pairs))
 
-        assert prob.solve()[2] > 1
+        assert prob.solve()[1] > 1
         prob.rescale(1e-2)        # a sweep member: b and the space rescaled
         solve()
         prob.sources = None       # an outer pass: a new b, warm from that z
@@ -1270,7 +1263,8 @@ class TestLiveRows:
 
     def test_full_round_trips(self, setup16, tables16):
         prob = self.problem(setup16, tables16)
-        z, controls, _, _, _ = prob.solve()
+        z = prob.solve()[0]
+        controls = prob.controls_from_z(z)
         grid, nt = prob.grid, prob.tgrid.nt
         for c in (z, controls):
             full = c.full(grid)
@@ -1332,71 +1326,47 @@ class TestLiveRows:
 
 
 class TestStreamedReadersMatchReferences:
-    """The weighted-norm samples at their kept nodes and the outer loop's
-    frozen sources, streamed through ``on_state``, equal the stored-trajectory
-    loops they replace (``conftest.reference_*``) bit for bit."""
+    """The outer loop's frozen sources, streamed through ``on_state``, equal
+    the stored-trajectory loop they replace (``conftest.reference_*``) bit
+    for bit."""
 
     @pytest.fixture(params=["linear-controlled", "nonlinear"])
     def run(self, request, setup16, tables16):
         grid, tg, bumps, y0, th0 = setup16
         spec = SystemSpec(law=ViscosityLaw(0.05, 0.05), heating_on=True)
-        rec, samples = Recorder(), NormSamples(grid, tg, tables16)
-        frozen: list = []
-        hooks = chain_hooks(rec, samples, _freezer(frozen, spec, ModalBasis(grid), tg))
+        rec, frozen = Recorder(), []
+        hooks = chain_hooks(rec, _freezer(frozen, spec, ModalBasis(grid), tg))
         if request.param == "linear-controlled":
             pen = PenaltySpec(epsilon=1e-6, weight_mode="carleman", cg_tol=1e-6)
-            ctrl, _ = solve_linear_control(y0, th0, None, None, pen, tables16,
-                                           grid, tg, 0.05, bumps, on_state=hooks)
+            solve_linear_control(y0, th0, None, None, pen, tables16, grid, tg, 0.05,
+                                 bumps, on_state=hooks)
         else:
             y0, th0 = scaled_initial_data(grid, 1e-2)
             ctrl = masked_random_controls(grid, tg.nt, bumps,
                                           np.random.default_rng(3), scale=1e-2)
             run_nonlinear(y0, th0, ctrl, spec, grid, tg, bumps=bumps, on_state=hooks)
         assert len(rec.levels) == tg.nt + 1
-        return grid, tg, spec, rec, samples, frozen, ctrl
-
-    def test_norm_samples_match_reference(self, run, tables16):
-        grid, tg, _, rec, samples, _, ctrl = run
-        assert np.flatnonzero(samples.kept).tolist() == [tg.nt - 1]
-        ref = reference_norm_samples(rec, grid, tg)
-        assert_kept_samples_match(samples, ref)
-        assert (weighted_norms(samples, ctrl, tables16, grid, tg)
-                == weighted_norms(ref, ctrl, tables16, grid, tg))
+        return grid, tg, spec, rec, frozen
 
     def test_frozen_sources_match_reference(self, run):
-        grid, tg, spec, rec, _, frozen, _ = run
+        grid, tg, spec, rec, frozen = run
         assert len(frozen) == 3
         for got, want in zip(frozen, reference_frozen_sources(rec, spec, grid, tg)):
             assert np.array_equal(got, want)
 
 
-def assert_kept_samples_match(samples, ref):
-    """Each sample of ``samples`` equals the reference's at the kept nodes,
-    bit for bit, and reads 0 at the skipped ones."""
-    kept = samples.kept
-    for name in SAMPLE_NAMES:
-        got, want = getattr(samples, name), getattr(ref, name)
-        assert np.array_equal(got[kept], want[kept]), name
-        assert not np.any(got[~kept]), name
-
-
 def streamed_run(grid, tg, spec, seed=3):
     """A nonlinear run under random controls, with every level recorded and
-    the weighted-norm samples (under the blow-up weights) and frozen sources
-    streamed from it."""
-    patch = ControlPatch((0.5, 0.5), (0.2, 0.2))
-    bumps = bump_on_solver_grids(grid, patch)
-    tables = eval_weights(WeightParams(s=1.0, lam=1.0, m=find_min_m(1.0)),
-                          build_eta0(grid, patch), tg)
+    the frozen sources streamed from it."""
+    bumps = bump_on_solver_grids(grid, ControlPatch((0.5, 0.5), (0.2, 0.2)))
     y0, th0 = scaled_initial_data(grid, 1e-2)
     ctrl = masked_random_controls(grid, tg.nt, bumps, np.random.default_rng(seed),
                                   scale=1e-2)
-    rec, samples, frozen = Recorder(), NormSamples(grid, tg, tables), []
-    freezer = _freezer(frozen, spec, ModalBasis(grid), tg)
+    rec, frozen = Recorder(), []
     run_nonlinear(y0, th0, ctrl, spec, grid, tg, bumps=bumps,
-                  on_state=chain_hooks(rec, samples, freezer))
+                  on_state=chain_hooks(rec, _freezer(frozen, spec, ModalBasis(grid), tg)))
     assert len(rec.levels) == tg.nt + 1
-    return rec, samples, frozen
+    return rec, frozen
 
 
 SPEC = SystemSpec(law=ViscosityLaw(0.05, 0.05), heating_on=True)
@@ -1405,8 +1375,7 @@ SPEC = SystemSpec(law=ViscosityLaw(0.05, 0.05), heating_on=True)
 class TestBlockEdges:
     """The frozen sources, which stack levels into blocks
     (``forward.level_blocks``), equal the one-level references bit for bit
-    wherever the blocks fall; the weighted-norm samples of the same run,
-    taken a level at a time, equal them at their kept nodes."""
+    wherever the blocks fall."""
 
     @pytest.mark.parametrize("nx, ny, nt, per_block, spec, levels", [
         (16, 16, 37, 8, SPEC, 8),             # 37 = 4 * 8 + 5
@@ -1424,8 +1393,7 @@ class TestBlockEdges:
         if per_block is not None:
             monkeypatch.setattr(forward, "BLOCK_CELLS", per_block * nx * ny)
         assert block_levels(grid, nt) == levels   # of the frozen sources' nt levels
-        rec, samples, frozen = streamed_run(grid, tg, spec)
-        assert_kept_samples_match(samples, reference_norm_samples(rec, grid, tg))
+        rec, frozen = streamed_run(grid, tg, spec)
         assert len(frozen) == 3
         for got, want in zip(frozen, reference_frozen_sources(rec, spec, grid, tg)):
             assert np.array_equal(got, want)
@@ -1557,30 +1525,3 @@ class TestSweepBlocks:
             assert got.shape[0] == len(steps)
             assert np.array_equal(got, np.array(ref))
             assert np.all(np.any(got != 0.0, axis=(1, 2)))
-
-
-class TestIncompleteRunGuard:
-    """Samples of a run that ended before level nt are refused, not summed."""
-
-    def test_run_stopped_at_half_time(self, grid16, tgrid64, tables16):
-        nt = tgrid64.nt
-        samples = NormSamples(grid16, tgrid64, tables16)
-        y0, th0 = scaled_initial_data(grid16, 1e-2)
-        run_nonlinear(y0, th0, None, SPEC, grid16, tgrid64,
-                      on_state=chain_hooks(samples, lambda k, *_: k == nt // 2))
-        assert samples.received == nt // 2 + 1
-        with pytest.raises(DomainError, match=f"after {nt // 2 + 1} of the {nt + 1} levels"):
-            weighted_norms(samples, None, tables16, grid16, tgrid64)
-        with pytest.raises(DomainError):
-            samples.yt_dy_sq
-
-    def test_complete_run_reads(self, grid16, tgrid64, tables16):
-        samples = NormSamples(grid16, tgrid64, tables16)
-        y0, th0 = scaled_initial_data(grid16, 1e-2)
-        run_nonlinear(y0, th0, None, SPEC, grid16, tgrid64, on_state=samples)
-        assert samples.received == tgrid64.nt + 1
-        assert samples.yt_dy_sq.shape == (tgrid64.nt,)
-        assert np.all(samples.state_sq[samples.kept] > 0.0)
-        assert not np.any(samples.state_sq[~samples.kept])
-        with pytest.raises(AttributeError):
-            samples.no_such_sample
