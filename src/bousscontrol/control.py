@@ -291,8 +291,9 @@ class RecycleSpace:
     touched when it is written.  Pairs that a solve adds stay pending until
     ``commit`` H-orthonormalises them with the kept ones, so a solve
     deflates with the space it started from; once RECYCLE_K pairs are kept
-    the space is frozen.  ``rescale`` makes the pairs those of a H + (1 - a) I,
-    the Hessian of another eps; T does not depend on eps.
+    the space is frozen, as it is after ``close``.  ``rescale`` makes the
+    pairs those of a H + (1 - a) I, the Hessian of another eps; T does not
+    depend on eps.
     """
 
     def __init__(self, box, live: np.ndarray, scale: float, terminal_shapes):
@@ -306,6 +307,7 @@ class RecycleSpace:
         self.tw = np.empty((RECYCLE_K, sum(math.prod(s) for s in terminal_shapes)))
         self.size = 0                     # rows kept
         self.rows = 0                     # rows kept or pending
+        self.capacity = RECYCLE_K         # rows that pairs may fill
 
     def __len__(self) -> int:
         return self.size
@@ -317,7 +319,7 @@ class RecycleSpace:
             php: float) -> None:
         """Keep the pair (p, H p) and T(p), scaled to <w, H w> = 1, while
         there is room."""
-        if self.rows < RECYCLE_K:
+        if self.rows < self.capacity:
             s = 1.0 / math.sqrt(php)
             for store, shapes, parts in ((self.w, self.shapes, p.parts),
                                          (self.hw, self.shapes, hp.parts),
@@ -359,6 +361,11 @@ class RecycleSpace:
         if self.rows > self.size:
             for _ in range(2):
                 self._rotate(self._gram(self.hw))
+
+    def close(self) -> None:
+        """Keep no more pairs, for a problem whose space nothing reads after
+        its next solve: that solve still deflates with the pairs kept."""
+        self.capacity = self.rows
 
     def rescale(self, a: float) -> None:
         """Make the pairs those of a H + (1 - a) I: every H w becomes
@@ -681,6 +688,8 @@ def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
     for eps in order:
         if eps != prob.eps:
             prob.rescale(eps)
+        if eps == order[-1]:
+            prob.space.close()    # no solve follows that would read its pairs
         z, iters, j_hist, free_tnorm = prob.solve()
         values = dict(control_energy_weighted=control_inner(z, z, grid, tgrid.dt),
                       cg_iters=iters, eps=eps, j_history=j_hist)
@@ -707,17 +716,19 @@ def solve_linear_control(y0, th0, f1, f2, pen: PenaltySpec,
     return controls, report
 
 
-def _frozen_sources(u, v, th, spec: SystemSpec, modes: ops.ModalBasis, dt: float):
+def _frozen_sources(u, v, th, spec: SystemSpec, modes: ops.ModalBasis, dt: float,
+                    out: ops.Workspace | None = None):
     """All nonlinear/nonlocal terms of a block of states, stacked on a
     leading level axis, as the linear system's sources (F1u, F1v, F2) in the
     form ``LinearPropagator.source_modes`` gives them: dt times their
-    Helmholtz coefficients.  They are the nonlinear step's explicit terms,
-    plus the excess (nu - nu0) lap of its diffusion over the linear
-    system's, level by level; lap is the per-mode scaling by -lap_* of the
-    fields' coefficients, which is the 5-point Laplacian of fields with zero
-    normal wall values, so no physical Laplacian is formed."""
+    Helmholtz coefficients.  They are the nonlinear step's explicit terms
+    (in ``out``'s arrays, when given), plus the excess (nu - nu0) lap of its
+    diffusion over the linear system's, level by level; lap is the per-mode
+    scaling by -lap_* of the fields' coefficients, which is the 5-point
+    Laplacian of fields with zero normal wall values, so no physical
+    Laplacian is formed."""
     nu0 = spec.law.nu0
-    nu, nu_th, au, av, adv_th, heat = explicit_terms(u, v, th, spec, modes.grid)
+    nu, nu_th, au, av, adv_th, heat = explicit_terms(u, v, th, spec, modes.grid, out)
     if heat is not None:
         heat *= nu[:, None, None]
         adv_th -= heat
@@ -726,28 +737,31 @@ def _frozen_sources(u, v, th, spec: SystemSpec, modes: ops.ModalBasis, dt: float
     def source(maps, field, lap, coeff, transport):
         """dt ((coeff - nu0) lap field - transport), in the field's coefficients."""
         fwd, _ = maps
-        out = fwd(field)
-        out *= lap
-        out *= (nu0 - coeff)[:, None, None]
-        out -= fwd(transport)
-        out *= dt
-        return out
+        f = fwd(field)
+        f *= lap
+        f *= (nu0 - coeff)[:, None, None]
+        f -= fwd(transport)
+        f *= dt
+        return f
 
     return (source(modes.hu, u, modes.lap_u, nu, au),
             source(modes.hv, v, modes.lap_v, nu, av),
             source(modes.cells, th, modes.lap_cells, nu_th, adv_th))
 
 
-def _freezer(out: list, spec: SystemSpec, modes: ops.ModalBasis, tgrid: TimeGrid):
+def _freezer(out: list, spec: SystemSpec, modes: ops.ModalBasis, tgrid: TimeGrid,
+             workspace: ops.Workspace | None = None):
     """An ``on_state`` hook filling ``out`` with the sources of shape (nt,
     ...) whose row n < nt is ``_frozen_sources`` of level n.  It stacks the
     levels n < nt into blocks (``forward.level_blocks``) and calls
-    ``_frozen_sources`` once per block; ``out`` is allocated at the first
-    block, not before."""
+    ``_frozen_sources`` once per block, in ``workspace`` (a new one when
+    None), so that every block writes its explicit terms into the same
+    arrays; ``out`` is allocated at the first block, not before."""
     nt = tgrid.nt
+    workspace = ops.Workspace() if workspace is None else workspace
 
     def frozen_block(k0, u, v, th):
-        sources = _frozen_sources(u, v, th, spec, modes, tgrid.dt)
+        sources = _frozen_sources(u, v, th, spec, modes, tgrid.dt, workspace)
         if k0 == 0:
             out[:] = [np.zeros((nt,) + f.shape[1:]) for f in sources]
         for dest, f in zip(out, sources):
@@ -777,6 +791,7 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
     prob = LinearControlProblem(y0, th0, None, None, pen, logw, grid, tgrid,
                                 spec.law.nu0, bumps, coupling=spec.buoyancy)
     controls_prev = ControlTrajectory.zeros(grid, tgrid.nt, prob.box, prob.live)
+    workspace = ops.Workspace()    # the freezer's, for every pass
     updates: list[float] = []
     cg_per_pass: list[int] = []
     recycled: list[int] = []
@@ -799,7 +814,8 @@ def solve_nonlinear_control(y0, th0, spec: SystemSpec, pen: PenaltySpec,
         if k == outer.max_outer:
             break
         frozen: list = []
-        prob._terminal_of(controls, True, _freezer(frozen, spec, prob.prop.modes, tgrid))
+        prob._terminal_of(controls, True,
+                          _freezer(frozen, spec, prob.prop.modes, tgrid, workspace))
         prob.sources = tuple(frozen)
     forward_sweeps, adjoint_sweeps = prob.forward_sweeps, prob.adjoint_sweeps
     del prob

@@ -17,9 +17,15 @@ its box controls, one row per stored step (``control_rows``), a block of
 A stacked transform gives each level the bits of its own, so blocking moves
 no result.
 
+The nonlinear step writes its explicit terms, right-hand sides and scalings
+into the propagator's ``operators.Workspace``, so it allocates only the
+transforms' outputs.
+
 Both modes march through ``_march``, which hands a hook the physical view
-of each level (``LinearPropagator.from_modes`` in the linear mode), and every
-energy-traced run raises DivergenceError on a non-finite or blown-up energy.
+of each level (``LinearPropagator.from_modes`` in the linear mode).  Every
+energy-traced run reads each level's energy from its modal coefficients
+(``ModalBasis.energy``), before and without that view, and raises
+DivergenceError on a non-finite or blown-up energy.
 ``adjoint.run_adjoint`` keeps its own backward loop: it has no hook, no
 control inputs and no early exit, so sharing ``_march`` would only make that
 loop branch on the direction of time.
@@ -130,7 +136,8 @@ def trace_from_trajectory(traj, grid: GridSpec) -> EnergyTrace:
                                   zip(traj.u, traj.v, traj.theta)], grid)
 
 
-def explicit_terms(u, v, th, spec: SystemSpec, grid: GridSpec):
+def explicit_terms(u, v, th, spec: SystemSpec, grid: GridSpec,
+                   out: ops.Workspace | None = None):
     """The terms the nonlinear step treats explicitly, at one state or at a
     stack of levels (``operators`` module docstring).
 
@@ -139,49 +146,61 @@ def explicit_terms(u, v, th, spec: SystemSpec, grid: GridSpec):
     transport of the velocity and of the temperature, and the heating
     density, or None with heating off (the step scales it by nu).  The outer
     loop's frozen sources are built from the same terms, so the two cannot
-    drift apart.
+    drift apart.  With ``out`` the arrays, and every temporary of the
+    stencils, are that workspace's, valid until its next use; the cell sums
+    of u and v are formed once for the gradients and the transport.
     """
-    grads = ops.center_gradients(u, v, grid)
-    gm2 = ops.grad_sq_from_gradients(grads)
-    nu = spec.law.of_density(gm2, grid)
+    sums = ops.cell_sums(u, v, out)
+    grads = ops.center_gradients(u, v, grid, out=out, sums=sums)
+    nu = spec.law.of_density(ops.grad_sq_from_gradients(grads, out=out), grid)
     nu_th = (nu if spec.theta_coeff_source == "velocity"
-             else ops.nonlocal_viscosity_scalar(th, spec.law, grid))
-    heat = ops.heating_from_gradients(grads) if spec.heating_on else None
-    del grads, gm2  # lowers the step's peak allocation, so fewer fresh pages per step
-    adv_u, adv_v = ops.advect_velocity(u, v, grid)
-    adv_th = ops.advect_scalar(th, u, v, grid)
+             else ops.nonlocal_viscosity_scalar(th, spec.law, grid, out=out))
+    heat = ops.heating_from_gradients(grads, out=out) if spec.heating_on else None
+    del grads
+    adv_u, adv_v = ops.advect_velocity(u, v, grid, out=out, sums=sums)
+    adv_th = ops.advect_scalar(th, u, v, grid, out=out)
     return nu, nu_th, adv_u, adv_v, adv_th, heat
 
 
+def _solve_scaling(lap: np.ndarray, c: float, out: ops.Workspace | None) -> np.ndarray:
+    """1 + c lap, the per-mode (I - c lap) of a Helmholtz basis."""
+    d = np.multiply(lap, c, out=None if out is None else out.get("scratch", lap.shape))
+    d += 1.0
+    return d
+
+
 def implicit_stage(m: ModalBasis, dt: float, ru, rv, rhs_th, c_vel: float,
-                   c_th: float, control, bumps, sources, box=None):
+                   c_th: float, control, bumps, sources, box=None,
+                   out: ops.Workspace | None = None):
     """The nonlinear step's tail: add the bump-weighted controls and the
     sources to the right-hand sides, solve (I - c lap) with c_th for the
-    temperature and c_vel for the velocity, project.  Returns (u, v, theta).
+    temperature and c_vel for the velocity, project.  Returns the new state
+    as ``ModalBasis.physical`` takes it: its shared-mode velocity and its
+    theta Helmholtz coefficients.
 
     The solves scale the Helmholtz coefficients of ``m``; the velocity is
     projected in the shared modes.  ``control`` = (cu, cv, c0) is stored on
     ``box`` (``geometry.control_box``; None for the whole grid) and is added
-    on that box only, in place: the right-hand sides are the caller's scratch.
+    on that box only.  The right-hand sides are the caller's scratch, and
+    the controls and sources are added to them in place; ``out`` holds the
+    scalings.
     """
     if control is not None:
         for rhs, c, bump, b in zip((ru, rv, rhs_th), control, bumps,
                                    box or grid_box(m.grid)):
             rhs[b] += dt * bump[b] * c
     if sources is not None:
-        fu, fv, fth = sources
-        ru = ru + dt * fu
-        rv = rv + dt * fv
-        rhs_th = rhs_th + dt * fth
+        for rhs, f in zip((ru, rv, rhs_th), sources):
+            rhs += dt * f
     th = m.cells[0](rhs_th)
-    th /= 1.0 + c_th * m.lap_cells
+    th /= _solve_scaling(m.lap_cells, c_th, out)
     us = m.hu[0](ru)
-    us /= 1.0 + c_vel * m.lap_u
+    us /= _solve_scaling(m.lap_u, c_vel, out)
     vs = m.hv[0](rv)
-    vs /= 1.0 + c_vel * m.lap_v
+    vs /= _solve_scaling(m.lap_v, c_vel, out)
     us, vs = m.change_u[1](us), m.change_v[1](vs)
     m.project(us, vs)
-    return m.u[1](us), m.v[1](vs), m.cells[1](th)
+    return us, vs, th
 
 
 def control_rows(controls, nt: int) -> np.ndarray:
@@ -196,57 +215,69 @@ def control_rows(controls, nt: int) -> np.ndarray:
     return rows
 
 
-def _march(step, state, tgrid: TimeGrid, inputs, on_state, view):
+def _march(step, state, tgrid: TimeGrid, inputs, on_state, view, check=None):
     """The forward time loop of both propagators: step ``state`` nt times.
 
     Step n is ``step(*state, *inputs(n))``, its inputs being the propagator's
-    control and sources of step n.  Level k = 0..nt is handed as
-    ``view(*state)`` to ``on_state(k, t, u, v, th)``, t = tgrid.nodes()[k]; a
-    true return ends the run there.  Nothing is stored: returns the last
-    level handed out, else the view of the last state.
+    control and sources of step n.  Each level k = 0..nt goes first to
+    ``check(k, state)``, then as ``view(*state)`` to ``on_state(k, t, u, v,
+    th)``, t = tgrid.nodes()[k]; a true return from either ends the run
+    there, after both have seen the level.  Nothing is stored: returns the
+    last level handed out, else the view of the last state.
     """
     times = tgrid.nodes()
     level = None
     for k in range(tgrid.nt + 1):
         if k > 0:
-            level = None  # not held through the step (see explicit_terms)
+            level = None  # not held through the step
             state = step(*state, *inputs(k - 1))
+        done = check is not None and check(k, state)
         if on_state is not None:
             level = view(*state)
-            if on_state(k, times[k], *level):
-                break
+            done = on_state(k, times[k], *level) or done
+        if done:
+            break
     return view(*state) if level is None else level
 
 
-def _energy_hook(grid: GridSpec, comps: list, on_state, stop_energy: float):
-    """``on_state`` behind a hook that appends each level's energy components
-    to ``comps`` and raises DivergenceError on a non-finite energy (the
-    initial level included) or on one past _BLOWUP_FACTOR times the first
-    nonzero, with a message for each.  It ends the run at the first level
-    whose energy is at most ``stop_energy``, after ``on_state`` has seen it."""
+def _energy_check(energy, comps: list, stop_energy: float):
+    """A ``check`` for ``_march`` that appends each level's energy
+    components, ``energy(k, state)``, to ``comps`` and raises DivergenceError
+    on a non-finite energy (the initial level included) or on one past
+    _BLOWUP_FACTOR times the first nonzero, with a message for each.  It
+    ends the run at the first level whose energy is at most
+    ``stop_energy``."""
     e_ref = 0.0
 
-    def hook(k, t, u, v, th):
+    def check(k, state):
         nonlocal e_ref
-        comps.append(energy_components(u, v, th, grid))
+        comps.append(energy(k, state))
         ek = sum(comps[-1])
         if not np.isfinite(ek):
             raise DivergenceError(f"non-finite energy at step {k}", step=k)
         e_ref = e_ref or ek
         if e_ref > 0.0 and ek > _BLOWUP_FACTOR * e_ref:
             raise DivergenceError(f"energy blow-up at step {k}", step=k)
-        done = on_state is not None and on_state(k, t, u, v, th)
-        return done or ek <= stop_energy
+        return ek <= stop_energy
 
-    return hook
+    return check
 
 
-def _traced(run, grid: GridSpec, tgrid: TimeGrid, on_state, stop_energy: float,
-            small_bound=np.inf):
-    """(``run(hook)``, EnergyTrace of the levels it reached), the hook being
-    ``on_state`` behind ``_energy_hook``; smallness_ok is E(0) <= small_bound."""
+def _traced(run, stepped, physical, grid: GridSpec, tgrid: TimeGrid,
+            stop_energy: float, small_bound=np.inf):
+    """(``run(check)``, EnergyTrace of the levels it reached), ``check`` being
+    the ``_energy_check`` of each level's energy components: of level 0,
+    the caller's data, ``energy_components`` of its physical fields
+    ``physical(state)``, so that E(0) is the value ``scaled_initial_data``
+    scales to and the bounds compared with it see; of each stepped level
+    ``stepped(state)``, from the coefficients the step solved for
+    (``ModalBasis.energy``).  smallness_ok is E(0) <= small_bound."""
     comps: list = []
-    out = run(_energy_hook(grid, comps, on_state, stop_energy))
+
+    def energy(k, state):
+        return energy_components(*physical(state), grid) if k == 0 else stepped(state)
+
+    out = run(_energy_check(energy, comps, stop_energy))
     return out, _energy_trace(tgrid.nodes()[:len(comps)], comps, grid,
                               sum(comps[0]) <= small_bound)
 
@@ -309,7 +340,14 @@ class MaxDivergence:
 
 
 class NonlinearPropagator:
-    """IMEX stepping of the full system with lagged nonlocal coefficients."""
+    """IMEX stepping of the full system with lagged nonlocal coefficients.
+
+    The propagator owns a ``operators.Workspace``: every step writes its
+    explicit terms, right-hand sides and scalings into the same arrays, so
+    a step allocates only the transforms' outputs.  ``step`` leaves the
+    modal coefficients of the state it returns in ``self.modal`` (as
+    ``ModalBasis.physical`` takes them), from which ``run`` reads each
+    stepped level's energy (``ModalBasis.energy``)."""
 
     def __init__(self, grid: GridSpec, tgrid: TimeGrid, spec: SystemSpec,
                  bumps=None):
@@ -318,10 +356,13 @@ class NonlinearPropagator:
         self.spec = spec
         self.modes = ModalBasis(grid)
         self.bumps = bumps  # (bump_u, bump_v, bump_cells) or None
+        self.workspace = ops.Workspace()
+        self.modal = None
 
     def step(self, u, v, th, control=None, forcing=None, box=None):
-        grid, dt, spec = self.grid, self.tgrid.dt, self.spec
-        umax, vmax = float(np.max(np.abs(u))), float(np.max(np.abs(v)))
+        grid, dt, spec, ws = self.grid, self.tgrid.dt, self.spec, self.workspace
+        umax = float(np.max(np.abs(u, out=ws.get("scratch", u.shape))))
+        vmax = float(np.max(np.abs(v, out=ws.get("scratch", v.shape))))
         if not np.isfinite(umax + vmax):   # np.max passes a nan on
             name = "v" if np.isfinite(umax) else "u"
             raise DivergenceError(f"non-finite velocity {name} entering a step")
@@ -329,7 +370,7 @@ class NonlinearPropagator:
         if dt > cfl:
             raise StepSizeError(f"dt={dt:g} exceeds CFL bound {cfl:g}")
 
-        nu, nu_th, adv_u, adv_v, adv_th, heat = explicit_terms(u, v, th, spec, grid)
+        nu, nu_th, adv_u, adv_v, adv_th, heat = explicit_terms(u, v, th, spec, grid, ws)
         # The right-hand sides th - dt adv_th + dt nu heat, u - dt adv_u and
         # v - dt adv_v + dt b theta~, assembled in the terms' own arrays:
         # (-dt) a + x rounds exactly like x - dt a.
@@ -345,12 +386,12 @@ class NonlinearPropagator:
         rv = adv_v
         rv *= -dt
         rv += v
-        buoy = ops.theta_to_vfaces(th, grid)
+        buoy = ops.theta_to_vfaces(th, grid, out=ws)
         buoy *= dt * spec.buoyancy
         rv += buoy
-        del heat, buoy  # scratch, freed before the solves (see explicit_terms)
-        return implicit_stage(self.modes, dt, ru, rv, rhs_th, dt * nu, dt * nu_th,
-                              control, self.bumps, forcing, box)
+        self.modal = implicit_stage(self.modes, dt, ru, rv, rhs_th, dt * nu, dt * nu_th,
+                                    control, self.bumps, forcing, box, ws)
+        return self.modes.physical(*self.modal)
 
     def run(self, y0, th0, controls=None, forcing=None, on_state=None,
             stop_energy=-np.inf):
@@ -359,7 +400,8 @@ class NonlinearPropagator:
         ``forcing(n)`` gives step n's sources.  Step n takes the row of
         ``controls`` that holds it, or none where they store none
         (``control_rows``).  Returns (last state, EnergyTrace of the levels
-        reached)."""
+        reached); each stepped level's energies are ``ModalBasis.energy``
+        of ``self.modal`` (``_traced``)."""
         if controls is not None and self.bumps is None:
             raise DomainError("controls given to a propagator without bumps")
         step = partial(self.step, box=None if controls is None else controls.box)
@@ -370,10 +412,11 @@ class NonlinearPropagator:
                 a[rows[n]] for a in controls.parts)
             return control, None if forcing is None else forcing(n)
 
-        return _traced(   # the start state is built in place, so that no frame keeps it
-            lambda hook: _march(step, (*self.modes.project_faces(y0[0], y0[1]), th0.copy()),
-                                self.tgrid, inputs, hook, lambda *level: level),
-            self.grid, self.tgrid, on_state, stop_energy,
+        return _traced(   # the start state is built in the call, so that no frame keeps it
+            lambda check: _march(step, (*self.modes.project_faces(y0[0], y0[1]), th0.copy()),
+                                 self.tgrid, inputs, on_state, lambda *level: level, check),
+            lambda state: self.modes.energy(*self.modal), lambda state: state, self.grid,
+            self.tgrid, stop_energy,
             _SMALLNESS_FACTOR * (self.spec.law.nu0 * self.spec.law.nu0))
 
 
@@ -433,8 +476,7 @@ class LinearPropagator:
 
     def from_modes(self, us, vs, th):
         """The physical state of a modal one (zero normal wall velocity)."""
-        m = self.modes
-        return m.u[1](us), m.v[1](vs), m.cells[1](th)
+        return self.modes.physical(us, vs, th)
 
     def source_modes(self, fu, fv, fth):
         """The sources ``step_modes`` and ``run`` take, dt times the
@@ -529,8 +571,9 @@ class LinearPropagator:
         zu, zv, zth, lth = self.step_adjoint_modes(*self.to_modes(gu, gv, gth))
         return m.hu[1](zu), m.hv[1](zv), m.cells[1](zth), m.cells[1](lth)
 
-    def run(self, y0, th0, controls=None, sources=None, on_state=None):
-        """March nt steps of the modal state of y0, th0 (see ``_march``).
+    def run(self, y0, th0, controls=None, sources=None, on_state=None, check=None):
+        """March nt steps of the modal state of y0, th0 (see ``_march``,
+        whose ``check`` sees each modal state).
         ``controls`` are read on ``self.box``; ``sources`` holds
         ``source_modes`` of (F1u, F1v, F2) stacked over the nt steps, any of
         them None, and a part of another shape raises ShapeError.  The
@@ -562,7 +605,7 @@ class LinearPropagator:
                 None if f is None else f[n] for f in sources)
 
         return _march(self.step_modes, self.to_modes(y0[0], y0[1], th0), self.tgrid,
-                      inputs, on_state, self.from_modes)
+                      inputs, on_state, self.from_modes, check)
 
 
 def run_nonlinear(y0, th0, controls, spec: SystemSpec, grid: GridSpec,
@@ -582,8 +625,10 @@ def run_nonlinear(y0, th0, controls, spec: SystemSpec, grid: GridSpec,
                               "use LinearPropagator.run for sourced linear runs")
         prop = LinearPropagator(grid, tgrid, spec.law.nu0, bumps=bumps,
                                 coupling=spec.buoyancy)
-        return _traced(lambda hook: prop.run(y0, th0, controls=controls, on_state=hook),
-                       grid, tgrid, on_state, stop_energy)
+        return _traced(lambda check: prop.run(y0, th0, controls=controls,
+                                              on_state=on_state, check=check),
+                       lambda state: prop.modes.energy(*state),
+                       lambda state: prop.from_modes(*state), grid, tgrid, stop_energy)
     prop = NonlinearPropagator(grid, tgrid, spec, bumps=bumps)
     return prop.run(y0, th0, controls=controls, forcing=forcing, on_state=on_state,
                     stop_energy=stop_energy)

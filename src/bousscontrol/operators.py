@@ -19,6 +19,14 @@ a stack, again with the single-level bits: ``np.sum`` over the last two
 axes of a contiguous stack equals the per-level sum.  The H^1 forms sum with
 ``np.vdot``, which a stacked sum would not match, and take one level.
 
+Workspaces: the stencils of the nonlinear step's explicit terms take an
+optional ``out``, a ``Workspace`` whose arrays receive their results and
+temporaries, so that a caller stepping many times allocates them once; the
+results are the same bits either way.  Passes along y pair neighbours on
+the flat sequence of a C-contiguous array (``_neighbours``), one inner loop
+for the whole array instead of one per row, and a division by a power of
+two is the exact product by its inverse (``_divide``).
+
 Modal transforms (``ModalBasis``): every DST-I, DST-II and DCT-II basis
 vector is symmetric or antisymmetric about the centre of its axis (Strang,
 SIAM Review 41, 1999), and the DCT-to-DST change of basis never mixes the two
@@ -68,6 +76,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+import math
+
 import numpy as np
 
 from .exceptions import DomainError, ShapeError
@@ -93,6 +103,71 @@ def per_level(x, finish):
     if not isinstance(x, np.ndarray):
         return finish(x)
     return np.array([finish(s) for s in x.ravel()]).reshape(x.shape)
+
+
+# ---------------------------------------------------------------------------
+# scratch arrays kept between calls
+
+
+class Workspace:
+    """Arrays kept for reuse, one per name and shape: ``get`` hands out the
+    same uninitialised array each time it is asked for a name and shape, so
+    a caller that writes it in full on every call allocates it once.  The
+    stencils that take ``out`` write their results and their temporaries
+    into one, each under its own name ("scratch" and "scratch_b" hold
+    temporaries, dead once the stencil returns); a result stays valid until
+    the next call that writes the same name.
+
+    The arrays are cut from slabs of at least SLAB doubles (1 MiB), which
+    the C allocator maps on their own, away from the heap in which a step
+    allocates and frees its transforms' outputs.  Kept there, between those
+    arrays, they changed when freeing them returned pages to the system: a
+    128^2 decay run then took 26.8k minor page faults instead of 7.0k."""
+
+    SLAB = 2 ** 17   # doubles per slab
+
+    def __init__(self):
+        self._arrays: dict = {}
+        self._free = np.empty(0)
+
+    def get(self, name: str, shape) -> np.ndarray:
+        key = (name, tuple(shape))
+        if key not in self._arrays:
+            n = math.prod(key[1])
+            if n > self._free.size:
+                self._free = np.empty(max(n, self.SLAB))
+            self._arrays[key], self._free = self._free[:n].reshape(key[1]), self._free[n:]
+        return self._arrays[key]
+
+
+def _array(out: Workspace | None, name: str, shape) -> np.ndarray:
+    """``out``'s array ``name`` of ``shape``, or a fresh one without ``out``."""
+    return np.empty(shape) if out is None else out.get(name, shape)
+
+
+def _divide(a: np.ndarray, d: float) -> np.ndarray:
+    """a /= d in place.  For d a power of two it multiplies by 1 / d, which
+    is exact, so the product rounds as the quotient does, at a fraction of
+    the cost of a division."""
+    m, e = math.frexp(d)
+    if m == 0.5 and abs(e) < 1000:
+        a *= 1.0 / d
+    else:
+        a /= d
+    return a
+
+
+def _neighbours(ufunc, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[..., j] = ufunc(a[..., j + 1], a[..., j]) for j < m - 1, m the
+    length of the last axis, formed in one pass over the flat sequences of
+    ``a`` and of the C-contiguous ``out``: a pass along the rows of a 2-D
+    view runs one short inner loop per row, several times slower.  Column
+    m - 1 pairs a row's last value with the next row's first (0 on the
+    last row) and is not a result."""
+    fa, fo = a.reshape(-1), out.reshape(-1)
+    ufunc(fa[1:], fa[:-1], out=fo[:-1])
+    fo[-1] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +252,14 @@ def laplacian_v(v: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def theta_to_vfaces(th: np.ndarray, grid: GridSpec) -> np.ndarray:
+def theta_to_vfaces(th: np.ndarray, grid: GridSpec, out: Workspace | None = None) -> np.ndarray:
     """Cell scalar averaged onto interior y-faces (buoyancy injection)."""
-    out = np.zeros(th.shape[:-2] + (grid.nx, grid.ny + 1))
-    out[..., 1:-1] = 0.5 * (th[..., :-1] + th[..., 1:])
-    return out
+    faces = _array(out, "vfaces", th.shape[:-2] + (grid.nx, grid.ny + 1))
+    mean = _neighbours(np.add, th, _array(out, "scratch", th.shape))
+    mean *= 0.5
+    faces[..., 1:-1] = mean[..., :-1]
+    faces[..., 0] = faces[..., -1] = 0.0
+    return faces
 
 
 def vfaces_to_cells(g: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -194,27 +272,48 @@ def vfaces_to_cells(g: np.ndarray, grid: GridSpec) -> np.ndarray:
 # cell-centered gradients without boundary assumptions (heating, viscosity law)
 
 
-def d_center(fc: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Central differences, second-order one-sided at the first/last row."""
-    g = np.empty_like(fc)
+def d_center(fc: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Central differences, second-order one-sided at the first/last row,
+    written into ``out`` (a C-contiguous array shaped like ``fc``) when
+    given.  Along y the interior differences take one pass over the flat
+    sequences (``_neighbours``); the first and last columns it also forms
+    are overwritten by the one-sided ones."""
+    g = np.empty(fc.shape) if out is None else out
     f, gf = fc.swapaxes(0, axis - 2), g.swapaxes(0, axis - 2)   # grid axis first
-    np.subtract(f[2:], f[:-2], out=gf[1:-1])
-    gf[1:-1] /= 2.0 * h
+    if axis == 1:
+        fa, ga = fc.reshape(-1), g.reshape(-1)
+        np.subtract(fa[2:], fa[:-2], out=ga[1:-1])
+        ga[0] = ga[-1] = 0.0
+        _divide(g, 2.0 * h)
+    else:
+        np.subtract(f[2:], f[:-2], out=gf[1:-1])
+        _divide(gf[1:-1], 2.0 * h)
     gf[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
     gf[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
     return g
 
 
-def center_gradients(u: np.ndarray, v: np.ndarray, grid: GridSpec):
+def cell_sums(u: np.ndarray, v: np.ndarray, out: Workspace | None = None):
+    """(u_i + u_i+1, v_j + v_j+1): each velocity component's two face values
+    around a cell summed, twice its cell average."""
+    cells = u.shape[:-2] + (u.shape[-2] - 1, u.shape[-1])
+    return (np.add(u[..., :-1, :], u[..., 1:, :], out=_array(out, "sum_u", cells)),
+            np.add(v[..., :-1], v[..., 1:], out=_array(out, "sum_v", cells)))
+
+
+def center_gradients(u: np.ndarray, v: np.ndarray, grid: GridSpec,
+                     out: Workspace | None = None, sums=None):
     """(du/dx, du/dy, dv/dx, dv/dy) at cell centers; du/dy and dv/dx take
-    ``d_center`` of twice the cell averages over 4h (see ``advect_scalar``)."""
+    ``d_center`` of the ``cell_sums`` over 4h (see ``advect_scalar``), which
+    a caller that forms them for ``advect_velocity`` too passes as ``sums``."""
     check_faces(u, v, grid)
-    ux = u[..., 1:, :] - u[..., :-1, :]
-    ux /= grid.hx
-    vy = v[..., 1:] - v[..., :-1]
-    vy /= grid.hy
-    uy = d_center(u[..., :-1, :] + u[..., 1:, :], 2.0 * grid.hy, axis=1)
-    vx = d_center(v[..., :-1] + v[..., 1:], 2.0 * grid.hx, axis=0)
+    cells = u.shape[:-2] + (grid.nx, grid.ny)
+    ux = _divide(np.subtract(u[..., 1:, :], u[..., :-1, :], out=_array(out, "ux", cells)),
+                 grid.hx)
+    vy = _divide(np.subtract(v[..., 1:], v[..., :-1], out=_array(out, "vy", cells)), grid.hy)
+    su, sv = cell_sums(u, v, out) if sums is None else sums
+    uy = d_center(su, 2.0 * grid.hy, axis=1, out=_array(out, "uy", cells))
+    vx = d_center(sv, 2.0 * grid.hx, axis=0, out=_array(out, "vx", cells))
     return ux, uy, vx, vy
 
 
@@ -229,14 +328,20 @@ def heating(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
     return heating_from_gradients(center_gradients(u, v, grid))
 
 
-def heating_from_gradients(grads) -> np.ndarray:
+def heating_from_gradients(grads, out: Workspace | None = None) -> np.ndarray:
     """Heating density from the ``center_gradients`` tuple.
 
     Grouping the cross terms turns the sum into ux^2 + (uy+vx)^2/2 + vy^2,
     the squared deformation magnitude, so the result is nonnegative cellwise.
     """
     ux, uy, vx, vy = grads
-    return ux * ux + 0.5 * (uy + vx) ** 2 + vy * vy
+    heat = np.multiply(ux, ux, out=_array(out, "heat", ux.shape))
+    cross = np.add(uy, vx, out=_array(out, "scratch", ux.shape))
+    cross *= cross
+    cross *= 0.5
+    heat += cross
+    heat += np.multiply(vy, vy, out=cross)
+    return heat
 
 
 @dataclass(frozen=True)
@@ -271,10 +376,14 @@ def grad_sq_cells(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
     return grad_sq_from_gradients(center_gradients(u, v, grid))
 
 
-def grad_sq_from_gradients(grads) -> np.ndarray:
+def grad_sq_from_gradients(grads, out: Workspace | None = None) -> np.ndarray:
     """|grad y|^2 per cell from the ``center_gradients`` tuple."""
-    ux, uy, vx, vy = grads
-    return ux * ux + uy * uy + vx * vx + vy * vy
+    ux = grads[0]
+    gm2 = np.multiply(ux, ux, out=_array(out, "grad_sq", ux.shape))
+    sq = _array(out, "scratch", ux.shape)
+    for d in grads[1:]:
+        gm2 += np.multiply(d, d, out=sq)
+    return gm2
 
 
 def nonlocal_viscosity(u: np.ndarray, v: np.ndarray, law: ViscosityLaw,
@@ -282,38 +391,43 @@ def nonlocal_viscosity(u: np.ndarray, v: np.ndarray, law: ViscosityLaw,
     return law.of_density(grad_sq_cells(u, v, grid), grid)
 
 
-def nonlocal_viscosity_scalar(th: np.ndarray, law: ViscosityLaw, grid: GridSpec) -> float:
+def nonlocal_viscosity_scalar(th: np.ndarray, law: ViscosityLaw, grid: GridSpec,
+                              out: Workspace | None = None) -> float:
     """Same law evaluated on a cell scalar's gradient (temperature variant)."""
-    gx = d_center(th, grid.hx, axis=0)
-    gy = d_center(th, grid.hy, axis=1)
-    return law.of_density(gx * gx + gy * gy, grid)
+    gx = d_center(th, grid.hx, axis=0, out=_array(out, "theta_x", th.shape))
+    gy = d_center(th, grid.hy, axis=1, out=_array(out, "scratch", th.shape))
+    gx *= gx
+    gx += np.multiply(gy, gy, out=gy)
+    return law.of_density(gx, grid)
 
 
 # ---------------------------------------------------------------------------
 # advection (conservative centered fluxes; skew-symmetric for div-free carrier)
 
 
-def _wall_flux_difference(flux: np.ndarray, h: float, axis: int,
-                          out: np.ndarray) -> np.ndarray:
-    """Write into ``out`` the difference along grid ``axis``, over h, of a
-    face flux that is ``flux`` on the interior faces and zero on both walls."""
-    f, o = flux.swapaxes(0, axis - 2), out.swapaxes(0, axis - 2)
-    o[0] = f[0]
-    np.subtract(f[1:], f[:-1], out=o[1:-1])
-    np.negative(f[-1], out=o[-1])
-    out /= h
-    return out
+def _wall_difference_x(flux: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the difference along x, over h, of a face flux that
+    is ``flux`` on the interior faces and zero on both walls."""
+    out[..., 0, :] = flux[..., 0, :]
+    np.subtract(flux[..., 1:, :], flux[..., :-1, :], out=out[..., 1:-1, :])
+    np.negative(flux[..., -1, :], out=out[..., -1, :])
+    return _divide(out, h)
 
 
-def _difference(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """(f[i+1] - f[i]) / h along grid ``axis``."""
-    d = np.diff(f, axis=axis - 2)
-    d /= h
-    return d
+def _wall_difference_y(flux: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """The same along y, for a C-contiguous ``flux`` shaped like ``out``
+    whose columns before the last hold the interior face values and whose
+    last column is 0, so that one pass over the flat sequences
+    (``_neighbours``) forms every column but the last."""
+    fa, fo = flux.reshape(-1), out.reshape(-1)
+    np.subtract(fa[1:], fa[:-1], out=fo[1:])
+    fo[0] = fa[0]
+    np.negative(flux[..., -2], out=out[..., -1])
+    return _divide(out, h)
 
 
 def advect_scalar(f: np.ndarray, cu: np.ndarray, cv: np.ndarray,
-                  grid: GridSpec) -> np.ndarray:
+                  grid: GridSpec, out: Workspace | None = None) -> np.ndarray:
     """div(c f) with centered face averages; equals (c . grad) f when the
     carrier is discretely divergence-free.  Wall fluxes vanish with the normal
     carrier component, so only the interior face fluxes are formed.  Fluxes
@@ -321,38 +435,48 @@ def advect_scalar(f: np.ndarray, cu: np.ndarray, cv: np.ndarray,
     a power-of-two scaling is exact, so this is the averaged form bit for bit."""
     check_cells(f, grid)
     check_faces(cu, cv, grid)
-    fx = f[..., :-1, :] + f[..., 1:, :]
+    fx = np.add(f[..., :-1, :], f[..., 1:, :],
+                out=_array(out, "scratch", f.shape[:-2] + (grid.nx - 1, grid.ny)))
     fx *= cu[..., 1:-1, :]
-    out = _wall_flux_difference(fx, 2.0 * grid.hx, 0, np.empty_like(f))
-    fy = f[..., :-1] + f[..., 1:]
-    fy *= cv[..., 1:-1]
-    out += _wall_flux_difference(fy, 2.0 * grid.hy, 1, np.empty_like(f))
-    return out
+    adv = _wall_difference_x(fx, 2.0 * grid.hx, _array(out, "adv_th", f.shape))
+    fy = _neighbours(np.add, f, _array(out, "scratch", f.shape))
+    np.multiply(fy[..., :-1], cv[..., 1:-1], out=fy[..., :-1])
+    fy[..., -1] = 0.0
+    adv += _wall_difference_y(fy, 2.0 * grid.hy, _array(out, "scratch_b", f.shape))
+    return adv
 
 
-def advect_velocity(u: np.ndarray, v: np.ndarray, grid: GridSpec):
+def advect_velocity(u: np.ndarray, v: np.ndarray, grid: GridSpec,
+                    out: Workspace | None = None, sums=None):
     """Divergence-form MAC transport of (u, v) by itself, face sums over 4h
-    (see ``advect_scalar``).  The corner flux, zero on the walls, is formed
-    once on the interior corners and differenced along y for u, x for v."""
+    (see ``advect_scalar``; ``sums`` as in ``center_gradients``).  The
+    corner flux, zero on the walls, is formed once on the interior corners
+    and differenced along y for u, x for v."""
     check_faces(u, v, grid)
-    corner = v[..., :-1, 1:-1] + v[..., 1:, 1:-1]
-    corner *= u[..., 1:-1, :-1] + u[..., 1:-1, 1:]
+    lead, nx, ny = u.shape[:-2], grid.nx, grid.ny
+    su, sv = cell_sums(u, v, out) if sums is None else sums
+    # the corner flux on v's rows, its wall columns 0: (v_i + v_i+1)(u_j + u_j+1)
+    corner = np.add(v[..., :-1, :], v[..., 1:, :],
+                    out=_array(out, "corner", lead + (nx - 1, ny + 1)))
+    u_sums = _neighbours(np.add, u, _array(out, "scratch", u.shape))
+    np.multiply(corner[..., 1:-1], u_sums[..., 1:-1, :-1], out=corner[..., 1:-1])
+    corner[..., 0] = corner[..., -1] = 0.0
 
-    au = np.empty_like(u)
+    au = _array(out, "adv_u", u.shape)
     au[..., 0, :] = au[..., -1, :] = 0.0
     au_in = au[..., 1:-1, :]
-    _wall_flux_difference(corner, 4.0 * grid.hy, 1, au_in)
-    cell = u[..., :-1, :] + u[..., 1:, :]
-    cell *= cell
-    au_in += _difference(cell, 4.0 * grid.hx, 0)
+    sq = np.multiply(su, su, out=_array(out, "scratch", su.shape))
+    _divide(np.subtract(sq[..., 1:, :], sq[..., :-1, :], out=au_in), 4.0 * grid.hx)
+    on_u = _array(out, "scratch", lead + (nx - 1, ny))   # the corner flux on u's rows
+    on_u[..., :-1] = corner[..., 1:-1]
+    on_u[..., -1] = 0.0
+    au_in += _wall_difference_y(on_u, 4.0 * grid.hy, _array(out, "scratch_b", on_u.shape))
 
-    av = np.empty_like(v)
+    av = _wall_difference_x(corner, 4.0 * grid.hx, _array(out, "adv_v", v.shape))
+    np.multiply(sv, sv, out=sq)
+    av[..., 1:-1] += _divide(_neighbours(np.subtract, sq, _array(out, "scratch_b", sq.shape)),
+                             4.0 * grid.hy)[..., :-1]
     av[..., 0] = av[..., -1] = 0.0
-    av_in = av[..., 1:-1]
-    _wall_flux_difference(corner, 4.0 * grid.hx, 0, av_in)
-    cell = v[..., :-1] + v[..., 1:]
-    cell *= cell
-    av_in += _difference(cell, 4.0 * grid.hy, 1)
     return au, av
 
 
@@ -704,7 +828,9 @@ class ModalBasis:
     modes only one component has (l = 0 of u, k = 0 of v) are gradients,
     which the projection removes; so ``u`` and ``v`` map a physical field
     to its coefficients on the shared modes k, l >= 1 alone, an
-    (nx - 1) x (ny - 1) array each, and back.
+    (nx - 1) x (ny - 1) array each, and back.  ``physical`` maps a modal
+    state (shared-mode velocity, Helmholtz theta) back, and ``energy``
+    gives its energy components from the coefficients.
     Helmholtz basis: u in DST-I x DST-II, v in DST-II x DST-I, theta in
     DST-II x DST-II.  There each (I - c lap) is the scaling
     1 / (1 + c (d_x^2 + d_y^2)), and ``theta_to_vfaces`` maps theta mode
@@ -798,8 +924,13 @@ class ModalBasis:
         (u, v) -> (u, v) - n n^T (u, v) with n = (d_x, d_y) / |d|, that is
         (d_y, -d_x) w / |d| with w = (d_y u - d_x v) / |d|."""
         beta, neg_alpha = self._projection
-        w = beta * us
-        w += neg_alpha * vs
+        if us.shape == beta.shape:      # one level: w in the basis's scratch
+            w, t = self._scratch
+            w = np.multiply(beta, us, out=w)
+            w += np.multiply(neg_alpha, vs, out=t)
+        else:
+            w = beta * us
+            w += neg_alpha * vs
         np.multiply(beta, w, out=us)
         np.multiply(neg_alpha, w, out=vs)
 
@@ -809,6 +940,51 @@ class ModalBasis:
         us, vs = self.u[0](u), self.v[0](v)
         self.project(us, vs)
         return self.u[1](us), self.v[1](vs)
+
+    def physical(self, us: np.ndarray, vs: np.ndarray, th: np.ndarray):
+        """The physical (u, v, theta) of a modal state: shared-mode velocity
+        coefficients and theta's Helmholtz (DST-II) ones."""
+        return self.u[1](us), self.v[1](vs), self.cells[1](th)
+
+    @cached_property
+    def _scratch(self):
+        """Two arrays of the shared modes' shape, which ``project`` and
+        ``energy`` write in full before they read them."""
+        return np.empty(self._projection[0].shape), np.empty(self._projection[0].shape)
+
+    @cached_property
+    def _energy_tables(self):
+        """For ``energy``: d_x^2 + d_y^2 on the shared modes, the DCT-II
+        columns of the first and last cell of y (for u) and of x (for v),
+        and scratch for the squared coefficients of theta."""
+        nx, ny = self.grid.nx, self.grid.ny
+        lap = self.d_x[self._kx, None] ** 2 + self.d_y[None, self._ky] ** 2
+        return (lap, np.ascontiguousarray(_mode_matrix("dct2", ny)[:, [0, -1]]),
+                np.ascontiguousarray(_mode_matrix("dct2", nx)[:, [0, -1]].T),
+                np.empty(self.lap_cells.shape))
+
+    def energy(self, us: np.ndarray, vs: np.ndarray, th: np.ndarray):
+        """(|grad y|^2, |theta|^2, |grad theta|^2) of one modal state (as
+        ``physical`` takes it) from its coefficients: the values that
+        ``forward.energy_components`` forms from the physical fields, to
+        roundoff, as Parseval sums (the bases are orthonormal).
+
+        Theta's basis diagonalises its Laplacian, so |theta|^2 is the area
+        times sum theta^2 and |grad theta|^2 the area times sum lap_cells
+        theta^2.  The shared modes diagonalise each velocity component's
+        Laplacian with even ghosts across its tangential walls, with the
+        eigenvalues d_x^2 + d_y^2 for both components.  The H^1 form's odd
+        ghosts add 2/h^2 times the squared values of the first and last
+        cells across those walls, which the DCT-II's columns at those cells
+        give from the coefficients: two thin products per component."""
+        lap, qy, qx, sq_th = self._energy_tables
+        sq = self._scratch[0]
+        g = self.grid
+        bulk = float(np.vdot(lap, np.multiply(us, us, out=sq))
+                     + np.vdot(lap, np.multiply(vs, vs, out=sq)))
+        walls = 2.0 * (_sum_sq(us @ qy) / g.hy**2 + _sum_sq(qx @ vs) / g.hx**2)
+        return ((bulk + walls) * g.cell_area, _sum_sq(th) * g.cell_area,
+                float(np.vdot(self.lap_cells, np.multiply(th, th, out=sq_th))) * g.cell_area)
 
 
 class SpectralSolver:

@@ -158,8 +158,9 @@ class PhysicalLinear:
                             for f, a in zip(sources, (u, v, th)))
         rv = v + dt * prop.coupling * ops.theta_to_vfaces(th, self.grid)
         c = dt * prop.nu0   # implicit_stage adds the control into u and th in place
-        return implicit_stage(self.sp.modes, dt, u.copy(), rv, th.copy(), c, c, control,
-                              prop.bumps, sources, box)
+        return self.sp.modes.physical(*implicit_stage(
+            self.sp.modes, dt, u.copy(), rv, th.copy(), c, c, control, prop.bumps, sources,
+            box))
 
     def step_adjoint(self, gu, gv, gth):
         prop, sp = self.prop, self.sp
@@ -554,6 +555,9 @@ class NaturalModalBasis:
         us, vs = self.u[0](u), self.v[0](v)
         self.project(us, vs)
         return self.u[1](us), self.v[1](vs)
+
+    def physical(self, us, vs, th):
+        return self.u[1](us), self.v[1](vs), self.cells[1](th)
 
 
 def workload_text(name, level=0):

@@ -402,6 +402,30 @@ class TestSweepPastTheCap:
         args[4] = replace(args[4], epsilon=eps)
         return solve_linear_control(*args)[1]
 
+    def test_last_solve_keeps_no_pairs(self, case, monkeypatch):
+        """The last solve of a problem adds no pair to its recycle space,
+        which nothing reads after it; the earlier ones fill it, and the
+        reports are those of a space that takes every pair."""
+        solve, rows = LinearControlProblem.solve, []
+
+        def spy(prob):
+            before = prob.space.rows
+            out = solve(prob)
+            rows.append((prob.eps, before, prob.space.rows))
+            return out
+
+        monkeypatch.setattr(LinearControlProblem, "solve", spy)
+        _, rep = solve_linear_control(*case, eps_sweep=self.SWEEP)
+        assert [r[0] for r in rows] == [1e-6, 1e-4, 1e-2]
+        assert rows[0][2] > 0 and rows[-1][1] == rows[-1][2]
+        rows.clear()
+        _, single = solve_linear_control(*case)
+        assert rows == [(1e-6, 0, 0)]
+        monkeypatch.setattr(control.RecycleSpace, "close", lambda space: None)
+        _, kept = solve_linear_control(*case, eps_sweep=self.SWEEP)
+        assert [m.terminal_norm for m in kept.sweep] == [m.terminal_norm for m in rep.sweep]
+        assert kept.terminal_norm == rep.terminal_norm == single.terminal_norm
+
     def test_members_match_separate_solves(self, case, monkeypatch):
         solve = LinearControlProblem.solve
         solved = {}
@@ -946,21 +970,26 @@ class TestLargeTime:
     def test_each_level_energy_is_computed_once(self, tmp_path, monkeypatch):
         """A ``large-time`` run of the demo config computes the energy
         components once per traced level: phase 1 stops on, and takes E(0)
-        from, the values its energy trace holds.  Both names the components
-        are looked up by are wrapped; the levels are those of every run the
-        pipeline makes."""
+        from, the values its energy trace holds.  The modal evaluation
+        (``ModalBasis.energy``) and both names of the physical components
+        are wrapped, so a level evaluated twice, either way, fails; the
+        levels are those of every run the pipeline makes."""
         from pathlib import Path
         from bousscontrol import runner
         from bousscontrol.config import parse_config
         cfg = parse_config(Path(__file__).resolve().parents[1] / "demos" / "configs"
                            / "large_time.cfg").with_kind("large-time")
         counts = {"calls": 0, "levels": 0}
-        components, run, pipeline = (forward.energy_components, control.run_nonlinear,
-                                     runner.large_time_control)
+        components, modal, run, pipeline = (forward.energy_components, ModalBasis.energy,
+                                            control.run_nonlinear, runner.large_time_control)
 
         def counted(*args):
             counts["calls"] += 1
             return components(*args)
+
+        def counted_modal(*args):
+            counts["calls"] += 1
+            return modal(*args)
 
         def traced_run(*args, **kwargs):
             out = run(*args, **kwargs)
@@ -975,11 +1004,12 @@ class TestLargeTime:
 
         monkeypatch.setattr(forward, "energy_components", counted)
         monkeypatch.setattr(control, "energy_components", counted, raising=False)
+        monkeypatch.setattr(ModalBasis, "energy", counted_modal)
         monkeypatch.setattr(control, "run_nonlinear", traced_run)
         monkeypatch.setattr(runner, "large_time_control", counted_pipeline)
         assert runner.run_experiment(cfg, str(tmp_path / "out")) == 0
         assert counts["levels"] > cfg.lt_tail.nt
-        assert counts["pipeline_calls"] <= counts["levels"]
+        assert counts["pipeline_calls"] == counts["levels"]
 
     def test_never_crossing_raises_regime_error(self, grid16, bumps16, patch):
         spec = self._spec()
@@ -1406,9 +1436,9 @@ class TestBlockEdges:
         runs, used = [], []
         freezer, solve = control._freezer, LinearControlProblem.solve
 
-        def recording_freezer(out, spec, modes, tgrid):
+        def recording_freezer(out, spec, modes, tgrid, *workspace):
             runs.append(Recorder())
-            return chain_hooks(runs[-1], freezer(out, spec, modes, tgrid))
+            return chain_hooks(runs[-1], freezer(out, spec, modes, tgrid, *workspace))
 
         def recording_solve(prob):
             used.append(prob.sources)

@@ -330,8 +330,12 @@ class TestEnergyMonitors:
         _, trace = run_nonlinear(y0, th0, None, spec, grid16, TimeGrid(0.5, 32),
                                  on_state=traj)
         ref = trace_from_trajectory(traj, grid16)
-        for name in ("t", "grad_y_sq", "theta_sq", "grad_theta_sq"):
-            assert np.array_equal(getattr(ref, name), getattr(trace, name))
+        assert np.array_equal(ref.t, trace.t)
+        # the run sums the levels' modal coefficients, the reference their
+        # physical H^1 forms: equal to roundoff (ModalBasis.energy)
+        for name in ("grad_y_sq", "theta_sq", "grad_theta_sq"):
+            np.testing.assert_allclose(getattr(trace, name), getattr(ref, name),
+                                       rtol=1e-13, atol=0.0)
         assert ref.lam1 == trace.lam1
 
 
@@ -619,25 +623,31 @@ class TestRunContract:
     @classmethod
     def _stepped(cls, mode, grid, tg):
         """Levels 0..nt by hand: the projected data, then nt calls to step
-        (to ``step_modes`` for the linear system)."""
+        (to ``step_modes`` for the linear system); and the energy components
+        of level 0's physical fields and of each stepped level's modal
+        coefficients (``ModalBasis.energy``)."""
         spec = cls._spec(mode)
         prop = (NonlinearPropagator(grid, tg, spec) if mode == "nonlinear" else
                 LinearPropagator(grid, tg, spec.law.nu0, coupling=spec.buoyancy))
+        m = prop.modes
         y0, th0 = scaled_initial_data(grid, 1e-3)
         if mode == "nonlinear":
-            levels = [prop.modes.project_faces(*y0) + (th0,)]
+            levels = [m.project_faces(*y0) + (th0,)]
+            energies = [energy_components(*levels[0], grid)]   # the caller's data
             for _ in range(tg.nt):
                 levels.append(prop.step(*levels[-1]))
-            return levels
+                energies.append(m.energy(*prop.modal))   # the step's coefficients
+            return levels, energies
         # the linear system steps on modal coefficients, levels are read back
         coeffs = [prop.to_modes(*y0, th0)]
         for _ in range(tg.nt):
             coeffs.append(prop.step_modes(*coeffs[-1]))
-        return [prop.from_modes(*c) for c in coeffs]
+        levels = [prop.from_modes(*c) for c in coeffs]
+        return levels, [energy_components(*levels[0], grid)] + [m.energy(*c) for c in coeffs[1:]]
 
     @pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
     def test_unstored_run_streams_the_stored_levels(self, grid16, mode):
-        ref = self._stepped(mode, grid16, self.TG)
+        ref, energies = self._stepped(mode, grid16, self.TG)
         seen = Recorder()
         last, trace = self._run(mode, grid16, self.TG, on_state=seen)
         assert np.array_equal(seen.t, self.TG.nodes())
@@ -647,7 +657,11 @@ class TestRunContract:
             assert np.array_equal(th, rth)
         for a, b in zip(last, ref[-1]):
             assert np.array_equal(a, b)
-        assert np.array_equal(trace.energy, trace_from_trajectory(seen, grid16).energy)
+        assert np.array_equal(np.stack([trace.grad_y_sq, trace.theta_sq, trace.grad_theta_sq],
+                                       axis=1), np.array(energies))
+        # the modal sums against the physical forms of the levels handed out
+        np.testing.assert_allclose(trace.energy, trace_from_trajectory(seen, grid16).energy,
+                                   rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
     def test_true_on_state_ends_the_run(self, grid16, mode):
@@ -686,3 +700,55 @@ class TestRunContract:
             self._run("linearized", grid16, self.TG,
                       forcing=lambda k: (grid16.zeros_u(), grid16.zeros_v(),
                                          grid16.zeros_cells()))
+
+
+class TestWorkspace:
+    """The nonlinear step's explicit stage in an ``operators.Workspace``."""
+
+    SPECS = [SystemSpec(law=ViscosityLaw(0.4, 0.2)),
+             SystemSpec(law=ViscosityLaw(0.4, 0.2, 4.0), theta_coeff_source="temperature"),
+             SystemSpec(law=ViscosityLaw(0.4, 0.2), heating_on=False)]
+
+    @pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(33, 20, lx=1.3, ly=0.7)],
+                             ids=["16x16", "33x20"])
+    @pytest.mark.parametrize("spec", SPECS, ids=["l2", "lp-temperature", "heating-off"])
+    def test_stacked_terms_equal_single_levels(self, grid, spec):
+        """``explicit_terms`` of a stack of levels in a workspace equals,
+        level by level and bit for bit, the single-level call without a
+        workspace and in a workspace of its own."""
+        rng = np.random.default_rng(23)
+        levels = [(*rand_div_free(grid, rng), rand_cells(grid, rng)) for _ in range(3)]
+        stacked = explicit_terms(*(np.stack(parts) for parts in zip(*levels)), spec, grid,
+                                 ops.Workspace())
+        ws = ops.Workspace()
+        for i, level in enumerate(levels):
+            for single in (explicit_terms(*level, spec, grid),
+                           explicit_terms(*level, spec, grid, ws)):
+                for got, want in zip(stacked, single):
+                    if want is None:
+                        assert got is None
+                    elif np.ndim(want) == 0:
+                        assert got[i] == want
+                    else:
+                        assert got[i].tobytes() == want.tobytes()
+
+    # a step's tracemalloc peak after its warm-up, in 64^2 u-face arrays:
+    # 6.91 measured (the state and coefficients it returns, and the
+    # transforms' outputs); 9.90 before the workspace
+    STEP_PEAK_ARRAYS = 7
+
+    def test_step_allocates_a_bounded_number_of_grid_arrays(self):
+        import tracemalloc
+        grid = GridSpec(64, 64)
+        prop = NonlinearPropagator(grid, TimeGrid(0.01, 16),
+                                   SystemSpec(law=ViscosityLaw(0.5, 0.2), heating_on=True))
+        (u, v), th = scaled_initial_data(grid, 1e-2)
+        state = prop.step(u, v, th)      # builds the workspace and the maps
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            state = prop.step(*state)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.STEP_PEAK_ARRAYS * (grid.nx + 1) * grid.ny * 8

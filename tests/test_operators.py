@@ -620,3 +620,37 @@ class TestStackedLevels:
             ops.h1_seminorm_sq_cells(f, grid16)
         with pytest.raises(ShapeError, match="one level"):
             ops.h1_seminorm_sq_velocity(u, v, grid16)
+
+
+class TestModalEnergy:
+    """``ModalBasis.energy`` of a modal state against the physical oracle:
+    the H^1 forms with the Laplacians formed (``conftest``) and the cell
+    norm, of the state ``ModalBasis.physical`` gives, within 1e-13
+    relative.  The fields have large values next to the walls, where the
+    odd-ghost terms of the velocity's form live."""
+
+    @pytest.mark.parametrize("grid", REFERENCE_GRIDS + [GridSpec(128, 128)],
+                             ids=["16x16", "33x20", "128x128"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_physical_forms(self, grid, seed):
+        rng = np.random.default_rng(seed)
+        m = ops.ModalBasis(grid)
+        u, v, th = rand_u(grid, rng), rand_v(grid, rng), rand_cells(grid, rng)
+        u[1:-1, 0] += 5.0       # tangential velocity and theta next to the walls
+        u[1:-1, -1] -= 4.0
+        v[0, 1:-1] += 3.0
+        v[-1, 1:-1] -= 6.0
+        th[0, :] += 5.0
+        th[:, -1] -= 4.0
+        us, vs = m.u[0](u), m.v[0](v)
+        m.project(us, vs)
+        th_hat = m.cells[0](th)
+        pu, pv, pth = m.physical(us, vs, th_hat)
+        for wall in (pu[1:-1, 0], pu[1:-1, -1], pv[0, 1:-1], pv[-1, 1:-1]):
+            assert np.abs(wall).max() > 0.1 * max(np.abs(pu).max(), np.abs(pv).max())
+        got = m.energy(us, vs, th_hat)
+        want = (reference_h1_seminorm_sq_velocity(pu, pv, grid),
+                ops.norm_cells(pth, grid) ** 2, reference_h1_seminorm_sq_cells(pth, grid))
+        assert all(type(x) is float for x in got)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * w
