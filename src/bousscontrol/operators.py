@@ -116,27 +116,15 @@ class Workspace:
     stencils that take ``out`` write their results and their temporaries
     into one, each under its own name ("scratch" and "scratch_b" hold
     temporaries, dead once the stencil returns); a result stays valid until
-    the next call that writes the same name.
-
-    The arrays are cut from slabs of at least SLAB doubles (1 MiB), which
-    the C allocator maps on their own, away from the heap in which a step
-    allocates and frees its transforms' outputs.  Kept there, between those
-    arrays, they changed when freeing them returned pages to the system: a
-    128^2 decay run then took 26.8k minor page faults instead of 7.0k."""
-
-    SLAB = 2 ** 17   # doubles per slab
+    the next call that writes the same name."""
 
     def __init__(self):
         self._arrays: dict = {}
-        self._free = np.empty(0)
 
     def get(self, name: str, shape) -> np.ndarray:
         key = (name, tuple(shape))
         if key not in self._arrays:
-            n = math.prod(key[1])
-            if n > self._free.size:
-                self._free = np.empty(max(n, self.SLAB))
-            self._arrays[key], self._free = self._free[:n].reshape(key[1]), self._free[n:]
+            self._arrays[key] = np.empty(key[1])
         return self._arrays[key]
 
 
@@ -924,13 +912,8 @@ class ModalBasis:
         (u, v) -> (u, v) - n n^T (u, v) with n = (d_x, d_y) / |d|, that is
         (d_y, -d_x) w / |d| with w = (d_y u - d_x v) / |d|."""
         beta, neg_alpha = self._projection
-        if us.shape == beta.shape:      # one level: w in the basis's scratch
-            w, t = self._scratch
-            w = np.multiply(beta, us, out=w)
-            w += np.multiply(neg_alpha, vs, out=t)
-        else:
-            w = beta * us
-            w += neg_alpha * vs
+        w = beta * us
+        w += neg_alpha * vs
         np.multiply(beta, w, out=us)
         np.multiply(neg_alpha, w, out=vs)
 
@@ -947,12 +930,6 @@ class ModalBasis:
         return self.u[1](us), self.v[1](vs), self.cells[1](th)
 
     @cached_property
-    def _scratch(self):
-        """Two arrays of the shared modes' shape, which ``project`` and
-        ``energy`` write in full before they read them."""
-        return np.empty(self._projection[0].shape), np.empty(self._projection[0].shape)
-
-    @cached_property
     def _energy_tables(self):
         """For ``energy``: d_x^2 + d_y^2 on the shared modes, the DCT-II
         columns of the first and last cell of y (for u) and of x (for v),
@@ -961,7 +938,7 @@ class ModalBasis:
         lap = self.d_x[self._kx, None] ** 2 + self.d_y[None, self._ky] ** 2
         return (lap, np.ascontiguousarray(_mode_matrix("dct2", ny)[:, [0, -1]]),
                 np.ascontiguousarray(_mode_matrix("dct2", nx)[:, [0, -1]].T),
-                np.empty(self.lap_cells.shape))
+                np.empty(lap.shape), np.empty(self.lap_cells.shape))
 
     def energy(self, us: np.ndarray, vs: np.ndarray, th: np.ndarray):
         """(|grad y|^2, |theta|^2, |grad theta|^2) of one modal state (as
@@ -977,8 +954,7 @@ class ModalBasis:
         ghosts add 2/h^2 times the squared values of the first and last
         cells across those walls, which the DCT-II's columns at those cells
         give from the coefficients: two thin products per component."""
-        lap, qy, qx, sq_th = self._energy_tables
-        sq = self._scratch[0]
+        lap, qy, qx, sq, sq_th = self._energy_tables
         g = self.grid
         bulk = float(np.vdot(lap, np.multiply(us, us, out=sq))
                      + np.vdot(lap, np.multiply(vs, vs, out=sq)))

@@ -807,7 +807,8 @@ class TestStreamedRuns:
 
     @pytest.mark.parametrize("kind", ["decay", "simulate"])
     def test_linearized_run_matches_stored_trajectory(self, tmp_path, kind):
-        from bousscontrol.forward import scaled_initial_data, trace_from_trajectory
+        from bousscontrol.forward import (energy_components, scaled_initial_data,
+                                          trace_from_trajectory)
         from bousscontrol.operators import div
         cfg = parse_config_text(MINIMAL + "system.mode = linearized\n").with_kind(kind)
         assert run_experiment(cfg, str(tmp_path / "out")) == 0
@@ -821,6 +822,16 @@ class TestStreamedRuns:
         # the reference's the physical H^1 forms: equal to roundoff
         np.testing.assert_allclose(rows[:, 3:], np.stack(
             [ref.grad_y_sq, ref.theta_sq, ref.grad_theta_sq], axis=1), rtol=1e-13, atol=0.0)
+        # bit for bit: level 0's physical forms, then ModalBasis.energy of
+        # each hand-made step's coefficients
+        prop = LinearPropagator(cfg.grid, cfg.tgrid, cfg.system.law.nu0,
+                                coupling=cfg.system.buoyancy)
+        coeffs = prop.to_modes(*y0, th0)
+        energies = [energy_components(*prop.from_modes(*coeffs), cfg.grid)]
+        for _ in range(cfg.tgrid.nt):
+            coeffs = prop.step_modes(*coeffs)
+            energies.append(prop.modes.energy(*coeffs))
+        assert np.array_equal(rows[:, 3:], np.array(energies))
         if kind == "simulate":
             rep = _report_values(tmp_path / "out" / "report.txt")
             assert float(rep["final_norm"]) == traj.terminal_norm(cfg.grid)

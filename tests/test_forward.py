@@ -337,6 +337,16 @@ class TestEnergyMonitors:
             np.testing.assert_allclose(getattr(trace, name), getattr(ref, name),
                                        rtol=1e-13, atol=0.0)
         assert ref.lam1 == trace.lam1
+        # bit for bit: level 0's physical forms, then ModalBasis.energy of
+        # each hand-made step's coefficients
+        prop = NonlinearPropagator(grid16, TimeGrid(0.5, 32), spec)
+        state = prop.modes.project_faces(*y0) + (th0,)
+        energies = [energy_components(*state, grid16)]
+        for _ in range(32):
+            state = prop.step(*state)
+            energies.append(prop.modes.energy(*prop.modal))
+        assert np.array_equal(np.stack([trace.grad_y_sq, trace.theta_sq, trace.grad_theta_sq],
+                                       axis=1), np.array(energies))
 
 
 @pytest.mark.parametrize("source", ["velocity", "temperature"])
