@@ -110,22 +110,32 @@ def per_level(x, finish):
 
 
 class Workspace:
-    """Arrays kept for reuse, one per name and shape: ``get`` hands out the
-    same uninitialised array each time it is asked for a name and shape, so
-    a caller that writes it in full on every call allocates it once.  The
-    stencils that take ``out`` write their results and their temporaries
-    into one, each under its own name ("scratch" and "scratch_b" hold
-    temporaries, dead once the stencil returns); a result stays valid until
-    the next call that writes the same name."""
+    """Arrays kept for reuse, one buffer per name: ``get`` hands out a view
+    of shape ``shape`` on the name's buffer, the same view each time it is
+    asked for a name and shape, so a caller that writes it in full on every
+    call allocates it once.  The buffer holds the largest shape asked for
+    under its name, and the views of one name share it.  The stencils that
+    take ``out`` write their results and their temporaries into one
+    ("scratch" and "scratch_b" hold temporaries, dead once the stencil
+    returns); a result stays valid until the next call that writes its
+    name.  A name "a/b" is shared by two results: ``center_gradients``'s
+    or ``grad_sq_from_gradients``'s a, dead once ``explicit_terms`` has
+    formed the viscosity and the heating, and a later stencil's b."""
 
     def __init__(self):
-        self._arrays: dict = {}
+        self._buffers: dict = {}
+        self._views: dict = {}
 
     def get(self, name: str, shape) -> np.ndarray:
         key = (name, tuple(shape))
-        if key not in self._arrays:
-            self._arrays[key] = np.empty(key[1])
-        return self._arrays[key]
+        view = self._views.get(key)
+        if view is None:
+            n = math.prod(key[1])
+            if name not in self._buffers or self._buffers[name].size < n:
+                self._buffers[name] = np.empty(n)
+                self._views = {k: a for k, a in self._views.items() if k[0] != name}
+            view = self._views[key] = self._buffers[name][:n].reshape(key[1])
+        return view
 
 
 def _array(out: Workspace | None, name: str, shape) -> np.ndarray:
@@ -242,7 +252,7 @@ def laplacian_v(v: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def theta_to_vfaces(th: np.ndarray, grid: GridSpec, out: Workspace | None = None) -> np.ndarray:
     """Cell scalar averaged onto interior y-faces (buoyancy injection)."""
-    faces = _array(out, "vfaces", th.shape[:-2] + (grid.nx, grid.ny + 1))
+    faces = _array(out, "grad_sq/vfaces", th.shape[:-2] + (grid.nx, grid.ny + 1))
     mean = _neighbours(np.add, th, _array(out, "scratch", th.shape))
     mean *= 0.5
     faces[..., 1:-1] = mean[..., :-1]
@@ -296,12 +306,12 @@ def center_gradients(u: np.ndarray, v: np.ndarray, grid: GridSpec,
     a caller that forms them for ``advect_velocity`` too passes as ``sums``."""
     check_faces(u, v, grid)
     cells = u.shape[:-2] + (grid.nx, grid.ny)
-    ux = _divide(np.subtract(u[..., 1:, :], u[..., :-1, :], out=_array(out, "ux", cells)),
+    ux = _divide(np.subtract(u[..., 1:, :], u[..., :-1, :], out=_array(out, "ux/adv_u", cells)),
                  grid.hx)
-    vy = _divide(np.subtract(v[..., 1:], v[..., :-1], out=_array(out, "vy", cells)), grid.hy)
+    vy = _divide(np.subtract(v[..., 1:], v[..., :-1], out=_array(out, "vy/adv_v", cells)), grid.hy)
     su, sv = cell_sums(u, v, out) if sums is None else sums
-    uy = d_center(su, 2.0 * grid.hy, axis=1, out=_array(out, "uy", cells))
-    vx = d_center(sv, 2.0 * grid.hx, axis=0, out=_array(out, "vx", cells))
+    uy = d_center(su, 2.0 * grid.hy, axis=1, out=_array(out, "uy/adv_th", cells))
+    vx = d_center(sv, 2.0 * grid.hx, axis=0, out=_array(out, "vx/corner", cells))
     return ux, uy, vx, vy
 
 
@@ -367,7 +377,7 @@ def grad_sq_cells(u: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
 def grad_sq_from_gradients(grads, out: Workspace | None = None) -> np.ndarray:
     """|grad y|^2 per cell from the ``center_gradients`` tuple."""
     ux = grads[0]
-    gm2 = np.multiply(ux, ux, out=_array(out, "grad_sq", ux.shape))
+    gm2 = np.multiply(ux, ux, out=_array(out, "grad_sq/vfaces", ux.shape))
     sq = _array(out, "scratch", ux.shape)
     for d in grads[1:]:
         gm2 += np.multiply(d, d, out=sq)
@@ -382,7 +392,7 @@ def nonlocal_viscosity(u: np.ndarray, v: np.ndarray, law: ViscosityLaw,
 def nonlocal_viscosity_scalar(th: np.ndarray, law: ViscosityLaw, grid: GridSpec,
                               out: Workspace | None = None) -> float:
     """Same law evaluated on a cell scalar's gradient (temperature variant)."""
-    gx = d_center(th, grid.hx, axis=0, out=_array(out, "theta_x", th.shape))
+    gx = d_center(th, grid.hx, axis=0, out=_array(out, "scratch_b", th.shape))
     gy = d_center(th, grid.hy, axis=1, out=_array(out, "scratch", th.shape))
     gx *= gx
     gx += np.multiply(gy, gy, out=gy)
@@ -426,7 +436,7 @@ def advect_scalar(f: np.ndarray, cu: np.ndarray, cv: np.ndarray,
     fx = np.add(f[..., :-1, :], f[..., 1:, :],
                 out=_array(out, "scratch", f.shape[:-2] + (grid.nx - 1, grid.ny)))
     fx *= cu[..., 1:-1, :]
-    adv = _wall_difference_x(fx, 2.0 * grid.hx, _array(out, "adv_th", f.shape))
+    adv = _wall_difference_x(fx, 2.0 * grid.hx, _array(out, "uy/adv_th", f.shape))
     fy = _neighbours(np.add, f, _array(out, "scratch", f.shape))
     np.multiply(fy[..., :-1], cv[..., 1:-1], out=fy[..., :-1])
     fy[..., -1] = 0.0
@@ -445,12 +455,12 @@ def advect_velocity(u: np.ndarray, v: np.ndarray, grid: GridSpec,
     su, sv = cell_sums(u, v, out) if sums is None else sums
     # the corner flux on v's rows, its wall columns 0: (v_i + v_i+1)(u_j + u_j+1)
     corner = np.add(v[..., :-1, :], v[..., 1:, :],
-                    out=_array(out, "corner", lead + (nx - 1, ny + 1)))
+                    out=_array(out, "vx/corner", lead + (nx - 1, ny + 1)))
     u_sums = _neighbours(np.add, u, _array(out, "scratch", u.shape))
     np.multiply(corner[..., 1:-1], u_sums[..., 1:-1, :-1], out=corner[..., 1:-1])
     corner[..., 0] = corner[..., -1] = 0.0
 
-    au = _array(out, "adv_u", u.shape)
+    au = _array(out, "ux/adv_u", u.shape)
     au[..., 0, :] = au[..., -1, :] = 0.0
     au_in = au[..., 1:-1, :]
     sq = np.multiply(su, su, out=_array(out, "scratch", su.shape))
@@ -460,7 +470,7 @@ def advect_velocity(u: np.ndarray, v: np.ndarray, grid: GridSpec,
     on_u[..., -1] = 0.0
     au_in += _wall_difference_y(on_u, 4.0 * grid.hy, _array(out, "scratch_b", on_u.shape))
 
-    av = _wall_difference_x(corner, 4.0 * grid.hx, _array(out, "adv_v", v.shape))
+    av = _wall_difference_x(corner, 4.0 * grid.hx, _array(out, "vy/adv_v", v.shape))
     np.multiply(sv, sv, out=sq)
     av[..., 1:-1] += _divide(_neighbours(np.subtract, sq, _array(out, "scratch_b", sq.shape)),
                              4.0 * grid.hy)[..., :-1]
